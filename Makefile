@@ -55,12 +55,14 @@ race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 
 # Ten seconds of coverage-guided fuzzing per target over the committed
-# seed corpora: the minisql parser and the transport frame codec must
-# reject hostile input with errors, never panics.
+# seed corpora: the minisql parser, the transport frame codec and the
+# fabric's binary push body must reject hostile input with errors,
+# never panics.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

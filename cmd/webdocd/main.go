@@ -155,6 +155,14 @@ func main() {
 	lib := library.New(store)
 	lib.RegisterInstructor("instructor")
 
+	// The shutdown handler is installed before any ready banner prints:
+	// whoever waits for the banner may signal the moment it appears, and
+	// a SIGTERM that lands under the default disposition kills the
+	// process without the shutdown checkpoint — losing the BLOB bytes
+	// the legacy -wal layout only persists there.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	// Start serving. In fabric mode the socket must be up before the
 	// join handshake (the root pushes bundles back to it); standalone
 	// stations seed first, serve after, like the original daemon.
@@ -270,8 +278,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Println("webdocd: shutting down")
 	// Orderly shutdown: stop serving, then take a final checkpoint —

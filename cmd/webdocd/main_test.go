@@ -181,6 +181,56 @@ func TestKillRestartPreservesMedia(t *testing.T) {
 	stopDaemon(t, cmd2)
 }
 
+// TestSIGTERMRightAfterBannerPreservesMedia signals the daemon the
+// instant its ready banner appears, twenty restarts in a row on one
+// WAL. Every one of them must shut down in order (exit 0, not death by
+// the default SIGTERM disposition): a process killed before its
+// handler was installed skips the shutdown checkpoint, and on the
+// -wal layout that is the only place the BLOB bytes are written — the
+// rows would come back and the media would not.
+func TestSIGTERMRightAfterBannerPreservesMedia(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	bin := daemonBinary(t)
+	wal := filepath.Join(t.TempDir(), "station1.wal")
+	spec := workload.DefaultSpec(1)
+
+	for i := 0; i < 20; i++ {
+		args := []string{"-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal}
+		if i == 0 {
+			args = append(args, "-seed-course", "3")
+		}
+		_, cmd := startDaemon(t, bin, args...)
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("restart %d: SIGTERM right after the banner did not shut down in order: %v", i, err)
+		}
+	}
+
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal)
+	rs, err := cluster.DialStation(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	bundle, err := rs.FetchBundle(spec.URL)
+	if err != nil {
+		t.Fatalf("bundle after 20 signalled restarts: %v", err)
+	}
+	if len(bundle.Media) == 0 || len(bundle.Media) > countMedia(t, rs) {
+		t.Fatalf("bundle carries %d media of %d rows", len(bundle.Media), countMedia(t, rs))
+	}
+	for i, m := range bundle.Media {
+		if len(m.Data) == 0 {
+			t.Errorf("media %d (%s) came back empty", i, m.Name)
+		}
+	}
+	stopDaemon(t, cmd)
+}
+
 // TestSIGKILLAfterCheckpointPreservesState is the no-mercy leg of the
 // crash matrix: the daemon is checkpointed over RPC (the webdocctl
 // checkpoint verb) and then SIGKILLed — no SIGTERM, no sidecar flush.

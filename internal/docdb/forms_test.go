@@ -3,12 +3,14 @@ package docdb
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/blob"
 
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
 func TestInstanceAndReferenceForms(t *testing.T) {
@@ -228,6 +230,40 @@ func TestExportImportBundleRoundTrip(t *testing.T) {
 	anns, _ := dst.Annotations(url)
 	if len(anns) != 1 {
 		t.Errorf("imported annotations = %d", len(anns))
+	}
+}
+
+// TestBundleWireRoundTrip: an exported bundle survives the binary
+// body codec field for field, installs from the decoded form, and
+// every truncation of the encoding is reported through the reader.
+func TestBundleWireRoundTrip(t *testing.T) {
+	src := newStore(t)
+	_, url := seedCourse(t, src)
+	if err := src.SaveAnnotation(Annotation{Name: "a1", ScriptName: "intro-cs", StartingURL: url, Author: "Shih", File: []byte("enc")}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.ExportBundle(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := AppendBundle(nil, want)
+	r := wire.NewReader(enc)
+	got := ReadBundle(r)
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Len())
+	}
+	if !reflect.DeepEqual(&got, want) {
+		t.Fatalf("round trip changed the bundle:\n got %+v\nwant %+v", got, *want)
+	}
+	if _, err := newStore(t).ImportBundle(&got, 7, false); err != nil {
+		t.Fatalf("importing the decoded bundle: %v", err)
+	}
+	for n := 0; n < len(enc); n++ {
+		r := wire.NewReader(enc[:n:n])
+		ReadBundle(r)
+		if !errors.Is(r.Err(), wire.ErrCorrupt) {
+			t.Fatalf("bundle cut to %d of %d bytes: err = %v", n, len(enc), r.Err())
+		}
 	}
 }
 

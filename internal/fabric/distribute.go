@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // PushRequest carries one broadcast hop: the bundles, the install
@@ -16,13 +17,11 @@ import (
 // bundles hold just the script and implementation rows (the metadata
 // closure of a document reference).
 //
-// Bundles is the coalesced form: one hop frame delivers every
-// document of a batched broadcast, so distributing k documents costs
-// one RPC per tree edge instead of k. Bundle is the legacy
-// single-document field, still decoded so a push from a pre-batching
-// peer installs correctly.
+// One hop frame delivers every document of a batched broadcast, so
+// distributing k documents costs one RPC per tree edge instead of k.
+// The request encodes itself (pushwire.go): the root encodes it once
+// and every station below forwards those bytes untouched.
 type PushRequest struct {
-	Bundle    docdb.Bundle
 	Bundles   []docdb.Bundle
 	RefOnly   bool
 	M         int
@@ -31,18 +30,6 @@ type PushRequest struct {
 	Epoch     int
 	Roster    map[int]string
 	Down      map[int]bool
-}
-
-// allBundles returns the documents this push carries, accepting both
-// the coalesced Bundles form and the legacy single-Bundle form.
-func (r *PushRequest) allBundles() []docdb.Bundle {
-	if len(r.Bundles) > 0 {
-		return r.Bundles
-	}
-	if r.Bundle.Impl.StartingURL != "" {
-		return []docdb.Bundle{r.Bundle}
-	}
-	return nil
 }
 
 // StationResult reports the outcome of a broadcast or migration on one
@@ -122,11 +109,12 @@ type FetchResult struct {
 }
 
 // Broadcast pushes a document from the root down the m-ary tree,
-// hop-by-hop with store-and-forward relaying and parallel fan-out to
-// children. With refOnly the stations install document references (the
-// paper's broadcast-of-references when an instance is created);
-// otherwise they import full instances (pre-broadcast before a
-// lecture). Dead hops are routed around — their children graft onto
+// hop by hop with parallel fan-out to children: the root encodes the
+// push once and every relay forwards the bytes it received while it
+// installs its own copy. With refOnly the stations install document
+// references (the paper's broadcast-of-references when an instance is
+// created); otherwise they import full instances (pre-broadcast before
+// a lecture). Dead hops are routed around — their children graft onto
 // the nearest live ancestor — and unreachable stations are reported
 // per station in the result, not as a call failure.
 func (s *Station) Broadcast(url string, refOnly bool) (*BroadcastResult, error) {
@@ -173,10 +161,15 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 		bundles = append(bundles, *bundle)
 	}
 	v := s.view()
-	req := PushRequest{
+	// The one encode of the whole broadcast: every station in the tree
+	// receives, and relays, exactly these bytes.
+	body, err := transport.Marshal(PushRequest{
 		Bundles: bundles, RefOnly: refOnly,
 		M: v.m, N: v.n, Watermark: v.watermark,
 		Epoch: v.epoch, Roster: v.roster, Down: v.down,
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The catalog entries land before the fan-out: a station rejoining
 	// while this broadcast is still in flight must see the documents in
@@ -184,7 +177,7 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 	for _, url := range urls {
 		s.recordBroadcast(url, refOnly)
 	}
-	results := s.fanOut(v.pos, req, span)
+	results := s.fanOut(v.pos, v.m, v.n, v.roster, transport.Raw(body), span)
 	sortResults(results)
 	return &BroadcastResult{
 		URL: urls[0], URLs: urls, RefOnly: refOnly, Bytes: total,
@@ -209,14 +202,28 @@ func (s *Station) bundleFor(url string, refOnly bool) (*docdb.Bundle, error) {
 	return s.store.ExportBundle(url)
 }
 
-// handlePush installs the pushed document locally (store), then
-// relays it to this station's children (forward) and aggregates the
-// subtree results. The hop's span (opened by the transport when the
-// push is traced) rides down to the children, so the whole traversal
-// shares one TraceID.
+// handlePush relays a push and installs it, in that order of starting:
+// it reads only the body's topology header, hands the body it received
+// — the root's bytes, never re-encoded — to its children, and decodes
+// and imports its own copy while they are in flight. Both finish
+// before it replies, so the reply still carries the whole subtree's
+// per-station results. The hop's span (opened by the transport when
+// the push is traced) rides down to the children, so the whole
+// traversal shares one TraceID.
+//
+// Forwarding first means a relay can die after its children have the
+// push but before its parent has the reply; the parent then grafts and
+// delivers to those children a second time. That window predates this
+// ordering (a relay could always die between fan-out and reply) and is
+// covered where it always was: ImportBundle and ImportReference are
+// no-ops on a document that is already resident.
 func (s *Station) handlePush(ctx *transport.Ctx, decode func(any) error) (any, error) {
-	var req PushRequest
-	if err := decode(&req); err != nil {
+	var body transport.Raw
+	if err := decode(&body); err != nil {
+		return nil, err
+	}
+	req, bundles, err := decodePushHeader(body)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -226,32 +233,46 @@ func (s *Station) handlePush(ctx *transport.Ctx, decode func(any) error) (any, e
 	if pos == 0 {
 		return nil, ErrNotJoined
 	}
-	bundles := req.allBundles()
+	var sub []StationResult
+	relayed := make(chan struct{})
+	go func() {
+		defer close(relayed)
+		sub = s.fanOut(pos, req.M, req.N, req.Roster, body, ctx.Span())
+	}()
+	local := s.installPush(pos, req.RefOnly, bundles)
+	<-relayed
+	return PushReply{Results: append(local, sub...)}, nil
+}
+
+// installPush decodes the bundles of a received push and installs them
+// on this station, one result per document. A body whose bundles do
+// not decode costs this station its copy, reported under its position;
+// the subtree, which was sent the same bytes, reports for itself.
+func (s *Station) installPush(pos int, refOnly bool, r *wire.Reader) []StationResult {
+	bundles, err := decodePushBundles(r)
+	if err != nil {
+		return []StationResult{{Pos: pos, Err: err.Error()}}
+	}
 	local := make([]StationResult, 0, len(bundles))
 	s.importMu.Lock()
+	defer s.importMu.Unlock()
 	for i := range bundles {
 		bundle := &bundles[i]
 		res := StationResult{Pos: pos, URL: bundle.Impl.StartingURL}
-		if req.RefOnly {
-			obj, err := s.store.ImportReference(bundle.Script, bundle.Impl, pos, 1)
-			if err != nil {
-				res.Err = err.Error()
-			} else {
-				res.Form = obj.Form
-			}
+		var obj docdb.DocObject
+		if refOnly {
+			obj, err = s.store.ImportReference(bundle.Script, bundle.Impl, pos, 1)
 		} else {
-			obj, err := s.store.ImportBundle(bundle, pos, false)
-			if err != nil {
-				res.Err = err.Error()
-			} else {
-				res.Form = obj.Form
-			}
+			obj, err = s.store.ImportBundle(bundle, pos, false)
+		}
+		if err != nil {
+			res.Err = err.Error()
+		} else {
+			res.Form = obj.Form
 		}
 		local = append(local, res)
 	}
-	s.importMu.Unlock()
-	sub := s.fanOut(pos, req, ctx.Span())
-	return PushReply{Results: append(local, sub...)}, nil
+	return local
 }
 
 // Resolve retrieves a document for this station: served locally when
@@ -281,8 +302,8 @@ func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult,
 	if pos == 1 {
 		return FetchResult{}, fmt.Errorf("%w: %s", ErrNoInstance, url)
 	}
-	reply, err := s.resolveViaAncestors(url, n+1, span)
-	if err != nil {
+	var reply ResolveReply
+	if err := s.resolveViaAncestors(url, n+1, span, &reply); err != nil {
 		return FetchResult{}, err
 	}
 	s.mu.Lock()
@@ -310,9 +331,11 @@ func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult,
 }
 
 // handleResolve serves a bundle from a local instance or relays the
-// request further up the parent route, skipping dead ancestors. The
-// hop's span context relays with the request, so a traced resolve
-// records every ancestor it crossed.
+// request further up the parent route, skipping dead ancestors. A
+// relaying station hands the ancestor's reply body down untouched:
+// only the station that serves the bundle encodes it and only the one
+// that asked decodes it. The hop's span context relays with the
+// request, so a traced resolve records every ancestor it crossed.
 func (s *Station) handleResolve(ctx *transport.Ctx, decode func(any) error) (any, error) {
 	var req ResolveRequest
 	if err := decode(&req); err != nil {
@@ -327,22 +350,38 @@ func (s *Station) handleResolve(ctx *transport.Ctx, decode func(any) error) (any
 	if pos == 0 {
 		return nil, ErrNotJoined
 	}
-	if obj, err := s.store.ObjectByURL(req.URL); err == nil && obj.Form != schema.FormReference {
-		bundle, err := s.store.ExportBundle(req.URL)
-		if err != nil {
-			return nil, err
-		}
+	bundle, err := s.exportLocal(req.URL)
+	if err != nil {
+		return nil, err
+	}
+	if bundle != nil {
 		ctx.Annotate("served from local instance")
 		return ResolveReply{Bundle: *bundle, ServedBy: pos}, nil
 	}
 	if pos == 1 {
 		return nil, fmt.Errorf("%w: %s", ErrNoInstance, req.URL)
 	}
-	reply, err := s.resolveViaAncestors(req.URL, req.TTL-1, ctx.Span())
-	if err != nil {
+	var reply transport.Raw
+	if err := s.resolveViaAncestors(req.URL, req.TTL-1, ctx.Span(), &reply); err != nil {
 		return nil, err
 	}
-	return *reply, nil
+	return reply, nil
+}
+
+// exportLocal exports the document if this station holds it as an
+// instance, nil otherwise. The residency check and the export run
+// under importMu, which local migrations and installs also take:
+// without it an end-of-lecture migration could drop the content
+// between the check and the export (or halfway through it) and the
+// resolve would be served a bundle missing pages or media.
+func (s *Station) exportLocal(url string) (*docdb.Bundle, error) {
+	s.importMu.Lock()
+	defer s.importMu.Unlock()
+	obj, err := s.store.ObjectByURL(url)
+	if err != nil || obj.Form == schema.FormReference {
+		return nil, nil
+	}
+	return s.store.ExportBundle(url)
 }
 
 // EndLecture migrates every non-persistent instance of the document in
@@ -378,19 +417,25 @@ func (s *Station) endLectureSpanned(url string, span *obs.ActiveSpan) (*MigrateR
 }
 
 // migrateLocal migrates this station's own copy if it is a
-// non-persistent instance, reporting the physical bytes reclaimed.
+// non-persistent instance, reporting the physical bytes reclaimed. The
+// migration holds importMu, so a resolve never exports the document
+// while its content is being dropped (see exportLocal).
 func (s *Station) migrateLocal(url string, pos int) *StationResult {
 	obj, err := s.store.ObjectByURL(url)
 	if err != nil || obj.Form != schema.FormInstance || obj.Persistent {
 		return nil
 	}
 	res := StationResult{Pos: pos}
+	s.importMu.Lock()
 	before := s.store.Blobs().Stats().PhysicalBytes
-	if err := s.store.MigrateToReference(obj.ID, 1); err != nil {
+	err = s.store.MigrateToReference(obj.ID, 1)
+	freed := before - s.store.Blobs().Stats().PhysicalBytes
+	s.importMu.Unlock()
+	if err != nil {
 		res.Err = err.Error()
 	} else {
 		res.Form = schema.FormReference
-		res.Freed = before - s.store.Blobs().Stats().PhysicalBytes
+		res.Freed = freed
 		s.mu.Lock()
 		delete(s.fetches, url)
 		s.mu.Unlock()

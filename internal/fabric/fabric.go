@@ -13,15 +13,18 @@
 //     listen address, is assigned the next linear position, and learns
 //     the tree degree, the watermark frequency and the roster
 //     (position -> address) from which it derives its parent route;
-//   - Broadcast: the instructor station (the root) pushes a course's
-//     bundle down the tree hop-by-hop with store-and-forward relaying;
-//     each station imports, then fans out to its children in parallel.
-//     A reference-only broadcast carries just the metadata closure and
-//     installs document references instead of instances;
+//   - Broadcast: the instructor station (the root) encodes a course's
+//     bundle once and pushes it down the tree hop by hop; each station
+//     forwards the bytes it received to its children in parallel and
+//     imports its own copy while they are in flight, replying when
+//     both are done. A reference-only broadcast carries just the
+//     metadata closure and installs document references instead of
+//     instances;
 //   - Resolve: a station missing a document walks its parent route —
 //     each ancestor either serves the bundle from a local instance or
-//     relays the request to its own parent. Crossing the watermark
-//     frequency materializes a local instance (copies the BLOBs);
+//     relays the request to its own parent and the reply body back
+//     down, untouched. Crossing the watermark frequency materializes a
+//     local instance (copies the BLOBs);
 //   - Migrate: after the lecture window, every non-persistent instance
 //     in the tree migrates back to a document reference, reclaiming
 //     the buffer space.
@@ -48,10 +51,10 @@
 //     webdocctl evict.
 //
 //   - Tree repair: a broadcast or migration reaching a dead child
-//     retries once (store-and-forward retry), then grafts the dead
-//     station's children onto the sender — the subtree is served
-//     directly, and the dead hop is reported per station in the
-//     result instead of stalling the fan-out.
+//     retries once, then grafts the dead station's children onto the
+//     sender — the subtree is served directly (for a push, with the
+//     same body bytes), and the dead hop is reported per station in
+//     the result instead of stalling the fan-out.
 //
 //   - Resolve: the parent route skips dead ancestors — the request
 //     goes to the nearest live ancestor (falling back to suspected
@@ -197,10 +200,12 @@ type Station struct {
 	hbStop  chan struct{}
 	hbFails map[int]int
 
-	// importMu serializes bundle installs on this station: a broadcast
-	// push racing an on-demand materialization of the same URL would
-	// otherwise both pass ImportBundle's residency check and collide on
-	// the file rows.
+	// importMu serializes the operations that change or read a whole
+	// document on this station — installs, end-of-lecture migrations
+	// and the export that serves a resolve: a broadcast push racing an
+	// on-demand materialization of the same URL would otherwise both
+	// pass ImportBundle's residency check and collide on the file rows,
+	// and an export racing a migration would ship a half-dropped bundle.
 	importMu sync.Mutex
 
 	// evSink, when set, receives structured one-line records for the

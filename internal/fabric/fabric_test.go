@@ -14,7 +14,6 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/search"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -250,40 +249,6 @@ func TestBroadcastAllBatchesDocuments(t *testing.T) {
 				t.Fatalf("station %d %s: obj=%+v err=%v", i+2, url, obj, err)
 			}
 		}
-	}
-}
-
-// TestLegacyPushRequestStillInstalls: a push from a pre-batching peer
-// (single Bundle field, no Bundles) must install as before.
-func TestLegacyPushRequestStillInstalls(t *testing.T) {
-	stations := newFabric(t, 3, 2, 1)
-	spec := authorCourse(t, stations[0], 1)
-	bundle, err := stations[0].Store().ExportBundle(spec.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := stations[0].view()
-	req := PushRequest{
-		Bundle: *bundle, RefOnly: false,
-		M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	}
-	leaf := stations[2] // position 3: no children, so no fan-out
-	pool := transport.NewPool(leaf.Addr(), 1, time.Minute)
-	defer pool.Close()
-	var reply PushReply
-	if err := pool.Call(methodPush, req, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Results) != 1 {
-		t.Fatalf("results = %+v", reply.Results)
-	}
-	got := reply.Results[0]
-	if got.Pos != 3 || got.Err != "" || got.Form != schema.FormInstance || got.URL != spec.URL {
-		t.Fatalf("legacy push result = %+v", got)
-	}
-	if obj, err := leaf.Store().ObjectByURL(spec.URL); err != nil || obj.Form != schema.FormInstance {
-		t.Fatalf("leaf store: obj=%+v err=%v", obj, err)
 	}
 }
 

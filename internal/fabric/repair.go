@@ -202,14 +202,17 @@ func (s *Station) childSubtree(span *obs.ActiveSpan, kid, m, n int, roster map[i
 	return sub
 }
 
-// fanOut relays a push to every child of pos, grafting around dead
-// hops. Every failure mode lands as a per-station result entry, never
-// as a call failure. The hop's span context rides on each child call.
-func (s *Station) fanOut(pos int, req PushRequest, span *obs.ActiveSpan) []StationResult {
+// fanOut relays a push body to every child of pos, grafting around
+// dead hops: body is what this station was sent (or, at the root, what
+// it encoded), and every delivery — to a child, or to a dead child's
+// children — puts those same bytes on the wire. Every failure mode
+// lands as a per-station result entry, never as a call failure. The
+// hop's span context rides on each child call.
+func (s *Station) fanOut(pos, m, n int, roster map[int]string, body transport.Raw, span *obs.ActiveSpan) []StationResult {
 	tc := span.Context()
-	agg := s.fanOutTree(span, pos, req.M, req.N, req.Roster, canRouteAround, func(addr string) (treeAgg, error) {
+	agg := s.fanOutTree(span, pos, m, n, roster, canRouteAround, func(addr string) (treeAgg, error) {
 		var reply PushReply
-		if err := s.callWithRetry(addr, methodPush, req, &reply, tc); err != nil {
+		if err := s.callWithRetry(addr, methodPush, body, &reply, tc); err != nil {
 			return treeAgg{}, err
 		}
 		return treeAgg{Stations: reply.Results}, nil
@@ -268,18 +271,20 @@ func (s *Station) migrateFanOut(pos int, req MigrateRequest, span *obs.ActiveSpa
 // ancestor (which relays further up itself), and only if every live
 // candidate proves unreachable are the suspected ones tried as a last
 // resort — they may have recovered since the last epoch reached this
-// station. span, when the resolve is traced, records skipped ancestors
-// and carries the trace context up the route.
-func (s *Station) resolveViaAncestors(url string, ttl int, span *obs.ActiveSpan) (*ResolveReply, error) {
+// station. The answer lands in reply: a *ResolveReply for the station
+// that wants the bundle, a *transport.Raw for one that only passes the
+// answer down the route. span, when the resolve is traced, records
+// skipped ancestors and carries the trace context up the route.
+func (s *Station) resolveViaAncestors(url string, ttl int, span *obs.ActiveSpan, reply any) error {
 	v := s.view()
 	tc := span.Context()
 	live, err := mtree.LiveAncestors(v.pos, v.m, v.dead)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	skipped, err := mtree.LiveAncestors(v.pos, v.m, func(p int) bool { return !v.dead(p) })
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var lastErr error
 	for _, p := range append(live, skipped...) {
@@ -287,15 +292,14 @@ func (s *Station) resolveViaAncestors(url string, ttl int, span *obs.ActiveSpan)
 		if addr == "" {
 			continue
 		}
-		var reply ResolveReply
-		err := s.pool(addr).CallTrace(methodResolve, ResolveRequest{URL: url, TTL: ttl}, &reply, tc, 0)
+		err := s.pool(addr).CallTrace(methodResolve, ResolveRequest{URL: url, TTL: ttl}, reply, tc, 0)
 		if err == nil {
-			return &reply, nil
+			return nil
 		}
 		if !transport.Unreachable(err) {
 			// A live ancestor answered with a definitive error (for
 			// example: no instance anywhere on its own route).
-			return nil, err
+			return err
 		}
 		span.Annotate("skipped unreachable ancestor %d", p)
 		s.noteSuspect(p)
@@ -304,7 +308,7 @@ func (s *Station) resolveViaAncestors(url string, ttl int, span *obs.ActiveSpan)
 	if lastErr == nil {
 		lastErr = fmt.Errorf("%w: %s", ErrNoInstance, url)
 	}
-	return nil, fmt.Errorf("%w from station %d: %v", ErrNoRoute, v.pos, lastErr)
+	return fmt.Errorf("%w from station %d: %v", ErrNoRoute, v.pos, lastErr)
 }
 
 // CatchUp reconciles a (re)joined station with the broadcasts it

@@ -1,10 +1,11 @@
-// Package transport is a length-prefixed gob-over-TCP request/response
-// layer: the wire protocol between the paper's three tiers (Web client
+// Package transport is a length-prefixed request/response layer over
+// TCP: the wire protocol between the paper's three tiers (Web client
 // front ends, the class administrator middle tier, and the database
 // stations). It offers named-method dispatch on the server and
 // concurrent-safe calls with response correlation on the client — the
 // slice of ODBC/HTTP plumbing the 1999 system obtained from its
-// platform.
+// platform. Message bodies are gob-encoded unless the value encodes
+// itself or is passed through raw (see Marshal).
 package transport
 
 import (
@@ -86,8 +87,40 @@ type envelope struct {
 	Parent  uint64
 }
 
-// Marshal encodes a payload value for an envelope body.
+// Raw is an envelope body passed through verbatim. Sending a Raw
+// (as a request, or as a handler's response value) puts its bytes on
+// the wire without encoding anything; decoding into a *Raw hands the
+// received body back without decoding anything. A relay that only
+// forwards a message — the fabric pushing one bundle down a tree, or
+// passing a resolve reply back up — holds it as Raw and never pays the
+// codec. A decoded Raw aliases the envelope's body, which the
+// transport never recycles: it stays valid as long as it is
+// referenced.
+type Raw []byte
+
+// WireAppender is a body value that encodes itself (with the
+// internal/wire primitives) instead of going through encoding/gob.
+type WireAppender interface {
+	AppendWire(dst []byte) ([]byte, error)
+}
+
+// WireDecoder is the decode half of WireAppender. body is the whole
+// envelope body and outlives the call, so an implementation may keep
+// slices that alias it (and must document that it does).
+type WireDecoder interface {
+	DecodeWire(body []byte) error
+}
+
+// Marshal encodes a payload value for an envelope body: a Raw is
+// passed through, a WireAppender encodes itself, anything else is
+// gob-encoded.
 func Marshal(v any) ([]byte, error) {
+	switch x := v.(type) {
+	case Raw:
+		return x, nil
+	case WireAppender:
+		return x.AppendWire(nil)
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
@@ -95,14 +128,23 @@ func Marshal(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal decodes an envelope body into the caller's value.
+// Unmarshal decodes an envelope body into the caller's value, the
+// mirror of Marshal: *Raw receives the body itself, a WireDecoder
+// decodes itself, anything else is gob-decoded.
 func Unmarshal(data []byte, v any) error {
+	switch x := v.(type) {
+	case *Raw:
+		*x = data
+		return nil
+	case WireDecoder:
+		return x.DecodeWire(data)
+	}
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // Handler serves one method: decode the request with the provided
-// function, return the response value (gob-encoded for the caller) or
-// an error.
+// function, return the response value (encoded for the caller by
+// Marshal) or an error.
 type Handler func(decode func(any) error) (any, error)
 
 // Ctx carries per-request observability state into handlers registered

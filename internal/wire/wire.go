@@ -38,6 +38,8 @@ const (
 	SnapMagic   = 0xBA // relstore checkpoint image
 	BlobMagic   = 0xBB // BLOB store sidecar
 	SearchMagic = 0xBC // content-index sidecar
+	PushMagic   = 0xBD // fabric push request body
+	ReplyMagic  = 0xBE // fabric resolve reply body
 
 	// Version is the current format version, encoded after every
 	// magic byte. Decoders reject versions they do not know.
@@ -115,6 +117,20 @@ func AppendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// AppendFloat64 appends v as 8 fixed little-endian bytes (IEEE 754).
+func AppendFloat64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// AppendTime appends an instant as seconds + nanoseconds, which cover
+// the full time.Time range (UnixNano alone saturates outside
+// 1678-2262). The zone is not carried: Reader.Time returns UTC,
+// matching what every legacy decode path produced.
+func AppendTime(dst []byte, t time.Time) []byte {
+	dst = AppendVarint(dst, t.Unix())
+	return AppendUvarint(dst, uint64(t.Nanosecond()))
+}
+
 // Value type tags.
 const (
 	tagNil   = 0
@@ -139,8 +155,7 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 	case int64:
 		return AppendVarint(append(dst, tagInt), x), nil
 	case float64:
-		dst = append(dst, tagFloat)
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x)), nil
+		return AppendFloat64(append(dst, tagFloat), x), nil
 	case string:
 		return AppendString(append(dst, tagStr), x), nil
 	case []byte:
@@ -151,12 +166,7 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 		}
 		return append(dst, tagFalse), nil
 	case time.Time:
-		// Seconds + nanos cover the full time.Time range (UnixNano
-		// alone saturates outside 1678-2262). The zone is normalized
-		// to UTC, matching what every legacy decode path produced.
-		dst = append(dst, tagTime)
-		dst = AppendVarint(dst, x.Unix())
-		return AppendUvarint(dst, uint64(x.Nanosecond())), nil
+		return AppendTime(append(dst, tagTime), x), nil
 	default:
 		return dst, fmt.Errorf("%w: unencodable value type %T", ErrCorrupt, v)
 	}
@@ -236,6 +246,40 @@ func (r *Reader) Uint32() uint32 {
 	return v
 }
 
+// Float64 reads 8 fixed little-endian bytes written by AppendFloat64.
+func (r *Reader) Float64() float64 {
+	if r.err != nil || r.off+8 > len(r.buf) {
+		r.fail()
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	r.off += 8
+	return v
+}
+
+// Time reads an instant written by AppendTime, in UTC.
+func (r *Reader) Time() time.Time {
+	sec := r.Varint()
+	nsec := r.Uvarint()
+	if r.err != nil || nsec >= 1e9 {
+		r.fail()
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
+}
+
+// Count reads an element count and fails when it exceeds the bytes
+// left: every element occupies at least one byte, so a hostile count
+// can never size an allocation beyond the input that carries it.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
 func (r *Reader) take(n uint64) []byte {
 	if r.err != nil {
 		return nil
@@ -267,6 +311,19 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
+// View reads a length-prefixed byte slice WITHOUT copying: the result
+// aliases the reader's buffer and is valid only as long as that buffer
+// is. It is for large payloads whose consumer copies what it keeps
+// (media bytes on their way into the BLOB store); everything else
+// should use Bytes. A zero length decodes as nil.
+func (r *Reader) View() []byte {
+	b := r.take(r.Uvarint())
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
+}
+
 // Value reads one tagged scalar written by AppendValue.
 func (r *Reader) Value() any {
 	switch tag := r.Byte(); tag {
@@ -275,13 +332,10 @@ func (r *Reader) Value() any {
 	case tagInt:
 		return r.Varint()
 	case tagFloat:
-		if r.err != nil || r.off+8 > len(r.buf) {
-			r.fail()
-			return nil
+		if v := r.Float64(); r.err == nil {
+			return v
 		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-		r.off += 8
-		return v
+		return nil
 	case tagStr:
 		return r.String()
 	case tagBytes:
@@ -291,13 +345,10 @@ func (r *Reader) Value() any {
 	case tagTrue:
 		return true
 	case tagTime:
-		sec := r.Varint()
-		nsec := r.Uvarint()
-		if r.err != nil || nsec >= 1e9 {
-			r.fail()
-			return nil
+		if t := r.Time(); r.err == nil {
+			return t
 		}
-		return time.Unix(sec, int64(nsec)).UTC()
+		return nil
 	default:
 		if r.err == nil {
 			r.err = fmt.Errorf("%w: unknown value tag %d", ErrCorrupt, tag)

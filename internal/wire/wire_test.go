@@ -93,6 +93,64 @@ func TestReaderLyingLength(t *testing.T) {
 	}
 }
 
+// TestTypedFieldHelpers covers the untagged field codecs the bundle
+// body is built from: times, floats, element counts and aliasing views.
+func TestTypedFieldHelpers(t *testing.T) {
+	at := time.Date(1999, 4, 21, 8, 0, 0, 987654321, time.FixedZone("CST", 8*3600))
+	buf := AppendTime(nil, at)
+	buf = AppendTime(buf, time.Time{})
+	buf = AppendFloat64(buf, 62.5)
+	buf = AppendUvarint(buf, 2) // a count of two one-byte elements
+	buf = append(buf, 7, 9)
+	buf = AppendBytes(buf, []byte("media"))
+	buf = AppendBytes(buf, nil)
+
+	r := NewReader(buf)
+	if got := r.Time(); !got.Equal(at) || got.Location() != time.UTC {
+		t.Errorf("time = %v, want %v in UTC", got, at)
+	}
+	if got := r.Time(); !got.IsZero() {
+		t.Errorf("zero time came back as %v", got)
+	}
+	if got := r.Float64(); got != 62.5 {
+		t.Errorf("float = %v", got)
+	}
+	if n := r.Count(); n != 2 || r.Byte() != 7 || r.Byte() != 9 {
+		t.Errorf("count = %d", n)
+	}
+	view := r.View()
+	if string(view) != "media" || &view[0] != &buf[len(buf)-6] {
+		t.Errorf("View = %q; it must alias the reader's buffer", view)
+	}
+	if cap(view) != len(view) {
+		t.Error("an append to a View could overwrite the bytes after it")
+	}
+	if got := r.View(); got != nil || r.Err() != nil || r.Len() != 0 {
+		t.Errorf("empty view = %v, err %v, %d bytes left", got, r.Err(), r.Len())
+	}
+
+	// A count can never exceed the bytes that would have to carry its
+	// elements, and nanoseconds never reach a full second.
+	for name, bad := range map[string][]byte{
+		"count beyond input": AppendUvarint(nil, 3),
+		"nanos >= 1e9":       AppendUvarint(AppendVarint(nil, 0), 1e9),
+		"short float":        {1, 2, 3},
+	} {
+		r := NewReader(bad)
+		switch name {
+		case "count beyond input":
+			r.Count()
+		case "nanos >= 1e9":
+			r.Time()
+		default:
+			r.Float64()
+		}
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, r.Err())
+		}
+	}
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	var log []byte
 	payloads := [][]byte{
