@@ -19,8 +19,9 @@ fmt-check:
 # Project linter: webdoclint type-checks every package and enforces
 # the invariants go vet cannot see — atomic-write discipline, lock
 # acquisition order, errors.Is over sentinel ==, trace propagation in
-# handler scopes, route-around classification in tree fan-outs, and
-# wire-tag encode/decode coverage. Zero dependencies; the only
+# handler scopes, route-around classification where the tree kernel
+# picks its classifier (fabric.hopRules), and wire-tag encode/decode
+# coverage. Zero dependencies; the only
 # waivers are reasoned //lint:ignore comments.
 lint:
 	$(GO) run ./cmd/webdoclint ./...
@@ -45,12 +46,14 @@ race:
 
 # The live distribution layer under the race detector: the in-process
 # multi-station fabric (including the 13-station failure/repair run,
-# the streamed catch-up parity tests and the scatter-gather search
-# parity run with a killed interior station), the station RPC node,
-# the pooled transport with chunked response streaming, and the
-# subprocess crash tests (SIGKILL mid-broadcast + rejoin, SIGKILL
-# after a checkpoint, SIGKILL before the search sidecar installs,
-# legacy-WAL migration) against real webdocd processes.
+# the streamed catch-up parity tests, the scatter-gather search
+# parity run and the three-gather table with a killed interior
+# station, and the fan-out kernel's socket-free classification
+# matrix), the station RPC node, the pooled transport with chunked
+# response streaming, and the subprocess crash tests (SIGKILL
+# mid-broadcast + rejoin, SIGKILL after a checkpoint, SIGKILL before
+# the search sidecar installs, legacy-WAL migration) against real
+# webdocd processes.
 race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 

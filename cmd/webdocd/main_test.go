@@ -559,14 +559,14 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := sim.PreBroadcastResilient(simSpec.URL); err != nil {
+	if _, _, err := sim.PreBroadcast(simSpec.URL); err != nil {
 		t.Fatal(err)
 	}
 	for _, pos := range []int{2, 5} {
 		if err := sim.MarkUp(pos); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.FetchOnDemandResilient(pos, simSpec.URL); err != nil {
+		if _, err := sim.FetchOnDemand(pos, simSpec.URL); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,15 +78,15 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	res, err := c.FetchOnDemandResilient(5, spec.URL)
+	res, err := c.FetchOnDemand(5, spec.URL)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nstations 2 and 6 down; station 5 (child of 2) pulled from station %d in %v\n",
 		res.ServedBy, res.Latency.Round(time.Millisecond))
 
-	// The resilient broadcast routes around the failures.
-	times, _, err = c.PreBroadcastResilient(spec.URL)
+	// The broadcast routes around the failures.
+	times, _, err = c.PreBroadcast(spec.URL)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func main() {
 			delivered++
 		}
 	}
-	fmt.Printf("resilient broadcast reached %d of %d live student stations after %v\n",
+	fmt.Printf("broadcast reached %d of %d live student stations after %v\n",
 		delivered, c.Size()-3, slowest(times).Round(time.Millisecond))
 
 	// Recovery: station 2 comes back and reviews the lecture; the pull
@@ -104,7 +104,7 @@ func main() {
 	if err := c.MarkUp(2); err != nil {
 		log.Fatal(err)
 	}
-	res, err = c.FetchOnDemandResilient(2, spec.URL)
+	res, err = c.FetchOnDemand(2, spec.URL)
 	if err != nil {
 		log.Fatal(err)
 	}

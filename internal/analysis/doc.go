@@ -21,10 +21,11 @@
 //   - lockorder: statically-known table lists passed to relstore's
 //     Begin are sorted ascending, mirroring the runtime lock hierarchy
 //     so deadlock-shaped declarations are caught before they run.
-//   - routearound: every route-around classifier handed to the
-//     fabric's fanOutTree is grounded in transport.Unreachable —
-//     grafting on any other error class re-delivers to subtrees whose
-//     relay already ran.
+//   - routearound: every route-around classifier a function hands
+//     out — the fabric kernel's hopRules picks one from an operation's
+//     idempotent flag — is grounded in transport.Unreachable; grafting
+//     on any other error class re-delivers to subtrees whose relay
+//     already ran.
 //   - sentinelerr: comparisons against the module's Err* sentinels use
 //     errors.Is, not == or !=, so wrapped errors keep matching.
 //   - tracecall: inside traced scopes (CtxHandler registrations,

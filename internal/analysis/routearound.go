@@ -5,21 +5,24 @@ import (
 	"go/types"
 )
 
-// RouteAround guards the tree-repair invariant (PR 10): fanOutTree's
-// routeAround callback decides which failed child calls are repaired
-// by grafting the child's subtree onto the caller. That decision is
+// RouteAround guards the tree-repair invariant: the fabric's fan-out
+// kernel picks, from an operation's idempotent flag, the classifier
+// that decides which failed child calls are repaired by grafting the
+// child's subtree onto the caller (fabric.hopRules). That decision is
 // only safe when it is grounded in transport.Unreachable — grafting
 // on an application error double-delivers to a subtree whose relay
 // already ran, and refusing to classify unreachability at all turns
-// every dead interior station into a lost subtree. Every classifier
-// handed to fanOutTree must therefore consult transport.Unreachable:
-// directly, through a named predicate that does (canRouteAround), or
-// by passing through a parameter whose own call sites were checked.
-// A deliberately different policy takes a reasoned
+// every dead interior station into a lost subtree. Every function
+// that hands out a route-around classifier — any function with a
+// func(error) bool result — must therefore return only classifiers
+// that consult transport.Unreachable: the function itself, a named
+// predicate that calls it (canRouteAround), a literal that does, or a
+// parameter passed through (its own origin is checked where it was
+// chosen). A deliberately different policy takes a reasoned
 // //lint:ignore routearound <why>.
 var RouteAround = &Analyzer{
 	Name: "routearound",
-	Doc:  "fanOutTree route-around classifiers must consult transport.Unreachable",
+	Doc:  "route-around classifiers a function hands out must consult transport.Unreachable",
 	Run:  runRouteAround,
 }
 
@@ -35,56 +38,53 @@ func runRouteAround(p *Pass) {
 			}
 		}
 	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || calleeName(call) != "fanOutTree" {
-				return true
+	for fn, fd := range bodies {
+		results := fn.Type().(*types.Signature).Results()
+		for i := 0; i < results.Len(); i++ {
+			if !isClassifierType(results.At(i).Type()) {
+				continue
 			}
-			arg := classifierArg(p, call)
-			if arg == nil {
-				return true
+			for _, ret := range returnsOf(fd.Body) {
+				// A bare return or a forwarded multi-value call names
+				// no classifier expression to check here.
+				if len(ret.Results) != results.Len() {
+					continue
+				}
+				if arg := ret.Results[i]; !classifiesUnreachable(p, bodies, arg) {
+					p.Reportf(arg.Pos(), "route-around classifier never consults transport.Unreachable; grafting on other errors re-delivers to subtrees whose relay already ran")
+				}
 			}
-			if !classifiesUnreachable(p, bodies, arg) {
-				p.Reportf(arg.Pos(), "fanOutTree route-around classifier never consults transport.Unreachable; grafting on other errors re-delivers to subtrees whose relay already ran")
-			}
-			return true
-		})
+		}
 	}
 }
 
-// calleeName extracts the called function's bare name.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
+// returnsOf collects the function's own return statements, not those
+// of literals nested in it.
+func returnsOf(body *ast.BlockStmt) []*ast.ReturnStmt {
+	var out []*ast.ReturnStmt
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			out = append(out, n)
+		}
+		return true
+	})
+	return out
 }
 
-// classifierArg finds the call's func(error) bool argument — the
-// route-around classifier, whatever its position.
-func classifierArg(p *Pass, call *ast.CallExpr) ast.Expr {
-	for _, arg := range call.Args {
-		tv, ok := p.Info.Types[arg]
-		if !ok {
-			continue
-		}
-		sig, ok := tv.Type.(*types.Signature)
-		if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
-			continue
-		}
-		if !types.Identical(sig.Params().At(0).Type(), types.Universe.Lookup("error").Type()) {
-			continue
-		}
-		res, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
-		if ok && res.Kind() == types.Bool {
-			return arg
-		}
+// isClassifierType recognizes func(error) bool.
+func isClassifierType(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
+	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
 	}
-	return nil
+	if !types.Identical(sig.Params().At(0).Type(), types.Universe.Lookup("error").Type()) {
+		return false
+	}
+	res, ok := sig.Results().At(0).Type().Underlying().(*types.Basic)
+	return ok && res.Kind() == types.Bool
 }
 
 // classifiesUnreachable reports whether the classifier expression is

@@ -1,24 +1,14 @@
-// Fixture for the routearound analyzer: every classifier handed to a
-// fanOutTree call must be grounded in transport.Unreachable — passed
-// directly, via a named predicate that consults it, or as a
-// pass-through parameter whose own call sites are checked.
+// Fixture for the routearound analyzer: every classifier a function
+// hands out (a func(error) bool result) must be grounded in
+// transport.Unreachable — the function itself, a named predicate that
+// consults it, a literal that does, or a pass-through parameter.
 package ra
 
-import "repro/internal/transport"
+import (
+	"time"
 
-type agg struct{}
-
-type station struct{}
-
-func (s *station) fanOutTree(pos int, routeAround func(error) bool, send func(addr string) (agg, error)) agg {
-	if routeAround(nil) {
-		a, _ := send("x")
-		return a
-	}
-	return agg{}
-}
-
-func send(addr string) (agg, error) { return agg{}, nil }
+	"repro/internal/transport"
+)
 
 // canRouteAround consults transport.Unreachable: accepted as a named
 // classifier.
@@ -30,23 +20,39 @@ func canRouteAround(err error) bool {
 // unreachability.
 func anyError(err error) bool { return err != nil }
 
-func (s *station) pushes() {
-	s.fanOutTree(1, canRouteAround, send)
-	s.fanOutTree(1, transport.Unreachable, send)
-	s.fanOutTree(1, func(err error) bool { return transport.Unreachable(err) }, send)
-	s.fanOutTree(1, anyError, send)                             // want `route-around classifier never consults transport\.Unreachable`
-	s.fanOutTree(1, func(err error) bool { return true }, send) // want `route-around classifier never consults transport\.Unreachable`
+// hopRules is the kernel's shape: the classifier and the hop timeout
+// chosen together from the operation's idempotent flag.
+func hopRules(idempotent bool) (func(error) bool, time.Duration) {
+	if idempotent {
+		return transport.Unreachable, time.Second
+	}
+	return canRouteAround, 0
+}
+
+func inline() func(error) bool {
+	return func(err error) bool { return transport.Unreachable(err) }
+}
+
+func careless(idempotent bool) (func(error) bool, time.Duration) {
+	if idempotent {
+		return anyError, time.Second // want `route-around classifier never consults transport\.Unreachable`
+	}
+	return func(err error) bool { return true }, 0 // want `route-around classifier never consults transport\.Unreachable`
 }
 
 // relay passes its parameter through: the classifier was chosen (and
-// checked) at relay's own call sites.
-func (s *station) relay(routeAround func(error) bool) agg {
-	return s.fanOutTree(1, routeAround, send)
+// checked) where relay's caller got it.
+func relay(routeAround func(error) bool) func(error) bool {
+	return routeAround
 }
+
+// plain predicates are not classifier selectors: their result is a
+// bool, and what they return is nobody's grafting rule.
+func plain(err error) bool { return err != nil }
 
 // neverGraft is a deliberately different policy with a reasoned
 // waiver: suppressed, and the suppression counts as used.
-func (s *station) neverGraft() agg {
+func neverGraft() func(error) bool {
 	//lint:ignore routearound this fan-out must surface every failure to the operator instead of repairing around it
-	return s.fanOutTree(1, func(err error) bool { return false }, send)
+	return func(err error) bool { return false }
 }

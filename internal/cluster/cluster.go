@@ -151,19 +151,29 @@ func (c *Cluster) BroadcastReferences(url string) error {
 	if err != nil {
 		return err
 	}
+	return c.walkDown(referenceBytes, func(kid int, _ time.Duration) error {
+		return installReference(c.stations[kid-1], script, impl, kid)
+	})
+}
+
+// walkDown is the one store-and-forward walk of the distribution tree:
+// the root sends size bytes to each of its live children (a failed
+// station's children graft onto its nearest live ancestor), arrive
+// runs when a station has received the whole message, and only then
+// does that station forward to its own children.
+func (c *Cluster) walkDown(size int64, arrive func(kid int, at time.Duration) error) error {
 	var failure error
 	var forward func(pos int)
 	forward = func(pos int) {
-		kids, err := mtree.Children(pos, c.cfg.M, c.Size())
+		kids, err := c.liveChildren(pos)
 		if err != nil {
 			failure = err
 			return
 		}
 		for _, kid := range kids {
 			kid := kid
-			err := c.sim.Transfer(c.ids[pos-1], c.ids[kid-1], referenceBytes, func(time.Duration) {
-				st := c.stations[kid-1]
-				if err := installReference(st, script, impl, kid); err != nil {
+			err := c.sim.Transfer(c.ids[pos-1], c.ids[kid-1], size, func(at time.Duration) {
+				if err := arrive(kid, at); err != nil {
 					failure = err
 					return
 				}
@@ -189,56 +199,37 @@ func installReference(st *Station, script docdb.Script, impl docdb.Implementatio
 
 // PreBroadcast pushes the full lecture bundle down the m-ary tree with
 // store-and-forward relaying: a station forwards to its children only
-// after it has fully received (and imported) the bundle. It returns the
-// per-station completion offsets (index = position - 1; the root is 0)
-// and the bundle size.
+// after it has fully received (and imported) the bundle. Failed
+// stations are routed around and report a zero completion time. It
+// returns the per-station completion offsets (index = position - 1; the
+// root is 0) and the bundle size.
 func (c *Cluster) PreBroadcast(url string) ([]time.Duration, int64, error) {
-	root := c.stations[0]
-	bundle, err := root.Store.ExportBundle(url)
+	bundle, err := c.stations[0].Store.ExportBundle(url)
 	if err != nil {
 		return nil, 0, err
 	}
-	size := bundle.TotalBytes()
 	start := c.sim.Now()
 	times := make([]time.Duration, c.Size())
-	var failure error
-	var forward func(pos int)
-	forward = func(pos int) {
-		kids, err := mtree.Children(pos, c.cfg.M, c.Size())
-		if err != nil {
-			failure = err
-			return
+	err = c.walkDown(bundle.TotalBytes(), func(kid int, at time.Duration) error {
+		if _, err := c.stations[kid-1].Store.ImportBundle(bundle, kid, false); err != nil {
+			return err
 		}
-		for _, kid := range kids {
-			kid := kid
-			err := c.sim.Transfer(c.ids[pos-1], c.ids[kid-1], size, func(at time.Duration) {
-				st := c.stations[kid-1]
-				if _, err := st.Store.ImportBundle(bundle, kid, false); err != nil {
-					failure = err
-					return
-				}
-				times[kid-1] = at - start
-				forward(kid)
-			})
-			if err != nil {
-				failure = err
-				return
-			}
-		}
-	}
-	forward(1)
-	c.sim.Run()
-	return times, size, failure
+		times[kid-1] = at - start
+		return nil
+	})
+	return times, bundle.TotalBytes(), err
 }
 
-// holderOnPath returns the nearest station on the requester's ancestor
-// path (including itself) holding a physical instance of the document.
+// holderOnPath returns the nearest live station on the requester's
+// ancestor route (including itself) holding a physical instance of the
+// document, skipping failed holders — mtree.LiveAncestors, the same
+// rule the live fabric's Resolve uses.
 func (c *Cluster) holderOnPath(pos int, url string) (*Station, error) {
-	path, err := mtree.AncestorPath(pos, c.cfg.M)
+	live, err := mtree.LiveAncestors(pos, c.cfg.M, c.Down)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range path {
+	for _, p := range append([]int{pos}, live...) {
 		st := c.stations[p-1]
 		obj, err := st.Store.ObjectByURL(url)
 		if err != nil {
@@ -260,12 +251,12 @@ type FetchResult struct {
 	Bytes      int64
 }
 
-// FetchOnDemand retrieves a document for a station that wants to review
-// it: served locally when an instance is resident, otherwise pulled
-// from the nearest holding ancestor. Crossing the watermark frequency
-// replicates the physical data onto the requesting station.
+// FetchOnDemand retrieves a document for a live station that wants to
+// review it: served locally when an instance is resident, otherwise
+// pulled from the nearest live holding ancestor. Crossing the watermark
+// frequency replicates the physical data onto the requesting station.
 func (c *Cluster) FetchOnDemand(pos int, url string) (FetchResult, error) {
-	st, err := c.Station(pos)
+	st, err := c.liveStation(pos)
 	if err != nil {
 		return FetchResult{}, err
 	}

@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/mtree"
-	"repro/internal/schema"
 )
 
 // Station failure handling. The paper assumes stations join and stay;
 // a deployed system loses workstations mid-semester, so the
-// distribution layer routes around marked-down stations: broadcasts
-// graft a failed station's children onto its nearest live ancestor, and
-// on-demand pulls skip dead holders on the ancestor path.
+// distribution layer routes around marked-down stations: broadcasts and
+// gathers graft a failed station's children onto its nearest live
+// ancestor, and on-demand pulls skip dead holders on the ancestor path.
 
 // down tracks failed stations; lazily allocated.
 func (c *Cluster) downSet() map[int]bool {
@@ -48,13 +47,23 @@ func (c *Cluster) MarkUp(pos int) error {
 // Down reports whether a station is marked failed.
 func (c *Cluster) Down(pos int) bool { return c.down[pos] }
 
+// liveStation returns the station at a position that is about to issue
+// a request; a failed station cannot.
+func (c *Cluster) liveStation(pos int) (*Station, error) {
+	if c.down[pos] {
+		return nil, fmt.Errorf("%w: station %d is down", ErrNoStation, pos)
+	}
+	return c.Station(pos)
+}
+
 // liveChildren expands a station's children, replacing failed children
-// by their own (recursively expanded) children — the grafting rule for
-// routing a broadcast around failures. The arithmetic lives in
-// mtree.LiveChildren so the live TCP fabric repairs its tree with
-// exactly the rule the simulator models.
+// by their own (recursively expanded) children — the grafting rule
+// every tree walk of the simulator routes by; with nothing marked down
+// it is mtree.Children. The arithmetic lives in mtree.LiveChildren so
+// the live TCP fabric repairs its tree with exactly the rule the
+// simulator models.
 func (c *Cluster) liveChildren(pos int) ([]int, error) {
-	return mtree.LiveChildren(pos, c.cfg.M, c.Size(), func(p int) bool { return c.down[p] })
+	return mtree.LiveChildren(pos, c.cfg.M, c.Size(), c.Down)
 }
 
 // PreBroadcastChunked pushes the lecture bundle down the m-ary tree cut
@@ -122,107 +131,4 @@ func (c *Cluster) PreBroadcastChunked(url string, chunkBytes int64) ([]time.Dura
 	}
 	c.sim.Run()
 	return times, size, failure
-}
-
-// PreBroadcastResilient behaves like PreBroadcast but routes around
-// failed stations (store-and-forward over the grafted live tree).
-func (c *Cluster) PreBroadcastResilient(url string) ([]time.Duration, int64, error) {
-	root := c.stations[0]
-	bundle, err := root.Store.ExportBundle(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	size := bundle.TotalBytes()
-	start := c.sim.Now()
-	times := make([]time.Duration, c.Size())
-	var failure error
-	var forward func(pos int)
-	forward = func(pos int) {
-		kids, err := c.liveChildren(pos)
-		if err != nil {
-			failure = err
-			return
-		}
-		for _, kid := range kids {
-			kid := kid
-			if err := c.sim.Transfer(c.ids[pos-1], c.ids[kid-1], size, func(at time.Duration) {
-				st := c.stations[kid-1]
-				if _, err := st.Store.ImportBundle(bundle, kid, false); err != nil {
-					failure = err
-					return
-				}
-				times[kid-1] = at - start
-				forward(kid)
-			}); err != nil {
-				failure = err
-				return
-			}
-		}
-	}
-	forward(1)
-	c.sim.Run()
-	return times, size, failure
-}
-
-// holderOnLivePath is holderOnPath restricted to live stations: the
-// on-demand pull walks the ancestor route, skipping failed holders —
-// mtree.LiveAncestors, the same rule the live fabric's Resolve uses.
-func (c *Cluster) holderOnLivePath(pos int, url string) (*Station, error) {
-	live, err := mtree.LiveAncestors(pos, c.cfg.M, func(p int) bool { return c.down[p] })
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range append([]int{pos}, live...) {
-		st := c.stations[p-1]
-		obj, err := st.Store.ObjectByURL(url)
-		if err != nil {
-			continue
-		}
-		if obj.Form == schema.FormInstance || obj.Form == schema.FormClass {
-			return st, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s from station %d (live path)", ErrNoInstance, url, pos)
-}
-
-// FetchOnDemandResilient retrieves a document for a live station,
-// skipping failed holders on the ancestor route. The requesting station
-// must itself be live.
-func (c *Cluster) FetchOnDemandResilient(pos int, url string) (FetchResult, error) {
-	if c.down[pos] {
-		return FetchResult{}, fmt.Errorf("%w: station %d is down", ErrNoStation, pos)
-	}
-	st, err := c.Station(pos)
-	if err != nil {
-		return FetchResult{}, err
-	}
-	if obj, err := st.Store.ObjectByURL(url); err == nil && obj.Form != schema.FormReference {
-		return FetchResult{Local: true, ServedBy: pos}, nil
-	}
-	holder, err := c.holderOnLivePath(pos, url)
-	if err != nil {
-		return FetchResult{}, err
-	}
-	bundle, err := holder.Store.ExportBundle(url)
-	if err != nil {
-		return FetchResult{}, err
-	}
-	size := bundle.TotalBytes()
-	begin := c.sim.Now()
-	var finished time.Duration
-	if err := c.sim.Transfer(c.ids[holder.Pos-1], c.ids[pos-1], size, func(at time.Duration) {
-		finished = at
-	}); err != nil {
-		return FetchResult{}, err
-	}
-	c.sim.Run()
-	st.fetches[url]++
-	res := FetchResult{Latency: finished - begin, ServedBy: holder.Pos, Bytes: size}
-	if c.cfg.Watermark >= 0 && st.fetches[url] > c.cfg.Watermark {
-		if _, err := st.Store.ImportBundle(bundle, pos, false); err != nil {
-			return FetchResult{}, err
-		}
-		res.Replicated = true
-	}
-	return res, nil
 }

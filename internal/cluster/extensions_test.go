@@ -51,12 +51,12 @@ func TestLiveChildrenGraftsAroundFailure(t *testing.T) {
 	}
 }
 
-func TestResilientBroadcastSkipsFailedStation(t *testing.T) {
+func TestPreBroadcastSkipsFailedStation(t *testing.T) {
 	c, spec := newBroadcastCluster(t, 7, 2, 0)
 	if err := c.MarkDown(2); err != nil {
 		t.Fatal(err)
 	}
-	times, _, err := c.PreBroadcastResilient(spec.URL)
+	times, _, err := c.PreBroadcast(spec.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestResilientBroadcastSkipsFailedStation(t *testing.T) {
 	}
 }
 
-func TestResilientFetchSkipsDeadHolder(t *testing.T) {
+func TestFetchOnDemandSkipsDeadHolder(t *testing.T) {
 	c, spec := newBroadcastCluster(t, 7, 2, 0)
 	// Station 2 holds a replica, then fails; station 5 (child of 2)
 	// must be served by the root instead.
@@ -91,7 +91,7 @@ func TestResilientFetchSkipsDeadHolder(t *testing.T) {
 	if err := c.MarkDown(2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.FetchOnDemandResilient(5, spec.URL)
+	res, err := c.FetchOnDemand(5, spec.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestResilientFetchSkipsDeadHolder(t *testing.T) {
 		t.Errorf("served by %d, want the root", res.ServedBy)
 	}
 	// A down requester is refused outright.
-	if _, err := c.FetchOnDemandResilient(2, spec.URL); !errors.Is(err, ErrNoStation) {
+	if _, err := c.FetchOnDemand(2, spec.URL); !errors.Is(err, ErrNoStation) {
 		t.Errorf("down requester: %v", err)
 	}
 }

@@ -49,59 +49,6 @@ func TestSearchFederatedFindsRemoteContent(t *testing.T) {
 	}
 }
 
-// TestSearchFederatedLatencyGrowsWithTreeDepth: the scatter-gather
-// costs O(depth) round trips, so a chain (m=1) must answer slower than
-// a wide tree over the same stations — the shape the netsim cost model
-// exists to expose.
-func TestSearchFederatedLatencyGrowsWithTreeDepth(t *testing.T) {
-	q := search.Query{Terms: []string{"lecture"}, TopK: 10}
-	latency := func(m int) time.Duration {
-		c := newSearchCluster(t, 7, m)
-		if _, _, err := c.AuthorCourse(smallCourse(1)); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.SearchFederated(1, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Latency
-	}
-	chain, tree := latency(1), latency(3)
-	if chain <= tree {
-		t.Errorf("chain latency %v not above m=3 tree latency %v", chain, tree)
-	}
-}
-
-func TestSearchFederatedGraftsAroundDownStation(t *testing.T) {
-	c := newSearchCluster(t, 7, 2)
-	spec := smallCourse(1)
-	if _, _, err := c.AuthorCourse(spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.PreBroadcast(spec.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkDown(2); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.SearchFederated(5, search.Query{Terms: []string{"lecture"}, TopK: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Down station 2 cannot answer, but its subtree (4, 5) still does,
-	// and every page is replicated anyway — the hit set is whole.
-	if len(rep.Hits) != spec.Pages {
-		t.Errorf("hits = %d, want %d", len(rep.Hits), spec.Pages)
-	}
-	if rep.Answered != 6 {
-		t.Errorf("answered = %d, want 6", rep.Answered)
-	}
-	// A down requester is refused outright.
-	if _, err := c.SearchFederated(2, search.Query{Terms: []string{"lecture"}}); err == nil {
-		t.Error("down requester was served")
-	}
-}
-
 func TestSearchLocalRPC(t *testing.T) {
 	store, err := docdb.Open(relstore.NewDB(), blob.NewStore())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/transport"
 )
 
@@ -134,7 +135,7 @@ func (a *Admin) EndLecture(url string) (MigrateReply, error) {
 // down the distribution tree and merges the top-k hits per hop.
 func (a *Admin) Search(terms []string, phrase bool, topK int) (SearchReply, error) {
 	var reply SearchReply
-	err := a.pool.CallTrace(methodSearch, SearchRequest{Terms: terms, Phrase: phrase, TopK: topK}, &reply, adminTrace(), 0)
+	err := a.pool.CallTrace(methodSearch, gatherRequest[search.Query]{Query: search.Query{Terms: terms, Phrase: phrase, TopK: topK}}, &reply, adminTrace(), 0)
 	return reply, err
 }
 
@@ -143,7 +144,7 @@ func (a *Admin) Search(terms []string, phrase bool, topK int) (SearchReply, erro
 // down the distribution tree and concatenates each hop's contribution.
 func (a *Admin) Trace(id uint64) (TraceReply, error) {
 	var reply TraceReply
-	err := a.pool.Call(methodTrace, TraceRequest{ID: id}, &reply)
+	err := a.pool.Call(methodTrace, gatherRequest[uint64]{Query: id}, &reply)
 	return reply, err
 }
 
@@ -152,7 +153,7 @@ func (a *Admin) Trace(id uint64) (TraceReply, error) {
 // collection down the distribution tree and merges each hop's journal.
 func (a *Admin) Events(f obs.EventFilter) (EventsReply, error) {
 	var reply EventsReply
-	err := a.pool.Call(methodEvents, EventsRequest{Filter: f}, &reply)
+	err := a.pool.Call(methodEvents, gatherRequest[obs.EventFilter]{Query: f}, &reply)
 	return reply, err
 }
 

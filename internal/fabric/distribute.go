@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/docdb"
 	"repro/internal/obs"
@@ -22,14 +23,9 @@ import (
 // The request encodes itself (pushwire.go): the root encodes it once
 // and every station below forwards those bytes untouched.
 type PushRequest struct {
-	Bundles   []docdb.Bundle
-	RefOnly   bool
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
+	Bundles []docdb.Bundle
+	RefOnly bool
+	Topology
 }
 
 // StationResult reports the outcome of a broadcast or migration on one
@@ -77,13 +73,8 @@ type ResolveReply struct {
 
 // MigrateRequest propagates an end-of-lecture migration down the tree.
 type MigrateRequest struct {
-	URL       string
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
+	URL string
+	Topology
 }
 
 // MigrateReply aggregates a subtree's migration outcome. TraceID (set
@@ -163,11 +154,7 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 	v := s.view()
 	// The one encode of the whole broadcast: every station in the tree
 	// receives, and relays, exactly these bytes.
-	body, err := transport.Marshal(PushRequest{
-		Bundles: bundles, RefOnly: refOnly,
-		M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	})
+	body, err := transport.Marshal(PushRequest{Bundles: bundles, RefOnly: refOnly, Topology: v.Topology})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +164,7 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 	for _, url := range urls {
 		s.recordBroadcast(url, refOnly)
 	}
-	results := s.fanOut(v.pos, v.m, v.n, v.roster, transport.Raw(body), span)
+	results := s.fanOut(v.pos, v.Topology, body, span)
 	sortResults(results)
 	return &BroadcastResult{
 		URL: urls[0], URLs: urls, RefOnly: refOnly, Bytes: total,
@@ -226,22 +213,32 @@ func (s *Station) handlePush(ctx *transport.Ctx, decode func(any) error) (any, e
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.applyTopology(req.M, req.N, req.Watermark, req.Epoch, req.Roster, req.Down)
-	pos := s.pos
-	s.mu.Unlock()
-	if pos == 0 {
-		return nil, ErrNotJoined
+	pos, err := s.enterTree(req.Topology)
+	if err != nil {
+		return nil, err
 	}
 	var sub []StationResult
 	relayed := make(chan struct{})
 	go func() {
 		defer close(relayed)
-		sub = s.fanOut(pos, req.M, req.N, req.Roster, body, ctx.Span())
+		sub = s.fanOut(pos, req.Topology, body, ctx.Span())
 	}()
 	local := s.installPush(pos, req.RefOnly, bundles)
 	<-relayed
 	return PushReply{Results: append(local, sub...)}, nil
+}
+
+// fanOut relays a push body to every child of pos, grafting around
+// dead hops: body is what this station was sent (or, at the root, what
+// it encoded), and every delivery — to a child, or to a dead child's
+// children — puts those same bytes on the wire. The hop's span context
+// rides on each child call.
+func (s *Station) fanOut(pos int, topo Topology, body transport.Raw, span *obs.ActiveSpan) []StationResult {
+	return fanOutTree(s, span, pos, topo, false, func(addr string, timeout time.Duration) (subtree[struct{}], error) {
+		var reply PushReply
+		err := s.pool(addr).CallTrace(methodPush, body, &reply, span.Context(), timeout)
+		return subtree[struct{}]{Stations: reply.Results}, err
+	}).Stations
 }
 
 // installPush decodes the bundles of a received push and installs them
@@ -402,15 +399,11 @@ func (s *Station) endLectureSpanned(url string, span *obs.ActiveSpan) (*MigrateR
 		return nil, fmt.Errorf("%w: end-lecture migration", ErrNotRoot)
 	}
 	v := s.view()
-	req := MigrateRequest{
-		URL: url, M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	}
 	// Flip the catalog before the fan-out, as in Broadcast: a rejoin
 	// racing this migration should rebuild a reference, which is where
 	// the whole tree is headed anyway.
 	s.markMigrated(url)
-	reply := s.migrateSubtree(v.pos, req, s.migrateLocal(url, v.pos), span)
+	reply := s.migrateSubtree(v.pos, MigrateRequest{URL: url, Topology: v.Topology}, span)
 	reply.TraceID = span.Context().TraceID
 	sortResults(reply.Stations)
 	return &reply, nil
@@ -443,14 +436,24 @@ func (s *Station) migrateLocal(url string, pos int) *StationResult {
 	return &res
 }
 
-// migrateSubtree fans the migration out to the children of pos
-// (routing around dead hops) and folds the local result (if any) into
-// the aggregate.
-func (s *Station) migrateSubtree(pos int, req MigrateRequest, local *StationResult, span *obs.ActiveSpan) MigrateReply {
-	out := s.migrateFanOut(pos, req, span)
+// migrateSubtree migrates this station's copy, relays the migration to
+// the children of pos (grafting around dead hops) and totals the bytes
+// the subtree reclaimed. A dead station's own copy cannot be reclaimed
+// now; it is reported and reconciled when the station rejoins (its
+// catch-up rebuilds the document as a reference).
+func (s *Station) migrateSubtree(pos int, req MigrateRequest, span *obs.ActiveSpan) MigrateReply {
+	local := s.migrateLocal(req.URL, pos)
+	below := fanOutTree(s, span, pos, req.Topology, false, func(addr string, timeout time.Duration) (subtree[struct{}], error) {
+		var reply MigrateReply
+		err := s.pool(addr).CallTrace(methodMigrate, req, &reply, span.Context(), timeout)
+		return subtree[struct{}]{Stations: reply.Stations}, err
+	})
+	out := MigrateReply{Stations: below.Stations}
 	if local != nil {
 		out.Stations = append(out.Stations, *local)
-		out.Freed += local.Freed
+	}
+	for _, st := range out.Stations {
+		out.Freed += st.Freed
 	}
 	return out
 }
@@ -461,14 +464,11 @@ func (s *Station) handleMigrate(ctx *transport.Ctx, decode func(any) error) (any
 	if err := decode(&req); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.applyTopology(req.M, req.N, req.Watermark, req.Epoch, req.Roster, req.Down)
-	pos := s.pos
-	s.mu.Unlock()
-	if pos == 0 {
-		return nil, ErrNotJoined
+	pos, err := s.enterTree(req.Topology)
+	if err != nil {
+		return nil, err
 	}
-	return s.migrateSubtree(pos, req, s.migrateLocal(req.URL, pos), ctx.Span()), nil
+	return s.migrateSubtree(pos, req, ctx.Span()), nil
 }
 
 // IsNoInstance reports whether an error (possibly a transport-carried

@@ -1,183 +1,51 @@
 package fabric
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // Fabric-wide event collection. Every station keeps a bounded journal
 // of structured fault-path events (internal/obs EventRing); answering
 // "what did station 7 see before it went down?" means asking every
 // live station for its matching events and merging them into one
-// timeline. The collection reuses the trace/search scatter-gather
-// shape exactly: a client entry is forwarded to the root, which stamps
-// the topology and scatters down the distribution tree, each hop
-// contributing its filtered local journal and relaying to its children
-// with the shared grafting rule. Collection is read-only and
-// idempotent, so — like trace and search — even timed-out hops are
-// safe to graft around: a re-covered subtree at worst re-returns
-// events the root deduplicates by (Station, Seq).
+// timeline, which the gather kernel (tree.go) does. A gather is bounded
+// by the journals themselves — each station contributes at most its
+// ring capacity.
 //
-// Like trace collection, the Events RPC is deliberately untraced:
-// polling the journal (webdocctl events -follow) must not write spans
-// into the rings beside it.
+// The filter's SinceSeq cursor is applied per station: each journal has
+// its own monotonic sequence, so a poller resuming from the max Seq it
+// saw may re-see events from stations that were already past that
+// number — the (Station, Seq) identity makes them droppable
+// client-side.
 
-// EventsRequest asks for the journal events passing Filter. Client
-// entries leave Scatter false; scatter hops carry the epoch-numbered
-// roster like every other tree RPC. The filter's SinceSeq cursor is
-// applied per station: each station's journal has its own monotonic
-// sequence, so a poller resuming from the max Seq it saw may re-see
-// events from stations that were already past that number — the
-// (Station, Seq) identity makes re-seen events droppable client-side.
-type EventsRequest struct {
-	Filter    obs.EventFilter
-	Scatter   bool
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
-}
-
-// EventsReply aggregates a subtree's matching events, plus one result
-// entry per station covered (Err set for dead hops).
+// EventsReply is the merged fabric timeline, in time order, plus one
+// result entry per station covered (Err set for dead hops).
 type EventsReply struct {
 	Events   []obs.Event
 	Stations []StationResult
 }
 
+// eventKey identifies a journal event fabric-wide.
+type eventKey struct {
+	station int
+	seq     uint64
+}
+
+var eventsOp = &gatherOp[obs.EventFilter, obs.Event, *EventsReply]{
+	method: methodEvents,
+	local: func(s *Station, f obs.EventFilter, _ int) []obs.Event {
+		return s.observer().Events(f)
+	},
+	merge: concat[obs.EventFilter, obs.Event],
+	finish: func(_ obs.EventFilter, _ uint64, all subtree[obs.Event]) *EventsReply {
+		events := dedupe(all.Items, func(e obs.Event) eventKey { return eventKey{e.Station, e.Seq} })
+		obs.SortEvents(events)
+		return &EventsReply{Events: events, Stations: all.Stations}
+	},
+}
+
 // Events collects the fabric-wide event timeline matching the filter
-// from this station: forwarded to the root, which scatters the
-// collection over the distribution tree.
+// from this station.
 func (s *Station) Events(f obs.EventFilter) (*EventsReply, error) {
-	v := s.view()
-	if v.pos == 0 {
-		return nil, ErrNotJoined
-	}
-	if v.isRoot {
-		reply := s.scatterEvents(v, f)
-		return &reply, nil
-	}
-	rootAddr := v.roster[1]
-	if rootAddr == "" {
-		return nil, fmt.Errorf("fabric: no root address in roster")
-	}
-	var reply EventsReply
-	//lint:ignore tracecall event collection is deliberately untraced so polling the journal never writes spans into the rings beside it (see scatterEvents)
-	if err := s.pool(rootAddr).Call(methodEvents, EventsRequest{Filter: f}, &reply); err != nil {
-		return nil, fmt.Errorf("fabric: forwarding event collection to root: %w", err)
-	}
-	return &reply, nil
-}
-
-// handleEvents serves both roles of the collection RPC: a client entry
-// is forwarded via Station.Events's protocol, a scatter hop folds the
-// carried topology in and gathers its subtree.
-func (s *Station) handleEvents(decode func(any) error) (any, error) {
-	var req EventsRequest
-	if err := decode(&req); err != nil {
-		return nil, err
-	}
-	if !req.Scatter {
-		reply, err := s.Events(req.Filter)
-		if err != nil {
-			return nil, err
-		}
-		return *reply, nil
-	}
-	s.mu.Lock()
-	s.applyTopology(req.M, req.N, req.Watermark, req.Epoch, req.Roster, req.Down)
-	pos := s.pos
-	s.mu.Unlock()
-	if pos == 0 {
-		return nil, ErrNotJoined
-	}
-	return s.gatherEventsSubtree(pos, req), nil
-}
-
-// scatterEvents runs the root's side of a collection: stamp the
-// topology into the scatter request, gather the whole tree and put the
-// merged timeline in wire order (events by time, stations by
-// position).
-func (s *Station) scatterEvents(v view, f obs.EventFilter) EventsReply {
-	req := EventsRequest{
-		Filter: f, Scatter: true,
-		M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	}
-	reply := s.gatherEventsSubtree(v.pos, req)
-	reply.Events = dedupeEvents(reply.Events)
-	obs.SortEvents(reply.Events)
-	sortResults(reply.Stations)
-	return reply
-}
-
-// dedupeEvents drops repeated (Station, Seq) pairs: a grafted or
-// retried collection hop may cover a subtree twice, and the journal
-// contents it re-reads are identical.
-func dedupeEvents(events []obs.Event) []obs.Event {
-	type key struct {
-		station int
-		seq     uint64
-	}
-	seen := make(map[key]bool, len(events))
-	out := events[:0]
-	for _, e := range events {
-		k := key{e.Station, e.Seq}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	return out
-}
-
-// gatherEventsSubtree answers for one station and everything below it:
-// the local journal's matching events plus the children's, collected
-// through the repairing fan-out. A gather is bounded by the journals
-// themselves — each station contributes at most its ring capacity.
-func (s *Station) gatherEventsSubtree(pos int, req EventsRequest) EventsReply {
-	local := s.observer().Events(req.Filter)
-	agg := s.eventsFanOut(pos, req)
-	return EventsReply{
-		Events:   append(local, agg.Events...),
-		Stations: append([]StationResult{{Pos: pos}}, agg.Stations...),
-	}
-}
-
-// eventsFanOut relays the collection to every child subtree. Like
-// trace and search (and unlike pushes), timed-out children are grafted
-// around too: the read is idempotent, and a wedged station must not
-// hold a post-incident query hostage. The fan-out itself runs
-// unspanned — see the package comment above.
-func (s *Station) eventsFanOut(pos int, req EventsRequest) treeAgg {
-	return s.fanOutTree(nil, pos, req.M, req.N, req.Roster, transport.Unreachable, func(addr string) (treeAgg, error) {
-		var reply EventsReply
-		if err := s.callEventsCollect(addr, req, &reply); err != nil {
-			return treeAgg{}, err
-		}
-		return treeAgg{Stations: reply.Stations, Events: reply.Events}, nil
-	})
-}
-
-// callEventsCollect is callWithRetry with the search rules: the short
-// per-hop timeout and retries for every unreachable classification.
-func (s *Station) callEventsCollect(addr string, req EventsRequest, reply *EventsReply) error {
-	var err error
-	for attempt := 0; attempt < pushAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(pushRetryDelay)
-		}
-		//lint:ignore tracecall event collection is deliberately untraced so polling the journal never writes spans into the rings beside it (see scatterEvents)
-		err = s.pool(addr).CallWithTimeout(methodEvents, req, reply, searchCallTimeout)
-		if err == nil || !transport.Unreachable(err) {
-			return err
-		}
-	}
-	return err
+	return gather(s, eventsOp, f, nil)
 }

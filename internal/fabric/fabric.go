@@ -151,25 +151,15 @@ type JoinRequest struct {
 // policy and the epoch-numbered roster it derives its parent route
 // from.
 type JoinReply struct {
-	Pos       int
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
+	Pos int
+	Topology
 }
 
 // TopologyReply describes a station's view of the fabric.
 type TopologyReply struct {
-	Pos       int
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	IsRoot    bool
-	Roster    map[int]string
-	Down      map[int]bool
+	Pos    int
+	IsRoot bool
+	Topology
 }
 
 // Station is one live fabric member: a cluster.Node (the base station
@@ -284,9 +274,10 @@ func newStation(store *docdb.Store, isRoot bool, m, watermark int) *Station {
 	s.node.Handle(methodCatalog, s.handleCatalog)
 	s.node.Handle(methodRefs, s.handleRefs)
 	s.node.Handle(methodState, s.handleState)
-	s.node.HandleCtx(methodSearch, s.handleSearch)
-	s.node.Handle(methodTrace, s.handleTrace)
-	s.node.Handle(methodEvents, s.handleEvents)
+	// The three gathers are one handler with three descriptors (tree.go).
+	s.node.HandleCtx(methodSearch, gatherHandler(s, searchOp))
+	s.node.HandleCtx(methodTrace, gatherHandler(s, traceOp))
+	s.node.HandleCtx(methodEvents, gatherHandler(s, eventsOp))
 	return s
 }
 
@@ -361,7 +352,7 @@ func join(store *docdb.Store, addr, rootAddr string, oldPos int) (*Station, erro
 		time.Sleep(joinBackoff)
 	}
 	s.mu.Lock()
-	s.applyTopology(reply.M, reply.N, reply.Watermark, reply.Epoch, reply.Roster, reply.Down)
+	s.applyTopology(reply.Topology)
 	s.mu.Unlock()
 	return s, nil
 }
@@ -499,28 +490,28 @@ func (s *Station) pruneStalePoolsLocked() {
 // means the root refuted (or never heard) the suspicion, a newer one
 // supersedes it either way — so a transiently unreachable peer is
 // retried on the next tree operation instead of being shunned forever.
-func (s *Station) applyTopology(m, n, watermark, epoch int, roster map[int]string, down map[int]bool) {
-	if epoch < s.epoch || len(roster) == 0 {
+func (s *Station) applyTopology(t Topology) {
+	if t.Epoch < s.epoch || len(t.Roster) == 0 {
 		return
 	}
-	if epoch == s.epoch {
+	if t.Epoch == s.epoch {
 		s.suspect = make(map[int]bool)
 		return
 	}
-	s.m = m
-	s.n = n
-	s.watermark = watermark
-	s.epoch = epoch
-	s.roster = make(map[int]string, len(roster))
-	for pos, addr := range roster {
+	s.m = t.M
+	s.n = t.N
+	s.watermark = t.Watermark
+	s.epoch = t.Epoch
+	s.roster = make(map[int]string, len(t.Roster))
+	for pos, addr := range t.Roster {
 		s.roster[pos] = addr
 	}
-	s.down = make(map[int]bool, len(down))
-	for pos := range down {
+	s.down = make(map[int]bool, len(t.Down))
+	for pos := range t.Down {
 		s.down[pos] = true
 	}
 	s.suspect = make(map[int]bool)
-	for pos, addr := range roster {
+	for pos, addr := range t.Roster {
 		if addr == s.addr {
 			s.pos = pos
 			s.node.SetPos(pos)
@@ -533,40 +524,48 @@ func (s *Station) applyTopology(m, n, watermark, epoch int, roster map[int]strin
 // view is a consistent copy of the station's topology state for use
 // outside the lock.
 type view struct {
-	pos, m, n, watermark, epoch int
-
+	Topology
+	pos     int
 	isRoot  bool
 	addr    string
-	roster  map[int]string
-	down    map[int]bool
 	suspect map[int]bool
 }
 
 // dead reports whether a position is either root-declared down or
 // locally suspected.
-func (v view) dead(pos int) bool { return v.down[pos] || v.suspect[pos] }
+func (v view) dead(pos int) bool { return v.Down[pos] || v.suspect[pos] }
 
 func (s *Station) view() view {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := view{
-		pos: s.pos, m: s.m, n: s.n, watermark: s.watermark, epoch: s.epoch,
-		isRoot:  s.isRoot,
-		addr:    s.addr,
-		roster:  make(map[int]string, len(s.roster)),
-		down:    make(map[int]bool, len(s.down)),
-		suspect: make(map[int]bool, len(s.suspect)),
-	}
-	for p, a := range s.roster {
-		v.roster[p] = a
-	}
-	for p := range s.down {
-		v.down[p] = true
+		Topology: s.topologyLocked(),
+		pos:      s.pos,
+		isRoot:   s.isRoot,
+		addr:     s.addr,
+		suspect:  make(map[int]bool, len(s.suspect)),
 	}
 	for p := range s.suspect {
 		v.suspect[p] = true
 	}
 	return v
+}
+
+// topologyLocked copies the station's topology state into the snapshot
+// a tree RPC or a join reply carries (mu held).
+func (s *Station) topologyLocked() Topology {
+	t := Topology{
+		M: s.m, N: s.n, Watermark: s.watermark, Epoch: s.epoch,
+		Roster: make(map[int]string, len(s.roster)),
+		Down:   make(map[int]bool, len(s.down)),
+	}
+	for p, a := range s.roster {
+		t.Roster[p] = a
+	}
+	for p := range s.down {
+		t.Down[p] = true
+	}
+	return t
 }
 
 // handleJoin assigns the next linear position. Only the root holds the
@@ -647,18 +646,7 @@ func (s *Station) handleJoin(decode func(any) error) (any, error) {
 		s.epoch++
 		s.pruneStalePoolsLocked()
 	}
-	roster := make(map[int]string, len(s.roster))
-	for p, a := range s.roster {
-		roster[p] = a
-	}
-	down := make(map[int]bool, len(s.down))
-	for p := range s.down {
-		down[p] = true
-	}
-	return JoinReply{
-		Pos: pos, M: s.m, N: s.n, Watermark: s.watermark,
-		Epoch: s.epoch, Roster: roster, Down: down,
-	}, nil
+	return JoinReply{Pos: pos, Topology: s.topologyLocked()}, nil
 }
 
 // handleTopology reports the station's current view of the fabric.
@@ -668,10 +656,7 @@ func (s *Station) handleTopology(decode func(any) error) (any, error) {
 		return nil, err
 	}
 	v := s.view()
-	return TopologyReply{
-		Pos: v.pos, M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, IsRoot: v.isRoot, Roster: v.roster, Down: v.down,
-	}, nil
+	return TopologyReply{Pos: v.pos, IsRoot: v.isRoot, Topology: v.Topology}, nil
 }
 
 // sortResults orders per-station results by linear position, then by

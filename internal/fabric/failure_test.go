@@ -504,7 +504,7 @@ func TestStreamedCatchUpMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, url := range simSpecs {
-		if _, _, err := sim.PreBroadcastResilient(url); err != nil {
+		if _, _, err := sim.PreBroadcast(url); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestStreamedCatchUpMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, url := range simSpecs {
-		if _, err := sim.FetchOnDemandResilient(3, url); err != nil {
+		if _, err := sim.FetchOnDemand(3, url); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -606,12 +606,12 @@ func TestThirteenStationFailureMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := sim.PreBroadcastResilient(specA.URL); err != nil {
+	if _, _, err := sim.PreBroadcast(specA.URL); err != nil {
 		t.Fatal(err)
 	}
 	// The orphaned station 7 (child of dead 2) pulls an un-broadcast
 	// course across the dead hop.
-	if _, err := sim.FetchOnDemandResilient(7, specB.URL); err != nil {
+	if _, err := sim.FetchOnDemand(7, specB.URL); err != nil {
 		t.Fatal(err)
 	}
 	// Both stations come back and catch up on the missed broadcast.
@@ -619,7 +619,7 @@ func TestThirteenStationFailureMatchesSimulator(t *testing.T) {
 		if err := sim.MarkUp(pos); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.FetchOnDemandResilient(pos, specA.URL); err != nil {
+		if _, err := sim.FetchOnDemand(pos, specA.URL); err != nil {
 			t.Fatal(err)
 		}
 	}

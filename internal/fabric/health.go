@@ -182,9 +182,9 @@ func (s *Station) ProbeOnce(timeout time.Duration) {
 		pos int
 		err error
 	}
-	results := make(chan outcome, len(v.roster))
+	results := make(chan outcome, len(v.Roster))
 	probes := 0
-	for pos, addr := range v.roster {
+	for pos, addr := range v.Roster {
 		if pos == 1 {
 			continue
 		}
@@ -332,9 +332,9 @@ func (s *Station) confirmDown(pos int) {
 func (s *Station) healthView() HealthReply {
 	v := s.view()
 	reply := HealthReply{
-		Pos: v.pos, N: v.n, Epoch: v.epoch, IsRoot: v.isRoot, Roster: v.roster,
+		Pos: v.pos, N: v.N, Epoch: v.Epoch, IsRoot: v.isRoot, Roster: v.Roster,
 	}
-	for pos := range v.down {
+	for pos := range v.Down {
 		reply.Down = append(reply.Down, pos)
 	}
 	for pos := range v.suspect {

@@ -48,9 +48,12 @@ func samplePush() PushRequest {
 	}
 	return PushRequest{
 		Bundles: []docdb.Bundle{bundle, second},
-		RefOnly: false, M: 3, N: 7, Watermark: -1, Epoch: 12,
-		Roster: map[int]string{1: "127.0.0.1:7070", 2: "127.0.0.1:7071", 5: "10.0.0.5:7070"},
-		Down:   map[int]bool{4: true, 6: true},
+		RefOnly: false,
+		Topology: Topology{
+			M: 3, N: 7, Watermark: -1, Epoch: 12,
+			Roster: map[int]string{1: "127.0.0.1:7070", 2: "127.0.0.1:7071", 5: "10.0.0.5:7070"},
+			Down:   map[int]bool{4: true, 6: true},
+		},
 	}
 }
 

@@ -252,7 +252,7 @@ func TestRelayKilledMidBroadcastGraftsToTheSameEndState(t *testing.T) {
 	if err := sim.MarkDown(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sim.PreBroadcastResilient(spec.URL); err != nil {
+	if _, _, err := sim.PreBroadcast(spec.URL); err != nil {
 		t.Fatal(err)
 	}
 

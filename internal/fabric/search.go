@@ -1,162 +1,52 @@
 package fabric
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/transport"
 )
 
-// Federation-wide full-text search: the scatter-gather querying of the
-// Distributed XML-Query Network mapped onto the paper's m-ary
-// distribution tree. A query issued at ANY station is forwarded to the
-// root (one hop — every roster carries the root's address), which
-// scatters it down the tree: each station answers from its local
-// content index (internal/search, attached through docdb's
-// ContentIndex extension point) and fans out to its children in
-// parallel, merging the bounded top-k result sets on the way back up.
-// The whole federation is covered in O(depth) round trips, each hop
-// carrying at most TopK hits.
-//
-// Failure handling reuses the tree-repair machinery: a dead child's
-// subtree is grafted onto the sender and queried directly, with the
-// dead hop reported per station. Because a search is a read-only,
-// idempotent operation, even timed-out hops are safe to graft around
-// (re-querying a subtree at worst re-returns hits the merge
-// deduplicates) — unlike broadcasts, where re-delivery would duplicate
-// work. Reference-only stations answer from their index (catalog
-// metadata and whatever content they hold) without materializing any
-// BLOBs.
+// Federation-wide full-text search: a query issued at ANY station is
+// answered by the gather kernel (tree.go) — each station contributes
+// the hits of its local content index (internal/search, attached
+// through docdb's ContentIndex extension point) and every hop merges
+// its subtree's hits into one bounded top-k set, so a reply carries at
+// most TopK hits however large the subtree below it. Reference-only
+// stations answer from their index (catalog metadata and whatever
+// content they hold) without materializing any BLOBs.
 
-// searchCallTimeout bounds one scatter hop. A subtree that cannot
-// answer within it is re-queried through the graft path, so a slow
-// interior station delays the gather by at most one timeout per tree
-// level rather than stalling the query forever.
-const searchCallTimeout = 15 * time.Second
-
-// SearchRequest carries one federation query. Client entries (from
-// webdocctl, the Web UI or Station.Search) leave Scatter false: the
-// receiving station forwards to the root, which stamps the topology
-// and scatters. Scatter hops carry the epoch-numbered roster like
-// every other tree RPC.
-type SearchRequest struct {
-	Terms     []string
-	Phrase    bool
-	TopK      int
-	Scatter   bool
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
-}
-
-// SearchReply aggregates a subtree's answer: the merged top-k hits and
-// one result entry per station covered (Err set for dead hops).
-// TraceID (stamped by the entry hop) names the query's distributed
-// trace.
+// SearchReply is the federation's answer: the merged top-k hits and one
+// result entry per station covered (Err set for dead hops). TraceID
+// names the query's distributed trace.
 type SearchReply struct {
 	Hits     []search.Hit
 	TraceID  uint64
 	Stations []StationResult
 }
 
-// Search answers a federation-wide full-text query from this station:
-// served by the root's scatter-gather over the distribution tree, with
-// this station's only extra cost the round trip to the root.
+var searchOp = &gatherOp[search.Query, search.Hit, *SearchReply]{
+	method: methodSearch,
+	traced: true,
+	vacuous: func(q search.Query) bool {
+		return len(search.NormalizeTerms(q.Terms)) == 0
+	},
+	local: (*Station).localHits,
+	// Merge ranks, bounds and deduplicates (a document replicated by a
+	// broadcast is credited to its lowest-positioned holder), so a
+	// subtree a graft covered twice needs nothing more at the root.
+	merge: func(q search.Query, local, below []search.Hit) []search.Hit {
+		return search.Merge(q.TopK, local, below)
+	},
+	finish: func(_ search.Query, trace uint64, all subtree[search.Hit]) *SearchReply {
+		return &SearchReply{Hits: all.Items, TraceID: trace, Stations: all.Stations}
+	},
+}
+
+// Search answers a federation-wide full-text query from this station,
+// at the extra cost of one round trip to the root.
 func (s *Station) Search(q search.Query) (*SearchReply, error) {
 	span := s.observer().BeginLocal(methodSearch)
-	reply, err := s.searchSpanned(q, span)
+	reply, err := gather(s, searchOp, q, span)
 	span.End(err)
 	return reply, err
-}
-
-func (s *Station) searchSpanned(q search.Query, span *obs.ActiveSpan) (*SearchReply, error) {
-	v := s.view()
-	if v.pos == 0 {
-		return nil, ErrNotJoined
-	}
-	trace := span.Context().TraceID
-	// A term-less query matches nothing anywhere; answer it here
-	// instead of scattering one RPC per station for an empty reply.
-	if len(search.NormalizeTerms(q.Terms)) == 0 {
-		return &SearchReply{TraceID: trace}, nil
-	}
-	if v.isRoot {
-		reply := s.scatterSearch(v, q, span)
-		reply.TraceID = trace
-		return &reply, nil
-	}
-	rootAddr := v.roster[1]
-	if rootAddr == "" {
-		return nil, fmt.Errorf("fabric: no root address in roster")
-	}
-	req := SearchRequest{Terms: q.Terms, Phrase: q.Phrase, TopK: q.TopK}
-	var reply SearchReply
-	if err := s.pool(rootAddr).CallTrace(methodSearch, req, &reply, span.Context(), 0); err != nil {
-		return nil, fmt.Errorf("fabric: forwarding search to root: %w", err)
-	}
-	reply.TraceID = trace
-	return &reply, nil
-}
-
-// handleSearch serves both roles of the search RPC. A client entry
-// (Scatter false) is forwarded to the root — or, on the root, turned
-// into the scatter. A scatter hop folds the carried topology in,
-// answers locally and relays down its subtree. Either way the hop's
-// span context travels onward, so one TraceID covers the entry hop,
-// the root and every scatter hop.
-func (s *Station) handleSearch(ctx *transport.Ctx, decode func(any) error) (any, error) {
-	var req SearchRequest
-	if err := decode(&req); err != nil {
-		return nil, err
-	}
-	q := search.Query{Terms: req.Terms, Phrase: req.Phrase, TopK: req.TopK}
-	if !req.Scatter {
-		// Client entry: exactly Station.Search's protocol (forward to
-		// the root, or scatter when this station is the root).
-		reply, err := s.searchSpanned(q, ctx.Span())
-		if err != nil {
-			return nil, err
-		}
-		return *reply, nil
-	}
-	s.mu.Lock()
-	s.applyTopology(req.M, req.N, req.Watermark, req.Epoch, req.Roster, req.Down)
-	pos := s.pos
-	s.mu.Unlock()
-	if pos == 0 {
-		return nil, ErrNotJoined
-	}
-	return s.gatherSubtree(pos, req, q, ctx.Span()), nil
-}
-
-// scatterSearch runs the root's side of a query: stamp the topology
-// into the scatter request and gather the whole tree.
-func (s *Station) scatterSearch(v view, q search.Query, span *obs.ActiveSpan) SearchReply {
-	req := SearchRequest{
-		Terms: q.Terms, Phrase: q.Phrase, TopK: q.TopK, Scatter: true,
-		M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	}
-	return s.gatherSubtree(v.pos, req, q, span)
-}
-
-// gatherSubtree answers for one station and everything below it: local
-// hits from the content index, children covered through the repairing
-// fan-out, and one bounded top-k merge before the reply travels up —
-// the per-hop merge that keeps every transfer O(k) no matter how large
-// the subtree.
-func (s *Station) gatherSubtree(pos int, req SearchRequest, q search.Query, span *obs.ActiveSpan) SearchReply {
-	local := s.localHits(q, pos)
-	agg := s.searchFanOut(pos, req, span)
-	return SearchReply{
-		Hits:     search.Merge(q.TopK, local, agg.Hits),
-		Stations: append([]StationResult{{Pos: pos}}, agg.Stations...),
-	}
 }
 
 // localHits queries this station's content index, stamping the hits
@@ -173,37 +63,4 @@ func (s *Station) localHits(q search.Query, pos int) []search.Hit {
 		hits[i].Station = pos
 	}
 	return hits
-}
-
-// searchFanOut relays the scatter to every child subtree with the
-// shared grafting rule. Unlike pushes, a timed-out child is also
-// grafted around (transport.Unreachable, not canRouteAround): the
-// query is idempotent and the merge deduplicates, so re-covering a
-// subtree is safe, while waiting out a wedged station is not.
-func (s *Station) searchFanOut(pos int, req SearchRequest, span *obs.ActiveSpan) treeAgg {
-	tc := span.Context()
-	return s.fanOutTree(span, pos, req.M, req.N, req.Roster, transport.Unreachable, func(addr string) (treeAgg, error) {
-		var reply SearchReply
-		if err := s.callSearchWithRetry(addr, req, &reply, tc); err != nil {
-			return treeAgg{}, err
-		}
-		return treeAgg{Stations: reply.Stations, Hits: reply.Hits}, nil
-	})
-}
-
-// callSearchWithRetry is callWithRetry with the search rules: a short
-// per-hop timeout and retries for every unreachable classification
-// (timeouts included — the operation is idempotent).
-func (s *Station) callSearchWithRetry(addr string, req SearchRequest, reply *SearchReply, tc obs.TraceContext) error {
-	var err error
-	for attempt := 0; attempt < pushAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(pushRetryDelay)
-		}
-		err = s.pool(addr).CallTrace(methodSearch, req, reply, tc, searchCallTimeout)
-		if err == nil || !transport.Unreachable(err) {
-			return err
-		}
-	}
-	return err
 }

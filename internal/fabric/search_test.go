@@ -302,7 +302,8 @@ func TestReferenceOnlyStationAnswersWithoutBlobs(t *testing.T) {
 }
 
 // TestSearchFromEveryStationAgrees: the answer is position-independent
-// — any station's round trip to the root yields the same hits.
+// — any station's round trip to the root yields the same hits and the
+// same position-ordered coverage.
 func TestSearchFromEveryStationAgrees(t *testing.T) {
 	stations := newFabric(t, 5, 2, 0)
 	for i, st := range stations {
@@ -313,12 +314,19 @@ func TestSearchFromEveryStationAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range stations[1:] {
+	for i, st := range stations {
 		reply, err := st.Search(query)
 		if err != nil {
-			t.Fatalf("station %d: %v", i+2, err)
+			t.Fatalf("station %d: %v", i+1, err)
 		}
-		diffHits(t, fmt.Sprintf("station %d vs root", i+2), reply.Hits, first.Hits)
+		diffHits(t, fmt.Sprintf("station %d vs root", i+1), reply.Hits, first.Hits)
+		// Coverage comes back in position order, like every tree
+		// operation's, not in the order the scatter's goroutines landed.
+		for j, sr := range reply.Stations {
+			if sr.Pos != j+1 {
+				t.Fatalf("station %d: coverage out of position order: %+v", i+1, reply.Stations)
+			}
+		}
 	}
 }
 

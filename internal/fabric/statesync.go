@@ -124,7 +124,7 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 	for i, e := range missing {
 		urls[i] = e.URL
 	}
-	wantMedia := v.watermark == 0
+	wantMedia := v.Watermark == 0
 	// The transport chunks feed a pipe and documents are decoded and
 	// imported one at a time as they arrive, so the rejoiner holds one
 	// document — not the whole snapshot — and a slow import

@@ -1,180 +1,40 @@
 package fabric
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // Fabric-wide trace collection. Every station keeps its own bounded
 // span ring (internal/obs); reconstructing one distributed operation
 // means asking every live station for its spans with the operation's
-// TraceID and concatenating. The collection reuses the search
-// scatter-gather shape exactly: a client entry is forwarded to the
-// root, which stamps the topology and scatters down the distribution
-// tree, each hop contributing its local spans and relaying to its
-// children with the shared grafting rule (dead subtrees are covered
-// directly by their grandparent). Collection is read-only and
-// idempotent, so — like search — even timed-out hops are safe to graft
-// around: re-collecting a subtree at worst re-returns spans the caller
-// deduplicates by SpanID.
-//
-// The collection RPCs are deliberately untraced (no trace context on
-// the wire, plain handler registration): collecting a trace must not
-// pollute the rings it is reading.
+// TraceID. The gather kernel (tree.go) does the asking; there is no
+// per-hop truncation — a trace is bounded by the rings themselves (in
+// practice a handful of spans per station per traversal).
 
-// TraceRequest asks for every span recorded under one TraceID. Client
-// entries leave Scatter false; scatter hops carry the epoch-numbered
-// roster like every other tree RPC.
-type TraceRequest struct {
-	ID        uint64
-	Scatter   bool
-	M         int
-	N         int
-	Watermark int
-	Epoch     int
-	Roster    map[int]string
-	Down      map[int]bool
-}
-
-// TraceReply aggregates a subtree's spans for the requested TraceID,
-// plus one result entry per station covered (Err set for dead hops).
+// TraceReply is every span recorded fabric-wide under one TraceID, in
+// start order, plus one result entry per station covered (Err set for
+// dead hops).
 type TraceReply struct {
 	ID       uint64
 	Spans    []obs.Span
 	Stations []StationResult
 }
 
+var traceOp = &gatherOp[uint64, obs.Span, *TraceReply]{
+	method: methodTrace,
+	local: func(s *Station, id uint64, _ int) []obs.Span {
+		return s.observer().ForTrace(id)
+	},
+	merge: concat[uint64, obs.Span],
+	finish: func(id, _ uint64, all subtree[obs.Span]) *TraceReply {
+		spans := dedupe(all.Items, func(sp obs.Span) uint64 { return sp.SpanID })
+		obs.SortSpans(spans)
+		return &TraceReply{ID: id, Spans: spans, Stations: all.Stations}
+	},
+}
+
 // Trace collects the fabric-wide span set for one TraceID from this
-// station: forwarded to the root, which scatters the collection over
-// the distribution tree.
+// station.
 func (s *Station) Trace(id uint64) (*TraceReply, error) {
-	v := s.view()
-	if v.pos == 0 {
-		return nil, ErrNotJoined
-	}
-	if v.isRoot {
-		reply := s.scatterTrace(v, id)
-		return &reply, nil
-	}
-	rootAddr := v.roster[1]
-	if rootAddr == "" {
-		return nil, fmt.Errorf("fabric: no root address in roster")
-	}
-	var reply TraceReply
-	//lint:ignore tracecall trace collection is deliberately untraced so reading the span rings never writes new spans into them (see scatterTrace)
-	if err := s.pool(rootAddr).Call(methodTrace, TraceRequest{ID: id}, &reply); err != nil {
-		return nil, fmt.Errorf("fabric: forwarding trace collection to root: %w", err)
-	}
-	return &reply, nil
-}
-
-// handleTrace serves both roles of the collection RPC: a client entry
-// is forwarded via Station.Trace's protocol, a scatter hop folds the
-// carried topology in and gathers its subtree.
-func (s *Station) handleTrace(decode func(any) error) (any, error) {
-	var req TraceRequest
-	if err := decode(&req); err != nil {
-		return nil, err
-	}
-	if !req.Scatter {
-		reply, err := s.Trace(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return *reply, nil
-	}
-	s.mu.Lock()
-	s.applyTopology(req.M, req.N, req.Watermark, req.Epoch, req.Roster, req.Down)
-	pos := s.pos
-	s.mu.Unlock()
-	if pos == 0 {
-		return nil, ErrNotJoined
-	}
-	return s.gatherTraceSubtree(pos, req), nil
-}
-
-// scatterTrace runs the root's side of a collection: stamp the
-// topology into the scatter request, gather the whole tree and put the
-// result in wire order (spans by start time, stations by position).
-func (s *Station) scatterTrace(v view, id uint64) TraceReply {
-	req := TraceRequest{
-		ID: id, Scatter: true,
-		M: v.m, N: v.n, Watermark: v.watermark,
-		Epoch: v.epoch, Roster: v.roster, Down: v.down,
-	}
-	reply := s.gatherTraceSubtree(v.pos, req)
-	reply.Spans = dedupeSpans(reply.Spans)
-	obs.SortSpans(reply.Spans)
-	sortResults(reply.Stations)
-	return reply
-}
-
-// dedupeSpans drops repeated SpanIDs: a grafted or retried collection
-// hop may cover a subtree twice, and the ring contents it re-reads are
-// identical.
-func dedupeSpans(spans []obs.Span) []obs.Span {
-	seen := make(map[uint64]bool, len(spans))
-	out := spans[:0]
-	for _, sp := range spans {
-		if seen[sp.SpanID] {
-			continue
-		}
-		seen[sp.SpanID] = true
-		out = append(out, sp)
-	}
-	return out
-}
-
-// gatherTraceSubtree answers for one station and everything below it:
-// the local ring's spans for the TraceID plus the children's,
-// collected through the repairing fan-out. Unlike search there is no
-// per-hop truncation — a trace is bounded by the rings themselves
-// (each station contributes at most its ring capacity, in practice a
-// handful of spans per traversal).
-func (s *Station) gatherTraceSubtree(pos int, req TraceRequest) TraceReply {
-	var local []obs.Span
-	if o := s.observer(); o != nil {
-		local = o.ForTrace(req.ID)
-	}
-	agg := s.traceFanOut(pos, req)
-	return TraceReply{
-		ID:       req.ID,
-		Spans:    append(local, agg.Spans...),
-		Stations: append([]StationResult{{Pos: pos}}, agg.Stations...),
-	}
-}
-
-// traceFanOut relays the collection to every child subtree. Like
-// search (and unlike pushes), timed-out children are grafted around
-// too: the read is idempotent, and a wedged station must not hold a
-// diagnostic query hostage. The fan-out itself runs unspanned — see
-// the package comment above.
-func (s *Station) traceFanOut(pos int, req TraceRequest) treeAgg {
-	return s.fanOutTree(nil, pos, req.M, req.N, req.Roster, transport.Unreachable, func(addr string) (treeAgg, error) {
-		var reply TraceReply
-		if err := s.callTraceCollect(addr, req, &reply); err != nil {
-			return treeAgg{}, err
-		}
-		return treeAgg{Stations: reply.Stations, Spans: reply.Spans}, nil
-	})
-}
-
-// callTraceCollect is callWithRetry with the search rules: the short
-// per-hop timeout and retries for every unreachable classification.
-func (s *Station) callTraceCollect(addr string, req TraceRequest, reply *TraceReply) error {
-	var err error
-	for attempt := 0; attempt < pushAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(pushRetryDelay)
-		}
-		//lint:ignore tracecall trace collection is deliberately untraced so reading the span rings never writes new spans into them (see scatterTrace)
-		err = s.pool(addr).CallWithTimeout(methodTrace, req, reply, searchCallTimeout)
-		if err == nil || !transport.Unreachable(err) {
-			return err
-		}
-	}
-	return err
+	return gather(s, traceOp, id, nil)
 }
