@@ -3,7 +3,7 @@ GO ?= go
 # The targets below are exactly what .github/workflows/ci.yml runs, so a
 # green `make ci` locally means a green CI run.
 
-.PHONY: build vet fmt-check lint test race race-fabric fuzz-smoke bench bench-check obs-overhead load-smoke ci
+.PHONY: build vet fmt-check lint test race race-fabric fuzz-smoke bench bench-check bench-gate obs-overhead load-smoke ci
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,16 @@ fmt-check:
 # picks its classifier (fabric.hopRules), and wire-tag encode/decode
 # coverage. Zero dependencies; the only
 # waivers are reasoned //lint:ignore comments.
+# The second step keeps encoding/gob out of the RPC path: every body is
+# raw, self-encoding or plan-encoded by internal/wire, and a gob import
+# in the packages that build and serve RPCs would be a slow arm growing
+# back.
 lint:
 	$(GO) run ./cmd/webdoclint ./...
+	@out="$$(grep -l '"encoding/gob"' internal/transport/*.go internal/cluster/*.go internal/fabric/*.go | grep -v _test.go)"; \
+	if [ -n "$$out" ]; then \
+		echo "encoding/gob imported on the RPC path:"; echo "$$out"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -58,11 +66,12 @@ race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 
 # Ten seconds of coverage-guided fuzzing per target over the committed
-# seed corpora: the minisql parser, the transport frame codec and the
-# fabric's binary push body must reject hostile input with errors,
-# never panics.
+# seed corpora: the minisql parser, the transport frame codec, the
+# fabric's binary push body and the plan-driven body decoder must
+# reject hostile input with errors, never panics.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s
@@ -74,6 +83,17 @@ bench:
 # cannot rot without CI noticing.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The lecture-day benchmark as a regression gate: three runs of all
+# four workloads, then the medians against the committed baseline; a
+# gate metric past its BENCHMARK.json bound exits non-zero. About four
+# minutes of wall clock and meaningful only on a quiet machine (the
+# first step already exits non-zero when a metric's run-to-run spread
+# exceeds its bound and so cannot be judged), so it is a manual
+# (workflow_dispatch) CI job and not part of `make ci`.
+bench-gate:
+	$(GO) run ./bench -repeat 3
+	$(GO) run ./bench -compare bench/baseline.json bench/out/repeat.json
 
 # Observability-overhead gate: the broadcast lecture cycle with
 # observability on must stay within 5% of the same cycle with every

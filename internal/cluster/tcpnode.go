@@ -93,7 +93,7 @@ type CheckpointReply struct {
 }
 
 // SQLReply carries a rendered result set (values are formatted, so the
-// reply is gob-stable regardless of column types).
+// reply has one wire shape regardless of column types).
 type SQLReply struct {
 	Columns  []string
 	Rows     [][]string

@@ -1,6 +1,9 @@
 package docdb
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/blob"
 	"repro/internal/wire"
 )
@@ -132,4 +135,30 @@ func ReadBundle(r *wire.Reader) Bundle {
 		})
 	}
 	return b
+}
+
+// AppendWire makes a Bundle a self-encoding message body (the station
+// RPCs' Bundle reply) and field (ImportRequest, RefsReply, the rejoin
+// state stream): [BundleMagic][ver] then AppendBundle.
+func (b Bundle) AppendWire(dst []byte) ([]byte, error) {
+	dst = slices.Grow(dst, 1024+int(b.TotalBytes()))
+	return AppendBundle(append(dst, wire.BundleMagic, wire.Version), &b), nil
+}
+
+// DecodeWire is the decode half of AppendWire. The decoded bundle's
+// media bytes alias body (see ReadBundle).
+func (b *Bundle) DecodeWire(body []byte) error {
+	if len(body) < 2 || body[0] != wire.BundleMagic || body[1] != wire.Version {
+		return fmt.Errorf("%w: not a version-%d bundle body", wire.ErrCorrupt, wire.Version)
+	}
+	r := wire.NewReader(body[2:])
+	got := ReadBundle(r)
+	if r.Err() != nil {
+		return fmt.Errorf("docdb: bundle body: %w", r.Err())
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d bytes after the bundle", wire.ErrCorrupt, r.Len())
+	}
+	*b = got
+	return nil
 }

@@ -3,6 +3,7 @@ package docdb
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -368,4 +369,50 @@ func TestReplaceAnnotationBumpsVersion(t *testing.T) {
 	if err := s.ReplaceAnnotation("ghost", []byte("x")); !errors.Is(err, relstore.ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// TestCheckoutPairCostIndependentOfHistory: a component's check-out /
+// check-in pair must cost the same on its 2000th edit as on its first.
+// The ledger used to read the component's whole checkout and version
+// history on every pair, so the cost grew with every edit (10x and
+// more by the end of this run). A window is only a millisecond of
+// work, which a busy machine can stretch, so the timing gets three
+// attempts; growth with history fails every one of them.
+func TestCheckoutPairCostIndependentOfHistory(t *testing.T) {
+	const pairs, window, attempts = 2000, 100, 3
+	median := func(d []time.Duration) time.Duration {
+		d = slices.Clone(d)
+		slices.Sort(d)
+		return d[len(d)/2]
+	}
+	var first, last time.Duration
+	for attempt := 0; attempt < attempts; attempt++ {
+		s := newStore(t)
+		script, _ := seedCourse(t, s)
+		took := make([]time.Duration, pairs)
+		for i := range took {
+			start := time.Now()
+			co, err := s.CheckOut(schema.KindScript, script, "shih")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckIn(co, "edit"); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
+		}
+		hist, err := s.History(schema.KindScript, script)
+		if err != nil || len(hist) != pairs || hist[pairs-1].Version != pairs {
+			t.Fatalf("history: %d versions (err %v), want 1..%d", len(hist), err, pairs)
+		}
+		if all, err := s.CheckoutsOf(schema.KindScript, script); err != nil || len(all) != pairs {
+			t.Fatalf("ledger: %d checkouts (err %v), want %d", len(all), err, pairs)
+		}
+		first, last = median(took[:window]), median(took[pairs-window:])
+		if last <= 2*first {
+			return
+		}
+	}
+	t.Errorf("pair cost grew with history in %d attempts: median %v over the first %d pairs, %v over the last %d",
+		attempts, first, window, last, window)
 }

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -243,7 +244,9 @@ func (s *Store) copyStructure(srcURL, dstURL, scriptName, author string) error {
 // import paths (full bundles and bare references) share it.
 func (s *Store) ensureScaffold(script Script, impl Implementation) error {
 	if !s.rel.Exists(schema.TableDatabases, script.DBName) {
-		if err := s.CreateDatabase(Database{Name: script.DBName}); err != nil {
+		// Documents of one database may be imported concurrently; the
+		// importer that loses the race for the shared row finds it there.
+		if err := s.CreateDatabase(Database{Name: script.DBName}); err != nil && !errors.Is(err, relstore.ErrDuplicate) {
 			return err
 		}
 	}
@@ -500,9 +503,9 @@ type BundleMedia struct {
 // Bundle is the transferable closure of one Web document: the script,
 // one implementation, its files, its media bytes and its annotations.
 // Bundles are what the distribution layer pre-broadcasts down the m-ary
-// tree and what on-demand pulls return. The zero Bundle is empty; all
-// fields are exported so encoding/gob can move bundles between
-// stations.
+// tree and what on-demand pulls return. The zero Bundle is empty. On
+// the wire a bundle encodes itself (bundlewire.go), alone or inside
+// another message.
 type Bundle struct {
 	Script      Script
 	Impl        Implementation

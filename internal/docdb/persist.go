@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 )
 
 // Generation-coordinated durability for the whole station store. The
@@ -116,6 +117,11 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 				return nil, fmt.Errorf("docdb: restoring BLOB sidecar: %w", rerr)
 			}
 		}
+	}
+	// A checkpoint restores the indexes its writer knew; a newer
+	// build's are added here (a no-op when nothing is missing).
+	if err := schema.CreateIndexes(s.rel); err != nil {
+		return nil, err
 	}
 	if err := s.SyncIDs(); err != nil {
 		return nil, err

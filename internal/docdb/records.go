@@ -238,26 +238,28 @@ func (s *Store) CheckOut(kind, objectID, user string) (string, error) {
 	return id, nil
 }
 
+// componentConds selects the ledger rows of one component.
+func componentConds(kind, objectID string) []relstore.Cond {
+	return []relstore.Cond{
+		{Col: "object_kind", Op: relstore.OpEq, Val: kind},
+		{Col: "object_id", Op: relstore.OpEq, Val: objectID},
+	}
+}
+
 // openCheckoutTx returns the open checkout of an object as seen inside
-// the transaction, nil when none.
+// the transaction, nil when none. Only open rows are looked at: the
+// ledger's partial index on (object_kind, object_id) holds them apart
+// from the component's closed history.
 func openCheckoutTx(tx *relstore.Tx, kind, objectID string) (*Checkout, error) {
 	rows, err := tx.Select(relstore.Query{
 		Table: schema.TableCheckouts,
-		Conds: []relstore.Cond{{Col: "object_id", Op: relstore.OpEq, Val: objectID}},
+		Conds: append(componentConds(kind, objectID), relstore.Cond{Col: "in_time", Op: relstore.OpIsNull}),
 	})
-	if err != nil {
+	if err != nil || len(rows) == 0 {
 		return nil, err
 	}
-	for _, r := range rows {
-		if rowString(r, "object_kind") != kind {
-			continue
-		}
-		if _, closed := r["in_time"].(time.Time); !closed {
-			co := checkoutFromRow(r)
-			return &co, nil
-		}
-	}
-	return nil, nil
+	co := checkoutFromRow(rows[0])
+	return &co, nil
 }
 
 func checkoutFromRow(r relstore.Row) Checkout {
@@ -295,28 +297,20 @@ func (s *Store) CheckIn(checkoutID, comment string) error {
 		tx.Rollback()
 		return err
 	}
-	history, err := tx.Select(relstore.Query{
-		Table: schema.TableVersions,
-		Conds: []relstore.Cond{
-			{Col: "object_id", Op: relstore.OpEq, Val: co.ObjectID},
-			{Col: "object_kind", Op: relstore.OpEq, Val: co.ObjectKind},
-		},
-	})
+	// Versions are only ever appended, one per check-in, so the next
+	// number is the count so far plus one — answered by the size of
+	// the (object_kind, object_id) index bucket, not by reading the
+	// component's history.
+	recorded, err := tx.Count(relstore.Query{Table: schema.TableVersions, Conds: componentConds(co.ObjectKind, co.ObjectID)})
 	if err != nil {
 		tx.Rollback()
 		return err
-	}
-	next := int64(1)
-	for _, v := range history {
-		if ver := rowInt(v, "version"); ver >= next {
-			next = ver + 1
-		}
 	}
 	err = tx.Insert(schema.TableVersions, relstore.Row{
 		"ver_id":      s.nextID("ver"),
 		"object_kind": co.ObjectKind,
 		"object_id":   co.ObjectID,
-		"version":     next,
+		"version":     int64(recorded) + 1,
 		"author":      co.User,
 		"comment":     comment,
 		"created":     s.Now(),
@@ -331,11 +325,8 @@ func (s *Store) CheckIn(checkoutID, comment string) error {
 // History lists the recorded versions of a component, oldest first.
 func (s *Store) History(kind, objectID string) ([]Version, error) {
 	rows, err := s.rel.Select(relstore.Query{
-		Table: schema.TableVersions,
-		Conds: []relstore.Cond{
-			{Col: "object_id", Op: relstore.OpEq, Val: objectID},
-			{Col: "object_kind", Op: relstore.OpEq, Val: kind},
-		},
+		Table:   schema.TableVersions,
+		Conds:   componentConds(kind, objectID),
 		OrderBy: "version",
 	})
 	if err != nil {

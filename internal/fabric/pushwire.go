@@ -13,7 +13,7 @@ import (
 
 // Binary bodies of the two fabric messages that carry bundles. Both
 // implement transport.WireAppender/WireDecoder, so transport.Marshal
-// and Unmarshal route them here instead of through encoding/gob:
+// and Unmarshal route them here instead of through the body codec:
 //
 //	push  := [PushMagic][ver] header bundle{count}
 //	header:= refonly(0|1) M N watermark epoch

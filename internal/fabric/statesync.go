@@ -1,12 +1,14 @@
 package fabric
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/docdb"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Checkpoint streaming for rejoin catch-up. The per-entry catch-up
@@ -35,9 +37,10 @@ type StateRequest struct {
 }
 
 // stateDoc is one document inside a streamed state snapshot. The
-// stream is a gob sequence of stateDoc values, so neither end ever
-// materializes more than one document beyond the transport chunks in
-// flight.
+// stream is a sequence of wire records (wire.AppendRecord), one
+// body-encoded stateDoc each — its bundle through the bundle codec —
+// so neither end ever materializes more than one document beyond the
+// transport chunks in flight.
 type stateDoc struct {
 	Entry  CatalogEntry
 	Bundle docdb.Bundle
@@ -71,13 +74,15 @@ func (s *Station) handleState(decode func(any) error) (any, error) {
 	}
 	pr, pw := io.Pipe()
 	go func() {
-		enc := gob.NewEncoder(pw)
 		var err error
 		for _, e := range entries {
 			var doc *stateDoc
-			doc, err = s.exportStateDoc(e, req.WantMedia)
+			var body []byte
+			if doc, err = s.exportStateDoc(e, req.WantMedia); err == nil {
+				body, err = wire.AppendBody(nil, doc)
+			}
 			if err == nil {
-				err = enc.Encode(doc)
+				_, err = pw.Write(wire.AppendRecord(nil, body))
 			}
 			if err != nil {
 				break
@@ -131,22 +136,31 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 	// back-pressures the stream instead of ballooning a buffer.
 	pr, pw := io.Pipe()
 	done := make(chan int64, 1)
+	var streamErr error // the call's verdict; read only after done
 	go func() {
-		n, serr := s.pool(rootAddr).CallStream(methodState, StateRequest{URLs: urls, WantMedia: wantMedia}, pw)
-		pw.CloseWithError(serr) // nil -> io.EOF for the decoder
+		var n int64
+		n, streamErr = s.pool(rootAddr).CallStream(methodState, StateRequest{URLs: urls, WantMedia: wantMedia}, pw)
+		pw.CloseWithError(streamErr) // nil -> io.EOF for the record reader
 		done <- n
 	}()
 	// Closing the read end on an early exit unblocks the stream
 	// goroutine (its writes fail), so <-done cannot deadlock.
 	defer pr.Close()
-	dec := gob.NewDecoder(pr)
+	records := bufio.NewReader(pr)
 	out.Streamed = true
 	for {
+		// ReadRecord reports any failure to start a record as io.EOF,
+		// so whether the stream ended or was cut short at a record
+		// boundary is the call's verdict, checked below.
+		body, err := wire.ReadRecord(records, transport.MaxFrame)
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		var doc stateDoc
-		if err := dec.Decode(&doc); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
+		if err == nil {
+			err = wire.DecodeBody(body, &doc)
+		}
+		if err != nil {
 			return fmt.Errorf("fabric: streaming catch-up state: %w", err)
 		}
 		e := doc.Entry
@@ -179,5 +193,8 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 		})
 	}
 	out.StreamedBytes = <-done
+	if streamErr != nil {
+		return fmt.Errorf("fabric: streaming catch-up state: %w", streamErr)
+	}
 	return nil
 }

@@ -2,7 +2,10 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -16,7 +19,7 @@ type table struct {
 
 	schema  Schema
 	rows    map[string]Row    // encoded pk -> canonical row
-	indexes map[string]*index // indexed column -> hash index
+	indexes map[string]*index // index name (its column list) -> hash index
 
 	// ordered holds the ordered (range) indexes, keyed by column; nil
 	// until CreateOrderedIndex is used.
@@ -30,19 +33,62 @@ type table struct {
 	dirty     bool
 }
 
-// index is a hash index mapping an encoded column value to the set of
-// encoded primary keys holding it.
+// index is a hash index mapping the encoded values of one or more
+// columns to the set of encoded primary keys holding them. A partial
+// index (nullOnly set) holds only the rows whose nullOnly column is
+// NULL — the open rows of a ledger — so rows that have left that state
+// cost it nothing.
 type index struct {
-	column  string
-	buckets map[string]map[string]struct{}
+	columns  []string
+	nullOnly string
+	buckets  map[string]map[string]struct{}
 }
 
-func newIndex(column string) *index {
-	return &index{column: column, buckets: make(map[string]map[string]struct{})}
+func newIndex(nullOnly string, columns ...string) *index {
+	return &index{columns: columns, nullOnly: nullOnly, buckets: make(map[string]map[string]struct{})}
 }
 
-func (ix *index) add(val any, pk string) {
-	k := encodeKey(val)
+// name is the key the index goes by in table.indexes and in
+// snapshots: its column list, for one column the column's name, with
+// "|<column>" appended for a partial index.
+func (ix *index) name() string {
+	name := strings.Join(ix.columns, ",")
+	if ix.nullOnly != "" {
+		name += "|" + ix.nullOnly
+	}
+	return name
+}
+
+// keyOf renders the bucket key of the values val reports for the
+// indexed columns. Parts are length-prefixed, so two different value
+// tuples never share a key.
+func (ix *index) keyOf(val func(col string) any) string {
+	if len(ix.columns) == 1 {
+		return encodeKey(val(ix.columns[0]))
+	}
+	key := make([]byte, 0, 96)
+	for _, col := range ix.columns {
+		part := encodeKey(val(col))
+		key = strconv.AppendInt(key, int64(len(part)), 10)
+		key = append(key, ':')
+		key = append(key, part...)
+	}
+	return string(key)
+}
+
+// key renders the bucket key of a row.
+func (ix *index) key(row Row) string {
+	if len(ix.columns) == 1 {
+		return encodeKey(row[ix.columns[0]])
+	}
+	return ix.keyOf(func(col string) any { return row[col] })
+}
+
+func (ix *index) add(row Row, pk string) {
+	if ix.nullOnly != "" && row[ix.nullOnly] != nil {
+		return
+	}
+	k := ix.key(row)
 	b := ix.buckets[k]
 	if b == nil {
 		b = make(map[string]struct{})
@@ -51,8 +97,11 @@ func (ix *index) add(val any, pk string) {
 	b[pk] = struct{}{}
 }
 
-func (ix *index) remove(val any, pk string) {
-	k := encodeKey(val)
+func (ix *index) remove(row Row, pk string) {
+	if ix.nullOnly != "" && row[ix.nullOnly] != nil {
+		return
+	}
+	k := ix.key(row)
 	if b := ix.buckets[k]; b != nil {
 		delete(b, pk)
 		if len(b) == 0 {
@@ -61,8 +110,8 @@ func (ix *index) remove(val any, pk string) {
 	}
 }
 
-func (ix *index) lookup(val any) []string {
-	b := ix.buckets[encodeKey(val)]
+// sortedPKs lists a bucket's primary keys in ascending order.
+func sortedPKs(b map[string]struct{}) []string {
 	if len(b) == 0 {
 		return nil
 	}
@@ -124,7 +173,7 @@ func (db *DB) CreateTable(s Schema) error {
 	// reverse lookups stay O(1), the way the SQL server would index them.
 	for _, fk := range s.ForeignKeys {
 		if _, ok := t.indexes[fk.Column]; !ok {
-			t.indexes[fk.Column] = newIndex(fk.Column)
+			t.indexes[fk.Column] = newIndex("", fk.Column)
 		}
 	}
 	db.tables[s.Name] = t
@@ -162,26 +211,50 @@ func (db *DB) DropTable(name string) error {
 	return nil
 }
 
-// CreateIndex adds a hash index over one column of a table. Indexing an
-// already-indexed column is a no-op.
-func (db *DB) CreateIndex(tableName, column string) error {
+// CreateIndex adds a hash index over one or more columns of a table. A
+// query is served from it when every one of its columns is pinned by
+// an equality condition. Indexing an already-indexed column list is a
+// no-op.
+func (db *DB) CreateIndex(tableName string, columns ...string) error {
+	return db.createIndex(tableName, newIndex("", columns...))
+}
+
+// CreatePartialIndex adds a hash index over columns that holds only
+// the rows whose nullOnly column is NULL, and serves the queries that
+// ask for exactly those (nullOnly IS NULL, the columns pinned). The
+// rows of a ledger that are still open are the intended use: however
+// long the closed history grows, the index stays as small as the open
+// set.
+func (db *DB) CreatePartialIndex(tableName, nullOnly string, columns ...string) error {
+	return db.createIndex(tableName, newIndex(nullOnly, columns...))
+}
+
+func (db *DB) createIndex(tableName string, ix *index) error {
 	db.metaMu.Lock()
 	defer db.metaMu.Unlock()
 	t, ok := db.tables[tableName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	if _, ok := t.schema.column(column); !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, column)
+	if len(ix.columns) == 0 {
+		return fmt.Errorf("relstore: index on %s names no column", tableName)
 	}
-	if _, ok := t.indexes[column]; ok {
+	named := ix.columns
+	if ix.nullOnly != "" {
+		named = append(slices.Clone(named), ix.nullOnly)
+	}
+	for _, column := range named {
+		if _, ok := t.schema.column(column); !ok {
+			return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, column)
+		}
+	}
+	if _, ok := t.indexes[ix.name()]; ok {
 		return nil
 	}
-	ix := newIndex(column)
 	for pk, row := range t.rows {
-		ix.add(row[column], pk)
+		ix.add(row, pk)
 	}
-	t.indexes[column] = ix
+	t.indexes[ix.name()] = ix
 	return nil
 }
 
@@ -284,8 +357,8 @@ func (db *DB) referencers(name string, pkVal any) []string {
 			if ix == nil {
 				continue // FK columns are always indexed at CreateTable
 			}
-			if pks := ix.lookup(pkVal); len(pks) > 0 {
-				hits = append(hits, fmt.Sprintf("%s.%s(%d rows)", other.schema.Name, fk.Column, len(pks)))
+			if n := len(ix.buckets[encodeKey(pkVal)]); n > 0 {
+				hits = append(hits, fmt.Sprintf("%s.%s(%d rows)", other.schema.Name, fk.Column, n))
 			}
 		}
 	}
@@ -318,7 +391,7 @@ func (db *DB) insertRawLocked(t *table, row Row) (string, error) {
 	t.rows[pk] = row
 	t.dirty = true
 	for _, ix := range t.indexes {
-		ix.add(row[ix.column], pk)
+		ix.add(row, pk)
 	}
 	t.orderedAdd(row, pk)
 	return pk, nil
@@ -366,7 +439,7 @@ func (db *DB) deleteLocked(t *table, pk string) (Row, error) {
 	delete(t.rows, pk)
 	t.dirty = true
 	for _, ix := range t.indexes {
-		ix.remove(row[ix.column], pk)
+		ix.remove(row, pk)
 	}
 	t.orderedRemove(row, pk)
 	return row, nil

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -85,8 +86,8 @@ func (db *DB) captureLocked() snapshot {
 			rows = append(rows, t.rows[pk])
 		}
 		snap.Rows[name] = rows
-		for col := range t.indexes {
-			snap.Indexed[name] = append(snap.Indexed[name], col)
+		for ix := range t.indexes {
+			snap.Indexed[name] = append(snap.Indexed[name], ix)
 		}
 		for col := range t.ordered {
 			snap.Ordered[name] = append(snap.Ordered[name], col)
@@ -145,8 +146,9 @@ func (db *DB) installSnapshot(snap *snapshot) error {
 				return fmt.Errorf("relstore: snapshot row in %s: %w", s.Name, err)
 			}
 		}
-		for _, col := range snap.Indexed[s.Name] {
-			if err := fresh.CreateIndex(s.Name, col); err != nil {
+		for _, name := range snap.Indexed[s.Name] {
+			columns, nullOnly, _ := strings.Cut(name, "|") // see index.name
+			if err := fresh.createIndex(s.Name, newIndex(nullOnly, strings.Split(columns, ",")...)); err != nil {
 				return err
 			}
 		}

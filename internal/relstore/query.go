@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -117,92 +118,143 @@ func (db *DB) Select(q Query) ([]Row, error) {
 	return t.selectLocked(q)
 }
 
-// selectLocked evaluates the query. Caller holds the table lock in
-// either mode.
-func (t *table) selectLocked(q Query) ([]Row, error) {
+// accessPath is a planned query: its coerced conditions, which of them
+// the chosen access path already satisfies, and the candidate rows —
+// a hash-index bucket when an index serves the query, a key list
+// otherwise.
+type accessPath struct {
+	conds   []Cond
+	covered []bool
+	bucket  map[string]struct{}
+	hashed  bool // bucket (possibly empty) is the candidate set
+	pks     []string
+}
+
+// planLocked validates the query and picks its access path. A
+// primary-key equality names the row. Otherwise, among the hash
+// indexes whose every column is pinned by an equality condition (a
+// partial index also needs its IS NULL condition), the one with the
+// fewest candidates serves; an ordered
+// index on an equality or range condition comes next; failing all of
+// those the table is scanned in primary-key order.
+func (t *table) planLocked(q Query) (accessPath, error) {
+	var p accessPath
 	// Validate and coerce condition values against column types.
-	conds := make([]Cond, len(q.Conds))
+	p.conds = make([]Cond, len(q.Conds))
+	p.covered = make([]bool, len(q.Conds))
 	for i, c := range q.Conds {
 		col, ok := t.schema.column(c.Col)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, q.Table, c.Col)
+			return p, fmt.Errorf("%w: %s.%s", ErrNoColumn, q.Table, c.Col)
 		}
 		cv := c.Val
 		if c.Op != OpContains && c.Op != OpPrefix && c.Op != OpIsNull && c.Op != OpNotNull {
 			var err error
 			cv, err = coerce(col.Type, c.Val)
 			if err != nil {
-				return nil, fmt.Errorf("condition on %s.%s: %w", q.Table, c.Col, err)
+				return p, fmt.Errorf("condition on %s.%s: %w", q.Table, c.Col, err)
 			}
 		}
-		conds[i] = Cond{Col: c.Col, Op: c.Op, Val: cv}
+		p.conds[i] = Cond{Col: c.Col, Op: c.Op, Val: cv}
 	}
 	if q.OrderBy != "" {
 		if _, ok := t.schema.column(q.OrderBy); !ok {
-			return nil, fmt.Errorf("%w: ORDER BY %s.%s", ErrNoColumn, q.Table, q.OrderBy)
+			return p, fmt.Errorf("%w: ORDER BY %s.%s", ErrNoColumn, q.Table, q.OrderBy)
 		}
 	}
 
-	// Plan: an indexed equality condition is the best access path; an
-	// ordered index serving an equality or range condition comes next;
-	// otherwise scan in primary-key order.
-	var candidates []string
-	planned := -1
-	for i, c := range conds {
-		if c.Op != OpEq {
+	// find returns the first condition that applies op to col (an
+	// equality with NULL matches no row and pins nothing), -1 when
+	// there is none. A second such condition on the same column is
+	// left to the per-row check.
+	find := func(col string, op CmpOp) int {
+		for i, c := range p.conds {
+			if c.Col == col && c.Op == op && (op != OpEq || c.Val != nil) {
+				return i
+			}
+		}
+		return -1
+	}
+	if i := find(t.schema.Key, OpEq); i >= 0 {
+		if pk := encodeKey(p.conds[i].Val); t.rows[pk] != nil {
+			p.pks = []string{pk}
+		}
+		p.covered[i] = true
+		return p, nil
+	}
+	var best *index
+	for _, ix := range t.indexes {
+		usable := ix.nullOnly == "" || find(ix.nullOnly, OpIsNull) >= 0
+		for _, col := range ix.columns {
+			usable = usable && find(col, OpEq) >= 0
+		}
+		if !usable {
 			continue
 		}
-		if ix := t.indexes[c.Col]; ix != nil {
-			candidates = ix.lookup(c.Val)
-			planned = i
-			break
+		b := ix.buckets[ix.keyOf(func(col string) any { return p.conds[find(col, OpEq)].Val })]
+		// Ties go to the index that settles more conditions, then to
+		// the smaller name, so the plan does not depend on map order.
+		better := best == nil || len(b) < len(p.bucket)
+		if !better && len(b) == len(p.bucket) {
+			better = len(ix.columns) > len(best.columns) ||
+				len(ix.columns) == len(best.columns) && ix.name() < best.name()
 		}
-		if c.Col == t.schema.Key {
-			pk := encodeKey(c.Val)
-			if _, ok := t.rows[pk]; ok {
-				candidates = []string{pk}
-			}
-			planned = i
-			break
+		if better {
+			best, p.bucket = ix, b
 		}
 	}
-	if planned < 0 {
-		for i, c := range conds {
-			ix := t.ordered[c.Col]
-			if ix == nil {
-				continue
-			}
-			switch c.Op {
-			case OpEq, OpLt, OpLe, OpGt, OpGe:
-				candidates = ix.rangePKs(c.Op, c.Val)
-				planned = i
-			}
-			if planned >= 0 {
-				break
-			}
+	if best != nil {
+		p.hashed = true
+		for _, col := range best.columns {
+			p.covered[find(col, OpEq)] = true
+		}
+		if best.nullOnly != "" {
+			p.covered[find(best.nullOnly, OpIsNull)] = true
+		}
+		return p, nil
+	}
+	for i, c := range p.conds {
+		ix := t.ordered[c.Col]
+		if ix == nil {
+			continue
+		}
+		switch c.Op {
+		case OpEq, OpLt, OpLe, OpGt, OpGe:
+			p.pks = ix.rangePKs(c.Op, c.Val)
+			p.covered[i] = true
+			return p, nil
 		}
 	}
-	if planned < 0 {
-		candidates = t.sortedKeysLocked()
-	}
+	p.pks = t.sortedKeysLocked()
+	return p, nil
+}
 
+// matches reports whether a candidate row satisfies the conditions the
+// access path did not.
+func (p *accessPath) matches(row Row) bool {
+	for i := range p.conds {
+		c := &p.conds[i]
+		if !p.covered[i] && !c.matches(row[c.Col], c.Val) {
+			return false
+		}
+	}
+	return true
+}
+
+// selectLocked evaluates the query. Caller holds the table lock in
+// either mode.
+func (t *table) selectLocked(q Query) ([]Row, error) {
+	p, err := t.planLocked(q)
+	if err != nil {
+		return nil, err
+	}
+	candidates := p.pks
+	if p.hashed {
+		candidates = sortedPKs(p.bucket)
+	}
 	var out []Row
 	for _, pk := range candidates {
-		row, ok := t.rows[pk]
-		if !ok {
-			continue
-		}
-		match := true
-		for i, c := range conds {
-			if i == planned {
-				continue // already satisfied by the access path
-			}
-			if !c.matches(row[c.Col], c.Val) {
-				match = false
-				break
-			}
-		}
-		if match {
+		if row, ok := t.rows[pk]; ok && p.matches(row) {
 			out = append(out, row.Clone())
 		}
 	}
@@ -221,6 +273,32 @@ func (t *table) selectLocked(q Query) ([]Row, error) {
 		out = out[:q.Limit]
 	}
 	return out, nil
+}
+
+// countLocked counts the rows matching the query's conditions without
+// materialising any; a hash index that covers every condition answers
+// from its bucket size alone. Caller holds the table lock in either
+// mode.
+func (t *table) countLocked(q Query) (int, error) {
+	p, err := t.planLocked(q)
+	if err != nil {
+		return 0, err
+	}
+	if p.hashed && !slices.Contains(p.covered, false) {
+		return len(p.bucket), nil
+	}
+	n := 0
+	for _, pk := range p.pks {
+		if row, ok := t.rows[pk]; ok && p.matches(row) {
+			n++
+		}
+	}
+	for pk := range p.bucket {
+		if p.matches(t.rows[pk]) {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // SelectOne returns the single row matching the query, ErrNotFound when

@@ -1,7 +1,9 @@
 // Package relstore is an embedded relational storage engine. It stands in
 // for the off-the-rack relational DBMS (MS SQL Server behind ODBC/JDBC)
 // that the paper uses underneath its Web document database: typed
-// schemas, single-column primary keys, hash secondary indexes, foreign
+// schemas, single-column primary keys, hash secondary indexes (over one
+// or several columns, optionally partial: only the rows whose given
+// column IS NULL), foreign
 // keys, transactions with undo, and snapshot + write-ahead-log
 // persistence — the narrow slice of SQL-server behaviour the document
 // layer in section 3 of the paper actually relies on.

@@ -128,14 +128,14 @@ func (tx *Tx) Rollback() error {
 		if exists {
 			delete(t.rows, op.pk)
 			for _, ix := range t.indexes {
-				ix.remove(cur[ix.column], op.pk)
+				ix.remove(cur, op.pk)
 			}
 			t.orderedRemove(cur, op.pk)
 		}
 		if op.present {
 			t.rows[op.pk] = op.before
 			for _, ix := range t.indexes {
-				ix.add(op.before[ix.column], op.pk)
+				ix.add(op.before, op.pk)
 			}
 			t.orderedAdd(op.before, op.pk)
 		}
@@ -214,8 +214,8 @@ func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
 		return err
 	}
 	for _, ix := range t.indexes {
-		ix.remove(old[ix.column], pk)
-		ix.add(merged[ix.column], pk)
+		ix.remove(old, pk)
+		ix.add(merged, pk)
 	}
 	t.orderedRemove(old, pk)
 	t.orderedAdd(merged, pk)
@@ -286,4 +286,21 @@ func (tx *Tx) Select(q Query) ([]Row, error) {
 		return nil, err
 	}
 	return t.selectLocked(q)
+}
+
+// Count reports how many rows match the query's conditions (OrderBy
+// and Limit play no part) as seen inside the transaction, without
+// cloning them. The table is read-locked lazily like Select.
+func (tx *Tx) Count(q Query) (int, error) {
+	if tx.done {
+		return 0, ErrTxDone
+	}
+	t, ok := tx.db.tables[q.Table]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
+	}
+	if err := tx.acquire(map[string]lockMode{q.Table: lockRead}); err != nil {
+		return 0, err
+	}
+	return t.countLocked(q)
 }

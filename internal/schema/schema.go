@@ -244,21 +244,33 @@ func Create(db *relstore.DB) error {
 			return err
 		}
 	}
-	// Query-path indexes beyond the automatic FK indexes.
-	for _, ix := range [][2]string{
+	return CreateIndexes(db)
+}
+
+// CreateIndexes adds the secondary indexes to an engine that holds the
+// tables; indexes already present are left alone, so it also brings a
+// database restored from an older checkpoint up to date.
+func CreateIndexes(db *relstore.DB) error {
+	// Query-path indexes beyond the automatic FK indexes. The
+	// composite one counts a component's versions, and the partial one
+	// below holds only a component's open checkout (in_time IS NULL);
+	// together they keep the configuration-management ledger's
+	// check-out and check-in independent of a component's history.
+	for _, ix := range [][]string{
 		{TableScripts, "author"},
 		{TableScripts, "keywords"},
 		{TableCheckouts, "user"},
 		{TableCheckouts, "object_id"},
 		{TableVersions, "object_id"},
+		{TableVersions, "object_kind", "object_id"},
 		{TableDocObjects, "station"},
 		{TableDocObjects, "form"},
 	} {
-		if err := db.CreateIndex(ix[0], ix[1]); err != nil {
+		if err := db.CreateIndex(ix[0], ix[1:]...); err != nil {
 			return err
 		}
 	}
-	return nil
+	return db.CreatePartialIndex(TableCheckouts, "in_time", "object_kind", "object_id")
 }
 
 // JoinList and SplitList encode multi-valued text attributes (keywords,

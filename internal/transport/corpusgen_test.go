@@ -36,7 +36,8 @@ func TestWriteCorpus(t *testing.T) {
 		"error_response": frameBytes(t, &envelope{ID: 9, IsResp: true, Err: "no such method"}),
 		"traced_call":    frameBytes(t, &envelope{ID: 3, Method: "Fabric.Search", TraceID: 0xDEADBEEF, Parent: 42}),
 		"stream_chunk":   frameBytes(t, &envelope{ID: 4, IsResp: true, More: true, Body: []byte("chunk")}),
-		"legacy_gob":     legacyFrameBytes(t, &envelope{ID: 11, Method: "Fabric.Resolve", Body: []byte("legacy"), TraceID: 5}),
+		"legacy_gob":     []byte(legacyGobFrame),  // must-reject: no gob reader is left
+		"corrupt_gob":    []byte(corruptGobFrame), // likewise
 		"empty":          {},
 		"short_header":   {0x00},
 		"zero_length":    {0x00, 0x00, 0x00, 0x00},
@@ -50,9 +51,6 @@ func TestWriteCorpus(t *testing.T) {
 	corruptBody := frameBytes(t, &envelope{ID: 8, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0x33}, 64)})
 	corruptBody[len(corruptBody)/2] ^= 0x01
 	readSeeds["corrupt_body"] = corruptBody
-	corruptGob := legacyFrameBytes(t, &envelope{ID: 2, Method: "Ping"})
-	corruptGob[len(corruptGob)-2] ^= 0xFF
-	readSeeds["corrupt_gob"] = corruptGob
 	for name, data := range readSeeds {
 		writeSeed("FuzzReadFrame", name, raw(data))
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
@@ -20,11 +19,8 @@ import (
 //
 // The CRC32C trailer covers every payload byte before it. Optional
 // fields are present when their flag bit is set, so a Ping costs nine
-// bytes of framing, not a gob type descriptor. The first payload byte
-// of a legacy gob frame can never be 0xB7 (gob segment lengths start
-// < 0x80 or in [0xF8, 0xFF]), so readFrame sniffs one byte to accept
-// frames from pre-overhaul peers; everything this process sends is
-// binary.
+// bytes of framing. A payload that does not start with the magic byte
+// is ErrBadHeader.
 
 // Envelope flag bits.
 const (
@@ -77,13 +73,15 @@ func appendEnvelope(dst []byte, env *envelope) []byte {
 	return wire.AppendUint32(dst, wire.Checksum(dst[start:]))
 }
 
-// decodeEnvelope decodes a binary frame payload (magic byte already
-// sniffed). Strings and the body are copied out of p, which belongs
-// to a recycled read buffer. Structural failures are ErrBadHeader,
-// integrity failures ErrChecksum.
+// decodeEnvelope decodes a frame payload. Strings and the body are
+// copied out of p, which belongs to a recycled read buffer. Structural
+// failures are ErrBadHeader, integrity failures ErrChecksum.
 func decodeEnvelope(p []byte) (*envelope, error) {
 	if len(p) < 8 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadHeader, len(p))
+	}
+	if p[0] != wire.FrameMagic {
+		return nil, fmt.Errorf("%w: frame magic 0x%02x", ErrBadHeader, p[0])
 	}
 	if p[1] != wire.Version {
 		return nil, fmt.Errorf("%w: frame version %d", ErrBadHeader, p[1])
@@ -145,10 +143,7 @@ var readBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // readFrame receives one envelope. The payload is read incrementally
 // rather than allocated up front from the header's length field, so a
 // hostile or corrupt header claiming a near-MaxFrame size costs only
-// the bytes the peer actually sends. Binary frames verify their CRC
-// trailer (ErrChecksum on mismatch); a payload starting like a gob
-// stream takes the legacy decode path, keeping old peers and old fuzz
-// corpora readable.
+// the bytes the peer actually sends.
 func readFrame(r io.Reader) (*envelope, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -165,21 +160,5 @@ func readFrame(r io.Reader) (*envelope, error) {
 	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
 		return nil, err
 	}
-	p := buf.Bytes()
-	if wire.IsImage(wire.FrameMagic, p) {
-		return decodeEnvelope(p)
-	}
-	// Legacy gob envelope. There is no checksum to verify; a decode
-	// failure means the body bytes are corrupt.
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("%w: legacy gob frame: %v", ErrChecksum, err)
-	}
-	if len(env.Body) > 0 {
-		// gob may alias the buffer; the envelope outlives it.
-		owned := make([]byte, len(env.Body))
-		copy(owned, env.Body)
-		env.Body = owned
-	}
-	return &env, nil
+	return decodeEnvelope(buf.Bytes())
 }

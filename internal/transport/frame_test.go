@@ -3,28 +3,22 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
 )
 
-// legacyFrameBytes encodes an envelope the way the pre-overhaul
-// transport did: length prefix plus a fresh gob stream per frame.
-func legacyFrameBytes(t testing.TB, env *envelope) []byte {
-	t.Helper()
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(env); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(body.Len()))
-	buf.Write(head[:])
-	buf.Write(body.Bytes())
-	return buf.Bytes()
-}
+// Two frames exactly as the pre-binary transport wrote them (a length
+// prefix, then a fresh gob stream of the envelope), kept as bytes now
+// that nothing here can produce them: a Fabric.Resolve request, and a
+// Ping with a flipped byte near its end. They are also committed fuzz
+// seeds (corpusgen_test.go).
+const (
+	legacyGobFrame  = "\x00\x00\x00\x84c\x7f\x03\x01\x01\benvelope\x01\xff\x80\x00\x01\b\x01\x02ID\x01\x06\x00\x01\x06Method\x01\f\x00\x01\x06IsResp\x01\x02\x00\x01\x04More\x01\x02\x00\x01\x03Err\x01\f\x00\x01\x04Body\x01\n\x00\x01\aTraceID\x01\x06\x00\x01\x06Parent\x01\x06\x00\x00\x00\x1f\xff\x80\x01\v\x01\x0eFabric.Resolve\x04\x06legacy\x01\x05\x00"
+	corruptGobFrame = "\x00\x00\x00pc\x7f\x03\x01\x01\benvelope\x01\xff\x80\x00\x01\b\x01\x02ID\x01\x06\x00\x01\x06Method\x01\f\x00\x01\x06IsResp\x01\x02\x00\x01\x04More\x01\x02\x00\x01\x03Err\x01\f\x00\x01\x04Body\x01\n\x00\x01\aTraceID\x01\x06\x00\x01\x06Parent\x01\x06\x00\x00\x00\v\xff\x80\x01\x02\x01\x04Pin\x98\x00"
+)
 
 func sameEnvelope(a, b *envelope) bool {
 	return a.ID == b.ID && a.Method == b.Method && a.IsResp == b.IsResp &&
@@ -57,21 +51,15 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyGobFrameAccepted pins the read-side fallback: a frame
-// written by the pre-overhaul gob codec must decode bit-identically,
-// trace fields included, so mixed-version fabrics interoperate during
-// a rolling upgrade.
-func TestLegacyGobFrameAccepted(t *testing.T) {
-	in := &envelope{
-		ID: 77, Method: "Fabric.Resolve", Body: []byte("bundle bytes"),
-		TraceID: 123456, Parent: 7,
-	}
-	out, err := readFrame(bytes.NewReader(legacyFrameBytes(t, in)))
-	if err != nil {
-		t.Fatalf("legacy frame rejected: %v", err)
-	}
-	if !sameEnvelope(in, out) {
-		t.Fatalf("legacy decode mismatch:\n in: %+v\nout: %+v", in, out)
+// TestLegacyGobFrameRejected: the read-side gob fallback is gone. A
+// frame whose payload does not start with the frame magic — here what
+// a pre-binary peer would send — is a corrupt header, not a decode
+// attempt.
+func TestLegacyGobFrameRejected(t *testing.T) {
+	for _, frame := range []string{legacyGobFrame, corruptGobFrame} {
+		if env, err := readFrame(strings.NewReader(frame)); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("gob frame: envelope %+v, err %v; want ErrBadHeader", env, err)
+		}
 	}
 }
 
@@ -202,21 +190,6 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := readFrame(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrameEncodeLegacyGob is the baseline the binary codec
-// replaced, kept runnable so the win stays measurable in-tree.
-func BenchmarkFrameEncodeLegacyGob(b *testing.B) {
-	env := &envelope{ID: 42, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0xCD}, 4096), TraceID: 7, Parent: 3}
-	b.SetBytes(int64(len(env.Body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(env); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,8 +20,8 @@ func frameBytes(t testing.TB, env *envelope) []byte {
 
 // FuzzReadFrame feeds the wire decoder arbitrary bytes: hostile input
 // must produce an error — truncated headers, lying length prefixes,
-// corrupt CRC trailers, corrupt gob bodies — and must never panic or
-// allocate the claimed (rather than the delivered) body size.
+// corrupt CRC trailers, frames from a pre-binary gob peer — and must
+// never panic or allocate the claimed (rather than the delivered) body size.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed binary frames.
 	f.Add(frameBytes(f, &envelope{ID: 1, Method: "Ping"}))
@@ -29,9 +29,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, &envelope{ID: 9, IsResp: true, Err: "no such method"}))
 	f.Add(frameBytes(f, &envelope{ID: 3, Method: "Fabric.Search", TraceID: 0xDEADBEEF, Parent: 42}))
 	f.Add(frameBytes(f, &envelope{ID: 4, IsResp: true, More: true, Body: []byte("chunk")}))
-	// A pre-overhaul gob frame: the read-side fallback must keep
-	// accepting these.
-	f.Add(legacyFrameBytes(f, &envelope{ID: 11, Method: "Fabric.Resolve", Body: []byte("legacy"), TraceID: 5}))
+	// Pre-binary gob frames: no magic byte, rejected.
+	f.Add([]byte(legacyGobFrame))
+	f.Add([]byte(corruptGobFrame))
 	// Hostile shapes.
 	f.Add([]byte{})                             // empty stream
 	f.Add([]byte{0x00})                         // truncated header

@@ -4,13 +4,17 @@
 // stations). It offers named-method dispatch on the server and
 // concurrent-safe calls with response correlation on the client — the
 // slice of ODBC/HTTP plumbing the 1999 system obtained from its
-// platform. Message bodies are gob-encoded unless the value encodes
-// itself or is passed through raw (see Marshal).
+// platform. A message body is one of three things, and Marshal and
+// Unmarshal are the only place that tells them apart: a Raw is relayed
+// as the bytes it is; a value with an AppendWire/DecodeWire pair
+// encodes itself (the bodies that carry bundles and need a header-only
+// decode or media that aliases the frame); anything else goes through
+// internal/wire's plan-cached body codec, a positional binary encoding
+// with no type descriptors. There is no fourth, slower arm: a value
+// the codec cannot encode is an error naming its type and field.
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Protocol limits.
@@ -40,7 +45,7 @@ const (
 // purpose: the first means a frame's structure could not be parsed
 // (bad magic, version, or field layout), the second that a
 // structurally complete frame failed integrity verification (CRC32C
-// mismatch on a binary frame, or an undecodable legacy gob body).
+// mismatch).
 // Neither means the peer is unreachable — see Unreachable.
 var (
 	ErrClosed    = errors.New("transport: connection closed")
@@ -99,21 +104,18 @@ type envelope struct {
 type Raw []byte
 
 // WireAppender is a body value that encodes itself (with the
-// internal/wire primitives) instead of going through encoding/gob.
-type WireAppender interface {
-	AppendWire(dst []byte) ([]byte, error)
-}
+// internal/wire primitives) instead of going through the body codec.
+// The codec honours the same pair on a field of a plan-encoded body.
+type WireAppender = wire.Appender
 
 // WireDecoder is the decode half of WireAppender. body is the whole
 // envelope body and outlives the call, so an implementation may keep
 // slices that alias it (and must document that it does).
-type WireDecoder interface {
-	DecodeWire(body []byte) error
-}
+type WireDecoder = wire.Decoder
 
 // Marshal encodes a payload value for an envelope body: a Raw is
 // passed through, a WireAppender encodes itself, anything else is
-// gob-encoded.
+// encoded by wire.AppendBody.
 func Marshal(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case Raw:
@@ -121,16 +123,12 @@ func Marshal(v any) ([]byte, error) {
 	case WireAppender:
 		return x.AppendWire(nil)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return wire.AppendBody(nil, v)
 }
 
 // Unmarshal decodes an envelope body into the caller's value, the
 // mirror of Marshal: *Raw receives the body itself, a WireDecoder
-// decodes itself, anything else is gob-decoded.
+// decodes itself, anything else is decoded by wire.DecodeBody.
 func Unmarshal(data []byte, v any) error {
 	switch x := v.(type) {
 	case *Raw:
@@ -139,7 +137,7 @@ func Unmarshal(data []byte, v any) error {
 	case WireDecoder:
 		return x.DecodeWire(data)
 	}
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	return wire.DecodeBody(data, v)
 }
 
 // Handler serves one method: decode the request with the provided
@@ -259,9 +257,12 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write counts the bytes before they leave: a peer that has read a
+// reply may scrape Stats at once, and must find that reply counted.
 func (c *countingConn) Write(p []byte) (int, error) {
+	c.srv.bytesOut.Add(int64(len(p)))
 	n, err := c.Conn.Write(p)
-	c.srv.bytesOut.Add(int64(n))
+	c.srv.bytesOut.Add(int64(n - len(p)))
 	return n, err
 }
 
@@ -492,7 +493,7 @@ func (c *Client) readLoop() {
 	}
 }
 
-// Call invokes a method: req is gob-encoded, the response decoded into
+// Call invokes a method: req is encoded by Marshal, the response decoded into
 // resp (which may be nil for fire-and-forget semantics with an
 // acknowledgment).
 func (c *Client) Call(method string, req, resp any) error {

@@ -220,12 +220,12 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 }
 
 func TestReadFrameRejectsGarbage(t *testing.T) {
-	// An undecodable payload is body corruption (ErrChecksum), not a
-	// header problem: the length prefix itself parsed fine.
+	// A payload that does not start with the frame magic is a header
+	// problem; nothing tries to decode it as anything else.
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 4})
-	buf.Write([]byte("junk"))
-	if _, err := readFrame(&buf); !errors.Is(err, ErrChecksum) {
+	buf.Write([]byte{0, 0, 0, 12})
+	buf.Write([]byte("junk payload"))
+	if _, err := readFrame(&buf); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -2,8 +2,10 @@
 // persistence and transport paths: a length-prefixed, CRC32C-checked
 // framing for transport envelopes and WAL records, and a varint-tagged
 // value codec covering the relational engine's scalar set (nil, int64,
-// float64, string, []byte, bool, time.Time). It replaces gob on the
-// wire (which re-sends type descriptors on every frame) and JSON in
+// float64, string, []byte, bool, time.Time), and the plan-cached body
+// codec every RPC message that does not encode itself goes through
+// (body.go). It replaces gob on the wire (which re-sends type
+// descriptors and re-walks reflection on every message) and JSON in
 // the WAL (which base64-wraps every []byte), and recycles its encode
 // buffers through a sync.Pool so steady-state traffic allocates
 // nothing for framing.
@@ -12,10 +14,12 @@
 // with a segment length encoded either as one byte < 0x80 or as a
 // negated byte count in [0xF8, 0xFF], and a JSON record starts with
 // '{' (0x7B), so one-byte sniffing cleanly separates the new format
-// from both legacy encodings. That is what lets every decoder keep a
-// read-side fallback: old gob snapshots, gob sidecars and JSON WAL
-// tails are recognized and recovered one last time, and the next
-// checkpoint rewrites them in the binary format.
+// from both legacy encodings. On disk that is what lets every decoder
+// keep a read-side fallback: old gob snapshots, gob sidecars and JSON
+// WAL tails are recognized and recovered one last time, and the next
+// checkpoint rewrites them in the binary format. On the wire there is
+// no fallback; the same property makes a legacy frame or body a clean
+// error.
 package wire
 
 import (
@@ -40,6 +44,8 @@ const (
 	SearchMagic = 0xBC // content-index sidecar
 	PushMagic   = 0xBD // fabric push request body
 	ReplyMagic  = 0xBE // fabric resolve reply body
+	BundleMagic = 0xBF // a document bundle sent as a body of its own
+	BodyMagic   = 0xC0 // plan-encoded message body (body.go)
 
 	// Version is the current format version, encoded after every
 	// magic byte. Decoders reject versions they do not know.
