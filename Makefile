@@ -23,15 +23,15 @@ fmt-check:
 # picks its classifier (fabric.hopRules), and wire-tag encode/decode
 # coverage. Zero dependencies; the only
 # waivers are reasoned //lint:ignore comments.
-# The second step keeps encoding/gob out of the RPC path: every body is
-# raw, self-encoding or plan-encoded by internal/wire, and a gob import
-# in the packages that build and serve RPCs would be a slow arm growing
-# back.
+# The second step keeps encoding/gob out of the module: every RPC body
+# and every durable file has one binary encoding (internal/wire), and a
+# gob import would be a second one growing back. Tests may import it to
+# craft the inputs the readers must reject.
 lint:
 	$(GO) run ./cmd/webdoclint ./...
-	@out="$$(grep -l '"encoding/gob"' internal/transport/*.go internal/cluster/*.go internal/fabric/*.go | grep -v _test.go)"; \
+	@out="$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$')"; \
 	if [ -n "$$out" ]; then \
-		echo "encoding/gob imported on the RPC path:"; echo "$$out"; exit 1; \
+		echo "encoding/gob imported outside tests:"; echo "$$out"; exit 1; \
 	fi
 
 test:
@@ -60,21 +60,25 @@ race:
 # matrix), the station RPC node, the pooled transport with chunked
 # response streaming, and the subprocess crash tests (SIGKILL
 # mid-broadcast + rejoin, SIGKILL after a checkpoint, SIGKILL before
-# the search sidecar installs, legacy-WAL migration) against real
-# webdocd processes.
+# the search sidecar installs) against real webdocd processes.
 race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 
 # Ten seconds of coverage-guided fuzzing per target over the committed
 # seed corpora: the minisql parser, the transport frame codec, the
-# fabric's binary push body and the plan-driven body decoder must
-# reject hostile input with errors, never panics.
+# fabric's binary push body, the plan-driven body decoder and the four
+# durable-file readers (WAL replay, relational snapshot, BLOB sidecar,
+# search sidecar) must reject hostile input with errors, never panics.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s
+	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s
+	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s
+	$(GO) test ./internal/blob -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzDecodeSidecar$$' -fuzztime 10s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

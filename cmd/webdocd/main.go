@@ -20,9 +20,9 @@
 // a final checkpoint, and a restart loads the checkpoint and replays
 // only the tail — so restart cost is bounded by the checkpoint
 // interval, and a SIGKILL at any instant loses nothing that was
-// checkpointed. The old single-file layout (-wal station1.wal plus its
-// .blobs sidecar) is still accepted: the legacy log is replayed once,
-// checkpointed into PATH.d, and renamed aside.
+// checkpointed. Every file in the directory has one format; a
+// directory written before the binary formats fails recovery with an
+// error naming the file (README: "Upgrading a pre-binary directory").
 //
 // A -root station is the instructor station (position 1) and the join
 // authority; -join stations contact it, are assigned the next linear
@@ -44,11 +44,9 @@
 package main
 
 import (
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -77,7 +75,6 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve the Web-savvy virtual library UI on this address (empty disables)")
 		pos        = flag.Int("pos", 1, "station position in the linear joining order (standalone mode; with -rejoin: the position to reclaim)")
 		dataDir    = flag.String("data", "", "durability directory: checkpoint generations + WAL tail (empty disables persistence)")
-		walPath    = flag.String("wal", "", "durability base path: data lands in PATH.d; a legacy single-file WAL at PATH is migrated in once")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint when the WAL tail exceeds this many bytes (0 disables the size trigger)")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "checkpoint on this interval (0 disables the timer trigger)")
 		seedCourse = flag.Int("seed-course", 0, "author a synthetic course with this many pages on startup")
@@ -91,9 +88,6 @@ func main() {
 		logEvents  = flag.Bool("log-events", false, "log structured one-line records for fault-path events (suspicion, grafts, rejoins, checkpoints)")
 	)
 	flag.Parse()
-	if *dataDir != "" && *walPath != "" {
-		log.Fatal("webdocd: -data and -wal are mutually exclusive (-wal is the legacy spelling)")
-	}
 	if *root && *joinAddr != "" {
 		log.Fatal("webdocd: -root and -join are mutually exclusive")
 	}
@@ -117,17 +111,7 @@ func main() {
 		log.Fatalf("webdocd: attaching content index: %v", err)
 	}
 	dir := *dataDir
-	if dir == "" && *walPath != "" {
-		dir = *walPath + ".d"
-	}
 	if dir != "" {
-		// A legacy single-file WAL replays into the engine before the
-		// durability directory attaches; see prepareLegacyMigration
-		// for the crash-safety argument.
-		migrating := false
-		if *walPath != "" {
-			migrating = prepareLegacyMigration(rel, blobs, *walPath, dir)
-		}
 		// Recover restores the newest checkpoint generation (relational
 		// snapshot + BLOB sidecar), chain-replays the WAL tail, resyncs
 		// the ID counter and attaches the tail for appends.
@@ -138,18 +122,6 @@ func main() {
 		if rec.Gen > 0 || rec.Applied > 0 {
 			log.Printf("webdocd: recovered checkpoint generation %d, replayed %d tail transaction(s)", rec.Gen, rec.Applied)
 		}
-		if migrating {
-			// Commit the migration: checkpoint the replayed state into
-			// the directory, then retire the legacy files. The rename
-			// is the commit point — until it happens, a crash just
-			// redoes the whole migration from the legacy file.
-			if _, err := store.CheckpointNow(); err != nil {
-				log.Fatalf("webdocd: checkpointing migrated state: %v", err)
-			}
-			archiveLegacy(*walPath)
-			archiveLegacy(*walPath + ".blobs")
-			log.Printf("webdocd: migrated legacy WAL %s into %s", *walPath, dir)
-		}
 	}
 
 	lib := library.New(store)
@@ -158,8 +130,8 @@ func main() {
 	// The shutdown handler is installed before any ready banner prints:
 	// whoever waits for the banner may signal the moment it appears, and
 	// a SIGTERM that lands under the default disposition kills the
-	// process without the shutdown checkpoint — losing the BLOB bytes
-	// the legacy -wal layout only persists there.
+	// process without the shutdown checkpoint — losing every BLOB
+	// stored since the last one.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
@@ -283,9 +255,7 @@ func main() {
 	// Orderly shutdown: stop serving, then take a final checkpoint —
 	// relational snapshot, BLOB sidecar and rotated WAL land as one
 	// generation, every file written temp-then-rename, so even a crash
-	// during the shutdown itself leaves a loadable store. (The old
-	// path re-created the BLOB sidecar in place with os.Create; dying
-	// mid-write destroyed the only copy.)
+	// during the shutdown itself leaves a loadable store.
 	close(stopCkpt)
 	ckptWG.Wait()
 	if err := stop(); err != nil {
@@ -363,76 +333,6 @@ func startDebugServer(addr string, node *cluster.Node) {
 			log.Printf("webdocd: debug listener: %v", err)
 		}
 	}()
-}
-
-// prepareLegacyMigration upgrades a pre-checkpoint station: the
-// single-file WAL at path (and its .blobs sidecar from the last
-// orderly shutdown) is replayed into the engine before the durability
-// directory attaches, then checkpointed and renamed aside by the
-// caller. The rename of the legacy file is the migration's only
-// commit point, which makes a crash at any instant safe:
-//
-//   - before the checkpoint lands, restarts find the legacy file and
-//     no installed snapshot, discard whatever partial state a crashed
-//     attempt left in the directory, and redo the whole migration
-//     from the legacy file;
-//   - after the checkpoint but before the rename, restarts find the
-//     complete state installed and just finish the rename — the
-//     legacy file is never half-applied and never double-applied.
-func prepareLegacyMigration(rel *relstore.DB, blobs *blob.Store, path, dir string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || fi.IsDir() {
-		return false
-	}
-	if relstore.HasCheckpoint(dir) {
-		// Either an interrupted migration that already checkpointed
-		// the full legacy state, or a directory with genuinely newer
-		// history: the installed generation is authoritative either
-		// way, so retire the legacy files without replaying them.
-		archiveLegacy(path)
-		archiveLegacy(path + ".blobs")
-		log.Printf("webdocd: %s already holds a checkpoint; archived legacy WAL %s", dir, path)
-		return false
-	}
-	// No installed snapshot: anything in the directory is the partial
-	// re-log of this same legacy file from a crashed attempt. Start
-	// the migration over from the authoritative copy.
-	if err := os.RemoveAll(dir); err != nil {
-		log.Fatalf("webdocd: clearing partial migration in %s: %v", dir, err)
-	}
-	if f, err := os.Open(path + ".blobs"); err == nil {
-		rerr := blobs.Restore(f)
-		f.Close()
-		if rerr != nil {
-			log.Fatalf("webdocd: restoring legacy BLOB snapshot: %v", rerr)
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatalf("webdocd: opening legacy WAL: %v", err)
-	}
-	n, _, rerr := rel.ReplayWAL(f)
-	f.Close()
-	if rerr != nil {
-		log.Fatalf("webdocd: replaying legacy WAL: %v", rerr)
-	}
-	log.Printf("webdocd: replayed legacy WAL %s (%d transactions)", path, n)
-	return true
-}
-
-// archiveLegacy retires a legacy durability file by renaming it to
-// NAME.migrated. A missing file is fine — not every station had a
-// .blobs sidecar — but any other failure is fatal: the checkpoint in
-// the data directory has already committed the migration, and leaving
-// the legacy file in place would hand the next restart a data dir that
-// looks half-migrated (and, under -wal, re-archive or fatally confuse
-// it) without anyone having noticed.
-func archiveLegacy(path string) {
-	//lint:ignore atomicwrite archive rename within one directory of a file the installed checkpoint has already superseded; no durable state can be lost mid-rename
-	err := os.Rename(path, path+".migrated")
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		log.Fatalf("webdocd: archiving legacy file %s: %v", path, err)
-	}
 }
 
 // seed authors the synthetic startup course (pages > 0) unless the WAL

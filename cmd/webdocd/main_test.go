@@ -12,13 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blob"
 	"repro/internal/cluster"
-	"repro/internal/docdb"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/relstore"
 	"repro/internal/webtest"
 	"repro/internal/workload"
 )
@@ -125,17 +122,17 @@ func countMedia(t *testing.T, rs *cluster.RemoteStation) int {
 }
 
 // TestKillRestartPreservesMedia seeds a persistent station, SIGTERMs
-// it, restarts it on the same WAL, and checks that both the relational
-// rows and the physical media bytes (BLOB sidecar snapshot) survived.
+// it, restarts it on the same directory, and checks that both the
+// relational rows and the physical media bytes (BLOB sidecar) survived.
 func TestKillRestartPreservesMedia(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	bin := daemonBinary(t)
-	wal := filepath.Join(t.TempDir(), "station1.wal")
+	dataDir := filepath.Join(t.TempDir(), "station1.d")
 	spec := workload.DefaultSpec(1)
 
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal, "-seed-course", "3")
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir, "-seed-course", "3")
 	rs, err := cluster.DialStation(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +148,8 @@ func TestKillRestartPreservesMedia(t *testing.T) {
 	rs.Close()
 	stopDaemon(t, cmd)
 
-	// Restart on the same WAL, without reseeding.
-	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal)
+	// Restart on the same directory, without reseeding.
+	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir)
 	rs2, err := cluster.DialStation(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -183,21 +180,21 @@ func TestKillRestartPreservesMedia(t *testing.T) {
 
 // TestSIGTERMRightAfterBannerPreservesMedia signals the daemon the
 // instant its ready banner appears, twenty restarts in a row on one
-// WAL. Every one of them must shut down in order (exit 0, not death by
-// the default SIGTERM disposition): a process killed before its
-// handler was installed skips the shutdown checkpoint, and on the
-// -wal layout that is the only place the BLOB bytes are written — the
-// rows would come back and the media would not.
+// directory. Every one of them must shut down in order (exit 0, not
+// death by the default SIGTERM disposition): a process killed before
+// its handler was installed skips the shutdown checkpoint, the only
+// place the seeded BLOB bytes are written here — the rows would come
+// back and the media would not.
 func TestSIGTERMRightAfterBannerPreservesMedia(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	bin := daemonBinary(t)
-	wal := filepath.Join(t.TempDir(), "station1.wal")
+	dataDir := filepath.Join(t.TempDir(), "station1.d")
 	spec := workload.DefaultSpec(1)
 
 	for i := 0; i < 20; i++ {
-		args := []string{"-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal}
+		args := []string{"-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir}
 		if i == 0 {
 			args = append(args, "-seed-course", "3")
 		}
@@ -210,7 +207,7 @@ func TestSIGTERMRightAfterBannerPreservesMedia(t *testing.T) {
 		}
 	}
 
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal)
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir)
 	rs, err := cluster.DialStation(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -296,82 +293,32 @@ func TestSIGKILLAfterCheckpointPreservesState(t *testing.T) {
 	stopDaemon(t, cmd2)
 }
 
-// TestLegacyWALMigratesIntoCheckpointStore: a station that last ran
-// the old single-file layout restarts under the new binary and keeps
-// serving its data, now from the checkpointed directory; the legacy
-// files are renamed aside so a further restart cannot double-apply
-// them.
-func TestLegacyWALMigratesIntoCheckpointStore(t *testing.T) {
+// TestDaemonRefusesPreBinaryDirectory: pointed at a directory from
+// before the binary formats (a JSON-line WAL tail), the daemon exits
+// non-zero naming the file, before serving and without touching it.
+// The -wal flag that once migrated such data is gone with the reader.
+func TestDaemonRefusesPreBinaryDirectory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	bin := daemonBinary(t)
-	wal := filepath.Join(t.TempDir(), "station1.wal")
-	spec := workload.DefaultSpec(1)
-
-	// Fabricate the legacy layout the way the old daemon did: a bare
-	// WAL file plus a .blobs sidecar.
-	rel := relstore.NewDB()
-	blobs := blob.NewStore()
-	store, err := docdb.Open(rel, blobs)
-	if err != nil {
+	dataDir := t.TempDir()
+	tail := filepath.Join(dataDir, "wal-0000000000")
+	old := []byte(`{"seq":1,"commit":true,"recs":[{"op":"drop","table":"scripts"}]}` + "\n")
+	if err := os.WriteFile(tail, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.OpenWAL(wal); err != nil {
-		t.Fatal(err)
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dataDir).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "wal-0000000000") || !strings.Contains(string(out), "predates the binary format") {
+		t.Fatalf("err = %v, output:\n%s", err, out)
 	}
-	legacySpec := workload.DefaultSpec(1)
-	legacySpec.Pages = 3
-	legacySpec.MediaScaleDown = 4096
-	if _, err := workload.BuildCourse(store, legacySpec); err != nil {
-		t.Fatal(err)
+	if got, rerr := os.ReadFile(tail); rerr != nil || string(got) != string(old) {
+		t.Errorf("WAL tail changed or vanished (err=%v)", rerr)
 	}
-	if _, err := store.NewInstance(legacySpec.URL, 1, true); err != nil {
-		t.Fatal(err)
+	out, err = exec.Command(bin, "-wal", filepath.Join(dataDir, "station1.wal")).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -wal") {
+		t.Fatalf("-wal: err = %v, output:\n%s", err, out)
 	}
-	if err := rel.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	sidecar, err := os.Create(wal + ".blobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blobs.Snapshot(sidecar); err != nil {
-		t.Fatal(err)
-	}
-	sidecar.Close()
-
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal)
-	rs, err := cluster.DialStation(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countMedia(t, rs); got == 0 {
-		t.Error("migrated station serves no media rows")
-	}
-	if _, err := rs.FetchBundle(spec.URL); err != nil {
-		t.Errorf("bundle after legacy migration: %v", err)
-	}
-	rs.Close()
-	stopDaemon(t, cmd)
-	if _, err := os.Stat(wal); !os.IsNotExist(err) {
-		t.Error("legacy WAL still in place after migration")
-	}
-	if _, err := os.Stat(wal + ".migrated"); err != nil {
-		t.Errorf("migrated WAL not renamed aside: %v", err)
-	}
-
-	// Restart on the same flags: state now comes from the directory.
-	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-wal", wal)
-	rs2, err := cluster.DialStation(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs2.Close()
-	if got := countMedia(t, rs2); got == 0 {
-		t.Error("post-migration restart serves no media rows")
-	}
-	stopDaemon(t, cmd2)
 }
 
 // stationHasPages reports whether the station at addr answers SQL and

@@ -1,10 +1,10 @@
 package blob
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"repro/internal/wire"
 )
@@ -15,9 +15,6 @@ import (
 //	[uvarint nentries] per entry:
 //	  [hash string][uvarint kind][uvarint refcount]
 //	  [uvarint nnames names...][data bytes]
-//
-// Pre-overhaul gob sidecars restore one last time through the read
-// fallback (a gob stream's first byte can never be BlobMagic).
 type snapshotEntry struct {
 	Hash     string
 	Kind     Kind
@@ -28,8 +25,7 @@ type snapshotEntry struct {
 
 // Snapshot writes a point-in-time image of the store, so a station can
 // persist its BLOB layer alongside the relational snapshot. Object
-// bytes land on disk as a flat copy under a CRC32C seal — no gob
-// reflection walk over megabyte video bodies.
+// bytes land on disk as a flat copy under a CRC32C seal.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -41,7 +37,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 		for n := range e.names {
 			names = append(names, n)
 		}
-		sortStrings(names)
+		sort.Strings(names)
 		payload = wire.AppendString(payload, ref.Hash)
 		payload = wire.AppendUvarint(payload, uint64(e.kind))
 		payload = wire.AppendUvarint(payload, uint64(e.refcount))
@@ -57,24 +53,14 @@ func (s *Store) Snapshot(w io.Writer) error {
 	return err
 }
 
-// decodeSnapshot parses either sidecar format into entries.
+// decodeSnapshot parses a sidecar image into entries.
 func decodeSnapshot(data []byte) ([]snapshotEntry, error) {
-	if !wire.IsImage(wire.BlobMagic, data) {
-		var entries []snapshotEntry
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-			return nil, fmt.Errorf("blob: decoding snapshot: %w", err)
-		}
-		return entries, nil
-	}
 	payload, err := wire.OpenImage(wire.BlobMagic, data)
 	if err != nil {
 		return nil, fmt.Errorf("blob: decoding snapshot: %w", err)
 	}
 	r := wire.NewReader(payload)
-	n := int(r.Uvarint())
-	if r.Err() == nil && n > r.Len() {
-		return nil, fmt.Errorf("blob: corrupt snapshot: %d entries in %d bytes", n, r.Len())
-	}
+	n := r.Count()
 	entries := make([]snapshotEntry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := snapshotEntry{
@@ -82,7 +68,7 @@ func decodeSnapshot(data []byte) ([]snapshotEntry, error) {
 			Kind:     Kind(r.Uvarint()),
 			Refcount: int(r.Uvarint()),
 		}
-		nn := int(r.Uvarint())
+		nn := r.Count()
 		for j := 0; j < nn && r.Err() == nil; j++ {
 			e.Names = append(e.Names, r.String())
 		}
@@ -111,32 +97,27 @@ func (s *Store) Restore(r io.Reader) error {
 	}
 	fresh := NewStore()
 	for _, e := range entries {
-		if e.Refcount <= 0 {
-			return fmt.Errorf("blob: snapshot holds unreferenced object %s", e.Hash[:12])
+		// An unreferenced object is never stored, and a count no station
+		// could have reached would overflow the byte accounting.
+		if e.Refcount <= 0 || e.Refcount > math.MaxInt32 {
+			return fmt.Errorf("blob: snapshot object %.12s has reference count %d", e.Hash, e.Refcount)
 		}
-		name := ""
-		if len(e.Names) > 0 {
-			name = e.Names[0]
-		}
-		ref := fresh.Put(name, e.Kind, e.Data)
+		ref := fresh.Put("", e.Kind, e.Data)
 		if ref.Hash != e.Hash {
-			return fmt.Errorf("blob: snapshot object %s fails content verification", e.Hash[:12])
+			return fmt.Errorf("blob: snapshot object %.12s fails content verification", e.Hash)
 		}
-		for _, n := range e.Names[1:] {
-			fresh.mu.Lock()
-			fresh.objects[ref.Hash].names[n] = struct{}{}
-			fresh.mu.Unlock()
+		// fresh is private until it is installed below, so the entry is
+		// completed in place: the names, then the references beyond
+		// the one Put took.
+		obj := fresh.objects[ref.Hash]
+		for _, n := range e.Names {
+			obj.names[n] = struct{}{}
 		}
-		for i := 1; i < e.Refcount; i++ {
-			if err := fresh.Retain(ref); err != nil {
-				return err
-			}
-		}
+		obj.refcount += e.Refcount - 1
+		fresh.logicalBytes += int64(e.Refcount-1) * int64(len(e.Data))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh.mu.Lock()
-	defer fresh.mu.Unlock()
 	s.objects = fresh.objects
 	s.logicalBytes = fresh.logicalBytes
 	s.physicalBytes = fresh.physicalBytes
@@ -150,22 +131,6 @@ func (s *Store) listLocked() []Ref {
 	for h, e := range s.objects {
 		refs = append(refs, Ref{Hash: h, Size: int64(len(e.data)), Kind: e.kind})
 	}
-	sortRefs(refs)
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Hash < refs[j].Hash })
 	return refs
-}
-
-func sortRefs(refs []Ref) {
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j].Hash < refs[j-1].Hash; j-- {
-			refs[j], refs[j-1] = refs[j-1], refs[j]
-		}
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

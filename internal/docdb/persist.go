@@ -17,8 +17,7 @@ import (
 // document store writes them as a blobs-<gen> sidecar inside the same
 // write-quiescent window, renamed before the relational snapshot. A
 // visible snap-<gen> therefore always has its matching BLOB sidecar —
-// a SIGKILL at any instant loses nothing that was checkpointed, which
-// the old write-only-on-SIGTERM sidecar could not promise.
+// a SIGKILL at any instant loses nothing that was checkpointed.
 
 func blobFileName(gen uint64) string   { return fmt.Sprintf("blobs-%010d", gen) }
 func searchFileName(gen uint64) string { return fmt.Sprintf("search-%010d", gen) }
@@ -114,7 +113,7 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 			rerr := s.blobs.Restore(f)
 			f.Close()
 			if rerr != nil {
-				return nil, fmt.Errorf("docdb: restoring BLOB sidecar: %w", rerr)
+				return nil, fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", blobFileName(info.Gen), rerr)
 			}
 		}
 	}

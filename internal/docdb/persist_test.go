@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,6 +155,36 @@ func TestRecoverUsesSidecarOfChosenGeneration(t *testing.T) {
 	}
 	if _, err := s2.ExportBundle(url); err != nil {
 		t.Errorf("bundle after fallback recovery: %v", err)
+	}
+}
+
+// TestRecoverNamesUnreadableBlobSidecar: a sidecar that is not a BLOB
+// image (here: what a pre-binary writer left) fails the recovery with
+// an error naming the file, and the file stays where it is.
+func TestRecoverNamesUnreadableBlobSidecar(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	seedCourse(t, s)
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	old := []byte{0x0C, 0xFF, 0x81, 0x02, 0x01, 0x01} // a gob stream's opening bytes
+	if err := os.WriteFile(filepath.Join(dir, blobFileName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s2.Recover(dir)
+	if err == nil || !strings.Contains(err.Error(), blobFileName(1)) || !strings.Contains(err.Error(), "predates the binary format") {
+		t.Fatalf("Recover err = %v, want one naming %s that says it predates the binary format", err, blobFileName(1))
+	}
+	if got, rerr := os.ReadFile(filepath.Join(dir, blobFileName(1))); rerr != nil || !bytes.Equal(got, old) {
+		t.Errorf("sidecar changed or vanished after the failed recovery (err=%v)", rerr)
 	}
 }
 

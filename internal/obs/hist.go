@@ -100,7 +100,7 @@ type BucketCount struct {
 	Count  uint64
 }
 
-// HistSnapshot is a point-in-time, gob-friendly copy of a histogram:
+// HistSnapshot is a point-in-time, wire-encodable copy of a histogram:
 // only non-empty buckets travel, so a station that has served three
 // methods does not ship kilobytes of zeros in every Stats reply.
 type HistSnapshot struct {

@@ -2,8 +2,6 @@ package relstore
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,12 +18,11 @@ import (
 // A durability directory holds, per generation g:
 //
 //	snap-<g>   a consistent image of the whole database (a CRC-sealed
-//	           binary image, see snapbin.go; pre-overhaul gob images
-//	           still load), written temp-then-rename so it is either
-//	           absent or complete
+//	           binary image, see snapbin.go), written temp-then-rename
+//	           so it is either absent or complete
 //	wal-<g>    the write-ahead log tail: every transaction committed
 //	           after checkpoint g and before g+1, as CRC-framed binary
-//	           records (legacy JSON lines still replay)
+//	           records (see walbin.go)
 //
 // Checkpoint(dir) captures the image and atomically rotates the
 // attached WAL inside one write-quiescent window, so the snapshot and
@@ -62,8 +59,8 @@ type RecoverInfo struct {
 	WALTail string // live tail attached for appends
 }
 
-// ckptImage is the on-disk snapshot format: one gob stream holding the
-// generation header and the database image.
+// ckptImage is what a snapshot file holds: the generation header and
+// the database image (snapbin.go is the encoding).
 type ckptImage struct {
 	Gen  uint64
 	Seq  uint64
@@ -154,39 +151,26 @@ func PruneGenerationFiles(dir, prefix string, keep uint64) {
 	}
 }
 
-// HasCheckpoint reports whether dir holds at least one installed
-// checkpoint snapshot — the marker a completed (or
-// interrupted-after-install) checkpoint leaves behind.
-func HasCheckpoint(dir string) bool {
-	snaps, _, err := scanGenerations(dir)
-	return err == nil && len(snaps) > 0
+// decodeSnapshotImage opens a sealed snapshot image and decodes it.
+func decodeSnapshotImage(data []byte) (*ckptImage, error) {
+	payload, err := wire.OpenImage(wire.SnapMagic, data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeCkptImage(payload)
 }
 
-// readSnapshotFile decodes one snap-<gen> file, sniffing the first
-// byte to pick the binary or the legacy gob decode — a pre-overhaul
-// snapshot loads one last time and the next checkpoint rewrites it in
-// the binary format.
+// readSnapshotFile decodes one snap-<gen> file.
 func readSnapshotFile(path string) (*ckptImage, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if wire.IsImage(wire.SnapMagic, data) {
-		payload, err := wire.OpenImage(wire.SnapMagic, data)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: decoding %s: %w", filepath.Base(path), err)
-		}
-		img, err := decodeCkptImage(payload)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: decoding %s: %w", filepath.Base(path), err)
-		}
-		return img, nil
-	}
-	var img ckptImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
+	img, err := decodeSnapshotImage(data)
+	if err != nil {
 		return nil, fmt.Errorf("relstore: decoding %s: %w", filepath.Base(path), err)
 	}
-	return &img, nil
+	return img, nil
 }
 
 // OpenDurable attaches generation-numbered durability to the database:

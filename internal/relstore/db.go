@@ -177,7 +177,10 @@ func (db *DB) CreateTable(s Schema) error {
 		}
 	}
 	db.tables[s.Name] = t
-	db.logDDL(s)
+	if err := db.logDDL(s); err != nil {
+		delete(db.tables, s.Name)
+		return fmt.Errorf("relstore: logging CREATE TABLE %s: %w", s.Name, err)
+	}
 	return nil
 }
 
@@ -207,7 +210,10 @@ func (db *DB) DropTable(name string) error {
 		}
 	}
 	delete(db.tables, name)
-	db.logDrop(name)
+	if err := db.logDrop(name); err != nil {
+		db.tables[name] = t
+		return fmt.Errorf("relstore: logging DROP TABLE %s: %w", name, err)
+	}
 	return nil
 }
 

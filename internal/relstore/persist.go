@@ -2,25 +2,17 @@ package relstore
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/base64"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
 
-func init() {
-	gob.Register(time.Time{})
-}
-
-// snapshot is the gob-serializable image of the whole database.
+// snapshot is the captured image of the whole database.
 type snapshot struct {
 	Schemas []Schema
 	Rows    map[string][]Row // table name -> rows
@@ -97,30 +89,17 @@ func (db *DB) captureLocked() snapshot {
 }
 
 // Restore replaces the database contents with a snapshot previously
-// written by Snapshot — the binary image or, one last time, the
-// legacy gob encoding (a gob stream's first byte can never be
-// SnapMagic, so one byte decides).
+// written by Snapshot.
 func (db *DB) Restore(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("relstore: reading snapshot: %w", err)
 	}
-	if wire.IsImage(wire.SnapMagic, data) {
-		payload, err := wire.OpenImage(wire.SnapMagic, data)
-		if err != nil {
-			return fmt.Errorf("relstore: decoding snapshot: %w", err)
-		}
-		img, err := decodeCkptImage(payload)
-		if err != nil {
-			return fmt.Errorf("relstore: decoding snapshot: %w", err)
-		}
-		return db.installSnapshot(&img.Snap)
-	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	img, err := decodeSnapshotImage(data)
+	if err != nil {
 		return fmt.Errorf("relstore: decoding snapshot: %w", err)
 	}
-	return db.installSnapshot(&snap)
+	return db.installSnapshot(&img.Snap)
 }
 
 // installSnapshot rebuilds the table set from a decoded snapshot and
@@ -172,25 +151,15 @@ func (db *DB) tableNamesLocked() []string {
 	for n := range db.tables {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // WAL is a write-ahead log of committed transactions. Each committed
 // transaction appends one CRC-framed binary record (see walbin.go)
 // carrying its redo entries and a commit marker; Replay applies only
 // fully committed transactions, so a crash mid-append never replays a
-// torn one. Logs written by the pre-binary format — JSON lines — are
-// still replayed through a per-record sniff, so one file may hold a
-// legacy prefix with binary records appended after an upgrade.
+// torn one.
 type WAL struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
@@ -200,9 +169,9 @@ type WAL struct {
 }
 
 type walLine struct {
-	Seq    uint64   `json:"seq"`
-	Commit bool     `json:"commit,omitempty"`
-	Recs   []walRec `json:"recs,omitempty"`
+	Seq    uint64
+	Commit bool
+	Recs   []walRec
 }
 
 // OpenWAL attaches a write-ahead log file to the database. Subsequent
@@ -294,73 +263,11 @@ func (db *DB) noteReplaySeq(seq uint64) {
 	db.metaMu.Unlock()
 }
 
-// walEncodeValue wraps values whose Go type JSON would erase ([]byte,
-// time.Time) in tagged one-key objects so replay can restore them.
-func walEncodeValue(v any) any {
-	switch x := v.(type) {
-	case []byte:
-		return map[string]any{"$b": base64.StdEncoding.EncodeToString(x)}
-	case time.Time:
-		return map[string]any{"$t": x.Format(time.RFC3339Nano)}
-	default:
-		return v
-	}
-}
-
-// walDecodeValue reverses walEncodeValue.
-func walDecodeValue(v any) (any, error) {
-	m, ok := v.(map[string]any)
-	if !ok || len(m) != 1 {
-		return v, nil
-	}
-	if s, ok := m["$b"].(string); ok {
-		b, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: corrupt WAL bytes value: %w", err)
-		}
-		return b, nil
-	}
-	if s, ok := m["$t"].(string); ok {
-		ts, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: corrupt WAL time value: %w", err)
-		}
-		return ts, nil
-	}
-	return v, nil
-}
-
-func walEncodeRow(r Row) Row {
-	if r == nil {
-		return nil
-	}
-	out := make(Row, len(r))
-	for k, v := range r {
-		out[k] = walEncodeValue(v)
-	}
-	return out
-}
-
-func walDecodeRow(r Row) (Row, error) {
-	if r == nil {
-		return nil, nil
-	}
-	out := make(Row, len(r))
-	for k, v := range r {
-		dv, err := walDecodeValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = dv
-	}
-	return out, nil
-}
-
 // append writes one committed transaction to the log as a CRC-framed
 // binary record. Row values are encoded natively by the wire codec —
-// a document body goes to disk as its raw bytes, never through JSON.
-// Both scratch buffers are pooled, so steady-state appends allocate
-// only what the bufio writer flushes.
+// a document body goes to disk as its raw bytes. Both scratch buffers
+// are pooled, so steady-state appends allocate only what the bufio
+// writer flushes.
 func (w *WAL) append(recs []walRec) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -389,14 +296,11 @@ func (w *WAL) append(recs []walRec) error {
 // the high-water sequence number observed (which OpenWAL resumes
 // from). Unknown tables fail the replay.
 //
-// Each record is sniffed by its first byte: wire.RecordMagic selects
-// the CRC-verified binary decode, '{' the legacy JSON-line decode
-// (a gob segment or a binary record can never start with '{', and a
-// JSON line can never start with 0xB9, so the sniff is unambiguous).
-// One file may mix both — a legacy prefix with binary appends after an
-// upgrade. A truncated final record is tolerated as the torn tail a
-// crash mid-append leaves behind; a complete record that fails its CRC
-// or parse still fails the replay.
+// A truncated final record is tolerated as the torn tail a crash
+// mid-append leaves behind; a complete record that fails its CRC or
+// parse, a first byte that is not wire.RecordMagic (a JSON line from
+// before the binary format) and a read error other than end of input
+// all fail the replay.
 func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 	defer func() { db.noteReplaySeq(maxSeq) }()
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -436,52 +340,22 @@ func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 	}
 }
 
-// readWalLine reads the next committed-transaction record in either
-// format. done reports a clean or torn end of log.
+// readWalLine reads the next committed-transaction record. done reports
+// a clean or torn end of log — end of input and nothing else.
 func readWalLine(br *bufio.Reader) (line walLine, done bool, err error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		// A partial read at the very first byte can only be EOF from a
-		// bufio.Reader over a file.
+	payload, err := wire.ReadRecord(br, 0)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return line, true, nil
 	}
-	switch {
-	case first[0] == wire.RecordMagic:
-		payload, err := wire.ReadRecord(br, 0)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return line, true, nil // torn binary tail
-		}
-		if err != nil {
-			return line, false, fmt.Errorf("relstore: corrupt WAL record: %w", err)
-		}
-		line, err = decodeWalLine(payload)
-		return line, false, err
-	case first[0] == '{':
-		// Legacy JSON line. json.Marshal never emits a raw newline, so
-		// the line boundary is reliable.
-		raw, rerr := br.ReadBytes('\n')
-		if jerr := json.Unmarshal(raw, &line); jerr != nil {
-			if rerr != nil {
-				return line, true, nil // torn legacy tail: no newline, no parse
-			}
-			return line, false, fmt.Errorf("relstore: corrupt WAL line: %w", jerr)
-		}
-		for i := range line.Recs {
-			if line.Recs[i].Row, err = walDecodeRow(line.Recs[i].Row); err != nil {
-				return line, false, err
-			}
-			if line.Recs[i].PK, err = walDecodeValue(line.Recs[i].PK); err != nil {
-				return line, false, err
-			}
-		}
-		return line, false, nil
-	default:
-		return line, false, fmt.Errorf("relstore: corrupt WAL: unrecognized record byte 0x%02x", first[0])
+	if err != nil {
+		return line, false, fmt.Errorf("relstore: reading WAL record: %w", err)
 	}
+	line, err = decodeWalLine(payload)
+	return line, false, err
 }
 
 func isDDL(recs []walRec) bool {
-	return len(recs) == 1 && (recs[0].Op == "create" || recs[0].Op == "drop")
+	return len(recs) == 1 && (recs[0].Op == walOpCreate || recs[0].Op == walOpDrop)
 }
 
 // recTables returns the distinct tables a committed transaction's redo
@@ -500,55 +374,55 @@ func recTables(recs []walRec) []string {
 
 func (db *DB) applyDDL(rec walRec) error {
 	switch rec.Op {
-	case "create":
+	case walOpCreate:
 		if rec.DDL == nil {
 			return fmt.Errorf("relstore: WAL create record for %s without schema", rec.Table)
 		}
 		return db.CreateTable(*rec.DDL)
-	case "drop":
+	case walOpDrop:
 		return db.DropTable(rec.Table)
 	default:
-		return fmt.Errorf("relstore: unknown WAL DDL op %q", rec.Op)
+		return fmt.Errorf("relstore: unknown WAL DDL op %v", rec.Op)
 	}
 }
 
-// applyRecs re-executes a committed transaction's redo records. Rows
-// arrive with native value types — readWalLine already unwrapped the
-// legacy JSON tagging, and the binary codec never erases types.
+// applyRecs re-executes a committed transaction's redo records.
 func applyRecs(tx *Tx, recs []walRec) error {
 	for _, rec := range recs {
 		switch rec.Op {
-		case "insert":
+		case walOpInsert:
 			if err := tx.Insert(rec.Table, rec.Row); err != nil {
 				return err
 			}
-		case "update":
+		case walOpUpdate:
 			if err := tx.Update(rec.Table, rec.PK, rec.Row); err != nil {
 				return err
 			}
-		case "delete":
+		case walOpDelete:
 			if err := tx.Delete(rec.Table, rec.PK); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("relstore: unknown WAL op %q", rec.Op)
+			return fmt.Errorf("relstore: unknown WAL op %v", rec.Op)
 		}
 	}
 	return nil
 }
 
 // logDDL and logDrop record schema changes. DDL statements are logged as
-// standalone committed transactions. Caller holds metaMu exclusively.
-func (db *DB) logDDL(s Schema) {
+// standalone committed transactions. Caller holds metaMu exclusively
+// and undoes the schema change when the append fails: a table the log
+// never heard of would fail the next replay at its first row.
+func (db *DB) logDDL(s Schema) error {
 	if db.wal == nil {
-		return
+		return nil
 	}
-	db.wal.append([]walRec{{Op: "create", Table: s.Name, DDL: &s}})
+	return db.wal.append([]walRec{{Op: walOpCreate, Table: s.Name, DDL: &s}})
 }
 
-func (db *DB) logDrop(name string) {
+func (db *DB) logDrop(name string) error {
 	if db.wal == nil {
-		return
+		return nil
 	}
-	db.wal.append([]walRec{{Op: "drop", Table: name}})
+	return db.wal.append([]walRec{{Op: walOpDrop, Table: name}})
 }

@@ -1,0 +1,309 @@
+package relstore
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"repro/internal/wire"
+)
+
+// Every durable file has one format and one reader. What the
+// pre-binary writers produced — gob snapshots, JSON-line WALs — is
+// hostile input like any other: a clean error that says what the file
+// is, nothing mutated, nothing deleted. (Tests may still import
+// encoding/gob to craft these inputs; `make lint` keeps it out of
+// everything else.)
+
+const preBinary = "predates the binary format"
+
+// gobSnapshot is a snap-<gen> file as the gob writer produced it.
+func gobSnapshot(t testing.TB) []byte {
+	t.Helper()
+	s, _ := courseSchemas()
+	var buf bytes.Buffer
+	img := ckptImage{Gen: 3, Seq: 41, Snap: snapshot{
+		Schemas: []Schema{s},
+		Rows:    map[string][]Row{"scripts": {{"script_name": "legacy"}}},
+	}}
+	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// jsonWAL is a WAL as the JSON-line writer produced it.
+const jsonWAL = `{"seq":1,"commit":true,"recs":[{"op":"insert","table":"scripts","row":{"script_name":"legacy","created":{"$t":"1998-11-03T14:00:00Z"}}}]}
+{"seq":2,"commit":true,"recs":[{"op":"delete","table":"scripts","pk":"keep"}]}
+`
+
+// binaryWAL is n committed inserts in the one format there is.
+func binaryWAL(t testing.TB, n int) []byte {
+	t.Helper()
+	var raw []byte
+	for i := 0; i < n; i++ {
+		payload, err := appendWalLine(nil, &walLine{Seq: uint64(i + 1), Commit: true, Recs: []walRec{
+			{Op: walOpInsert, Table: "scripts", Row: Row{"script_name": string(rune('a' + i))}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = wire.AppendRecord(raw, payload)
+	}
+	return raw
+}
+
+func TestReadersRejectForeignInput(t *testing.T) {
+	inputs := []struct {
+		name      string
+		data      []byte
+		preBinary bool
+	}{
+		{"gob snapshot", gobSnapshot(t), true},
+		{"JSON WAL", []byte(jsonWAL), true},
+		{"text", []byte("not a snapshot"), true},
+		{"torn JSON line", []byte("{bad json"), true},
+		{"other magic", wire.SealImage(wire.BlobMagic, []byte("x")), false},
+	}
+	readers := []struct {
+		name string
+		read func(db *DB, data []byte) error
+	}{
+		{"Restore", func(db *DB, data []byte) error { return db.Restore(bytes.NewReader(data)) }},
+		{"readSnapshotFile", func(db *DB, data []byte) error {
+			path := filepath.Join(t.TempDir(), snapFileName(3))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := readSnapshotFile(path)
+			if err != nil && !strings.Contains(err.Error(), snapFileName(3)) {
+				t.Errorf("error does not name the file: %v", err)
+			}
+			return err
+		}},
+		{"ReplayWAL", func(db *DB, data []byte) error {
+			_, _, err := db.ReplayWAL(bytes.NewReader(data))
+			return err
+		}},
+	}
+	for _, in := range inputs {
+		for _, rd := range readers {
+			db := newCourseDB(t)
+			if err := db.Insert("scripts", Row{"script_name": "keep"}); err != nil {
+				t.Fatal(err)
+			}
+			err := rd.read(db, in.data)
+			if err == nil {
+				t.Errorf("%s accepted %s", rd.name, in.name)
+				continue
+			}
+			if in.preBinary && !strings.Contains(err.Error(), preBinary) {
+				t.Errorf("%s on %s: error does not say the input %s: %v", rd.name, in.name, preBinary, err)
+			}
+			if n, _ := db.Count("scripts"); n != 1 || !db.Exists("scripts", "keep") || db.Exists("scripts", "legacy") {
+				t.Errorf("%s on %s mutated the database", rd.name, in.name)
+			}
+		}
+	}
+}
+
+// TestOpenDurableRefusesPreBinaryDirectory: recovery over a directory
+// from before the binary formats fails before it attaches, prunes or
+// deletes anything, and the error names the file.
+func TestOpenDurableRefusesPreBinaryDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name, wantFile string
+		files          map[string][]byte
+	}{
+		{"gob checkpoint with JSON tails", "snap-", map[string][]byte{
+			snapFileName(2): gobSnapshot(t),
+			walFileName(2):  []byte(jsonWAL),
+			snapFileName(3): gobSnapshot(t),
+			walFileName(3):  []byte(jsonWAL),
+		}},
+		{"JSON tail only", walFileName(0), map[string][]byte{
+			walFileName(0): []byte(jsonWAL),
+		}},
+		{"JSON tail after a binary checkpoint", walFileName(1), func() map[string][]byte {
+			src := newDurableCourseDB(t, t.TempDir())
+			insertScripts(t, src, 0, 2)
+			info, err := src.Checkpoint("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := os.ReadFile(info.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.CloseWAL()
+			return map[string][]byte{
+				walFileName(0):  binaryWAL(t, 2), // prunable once snap-1 loads
+				snapFileName(1): snap,
+				walFileName(1):  []byte(jsonWAL),
+			}
+		}()},
+	} {
+		dir := t.TempDir()
+		for name, data := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := NewDB()
+		_, err := db.OpenDurable(dir)
+		if err == nil {
+			t.Fatalf("%s: OpenDurable accepted the directory", tc.name)
+		}
+		if !strings.Contains(err.Error(), preBinary) || !strings.Contains(err.Error(), tc.wantFile) {
+			t.Errorf("%s: error = %v, want one naming %s* that says it %s", tc.name, err, tc.wantFile, preBinary)
+		}
+		if db.wal != nil {
+			t.Errorf("%s: a WAL tail is attached after a failed recovery", tc.name)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(tc.files) {
+			t.Errorf("%s: directory holds %d files after the failed recovery, want %d", tc.name, len(entries), len(tc.files))
+		}
+		for name, want := range tc.files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s changed or vanished (err=%v)", tc.name, name, err)
+			}
+		}
+	}
+}
+
+// TestDDLFailsWhenLogWriteFails: a CREATE or DROP whose log record
+// cannot be written must fail and leave the table set as it was — a
+// table the log never heard of fails the next replay at its first row.
+func TestDDLFailsWhenLogWriteFails(t *testing.T) {
+	db := NewDB()
+	if err := db.OpenWAL(filepath.Join(t.TempDir(), "db.wal")); err != nil {
+		t.Fatal(err)
+	}
+	scripts, impls := courseSchemas()
+	if err := db.CreateTable(scripts); err != nil {
+		t.Fatal(err)
+	}
+	db.wal.f.Close() // the file goes away underneath the log
+
+	if err := db.CreateTable(impls); err == nil {
+		t.Error("CreateTable reported success though its log record was not written")
+	}
+	if _, err := db.SchemaOf("impls"); !errors.Is(err, ErrNoTable) {
+		t.Errorf("table impls exists after the failed CreateTable (err=%v)", err)
+	}
+	if err := db.DropTable("scripts"); err == nil {
+		t.Error("DropTable reported success though its log record was not written")
+	}
+	if _, err := db.SchemaOf("scripts"); err != nil {
+		t.Errorf("table scripts is gone after the failed DropTable: %v", err)
+	}
+}
+
+// TestReplayFailsOnReadError: only end of input ends a log. A read
+// error after N good records — at a record boundary or inside one —
+// fails the replay instead of silently truncating history.
+func TestReplayFailsOnReadError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	raw := binaryWAL(t, 4)
+	for _, cut := range []int{len(raw) / 4 * 3, len(raw)/4*3 + 5} { // after record 3; inside record 4
+		db := newCourseDB(t)
+		applied, _, err := db.ReplayWAL(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom)))
+		if !errors.Is(err, boom) {
+			t.Errorf("cut %d: err = %v after %d records, want the read error", cut, err, applied)
+		}
+		if applied != 3 {
+			t.Errorf("cut %d: applied = %d, want the 3 records before the error", cut, applied)
+		}
+	}
+}
+
+// fuzzSeeds are the inputs both fuzz targets start from: the valid
+// encoding, what the pre-binary writers produced, torn and flipped
+// copies of the valid one, and counts far beyond the input.
+func fuzzSeeds(f *testing.F, valid []byte) {
+	f.Add(valid)
+	f.Add(gobSnapshot(f))
+	f.Add([]byte(jsonWAL))
+	f.Add(valid[:len(valid)*2/3])
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	giant := wire.AppendUvarint(nil, 1<<62)
+	f.Add(wire.AppendRecord(nil, append([]byte{1, walFlagCommit}, giant...)))
+	f.Add(wire.AppendUvarint([]byte{wire.RecordMagic, wire.Version}, 1<<62))
+	f.Add(wire.SealImage(wire.SnapMagic, append([]byte{1, 1}, giant...)))
+	f.Add([]byte{})
+}
+
+// FuzzReplayWAL: no input makes a replay panic, hang or allocate beyond
+// its input, and the sequence high-water it reports is the one the
+// database resumes from.
+func FuzzReplayWAL(f *testing.F) {
+	fuzzSeeds(f, binaryWAL(f, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := NewDB()
+		s, impls := courseSchemas()
+		for _, schema := range []Schema{s, impls} {
+			if err := db.CreateTable(schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, maxSeq, _ := db.ReplayWAL(bytes.NewReader(data))
+		if db.LastSeq() != maxSeq {
+			t.Fatalf("replay reported seq %d, database resumes from %d", maxSeq, db.LastSeq())
+		}
+	})
+}
+
+// FuzzRestoreSnapshot: no input makes Restore panic; an input it
+// accepts re-encodes to an image that restores to the same tables.
+func FuzzRestoreSnapshot(f *testing.F) {
+	src := NewDB()
+	s, impls := courseSchemas()
+	for _, schema := range []Schema{s, impls} {
+		if err := src.CreateTable(schema); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := src.Insert("scripts", Row{"script_name": "s", "version": int64(7)}); err != nil {
+		f.Fatal(err)
+	}
+	if err := src.Insert("impls", Row{"starting_url": "u", "script_name": "s", "payload": []byte{4, 5, 6}}); err != nil {
+		f.Fatal(err)
+	}
+	var valid bytes.Buffer
+	if err := src.Snapshot(&valid); err != nil {
+		f.Fatal(err)
+	}
+	fuzzSeeds(f, valid.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := NewDB()
+		if err := db.Restore(bytes.NewReader(data)); err != nil {
+			if len(db.Tables()) != 0 {
+				t.Fatalf("failed Restore left tables behind: %v", db.Tables())
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := db.Snapshot(&again); err != nil {
+			t.Fatalf("restored database does not snapshot: %v", err)
+		}
+		db2 := NewDB()
+		if err := db2.Restore(&again); err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if got, want := strings.Join(db2.Tables(), ","), strings.Join(db.Tables(), ","); got != want {
+			t.Fatalf("tables after round trip = %s, want %s", got, want)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/wire"
 )
@@ -12,9 +13,7 @@ import (
 //	  per schema: [schema][uvarint nrows rows][indexed strs][ordered strs]
 //
 // Rows carry tagged wire values, so a checkpoint of BLOB-bearing
-// tables is a flat byte copy instead of a gob reflection walk. Legacy
-// gob images remain readable: a gob stream's first byte can never be
-// SnapMagic, so readers sniff one byte and fall back.
+// tables is a flat byte copy.
 
 // appendCkptImage encodes img after dst.
 func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
@@ -31,7 +30,7 @@ func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
 			for k := range row {
 				cols = append(cols, k)
 			}
-			sortStrings(cols)
+			sort.Strings(cols)
 			for _, k := range cols {
 				dst = wire.AppendString(dst, k)
 				var err error
@@ -55,23 +54,14 @@ func decodeCkptImage(payload []byte) (*ckptImage, error) {
 		Indexed: map[string][]string{},
 		Ordered: map[string][]string{},
 	}
-	nschemas := int(r.Uvarint())
-	if r.Err() == nil && nschemas > r.Len() {
-		return nil, fmt.Errorf("relstore: corrupt snapshot: %d schemas in %d bytes", nschemas, r.Len())
-	}
+	nschemas := r.Count()
 	for i := 0; i < nschemas && r.Err() == nil; i++ {
 		s := readSchema(r)
 		img.Snap.Schemas = append(img.Snap.Schemas, s)
-		nrows := int(r.Uvarint())
-		if r.Err() == nil && nrows > r.Len() {
-			return nil, fmt.Errorf("relstore: corrupt snapshot: %d rows in %d bytes", nrows, r.Len())
-		}
+		nrows := r.Count()
 		rows := make([]Row, 0, nrows)
 		for j := 0; j < nrows && r.Err() == nil; j++ {
-			ncol := int(r.Uvarint())
-			if r.Err() == nil && ncol > r.Len() {
-				return nil, fmt.Errorf("relstore: corrupt snapshot: %d columns in %d bytes", ncol, r.Len())
-			}
+			ncol := r.Count()
 			row := make(Row, ncol)
 			for k := 0; k < ncol && r.Err() == nil; k++ {
 				row[r.String()] = r.Value()
@@ -104,7 +94,7 @@ func appendStrings(dst []byte, ss []string) []byte {
 }
 
 func readStrings(r *wire.Reader) []string {
-	n := int(r.Uvarint())
+	n := r.Count()
 	var ss []string
 	for i := 0; i < n && r.Err() == nil; i++ {
 		ss = append(ss, r.String())

@@ -16,11 +16,11 @@ type undoOp struct {
 
 // walRec is one redo record for the write-ahead log.
 type walRec struct {
-	Op    string  `json:"op"` // insert | update | delete | create | drop
-	Table string  `json:"table"`
-	Row   Row     `json:"row,omitempty"`
-	PK    any     `json:"pk,omitempty"`
-	DDL   *Schema `json:"ddl,omitempty"`
+	Op    walOp
+	Table string
+	Row   Row
+	PK    any
+	DDL   *Schema
 }
 
 // Tx is a transaction over a set of tables. The engine uses per-table
@@ -166,7 +166,7 @@ func (tx *Tx) Insert(tableName string, r Row) error {
 		return err
 	}
 	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk})
-	tx.redo = append(tx.redo, walRec{Op: "insert", Table: tableName, Row: row})
+	tx.redo = append(tx.redo, walRec{Op: walOpInsert, Table: tableName, Row: row})
 	return nil
 }
 
@@ -222,7 +222,7 @@ func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
 	t.rows[pk] = merged
 	t.dirty = true
 	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk, before: old, present: true})
-	tx.redo = append(tx.redo, walRec{Op: "update", Table: tableName, PK: cv, Row: norm})
+	tx.redo = append(tx.redo, walRec{Op: walOpUpdate, Table: tableName, PK: cv, Row: norm})
 	return nil
 }
 
@@ -250,7 +250,7 @@ func (tx *Tx) Delete(tableName string, pkVal any) error {
 		return err
 	}
 	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk, before: old, present: true})
-	tx.redo = append(tx.redo, walRec{Op: "delete", Table: tableName, PK: cv})
+	tx.redo = append(tx.redo, walRec{Op: walOpDelete, Table: tableName, PK: cv})
 	return nil
 }
 

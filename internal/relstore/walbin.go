@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/wire"
 )
@@ -15,35 +16,28 @@ import (
 //	           [ddl? {name, key, cols{name, type, notnull}, fks{col, ref}}]
 //
 // Values use the wire tagged-value codec, so a document body is its
-// raw bytes on disk — never a base64 blowup inside a JSON object, and
-// never touched by reflection on replay.
+// raw bytes on disk and replay never touches reflection.
 
 const walFlagCommit = 1 << 0
 
-// WAL op codes. The string names survive in walRec for the legacy JSON
-// decode path; on the wire an op is one byte.
+// walOp is a redo record's operation: the byte the record stores.
+type walOp byte
+
 const (
-	walOpInsert = 1
-	walOpUpdate = 2
-	walOpDelete = 3
-	walOpCreate = 4
-	walOpDrop   = 5
+	walOpInsert walOp = 1
+	walOpUpdate walOp = 2
+	walOpDelete walOp = 3
+	walOpCreate walOp = 4
+	walOpDrop   walOp = 5
 )
 
-var walOpCode = map[string]byte{
-	"insert": walOpInsert,
-	"update": walOpUpdate,
-	"delete": walOpDelete,
-	"create": walOpCreate,
-	"drop":   walOpDrop,
-}
+func (op walOp) valid() bool { return op >= walOpInsert && op <= walOpDrop }
 
-var walOpName = map[byte]string{
-	walOpInsert: "insert",
-	walOpUpdate: "update",
-	walOpDelete: "delete",
-	walOpCreate: "create",
-	walOpDrop:   "drop",
+func (op walOp) String() string {
+	if op.valid() {
+		return [...]string{"insert", "update", "delete", "create", "drop"}[op-1]
+	}
+	return fmt.Sprintf("op byte %d", byte(op))
 }
 
 // appendWalLine encodes one committed transaction after dst.
@@ -56,11 +50,7 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 	dst = append(dst, flags)
 	dst = wire.AppendUvarint(dst, uint64(len(line.Recs)))
 	for _, rec := range line.Recs {
-		op, ok := walOpCode[rec.Op]
-		if !ok {
-			return nil, fmt.Errorf("relstore: unknown WAL op %q", rec.Op)
-		}
-		dst = append(dst, op)
+		dst = append(dst, byte(rec.Op))
 		dst = wire.AppendString(dst, rec.Table)
 		var err error
 		if dst, err = wire.AppendValue(dst, rec.PK); err != nil {
@@ -77,7 +67,7 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 			for k := range rec.Row {
 				cols = append(cols, k)
 			}
-			sortStrings(cols)
+			sort.Strings(cols)
 			for _, k := range cols {
 				dst = wire.AppendString(dst, k)
 				if dst, err = wire.AppendValue(dst, rec.Row[k]); err != nil {
@@ -100,26 +90,16 @@ func decodeWalLine(payload []byte) (walLine, error) {
 	r := wire.NewReader(payload)
 	line := walLine{Seq: r.Uvarint()}
 	line.Commit = r.Byte()&walFlagCommit != 0
-	n := int(r.Uvarint())
-	if r.Err() == nil && n > r.Len() {
-		// Each record costs several bytes; a count past the remaining
-		// payload is structural corruption, caught before allocating.
-		return line, fmt.Errorf("relstore: corrupt WAL record: %d recs in %d bytes", n, r.Len())
-	}
+	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
-		var rec walRec
-		op := r.Byte()
-		rec.Op = walOpName[op]
-		if rec.Op == "" && r.Err() == nil {
-			return line, fmt.Errorf("relstore: corrupt WAL record: op byte %d", op)
+		rec := walRec{Op: walOp(r.Byte())}
+		if !rec.Op.valid() && r.Err() == nil {
+			return line, fmt.Errorf("relstore: corrupt WAL record: %v", rec.Op)
 		}
 		rec.Table = r.String()
 		rec.PK = r.Value()
 		if r.Byte() == 1 {
-			ncol := int(r.Uvarint())
-			if r.Err() == nil && ncol > r.Len() {
-				return line, fmt.Errorf("relstore: corrupt WAL record: %d columns in %d bytes", ncol, r.Len())
-			}
+			ncol := r.Count()
 			rec.Row = make(Row, ncol)
 			for j := 0; j < ncol && r.Err() == nil; j++ {
 				rec.Row[r.String()] = r.Value()
@@ -163,7 +143,7 @@ func appendSchema(dst []byte, s *Schema) []byte {
 
 func readSchema(r *wire.Reader) Schema {
 	s := Schema{Name: r.String(), Key: r.String()}
-	ncol := int(r.Uvarint())
+	ncol := r.Count()
 	for i := 0; i < ncol && r.Err() == nil; i++ {
 		s.Columns = append(s.Columns, Column{
 			Name:    r.String(),
@@ -171,7 +151,7 @@ func readSchema(r *wire.Reader) Schema {
 			NotNull: r.Byte() == 1,
 		})
 	}
-	nfk := int(r.Uvarint())
+	nfk := r.Count()
 	for i := 0; i < nfk && r.Err() == nil; i++ {
 		s.ForeignKeys = append(s.ForeignKeys, ForeignKey{
 			Column:   r.String(),

@@ -2,15 +2,11 @@ package relstore
 
 import (
 	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // TestBinaryWALCrashMatrix truncates a binary WAL at EVERY byte offset
@@ -107,191 +103,6 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
-}
-
-// legacyWalJSON renders one committed transaction the way the
-// pre-binary WAL writer did: a JSON line with []byte and time.Time
-// values wrapped in $b/$t tagged objects.
-func legacyWalJSON(t *testing.T, seq uint64, recs []walRec) []byte {
-	t.Helper()
-	enc := make([]walRec, len(recs))
-	for i, rec := range recs {
-		rec.Row = walEncodeRow(rec.Row)
-		rec.PK = walEncodeValue(rec.PK)
-		enc[i] = rec
-	}
-	buf, err := json.Marshal(walLine{Seq: seq, Commit: true, Recs: enc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(buf, '\n')
-}
-
-// TestMixedLegacyAndBinaryWAL replays the file an upgraded station
-// leaves behind: a legacy JSON prefix with binary records appended
-// after the new writer took over. Both halves must apply, tagged
-// values must decode to their native types, and the sequence numbers
-// must keep climbing across the format switch.
-func TestMixedLegacyAndBinaryWAL(t *testing.T) {
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	s, impls := courseSchemas()
-	created := time.Date(1998, 11, 3, 14, 0, 0, 0, time.UTC)
-
-	// The legacy prefix: DDL for both tables, one insert carrying a
-	// tagged time, one carrying tagged bytes.
-	var legacy []byte
-	legacy = append(legacy, legacyWalJSON(t, 1, []walRec{{Op: "create", Table: s.Name, DDL: &s}})...)
-	legacy = append(legacy, legacyWalJSON(t, 2, []walRec{{Op: "create", Table: impls.Name, DDL: &impls}})...)
-	legacy = append(legacy, legacyWalJSON(t, 3, []walRec{
-		{Op: "insert", Table: "scripts", Row: Row{"script_name": "old", "created": created}},
-	})...)
-	legacy = append(legacy, legacyWalJSON(t, 4, []walRec{
-		{Op: "insert", Table: "impls", Row: Row{"starting_url": "u1", "script_name": "old", "payload": []byte{9, 8, 7}}},
-	})...)
-	if err := os.WriteFile(walPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The upgraded process: replay the legacy log, attach, append in the
-	// binary format.
-	db := NewDB()
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.ReplayWAL(f); err != nil {
-		f.Close()
-		t.Fatalf("legacy replay: %v", err)
-	}
-	f.Close()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("scripts", Row{"script_name": "new", "created": created.Add(time.Hour)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Update("impls", "u1", Row{"starting_url": "u1", "script_name": "new", "payload": []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh process replays the mixed file end to end.
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("{")) || !bytes.Contains(raw, []byte{wire.RecordMagic}) {
-		t.Fatal("test premise broken: file is not legacy-prefix + binary-suffix")
-	}
-	db2 := NewDB()
-	applied, maxSeq, err := db2.ReplayWAL(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("mixed replay: %v", err)
-	}
-	if applied != 6 || maxSeq != 6 {
-		t.Fatalf("applied=%d maxSeq=%d, want 6/6", applied, maxSeq)
-	}
-	old, err := db2.Get("scripts", "old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !old["created"].(time.Time).Equal(created) {
-		t.Fatalf("legacy $t value decoded to %v", old["created"])
-	}
-	impl, err := db2.Get("impls", "u1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := impl["payload"].([]byte); len(b) != 1 || b[0] != 1 {
-		t.Fatalf("payload after mixed replay = %v", b)
-	}
-	if impl["script_name"].(string) != "new" {
-		t.Fatalf("binary update lost: %+v", impl)
-	}
-}
-
-// TestLegacyGobSnapshotRestores: Restore must still load a snapshot
-// written by the pre-binary gob encoder, bit-identically.
-func TestLegacyGobSnapshotRestores(t *testing.T) {
-	db := newCourseDB(t)
-	created := time.Date(1999, 4, 21, 10, 0, 0, 0, time.UTC)
-	if err := db.Insert("scripts", Row{"script_name": "s", "created": created, "version": int64(7)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert("impls", Row{"starting_url": "u", "script_name": "s", "payload": []byte{4, 5, 6}}); err != nil {
-		t.Fatal(err)
-	}
-	db.metaMu.RLock()
-	names := db.lockAllTablesShared()
-	snap := db.captureLocked()
-	db.unlockAllTablesShared(names)
-	db.metaMu.RUnlock()
-
-	// The legacy writer: a bare gob stream of the snapshot value.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewDB()
-	if err := db2.Restore(&buf); err != nil {
-		t.Fatalf("legacy gob snapshot rejected: %v", err)
-	}
-	got, err := db2.Get("scripts", "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["created"].(time.Time).Equal(created) || got["version"] != int64(7) {
-		t.Fatalf("restored row = %+v", got)
-	}
-	impl, err := db2.Get("impls", "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := impl["payload"].([]byte); !bytes.Equal(b, []byte{4, 5, 6}) {
-		t.Fatalf("restored payload = %v", b)
-	}
-}
-
-// TestLegacyGobCheckpointLoads: a checkpoint snapshot file written by
-// the pre-binary gob encoder must still load through readSnapshotFile
-// (and thus OpenDurable), including its generation header.
-func TestLegacyGobCheckpointLoads(t *testing.T) {
-	db := newCourseDB(t)
-	if err := db.Insert("scripts", Row{"script_name": "legacy"}); err != nil {
-		t.Fatal(err)
-	}
-	db.metaMu.RLock()
-	names := db.lockAllTablesShared()
-	snap := db.captureLocked()
-	db.unlockAllTablesShared(names)
-	db.metaMu.RUnlock()
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, snapFileName(3))
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ckptImage{Gen: 3, Seq: 41, Snap: snap}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	img, err := readSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("legacy gob checkpoint rejected: %v", err)
-	}
-	if img.Gen != 3 || img.Seq != 41 {
-		t.Fatalf("header = gen %d seq %d, want 3/41", img.Gen, img.Seq)
-	}
-	db2 := NewDB()
-	if err := db2.installSnapshot(&img.Snap); err != nil {
-		t.Fatal(err)
-	}
-	if !db2.Exists("scripts", "legacy") {
-		t.Fatal("legacy checkpoint row lost")
-	}
 }
 
 // TestBinaryWALNeverJSONEncodesBody pins the tentpole's perf claim: a

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -20,18 +18,11 @@ import (
 // otherwise the index rebuilds from the tables, which is always
 // correct and costs one scan of the content rows.
 
-// sidecarImage is the payload of a search-<gen> sidecar. On disk it
-// is a binary image under wire.SearchMagic:
+// A search-<gen> sidecar is a binary image under wire.SearchMagic:
 //
 //	[uvarint ndocs] per doc:
 //	  [key string][kind string][url string][path string]
 //	  [uvarint ntokens tokens...]
-//
-// Pre-overhaul gob sidecars load one last time through the read
-// fallback.
-type sidecarImage struct {
-	Docs map[string]*doc
-}
 
 // CaptureCheckpoint snapshots the index for the checkpoint sidecar.
 // docdb calls it inside the write-quiescent window — and content
@@ -72,32 +63,19 @@ func (ix *Index) CaptureCheckpoint() func() ([]byte, error) {
 	}
 }
 
-// decodeSidecar parses either sidecar format.
+// decodeSidecar parses a sidecar image.
 func decodeSidecar(sidecar []byte) (map[string]*doc, error) {
-	if !wire.IsImage(wire.SearchMagic, sidecar) {
-		var img sidecarImage
-		if err := gob.NewDecoder(bytes.NewReader(sidecar)).Decode(&img); err != nil {
-			return nil, fmt.Errorf("search: decoding sidecar: %w", err)
-		}
-		return img.Docs, nil
-	}
 	payload, err := wire.OpenImage(wire.SearchMagic, sidecar)
 	if err != nil {
 		return nil, fmt.Errorf("search: decoding sidecar: %w", err)
 	}
 	r := wire.NewReader(payload)
-	n := int(r.Uvarint())
-	if r.Err() == nil && n > r.Len() {
-		return nil, fmt.Errorf("search: corrupt sidecar: %d docs in %d bytes", n, r.Len())
-	}
+	n := r.Count()
 	docs := make(map[string]*doc, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		key := r.String()
 		d := &doc{Kind: r.String(), URL: r.String(), Path: r.String()}
-		ntok := int(r.Uvarint())
-		if r.Err() == nil && ntok > r.Len() {
-			return nil, fmt.Errorf("search: corrupt sidecar: %d tokens in %d bytes", ntok, r.Len())
-		}
+		ntok := r.Count()
 		d.Tokens = make([]string, 0, ntok)
 		for j := 0; j < ntok && r.Err() == nil; j++ {
 			d.Tokens = append(d.Tokens, r.String())

@@ -13,13 +13,10 @@
 // Every magic byte lives in [0x80, 0xF7]: a gob stream always starts
 // with a segment length encoded either as one byte < 0x80 or as a
 // negated byte count in [0xF8, 0xFF], and a JSON record starts with
-// '{' (0x7B), so one-byte sniffing cleanly separates the new format
-// from both legacy encodings. On disk that is what lets every decoder
-// keep a read-side fallback: old gob snapshots, gob sidecars and JSON
-// WAL tails are recognized and recovered one last time, and the next
-// checkpoint rewrites them in the binary format. On the wire there is
-// no fallback; the same property makes a legacy frame or body a clean
-// error.
+// '{' (0x7B), so a file or frame written before the binary format can
+// never be mistaken for one: its first byte fails the magic check and
+// the decoder returns a clean error. Each format has exactly one
+// reader, on disk as on the wire.
 package wire
 
 import (
@@ -130,8 +127,7 @@ func AppendFloat64(dst []byte, v float64) []byte {
 
 // AppendTime appends an instant as seconds + nanoseconds, which cover
 // the full time.Time range (UnixNano alone saturates outside
-// 1678-2262). The zone is not carried: Reader.Time returns UTC,
-// matching what every legacy decode path produced.
+// 1678-2262). The zone is not carried: Reader.Time returns UTC.
 func AppendTime(dst []byte, t time.Time) []byte {
 	dst = AppendVarint(dst, t.Unix())
 	return AppendUvarint(dst, uint64(t.Nanosecond()))
@@ -368,8 +364,8 @@ func (r *Reader) Value() any {
 //	[RecordMagic][version][uvarint len(payload)][payload][crc32c(payload)]
 //
 // The CRC trailer makes half-written tails and bit rot detectable;
-// the magic byte lets a replay distinguish binary records from legacy
-// JSON lines in the same file.
+// the magic byte makes a log written before the binary format (JSON
+// lines) a clean error instead of a misparse.
 func AppendRecord(dst []byte, payload []byte) []byte {
 	dst = append(dst, RecordMagic, Version)
 	dst = AppendUvarint(dst, uint64(len(payload)))
@@ -377,46 +373,88 @@ func AppendRecord(dst []byte, payload []byte) []byte {
 	return AppendUint32(dst, Checksum(payload))
 }
 
+// magicErr describes a first byte that is not the wanted magic. No
+// magic lives outside [0x80, 0xF7] and every gob stream and JSON
+// document starts there (see the package comment), so such a byte is
+// named as what it almost certainly is: a file older than the format.
+func magicErr(what string, got, want byte) error {
+	if got < 0x80 || got > 0xF7 {
+		return fmt.Errorf("%w: %s starts 0x%02x, not magic 0x%02x: it predates the binary format", ErrCorrupt, what, got, want)
+	}
+	return fmt.Errorf("%w: %s magic 0x%02x, want 0x%02x", ErrCorrupt, what, got, want)
+}
+
 // ReadRecord reads one record written by AppendRecord from br. It
 // returns io.EOF at a clean record boundary, io.ErrUnexpectedEOF when
 // the stream ends inside a record (the torn tail a crash mid-append
-// leaves), ErrChecksum when a fully present record fails its CRC, and
-// ErrCorrupt for structural garbage. max bounds the accepted payload
-// size (<= 0 means no bound). The returned payload is an owning copy.
+// leaves), ErrChecksum when a fully present record fails its CRC,
+// ErrCorrupt for structural garbage, and the reader's own error when
+// the read fails for any reason but end of input. max bounds the
+// accepted payload size (<= 0 means no bound). The returned payload is
+// an owning copy.
 func ReadRecord(br *bufio.Reader, max int) ([]byte, error) {
 	magic, err := br.ReadByte()
 	if err != nil {
-		return nil, io.EOF
+		return nil, err
 	}
 	if magic != RecordMagic {
-		return nil, fmt.Errorf("%w: record magic 0x%02x", ErrCorrupt, magic)
+		return nil, magicErr("record", magic, RecordMagic)
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return nil, io.ErrUnexpectedEOF
+		return nil, midRecord(err)
 	}
 	if ver != Version {
 		return nil, fmt.Errorf("%w: record version %d", ErrCorrupt, ver)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, io.ErrUnexpectedEOF
+		return nil, midRecord(err)
 	}
 	if max > 0 && n > uint64(max) {
 		return nil, fmt.Errorf("%w: record claims %d bytes", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, io.ErrUnexpectedEOF
+	payload, err := readPayload(br, n)
+	if err != nil {
+		return nil, midRecord(err)
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, io.ErrUnexpectedEOF
+		return nil, midRecord(err)
 	}
 	if binary.LittleEndian.Uint32(crc[:]) != Checksum(payload) {
 		return nil, fmt.Errorf("%w: record of %d bytes", ErrChecksum, n)
 	}
 	return payload, nil
+}
+
+// readPayload reads a record's n payload bytes. Up to a megabyte the
+// buffer is sized from the length prefix; past that the prefix is not
+// trusted with an allocation and the buffer grows with what the input
+// really holds, so a corrupt length runs out of input, not of memory.
+func readPayload(br *bufio.Reader, n uint64) ([]byte, error) {
+	if n <= 1<<20 {
+		payload := make([]byte, n)
+		_, err := io.ReadFull(br, payload)
+		return payload, err
+	}
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("%w: record claims %d bytes", ErrCorrupt, n)
+	}
+	payload, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err == nil && uint64(len(payload)) < n {
+		err = io.EOF
+	}
+	return payload, err
+}
+
+// midRecord maps end of input inside a record to io.ErrUnexpectedEOF
+// and passes every other read error through.
+func midRecord(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // SealImage frames a whole-file image (a checkpoint snapshot or
@@ -434,8 +472,11 @@ func SealImage(magic byte, payload []byte) []byte {
 // ErrCorrupt covers a wrong magic or version or a short file;
 // ErrChecksum a payload that fails its trailer.
 func OpenImage(magic byte, data []byte) ([]byte, error) {
-	if len(data) < 6 || data[0] != magic {
-		return nil, fmt.Errorf("%w: not a wire image (magic 0x%02x)", ErrCorrupt, magic)
+	if len(data) > 0 && data[0] != magic {
+		return nil, magicErr("image", data[0], magic)
+	}
+	if len(data) < 6 {
+		return nil, fmt.Errorf("%w: image of %d bytes is too short", ErrCorrupt, len(data))
 	}
 	if data[1] != Version {
 		return nil, fmt.Errorf("%w: image version %d", ErrCorrupt, data[1])
@@ -445,11 +486,4 @@ func OpenImage(magic byte, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: image of %d bytes", ErrChecksum, len(data))
 	}
 	return payload, nil
-}
-
-// IsImage reports whether data plausibly starts a sealed image with
-// the given magic — the one-byte sniff decoders use to pick between
-// the binary format and their legacy gob/JSON fallback.
-func IsImage(magic byte, data []byte) bool {
-	return len(data) > 0 && data[0] == magic
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -243,6 +245,39 @@ func TestRecordRejectsForeignBytes(t *testing.T) {
 	}
 }
 
+// TestRecordReadErrorIsNotEndOfLog: only end of input reads as io.EOF
+// or io.ErrUnexpectedEOF; a failing reader's error comes back as
+// itself, at a record boundary or inside a record, so a caller can
+// never mistake a bad disk for the end of the log.
+func TestRecordReadErrorIsNotEndOfLog(t *testing.T) {
+	boom := errors.New("disk on fire")
+	log := AppendRecord(AppendRecord(nil, []byte("one")), []byte("two"))
+	for cut := len(log) / 2; cut <= len(log); cut++ {
+		br := bufio.NewReader(io.MultiReader(bytes.NewReader(log[:cut]), iotest.ErrReader(boom)))
+		var err error
+		for err == nil {
+			_, err = ReadRecord(br, 0)
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("cut %d: err = %v, want the reader's error", cut, err)
+		}
+	}
+}
+
+// TestRecordGiantLengthRunsOutOfInput: a length prefix far beyond the
+// input is a torn record (or corrupt), never an allocation of that
+// size.
+func TestRecordGiantLengthRunsOutOfInput(t *testing.T) {
+	for _, n := range []uint64{1 << 40, math.MaxInt64, math.MaxUint64} {
+		log := AppendUvarint([]byte{RecordMagic, Version}, n)
+		log = append(log, "a few bytes"...)
+		_, err := ReadRecord(bufio.NewReader(bytes.NewReader(log)), 0)
+		if err != io.ErrUnexpectedEOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("length %d: err = %v", n, err)
+		}
+	}
+}
+
 func TestRecordSizeBound(t *testing.T) {
 	log := AppendRecord(nil, bytes.Repeat([]byte{1}, 100))
 	if _, err := ReadRecord(bufio.NewReader(bytes.NewReader(log)), 10); !errors.Is(err, ErrCorrupt) {
@@ -253,11 +288,8 @@ func TestRecordSizeBound(t *testing.T) {
 func TestImageRoundTrip(t *testing.T) {
 	payload := []byte("the whole checkpoint image body")
 	img := SealImage(SnapMagic, payload)
-	if !IsImage(SnapMagic, img) {
-		t.Fatal("sealed image not recognized by sniff")
-	}
-	if IsImage(BlobMagic, img) {
-		t.Fatal("sniff matched the wrong magic")
+	if _, err := OpenImage(BlobMagic, img); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt for the wrong magic", err)
 	}
 	got, err := OpenImage(SnapMagic, img)
 	if err != nil {
@@ -271,9 +303,17 @@ func TestImageRoundTrip(t *testing.T) {
 	if _, err := OpenImage(SnapMagic, img); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
-	// A gob stream must never sniff as an image.
-	if IsImage(SnapMagic, []byte{0x1F, 0x8B, 0x00}) {
-		t.Fatal("gob-ish bytes sniffed as image")
+	// A gob stream or a JSON document is never an image, and the error
+	// says what it is; so does ReadRecord's for a JSON-line log.
+	for _, old := range [][]byte{{0x1F, 0xFF, 0x81, 0x03, 0x01, 0x01, 0x08}, []byte(`{"seq":1,"commit":true}` + "\n")} {
+		_, err := OpenImage(SnapMagic, old)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "predates the binary format") {
+			t.Fatalf("OpenImage(%q) err = %v", old, err)
+		}
+		_, err = ReadRecord(bufio.NewReader(bytes.NewReader(old)), 0)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "predates the binary format") {
+			t.Fatalf("ReadRecord(%q) err = %v", old, err)
+		}
 	}
 }
 
