@@ -5,6 +5,14 @@
 // content-addressed so that "BLOB objects in the same station are shared
 // as much as possible among different documents" (section 4), with
 // reference counting to know when a resource may be evicted.
+//
+// The store persists as one sealed image of every object (persist.go),
+// streamed out by Snapshot and read back by Restore. A restore reads
+// each object's bytes from the reader once, into a buffer of exactly
+// their size that the object then owns, and checks the image's CRC, its
+// ascending hash order and every object's SHA-256 before the store
+// changes. It runs on the caller's goroutine alone, so its cost does
+// not depend on how many other cores happen to be idle.
 package blob
 
 import (

@@ -1,6 +1,8 @@
 package blob
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -10,7 +12,7 @@ import (
 )
 
 // snapshotEntry is the image of one stored object. On disk it is a
-// binary record under wire.BlobMagic:
+// binary record under wire.BlobMagic, entries in ascending hash order:
 //
 //	[uvarint nentries] per entry:
 //	  [hash string][uvarint kind][uvarint refcount]
@@ -24,104 +26,108 @@ type snapshotEntry struct {
 }
 
 // Snapshot writes a point-in-time image of the store, so a station can
-// persist its BLOB layer alongside the relational snapshot. Object
-// bytes land on disk as a flat copy under a CRC32C seal.
+// persist its BLOB layer alongside the relational snapshot. The image
+// is streamed: object bytes go from the store to w under a running
+// CRC32C seal, with no image-sized buffer in between.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	payload := wire.GetBuf()
-	payload = wire.AppendUvarint(payload, uint64(len(s.objects)))
+	iw := wire.NewImageWriter(w, wire.BlobMagic)
+	iw.PutUvarint(uint64(len(s.objects)))
+	var names []string
 	for _, ref := range s.listLocked() {
 		e := s.objects[ref.Hash]
-		names := make([]string, 0, len(e.names))
+		names = names[:0]
 		for n := range e.names {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		payload = wire.AppendString(payload, ref.Hash)
-		payload = wire.AppendUvarint(payload, uint64(e.kind))
-		payload = wire.AppendUvarint(payload, uint64(e.refcount))
-		payload = wire.AppendUvarint(payload, uint64(len(names)))
+		iw.PutString(ref.Hash)
+		iw.PutUvarint(uint64(e.kind))
+		iw.PutUvarint(uint64(e.refcount))
+		iw.PutUvarint(uint64(len(names)))
 		for _, n := range names {
-			payload = wire.AppendString(payload, n)
+			iw.PutString(n)
 		}
-		payload = wire.AppendBytes(payload, e.data)
+		iw.PutBytes(e.data)
 	}
-	sealed := wire.SealImage(wire.BlobMagic, payload)
-	wire.PutBuf(payload)
-	_, err := w.Write(sealed)
-	return err
-}
-
-// decodeSnapshot parses a sidecar image into entries.
-func decodeSnapshot(data []byte) ([]snapshotEntry, error) {
-	payload, err := wire.OpenImage(wire.BlobMagic, data)
-	if err != nil {
-		return nil, fmt.Errorf("blob: decoding snapshot: %w", err)
-	}
-	r := wire.NewReader(payload)
-	n := r.Count()
-	entries := make([]snapshotEntry, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		e := snapshotEntry{
-			Hash:     r.String(),
-			Kind:     Kind(r.Uvarint()),
-			Refcount: int(r.Uvarint()),
-		}
-		nn := r.Count()
-		for j := 0; j < nn && r.Err() == nil; j++ {
-			e.Names = append(e.Names, r.String())
-		}
-		e.Data = r.Bytes()
-		entries = append(entries, e)
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("blob: corrupt snapshot: %w", r.Err())
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("blob: corrupt snapshot: %d trailing bytes", r.Len())
-	}
-	return entries, nil
+	return iw.Close()
 }
 
 // Restore replaces the store contents with a snapshot previously
-// written by Snapshot, verifying every object's content hash.
+// written by Snapshot. Each object's bytes are read from r once, into a
+// buffer of their own size that the object then owns; the store changes
+// only after the seal, the hash order, the reference counts and every
+// object's SHA-256 have checked out. On any error the store is left as
+// it was.
 func (s *Store) Restore(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("blob: reading snapshot: %w", err)
-	}
-	entries, err := decodeSnapshot(data)
+	entries, err := readEntries(r)
 	if err != nil {
 		return err
 	}
-	fresh := NewStore()
-	for _, e := range entries {
+	for i, e := range entries {
 		// An unreferenced object is never stored, and a count no station
 		// could have reached would overflow the byte accounting.
 		if e.Refcount <= 0 || e.Refcount > math.MaxInt32 {
 			return fmt.Errorf("blob: snapshot object %.12s has reference count %d", e.Hash, e.Refcount)
 		}
-		ref := fresh.Put("", e.Kind, e.Data)
-		if ref.Hash != e.Hash {
+		// Snapshot writes each object once, in ascending hash order.
+		if i > 0 && e.Hash == entries[i-1].Hash {
+			return fmt.Errorf("blob: snapshot lists object %.12s twice", e.Hash)
+		}
+		if i > 0 && e.Hash < entries[i-1].Hash {
+			return fmt.Errorf("blob: snapshot object %.12s is out of hash order", e.Hash)
+		}
+		if sum := sha256.Sum256(e.Data); hex.EncodeToString(sum[:]) != e.Hash {
 			return fmt.Errorf("blob: snapshot object %.12s fails content verification", e.Hash)
 		}
-		// fresh is private until it is installed below, so the entry is
-		// completed in place: the names, then the references beyond
-		// the one Put took.
-		obj := fresh.objects[ref.Hash]
+	}
+	objects := make(map[string]*entry, len(entries))
+	var logical, physical int64
+	for _, e := range entries {
+		names := make(map[string]struct{}, len(e.Names))
 		for _, n := range e.Names {
-			obj.names[n] = struct{}{}
+			names[n] = struct{}{}
 		}
-		obj.refcount += e.Refcount - 1
-		fresh.logicalBytes += int64(e.Refcount-1) * int64(len(e.Data))
+		objects[e.Hash] = &entry{data: e.Data, kind: e.Kind, refcount: e.Refcount, names: names}
+		physical += int64(len(e.Data))
+		logical += int64(e.Refcount) * int64(len(e.Data))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objects = fresh.objects
-	s.logicalBytes = fresh.logicalBytes
-	s.physicalBytes = fresh.physicalBytes
+	s.objects = objects
+	s.logicalBytes = logical
+	s.physicalBytes = physical
 	return nil
+}
+
+// readEntries decodes a sidecar stream into entries whose Data are
+// owned, exactly-sized copies, and checks the seal.
+func readEntries(r io.Reader) ([]snapshotEntry, error) {
+	ir, err := wire.NewImageReader(wire.BlobMagic, r)
+	if err != nil {
+		return nil, fmt.Errorf("blob: decoding snapshot: %w", err)
+	}
+	// Not preallocated: the count is not yet covered by the CRC, while
+	// each decoded entry has consumed input of its own.
+	var entries []snapshotEntry
+	for i, n := 0, ir.Count(); i < n && ir.Err() == nil; i++ {
+		e := snapshotEntry{
+			Hash:     ir.String(),
+			Kind:     Kind(ir.Uvarint()),
+			Refcount: int(ir.Uvarint()),
+		}
+		nn := ir.Count()
+		for j := 0; j < nn && ir.Err() == nil; j++ {
+			e.Names = append(e.Names, ir.String())
+		}
+		e.Data = ir.Bytes()
+		entries = append(entries, e)
+	}
+	if err := ir.Finish(); err != nil {
+		return nil, fmt.Errorf("blob: corrupt snapshot: %w", err)
+	}
+	return entries, nil
 }
 
 // listLocked returns refs sorted by hash; caller holds at least the

@@ -2,7 +2,13 @@ package blob
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,6 +125,7 @@ func sealEntries(entries ...snapshotEntry) []byte {
 // whose entries lie — is a clean error that leaves the store as it was.
 func TestRestoreRejectsHostileInput(t *testing.T) {
 	good := NewStore().Put("", KindOther, []byte("payload")).Hash
+	other := NewStore().Put("", KindOther, []byte("another")).Hash
 	for _, tc := range []struct {
 		name, want string
 		data       []byte
@@ -134,6 +141,8 @@ func TestRestoreRejectsHostileInput(t *testing.T) {
 		{"negative reference count", "reference count -1", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: -1, Data: []byte("payload")})},
 		{"reference count beyond any station", "reference count", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: 1 << 40, Data: []byte("payload")})},
 		{"entry count beyond the input", "truncated", wire.SealImage(wire.BlobMagic, wire.AppendUvarint(nil, 1<<62))},
+		{"one object listed twice", good[:12] + " twice", duplicateEntries(good)},
+		{"entries out of hash order", min(good, other)[:12] + " is out of hash order", reversedEntries([]byte("payload"), []byte("another"))},
 	} {
 		s := NewStore()
 		kept := s.Put("kept", KindOther, []byte("resident"))
@@ -145,6 +154,26 @@ func TestRestoreRejectsHostileInput(t *testing.T) {
 			t.Errorf("%s: failed Restore changed the store: %+v", tc.name, st)
 		}
 	}
+}
+
+// duplicateEntries lists one object twice, with different reference
+// counts and kinds — entries a merge would fold into refcount 3.
+func duplicateEntries(hash string) []byte {
+	return sealEntries(
+		snapshotEntry{Hash: hash, Kind: KindOther, Refcount: 1, Data: []byte("payload")},
+		snapshotEntry{Hash: hash, Kind: KindImage, Refcount: 2, Data: []byte("payload")},
+	)
+}
+
+// reversedEntries lists two objects in descending hash order, so the
+// second entry's hash is the smaller of the two.
+func reversedEntries(a, b []byte) []byte {
+	ea := snapshotEntry{Hash: NewStore().Put("", KindOther, a).Hash, Kind: KindOther, Refcount: 1, Data: a}
+	eb := snapshotEntry{Hash: NewStore().Put("", KindOther, b).Hash, Kind: KindOther, Refcount: 1, Data: b}
+	if ea.Hash < eb.Hash {
+		ea, eb = eb, ea
+	}
+	return sealEntries(ea, eb)
 }
 
 // TestRestoreAcceptsUnnamedAndSharedObjects: an object Put without a
@@ -182,6 +211,8 @@ func FuzzRestore(f *testing.F) {
 	f.Add(valid.Bytes()[:valid.Len()/2])                                                 // torn
 	f.Add(wire.SealImage(wire.BlobMagic, wire.AppendUvarint(nil, 1<<62)))                // giant entry count
 	f.Add(sealEntries(snapshotEntry{Hash: "abc", Refcount: 1 << 62, Data: []byte("x")})) // short hash, giant refcount
+	f.Add(duplicateEntries(NewStore().Put("", KindOther, []byte("payload")).Hash))
+	f.Add(reversedEntries([]byte("payload"), []byte("another")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
 		if err := s.Restore(bytes.NewReader(data)); err != nil {
@@ -202,4 +233,133 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("stats after round trip = %+v, want %+v", got, want)
 		}
 	})
+}
+
+// TestSnapshotMatchesCheckedInSidecar: the streamed writer produces the
+// very bytes the whole-image writer did. The fixture is the blobs-<gen>
+// sidecar of a station directory an earlier build wrote.
+func TestSnapshotMatchesCheckedInSidecar(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "search", "testdata", "parent-dir", "blobs-0000000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	if err := s.Restore(bytes.NewReader(want)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().Objects == 0 {
+		t.Fatal("fixture restored no objects")
+	}
+	var got bytes.Buffer
+	if err := s.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("snapshot of the restored fixture is %d bytes and differs from the %d-byte file", got.Len(), len(want))
+	}
+}
+
+// mediaStore fills a store with about 10 MB of distinct objects of
+// mixed sizes and returns it with its media byte count.
+func mediaStore() (*Store, int64) {
+	s := NewStore()
+	for i := 0; s.Stats().PhysicalBytes < 10<<20; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, 4<<10+i*37<<10%(700<<10))
+		binary.PutUvarint(data, uint64(i))
+		s.Put(fmt.Sprintf("m%d", i), KindVideo, data)
+	}
+	return s, s.Stats().PhysicalBytes
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestRestoreCopiesMediaOnce: restoring an image of N media bytes, from
+// memory or from a file, allocates each object's bytes once and little
+// else — not an image-sized read buffer grown by doubling and two more
+// copies on top.
+func TestRestoreCopiesMediaOnce(t *testing.T) {
+	src, n := mediaStore()
+	var img bytes.Buffer
+	if err := src.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "blobs")
+	if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (io.Reader, func()){
+		"memory": func() (io.Reader, func()) { return bytes.NewReader(img.Bytes()), func() {} },
+		"file": func() (io.Reader, func()) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f, func() { f.Close() }
+		},
+	} {
+		r, done := open()
+		s := NewStore()
+		got := allocated(func() {
+			if err := s.Restore(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		done()
+		if got, want := s.Stats(), src.Stats(); got.Objects != want.Objects || got.PhysicalBytes != n || got.LogicalBytes != want.LogicalBytes {
+			t.Fatalf("%s: restored %+v, want %+v", name, got, want)
+		}
+		if limit := n * 13 / 10; got > limit {
+			t.Errorf("%s: Restore of %d media bytes allocated %d (%.2f N), want at most 1.3 N", name, n, got, float64(got)/float64(n))
+		}
+		t.Logf("%s: Restore allocated %.2f N", name, float64(got)/float64(n))
+	}
+}
+
+// TestSnapshotStreams: writing an image allocates a small fraction of
+// the media it carries — no image-sized buffer, no sealed copy of it.
+func TestSnapshotStreams(t *testing.T) {
+	s, n := mediaStore()
+	got := allocated(func() {
+		if err := s.Snapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := n / 10; got > limit {
+		t.Errorf("Snapshot of %d media bytes allocated %d (%.2f N), want at most 0.1 N", n, got, float64(got)/float64(n))
+	}
+	t.Logf("Snapshot allocated %.3f N", float64(got)/float64(n))
+}
+
+// TestRestoreChecksEveryObjectsHash: wherever it sits in the image, an
+// object whose bytes do not match its name fails the restore, and the
+// error names that object.
+func TestRestoreChecksEveryObjectsHash(t *testing.T) {
+	src, _ := mediaStore()
+	var entries []snapshotEntry
+	for _, ref := range src.List() {
+		data, err := src.Get(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, snapshotEntry{Hash: ref.Hash, Kind: ref.Kind, Refcount: 1, Data: data})
+	}
+	for _, i := range []int{0, len(entries) / 2, len(entries) - 1} {
+		entries[i].Data[len(entries[i].Data)-1] ^= 1
+		s := NewStore()
+		err := s.Restore(bytes.NewReader(sealEntries(entries...)))
+		if want := entries[i].Hash[:12] + " fails content verification"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("object %d of %d altered: err = %v, want one containing %q", i, len(entries), err, want)
+		}
+		if s.Stats().Objects != 0 {
+			t.Errorf("object %d of %d altered: the store took objects anyway", i, len(entries))
+		}
+		entries[i].Data[len(entries[i].Data)-1] ^= 1
+	}
 }

@@ -5,6 +5,12 @@
 // software-configuration-management check-in/check-out of course
 // components, and the class / instance / reference object forms with
 // prototype-based reuse described in section 4.
+//
+// A durable store (persist.go) checkpoints the relational engine and
+// the BLOB layer as one generation: the blobs-<gen> sidecar lands
+// before relstore's snap-<gen>. Recover lets relstore load and replay
+// first, then restores the sidecar of the generation relstore loaded,
+// checking every content hash before the BLOB store changes.
 package docdb
 
 import (

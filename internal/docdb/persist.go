@@ -93,6 +93,10 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 // resynced past every restored row. It attaches the directory for
 // subsequent WAL appends and checkpoints. Call it once, before the
 // store serves traffic.
+//
+// The sidecar is restored after relstore has chosen its generation, on
+// the calling goroutine: only that generation's blobs-<g> is read, and
+// every content hash in it is checked before the BLOB store changes.
 func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 	info, err := s.rel.OpenDurable(dir)
 	if err != nil {

@@ -2,8 +2,10 @@ package docdb
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 // newDurableStore opens a station store over a durability directory,
 // the way webdocd does: schema installed by Open, state recovered from
 // the newest checkpoint generation plus the WAL tail chain.
-func newDurableStore(t *testing.T, dir string) (*Store, *relstore.RecoverInfo) {
+func newDurableStore(t testing.TB, dir string) (*Store, *relstore.RecoverInfo) {
 	t.Helper()
 	s, err := Open(relstore.NewDB(), blob.NewStore())
 	if err != nil {
@@ -214,5 +216,150 @@ func TestCheckpointWithoutDirFails(t *testing.T) {
 	s := newStore(t)
 	if _, err := s.CheckpointNow(); err == nil {
 		t.Fatal("checkpoint of an in-memory store succeeded")
+	}
+}
+
+// TestRecoverSkipsSidecarOfCorruptSnapshot: the newest snapshot is
+// unreadable while its sidecar is sound, so relstore falls back a
+// generation. The BLOB store must come back as the older generation's
+// sidecar holds it, with nothing from the newer one.
+func TestRecoverSkipsSidecarOfCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	_, url := seedCourse(t, s)
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := s.Blobs().List()
+	late, err := s.AttachImplMedia(url, "late.wav", blob.KindAudio, bytes.Repeat([]byte("gen2"), 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The generation-2 checkpoint prunes generation 1; keep its files
+	// (the tail now complete) and put them back afterwards.
+	kept := map[string][]byte{}
+	for _, name := range []string{"snap-0000000001", "wal-0000000001", blobFileName(1)} {
+		if kept[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range kept {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-0000000002"), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec := newDurableStore(t, dir)
+	if rec.Gen != 1 {
+		t.Fatalf("recovered generation = %d, want 1", rec.Gen)
+	}
+	if got := s2.Blobs().List(); !slices.Equal(got, gen1) {
+		t.Errorf("recovered BLOBs %v, want generation 1's %v", got, gen1)
+	}
+	if s2.Blobs().Has(late.Ref) {
+		t.Error("a BLOB only the unloaded generation-2 sidecar holds was installed")
+	}
+}
+
+// TestRecoverRefusesCorruptSidecarOfLoadedGeneration: the snapshot
+// loads but its sidecar fails its checks. Recovery fails naming the
+// file, and the BLOB store is left empty, not half-restored.
+func TestRecoverRefusesCorruptSidecarOfLoadedGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	seedCourse(t, s)
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, blobFileName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Recover(dir); err == nil || !strings.Contains(err.Error(), blobFileName(1)) {
+		t.Fatalf("Recover err = %v, want one naming %s", err, blobFileName(1))
+	}
+	if st := s2.Blobs().Stats(); st.Objects != 0 {
+		t.Errorf("a refused sidecar left %d objects installed", st.Objects)
+	}
+}
+
+// BenchmarkRecover is crash-restart in miniature: a station with a
+// checkpointed body (courses with media, ledger rows) and an
+// uncheckpointed tail (more courses, more rows) is abandoned without a
+// shutdown, then recovered cold over and over. Run with -benchmem.
+func BenchmarkRecover(b *testing.B) {
+	dir := b.TempDir()
+	s, _ := newDurableStore(b, dir)
+	if err := s.CreateDatabase(Database{Name: "mmu", Author: "Shih"}); err != nil {
+		b.Fatal(err)
+	}
+	fill := func(courses, firstRow, rows int) {
+		for i := courses - 4; i < courses; i++ {
+			script, url := fmt.Sprintf("course-%03d", i), fmt.Sprintf("http://mmu/course-%03d/v1", i)
+			if err := s.CreateScript(Script{Name: script, DBName: "mmu", Author: "Shih"}); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.AddImplementation(Implementation{StartingURL: url, ScriptName: script, Author: "Shih"}); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.PutHTML(url, "index.html", []byte("<html>lecture "+script+"</html>")); err != nil {
+				b.Fatal(err)
+			}
+			for m := 0; m < 3; m++ {
+				media := bytes.Repeat([]byte{byte(i), byte(m)}, 48<<10)
+				if _, err := s.AttachImplMedia(url, fmt.Sprintf("m%d.mpg", m), blob.KindVideo, media); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for r := firstRow; r < firstRow+rows; r++ {
+			tr := TestRecord{Name: fmt.Sprintf("test-%06d", r), ScriptName: fmt.Sprintf("course-%03d", r%courses), Scope: "local"}
+			if err := s.RecordTest(tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fill(4, 0, 1000)
+	if _, err := s.CheckpointNow(); err != nil {
+		b.Fatal(err)
+	}
+	fill(8, 1000, 400) // the tail: four more courses, 400 more rows
+	if err := s.Rel().CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(relstore.NewDB(), blob.NewStore())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Recover(dir); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Rel().CloseWAL(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

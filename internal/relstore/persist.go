@@ -91,7 +91,7 @@ func (db *DB) captureLocked() snapshot {
 // Restore replaces the database contents with a snapshot previously
 // written by Snapshot.
 func (db *DB) Restore(r io.Reader) error {
-	data, err := io.ReadAll(r)
+	data, err := wire.ReadImage(r)
 	if err != nil {
 		return fmt.Errorf("relstore: reading snapshot: %w", err)
 	}
