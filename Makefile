@@ -111,10 +111,10 @@ obs-overhead:
 	$(GO) test -run '^$$' -bench '^BenchmarkFabricBroadcast(Obs|Events)' -benchtime $(OBS_BENCHTIME) .
 
 # A ~10-second compressed load run against a self-hosted 3-station
-# fabric: webdocload replays examples/loadprofiles/ci-smoke.yaml and
-# exits non-zero if any SLO fails. The report lands in
+# fabric: webdocload replays the shipped ci-smoke profile (a Go value in
+# internal/loadgen) and exits non-zero if any SLO fails. The report lands in
 # BENCH_load_ci-smoke.json (uploaded as a CI artifact).
 load-smoke:
-	$(GO) run ./cmd/webdocload -profile examples/loadprofiles/ci-smoke.yaml
+	$(GO) run ./cmd/webdocload -profile ci-smoke
 
 ci: build vet fmt-check lint test race race-fabric fuzz-smoke bench-check obs-overhead load-smoke

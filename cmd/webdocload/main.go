@@ -2,13 +2,17 @@
 // distribution fabric and judges the run against the profile's latency
 // SLOs.
 //
-//	webdocload -profile examples/loadprofiles/semester-day.yaml
-//	webdocload -profile day.yaml -addr 127.0.0.1:7070   # existing fabric
+//	webdocload -profile semester-day
+//	webdocload -profile semester-day -addr 127.0.0.1:7070   # existing fabric
 //
-// Without -addr the harness self-hosts the profile's fabric in-process
-// (loopback TCP, real sockets) and seeds the course corpus first. The
-// run always writes BENCH_load_<profile>.json and exits non-zero when
-// any SLO fails, so CI can gate on it directly.
+// Profiles are Go values in internal/loadgen (SemesterDay, CISmoke),
+// picked by name; an unknown name exits 2 and lists the known ones.
+// -seed and -time-scale override the profile's values, and the result
+// is validated before any op fires. Without -addr the harness
+// self-hosts the profile's fabric in-process (loopback TCP, real
+// sockets) and seeds the course corpus first. The run always writes
+// BENCH_load_<profile>.json and exits non-zero when any SLO fails, so
+// CI can gate on it directly.
 package main
 
 import (
@@ -17,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/loadgen"
@@ -24,33 +29,26 @@ import (
 
 func main() {
 	var (
-		profilePath = flag.String("profile", "", "load profile YAML (required)")
+		profileName = flag.String("profile", "", "shipped load profile name (required): "+strings.Join(loadgen.ProfileNames(), ", "))
 		addr        = flag.String("addr", "", "root address of an existing fabric (default: self-host)")
 		out         = flag.String("out", "", "report path (default BENCH_load_<profile>.json)")
 		outDir      = flag.String("out-dir", ".", "directory for the default report path")
 		seed        = flag.Int64("seed", 0, "override the profile's seed (0 = keep)")
 		timeScale   = flag.Float64("time-scale", 0, "override the profile's time-scale (0 = keep)")
 		jsonOut     = flag.Bool("json", false, "print the report JSON to stdout")
-		dump        = flag.Bool("dump-profile", false, "print the parsed profile (defaults applied) and exit")
 		quiet       = flag.Bool("q", false, "suppress progress output")
 		wait        = flag.Duration("wait", 30*time.Second, "how long to wait for an existing fabric's roster")
 	)
 	flag.Parse()
-	if *profilePath == "" {
-		fmt.Fprintln(os.Stderr, "usage: webdocload -profile <file.yaml> [-addr host:port] [-out report.json] [-json]")
+	if *profileName == "" {
+		fmt.Fprintln(os.Stderr, "usage: webdocload -profile <name> [-addr host:port] [-out report.json] [-json]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	logf := loadgen.Logf(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	})
-	if *quiet {
-		logf = nil
-	}
-
-	profile, err := loadgen.LoadProfile(*profilePath)
+	profile, err := loadgen.ProfileByName(*profileName)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(os.Stderr, "webdocload:", err)
+		os.Exit(2)
 	}
 	if *seed != 0 {
 		profile.Seed = *seed
@@ -58,9 +56,11 @@ func main() {
 	if *timeScale != 0 {
 		profile.TimeScale = *timeScale
 	}
-	if *dump {
-		os.Stdout.Write(loadgen.EncodeProfile(profile))
-		return
+	logf := loadgen.Logf(func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	})
+	if *quiet {
+		logf = nil
 	}
 
 	plan := loadgen.BuildPlan(profile)

@@ -28,9 +28,12 @@ func CourseScript(i int) string {
 // Logf is the driver's progress callback (nil = silent).
 type Logf func(format string, args ...any)
 
-// Run replays the plan against the target and returns the collector
-// plus the measured wall duration.
+// Run validates the profile, replays the plan against the target and
+// returns the collector plus the measured wall duration.
 func Run(p *Profile, plan *Plan, tgt Target, logf Logf) (*Collector, time.Duration, error) {
+	if err := p.Validate(); err != nil {
+		return nil, 0, err
+	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}

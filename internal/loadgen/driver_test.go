@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,57 +61,27 @@ func (f *fakeTarget) CollectTrace(id uint64) ([]obs.Span, []obs.Event, error) {
 }
 func (f *fakeTarget) Close() {}
 
-func fastProfile(t *testing.T) *Profile {
-	t.Helper()
-	p, err := ParseProfile([]byte(`
-name: fast
-seed: 3
-time-scale: 600
-fabric:
-  stations: 3
-  m: 3
-  watermark: 2
-courses:
-  count: 4
-  pages: 4
-phases:
-  - name: push
-    op: broadcast
-    start: 0s
-    duration: 1m
-    rate: 0.1
-  - name: storm
-    op: resolve
-    start: 0s
-    duration: 2m
-    rate: 0.3
-    clients: 2
-  - name: lookups
-    op: search
-    start: 1m
-    duration: 1m
-    rate: 0.2
-    clients: 2
-  - name: edits
-    op: checkout
-    start: 0s
-    duration: 2m
-    rate: 0.1
-slos:
-  - op: resolve
-    p99: 10s
-    max-error-rate: 0
-`))
-	if err != nil {
-		t.Fatal(err)
+func fastProfile() *Profile {
+	return &Profile{
+		Name:      "fast",
+		Seed:      3,
+		TimeScale: 600,
+		Fabric:    FabricSpec{Stations: 3, M: 3, Watermark: 2},
+		Courses:   CourseLoad{Count: 4, Pages: 4, ExtraLinks: 2, ImagesPerPage: 1},
+		Phases: []Phase{
+			{Name: "push", Op: "broadcast", Duration: time.Minute, Rate: 0.1, Clients: 1},
+			{Name: "storm", Op: "resolve", Duration: 2 * time.Minute, Rate: 0.3, Clients: 2},
+			{Name: "lookups", Op: "search", Start: time.Minute, Duration: time.Minute, Rate: 0.2, Clients: 2, TopK: 10},
+			{Name: "edits", Op: "checkout", Duration: 2 * time.Minute, Rate: 0.1, Clients: 1},
+		},
+		SLOs: []SLO{{Op: "resolve", P99: 10 * time.Second, MaxErrorRate: 0}},
 	}
-	return p
 }
 
 // TestBuildPlanDeterminism: two independent plans from the same
 // profile are identical, op for op.
 func TestBuildPlanDeterminism(t *testing.T) {
-	p := fastProfile(t)
+	p := fastProfile()
 	a, b := BuildPlan(p), BuildPlan(p)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("plans from the same profile differ")
@@ -120,7 +91,7 @@ func TestBuildPlanDeterminism(t *testing.T) {
 	}
 	// A different seed must change the drawn parameters (here: some
 	// op's station or course assignment) without changing the counts.
-	p2 := fastProfile(t)
+	p2 := fastProfile()
 	p2.Seed = 4
 	c := BuildPlan(p2)
 	if !reflect.DeepEqual(a.OpCounts(), c.OpCounts()) {
@@ -135,7 +106,7 @@ func TestBuildPlanDeterminism(t *testing.T) {
 // op exactly once, whatever the timing — the determinism the report
 // schema depends on.
 func TestRunExecutesExactPlan(t *testing.T) {
-	p := fastProfile(t)
+	p := fastProfile()
 	plan := BuildPlan(p)
 	for run := 0; run < 2; run++ {
 		tgt := newFakeTarget(p.Fabric.Stations)
@@ -159,9 +130,42 @@ func TestRunExecutesExactPlan(t *testing.T) {
 }
 
 func TestRunRejectsSmallTarget(t *testing.T) {
-	p := fastProfile(t)
+	p := fastProfile()
 	if _, _, err := Run(p, BuildPlan(p), newFakeTarget(1), nil); err == nil {
 		t.Fatal("want error for a target with fewer stations than the profile")
+	}
+}
+
+// TestRunValidatesProfile: an override applied after the profile was
+// built (webdocload's -time-scale) cannot skip validation.
+func TestRunValidatesProfile(t *testing.T) {
+	p := fastProfile()
+	p.TimeScale = -1
+	tgt := newFakeTarget(p.Fabric.Stations)
+	_, _, err := Run(p, BuildPlan(p), tgt, nil)
+	if err == nil || !strings.Contains(err.Error(), "time-scale") {
+		t.Fatalf("err = %v, want a time-scale error", err)
+	}
+	if len(tgt.calls) != 0 {
+		t.Errorf("invalid profile still fired ops: %v", tgt.calls)
+	}
+}
+
+// TestSLOPercentileNeedsASuccess: a class whose every op errored has no
+// latency samples, so its zero percentiles must not pass a latency SLO.
+func TestSLOPercentileNeedsASuccess(t *testing.T) {
+	slos := []SLO{{Op: "checkout", P99: 5 * time.Second, MaxErrorRate: -1}}
+	for _, c := range []struct {
+		sum  OpSummary
+		pass bool
+	}{
+		{OpSummary{Count: 10, Errors: 10}, false},
+		{OpSummary{Count: 10, Conflicts: 10}, false},
+		{OpSummary{Count: 10, Errors: 9, P99Ms: 3}, true},
+	} {
+		if _, pass := EvaluateSLOs(slos, map[string]OpSummary{"checkout": c.sum}); pass != c.pass {
+			t.Errorf("%+v: pass = %v, want %v", c.sum, pass, c.pass)
+		}
 	}
 }
 
@@ -169,7 +173,7 @@ func TestRunRejectsSmallTarget(t *testing.T) {
 // injected error rate must fail max-error-rate and flip the overall
 // verdict.
 func TestSLOEvaluation(t *testing.T) {
-	p := fastProfile(t)
+	p := fastProfile()
 	plan := BuildPlan(p)
 	tgt := newFakeTarget(p.Fabric.Stations)
 	tgt.failOp = "resolve"
@@ -197,7 +201,7 @@ func TestSLOEvaluation(t *testing.T) {
 
 // TestReportSchema pins the JSON keys CI consumers read.
 func TestReportSchema(t *testing.T) {
-	p := fastProfile(t)
+	p := fastProfile()
 	plan := BuildPlan(p)
 	tgt := newFakeTarget(p.Fabric.Stations)
 	col, wall, err := Run(p, plan, tgt, nil)

@@ -79,13 +79,11 @@ func StartHost(p *Profile, logf Logf) (*Host, error) {
 			h.Close()
 			return nil, fmt.Errorf("author course %d: %w", i, err)
 		}
-		res, err := root.Broadcast(spec.URL, true)
-		if err != nil {
+		if _, err := root.Broadcast(spec.URL, true); err != nil {
 			h.Close()
 			return nil, fmt.Errorf("announce course %d: %w", i, err)
 		}
 		bytes += course.MediaBytes
-		_ = res
 	}
 	logf("seeded %d courses (%d pages each, %s media total) in %s",
 		p.Courses.Count, p.Courses.Pages, sizeOf(bytes), time.Since(began).Round(time.Millisecond))

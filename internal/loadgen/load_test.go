@@ -9,59 +9,24 @@ import (
 // replay a compressed profile through the FabricTarget, and judge the
 // report — the in-process twin of `make load-smoke`.
 func TestHarnessAgainstSelfHostedFabric(t *testing.T) {
-	p, err := ParseProfile([]byte(`
-name: harness-e2e
-seed: 11
-time-scale: 300
-fabric:
-  stations: 4
-  m: 3
-  watermark: 2
-courses:
-  count: 3
-  pages: 4
-  extra-links: 1
-  images-per-page: 1
-phases:
-  - name: push
-    op: broadcast
-    start: 0s
-    duration: 1m
-    rate: 0.05
-  - name: storm
-    op: resolve
-    start: 1m
-    duration: 2m
-    rate: 0.15
-    clients: 2
-  - name: lookups
-    op: search
-    start: 2m
-    duration: 1m
-    rate: 0.1
-    top-k: 5
-  - name: edits
-    op: checkout
-    start: 0s
-    duration: 3m
-    rate: 0.05
-  - name: wrap-up
-    op: migrate
-    start: 3m
-    duration: 1m
-    rate: 0.02
-slos:
-  - op: resolve
-    p99: 30s
-    max-error-rate: 0
-  - op: search
-    p99: 30s
-    max-error-rate: 0
-  - op: broadcast
-    max-error-rate: 0
-`))
-	if err != nil {
-		t.Fatal(err)
+	p := &Profile{
+		Name:      "harness-e2e",
+		Seed:      11,
+		TimeScale: 300,
+		Fabric:    FabricSpec{Stations: 4, M: 3, Watermark: 2},
+		Courses:   CourseLoad{Count: 3, Pages: 4, ExtraLinks: 1, ImagesPerPage: 1},
+		Phases: []Phase{
+			{Name: "push", Op: "broadcast", Duration: time.Minute, Rate: 0.05, Clients: 1},
+			{Name: "storm", Op: "resolve", Start: time.Minute, Duration: 2 * time.Minute, Rate: 0.15, Clients: 2},
+			{Name: "lookups", Op: "search", Start: 2 * time.Minute, Duration: time.Minute, Rate: 0.1, Clients: 1, TopK: 5},
+			{Name: "edits", Op: "checkout", Duration: 3 * time.Minute, Rate: 0.05, Clients: 1},
+			{Name: "wrap-up", Op: "migrate", Start: 3 * time.Minute, Duration: time.Minute, Rate: 0.02, Clients: 1},
+		},
+		SLOs: []SLO{
+			{Op: "resolve", P99: 30 * time.Second, MaxErrorRate: 0},
+			{Op: "search", P99: 30 * time.Second, MaxErrorRate: 0},
+			{Op: "broadcast", MaxErrorRate: 0},
+		},
 	}
 	host, err := StartHost(p, t.Logf)
 	if err != nil {
@@ -121,35 +86,17 @@ slos:
 // fabric yields hop trees (and any correlated journal events) ready to
 // embed in the report — webdocload's exact path on a failed run.
 func TestFailedSLORunResolvesSlowTraces(t *testing.T) {
-	p, err := ParseProfile([]byte(`
-name: slo-debug
-seed: 7
-time-scale: 600
-fabric:
-  stations: 3
-  m: 3
-  watermark: 2
-courses:
-  count: 2
-  pages: 3
-  images-per-page: 1
-phases:
-  - name: push
-    op: broadcast
-    start: 0s
-    duration: 1m
-    rate: 0.1
-  - name: storm
-    op: resolve
-    start: 0s
-    duration: 2m
-    rate: 0.2
-slos:
-  - op: resolve
-    p99: 1us
-`))
-	if err != nil {
-		t.Fatal(err)
+	p := &Profile{
+		Name:      "slo-debug",
+		Seed:      7,
+		TimeScale: 600,
+		Fabric:    FabricSpec{Stations: 3, M: 3, Watermark: 2},
+		Courses:   CourseLoad{Count: 2, Pages: 3, ExtraLinks: 2, ImagesPerPage: 1},
+		Phases: []Phase{
+			{Name: "push", Op: "broadcast", Duration: time.Minute, Rate: 0.1, Clients: 1},
+			{Name: "storm", Op: "resolve", Duration: 2 * time.Minute, Rate: 0.2, Clients: 1},
+		},
+		SLOs: []SLO{{Op: "resolve", P99: time.Microsecond, MaxErrorRate: -1}},
 	}
 	host, err := StartHost(p, t.Logf)
 	if err != nil {

@@ -2,9 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -14,10 +11,12 @@ import (
 // author, the traffic phases (broadcast bursts, lecture-hour resolve
 // storms, evening federated search, background check-out/check-in) and
 // the latency SLOs the run is judged against. Times in the profile are
-// SIMULATED — `time-scale: 360` replays a six-hour day in one minute
-// of wall clock.
+// SIMULATED — a TimeScale of 360 replays a six-hour day in one minute
+// of wall clock. The shipped profiles are Go values (profiles.go).
 
-// Profile is a parsed load profile.
+// Profile is one load profile. Zero values are not defaults: a phase
+// needs Clients >= 1, a search phase TopK >= 1, and an SLO that leaves
+// the error rate unchecked says so with MaxErrorRate -1.
 type Profile struct {
 	Name      string
 	Seed      int64
@@ -74,115 +73,7 @@ var knownOps = map[string]bool{
 	"checkout": true, "migrate": true,
 }
 
-// LoadProfile reads and parses a profile file. A missing `name` field
-// defaults to the file's base name without extension.
-func LoadProfile(path string) (*Profile, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ParseProfile(src)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if p.Name == "" {
-		p.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	}
-	return p, nil
-}
-
-// ParseProfile parses profile YAML and validates it.
-func ParseProfile(src []byte) (*Profile, error) {
-	root, err := parseYAML(src)
-	if err != nil {
-		return nil, err
-	}
-	if root.kind != yamlMap {
-		return nil, fmt.Errorf("profile: top level must be a mapping")
-	}
-	if err := root.checkKeys("profile",
-		"name", "seed", "time-scale", "fabric", "courses", "phases", "slos"); err != nil {
-		return nil, err
-	}
-	p := &Profile{
-		// Defaults for a small single-station smoke run; profiles
-		// normally set all of these.
-		Seed:      1,
-		TimeScale: 1,
-		Fabric:    FabricSpec{Stations: 3, M: 3, Watermark: 2},
-		Courses:   CourseLoad{Count: 4, Pages: 6, ExtraLinks: 2, ImagesPerPage: 1},
-	}
-	d := &decoder{}
-	p.Name = d.str(root.get("name"), "name", "")
-	p.Seed = d.i64(root.get("seed"), "seed", p.Seed)
-	p.TimeScale = d.f64(root.get("time-scale"), "time-scale", p.TimeScale)
-
-	if f := root.get("fabric"); f != nil {
-		d.keys(f, "fabric", "stations", "m", "watermark")
-		p.Fabric.Stations = d.num(f.get("stations"), "fabric.stations", p.Fabric.Stations)
-		p.Fabric.M = d.num(f.get("m"), "fabric.m", p.Fabric.M)
-		p.Fabric.Watermark = d.num(f.get("watermark"), "fabric.watermark", p.Fabric.Watermark)
-	}
-	if c := root.get("courses"); c != nil {
-		d.keys(c, "courses", "count", "pages", "extra-links", "images-per-page")
-		p.Courses.Count = d.num(c.get("count"), "courses.count", p.Courses.Count)
-		p.Courses.Pages = d.num(c.get("pages"), "courses.pages", p.Courses.Pages)
-		p.Courses.ExtraLinks = d.num(c.get("extra-links"), "courses.extra-links", p.Courses.ExtraLinks)
-		p.Courses.ImagesPerPage = d.num(c.get("images-per-page"), "courses.images-per-page", p.Courses.ImagesPerPage)
-	}
-	if phases := root.get("phases"); phases != nil {
-		if phases.kind != yamlList {
-			d.errf("phases: must be a sequence")
-		} else {
-			for i, item := range phases.items {
-				ctx := fmt.Sprintf("phases[%d]", i)
-				d.keys(item, ctx, "name", "op", "start", "duration", "rate",
-					"clients", "refs-only", "top-k", "phrase")
-				ph := Phase{Clients: 1, TopK: 10}
-				ph.Name = d.str(item.get("name"), ctx+".name", "")
-				ph.Op = d.str(item.get("op"), ctx+".op", "")
-				ph.Start = d.dur(item.get("start"), ctx+".start", 0)
-				ph.Duration = d.dur(item.get("duration"), ctx+".duration", 0)
-				ph.Rate = d.f64(item.get("rate"), ctx+".rate", 0)
-				ph.Clients = d.num(item.get("clients"), ctx+".clients", ph.Clients)
-				ph.RefsOnly = d.boolean(item.get("refs-only"), ctx+".refs-only", false)
-				ph.TopK = d.num(item.get("top-k"), ctx+".top-k", ph.TopK)
-				ph.Phrase = d.boolean(item.get("phrase"), ctx+".phrase", false)
-				if ph.Name == "" {
-					ph.Name = fmt.Sprintf("%s-%d", ph.Op, i)
-				}
-				p.Phases = append(p.Phases, ph)
-			}
-		}
-	}
-	if slos := root.get("slos"); slos != nil {
-		if slos.kind != yamlList {
-			d.errf("slos: must be a sequence")
-		} else {
-			for i, item := range slos.items {
-				ctx := fmt.Sprintf("slos[%d]", i)
-				d.keys(item, ctx, "op", "p50", "p95", "p99", "max-error-rate", "min-throughput")
-				s := SLO{MaxErrorRate: -1}
-				s.Op = d.str(item.get("op"), ctx+".op", "")
-				s.P50 = d.dur(item.get("p50"), ctx+".p50", 0)
-				s.P95 = d.dur(item.get("p95"), ctx+".p95", 0)
-				s.P99 = d.dur(item.get("p99"), ctx+".p99", 0)
-				s.MaxErrorRate = d.f64(item.get("max-error-rate"), ctx+".max-error-rate", s.MaxErrorRate)
-				s.MinThroughput = d.f64(item.get("min-throughput"), ctx+".min-throughput", 0)
-				p.SLOs = append(p.SLOs, s)
-			}
-		}
-	}
-	if err := d.err(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// Validate checks profile invariants beyond syntax.
+// Validate checks profile invariants; Run calls it before anything else.
 func (p *Profile) Validate() error {
 	var errs []string
 	add := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
@@ -206,6 +97,9 @@ func (p *Profile) Validate() error {
 		if !knownOps[ph.Op] {
 			add("phases[%d] (%s): unknown op %q", i, ph.Name, ph.Op)
 		}
+		if ph.Start < 0 {
+			add("phases[%d] (%s): start must not be negative, got %s", i, ph.Name, ph.Start)
+		}
 		if ph.Duration <= 0 {
 			add("phases[%d] (%s): duration must be positive", i, ph.Name)
 		}
@@ -214,6 +108,9 @@ func (p *Profile) Validate() error {
 		}
 		if ph.Clients < 1 {
 			add("phases[%d] (%s): clients must be >= 1", i, ph.Name)
+		}
+		if ph.Op == "search" && ph.TopK < 1 {
+			add("phases[%d] (%s): top-k must be >= 1, got %d", i, ph.Name, ph.TopK)
 		}
 		if (ph.Op == "resolve" || ph.Op == "search" || ph.Op == "checkout") && p.Fabric.Stations < 2 {
 			add("phases[%d] (%s): %s traffic needs at least 2 stations", i, ph.Name, ph.Op)
@@ -240,199 +137,4 @@ func (p *Profile) SimDuration() time.Duration {
 		}
 	}
 	return end
-}
-
-// EncodeProfile renders the profile back to parseable YAML — the other
-// half of the round trip the tests pin down, and what `webdocload
-// -dump-profile` prints after applying defaults.
-func EncodeProfile(p *Profile) []byte {
-	root := &yamlNode{kind: yamlMap, fields: map[string]*yamlNode{}}
-	set := func(m *yamlNode, key, val string) {
-		m.keys = append(m.keys, key)
-		m.fields[key] = &yamlNode{kind: yamlScalar, scalar: val}
-	}
-	sub := func(m *yamlNode, key string) *yamlNode {
-		child := &yamlNode{kind: yamlMap, fields: map[string]*yamlNode{}}
-		m.keys = append(m.keys, key)
-		m.fields[key] = child
-		return child
-	}
-	set(root, "name", p.Name)
-	set(root, "seed", strconv.FormatInt(p.Seed, 10))
-	set(root, "time-scale", trimFloat(p.TimeScale))
-	f := sub(root, "fabric")
-	set(f, "stations", strconv.Itoa(p.Fabric.Stations))
-	set(f, "m", strconv.Itoa(p.Fabric.M))
-	set(f, "watermark", strconv.Itoa(p.Fabric.Watermark))
-	c := sub(root, "courses")
-	set(c, "count", strconv.Itoa(p.Courses.Count))
-	set(c, "pages", strconv.Itoa(p.Courses.Pages))
-	set(c, "extra-links", strconv.Itoa(p.Courses.ExtraLinks))
-	set(c, "images-per-page", strconv.Itoa(p.Courses.ImagesPerPage))
-	phases := &yamlNode{kind: yamlList}
-	root.keys = append(root.keys, "phases")
-	root.fields["phases"] = phases
-	for _, ph := range p.Phases {
-		item := &yamlNode{kind: yamlMap, fields: map[string]*yamlNode{}}
-		set(item, "name", ph.Name)
-		set(item, "op", ph.Op)
-		set(item, "start", ph.Start.String())
-		set(item, "duration", ph.Duration.String())
-		set(item, "rate", trimFloat(ph.Rate))
-		set(item, "clients", strconv.Itoa(ph.Clients))
-		if ph.Op == "broadcast" {
-			set(item, "refs-only", strconv.FormatBool(ph.RefsOnly))
-		}
-		if ph.Op == "search" {
-			set(item, "top-k", strconv.Itoa(ph.TopK))
-			set(item, "phrase", strconv.FormatBool(ph.Phrase))
-		}
-		phases.items = append(phases.items, item)
-	}
-	if len(p.SLOs) > 0 {
-		slos := &yamlNode{kind: yamlList}
-		root.keys = append(root.keys, "slos")
-		root.fields["slos"] = slos
-		for _, s := range p.SLOs {
-			item := &yamlNode{kind: yamlMap, fields: map[string]*yamlNode{}}
-			set(item, "op", s.Op)
-			if s.P50 > 0 {
-				set(item, "p50", s.P50.String())
-			}
-			if s.P95 > 0 {
-				set(item, "p95", s.P95.String())
-			}
-			if s.P99 > 0 {
-				set(item, "p99", s.P99.String())
-			}
-			if s.MaxErrorRate >= 0 {
-				set(item, "max-error-rate", trimFloat(s.MaxErrorRate))
-			}
-			if s.MinThroughput > 0 {
-				set(item, "min-throughput", trimFloat(s.MinThroughput))
-			}
-			slos.items = append(slos.items, item)
-		}
-	}
-	return encodeYAML(root)
-}
-
-func trimFloat(f float64) string {
-	return strconv.FormatFloat(f, 'f', -1, 64)
-}
-
-// --- scalar decoding -------------------------------------------------
-
-// decoder accumulates errors so a bad profile reports every problem in
-// one pass instead of one per run.
-type decoder struct {
-	errs []string
-}
-
-func (d *decoder) errf(format string, args ...any) {
-	d.errs = append(d.errs, fmt.Sprintf(format, args...))
-}
-
-func (d *decoder) err() error {
-	if len(d.errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("profile: %s", strings.Join(d.errs, "; "))
-}
-
-func (d *decoder) keys(n *yamlNode, ctx string, allowed ...string) {
-	if n == nil {
-		return
-	}
-	if n.kind != yamlMap {
-		d.errf("%s: must be a mapping", ctx)
-		return
-	}
-	if err := n.checkKeys(ctx, allowed...); err != nil {
-		d.errs = append(d.errs, err.Error())
-	}
-}
-
-func (d *decoder) scalar(n *yamlNode, ctx string) (string, bool) {
-	if n == nil {
-		return "", false
-	}
-	if n.kind != yamlScalar {
-		d.errf("%s: expected a scalar", ctx)
-		return "", false
-	}
-	return n.scalar, true
-}
-
-func (d *decoder) str(n *yamlNode, ctx, def string) string {
-	if s, ok := d.scalar(n, ctx); ok {
-		return s
-	}
-	return def
-}
-
-func (d *decoder) num(n *yamlNode, ctx string, def int) int {
-	s, ok := d.scalar(n, ctx)
-	if !ok {
-		return def
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		d.errf("%s: bad integer %q", ctx, s)
-		return def
-	}
-	return v
-}
-
-func (d *decoder) i64(n *yamlNode, ctx string, def int64) int64 {
-	s, ok := d.scalar(n, ctx)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		d.errf("%s: bad integer %q", ctx, s)
-		return def
-	}
-	return v
-}
-
-func (d *decoder) f64(n *yamlNode, ctx string, def float64) float64 {
-	s, ok := d.scalar(n, ctx)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		d.errf("%s: bad number %q", ctx, s)
-		return def
-	}
-	return v
-}
-
-func (d *decoder) boolean(n *yamlNode, ctx string, def bool) bool {
-	s, ok := d.scalar(n, ctx)
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		d.errf("%s: bad boolean %q", ctx, s)
-		return def
-	}
-	return v
-}
-
-// dur parses Go duration syntax ("90s", "1h30m").
-func (d *decoder) dur(n *yamlNode, ctx string, def time.Duration) time.Duration {
-	s, ok := d.scalar(n, ctx)
-	if !ok {
-		return def
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		d.errf("%s: bad duration %q", ctx, s)
-		return def
-	}
-	return v
 }

@@ -129,7 +129,9 @@ func stationStat(s cluster.StatsReply) StationStat {
 
 // EvaluateSLOs judges summaries against the profile's objectives.
 // Unchecked thresholds produce no row; an op with an SLO but no
-// recorded traffic fails (the profile promised load that never ran).
+// recorded traffic fails (the profile promised load that never ran),
+// and so does a percentile of a class with no successful op, whose
+// latency samples are empty rather than fast.
 func EvaluateSLOs(slos []SLO, ops map[string]OpSummary) (results []SLOResult, pass bool) {
 	pass = true
 	for _, s := range slos {
@@ -141,14 +143,15 @@ func EvaluateSLOs(slos []SLO, ops map[string]OpSummary) (results []SLOResult, pa
 			}
 			results = append(results, r)
 		}
+		sampled := sum.Count-sum.Errors-sum.Conflicts > 0
 		if s.P50 > 0 {
-			check("p50_ms", ms(s.P50), sum.P50Ms, sum.P50Ms <= ms(s.P50))
+			check("p50_ms", ms(s.P50), sum.P50Ms, sampled && sum.P50Ms <= ms(s.P50))
 		}
 		if s.P95 > 0 {
-			check("p95_ms", ms(s.P95), sum.P95Ms, sum.P95Ms <= ms(s.P95))
+			check("p95_ms", ms(s.P95), sum.P95Ms, sampled && sum.P95Ms <= ms(s.P95))
 		}
 		if s.P99 > 0 {
-			check("p99_ms", ms(s.P99), sum.P99Ms, sum.P99Ms <= ms(s.P99))
+			check("p99_ms", ms(s.P99), sum.P99Ms, sampled && sum.P99Ms <= ms(s.P99))
 		}
 		if s.MaxErrorRate >= 0 {
 			check("error_rate", s.MaxErrorRate, sum.ErrorRate, sum.ErrorRate <= s.MaxErrorRate)
