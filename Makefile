@@ -66,12 +66,14 @@ race-fabric:
 
 # Ten seconds of coverage-guided fuzzing per target over the committed
 # seed corpora: the minisql parser, the transport frame codec, the
-# fabric's binary push body, the plan-driven body decoder and the four
+# fabric's binary push body, the plan-driven body decoder, the bundle
+# decoder every rejoin document passes through and the four
 # durable-file readers (WAL replay, relational snapshot, BLOB sidecar,
 # search sidecar) must reject hostile input with errors, never panics.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
+	$(GO) test ./internal/docdb -run '^$$' -fuzz '^FuzzBundleDecodeWire$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s

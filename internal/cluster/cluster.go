@@ -142,17 +142,13 @@ func (c *Cluster) AuthorCourse(spec workload.CourseSpec) (workload.Course, docdb
 // tree: "references to the instance are broadcasted and stored in many
 // remote stations."
 func (c *Cluster) BroadcastReferences(url string) error {
-	root := c.stations[0]
-	impl, err := root.Store.Implementation(url)
-	if err != nil {
-		return err
-	}
-	script, err := root.Store.Script(impl.ScriptName)
+	closure, err := c.stations[0].Store.ExportReference(url)
 	if err != nil {
 		return err
 	}
 	return c.walkDown(referenceBytes, func(kid int, _ time.Duration) error {
-		return installReference(c.stations[kid-1], script, impl, kid)
+		_, err := c.stations[kid-1].Store.ImportReference(closure.Script, closure.Impl, kid, 1)
+		return err
 	})
 }
 
@@ -188,13 +184,6 @@ func (c *Cluster) walkDown(size int64, arrive func(kid int, at time.Duration) er
 	forward(1)
 	c.sim.Run()
 	return failure
-}
-
-// installReference records the metadata scaffolding (database, script,
-// implementation rows) plus a reference object on a station.
-func installReference(st *Station, script docdb.Script, impl docdb.Implementation, pos int) error {
-	_, err := st.Store.ImportReference(script, impl, pos, 1)
-	return err
 }
 
 // PreBroadcast pushes the full lecture bundle down the m-ary tree with

@@ -138,8 +138,8 @@ func ReadBundle(r *wire.Reader) Bundle {
 }
 
 // AppendWire makes a Bundle a self-encoding message body (the station
-// RPCs' Bundle reply) and field (ImportRequest, RefsReply, the rejoin
-// state stream): [BundleMagic][ver] then AppendBundle.
+// RPCs' Bundle reply) and field (ImportRequest, the rejoin state
+// stream): [BundleMagic][ver] then AppendBundle.
 func (b Bundle) AppendWire(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, 1024+int(b.TotalBytes()))
 	return AppendBundle(append(dst, wire.BundleMagic, wire.Version), &b), nil

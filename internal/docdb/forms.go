@@ -535,14 +535,27 @@ func (b *Bundle) TotalBytes() int64 {
 	return total + perObjectOverhead
 }
 
-// ExportBundle assembles the transferable closure of an implementation
-// resident on this station.
-func (s *Store) ExportBundle(url string) (*Bundle, error) {
+// ExportReference assembles a document's metadata closure — its script
+// and implementation rows, all a reference needs — as a bundle without
+// content. It is the counterpart of ImportReference, and it works on
+// any station that holds the document in any form.
+func (s *Store) ExportReference(url string) (*Bundle, error) {
 	impl, err := s.Implementation(url)
 	if err != nil {
 		return nil, err
 	}
 	script, err := s.Script(impl.ScriptName)
+	if err != nil {
+		return nil, err
+	}
+	return &Bundle{Script: script, Impl: impl}, nil
+}
+
+// ExportBundle assembles the transferable closure of an implementation
+// resident on this station: the metadata closure plus its files, media
+// bytes and annotations.
+func (s *Store) ExportBundle(url string) (*Bundle, error) {
+	b, err := s.ExportReference(url)
 	if err != nil {
 		return nil, err
 	}
@@ -570,14 +583,8 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Bundle{
-		Script:      script,
-		Impl:        impl,
-		HTML:        html,
-		Programs:    progs,
-		Media:       media,
-		Annotations: anns,
-	}, nil
+	b.HTML, b.Programs, b.Media, b.Annotations = html, progs, media, anns
+	return b, nil
 }
 
 // ImportBundle installs a received bundle on this station, creating the

@@ -56,8 +56,6 @@ func TestEveryFabricBodyRoundTrips(t *testing.T) {
 		EvictRequest{Pos: 4},
 		ReportDownRequest{Pos: 6},
 		CatalogReply{Entries: []CatalogEntry{{URL: "http://mmu/cs101/v1"}, {URL: "http://mmu/cs102/v1", RefOnly: true}}},
-		RefsRequest{URL: "http://mmu/cs101/v1"},
-		RefsReply{Bundle: bundle},
 		StateRequest{URLs: []string{"http://mmu/cs101/v1", "http://mmu/cs102/v1"}, WantMedia: true},
 		stateDoc{Entry: CatalogEntry{URL: "http://mmu/cs101/v1", RefOnly: true}, Bundle: bundle},
 		PushReply{Results: results},
@@ -69,7 +67,7 @@ func TestEveryFabricBodyRoundTrips(t *testing.T) {
 		ResolveRequest{URL: "http://mmu/cs101/v1", TTL: 4},
 		MigrateRequest{URL: "http://mmu/cs101/v1", Topology: topo},
 		MigrateReply{Freed: 8192, TraceID: 7, Stations: results},
-		CatchUpResult{References: 2, Migrated: 1, Resolved: []FetchResult{fetch}, Streamed: true, StreamedBytes: 1 << 20},
+		CatchUpResult{References: 2, Migrated: 1, Resolved: []FetchResult{fetch}, StreamedBytes: 1 << 20},
 		gatherRequest[search.Query]{Query: search.Query{Terms: []string{"intro", "cs"}, Phrase: true, TopK: 10}, Scatter: true, Topology: topo},
 		gatherRequest[uint64]{Query: 7, Scatter: true, Topology: topo},
 		gatherRequest[obs.EventFilter]{Query: obs.EventFilter{SinceSeq: 4, Category: "health", MinSeverity: obs.SevWarn, TraceID: 7}, Topology: topo},

@@ -173,18 +173,11 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 }
 
 // bundleFor builds one document's transfer closure: the metadata rows
-// alone for a reference broadcast, the full bundle otherwise.
+// alone for a reference broadcast, the full bundle otherwise. The
+// rejoin state stream ships its documents through it too.
 func (s *Station) bundleFor(url string, refOnly bool) (*docdb.Bundle, error) {
 	if refOnly {
-		impl, err := s.store.Implementation(url)
-		if err != nil {
-			return nil, err
-		}
-		script, err := s.store.Script(impl.ScriptName)
-		if err != nil {
-			return nil, err
-		}
-		return &docdb.Bundle{Script: script, Impl: impl}, nil
+		return s.store.ExportReference(url)
 	}
 	return s.store.ExportBundle(url)
 }
@@ -287,7 +280,6 @@ func (s *Station) Resolve(url string) (FetchResult, error) {
 func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult, error) {
 	s.mu.Lock()
 	pos, n := s.pos, s.n
-	wm := s.watermark
 	s.mu.Unlock()
 	if pos == 0 {
 		return FetchResult{}, ErrNotJoined
@@ -303,10 +295,7 @@ func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult,
 	if err := s.resolveViaAncestors(url, n+1, span, &reply); err != nil {
 		return FetchResult{}, err
 	}
-	s.mu.Lock()
-	s.fetches[url]++
-	fetches := s.fetches[url]
-	s.mu.Unlock()
+	fetches, materialize := s.noteFetch(url)
 	res := FetchResult{
 		URL:      url,
 		ServedBy: reply.ServedBy,
@@ -314,7 +303,7 @@ func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult,
 		Bytes:    reply.Bundle.TotalBytes(),
 		TraceID:  trace,
 	}
-	if wm >= 0 && fetches > wm {
+	if materialize {
 		span.Annotate("watermark pull: materializing after %d fetches", fetches)
 		s.importMu.Lock()
 		_, err := s.store.ImportBundle(&reply.Bundle, pos, false)
@@ -325,6 +314,24 @@ func (s *Station) resolveSpanned(url string, span *obs.ActiveSpan) (FetchResult,
 		res.Replicated = true
 	}
 	return res, nil
+}
+
+// noteFetch counts one remote retrieval of url and reports its number
+// and whether it materializes a local instance. Resolve and the rejoin
+// state stream both count through it.
+func (s *Station) noteFetch(url string) (fetches int, materialize bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fetches[url]++
+	fetches = s.fetches[url]
+	return fetches, s.crossesWatermarkLocked(fetches)
+}
+
+// crossesWatermarkLocked is the watermark rule: the fetch numbered
+// fetches materializes a local instance once it exceeds the watermark
+// frequency; a negative watermark never replicates (mu held).
+func (s *Station) crossesWatermarkLocked(fetches int) bool {
+	return s.watermark >= 0 && fetches > s.watermark
 }
 
 // handleResolve serves a bundle from a local instance or relays the

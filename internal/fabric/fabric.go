@@ -64,11 +64,10 @@
 //   - Rejoin: a restarted webdocd re-contacts the root (Rejoin) and is
 //     re-assigned its old position — or a fresh one — then catches up
 //     (CatchUp): the root's broadcast catalog tells it what it
-//     missed; it installs reference scaffolds and re-pulls full
-//     broadcasts up the parent route under the watermark policy. A
-//     station far behind the catalog instead pulls the root's state
-//     snapshot in one chunked transport stream (see statesync.go), so
-//     catching up costs O(state), not O(missed broadcasts).
+//     missed, and everything owed arrives in one chunked transport
+//     stream of the root's state (see statesync.go) — reference
+//     scaffolds, plus the instances the watermark policy materializes
+//     — so catching up costs O(state), not O(missed broadcasts).
 package fabric
 
 import (
@@ -131,7 +130,6 @@ const (
 	methodEvict      = "Fabric.Evict"
 	methodReportDown = "Fabric.ReportDown"
 	methodCatalog    = "Fabric.Catalog"
-	methodRefs       = "Fabric.Refs"
 	methodState      = "Fabric.State"
 	methodSearch     = "Fabric.Search"
 	methodTrace      = "Fabric.Trace"
@@ -272,7 +270,6 @@ func newStation(store *docdb.Store, isRoot bool, m, watermark int) *Station {
 	s.node.Handle(methodEvict, s.handleEvict)
 	s.node.Handle(methodReportDown, s.handleReportDown)
 	s.node.Handle(methodCatalog, s.handleCatalog)
-	s.node.Handle(methodRefs, s.handleRefs)
 	s.node.Handle(methodState, s.handleState)
 	// The three gathers are one handler with three descriptors (tree.go).
 	s.node.HandleCtx(methodSearch, gatherHandler(s, searchOp))

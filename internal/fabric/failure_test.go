@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -226,8 +227,9 @@ func TestRejoinCatchesUpOnMissedBroadcasts(t *testing.T) {
 	probeUntilDown(t, root, 3)
 
 	// The station restarts on a fresh socket, reclaims position 3, and
-	// catches up: specA (still a live broadcast) re-materializes via
-	// the parent route, specB (migrated) comes back as a reference.
+	// catches up: specA (still a live broadcast) re-materializes from
+	// the root's state stream, specB (migrated) comes back as a
+	// reference.
 	st, err := Rejoin(newTestStore(t), "127.0.0.1:0", root.Addr(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -366,10 +368,128 @@ func TestCatchUpDefersBytesAboveWatermark(t *testing.T) {
 	}
 }
 
-// TestCatchUpStreamsWhenFarBehind: a rejoiner missing at least
-// catchUpStreamThreshold documents pulls the root's state snapshot in
-// one stream instead of walking the catalog entry by entry, and lands
-// on the same end-state.
+// catchUpInOneStream runs st's catch-up and checks what it cost the
+// fabric: exactly one Catalog and one State call served by the root,
+// and no Resolve served by any station, read from the per-method
+// counters every station's transport keeps.
+func catchUpInOneStream(t *testing.T, st *Station, stations []*Station) *CatchUpResult {
+	t.Helper()
+	all := append([]*Station{st}, stations...)
+	before := make([]map[string]int64, len(all))
+	for i, s := range all {
+		before[i] = s.Node().StatsNow().Ops
+	}
+	res, err := st.CatchUp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolves := int64(0)
+	for i, s := range all {
+		after := s.Node().StatsNow().Ops
+		resolves += after[methodResolve] - before[i][methodResolve]
+		if s == stations[0] {
+			for _, method := range []string{methodCatalog, methodState} {
+				if n := after[method] - before[i][method]; n != 1 {
+					t.Errorf("catch-up made %d %s calls to the root, want 1", n, method)
+				}
+			}
+		}
+	}
+	if resolves != 0 {
+		t.Errorf("catch-up made stations serve %d resolves, want 0", resolves)
+	}
+	if res.StreamedBytes == 0 {
+		t.Errorf("catch-up streamed no bytes: %+v", res)
+	}
+	return res
+}
+
+// TestCatchUpIsOneStreamWhateverTheCount: however many documents a
+// rejoiner missed, catching up costs the root one Catalog and one
+// State call, and no station a resolve.
+func TestCatchUpIsOneStreamWhateverTheCount(t *testing.T) {
+	for _, missed := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("missed=%d", missed), func(t *testing.T) {
+			stations := newFabric(t, 3, 2, 0)
+			root := stations[0]
+			stations[2].Close()
+			for i := 1; i <= missed; i++ {
+				if _, err := root.Broadcast(authorCourse(t, root, i).URL, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			probeUntilDown(t, root, 3)
+			st, err := Rejoin(newTestStore(t), "127.0.0.1:0", root.Addr(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			res := catchUpInOneStream(t, st, stations)
+			if res.References != missed || len(res.Resolved) != missed {
+				t.Errorf("catch-up of %d documents = %+v", missed, res)
+			}
+		})
+	}
+}
+
+// TestCatchUpRepullsHeldReference: a station whose durable store holds
+// a reference from a reference broadcast is dark while the same URL is
+// broadcast in full. Catch-up re-pulls it through the state stream
+// under the watermark policy, and installs no new scaffold.
+func TestCatchUpRepullsHeldReference(t *testing.T) {
+	for _, watermark := range []int{0, 1} {
+		t.Run(fmt.Sprintf("watermark=%d", watermark), func(t *testing.T) {
+			stations := newFabric(t, 3, 2, watermark)
+			root := stations[0]
+			spec := authorCourse(t, root, 1)
+			if _, err := root.Broadcast(spec.URL, true); err != nil {
+				t.Fatal(err)
+			}
+			durable := stations[2].Store() // stands in for the WAL-restored state
+			stations[2].Close()
+			if _, err := root.Broadcast(spec.URL, false); err != nil {
+				t.Fatal(err)
+			}
+			probeUntilDown(t, root, 3)
+			st, err := Rejoin(durable, "127.0.0.1:0", root.Addr(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			res := catchUpInOneStream(t, st, stations)
+			if res.References != 0 {
+				t.Errorf("catch-up installed %d scaffolds over a held reference, want 0", res.References)
+			}
+			if len(res.Resolved) != 1 || res.Resolved[0].Fetches != 1 || res.Resolved[0].Replicated != (watermark == 0) {
+				t.Fatalf("catch-up resolved = %+v", res.Resolved)
+			}
+			obj, err := durable.ObjectByURL(spec.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if watermark == 0 {
+				if obj.Form != schema.FormInstance || durable.Blobs().Stats().PhysicalBytes == 0 {
+					t.Errorf("watermark 0 catch-up left %+v without its bytes", obj)
+				}
+				return
+			}
+			if obj.Form != schema.FormReference || st.Fetches(spec.URL) != 1 {
+				t.Errorf("watermark 1 catch-up: %+v after %d fetches, want the reference after 1", obj, st.Fetches(spec.URL))
+			}
+			follow, err := st.Resolve(spec.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if follow.Fetches != 2 || !follow.Replicated {
+				t.Errorf("resolve after catch-up = %+v, want fetch 2 crossing the watermark", follow)
+			}
+		})
+	}
+}
+
+// TestCatchUpStreamsWhenFarBehind: a rejoiner dark through several
+// broadcasts pulls them all in the root's one state stream and lands
+// on the same end-state a live station reached.
 func TestCatchUpStreamsWhenFarBehind(t *testing.T) {
 	stations := newFabric(t, 5, 2, 0)
 	root := stations[0]
@@ -390,13 +510,7 @@ func TestCatchUpStreamsWhenFarBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	res, err := st.CatchUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Streamed || res.StreamedBytes == 0 {
-		t.Errorf("catch-up did not stream: %+v", res)
-	}
+	res := catchUpInOneStream(t, st, stations)
 	if res.References != len(specs) {
 		t.Errorf("catch-up installed %d documents, want %d", res.References, len(specs))
 	}
@@ -419,10 +533,10 @@ func TestCatchUpStreamsWhenFarBehind(t *testing.T) {
 	}
 }
 
-// TestCatchUpStreamDefersBytesAboveWatermark: the streamed path obeys
-// the same watermark policy as per-entry catch-up — references only,
-// one fetch recorded per document, so later demand crosses the
-// watermark on the same schedule.
+// TestCatchUpStreamDefersBytesAboveWatermark: the stream obeys the
+// watermark policy a parent-route pull would — references only, one
+// fetch recorded per document, so later demand crosses the watermark
+// on the same schedule.
 func TestCatchUpStreamDefersBytesAboveWatermark(t *testing.T) {
 	stations := newFabric(t, 3, 2, 1)
 	root := stations[0]
@@ -442,13 +556,7 @@ func TestCatchUpStreamDefersBytesAboveWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	res, err := st.CatchUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Fatalf("catch-up did not stream: %+v", res)
-	}
+	res := catchUpInOneStream(t, st, stations)
 	for _, r := range res.Resolved {
 		if r.Replicated || r.Fetches != 1 {
 			t.Errorf("streamed resolve above the watermark = %+v", r)
@@ -458,7 +566,7 @@ func TestCatchUpStreamDefersBytesAboveWatermark(t *testing.T) {
 		t.Errorf("streamed catch-up above the watermark materialized %d bytes", phys)
 	}
 	// The streamed serve counted as fetch 1: the next resolve is fetch
-	// 2 and crosses watermark 1, exactly as the per-entry path would.
+	// 2 and crosses watermark 1, exactly as a parent-route pull would.
 	follow, err := st.Resolve(specs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -535,13 +643,7 @@ func TestStreamedCatchUpMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	res, err := st.CatchUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Streamed {
-		t.Fatalf("far-behind rejoin did not stream: %+v", res)
-	}
+	catchUpInOneStream(t, st, stations)
 	stations[2] = st
 
 	// --- Same end-state, station by station.

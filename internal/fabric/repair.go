@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"repro/internal/docdb"
 	"repro/internal/mtree"
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -29,17 +28,6 @@ type CatalogReply struct {
 	Entries []CatalogEntry
 }
 
-// RefsRequest asks a station for a document's metadata closure (script
-// and implementation rows only) — the payload of a reference import.
-type RefsRequest struct {
-	URL string
-}
-
-// RefsReply carries the metadata closure.
-type RefsReply struct {
-	Bundle docdb.Bundle
-}
-
 // CatchUpResult summarizes a rejoin catch-up.
 type CatchUpResult struct {
 	// References counts the reference scaffolds installed for
@@ -52,10 +40,7 @@ type CatchUpResult struct {
 	// Resolved holds the per-document outcome of re-pulling missed
 	// full broadcasts under the watermark policy.
 	Resolved []FetchResult
-	// Streamed reports that the missing documents arrived as one
-	// checkpoint stream from the root (the far-behind path) instead of
-	// per-entry pulls; StreamedBytes is the stream's transfer size.
-	Streamed      bool
+	// StreamedBytes is the transfer size of the root's state stream.
 	StreamedBytes int64
 }
 
@@ -134,19 +119,16 @@ func (s *Station) resolveViaAncestors(url string, ttl int, span *obs.ActiveSpan,
 }
 
 // CatchUp reconciles a (re)joined station with the broadcasts it
-// missed: the root's catalog lists every tree-wide distribution; for
-// each document the station lacks it installs the reference scaffold
-// (metadata closure from the root), and for full broadcasts it
-// re-pulls the bundle under the watermark policy — so a watermark-0
-// fabric rematerializes immediately while a conservative one defers
-// the bytes until students actually ask.
-//
-// A station missing only a document or two walks the catalog entry by
-// entry (Refs RPC plus parent-route resolve). One that is far behind —
-// catchUpStreamThreshold or more missed documents — pulls the root's
-// state snapshot in a single chunked stream instead, so the cost of
-// coming back is proportional to the state, not to the number of
-// broadcasts that happened while it was dark.
+// missed. It fetches the root's catalog of every tree-wide
+// distribution and sorts it against the local store: a resident
+// instance of a document the tree migrated while the station was dark
+// is reclaimed on the spot, and everything owed — documents the
+// station lacks, and references a full broadcast still owes a re-pull
+// — arrives in one state stream from the root (statesync.go). The
+// stream installs the reference scaffolds and counts the re-pulls
+// under the watermark policy, so a watermark-0 fabric rematerializes
+// immediately while a conservative one defers the bytes until
+// students actually ask.
 func (s *Station) CatchUp() (*CatchUpResult, error) {
 	v := s.view()
 	if v.pos == 0 {
@@ -165,76 +147,29 @@ func (s *Station) CatchUp() (*CatchUpResult, error) {
 	if err := s.pool(rootAddr).Call(methodCatalog, struct{}{}, &cat); err != nil {
 		return nil, fmt.Errorf("fabric: fetching catch-up catalog: %w", err)
 	}
-	// Sort the catalog into what this station already holds and what
-	// it lacks entirely.
-	var missing, refHeld []CatalogEntry
+	var owed []string
 	for _, e := range cat.Entries {
 		obj, err := s.store.ObjectByURL(e.URL)
-		if err != nil {
-			missing = append(missing, e)
-			continue
-		}
-		if obj.Form != schema.FormReference {
-			// Resident as an instance (or the class). If the tree
-			// migrated this document while the station was dark, a
-			// WAL-restored copy is the one straggler the migration
+		switch {
+		case err != nil || (obj.Form == schema.FormReference && !e.RefOnly):
+			owed = append(owed, e.URL)
+		case e.RefOnly:
+			// A WAL-restored instance is the one straggler a migration
 			// could not reach — reclaim it now, as EndLecture's dead
-			// hop report promised.
-			if e.RefOnly && obj.Form == schema.FormInstance && !obj.Persistent {
-				s.importMu.Lock()
-				merr := s.store.MigrateToReference(obj.ID, 1)
-				s.importMu.Unlock()
-				if merr != nil {
-					return out, merr
+			// hop report promised (migrateLocal leaves the class and
+			// persistent instances alone).
+			if r := s.migrateLocal(e.URL, v.pos); r != nil {
+				if r.Err != "" {
+					return out, fmt.Errorf("fabric: reclaiming %s: %s", e.URL, r.Err)
 				}
-				s.mu.Lock()
-				delete(s.fetches, e.URL)
-				s.mu.Unlock()
 				out.Migrated++
 			}
-			continue
-		}
-		// Holds the reference already; a full broadcast still owes a
-		// re-pull.
-		if !e.RefOnly {
-			refHeld = append(refHeld, e)
 		}
 	}
-	if len(missing) >= catchUpStreamThreshold {
-		if err := s.catchUpStreamed(v, rootAddr, missing, out); err != nil {
-			return out, err
-		}
-	} else {
-		for _, e := range missing {
-			var refs RefsReply
-			//lint:ignore tracecall rejoin catch-up runs before the station serves traced traffic; it is its own root operation, not a hop in some caller's traversal
-			if err := s.pool(rootAddr).Call(methodRefs, RefsRequest{URL: e.URL}, &refs); err != nil {
-				return out, fmt.Errorf("fabric: pulling reference closure for %s: %w", e.URL, err)
-			}
-			s.importMu.Lock()
-			_, ierr := s.store.ImportReference(refs.Bundle.Script, refs.Bundle.Impl, v.pos, 1)
-			s.importMu.Unlock()
-			if ierr != nil {
-				return out, ierr
-			}
-			out.References++
-			if !e.RefOnly {
-				res, err := s.Resolve(e.URL)
-				if err != nil {
-					return out, err
-				}
-				out.Resolved = append(out.Resolved, res)
-			}
-		}
+	if len(owed) == 0 {
+		return out, nil
 	}
-	for _, e := range refHeld {
-		res, err := s.Resolve(e.URL)
-		if err != nil {
-			return out, err
-		}
-		out.Resolved = append(out.Resolved, res)
-	}
-	return out, nil
+	return out, s.pullState(rootAddr, v.pos, owed, out)
 }
 
 // handleCatalog serves the root's broadcast history for catch-up.
@@ -251,22 +186,4 @@ func (s *Station) handleCatalog(decode func(any) error) (any, error) {
 	copy(entries, s.catalog)
 	s.mu.Unlock()
 	return CatalogReply{Entries: entries}, nil
-}
-
-// handleRefs serves a document's metadata closure from the local
-// store.
-func (s *Station) handleRefs(decode func(any) error) (any, error) {
-	var req RefsRequest
-	if err := decode(&req); err != nil {
-		return nil, err
-	}
-	impl, err := s.store.Implementation(req.URL)
-	if err != nil {
-		return nil, err
-	}
-	script, err := s.store.Script(impl.ScriptName)
-	if err != nil {
-		return nil, err
-	}
-	return RefsReply{Bundle: docdb.Bundle{Script: script, Impl: impl}}, nil
 }

@@ -11,26 +11,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Checkpoint streaming for rejoin catch-up. The per-entry catch-up
-// path costs one Refs RPC plus (for full broadcasts) one parent-route
-// resolve per missed document — O(history) round trips for a station
-// that was dark through a busy stretch. When the rejoiner is far
-// enough behind the broadcast catalog it instead asks the root for a
-// state snapshot: one consistent image of every missed document
-// (metadata closures, plus media bytes when the watermark policy will
-// materialize them anyway), streamed over the transport's chunked
-// response path in a single call — O(state), independent of how many
-// broadcasts were missed.
-
-// catchUpStreamThreshold is how many missed catalog entries count as
-// "too far behind": at or above it, catch-up pulls the root's state
-// snapshot in one stream instead of walking entry by entry.
-const catchUpStreamThreshold = 3
+// Checkpoint streaming for rejoin catch-up. A rejoining station asks
+// the root for a state snapshot of every document it is owed: one
+// consistent image (metadata closures, plus media bytes when the
+// watermark policy will materialize them anyway), streamed over the
+// transport's chunked response path in a single call. Catching up
+// costs one Catalog and one State round trip however many broadcasts
+// were missed — O(state), never O(history) — and each document ships
+// in the form the root's catalog holds when the stream is served, not
+// the one the rejoiner saw when it sorted the catalog.
 
 // StateRequest asks the root for a state snapshot of the given catalog
 // URLs. WantMedia requests full bundles for full-broadcast entries
-// (the rejoiner sets it when its watermark materializes first
-// fetches); otherwise every entry ships as its metadata closure only.
+// (the rejoiner sets it when its watermark materializes the catch-up
+// fetch); otherwise every entry ships as its metadata closure only.
 type StateRequest struct {
 	URLs      []string
 	WantMedia bool
@@ -48,10 +42,11 @@ type stateDoc struct {
 
 // handleState serves a state snapshot from the root's store: the
 // authoritative copy of every broadcast document, assembled for the
-// requested URLs and streamed back in transport chunks (the returned
-// reader is relayed by the server as a chunked response). Documents
-// are exported and encoded one at a time into a pipe, so a multi-GB
-// catch-up costs the root O(one document) of memory, not O(state).
+// requested URLs by the broadcast's own closure builder and streamed
+// back in transport chunks (the returned reader is relayed by the
+// server as a chunked response). Documents are exported and encoded
+// one at a time into a pipe, so a multi-GB catch-up costs the root
+// O(one document) of memory, not O(state).
 func (s *Station) handleState(decode func(any) error) (any, error) {
 	var req StateRequest
 	if err := decode(&req); err != nil {
@@ -76,10 +71,10 @@ func (s *Station) handleState(decode func(any) error) (any, error) {
 	go func() {
 		var err error
 		for _, e := range entries {
-			var doc *stateDoc
+			var b *docdb.Bundle
 			var body []byte
-			if doc, err = s.exportStateDoc(e, req.WantMedia); err == nil {
-				body, err = wire.AppendBody(nil, doc)
+			if b, err = s.bundleFor(e.URL, e.RefOnly || !req.WantMedia); err == nil {
+				body, err = wire.AppendBody(nil, &stateDoc{Entry: e, Bundle: *b})
 			}
 			if err == nil {
 				_, err = pw.Write(wire.AppendRecord(nil, body))
@@ -95,41 +90,22 @@ func (s *Station) handleState(decode func(any) error) (any, error) {
 	return pr, nil
 }
 
-// exportStateDoc assembles one document of a state snapshot: the full
-// bundle for a full broadcast the rejoiner will materialize, the
-// metadata closure otherwise.
-func (s *Station) exportStateDoc(e CatalogEntry, wantMedia bool) (*stateDoc, error) {
-	if !e.RefOnly && wantMedia {
-		full, err := s.store.ExportBundle(e.URL)
-		if err != nil {
-			return nil, err
-		}
-		return &stateDoc{Entry: e, Bundle: *full}, nil
+// pullState catches the station up on the owed documents from one
+// streamed state snapshot: a reference scaffold for every document it
+// lacks, and for every full broadcast one recorded fetch under the
+// watermark policy (noteFetch) — a full instance when that fetch
+// crosses the watermark — so later resolves cross it on the same
+// schedule a parent-route pull would have set.
+func (s *Station) pullState(rootAddr string, pos int, urls []string, out *CatchUpResult) error {
+	// The root ships media only when some owed document's next fetch
+	// materializes; a fetch that crosses the watermark without them
+	// (a concurrent resolve moved the count) keeps the reference.
+	wantMedia := false
+	s.mu.Lock()
+	for _, url := range urls {
+		wantMedia = wantMedia || s.crossesWatermarkLocked(s.fetches[url]+1)
 	}
-	impl, err := s.store.Implementation(e.URL)
-	if err != nil {
-		return nil, err
-	}
-	script, err := s.store.Script(impl.ScriptName)
-	if err != nil {
-		return nil, err
-	}
-	return &stateDoc{Entry: e, Bundle: docdb.Bundle{Script: script, Impl: impl}}, nil
-}
-
-// catchUpStreamed reconciles the missing documents from one streamed
-// state snapshot. It lands on exactly the state the per-entry path
-// reaches: a reference scaffold for every missed document, full
-// instances where the watermark policy materializes a first fetch
-// (watermark 0), and one recorded fetch per full broadcast either way
-// — so later resolves cross the watermark on the same schedule they
-// would have otherwise.
-func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntry, out *CatchUpResult) error {
-	urls := make([]string, len(missing))
-	for i, e := range missing {
-		urls[i] = e.URL
-	}
-	wantMedia := v.Watermark == 0
+	s.mu.Unlock()
 	// The transport chunks feed a pipe and documents are decoded and
 	// imported one at a time as they arrive, so the rejoiner holds one
 	// document — not the whole snapshot — and a slow import
@@ -147,7 +123,6 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 	// goroutine (its writes fail), so <-done cannot deadlock.
 	defer pr.Close()
 	records := bufio.NewReader(pr)
-	out.Streamed = true
 	for {
 		// ReadRecord reports any failure to start a record as io.EOF,
 		// so whether the stream ended or was cut short at a record
@@ -163,27 +138,48 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 		if err != nil {
 			return fmt.Errorf("fabric: streaming catch-up state: %w", err)
 		}
-		e := doc.Entry
-		materialize := !e.RefOnly && wantMedia
-		var ierr error
-		s.importMu.Lock()
-		if materialize {
-			_, ierr = s.store.ImportBundle(&doc.Bundle, v.pos, false)
-		} else {
-			_, ierr = s.store.ImportReference(doc.Bundle.Script, doc.Bundle.Impl, v.pos, 1)
+		if err := s.installStateDoc(&doc, pos, wantMedia, out); err != nil {
+			return err
 		}
-		s.importMu.Unlock()
-		if ierr != nil {
-			return ierr
-		}
+	}
+	out.StreamedBytes = <-done
+	if streamErr != nil {
+		return fmt.Errorf("fabric: streaming catch-up state: %w", streamErr)
+	}
+	return nil
+}
+
+// installStateDoc lands one streamed document. The entry is the root's
+// current catalog form: a document the tree migrated since the
+// rejoiner sorted its catalog arrives as a reference and is installed
+// as one. withContent reports whether the root sent full-broadcast
+// documents with their content (StateRequest.WantMedia).
+func (s *Station) installStateDoc(doc *stateDoc, pos int, withContent bool, out *CatchUpResult) error {
+	e := doc.Entry
+	var fetches int
+	var materialize bool
+	if !e.RefOnly {
+		fetches, materialize = s.noteFetch(e.URL)
+		materialize = materialize && withContent
+	}
+	s.importMu.Lock()
+	_, lookupErr := s.store.ObjectByURL(e.URL)
+	fresh := lookupErr != nil
+	var err error
+	switch {
+	case materialize:
+		_, err = s.store.ImportBundle(&doc.Bundle, pos, false)
+	case fresh:
+		_, err = s.store.ImportReference(doc.Bundle.Script, doc.Bundle.Impl, pos, 1)
+	}
+	s.importMu.Unlock()
+	if err != nil {
+		return err
+	}
+	if fresh {
 		out.References++
-		if e.RefOnly {
-			continue
-		}
-		s.mu.Lock()
-		s.fetches[e.URL]++
-		fetches := s.fetches[e.URL]
-		s.mu.Unlock()
+	}
+	if !e.RefOnly {
 		out.Resolved = append(out.Resolved, FetchResult{
 			URL:        e.URL,
 			ServedBy:   1,
@@ -191,10 +187,6 @@ func (s *Station) catchUpStreamed(v view, rootAddr string, missing []CatalogEntr
 			Fetches:    fetches,
 			Bytes:      doc.Bundle.TotalBytes(),
 		})
-	}
-	out.StreamedBytes = <-done
-	if streamErr != nil {
-		return fmt.Errorf("fabric: streaming catch-up state: %w", streamErr)
 	}
 	return nil
 }
