@@ -40,8 +40,9 @@ test:
 # Besides the locking stress tests, this job carries the persistence
 # crash matrix: checkpoint + WAL-tail recovery, kill-mid-checkpoint
 # fallback, torn-tail replay, BLOB-sidecar generation coupling, and
-# the content index's sidecar/rebuild recovery (missing, stale and
-# corrupt search-<gen> files) plus its concurrent index/query stress.
+# the content index's rebuild from the recovered rows (after a clean
+# checkpoint, after a WAL tail, beside an older build's leftover
+# search-<gen> file) plus its concurrent index/query stress.
 # internal/obs rides along: its span ring, histogram and event
 # journal ring are written to from every RPC goroutine, so the race
 # detector is the proof they are safe to leave always-on.
@@ -59,17 +60,18 @@ race:
 # station, and the fan-out kernel's socket-free classification
 # matrix), the station RPC node, the pooled transport with chunked
 # response streaming, and the subprocess crash tests (SIGKILL
-# mid-broadcast + rejoin, SIGKILL after a checkpoint, SIGKILL before
-# the search sidecar installs) against real webdocd processes.
+# mid-broadcast + rejoin, SIGKILL after a checkpoint, SIGKILL after a
+# tail-free checkpoint with the index rebuilt) against real webdocd
+# processes.
 race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 
 # Ten seconds of coverage-guided fuzzing per target over the committed
 # seed corpora: the minisql parser, the transport frame codec, the
 # fabric's binary push body, the plan-driven body decoder, the bundle
-# decoder every rejoin document passes through and the four
-# durable-file readers (WAL replay, relational snapshot, BLOB sidecar,
-# search sidecar) must reject hostile input with errors, never panics.
+# decoder every rejoin document passes through and the three
+# durable-file readers (WAL replay, relational snapshot, BLOB sidecar)
+# must reject hostile input with errors, never panics.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
@@ -80,7 +82,6 @@ fuzz-smoke:
 	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s
 	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s
 	$(GO) test ./internal/blob -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s
-	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzDecodeSidecar$$' -fuzztime 10s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

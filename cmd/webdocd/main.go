@@ -104,9 +104,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("webdocd: opening store: %v", err)
 	}
-	// The content index attaches before recovery so a restart can
-	// restore it from the search-<gen> sidecar (or rebuild it from the
-	// recovered rows); from here on the write hooks keep it current.
+	// The content index attaches before recovery so a restart rebuilds
+	// it from the recovered rows; from here on the write hooks keep it
+	// current.
 	if _, err := search.Attach(store); err != nil {
 		log.Fatalf("webdocd: attaching content index: %v", err)
 	}

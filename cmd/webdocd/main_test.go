@@ -671,16 +671,13 @@ func TestChaosEventJournalNarratesKillRejoinCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDaemonFabricWalkthrough runs the README's three-station
-// deployment end to end through real processes: a root, two joiners, a
-// broadcast, a resolve and a migration.
-// TestSIGKILLBeforeSearchSidecarRebuildsIdenticalIndex extends the
-// crash matrix to the content index: the checkpoint protocol installs
-// search-<gen> only AFTER the relational snapshot renames, so a
-// SIGKILL between the two leaves a generation whose index sidecar is
-// missing. The restart must rebuild the index from the recovered rows
-// and answer full-text queries exactly as the pre-kill daemon did.
-func TestSIGKILLBeforeSearchSidecarRebuildsIdenticalIndex(t *testing.T) {
+// TestSIGKILLAfterTailFreeCheckpointRebuildsIdenticalIndex extends the
+// crash matrix to the content index, which is a cache and never a
+// file: a checkpoint with no WAL tail behind it writes no search-*
+// file, and the restart after a SIGKILL rebuilds the index from the
+// recovered rows and answers full-text queries exactly as the pre-kill
+// daemon did.
+func TestSIGKILLAfterTailFreeCheckpointRebuildsIdenticalIndex(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
@@ -705,13 +702,14 @@ func TestSIGKILLBeforeSearchSidecarRebuildsIdenticalIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// SIGKILL, then reproduce the crash point on disk: the snapshot
-	// installed, the search sidecar did not.
 	cmd.Process.Kill()
 	cmd.Wait()
-	sidecar := filepath.Join(dir, fmt.Sprintf("search-%010d", ckpt.Gen))
-	if err := os.Remove(sidecar); err != nil {
-		t.Fatalf("removing search sidecar: %v", err)
+	tail, err := os.Stat(filepath.Join(dir, fmt.Sprintf("wal-%010d", ckpt.Gen)))
+	if err != nil || tail.Size() != 0 {
+		t.Fatalf("checkpoint generation %d has a WAL tail: %v, err=%v", ckpt.Gen, tail, err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "search-*")); len(files) != 0 {
+		t.Fatalf("checkpoint wrote index files: %v", files)
 	}
 
 	addr2, _ := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dir, "-seed-course", "4")
@@ -734,6 +732,9 @@ func TestSIGKILLBeforeSearchSidecarRebuildsIdenticalIndex(t *testing.T) {
 	}
 }
 
+// TestDaemonFabricWalkthrough runs the README's three-station
+// deployment end to end through real processes: a root, two joiners, a
+// broadcast, a resolve and a migration.
 func TestDaemonFabricWalkthrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")

@@ -10,7 +10,8 @@
 // the BLOB layer as one generation: the blobs-<gen> sidecar lands
 // before relstore's snap-<gen>. Recover lets relstore load and replay
 // first, then restores the sidecar of the generation relstore loaded,
-// checking every content hash before the BLOB store changes.
+// checking every content hash before the BLOB store changes, and
+// rebuilds the attached content index from the rows.
 package docdb
 
 import (
@@ -55,30 +56,21 @@ type Store struct {
 // (internal/search) implements. The store notifies it after every
 // committed content write — PutHTML/PutProgram, bundle and reference
 // imports, the structure copies behind Instantiate, and the drops
-// behind migration and deletes — and couples it into the checkpoint
-// protocol: CaptureCheckpoint runs inside the write-quiescent window
-// (the bytes land as a search-<gen> sidecar after the snapshot
-// installs) and RecoverCheckpoint runs after a relational recovery
-// with whatever sidecar survived, so the index either restores or
-// rebuilds from the tables. The methods must be safe for concurrent
-// use; the index is a cache and must never fail a write.
+// behind migration and deletes — and Recover calls Rebuild once the
+// rows are back. The index is a cache: it is never checkpointed, it
+// must be safe for concurrent use, and it must never fail a write.
 type ContentIndex interface {
 	IndexHTML(url, path string, content []byte)
 	IndexProgram(url, path, language string, content []byte)
 	IndexScript(name, description, author string, keywords []string)
 	RemoveContent(url string)
 	RemoveScript(name string)
-	// CaptureCheckpoint snapshots the index cheaply (the call runs
-	// inside the write-quiescent window, so it must not stall writers
-	// longer than a map copy); the returned closure serializes the
-	// captured state and is invoked after the window closes.
-	CaptureCheckpoint() func() ([]byte, error)
-	RecoverCheckpoint(sidecar []byte, rel *relstore.DB, tailApplied int) error
+	Rebuild(rel *relstore.DB) error
 }
 
 // SetContentIndex attaches the station's content index. Attach once,
-// before the store serves traffic and before Recover (so recovery can
-// restore the index beside the rows).
+// before the store serves traffic and before Recover (so recovery
+// rebuilds the index from the rows it restores).
 func (s *Store) SetContentIndex(ix ContentIndex) error {
 	if ix == nil {
 		return errors.New("docdb: nil content index")
@@ -386,8 +378,8 @@ func (s *Store) queueProgram(b *relstore.Batch, url, path, language string, cont
 
 // PutHTML stores (or replaces) an HTML file of an implementation. The
 // content-index hook runs inside the commit (before the file tables'
-// locks release), so a checkpoint can never capture the index between
-// a committed write and its indexing.
+// locks release), so concurrent writes of one file index in commit
+// order.
 func (s *Store) PutHTML(url, path string, content []byte) error {
 	var b relstore.Batch
 	s.queueHTML(&b, url, path, content)

@@ -308,8 +308,7 @@ func (s *Store) MigrateToReference(objID string, origin int) error {
 // dropContent deletes the document-layer files of an implementation and
 // releases its BLOB references. The implementation row itself survives
 // (it is small metadata a reference still needs). The row deletes land
-// as one batch whose commit also drops the content from the index, so
-// a checkpoint capture sees either all of it or none of it.
+// as one batch whose commit also drops the content from the index.
 func (s *Store) dropContent(url string) error {
 	html, err := s.HTMLFiles(url)
 	if err != nil {

@@ -19,21 +19,11 @@ import (
 // visible snap-<gen> therefore always has its matching BLOB sidecar —
 // a SIGKILL at any instant loses nothing that was checkpointed.
 
-func blobFileName(gen uint64) string   { return fmt.Sprintf("blobs-%010d", gen) }
-func searchFileName(gen uint64) string { return fmt.Sprintf("search-%010d", gen) }
+func blobFileName(gen uint64) string { return fmt.Sprintf("blobs-%010d", gen) }
 
 // Checkpoint writes one coordinated checkpoint generation — BLOB
-// sidecar plus relational snapshot plus rotated WAL tail, and the
-// content-index sidecar when an index is attached — into dir (the
-// attached durability directory when dir is empty).
-//
-// Ordering: the BLOB sidecar renames before the snapshot (a visible
-// snap-<gen> always has its media bytes), while the search sidecar is
-// *captured* inside the write-quiescent window but *installed* after
-// the snapshot rename. The index is a rebuildable cache, so the
-// weaker ordering is safe — a crash between the snapshot install and
-// the search-<gen> install leaves a generation without its index
-// sidecar, and recovery rebuilds the index from the restored rows.
+// sidecar plus relational snapshot plus rotated WAL tail — into dir
+// (the attached durability directory when dir is empty).
 func (s *Store) Checkpoint(dir string) (*relstore.CheckpointInfo, error) {
 	target := dir
 	if target == "" {
@@ -42,42 +32,15 @@ func (s *Store) Checkpoint(dir string) (*relstore.CheckpointInfo, error) {
 	if target == "" {
 		return nil, fmt.Errorf("docdb: no durability directory attached; pass one to Checkpoint")
 	}
-	ix := s.ContentIndex()
-	var encodeSearch func() ([]byte, error)
 	info, err := s.rel.CheckpointWith(target, func(gen uint64) error {
-		err := atomicio.WriteFile(filepath.Join(target, blobFileName(gen)), func(w io.Writer) error {
+		return atomicio.WriteFile(filepath.Join(target, blobFileName(gen)), func(w io.Writer) error {
 			return s.blobs.Snapshot(w)
 		})
-		if err != nil || ix == nil {
-			return err
-		}
-		// Captured inside the window — so the token streams cut history
-		// exactly where the relational snapshot does — but serialized
-		// after it, so writers stall only for a map copy.
-		encodeSearch = ix.CaptureCheckpoint()
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ix != nil {
-		searchImage, err := encodeSearch()
-		if err != nil {
-			return info, fmt.Errorf("docdb: encoding search sidecar: %w", err)
-		}
-		err = atomicio.WriteFile(filepath.Join(target, searchFileName(info.Gen)), func(w io.Writer) error {
-			_, werr := w.Write(searchImage)
-			return werr
-		})
-		if err != nil {
-			// The checkpoint generation itself is installed and
-			// complete; a restart without this sidecar just rebuilds
-			// the index. Surface the failure so the operator knows.
-			return info, fmt.Errorf("docdb: writing search sidecar: %w", err)
-		}
-	}
-	pruneBlobSidecars(target, info.Gen)
-	relstore.PruneGenerationFiles(target, "search-", info.Gen)
+	relstore.PruneGenerationFiles(target, "blobs-", info.Gen)
 	return info, nil
 }
 
@@ -89,10 +52,11 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 
 // Recover restores the store from a durability directory: the BLOB
 // sidecar of the generation the relational recovery selects, the
-// relational snapshot plus its WAL tail chain, and the ID counter
-// resynced past every restored row. It attaches the directory for
-// subsequent WAL appends and checkpoints. Call it once, before the
-// store serves traffic.
+// relational snapshot plus its WAL tail chain, the ID counter resynced
+// past every restored row, and the attached content index rebuilt from
+// the recovered rows. It attaches the directory for subsequent WAL
+// appends and checkpoints. Call it once, before the store serves
+// traffic.
 //
 // The sidecar is restored after relstore has chosen its generation, on
 // the calling goroutine: only that generation's blobs-<g> is read, and
@@ -130,19 +94,8 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 		return nil, err
 	}
 	if ix := s.ContentIndex(); ix != nil {
-		// The sidecar is advisory: RecoverCheckpoint loads it only when
-		// it provably matches the restored rows (right generation, no
-		// tail replayed on top) and rebuilds from the tables otherwise —
-		// including the crash window where snap-<gen> landed but
-		// search-<gen> did not.
-		var sidecar []byte
-		if info.Gen > 0 {
-			if b, rerr := os.ReadFile(filepath.Join(dir, searchFileName(info.Gen))); rerr == nil {
-				sidecar = b
-			}
-		}
-		if err := ix.RecoverCheckpoint(sidecar, s.rel, info.Applied); err != nil {
-			return nil, fmt.Errorf("docdb: recovering content index: %w", err)
+		if err := ix.Rebuild(s.rel); err != nil {
+			return nil, fmt.Errorf("docdb: rebuilding content index: %w", err)
 		}
 	}
 	s.durDir = dir
@@ -152,9 +105,3 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 // DurableDir reports the durability directory Recover attached ("" for
 // an in-memory store).
 func (s *Store) DurableDir() string { return s.durDir }
-
-// pruneBlobSidecars removes sidecars older than the kept generation,
-// by the same rule relstore applies to its own checkpoint files.
-func pruneBlobSidecars(dir string, keep uint64) {
-	relstore.PruneGenerationFiles(dir, "blobs-", keep)
-}

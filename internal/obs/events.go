@@ -187,19 +187,14 @@ func (f EventFilter) matches(e *Event) bool {
 
 // EventRing is a bounded, concurrent-safe journal of events with
 // severity-biased retention: recent events ride a FIFO ring, and
-// Warn+ events also compete for a small reservoir that survives FIFO
-// eviction — the same shape as the span ring's slow/error reservoir,
-// because the failure mode is the same (one down-declaration drowned
-// by thousands of routine records). The ring owns the per-station
-// monotonic Seq counter and per-category admission counts.
+// Warn+ events also compete for the reservoir that survives FIFO
+// eviction (the same ring SpanRing keeps). The journal owns the
+// per-station monotonic Seq counter and per-category admission counts.
 type EventRing struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	full    bool
-	notable []Event // Warn+ reservoir; survives FIFO eviction
-	seq     uint64
-	counts  map[string]int64 // admissions per category, never evicted
+	mu     sync.Mutex
+	r      ring[Event]
+	seq    uint64
+	counts map[string]int64 // admissions per category, never evicted
 }
 
 // DefaultEventCap is the per-station journal size: fault narratives
@@ -212,14 +207,9 @@ func NewEventRing(capacity int) *EventRing {
 	if capacity <= 0 {
 		capacity = DefaultEventCap
 	}
-	notableCap := capacity / 64
-	if notableCap < 16 {
-		notableCap = 16
-	}
 	return &EventRing{
-		buf:     make([]Event, capacity),
-		notable: make([]Event, 0, notableCap),
-		counts:  make(map[string]int64),
+		r:      newRing(capacity, outranksEvent, func(e *Event) uint64 { return e.Seq }),
+		counts: make(map[string]int64),
 	}
 }
 
@@ -241,27 +231,7 @@ func (r *EventRing) Add(e Event) Event {
 	r.seq++
 	e.Seq = r.seq
 	r.counts[e.Category]++
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	if e.Severity >= SevWarn {
-		if len(r.notable) < cap(r.notable) {
-			r.notable = append(r.notable, e)
-		} else if len(r.notable) > 0 {
-			weakest := 0
-			for i := range r.notable {
-				if outranksEvent(&r.notable[weakest], &r.notable[i]) {
-					weakest = i
-				}
-			}
-			if outranksEvent(&e, &r.notable[weakest]) {
-				r.notable[weakest] = e
-			}
-		}
-	}
+	r.r.add(e, e.Severity >= SevWarn)
 	r.mu.Unlock()
 	return e
 }
@@ -275,21 +245,8 @@ func (r *EventRing) Snapshot() []Event {
 }
 
 func (r *EventRing) snapshotLocked() []Event {
-	var out []Event
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	if len(r.notable) > 0 {
-		seen := make(map[uint64]bool, len(out))
-		for i := range out {
-			seen[out[i].Seq] = true
-		}
-		for _, e := range r.notable {
-			if !seen[e.Seq] {
-				out = append(out, e)
-			}
-		}
+	out, merged := r.r.snapshot()
+	if merged {
 		sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	}
 	return out

@@ -71,16 +71,11 @@ type Span struct {
 
 // SpanRing is a bounded, concurrent-safe ring of completed spans:
 // recent traces stay inspectable, memory stays fixed, old spans fall
-// off the back. A small reservoir biases retention toward the spans
-// worth keeping: pure FIFO eviction loses exactly the interesting
-// evidence — one slow or failed hop drowned by thousands of fast ones
-// — so errors and the slowest spans seen are pinned past eviction.
+// off the back. Errors and the slowest spans seen are pinned past
+// eviction in the ring's reservoir.
 type SpanRing struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	full    bool
-	notable []Span // top-K by (has-error, duration); survives FIFO
+	mu sync.Mutex
+	r  ring[Span]
 }
 
 // DefaultSpanCap is the per-station span ring size: enough for several
@@ -93,14 +88,7 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	notableCap := capacity / 64
-	if notableCap < 16 {
-		notableCap = 16
-	}
-	return &SpanRing{
-		buf:     make([]Span, capacity),
-		notable: make([]Span, 0, notableCap),
-	}
+	return &SpanRing{r: newRing(capacity, outranks, func(sp *Span) uint64 { return sp.SpanID })}
 }
 
 // notableFloor is the duration above which a successful span competes
@@ -124,27 +112,7 @@ func outranks(a, b *Span) bool {
 // through any flood of fast ones; routine spans ride the FIFO only.
 func (r *SpanRing) Add(sp Span) {
 	r.mu.Lock()
-	r.buf[r.next] = sp
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	if sp.Err != "" || sp.Duration >= notableFloor {
-		if len(r.notable) < cap(r.notable) {
-			r.notable = append(r.notable, sp)
-		} else if len(r.notable) > 0 {
-			weakest := 0
-			for i := range r.notable {
-				if outranks(&r.notable[weakest], &r.notable[i]) {
-					weakest = i
-				}
-			}
-			if outranks(&sp, &r.notable[weakest]) {
-				r.notable[weakest] = sp
-			}
-		}
-	}
+	r.r.add(sp, sp.Err != "" || sp.Duration >= notableFloor)
 	r.mu.Unlock()
 }
 
@@ -152,27 +120,10 @@ func (r *SpanRing) Add(sp Span) {
 // by span ID — oldest first.
 func (r *SpanRing) Snapshot() []Span {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Span
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	if len(r.notable) > 0 {
-		seen := make(map[uint64]bool, len(out))
-		for i := range out {
-			seen[out[i].SpanID] = true
-		}
-		merged := false
-		for _, sp := range r.notable {
-			if !seen[sp.SpanID] {
-				out = append(out, sp)
-				merged = true
-			}
-		}
-		if merged {
-			SortSpans(out)
-		}
+	out, merged := r.r.snapshot()
+	r.mu.Unlock()
+	if merged {
+		SortSpans(out)
 	}
 	return out
 }

@@ -1,61 +1,42 @@
 package relstore
 
-import "sort"
+import "fmt"
 
 // Batch collects writes to apply as one transaction: one lock
 // acquisition over the touched tables and one WAL append at commit,
 // amortizing both costs over all operations. A Batch is built without
 // holding any lock, so producers can assemble large batches while the
 // engine serves other traffic, then pay for locking once in Apply.
+// Its queued operations are redo records, the same ones WAL replay
+// applies.
 //
 // The zero Batch is ready to use. A Batch is not safe for concurrent
 // mutation; build it in one goroutine, then Apply it.
 type Batch struct {
-	ops []batchOp
-}
-
-type batchOp struct {
-	op    string // insert | update | delete
-	table string
-	row   Row
-	pk    any
+	recs []walRec
 }
 
 // Insert queues a row insertion.
 func (b *Batch) Insert(table string, r Row) {
-	b.ops = append(b.ops, batchOp{op: "insert", table: table, row: r})
+	b.recs = append(b.recs, walRec{Op: walOpInsert, Table: table, Row: r})
 }
 
 // Update queues a merge of column changes into the row with the given
 // primary key.
 func (b *Batch) Update(table string, pkVal any, changes Row) {
-	b.ops = append(b.ops, batchOp{op: "update", table: table, row: changes, pk: pkVal})
+	b.recs = append(b.recs, walRec{Op: walOpUpdate, Table: table, PK: pkVal, Row: changes})
 }
 
 // Delete queues a row deletion.
 func (b *Batch) Delete(table string, pkVal any) {
-	b.ops = append(b.ops, batchOp{op: "delete", table: table, pk: pkVal})
+	b.recs = append(b.recs, walRec{Op: walOpDelete, Table: table, PK: pkVal})
 }
 
 // Len reports the number of queued operations.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return len(b.recs) }
 
 // Reset empties the batch for reuse, keeping its capacity.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
-
-// Tables returns the sorted distinct tables the batch touches.
-func (b *Batch) Tables() []string {
-	seen := make(map[string]bool, 4)
-	var names []string
-	for _, op := range b.ops {
-		if !seen[op.table] {
-			seen[op.table] = true
-			names = append(names, op.table)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
+func (b *Batch) Reset() { b.recs = b.recs[:0] }
 
 // Apply runs the batch as one transaction declared over every touched
 // table: all locks are taken up front in sorted order, the operations
@@ -68,33 +49,56 @@ func (db *DB) Apply(b *Batch) error {
 
 // ApplyThen is Apply with a post-commit hook running before the
 // transaction's locks release (see Tx.CommitThen): fn runs exactly
-// when the batch committed, atomically with respect to checkpoints
-// and other writers of the touched tables. An empty batch runs fn
-// directly.
+// when the batch committed, before any other writer of the touched
+// tables commits. An empty batch runs fn directly.
 func (db *DB) ApplyThen(b *Batch, fn func()) error {
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || len(b.recs) == 0 {
 		if fn != nil {
 			fn()
 		}
 		return nil
 	}
-	tx, err := db.Begin(b.Tables()...)
+	tx, err := db.Begin(recTables(b.recs)...)
 	if err != nil {
 		return err
 	}
-	for _, op := range b.ops {
-		switch op.op {
-		case "insert":
-			err = tx.Insert(op.table, op.row)
-		case "update":
-			err = tx.Update(op.table, op.pk, op.row)
-		case "delete":
-			err = tx.Delete(op.table, op.pk)
+	if err := applyRecs(tx, b.recs); err != nil {
+		tx.Rollback()
+		return err
+	}
+	return tx.CommitThen(fn)
+}
+
+// recTables returns the distinct tables a run of redo records touches.
+func recTables(recs []walRec) []string {
+	seen := make(map[string]bool, 2)
+	var names []string
+	for _, rec := range recs {
+		if !seen[rec.Table] {
+			seen[rec.Table] = true
+			names = append(names, rec.Table)
+		}
+	}
+	return names
+}
+
+// applyRecs executes redo records inside a transaction.
+func applyRecs(tx *Tx, recs []walRec) error {
+	for _, rec := range recs {
+		var err error
+		switch rec.Op {
+		case walOpInsert:
+			err = tx.Insert(rec.Table, rec.Row)
+		case walOpUpdate:
+			err = tx.Update(rec.Table, rec.PK, rec.Row)
+		case walOpDelete:
+			err = tx.Delete(rec.Table, rec.PK)
+		default:
+			err = fmt.Errorf("relstore: unknown WAL op %v", rec.Op)
 		}
 		if err != nil {
-			tx.Rollback()
 			return err
 		}
 	}
-	return tx.CommitThen(fn)
+	return nil
 }

@@ -322,18 +322,7 @@ func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 			applied++
 			continue
 		}
-		// Declare every table the committed transaction touches so the
-		// replay transaction locks them in sorted order regardless of
-		// the order the original wrote them in.
-		tx, err := db.Begin(recTables(line.Recs)...)
-		if err != nil {
-			return applied, maxSeq, err
-		}
-		if err := applyRecs(tx, line.Recs); err != nil {
-			tx.Rollback()
-			return applied, maxSeq, err
-		}
-		if err := tx.Commit(); err != nil {
+		if err := db.Apply(&Batch{recs: line.Recs}); err != nil {
 			return applied, maxSeq, err
 		}
 		applied++
@@ -358,20 +347,6 @@ func isDDL(recs []walRec) bool {
 	return len(recs) == 1 && (recs[0].Op == walOpCreate || recs[0].Op == walOpDrop)
 }
 
-// recTables returns the distinct tables a committed transaction's redo
-// records touch.
-func recTables(recs []walRec) []string {
-	seen := make(map[string]bool, 2)
-	var names []string
-	for _, rec := range recs {
-		if !seen[rec.Table] {
-			seen[rec.Table] = true
-			names = append(names, rec.Table)
-		}
-	}
-	return names
-}
-
 func (db *DB) applyDDL(rec walRec) error {
 	switch rec.Op {
 	case walOpCreate:
@@ -384,29 +359,6 @@ func (db *DB) applyDDL(rec walRec) error {
 	default:
 		return fmt.Errorf("relstore: unknown WAL DDL op %v", rec.Op)
 	}
-}
-
-// applyRecs re-executes a committed transaction's redo records.
-func applyRecs(tx *Tx, recs []walRec) error {
-	for _, rec := range recs {
-		switch rec.Op {
-		case walOpInsert:
-			if err := tx.Insert(rec.Table, rec.Row); err != nil {
-				return err
-			}
-		case walOpUpdate:
-			if err := tx.Update(rec.Table, rec.PK, rec.Row); err != nil {
-				return err
-			}
-		case walOpDelete:
-			if err := tx.Delete(rec.Table, rec.PK); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("relstore: unknown WAL op %v", rec.Op)
-		}
-	}
-	return nil
 }
 
 // logDDL and logDrop record schema changes. DDL statements are logged as

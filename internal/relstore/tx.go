@@ -85,11 +85,10 @@ func (tx *Tx) Commit() error {
 
 // CommitThen is Commit with a post-commit hook that runs BEFORE the
 // transaction's locks release: fn observes the committed state while
-// nothing — not another writer, not a checkpoint's write-quiescent
-// window — can slip between the commit and the hook. This is the
-// ordering derived caches (the document store's content index) need:
-// a checkpoint that captures the cache inside its quiescent window can
-// never observe a committed row whose hook has not run yet. fn must
+// no other writer of the same tables can slip between the commit and
+// the hook, so hooks run in commit order. This is the ordering derived
+// caches (the document store's content index) need: two writers of one
+// document update the cache in the order their rows committed. fn must
 // not touch the database through this or any other transaction.
 func (tx *Tx) CommitThen(fn func()) error {
 	if tx.done {

@@ -24,7 +24,10 @@ import (
 // build recovered the directory (the media attached after the
 // checkpoint has its row and not its bytes: BLOBs persist only at
 // checkpoints). Deleting the fallbacks changed no byte on disk, so the
-// single-format readers must bring back exactly that state.
+// single-format readers must bring back exactly that state. The index
+// is rebuilt from the rows, so the search sidecar that build wrote is
+// never opened: recovery matches the golden file whether it is intact,
+// garbage or absent.
 
 // dumpStation renders everything a recovery must bring back: every
 // row of every table, every BLOB with its refcount and names, and the
@@ -119,30 +122,45 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := copyFixture(t)
-	s, ix, info := durableStore(t, dir)
-	if info.Gen != 1 || info.Applied == 0 {
-		t.Fatalf("recovery = %+v, want generation 1 with a replayed tail", info)
-	}
-	if got := dumpStation(t, s, ix); got != string(want) {
-		t.Fatalf("recovered state differs from what the parent build wrote:\n--- got\n%s--- want\n%s", got, want)
-	}
+	for _, tc := range []struct {
+		name  string
+		touch func(path string) error // applied to the search sidecar
+	}{
+		{name: "search file intact"},
+		{name: "search file garbage", touch: func(path string) error { return os.WriteFile(path, []byte("torn"), 0o644) }},
+		{name: "search file absent", touch: os.Remove},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyFixture(t)
+			if tc.touch != nil {
+				if err := tc.touch(filepath.Join(dir, "search-0000000001")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, ix, info := durableStore(t, dir)
+			if info.Gen != 1 || info.Applied == 0 {
+				t.Fatalf("recovery = %+v, want generation 1 with a replayed tail", info)
+			}
+			if got := dumpStation(t, s, ix); got != string(want) {
+				t.Fatalf("recovered state differs from what the parent build wrote:\n--- got\n%s--- want\n%s", got, want)
+			}
 
-	// The bytes this build writes are the ones the parent wrote: a
-	// checkpoint of the recovered state, recovered again, is the same
-	// station — and this time the search sidecar (no tail on top of it)
-	// is what restores the index.
-	if _, err := s.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rel().CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	s2, ix2, info2 := durableStore(t, dir)
-	if info2.Gen != 2 || info2.Applied != 0 {
-		t.Fatalf("second recovery = %+v, want generation 2 and no tail", info2)
-	}
-	if got := dumpStation(t, s2, ix2); got != string(want) {
-		t.Fatalf("state differs after a checkpoint round trip:\n--- got\n%s--- want\n%s", got, want)
+			// The bytes this build writes are the ones the parent wrote: a
+			// checkpoint of the recovered state, recovered again with no
+			// tail on top, is the same station.
+			if _, err := s.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Rel().CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			s2, ix2, info2 := durableStore(t, dir)
+			if info2.Gen != 2 || info2.Applied != 0 {
+				t.Fatalf("second recovery = %+v, want generation 2 and no tail", info2)
+			}
+			if got := dumpStation(t, s2, ix2); got != string(want) {
+				t.Fatalf("state differs after a checkpoint round trip:\n--- got\n%s--- want\n%s", got, want)
+			}
+		})
 	}
 }

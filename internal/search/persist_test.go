@@ -210,121 +210,66 @@ func dump(ix *search.Index) []search.Hit {
 	return ix.Search(search.Query{Terms: []string{"corpus"}, TopK: 1 << 20})
 }
 
-func TestCheckpointSidecarRestoresIndex(t *testing.T) {
-	dir := t.TempDir()
-	s, ix, _ := durableStore(t, dir)
-	seedContent(t, s, 8)
-	before := dump(ix)
-	info, err := s.CheckpointNow()
+// TestRecoveryRebuildsIndexFromRows: the index is a cache, never a
+// file. Whatever the checkpoint left behind — a WAL tail on top of it,
+// a search-<gen> file an older build wrote, that file overwritten with
+// garbage — recovery rebuilds exactly the pre-crash index from the
+// rows, and no checkpoint writes or prunes a search-* file.
+func TestRecoveryRebuildsIndexFromRows(t *testing.T) {
+	parentFile, err := os.ReadFile(filepath.Join("testdata", "parent-dir", "search-0000000001"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))); err != nil {
-		t.Fatalf("search sidecar missing after checkpoint: %v", err)
-	}
+	for _, tc := range []struct {
+		name     string
+		tail     bool   // write after the checkpoint, so recovery replays a tail
+		leftover []byte // planted as search-<gen> before the restart
+	}{
+		{name: "clean checkpoint"},
+		{name: "checkpoint plus tail", tail: true},
+		{name: "leftover search file", leftover: parentFile},
+		{name: "garbage search file", leftover: []byte("torn")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ix, _ := durableStore(t, dir)
+			url := seedContent(t, s, 8)
+			info, err := s.CheckpointNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.tail {
+				if err := s.PutHTML(url, "late.html", []byte("<body>corpus latecomer</body>")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var planted []string
+			if tc.leftover != nil {
+				path := filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))
+				if err := os.WriteFile(path, tc.leftover, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				planted = append(planted, path)
+			}
+			before, stats := dump(ix), ix.Stats()
 
-	_, ix2, rec := durableStore(t, dir)
-	if rec.Gen != info.Gen || rec.Applied != 0 {
-		t.Fatalf("recovery = %+v", rec)
-	}
-	if got := dump(ix2); !reflect.DeepEqual(got, before) {
-		t.Errorf("sidecar-restored index differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
-	}
-}
-
-// TestRecoveryRebuildsWhenSidecarMissing is the crash-matrix entry the
-// checkpoint ordering promises: the search sidecar installs AFTER the
-// relational snapshot, so a SIGKILL between the two leaves snap-<gen>
-// (and blobs-<gen>) on disk with no search-<gen> beside them. Recovery
-// must fall back to rebuilding the index from the restored rows and
-// produce exactly the index a clean restart would have.
-func TestRecoveryRebuildsWhenSidecarMissing(t *testing.T) {
-	dir := t.TempDir()
-	s, ix, _ := durableStore(t, dir)
-	seedContent(t, s, 8)
-	before := dump(ix)
-	info, err := s.CheckpointNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SIGKILL between the snapshot rename and the search sidecar
-	// install: the post-crash disk state is the checkpoint minus the
-	// search file.
-	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))); err != nil {
-		t.Fatal(err)
-	}
-
-	_, ix2, rec := durableStore(t, dir)
-	if rec.Gen != info.Gen {
-		t.Fatalf("recovered generation = %d, want %d", rec.Gen, info.Gen)
-	}
-	if got := dump(ix2); !reflect.DeepEqual(got, before) {
-		t.Errorf("rebuilt index differs from the pre-crash one:\n got %v\nwant %v", keysOf(got), keysOf(before))
-	}
-}
-
-// TestRecoveryRebuildsOverStaleSidecar: writes after the checkpoint
-// land in the WAL tail; the sidecar describes the older cut, so a
-// post-SIGKILL recovery (snapshot + tail replay) must rebuild instead
-// of silently serving the stale index.
-func TestRecoveryRebuildsOverStaleSidecar(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _ := durableStore(t, dir)
-	url := seedContent(t, s, 4)
-	if _, err := s.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-checkpoint content: WAL tail only, never in the sidecar.
-	if err := s.PutHTML(url, "late.html", []byte("<body>corpus latecomer</body>")); err != nil {
-		t.Fatal(err)
-	}
-	// SIGKILL: no shutdown checkpoint.
-
-	_, ix2, rec := durableStore(t, dir)
-	if rec.Applied == 0 {
-		t.Fatal("no tail transactions replayed — test premise broken")
-	}
-	hits := ix2.Search(search.Query{Terms: []string{"latecomer"}})
-	if len(hits) != 1 {
-		t.Errorf("post-checkpoint page missing from the recovered index: %v", hits)
-	}
-}
-
-// TestRecoveryRebuildsOverCorruptSidecar: a torn search-<gen> file must
-// never poison recovery.
-func TestRecoveryRebuildsOverCorruptSidecar(t *testing.T) {
-	dir := t.TempDir()
-	s, ix, _ := durableStore(t, dir)
-	seedContent(t, s, 4)
-	before := dump(ix)
-	info, err := s.CheckpointNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))
-	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, ix2, _ := durableStore(t, dir)
-	if got := dump(ix2); !reflect.DeepEqual(got, before) {
-		t.Errorf("recovery over a corrupt sidecar differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
-	}
-}
-
-func TestCheckpointPrunesSearchSidecars(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _ := durableStore(t, dir)
-	seedContent(t, s, 2)
-	if _, err := s.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "search-0000000001")); !os.IsNotExist(err) {
-		t.Error("generation-1 search sidecar survived the generation-2 checkpoint")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "search-0000000002")); err != nil {
-		t.Errorf("generation-2 search sidecar missing: %v", err)
+			// SIGKILL: no shutdown checkpoint.
+			s2, ix2, rec := durableStore(t, dir)
+			if rec.Gen != info.Gen || (rec.Applied > 0) != tc.tail {
+				t.Fatalf("recovery = %+v, want generation %d, tail replayed %v", rec, info.Gen, tc.tail)
+			}
+			if got := dump(ix2); !reflect.DeepEqual(got, before) {
+				t.Errorf("recovered index differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
+			}
+			if got := ix2.Stats(); got != stats {
+				t.Errorf("recovered index stats = %+v, want %+v", got, stats)
+			}
+			if _, err := s2.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "search-*")); !reflect.DeepEqual(files, planted) {
+				t.Errorf("search files after two checkpoints = %v, want %v", files, planted)
+			}
+		})
 	}
 }

@@ -9,11 +9,9 @@
 // hooks on every content write (PutHTML, PutProgram, ImportBundle,
 // ImportReference, the copy paths behind Instantiate and check-in
 // edits) and on every content drop (migration to reference, deletes).
-// It persists as a search-<gen> sidecar beside the relational
-// checkpoint (see docdb's checkpoint coordination) and rebuilds itself
-// from the relational tables whenever the sidecar is missing or stale,
-// so it is a pure cache: the relational engine stays the only source
-// of truth.
+// It is never written to disk: docdb's Recover rebuilds it from the
+// relational tables, so it is a pure cache and the relational engine
+// stays the only source of truth.
 //
 // On top of the local index the distribution fabric runs scatter-gather
 // queries down the m-ary tree (fabric.Station.Search), merging bounded

@@ -38,7 +38,6 @@ const (
 	RecordMagic = 0xB9 // one WAL record
 	SnapMagic   = 0xBA // relstore checkpoint image
 	BlobMagic   = 0xBB // BLOB store sidecar
-	SearchMagic = 0xBC // content-index sidecar
 	PushMagic   = 0xBD // fabric push request body
 	ReplyMagic  = 0xBE // fabric resolve reply body
 	BundleMagic = 0xBF // a document bundle sent as a body of its own
