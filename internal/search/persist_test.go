@@ -210,10 +210,43 @@ func dump(ix *search.Index) []search.Hit {
 	return ix.Search(search.Query{Terms: []string{"corpus"}, TopK: 1 << 20})
 }
 
+// TestCheckpointSidecarRestoresIndex: a checkpoint writes no search
+// sidecar at all, yet a restart from it serves exactly the pre-crash
+// index, rebuilt from the checkpointed rows with no tail to replay.
+func TestCheckpointSidecarRestoresIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, ix, _ := durableStore(t, dir)
+	seedContent(t, s, 8)
+	before := dump(ix)
+	info, err := s.CheckpointNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "search-*")); len(files) != 0 {
+		t.Fatalf("checkpoint wrote search files %v", files)
+	}
+
+	_, ix2, rec := durableStore(t, dir)
+	if rec.Gen != info.Gen || rec.Applied != 0 {
+		t.Fatalf("recovery = %+v", rec)
+	}
+	if got := dump(ix2); !reflect.DeepEqual(got, before) {
+		t.Errorf("restored index differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
+	}
+}
+
+// TestRecoveryRebuildsWhenSidecarMissing: with no search-<gen> file
+// beside the snapshot — every checkpoint's state now — a SIGKILL
+// recovery rebuilds the index from the rows, and a second checkpoint
+// still writes no search file.
+func TestRecoveryRebuildsWhenSidecarMissing(t *testing.T) {
+	checkRecoveryRebuilds(t, false, nil)
+}
+
 // TestRecoveryRebuildsIndexFromRows: the index is a cache, never a
-// file. Whatever the checkpoint left behind — a WAL tail on top of it,
-// a search-<gen> file an older build wrote, that file overwritten with
-// garbage — recovery rebuilds exactly the pre-crash index from the
+// file. Whatever else the checkpoint left behind — a WAL tail on top of
+// it, a search-<gen> file an older build wrote, that file overwritten
+// with garbage — recovery rebuilds exactly the pre-crash index from the
 // rows, and no checkpoint writes or prunes a search-* file.
 func TestRecoveryRebuildsIndexFromRows(t *testing.T) {
 	parentFile, err := os.ReadFile(filepath.Join("testdata", "parent-dir", "search-0000000001"))
@@ -225,51 +258,60 @@ func TestRecoveryRebuildsIndexFromRows(t *testing.T) {
 		tail     bool   // write after the checkpoint, so recovery replays a tail
 		leftover []byte // planted as search-<gen> before the restart
 	}{
-		{name: "clean checkpoint"},
 		{name: "checkpoint plus tail", tail: true},
 		{name: "leftover search file", leftover: parentFile},
 		{name: "garbage search file", leftover: []byte("torn")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, ix, _ := durableStore(t, dir)
-			url := seedContent(t, s, 8)
-			info, err := s.CheckpointNow()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.tail {
-				if err := s.PutHTML(url, "late.html", []byte("<body>corpus latecomer</body>")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var planted []string
-			if tc.leftover != nil {
-				path := filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))
-				if err := os.WriteFile(path, tc.leftover, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				planted = append(planted, path)
-			}
-			before, stats := dump(ix), ix.Stats()
-
-			// SIGKILL: no shutdown checkpoint.
-			s2, ix2, rec := durableStore(t, dir)
-			if rec.Gen != info.Gen || (rec.Applied > 0) != tc.tail {
-				t.Fatalf("recovery = %+v, want generation %d, tail replayed %v", rec, info.Gen, tc.tail)
-			}
-			if got := dump(ix2); !reflect.DeepEqual(got, before) {
-				t.Errorf("recovered index differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
-			}
-			if got := ix2.Stats(); got != stats {
-				t.Errorf("recovered index stats = %+v, want %+v", got, stats)
-			}
-			if _, err := s2.CheckpointNow(); err != nil {
-				t.Fatal(err)
-			}
-			if files, _ := filepath.Glob(filepath.Join(dir, "search-*")); !reflect.DeepEqual(files, planted) {
-				t.Errorf("search files after two checkpoints = %v, want %v", files, planted)
-			}
+			checkRecoveryRebuilds(t, tc.tail, tc.leftover)
 		})
+	}
+}
+
+// checkRecoveryRebuilds checkpoints a seeded store, optionally writes a
+// WAL tail and plants leftover as search-<gen>, restarts without a
+// shutdown checkpoint, and asserts the recovered index equals the
+// pre-crash one and that a further checkpoint leaves the search-* files
+// exactly as planted.
+func checkRecoveryRebuilds(t *testing.T, tail bool, leftover []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	s, ix, _ := durableStore(t, dir)
+	url := seedContent(t, s, 8)
+	info, err := s.CheckpointNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail {
+		if err := s.PutHTML(url, "late.html", []byte("<body>corpus latecomer</body>")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var planted []string
+	if leftover != nil {
+		path := filepath.Join(dir, fmt.Sprintf("search-%010d", info.Gen))
+		if err := os.WriteFile(path, leftover, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		planted = append(planted, path)
+	}
+	before, stats := dump(ix), ix.Stats()
+
+	// SIGKILL: no shutdown checkpoint.
+	s2, ix2, rec := durableStore(t, dir)
+	if rec.Gen != info.Gen || (rec.Applied > 0) != tail {
+		t.Fatalf("recovery = %+v, want generation %d, tail replayed %v", rec, info.Gen, tail)
+	}
+	if got := dump(ix2); !reflect.DeepEqual(got, before) {
+		t.Errorf("recovered index differs:\n got %v\nwant %v", keysOf(got), keysOf(before))
+	}
+	if got := ix2.Stats(); got != stats {
+		t.Errorf("recovered index stats = %+v, want %+v", got, stats)
+	}
+	if _, err := s2.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "search-*")); !reflect.DeepEqual(files, planted) {
+		t.Errorf("search files after two checkpoints = %v, want %v", files, planted)
 	}
 }
