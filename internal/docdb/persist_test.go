@@ -304,11 +304,12 @@ func TestRecoverRefusesCorruptSidecarOfLoadedGeneration(t *testing.T) {
 	}
 }
 
-// BenchmarkRecover is crash-restart in miniature: a station with a
+// recoverFixture is crash-restart in miniature: a station with a
 // checkpointed body (courses with media, ledger rows) and an
-// uncheckpointed tail (more courses, more rows) is abandoned without a
-// shutdown, then recovered cold over and over. Run with -benchmem.
-func BenchmarkRecover(b *testing.B) {
+// uncheckpointed tail (more courses, more rows), abandoned without a
+// shutdown. It returns the durability directory.
+func recoverFixture(b testing.TB) string {
+	b.Helper()
 	dir := b.TempDir()
 	s, _ := newDurableStore(b, dir)
 	if err := s.CreateDatabase(Database{Name: "mmu", Author: "Shih"}); err != nil {
@@ -348,18 +349,46 @@ func BenchmarkRecover(b *testing.B) {
 	if err := s.Rel().CloseWAL(); err != nil {
 		b.Fatal(err)
 	}
+	return dir
+}
+
+// recoverCold recovers a fresh store from dir and detaches its tail.
+func recoverCold(b testing.TB, dir string) {
+	s, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Recover(dir); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRecover recovers recoverFixture's station cold over and
+// over. Run with -benchmem.
+func BenchmarkRecover(b *testing.B) {
+	dir := recoverFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Open(relstore.NewDB(), blob.NewStore())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Recover(dir); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Rel().CloseWAL(); err != nil {
-			b.Fatal(err)
-		}
+		recoverCold(b, dir)
+	}
+}
+
+// recoverAllocBudget bounds the objects one cold recovery of
+// recoverFixture's station may allocate: about 10 % above the 16.3k
+// measured once relational rows decoded straight into tuples (from
+// 41.4k when every row was a map).
+const recoverAllocBudget = 18000
+
+// TestRecoverAllocBudget keeps recovery's allocation count from
+// eroding silently. The count is exact, so unlike a timing it does not
+// depend on the machine.
+func TestRecoverAllocBudget(t *testing.T) {
+	dir := recoverFixture(t)
+	if n := testing.AllocsPerRun(5, func() { recoverCold(t, dir) }); n > recoverAllocBudget {
+		t.Errorf("one cold recovery allocates %.0f objects, budget %d", n, recoverAllocBudget)
 	}
 }

@@ -194,6 +194,7 @@ type EventRing struct {
 	mu     sync.Mutex
 	r      ring[Event]
 	seq    uint64
+	last   time.Time        // Time of the latest admitted event
 	counts map[string]int64 // admissions per category, never evicted
 }
 
@@ -226,10 +227,21 @@ func outranksEvent(a, b *Event) bool {
 // Add stamps the event with the next sequence number, records it, and
 // returns the stamped copy. Warn+ events also compete for a reservoir
 // slot, displacing the weakest holder.
+//
+// NewEvent stamps Time before Add takes the lock, so two emitters can
+// be admitted in the reverse of their clock order. An event stamped
+// earlier than the latest admitted one is raised to that one's Time,
+// which keeps the journal's Time monotonic in Seq: SortEvents (time
+// first) then never reorders one station's events.
 func (r *EventRing) Add(e Event) Event {
 	r.mu.Lock()
 	r.seq++
 	e.Seq = r.seq
+	if e.Time.Before(r.last) {
+		e.Time = r.last
+	} else {
+		r.last = e.Time
+	}
 	r.counts[e.Category]++
 	r.r.add(e, e.Severity >= SevWarn)
 	r.mu.Unlock()

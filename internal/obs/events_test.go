@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // A trailing key with no value is an emission-site bug worth seeing,
@@ -248,5 +249,25 @@ func TestSortEventsOrdersTimeline(t *testing.T) {
 		events[2].Name, events[2].Station)
 	if got != "graft/1 suspect/2 down-confirmed/2" {
 		t.Fatalf("order = %s", got)
+	}
+}
+
+// Two emitters stamp Time in NewEvent but are admitted under the ring's
+// lock, so the later-stamped event can win the race to Add. The
+// journal must still sort into admission order within the station.
+func TestEventRingAdmitsOutOfClockOrderMonotonic(t *testing.T) {
+	r := NewEventRing(8)
+	early := NewEvent("suspect")
+	late := NewEvent("graft")
+	late.Time = early.Time.Add(time.Millisecond)
+	first := r.Add(late)
+	second := r.Add(early)
+	if second.Time.Before(first.Time) {
+		t.Errorf("seq %d admitted at %v, before seq %d at %v", second.Seq, second.Time, first.Seq, first.Time)
+	}
+	events := []Event{second, first}
+	SortEvents(events)
+	if events[0].Seq != first.Seq || events[1].Seq != second.Seq {
+		t.Fatalf("SortEvents order = seq %d, %d; want %d, %d", events[0].Seq, events[1].Seq, first.Seq, second.Seq)
 	}
 }

@@ -82,16 +82,19 @@ func recTables(recs []walRec) []string {
 	return names
 }
 
-// applyRecs executes redo records inside a transaction.
+// applyRecs executes redo records inside a transaction. A replayed
+// insert carries its decoded tuple, a queued one the caller's Row.
 func applyRecs(tx *Tx, recs []walRec) error {
 	for _, rec := range recs {
 		var err error
-		switch rec.Op {
-		case walOpInsert:
+		switch {
+		case rec.Op == walOpInsert && rec.Tup != nil:
+			err = tx.insertTuple(rec.Table, rec.Tup)
+		case rec.Op == walOpInsert:
 			err = tx.Insert(rec.Table, rec.Row)
-		case walOpUpdate:
+		case rec.Op == walOpUpdate:
 			err = tx.Update(rec.Table, rec.PK, rec.Row)
-		case walOpDelete:
+		case rec.Op == walOpDelete:
 			err = tx.Delete(rec.Table, rec.PK)
 		default:
 			err = fmt.Errorf("relstore: unknown WAL op %v", rec.Op)

@@ -316,8 +316,8 @@ func (db *DB) CheckpointWith(dir string, sidecar func(gen uint64) error) (*Check
 		return nil, fmt.Errorf("relstore: checkpoint sidecar: %w", sideErr)
 	}
 
-	// Encode and install outside the window: stored rows are immutable
-	// (mutations install fresh Row maps), so the captured image stays
+	// Encode and install outside the window: stored tuples are immutable
+	// (mutations install fresh tuples), so the captured image stays
 	// valid while writers fill the new tail. The rename is the commit
 	// point of the whole checkpoint.
 	img := ckptImage{Gen: gen, Seq: seq, Snap: snap}

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // newDurableCourseDB opens a fresh durable database in dir with the
@@ -57,14 +60,14 @@ func walSeqs(t *testing.T, path string) []uint64 {
 	var seqs []uint64
 	br := bufio.NewReader(f)
 	for {
-		line, done, err := readWalLine(br)
+		payload, err := wire.ReadRecord(br, 0)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
-			break
-		}
-		seqs = append(seqs, line.Seq)
+		seqs = append(seqs, wire.NewReader(payload).Uvarint()) // a record opens with its Seq
 	}
 	return seqs
 }

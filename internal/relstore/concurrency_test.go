@@ -1,7 +1,7 @@
 package relstore
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -388,24 +388,7 @@ func TestBatchSingleWALAppend(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	records := 0
-	br := bufio.NewReader(f)
-	for {
-		_, done, err := readWalLine(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		records++
-	}
-	if records != 1 {
+	if records := len(walSeqs(t, walPath)); records != 1 {
 		t.Errorf("WAL records = %d for one batch, want 1", records)
 	}
 
@@ -466,6 +449,81 @@ func TestConcurrentBatchesAndSnapshots(t *testing.T) {
 	wg.Wait()
 	if n, _ := db.Count("notes"); n != 4*20*10 {
 		t.Errorf("notes = %d, want 800", n)
+	}
+}
+
+// TestReplayBesideReaders: a WAL replay shares the database with
+// readers and snapshots. Each record inserts two rows, and a reader
+// must never see one without the other.
+func TestReplayBesideReaders(t *testing.T) {
+	schema := Schema{Name: "notes", Columns: []Column{{Name: "id", Type: TInt, NotNull: true}}, Key: "id"}
+	src := NewDB()
+	if err := src.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "db.wal")
+	if err := src.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	const records = 300
+	for i := 0; i < records; i++ {
+		var b Batch
+		b.Insert("notes", Row{"id": int64(2 * i)})
+		b.Insert("notes", Row{"id": int64(2*i + 1)})
+		if err := src.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db := NewDB()
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if n, err := db.Count("notes"); err != nil || n%2 != 0 {
+					t.Errorf("reader saw %d notes (err %v): half a record", n, err)
+					return
+				}
+				rows, err := db.Select(Query{Table: "notes", Conds: []Cond{{Col: "id", Op: OpLt, Val: int64(2 * records)}}})
+				if err != nil || len(rows)%2 != 0 {
+					t.Errorf("select saw %d notes (err %v): half a record", len(rows), err)
+					return
+				}
+				if g == 0 {
+					if err := db.Snapshot(discardWriter{}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	applied, _, err := db.ReplayWAL(bytes.NewReader(raw))
+	close(done)
+	wg.Wait()
+	if err != nil || applied != records {
+		t.Fatalf("replay applied %d records (err %v), want %d", applied, err, records)
+	}
+	if n, _ := db.Count("notes"); n != 2*records {
+		t.Errorf("notes = %d, want %d", n, 2*records)
 	}
 }
 

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,8 +16,8 @@ type table struct {
 	// See lock.go for the acquisition order.
 	mu sync.RWMutex
 
-	schema  Schema
-	rows    map[string]Row    // encoded pk -> canonical row
+	*layout
+	rows    map[string]tuple  // encoded pk -> stored tuple
 	indexes map[string]*index // index name (its column list) -> hash index
 
 	// ordered holds the ordered (range) indexes, keyed by column; nil
@@ -41,11 +40,33 @@ type table struct {
 type index struct {
 	columns  []string
 	nullOnly string
+	cols     []int // positions of columns
+	nullPos  int   // position of nullOnly, -1 for a full index
 	buckets  map[string]map[string]struct{}
 }
 
-func newIndex(nullOnly string, columns ...string) *index {
-	return &index{columns: columns, nullOnly: nullOnly, buckets: make(map[string]map[string]struct{})}
+// newIndex builds an empty index over columns of the layout, checking
+// that every named column exists.
+func (l *layout) newIndex(nullOnly string, columns ...string) (*index, error) {
+	if len(columns) == 0 {
+		return nil, fmt.Errorf("relstore: index on %s names no column", l.schema.Name)
+	}
+	ix := &index{columns: columns, nullOnly: nullOnly, nullPos: -1, buckets: make(map[string]map[string]struct{})}
+	for _, col := range columns {
+		p, err := l.column(col)
+		if err != nil {
+			return nil, err
+		}
+		ix.cols = append(ix.cols, p)
+	}
+	if nullOnly != "" {
+		p, err := l.column(nullOnly)
+		if err != nil {
+			return nil, err
+		}
+		ix.nullPos = p
+	}
+	return ix, nil
 }
 
 // name is the key the index goes by in table.indexes and in
@@ -59,53 +80,61 @@ func (ix *index) name() string {
 	return name
 }
 
-// keyOf renders the bucket key of the values val reports for the
-// indexed columns. Parts are length-prefixed, so two different value
-// tuples never share a key.
-func (ix *index) keyOf(val func(col string) any) string {
-	if len(ix.columns) == 1 {
-		return encodeKey(val(ix.columns[0]))
+// appendKeyOf appends the bucket key of the values val reports for the
+// indexed columns (val(i) is the value of columns[i]). Parts are
+// length-prefixed, so two different value lists never share a key.
+func (ix *index) appendKeyOf(dst []byte, val func(i int) any) []byte {
+	if len(ix.cols) == 1 {
+		return appendKey(dst, val(0))
 	}
-	key := make([]byte, 0, 96)
-	for _, col := range ix.columns {
-		part := encodeKey(val(col))
-		key = strconv.AppendInt(key, int64(len(part)), 10)
-		key = append(key, ':')
-		key = append(key, part...)
+	for i := range ix.cols {
+		var buf keyBuf
+		part := appendKey(buf[:0], val(i))
+		dst = strconv.AppendInt(dst, int64(len(part)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, part...)
 	}
-	return string(key)
+	return dst
 }
 
-// key renders the bucket key of a row.
-func (ix *index) key(row Row) string {
-	if len(ix.columns) == 1 {
-		return encodeKey(row[ix.columns[0]])
+// appendKey appends the bucket key of a tuple.
+func (ix *index) appendKey(dst []byte, tp tuple) []byte {
+	if len(ix.cols) == 1 {
+		return appendKey(dst, tp[ix.cols[0]])
 	}
-	return ix.keyOf(func(col string) any { return row[col] })
+	return ix.appendKeyOf(dst, func(i int) any { return tp[ix.cols[i]] })
 }
 
-func (ix *index) add(row Row, pk string) {
-	if ix.nullOnly != "" && row[ix.nullOnly] != nil {
+// holds reports whether the index covers the tuple: every row for a
+// full index, only rows whose nullOnly column is NULL for a partial one.
+func (ix *index) holds(tp tuple) bool {
+	return ix.nullPos < 0 || tp[ix.nullPos] == nil
+}
+
+func (ix *index) add(tp tuple, pk string) {
+	if !ix.holds(tp) {
 		return
 	}
-	k := ix.key(row)
-	b := ix.buckets[k]
+	var buf keyBuf
+	k := ix.appendKey(buf[:0], tp)
+	b := ix.buckets[string(k)]
 	if b == nil {
 		b = make(map[string]struct{})
-		ix.buckets[k] = b
+		ix.buckets[string(k)] = b
 	}
 	b[pk] = struct{}{}
 }
 
-func (ix *index) remove(row Row, pk string) {
-	if ix.nullOnly != "" && row[ix.nullOnly] != nil {
+func (ix *index) remove(tp tuple, pk string) {
+	if !ix.holds(tp) {
 		return
 	}
-	k := ix.key(row)
-	if b := ix.buckets[k]; b != nil {
+	var buf keyBuf
+	k := ix.appendKey(buf[:0], tp)
+	if b := ix.buckets[string(k)]; b != nil {
 		delete(b, pk)
 		if len(b) == 0 {
-			delete(ix.buckets, k)
+			delete(ix.buckets, string(k))
 		}
 	}
 }
@@ -159,21 +188,28 @@ func (db *DB) CreateTable(s Schema) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
+	return db.createTable(newLayout(s))
+}
+
+// createTable registers a relation over the layout of a validated
+// schema.
+func (db *DB) createTable(l *layout) error {
+	s := l.schema
 	db.metaMu.Lock()
 	defer db.metaMu.Unlock()
 	if _, ok := db.tables[s.Name]; ok {
 		return fmt.Errorf("%w: %s", ErrTableExists, s.Name)
 	}
 	t := &table{
-		schema:  s,
-		rows:    make(map[string]Row),
+		layout:  l,
+		rows:    make(map[string]tuple),
 		indexes: make(map[string]*index),
 	}
 	// Foreign-key columns are always indexed so referential checks and
 	// reverse lookups stay O(1), the way the SQL server would index them.
 	for _, fk := range s.ForeignKeys {
 		if _, ok := t.indexes[fk.Column]; !ok {
-			t.indexes[fk.Column] = newIndex("", fk.Column)
+			t.indexes[fk.Column], _ = t.newIndex("", fk.Column) // validate checked the column
 		}
 	}
 	db.tables[s.Name] = t
@@ -197,12 +233,12 @@ func (db *DB) DropTable(name string) error {
 		if other == t {
 			continue
 		}
-		for _, fk := range other.schema.ForeignKeys {
+		for i, fk := range other.schema.ForeignKeys {
 			if fk.RefTable != name {
 				continue
 			}
-			for _, row := range other.rows {
-				if row[fk.Column] != nil {
+			for _, tp := range other.rows {
+				if tp[other.fks[i]] != nil {
 					return fmt.Errorf("%w: table %s still referenced by %s.%s",
 						ErrFK, name, other.schema.Name, fk.Column)
 				}
@@ -222,7 +258,7 @@ func (db *DB) DropTable(name string) error {
 // an equality condition. Indexing an already-indexed column list is a
 // no-op.
 func (db *DB) CreateIndex(tableName string, columns ...string) error {
-	return db.createIndex(tableName, newIndex("", columns...))
+	return db.createIndex(tableName, "", columns)
 }
 
 // CreatePartialIndex adds a hash index over columns that holds only
@@ -232,33 +268,25 @@ func (db *DB) CreateIndex(tableName string, columns ...string) error {
 // long the closed history grows, the index stays as small as the open
 // set.
 func (db *DB) CreatePartialIndex(tableName, nullOnly string, columns ...string) error {
-	return db.createIndex(tableName, newIndex(nullOnly, columns...))
+	return db.createIndex(tableName, nullOnly, columns)
 }
 
-func (db *DB) createIndex(tableName string, ix *index) error {
+func (db *DB) createIndex(tableName, nullOnly string, columns []string) error {
 	db.metaMu.Lock()
 	defer db.metaMu.Unlock()
 	t, ok := db.tables[tableName]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	if len(ix.columns) == 0 {
-		return fmt.Errorf("relstore: index on %s names no column", tableName)
-	}
-	named := ix.columns
-	if ix.nullOnly != "" {
-		named = append(slices.Clone(named), ix.nullOnly)
-	}
-	for _, column := range named {
-		if _, ok := t.schema.column(column); !ok {
-			return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, column)
-		}
+	ix, err := t.newIndex(nullOnly, columns...)
+	if err != nil {
+		return err
 	}
 	if _, ok := t.indexes[ix.name()]; ok {
 		return nil
 	}
-	for pk, row := range t.rows {
-		ix.add(row, pk)
+	for pk, tp := range t.rows {
+		ix.add(tp, pk)
 	}
 	t.indexes[ix.name()] = ix
 	return nil
@@ -300,38 +328,12 @@ func (db *DB) Count(name string) (int, error) {
 	return len(t.rows), nil
 }
 
-// normalizeRow coerces every supplied value, checks NOT NULL columns and
-// rejects unknown columns. The returned row contains only canonical
-// representations.
-func (t *table) normalizeRow(r Row, requireAll bool) (Row, error) {
-	out := make(Row, len(r))
-	for name, v := range r {
-		col, ok := t.schema.column(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrNoColumn, t.schema.Name, name)
-		}
-		cv, err := coerce(col.Type, v)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: %w", t.schema.Name, name, err)
-		}
-		out[name] = cv
-	}
-	if requireAll {
-		for _, col := range t.schema.Columns {
-			if col.NotNull && out[col.Name] == nil {
-				return nil, fmt.Errorf("%w: %s.%s", ErrNull, t.schema.Name, col.Name)
-			}
-		}
-	}
-	return out, nil
-}
-
-// checkFKs verifies every non-NULL foreign-key value in the row exists
+// checkFKs verifies every non-NULL foreign-key value in the tuple exists
 // as a primary key of the referenced table. Caller holds (at least)
 // read locks on every referenced table, or metaMu exclusively.
-func (db *DB) checkFKs(t *table, row Row) error {
-	for _, fk := range t.schema.ForeignKeys {
-		v := row[fk.Column]
+func (db *DB) checkFKs(t *table, tp tuple) error {
+	for i, fk := range t.schema.ForeignKeys {
+		v := tp[t.fks[i]]
 		if v == nil {
 			continue
 		}
@@ -340,7 +342,8 @@ func (db *DB) checkFKs(t *table, row Row) error {
 			return fmt.Errorf("%w: %s.%s references missing table %s",
 				ErrFK, t.schema.Name, fk.Column, fk.RefTable)
 		}
-		if _, ok := ref.rows[encodeKey(v)]; !ok {
+		var buf keyBuf
+		if _, ok := ref.rows[string(appendKey(buf[:0], v))]; !ok {
 			return fmt.Errorf("%w: %s.%s=%v has no match in %s",
 				ErrFK, t.schema.Name, fk.Column, v, fk.RefTable)
 		}
@@ -353,6 +356,8 @@ func (db *DB) checkFKs(t *table, row Row) error {
 // locks on every table referencing the named one, or metaMu
 // exclusively.
 func (db *DB) referencers(name string, pkVal any) []string {
+	var buf keyBuf
+	key := appendKey(buf[:0], pkVal)
 	var hits []string
 	for _, other := range db.tables {
 		for _, fk := range other.schema.ForeignKeys {
@@ -363,7 +368,7 @@ func (db *DB) referencers(name string, pkVal any) []string {
 			if ix == nil {
 				continue // FK columns are always indexed at CreateTable
 			}
-			if n := len(ix.buckets[encodeKey(pkVal)]); n > 0 {
+			if n := len(ix.buckets[string(key)]); n > 0 {
 				hits = append(hits, fmt.Sprintf("%s.%s(%d rows)", other.schema.Name, fk.Column, n))
 			}
 		}
@@ -372,21 +377,24 @@ func (db *DB) referencers(name string, pkVal any) []string {
 	return hits
 }
 
-// insertLocked adds the normalized row. Caller holds the table's write
-// lock plus read locks on its referenced tables (or metaMu
-// exclusively).
-func (db *DB) insertLocked(t *table, row Row) (string, error) {
-	if err := db.checkFKs(t, row); err != nil {
+// insertLocked adds a coerced tuple after checking its NOT NULL columns
+// and foreign keys. Caller holds the table's write lock plus read locks
+// on its referenced tables (or metaMu exclusively).
+func (db *DB) insertLocked(t *table, tp tuple) (string, error) {
+	if err := t.checkNotNull(tp); err != nil {
 		return "", err
 	}
-	return db.insertRawLocked(t, row)
+	if err := db.checkFKs(t, tp); err != nil {
+		return "", err
+	}
+	return db.insertRawLocked(t, tp)
 }
 
-// insertRawLocked adds the normalized row without foreign-key checks.
-// Only snapshot restore, which verifies integrity afterwards and runs
-// on a private database, may use it.
-func (db *DB) insertRawLocked(t *table, row Row) (string, error) {
-	pkVal := row[t.schema.Key]
+// insertRawLocked adds a coerced tuple without NOT NULL or foreign-key
+// checks. Only snapshot restore, which checks both itself and runs on a
+// private database, may use it.
+func (db *DB) insertRawLocked(t *table, tp tuple) (string, error) {
+	pkVal := tp[t.key]
 	if pkVal == nil {
 		return "", fmt.Errorf("%w: %s.%s", ErrNull, t.schema.Name, t.schema.Key)
 	}
@@ -394,12 +402,12 @@ func (db *DB) insertRawLocked(t *table, row Row) (string, error) {
 	if _, exists := t.rows[pk]; exists {
 		return "", fmt.Errorf("%w: %s[%v]", ErrDuplicate, t.schema.Name, pkVal)
 	}
-	t.rows[pk] = row
+	t.rows[pk] = tp
 	t.dirty = true
 	for _, ix := range t.indexes {
-		ix.add(row, pk)
+		ix.add(tp, pk)
 	}
-	t.orderedAdd(row, pk)
+	t.orderedAdd(tp, pk)
 	return pk, nil
 }
 
@@ -421,8 +429,8 @@ func (db *DB) verifyAllFKs() error {
 		if len(t.schema.ForeignKeys) == 0 {
 			continue
 		}
-		for _, row := range t.rows {
-			if err := db.checkFKs(t, row); err != nil {
+		for _, tp := range t.rows {
+			if err := db.checkFKs(t, tp); err != nil {
 				return err
 			}
 		}
@@ -433,22 +441,22 @@ func (db *DB) verifyAllFKs() error {
 // deleteLocked removes the row with the encoded pk. Caller holds the
 // table's write lock plus read locks on every table referencing it (or
 // metaMu exclusively).
-func (db *DB) deleteLocked(t *table, pk string) (Row, error) {
-	row, ok := t.rows[pk]
+func (db *DB) deleteLocked(t *table, pk string) (tuple, error) {
+	tp, ok := t.rows[pk]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
 	}
-	if refs := db.referencers(t.schema.Name, row[t.schema.Key]); len(refs) > 0 {
+	if refs := db.referencers(t.schema.Name, tp[t.key]); len(refs) > 0 {
 		return nil, fmt.Errorf("%w: %s[%v] still referenced by %v",
-			ErrFK, t.schema.Name, row[t.schema.Key], refs)
+			ErrFK, t.schema.Name, tp[t.key], refs)
 	}
 	delete(t.rows, pk)
 	t.dirty = true
 	for _, ix := range t.indexes {
-		ix.remove(row, pk)
+		ix.remove(tp, pk)
 	}
-	t.orderedRemove(row, pk)
-	return row, nil
+	t.orderedRemove(tp, pk)
+	return tp, nil
 }
 
 // Insert adds a row, auto-committing. Use Begin for multi-row atomicity
@@ -481,16 +489,25 @@ func (db *DB) Get(tableName string, pkVal any) (Row, error) {
 // getLocked fetches a row by primary key. Caller holds the table lock
 // in either mode.
 func (t *table) getLocked(pkVal any) (Row, error) {
-	col, _ := t.schema.column(t.schema.Key)
-	cv, err := coerce(col.Type, pkVal)
+	cv, err := coerce(t.schema.Columns[t.key].Type, pkVal)
 	if err != nil {
 		return nil, err
 	}
-	row, ok := t.rows[encodeKey(cv)]
+	var buf keyBuf
+	tp, ok := t.rows[string(appendKey(buf[:0], cv))]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s[%v]", ErrNotFound, t.schema.Name, pkVal)
 	}
-	return row.Clone(), nil
+	return t.row(tp), nil
+}
+
+// pkOf coerces a primary-key value and renders its encoded key.
+func (t *table) pkOf(pkVal any) (any, string, error) {
+	cv, err := coerce(t.schema.Columns[t.key].Type, pkVal)
+	if err != nil {
+		return nil, "", err
+	}
+	return cv, encodeKey(cv), nil
 }
 
 // Exists reports whether a row with the given primary key exists.

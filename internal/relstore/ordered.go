@@ -17,12 +17,8 @@ type orderedEntry struct {
 // the classic trade of a sorted array against the table sizes this
 // engine serves.
 type orderedIndex struct {
-	column string
-	keys   []orderedEntry // sorted by compareValues(val), ties by pk
-}
-
-func newOrderedIndex(column string) *orderedIndex {
-	return &orderedIndex{column: column}
+	pos  int            // position of the indexed column
+	keys []orderedEntry // sorted by compareValues(val), ties by pk
 }
 
 // search returns the first position whose entry is >= (val, pk).
@@ -101,8 +97,9 @@ func (db *DB) CreateOrderedIndex(tableName, column string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
-	if _, ok := t.schema.column(column); !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoColumn, tableName, column)
+	p, err := t.column(column)
+	if err != nil {
+		return err
 	}
 	if t.ordered == nil {
 		t.ordered = make(map[string]*orderedIndex)
@@ -110,11 +107,10 @@ func (db *DB) CreateOrderedIndex(tableName, column string) error {
 	if _, ok := t.ordered[column]; ok {
 		return nil
 	}
-	ix := newOrderedIndex(column)
 	// Backfill in one sort rather than n insertions.
-	ix.keys = make([]orderedEntry, 0, len(t.rows))
-	for pk, row := range t.rows {
-		ix.keys = append(ix.keys, orderedEntry{val: row[column], pk: pk})
+	ix := &orderedIndex{pos: p, keys: make([]orderedEntry, 0, len(t.rows))}
+	for pk, tp := range t.rows {
+		ix.keys = append(ix.keys, orderedEntry{val: tp[p], pk: pk})
 	}
 	sort.Slice(ix.keys, func(i, j int) bool {
 		c := compareValues(ix.keys[i].val, ix.keys[j].val)
@@ -129,14 +125,14 @@ func (db *DB) CreateOrderedIndex(tableName, column string) error {
 
 // orderedAdd/orderedRemove update every ordered index of the table.
 // Caller holds the table's write lock (or metaMu exclusively).
-func (t *table) orderedAdd(row Row, pk string) {
-	for col, ix := range t.ordered {
-		ix.add(row[col], pk)
+func (t *table) orderedAdd(tp tuple, pk string) {
+	for _, ix := range t.ordered {
+		ix.add(tp[ix.pos], pk)
 	}
 }
 
-func (t *table) orderedRemove(row Row, pk string) {
-	for col, ix := range t.ordered {
-		ix.remove(row[col], pk)
+func (t *table) orderedRemove(tp tuple, pk string) {
+	for _, ix := range t.ordered {
+		ix.remove(tp[ix.pos], pk)
 	}
 }

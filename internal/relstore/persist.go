@@ -12,20 +12,25 @@ import (
 	"repro/internal/wire"
 )
 
-// snapshot is the captured image of the whole database.
+// snapshot is the captured image of the whole database: per table, in
+// name order, its layout, its tuples in primary-key order and the names
+// of its indexes.
 type snapshot struct {
-	Schemas []Schema
-	Rows    map[string][]Row // table name -> rows
-	Indexed map[string][]string
-	Ordered map[string][]string
+	Tables []snapTable
+}
+
+type snapTable struct {
+	*layout
+	rows             []tuple
+	indexed, ordered []string
 }
 
 // Snapshot writes a point-in-time image of the database as a
 // CRC-sealed binary image. The capture holds every table's read lock,
 // so it is consistent across tables; the encode itself runs after the
-// locks are released, which is safe because stored rows are immutable
-// — every mutation installs a fresh Row map (see Tx.Update) rather
-// than editing one in place.
+// locks are released, which is safe because stored tuples are
+// immutable — every mutation installs a fresh tuple (see Tx.Update)
+// rather than editing one in place.
 func (db *DB) Snapshot(w io.Writer) error {
 	db.metaMu.RLock()
 	names := db.lockAllTablesShared()
@@ -62,28 +67,23 @@ func (db *DB) unlockAllTablesShared(names []string) {
 
 // captureLocked builds the snapshot value. Caller holds metaMu (in
 // either mode) and at least a read lock on every table. The returned
-// snapshot references the live Row maps, which are never mutated in
-// place, so it stays valid after the locks are dropped.
+// snapshot references the live tuples and layouts, which are never
+// mutated in place, so it stays valid after the locks are dropped.
 func (db *DB) captureLocked() snapshot {
-	snap := snapshot{
-		Rows:    make(map[string][]Row, len(db.tables)),
-		Indexed: make(map[string][]string, len(db.tables)),
-		Ordered: make(map[string][]string, len(db.tables)),
-	}
+	var snap snapshot
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
-		snap.Schemas = append(snap.Schemas, t.schema)
-		rows := make([]Row, 0, len(t.rows))
+		st := snapTable{layout: t.layout, rows: make([]tuple, 0, len(t.rows))}
 		for _, pk := range t.sortedKeysLocked() {
-			rows = append(rows, t.rows[pk])
+			st.rows = append(st.rows, t.rows[pk])
 		}
-		snap.Rows[name] = rows
 		for ix := range t.indexes {
-			snap.Indexed[name] = append(snap.Indexed[name], ix)
+			st.indexed = append(st.indexed, ix)
 		}
-		for col := range t.ordered {
-			snap.Ordered[name] = append(snap.Ordered[name], col)
+		for _, ix := range t.ordered {
+			st.ordered = append(st.ordered, t.schema.Columns[ix.pos].Name)
 		}
+		snap.Tables = append(snap.Tables, st)
 	}
 	return snap
 }
@@ -103,36 +103,41 @@ func (db *DB) Restore(r io.Reader) error {
 }
 
 // installSnapshot rebuilds the table set from a decoded snapshot and
-// swaps it in.
+// swaps it in. The decoded tuples are installed as they are: the
+// decoder already placed and type-checked every value.
 func (db *DB) installSnapshot(snap *snapshot) error {
 	fresh := NewDB()
-	for _, s := range snap.Schemas {
-		if err := fresh.CreateTable(s); err != nil {
+	for _, st := range snap.Tables {
+		err := st.schema.validate()
+		if err == nil {
+			err = fresh.createTable(st.layout) // the layout the rows decoded against
+		}
+		if err != nil {
 			return err
 		}
 	}
 	// Rows are loaded with foreign-key checks deferred: tables restore in
 	// name order, which need not be dependency order. The sorted-key
 	// caches rebuild lazily on first scan.
-	for _, s := range snap.Schemas {
-		t := fresh.tables[s.Name]
-		for _, row := range snap.Rows[s.Name] {
-			norm, err := t.normalizeRow(row, true)
-			if err != nil {
-				return fmt.Errorf("relstore: snapshot row in %s: %w", s.Name, err)
+	for _, st := range snap.Tables {
+		t := fresh.tables[st.schema.Name]
+		for _, tp := range st.rows {
+			err := t.checkNotNull(tp)
+			if err == nil {
+				_, err = fresh.insertRawLocked(t, tp)
 			}
-			if _, err := fresh.insertRawLocked(t, norm); err != nil {
-				return fmt.Errorf("relstore: snapshot row in %s: %w", s.Name, err)
+			if err != nil {
+				return fmt.Errorf("relstore: snapshot row in %s: %w", st.schema.Name, err)
 			}
 		}
-		for _, name := range snap.Indexed[s.Name] {
+		for _, name := range st.indexed {
 			columns, nullOnly, _ := strings.Cut(name, "|") // see index.name
-			if err := fresh.createIndex(s.Name, newIndex(nullOnly, strings.Split(columns, ",")...)); err != nil {
+			if err := fresh.createIndex(st.schema.Name, nullOnly, strings.Split(columns, ",")); err != nil {
 				return err
 			}
 		}
-		for _, col := range snap.Ordered[s.Name] {
-			if err := fresh.CreateOrderedIndex(s.Name, col); err != nil {
+		for _, col := range st.ordered {
+			if err := fresh.CreateOrderedIndex(st.schema.Name, col); err != nil {
 				return err
 			}
 		}
@@ -296,6 +301,12 @@ func (w *WAL) append(recs []walRec) error {
 // the high-water sequence number observed (which OpenWAL resumes
 // from). Unknown tables fail the replay.
 //
+// Each run of non-DDL records replays under one exclusive hold of the
+// schema lock, which shuts out every query and transaction, so no
+// record pays for a Begin and its table locks; the lock is dropped
+// around each DDL record. Every committed record still applies
+// atomically: a failing one is undone before the replay reports it.
+//
 // A truncated final record is tolerated as the torn tail a crash
 // mid-append leaves behind; a complete record that fails its CRC or
 // parse, a first byte that is not wire.RecordMagic (a JSON line from
@@ -303,10 +314,19 @@ func (w *WAL) append(recs []walRec) error {
 // all fail the replay.
 func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 	defer func() { db.noteReplaySeq(maxSeq) }()
+	rp := &replayer{db: db}
+	defer rp.unlock()
 	br := bufio.NewReaderSize(r, 1<<20)
 	for {
-		line, done, err := readWalLine(br)
-		if done || err != nil {
+		payload, err := wire.ReadRecord(br, 0)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return applied, maxSeq, nil // a clean or torn end of log
+		}
+		if err != nil {
+			return applied, maxSeq, fmt.Errorf("relstore: reading WAL record: %w", err)
+		}
+		line, err := decodeWalLine(payload, &rp.rows, rp.layout)
+		if err != nil {
 			return applied, maxSeq, err
 		}
 		if line.Seq > maxSeq {
@@ -316,31 +336,74 @@ func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 			continue
 		}
 		if isDDL(line.Recs) {
-			if err := db.applyDDL(line.Recs[0]); err != nil {
-				return applied, maxSeq, err
-			}
-			applied++
-			continue
+			rp.unlock()
+			err = db.applyDDL(line.Recs[0])
+		} else {
+			err = rp.apply(line.Recs)
 		}
-		if err := db.Apply(&Batch{recs: line.Recs}); err != nil {
+		if err != nil {
 			return applied, maxSeq, err
 		}
 		applied++
 	}
 }
 
-// readWalLine reads the next committed-transaction record. done reports
-// a clean or torn end of log — end of input and nothing else.
-func readWalLine(br *bufio.Reader) (line walLine, done bool, err error) {
-	payload, err := wire.ReadRecord(br, 0)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return line, true, nil
+// replayer is ReplayWAL's state: the row decoder it reuses across
+// records and, while it holds the schema lock, the transaction its
+// records apply through.
+type replayer struct {
+	db   *DB
+	rows rowDecoder
+	tx   *Tx // non-nil while the schema lock is held exclusively
+}
+
+// lock takes the schema lock exclusively and opens a transaction that
+// counts every table as write-locked, so its operations take no table
+// lock of their own. Holding the schema lock is what makes that true.
+func (rp *replayer) lock() {
+	if rp.tx != nil {
+		return
 	}
-	if err != nil {
-		return line, false, fmt.Errorf("relstore: reading WAL record: %w", err)
+	rp.db.metaMu.Lock()
+	rp.tx = &Tx{db: rp.db, modes: make(map[string]lockMode, len(rp.db.tables))}
+	for name := range rp.db.tables {
+		rp.tx.modes[name] = lockWrite
 	}
-	line, err = decodeWalLine(payload)
-	return line, false, err
+}
+
+func (rp *replayer) unlock() {
+	if rp.tx != nil {
+		rp.tx = nil
+		rp.db.metaMu.Unlock()
+	}
+}
+
+// layout resolves a record's table for the decoder.
+func (rp *replayer) layout(name string) (*layout, error) {
+	rp.lock()
+	t, ok := rp.db.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	return t.layout, nil
+}
+
+// apply runs one committed record's operations, undoing them all when
+// one fails. With a log attached the record is appended to it, as a
+// commit would.
+func (rp *replayer) apply(recs []walRec) error {
+	rp.lock()
+	tx := rp.tx
+	tx.redo = tx.redo[:0]
+	if err := applyRecs(tx, recs); err != nil {
+		tx.undoLocked()
+		return err
+	}
+	tx.undo = tx.undo[:0]
+	if rp.db.wal != nil && len(tx.redo) > 0 {
+		return rp.db.wal.append(tx.redo)
+	}
+	return nil
 }
 
 func isDDL(recs []walRec) bool {

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -383,24 +382,12 @@ func TestReopenedWALResumesSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(bytes.NewReader(raw))
 	var prev uint64
-	for {
-		line, done, err := readWalLine(br)
-		if err != nil {
-			t.Fatal(err)
+	for _, seq := range walSeqs(t, walPath) {
+		if seq <= prev {
+			t.Fatalf("seq %d after %d: reopened WAL does not continue monotonically", seq, prev)
 		}
-		if done {
-			break
-		}
-		if line.Seq <= prev {
-			t.Fatalf("seq %d after %d: reopened WAL does not continue monotonically", line.Seq, prev)
-		}
-		prev = line.Seq
+		prev = seq
 	}
 	if prev != 6 {
 		t.Errorf("final seq = %d, want 6", prev)

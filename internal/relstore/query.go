@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -118,16 +117,23 @@ func (db *DB) Select(q Query) ([]Row, error) {
 	return t.selectLocked(q)
 }
 
-// accessPath is a planned query: its coerced conditions, which of them
-// the chosen access path already satisfies, and the candidate rows —
-// a hash-index bucket when an index serves the query, a key list
-// otherwise.
+// accessPath is a planned query: its conditions and the candidate
+// rows — a hash-index bucket when an index serves the query, a key
+// list otherwise.
 type accessPath struct {
-	conds   []Cond
-	covered []bool
-	bucket  map[string]struct{}
-	hashed  bool // bucket (possibly empty) is the candidate set
-	pks     []string
+	conds  []plannedCond
+	order  int // position of the ORDER BY column, -1 for none
+	bucket map[string]struct{}
+	hashed bool // bucket (possibly empty) is the candidate set
+	pks    []string
+}
+
+// plannedCond is a condition with its value coerced, its column's
+// position, and whether the chosen access path already satisfies it.
+type plannedCond struct {
+	Cond
+	pos     int
+	covered bool
 }
 
 // planLocked validates the query and picks its access path. A
@@ -140,26 +146,26 @@ type accessPath struct {
 func (t *table) planLocked(q Query) (accessPath, error) {
 	var p accessPath
 	// Validate and coerce condition values against column types.
-	p.conds = make([]Cond, len(q.Conds))
-	p.covered = make([]bool, len(q.Conds))
+	p.conds = make([]plannedCond, len(q.Conds))
 	for i, c := range q.Conds {
-		col, ok := t.schema.column(c.Col)
-		if !ok {
-			return p, fmt.Errorf("%w: %s.%s", ErrNoColumn, q.Table, c.Col)
+		pos, err := t.column(c.Col)
+		if err != nil {
+			return p, err
 		}
 		cv := c.Val
 		if c.Op != OpContains && c.Op != OpPrefix && c.Op != OpIsNull && c.Op != OpNotNull {
-			var err error
-			cv, err = coerce(col.Type, c.Val)
+			cv, err = coerce(t.schema.Columns[pos].Type, c.Val)
 			if err != nil {
 				return p, fmt.Errorf("condition on %s.%s: %w", q.Table, c.Col, err)
 			}
 		}
-		p.conds[i] = Cond{Col: c.Col, Op: c.Op, Val: cv}
+		p.conds[i] = plannedCond{Cond: Cond{Col: c.Col, Op: c.Op, Val: cv}, pos: pos}
 	}
+	p.order = -1
 	if q.OrderBy != "" {
-		if _, ok := t.schema.column(q.OrderBy); !ok {
-			return p, fmt.Errorf("%w: ORDER BY %s.%s", ErrNoColumn, q.Table, q.OrderBy)
+		var err error
+		if p.order, err = t.column(q.OrderBy); err != nil {
+			return p, fmt.Errorf("ORDER BY: %w", err)
 		}
 	}
 
@@ -176,10 +182,11 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 		return -1
 	}
 	if i := find(t.schema.Key, OpEq); i >= 0 {
-		if pk := encodeKey(p.conds[i].Val); t.rows[pk] != nil {
-			p.pks = []string{pk}
+		var buf keyBuf
+		if pk := appendKey(buf[:0], p.conds[i].Val); t.rows[string(pk)] != nil {
+			p.pks = []string{string(pk)}
 		}
-		p.covered[i] = true
+		p.conds[i].covered = true
 		return p, nil
 	}
 	var best *index
@@ -191,7 +198,8 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 		if !usable {
 			continue
 		}
-		b := ix.buckets[ix.keyOf(func(col string) any { return p.conds[find(col, OpEq)].Val })]
+		var buf keyBuf
+		b := ix.buckets[string(ix.appendKeyOf(buf[:0], func(i int) any { return p.conds[find(ix.columns[i], OpEq)].Val }))]
 		// Ties go to the index that settles more conditions, then to
 		// the smaller name, so the plan does not depend on map order.
 		better := best == nil || len(b) < len(p.bucket)
@@ -206,10 +214,10 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 	if best != nil {
 		p.hashed = true
 		for _, col := range best.columns {
-			p.covered[find(col, OpEq)] = true
+			p.conds[find(col, OpEq)].covered = true
 		}
 		if best.nullOnly != "" {
-			p.covered[find(best.nullOnly, OpIsNull)] = true
+			p.conds[find(best.nullOnly, OpIsNull)].covered = true
 		}
 		return p, nil
 	}
@@ -221,7 +229,7 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 		switch c.Op {
 		case OpEq, OpLt, OpLe, OpGt, OpGe:
 			p.pks = ix.rangePKs(c.Op, c.Val)
-			p.covered[i] = true
+			p.conds[i].covered = true
 			return p, nil
 		}
 	}
@@ -229,12 +237,22 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 	return p, nil
 }
 
+// settled reports whether the access path satisfies every condition.
+func (p *accessPath) settled() bool {
+	for i := range p.conds {
+		if !p.conds[i].covered {
+			return false
+		}
+	}
+	return true
+}
+
 // matches reports whether a candidate row satisfies the conditions the
 // access path did not.
-func (p *accessPath) matches(row Row) bool {
+func (p *accessPath) matches(tp tuple) bool {
 	for i := range p.conds {
 		c := &p.conds[i]
-		if !p.covered[i] && !c.matches(row[c.Col], c.Val) {
+		if !c.covered && !c.matches(tp[c.pos], c.Val) {
 			return false
 		}
 	}
@@ -252,25 +270,38 @@ func (t *table) selectLocked(q Query) ([]Row, error) {
 	if p.hashed {
 		candidates = sortedPKs(p.bucket)
 	}
+	// Unordered, the first Limit matches in candidate order are the
+	// answer. Ordered, the matching tuples are sorted first, and only
+	// the rows the caller receives become Row maps.
 	var out []Row
+	var hits []tuple
 	for _, pk := range candidates {
-		if row, ok := t.rows[pk]; ok && p.matches(row) {
-			out = append(out, row.Clone())
+		tp, ok := t.rows[pk]
+		if !ok || !p.matches(tp) {
+			continue
+		}
+		if p.order >= 0 {
+			hits = append(hits, tp)
+			continue
+		}
+		if out = append(out, t.row(tp)); len(out) == q.Limit {
+			break
 		}
 	}
-
-	if q.OrderBy != "" {
-		col := q.OrderBy
-		sort.SliceStable(out, func(i, j int) bool {
-			c := compareValues(out[i][col], out[j][col])
+	if p.order >= 0 {
+		sort.SliceStable(hits, func(i, j int) bool {
+			c := compareValues(hits[i][p.order], hits[j][p.order])
 			if q.Desc {
 				return c > 0
 			}
 			return c < 0
 		})
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
+		if q.Limit > 0 && len(hits) > q.Limit {
+			hits = hits[:q.Limit]
+		}
+		for _, tp := range hits {
+			out = append(out, t.row(tp))
+		}
 	}
 	return out, nil
 }
@@ -284,12 +315,12 @@ func (t *table) countLocked(q Query) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p.hashed && !slices.Contains(p.covered, false) {
+	if p.hashed && p.settled() {
 		return len(p.bucket), nil
 	}
 	n := 0
 	for _, pk := range p.pks {
-		if row, ok := t.rows[pk]; ok && p.matches(row) {
+		if tp, ok := t.rows[pk]; ok && p.matches(tp) {
 			n++
 		}
 	}
@@ -338,7 +369,7 @@ func (db *DB) Scan(table string, fn func(Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, pk := range t.sortedKeysLocked() {
-		if !fn(t.rows[pk].Clone()) {
+		if !fn(t.row(t.rows[pk])) {
 			return nil
 		}
 	}

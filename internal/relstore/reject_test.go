@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -28,10 +29,16 @@ func gobSnapshot(t testing.TB) []byte {
 	t.Helper()
 	s, _ := courseSchemas()
 	var buf bytes.Buffer
-	img := ckptImage{Gen: 3, Seq: 41, Snap: snapshot{
-		Schemas: []Schema{s},
-		Rows:    map[string][]Row{"scripts": {{"script_name": "legacy"}}},
-	}}
+	type gobImage struct { // the shape the gob writer encoded
+		Gen, Seq uint64
+		Snap     struct {
+			Schemas []Schema
+			Rows    map[string][]Row
+		}
+	}
+	img := gobImage{Gen: 3, Seq: 41}
+	img.Snap.Schemas = []Schema{s}
+	img.Snap.Rows = map[string][]Row{"scripts": {{"script_name": "legacy"}}}
 	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +55,31 @@ func binaryWAL(t testing.TB, n int) []byte {
 	t.Helper()
 	var raw []byte
 	for i := 0; i < n; i++ {
-		payload, err := appendWalLine(nil, &walLine{Seq: uint64(i + 1), Commit: true, Recs: []walRec{
-			{Op: walOpInsert, Table: "scripts", Row: Row{"script_name": string(rune('a' + i))}},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw = wire.AppendRecord(raw, payload)
+		raw = appendWALRecord(t, raw, uint64(i+1), insertRec(t, Row{"script_name": string(rune('a' + i))}))
 	}
 	return raw
+}
+
+// insertRec is the redo record of inserting row into scripts.
+func insertRec(t testing.TB, row Row) walRec {
+	t.Helper()
+	s, _ := courseSchemas()
+	lay := newLayout(s)
+	tp, err := lay.tuple(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return walRec{Op: walOpInsert, Table: s.Name, Tup: tp, lay: lay}
+}
+
+// appendWALRecord frames one committed transaction of recs after raw.
+func appendWALRecord(t testing.TB, raw []byte, seq uint64, recs ...walRec) []byte {
+	t.Helper()
+	payload, err := appendWalLine(nil, &walLine{Seq: seq, Commit: true, Recs: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendRecord(raw, payload)
 }
 
 func TestReadersRejectForeignInput(t *testing.T) {
@@ -227,6 +250,119 @@ func TestReplayFailsOnReadError(t *testing.T) {
 	}
 }
 
+// appendPairs encodes a row in the on-disk grammar exactly as given:
+// the count is the number of pairs, names in the order listed.
+func appendPairs(t testing.TB, dst []byte, pairs []any) []byte {
+	t.Helper()
+	dst = wire.AppendUvarint(dst, uint64(len(pairs)/2))
+	for i := 0; i < len(pairs); i += 2 {
+		dst = wire.AppendString(dst, pairs[i].(string))
+		var err error
+		if dst, err = wire.AppendValue(dst, pairs[i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// snapshotWithRow is a sealed generation-gen snapshot of the scripts
+// table holding one row, written pair by pair.
+func snapshotWithRow(t testing.TB, gen uint64, pairs ...any) []byte {
+	t.Helper()
+	s, _ := courseSchemas()
+	p := wire.AppendUvarint(nil, gen)
+	p = wire.AppendUvarint(p, 0) // Seq
+	p = wire.AppendUvarint(p, 1) // one table
+	p = appendSchema(p, &s)
+	p = wire.AppendUvarint(p, 1) // one row
+	p = appendPairs(t, p, pairs)
+	p = appendStrings(p, nil) // no hash indexes
+	p = appendStrings(p, nil) // no ordered indexes
+	return wire.SealImage(wire.SnapMagic, p)
+}
+
+// walWithRow is one committed WAL record of a single insert or update
+// of scripts whose row is written pair by pair.
+func walWithRow(t testing.TB, op walOp, pk any, pairs ...any) []byte {
+	t.Helper()
+	p := wire.AppendUvarint(nil, 1) // Seq
+	p = append(p, walFlagCommit)
+	p = wire.AppendUvarint(p, 1) // one operation
+	p = append(p, byte(op))
+	p = wire.AppendString(p, "scripts")
+	p, err := wire.AppendValue(p, pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = appendPairs(t, append(p, 1), pairs)
+	p = append(p, 0) // no DDL
+	return wire.AppendRecord(nil, p)
+}
+
+// repeatedColumnRows are rows that name a column twice: once with two
+// different values (the second would silently win), once as a count
+// of three pairs over two distinct columns.
+var repeatedColumnRows = []struct {
+	name  string
+	pairs []any
+}{
+	{"a name given twice", []any{"script_name", "dup", "version", int64(1), "version", int64(2)}},
+	{"a count above the columns kept", []any{"script_name", "dup", "author", "x", "script_name", "dup"}},
+}
+
+// TestDecodersRejectRepeatedColumn: a row naming a column twice is
+// corrupt. A snapshot holding one fails with an error naming the table,
+// and recovery falls back to the previous generation as it does for
+// any corrupt snapshot; a WAL record holding one fails the replay and
+// applies nothing.
+func TestDecodersRejectRepeatedColumn(t *testing.T) {
+	for _, row := range repeatedColumnRows {
+		err := NewDB().Restore(bytes.NewReader(snapshotWithRow(t, 0, row.pairs...)))
+		if err == nil || !strings.Contains(err.Error(), "scripts") {
+			t.Errorf("Restore of %s: err = %v, want a corrupt-snapshot error naming scripts", row.name, err)
+		}
+
+		dir := t.TempDir()
+		src := newDurableCourseDB(t, dir)
+		insertScripts(t, src, 0, 3)
+		if _, err := src.Checkpoint(""); err != nil {
+			t.Fatal(err)
+		}
+		src.CloseWAL()
+		if err := os.WriteFile(filepath.Join(dir, snapFileName(2)), snapshotWithRow(t, 2, row.pairs...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db := NewDB()
+		info, err := db.OpenDurable(dir)
+		if err != nil {
+			t.Fatalf("OpenDurable past a snapshot with %s: %v", row.name, err)
+		}
+		if info.Gen != 1 || countScripts(t, db) != 3 || db.Exists("scripts", "dup") {
+			t.Errorf("snapshot with %s: recovered generation %d with %d scripts, want generation 1 with 3", row.name, info.Gen, countScripts(t, db))
+		}
+		db.CloseWAL()
+
+		for _, op := range []walOp{walOpInsert, walOpUpdate} {
+			db := newCourseDB(t)
+			var want Row // what replay must leave under "dup": nothing for an insert
+			if op == walOpUpdate {
+				want = Row{"script_name": "dup", "author": "keep"}
+				if err := db.Insert("scripts", want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			applied, _, err := db.ReplayWAL(bytes.NewReader(walWithRow(t, op, "dup", row.pairs...)))
+			if err == nil || !strings.Contains(err.Error(), "scripts") {
+				t.Errorf("replay of an %v with %s: err = %v, want an error naming scripts", op, row.name, err)
+			}
+			got, _ := db.Get("scripts", "dup")
+			if applied != 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("replay of an %v with %s applied %d records, row = %v, want %v", op, row.name, applied, got, want)
+			}
+		}
+	}
+}
+
 // fuzzSeeds are the inputs both fuzz targets start from: the valid
 // encoding, what the pre-binary writers produced, torn and flipped
 // copies of the valid one, and counts far beyond the input.
@@ -250,6 +386,10 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 // database resumes from.
 func FuzzReplayWAL(f *testing.F) {
 	fuzzSeeds(f, binaryWAL(f, 3))
+	for _, row := range repeatedColumnRows {
+		f.Add(walWithRow(f, walOpInsert, "dup", row.pairs...))
+		f.Add(walWithRow(f, walOpUpdate, "dup", row.pairs...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := NewDB()
 		s, impls := courseSchemas()
@@ -286,6 +426,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	fuzzSeeds(f, valid.Bytes())
+	for _, row := range repeatedColumnRows {
+		f.Add(snapshotWithRow(f, 0, row.pairs...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := NewDB()
 		if err := db.Restore(bytes.NewReader(data)); err != nil {

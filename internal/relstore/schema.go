@@ -7,6 +7,12 @@
 // keys, transactions with undo, and snapshot + write-ahead-log
 // persistence — the narrow slice of SQL-server behaviour the document
 // layer in section 3 of the paper actually relies on.
+//
+// Inside the engine a row is a tuple: one value per column, at the
+// position its table's catalog (the layout, built once per table)
+// assigns. Row, a column-name map, is the API type only — callers hand
+// one in and get fresh ones back, and recovery decodes each stored row
+// straight into its tuple without ever building a map.
 package relstore
 
 import (
@@ -92,7 +98,10 @@ type Schema struct {
 	ForeignKeys []ForeignKey
 }
 
-// Row maps column names to values. Missing columns read as NULL (nil).
+// Row maps column names to values: the engine's API type for a row.
+// Missing columns read as NULL (nil). A Row the engine returns lists
+// only the non-NULL columns, so row[col] == nil is exactly "col is
+// NULL"; it is a fresh map the caller may keep and modify.
 type Row map[string]any
 
 // Clone returns a shallow copy of the row ([]byte values are shared).
@@ -160,19 +169,10 @@ func (s *Schema) validate() error {
 	return nil
 }
 
-// column returns the declared column, if any.
-func (s *Schema) column(name string) (Column, bool) {
-	for _, c := range s.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Column{}, false
-}
-
 // coerce normalizes a caller-supplied value to the canonical in-engine
 // representation for the column type (int64, float64, string, []byte,
-// bool, time.Time), or reports ErrType.
+// bool, time.Time), or reports ErrType. A value already in canonical
+// form is returned as the caller's interface value, not boxed again.
 func coerce(t ColType, v any) (any, error) {
 	if v == nil {
 		return nil, nil
@@ -181,7 +181,7 @@ func coerce(t ColType, v any) (any, error) {
 	case TInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case int32:
@@ -197,7 +197,7 @@ func coerce(t ColType, v any) (any, error) {
 	case TFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case float32:
 			return float64(x), nil
 		case int:
@@ -206,24 +206,24 @@ func coerce(t ColType, v any) (any, error) {
 			return float64(x), nil
 		}
 	case TText:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case TBytes:
-		if x, ok := v.([]byte); ok {
-			return x, nil
+		if _, ok := v.([]byte); ok {
+			return v, nil
 		}
 		if x, ok := v.(string); ok {
 			return []byte(x), nil
 		}
 	case TBool:
-		if x, ok := v.(bool); ok {
-			return x, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	case TTime:
 		switch x := v.(type) {
 		case time.Time:
-			return x, nil
+			return v, nil
 		case string:
 			ts, err := time.Parse(time.RFC3339Nano, x)
 			if err == nil {

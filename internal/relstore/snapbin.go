@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -12,69 +11,51 @@ import (
 //	[uvarint Gen][uvarint Seq][uvarint nschemas]
 //	  per schema: [schema][uvarint nrows rows][indexed strs][ordered strs]
 //
-// Rows carry tagged wire values, so a checkpoint of BLOB-bearing
-// tables is a flat byte copy.
+// Rows are in the (name, value)-pair grammar of tuple.go, carrying
+// tagged wire values, so a checkpoint of BLOB-bearing tables is a flat
+// byte copy.
 
 // appendCkptImage encodes img after dst.
 func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, img.Gen)
 	dst = wire.AppendUvarint(dst, img.Seq)
-	dst = wire.AppendUvarint(dst, uint64(len(img.Snap.Schemas)))
-	for _, s := range img.Snap.Schemas {
-		dst = appendSchema(dst, &s)
-		rows := img.Snap.Rows[s.Name]
-		dst = wire.AppendUvarint(dst, uint64(len(rows)))
-		for _, row := range rows {
-			dst = wire.AppendUvarint(dst, uint64(len(row)))
-			cols := make([]string, 0, len(row))
-			for k := range row {
-				cols = append(cols, k)
-			}
-			sort.Strings(cols)
-			for _, k := range cols {
-				dst = wire.AppendString(dst, k)
-				var err error
-				if dst, err = wire.AppendValue(dst, row[k]); err != nil {
-					return nil, fmt.Errorf("relstore: snapshot %s.%s: %w", s.Name, k, err)
-				}
+	dst = wire.AppendUvarint(dst, uint64(len(img.Snap.Tables)))
+	for _, st := range img.Snap.Tables {
+		dst = appendSchema(dst, &st.schema)
+		dst = wire.AppendUvarint(dst, uint64(len(st.rows)))
+		for _, tp := range st.rows {
+			var err error
+			if dst, err = st.appendTuple(dst, tp); err != nil {
+				return nil, fmt.Errorf("relstore: snapshot %w", err)
 			}
 		}
-		dst = appendStrings(dst, img.Snap.Indexed[s.Name])
-		dst = appendStrings(dst, img.Snap.Ordered[s.Name])
+		dst = appendStrings(dst, st.indexed)
+		dst = appendStrings(dst, st.ordered)
 	}
 	return dst, nil
 }
 
-// decodeCkptImage reverses appendCkptImage.
+// decodeCkptImage reverses appendCkptImage. Each table's rows decode
+// straight into tuples against the schema read just before them.
 func decodeCkptImage(payload []byte) (*ckptImage, error) {
 	r := wire.NewReader(payload)
 	img := &ckptImage{Gen: r.Uvarint(), Seq: r.Uvarint()}
-	img.Snap = snapshot{
-		Rows:    map[string][]Row{},
-		Indexed: map[string][]string{},
-		Ordered: map[string][]string{},
-	}
+	var dec rowDecoder
 	nschemas := r.Count()
 	for i := 0; i < nschemas && r.Err() == nil; i++ {
-		s := readSchema(r)
-		img.Snap.Schemas = append(img.Snap.Schemas, s)
+		st := snapTable{layout: newLayout(readSchema(r))}
 		nrows := r.Count()
-		rows := make([]Row, 0, nrows)
+		st.rows = make([]tuple, 0, nrows)
 		for j := 0; j < nrows && r.Err() == nil; j++ {
-			ncol := r.Count()
-			row := make(Row, ncol)
-			for k := 0; k < ncol && r.Err() == nil; k++ {
-				row[r.String()] = r.Value()
+			tp, err := dec.tuple(r, st.layout)
+			if err != nil {
+				return nil, fmt.Errorf("relstore: corrupt snapshot: %w", err)
 			}
-			rows = append(rows, row)
+			st.rows = append(st.rows, tp)
 		}
-		img.Snap.Rows[s.Name] = rows
-		if idx := readStrings(r); len(idx) > 0 {
-			img.Snap.Indexed[s.Name] = idx
-		}
-		if ord := readStrings(r); len(ord) > 0 {
-			img.Snap.Ordered[s.Name] = ord
-		}
+		st.indexed = readStrings(r)
+		st.ordered = readStrings(r)
+		img.Snap.Tables = append(img.Snap.Tables, st)
 	}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("relstore: corrupt snapshot: %w", r.Err())

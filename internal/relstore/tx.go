@@ -1,26 +1,33 @@
 package relstore
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// undoOp reverses one mutation when a transaction rolls back.
+// undoOp reverses one mutation when a transaction rolls back: the
+// row under pk is put back to before, or removed when the mutation
+// inserted it (present false).
 type undoOp struct {
-	table string
-	pk    string
-	// before == nil means the op inserted a new row (undo = delete);
-	// inserted == false && before != nil means update (undo = restore);
-	// deleted rows carry before != nil with inserted == false as well,
-	// distinguished by present == false.
-	before  Row
+	t       *table
+	pk      string
+	before  tuple
 	present bool // row existed before the mutation
 }
 
-// walRec is one redo record for the write-ahead log.
+// walRec is one redo record for the write-ahead log, and one queued
+// operation of a Batch.
 type walRec struct {
 	Op    walOp
 	Table string
-	Row   Row
 	PK    any
-	DDL   *Schema
+	// Tup is an insert's stored (or replayed) tuple. Row is an update's
+	// change set, explicit NULLs included; a Batch also queues an
+	// insert's caller-supplied Row here, coerced when it applies.
+	Tup tuple
+	Row Row
+	DDL *Schema
+	lay *layout // encodes Tup and Row; set on every record a Tx logs
 }
 
 // Tx is a transaction over a set of tables. The engine uses per-table
@@ -115,14 +122,18 @@ func (tx *Tx) Rollback() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	// Undo in reverse order. Every table in the undo log is
-	// write-locked by this transaction.
+	tx.undoLocked()
+	tx.release()
+	return nil
+}
+
+// undoLocked reverses every mutation in the undo log, newest first, and
+// empties it. Every table in the log is write-locked by this
+// transaction.
+func (tx *Tx) undoLocked() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		op := tx.undo[i]
-		t := tx.db.tables[op.table]
-		if t == nil {
-			continue
-		}
+		t := op.t
 		cur, exists := t.rows[op.pk]
 		if exists {
 			delete(t.rows, op.pk)
@@ -140,74 +151,118 @@ func (tx *Tx) Rollback() error {
 		}
 		t.dirty = true
 	}
-	tx.release()
-	return nil
+	tx.undo = tx.undo[:0]
+}
+
+// log queues a redo record for the commit's WAL append; without an
+// attached log there is nothing to queue.
+func (tx *Tx) log(rec walRec) {
+	if tx.db.wal != nil {
+		tx.redo = append(tx.redo, rec)
+	}
+}
+
+// writeTable resolves a table the transaction is about to write,
+// taking its write lock and its neighbours' read locks.
+func (tx *Tx) writeTable(name string) (*table, error) {
+	if tx.done {
+		return nil, ErrTxDone
+	}
+	t, ok := tx.db.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	return t, tx.acquireWrite(name)
+}
+
+// readTable resolves a table the transaction is about to read,
+// read-locking it unless the transaction already holds it.
+func (tx *Tx) readTable(name string) (*table, error) {
+	if tx.done {
+		return nil, ErrTxDone
+	}
+	t, ok := tx.db.tables[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
+	}
+	if tx.modes[name] != 0 {
+		return t, nil
+	}
+	return t, tx.acquire(map[string]lockMode{name: lockRead})
 }
 
 // Insert adds a row inside the transaction.
 func (tx *Tx) Insert(tableName string, r Row) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	t, ok := tx.db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	if err := tx.acquireWrite(tableName); err != nil {
-		return err
-	}
-	row, err := t.normalizeRow(r, true)
+	t, err := tx.writeTable(tableName)
 	if err != nil {
 		return err
 	}
-	pk, err := tx.db.insertLocked(t, row)
+	tp, err := t.tuple(r)
 	if err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk})
-	tx.redo = append(tx.redo, walRec{Op: walOpInsert, Table: tableName, Row: row})
+	return tx.insert(t, tp)
+}
+
+// insertTuple adds an already coerced tuple, as WAL replay decodes it.
+func (tx *Tx) insertTuple(tableName string, tp tuple) error {
+	t, err := tx.writeTable(tableName)
+	if err != nil {
+		return err
+	}
+	return tx.insert(t, tp)
+}
+
+func (tx *Tx) insert(t *table, tp tuple) error {
+	pk, err := tx.db.insertLocked(t, tp)
+	if err != nil {
+		return err
+	}
+	tx.undo = append(tx.undo, undoOp{t: t, pk: pk})
+	tx.log(walRec{Op: walOpInsert, Table: t.schema.Name, Tup: tp, lay: t.layout})
 	return nil
 }
 
 // Update merges column changes into an existing row inside the
 // transaction. Changing the primary-key column is rejected.
 func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	t, ok := tx.db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	if err := tx.acquireWrite(tableName); err != nil {
-		return err
-	}
-	keyCol, _ := t.schema.column(t.schema.Key)
-	cv, err := coerce(keyCol.Type, pkVal)
+	t, err := tx.writeTable(tableName)
 	if err != nil {
 		return err
 	}
-	pk := encodeKey(cv)
+	cv, pk, err := t.pkOf(pkVal)
+	if err != nil {
+		return err
+	}
 	old, ok := t.rows[pk]
 	if !ok {
 		return fmt.Errorf("%w: %s[%v]", ErrNotFound, tableName, pkVal)
 	}
-	norm, err := t.normalizeRow(changes, false)
-	if err != nil {
-		return err
+	merged := slices.Clone(old)
+	var logged Row // the coerced change set, when a WAL will need it
+	if tx.db.wal != nil {
+		logged = make(Row, len(changes))
 	}
-	if nv, touched := norm[t.schema.Key]; touched && compareValues(nv, old[t.schema.Key]) != 0 {
-		return fmt.Errorf("%w: %s[%v]", ErrKeyChange, tableName, pkVal)
-	}
-	merged := old.Clone()
-	for k, v := range norm {
-		merged[k] = v
+	for name, v := range changes {
+		p, err := t.column(name)
+		if err != nil {
+			return err
+		}
+		nv, err := t.coerce(p, v)
+		if err != nil {
+			return err
+		}
+		if p == t.key && compareValues(nv, old[p]) != 0 {
+			return fmt.Errorf("%w: %s[%v]", ErrKeyChange, tableName, pkVal)
+		}
+		merged[p] = nv
+		if logged != nil {
+			logged[name] = nv
+		}
 	}
 	// Re-validate NOT NULL on the merged row and re-check foreign keys.
-	for _, col := range t.schema.Columns {
-		if col.NotNull && merged[col.Name] == nil {
-			return fmt.Errorf("%w: %s.%s", ErrNull, tableName, col.Name)
-		}
+	if err := t.checkNotNull(merged); err != nil {
+		return err
 	}
 	if err := tx.db.checkFKs(t, merged); err != nil {
 		return err
@@ -220,36 +275,28 @@ func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
 	t.orderedAdd(merged, pk)
 	t.rows[pk] = merged
 	t.dirty = true
-	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk, before: old, present: true})
-	tx.redo = append(tx.redo, walRec{Op: walOpUpdate, Table: tableName, PK: cv, Row: norm})
+	tx.undo = append(tx.undo, undoOp{t: t, pk: pk, before: old, present: true})
+	tx.log(walRec{Op: walOpUpdate, Table: tableName, PK: cv, Row: logged, lay: t.layout})
 	return nil
 }
 
 // Delete removes a row inside the transaction, enforcing referential
 // integrity (restrict semantics).
 func (tx *Tx) Delete(tableName string, pkVal any) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	t, ok := tx.db.tables[tableName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	if err := tx.acquireWrite(tableName); err != nil {
-		return err
-	}
-	keyCol, _ := t.schema.column(t.schema.Key)
-	cv, err := coerce(keyCol.Type, pkVal)
+	t, err := tx.writeTable(tableName)
 	if err != nil {
 		return err
 	}
-	pk := encodeKey(cv)
+	cv, pk, err := t.pkOf(pkVal)
+	if err != nil {
+		return err
+	}
 	old, err := tx.db.deleteLocked(t, pk)
 	if err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, undoOp{table: tableName, pk: pk, before: old, present: true})
-	tx.redo = append(tx.redo, walRec{Op: walOpDelete, Table: tableName, PK: cv})
+	tx.undo = append(tx.undo, undoOp{t: t, pk: pk, before: old, present: true})
+	tx.log(walRec{Op: walOpDelete, Table: tableName, PK: cv})
 	return nil
 }
 
@@ -257,14 +304,8 @@ func (tx *Tx) Delete(tableName string, pkVal any) error {
 // the transaction's own uncommitted writes. The table is read-locked
 // lazily if the transaction does not already hold it.
 func (tx *Tx) Get(tableName string, pkVal any) (Row, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	t, ok := tx.db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
-	}
-	if err := tx.acquire(map[string]lockMode{tableName: lockRead}); err != nil {
+	t, err := tx.readTable(tableName)
+	if err != nil {
 		return nil, err
 	}
 	return t.getLocked(pkVal)
@@ -274,14 +315,8 @@ func (tx *Tx) Get(tableName string, pkVal any) (Row, error) {
 // own uncommitted writes. The table is read-locked lazily if the
 // transaction does not already hold it.
 func (tx *Tx) Select(q Query) ([]Row, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	t, ok := tx.db.tables[q.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
-	}
-	if err := tx.acquire(map[string]lockMode{q.Table: lockRead}); err != nil {
+	t, err := tx.readTable(q.Table)
+	if err != nil {
 		return nil, err
 	}
 	return t.selectLocked(q)
@@ -291,14 +326,8 @@ func (tx *Tx) Select(q Query) ([]Row, error) {
 // and Limit play no part) as seen inside the transaction, without
 // cloning them. The table is read-locked lazily like Select.
 func (tx *Tx) Count(q Query) (int, error) {
-	if tx.done {
-		return 0, ErrTxDone
-	}
-	t, ok := tx.db.tables[q.Table]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTable, q.Table)
-	}
-	if err := tx.acquire(map[string]lockMode{q.Table: lockRead}); err != nil {
+	t, err := tx.readTable(q.Table)
+	if err != nil {
 		return 0, err
 	}
 	return t.countLocked(q)

@@ -4,35 +4,52 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 )
 
-// encodeKey renders a canonical primary-key or index-key string for a
-// coerced value. Keys are only compared for equality, so the encoding
-// needs to be injective, not order-preserving.
-func encodeKey(v any) string {
+// appendKey appends the canonical primary-key or index-key encoding of
+// a coerced value. Keys are only compared for equality, so the encoding
+// needs to be injective, not order-preserving. Rendered into a stack
+// buffer and looked up as m[string(key)], a key costs no allocation.
+func appendKey(dst []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "n:"
+		return append(dst, "n:"...)
 	case int64:
-		return "i:" + strconv.FormatInt(x, 10)
+		return strconv.AppendInt(append(dst, "i:"...), x, 10)
 	case float64:
-		return "f:" + strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "f:"...), x, 'g', -1, 64)
 	case string:
-		return "s:" + x
+		return append(append(dst, "s:"...), x...)
 	case []byte:
-		return "b:" + base64.StdEncoding.EncodeToString(x)
+		n := base64.StdEncoding.EncodedLen(len(x))
+		dst = slices.Grow(append(dst, "b:"...), n)
+		base64.StdEncoding.Encode(dst[len(dst):len(dst)+n], x)
+		return dst[:len(dst)+n]
 	case bool:
 		if x {
-			return "t:1"
+			return append(dst, "t:1"...)
 		}
-		return "t:0"
+		return append(dst, "t:0"...)
 	case time.Time:
-		return "d:" + strconv.FormatInt(x.UnixNano(), 10)
+		return strconv.AppendInt(append(dst, "d:"...), x.UnixNano(), 10)
 	default:
-		return fmt.Sprintf("x:%v", x)
+		return fmt.Appendf(dst, "x:%v", x)
 	}
+}
+
+// keyBuf is stack room for rendering the common key with appendKey.
+type keyBuf [64]byte
+
+// encodeKey renders a key as a string, in one allocation.
+func encodeKey(v any) string {
+	if s, ok := v.(string); ok {
+		return "s:" + s
+	}
+	var buf keyBuf
+	return string(appendKey(buf[:0], v))
 }
 
 // compareValues orders two coerced values of the same column type.

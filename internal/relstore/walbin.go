@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -12,7 +11,7 @@ import (
 //
 //	[uvarint Seq][flags][uvarint nrecs]
 //	  per rec: [op][table string][PK value]
-//	           [row? nrow {name string, value}...]
+//	           [row? nrow {name string, value}...] (tuple.go's row grammar)
 //	           [ddl? {name, key, cols{name, type, notnull}, fks{col, ref}}]
 //
 // Values use the wire tagged-value codec, so a document body is its
@@ -56,24 +55,18 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 		if dst, err = wire.AppendValue(dst, rec.PK); err != nil {
 			return nil, fmt.Errorf("relstore: WAL %s PK: %w", rec.Table, err)
 		}
-		if rec.Row == nil {
+		// The layout's name order keeps the encoding deterministic, so
+		// identical transactions produce identical bytes.
+		switch {
+		case rec.Tup != nil:
+			dst, err = rec.lay.appendTuple(append(dst, 1), rec.Tup)
+		case rec.Row != nil:
+			dst, err = rec.lay.appendChanges(append(dst, 1), rec.Row)
+		default:
 			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-			dst = wire.AppendUvarint(dst, uint64(len(rec.Row)))
-			// Sorted column order keeps the encoding deterministic, so
-			// identical transactions produce identical bytes.
-			cols := make([]string, 0, len(rec.Row))
-			for k := range rec.Row {
-				cols = append(cols, k)
-			}
-			sort.Strings(cols)
-			for _, k := range cols {
-				dst = wire.AppendString(dst, k)
-				if dst, err = wire.AppendValue(dst, rec.Row[k]); err != nil {
-					return nil, fmt.Errorf("relstore: WAL %s.%s: %w", rec.Table, k, err)
-				}
-			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("relstore: WAL %w", err)
 		}
 		if rec.DDL == nil {
 			dst = append(dst, 0)
@@ -85,8 +78,10 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeWalLine reverses appendWalLine.
-func decodeWalLine(payload []byte) (walLine, error) {
+// decodeWalLine reverses appendWalLine. A record's row decodes against
+// the layout layoutOf reports for its table: an insert's into a tuple,
+// an update's into its change set.
+func decodeWalLine(payload []byte, dec *rowDecoder, layoutOf func(table string) (*layout, error)) (walLine, error) {
 	r := wire.NewReader(payload)
 	line := walLine{Seq: r.Uvarint()}
 	line.Commit = r.Byte()&walFlagCommit != 0
@@ -99,10 +94,17 @@ func decodeWalLine(payload []byte) (walLine, error) {
 		rec.Table = r.String()
 		rec.PK = r.Value()
 		if r.Byte() == 1 {
-			ncol := r.Count()
-			rec.Row = make(Row, ncol)
-			for j := 0; j < ncol && r.Err() == nil; j++ {
-				rec.Row[r.String()] = r.Value()
+			lay, err := layoutOf(rec.Table)
+			if err != nil {
+				return line, err
+			}
+			if rec.Op == walOpInsert {
+				rec.Tup, err = dec.tuple(r, lay)
+			} else {
+				rec.Row, err = dec.changes(r, lay)
+			}
+			if err != nil {
+				return line, fmt.Errorf("relstore: corrupt WAL record: %w", err)
 			}
 		}
 		if r.Byte() == 1 {
