@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -302,6 +303,111 @@ func BenchmarkBundleExportImport(b *testing.B) {
 		if _, err := dst.ImportBundle(bundle, 2, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// startBundleRPC serves one course shaped like the lecture-day bench
+// corpus (10 pages, 4 extra links, one still image per page, media
+// shrunk 4x: about 300 KB on the wire) from a station's transport over
+// loopback. call fetches it once — ExportBundle on the server, the
+// Bundle body across the hop, the decode on the client — and size is
+// the body's length.
+func startBundleRPC(tb testing.TB) (call func() error, size int) {
+	tb.Helper()
+	store, err := workload.NewStore()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := workload.CourseSpec{
+		DBName: "mmu", ScriptName: "course-000", URL: "http://mmu/course-000/v1",
+		Author: "instructor-0", Keywords: []string{"virtual", "university", "topic0"},
+		Pages: 10, ExtraLinks: 4, ImagesPerPage: 1, MediaScaleDown: 4, Seed: 1999,
+	}
+	if _, _, err := workload.AuthorCourse(store, spec); err != nil {
+		tb.Fatal(err)
+	}
+	srv := transport.NewServer()
+	srv.Handle("Bundle", func(decode func(any) error) (any, error) {
+		var req struct{ URL string }
+		if err := decode(&req); err != nil {
+			return nil, err
+		}
+		return store.ExportBundle(req.URL)
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	c, err := transport.Dial(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	b, err := store.ExportBundle(spec.URL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := b.AppendWire(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	call = func() error {
+		var got docdb.Bundle
+		if err := c.Call("Bundle", struct{ URL string }{spec.URL}, &got); err != nil {
+			return err
+		}
+		if len(got.Media) != len(b.Media) {
+			return fmt.Errorf("fetched %d media, want %d", len(got.Media), len(b.Media))
+		}
+		return nil
+	}
+	return call, len(body)
+}
+
+// BenchmarkBundleRPC is the bundle hop as one layer number: export,
+// frame, loopback, decode.
+func BenchmarkBundleRPC(b *testing.B) {
+	call, size := startBundleRPC(b)
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := call(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestBundleRPCAllocBudget pins what a bundle hop allocates, both sides
+// together: the encoded body and the receiver's frame buffer, which
+// the decoded media alias, and little else — at most 2.5x the body.
+// Export views the BLOB bytes, the frame write sends the body slice
+// itself, and the decode copies nothing but the small rows.
+func TestBundleRPCAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	call, size := startBundleRPC(t)
+	for i := 0; i < 3; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const calls = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	ratio := perCall / float64(size)
+	t.Logf("a %d-byte bundle hop allocates %.0f bytes per call (%.2fx)", size, perCall, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("%.2fx the body per call, want <= 2.5x", ratio)
 	}
 }
 

@@ -135,7 +135,10 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the non-test .go files of dir in name order.
+// parseDir parses the non-test .go files of dir that the default build
+// context compiles (build constraints and file-name suffixes honoured,
+// so a race-only file and its !race twin are not both loaded), in name
+// order.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -145,6 +148,13 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, n)

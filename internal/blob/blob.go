@@ -144,6 +144,25 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 	return out, nil
 }
 
+// View returns the content of a stored object without copying it. The
+// slice is the store's own and is read-only: stored bytes are never
+// mutated (a Put copies what it is given, a Restore installs fresh
+// buffers), so a view stays valid and unchanged for as long as it is
+// referenced, even after the object is released. Callers that may
+// write to the bytes use Get.
+func (s *Store) View(ref Ref) ([]byte, error) {
+	if ref.Zero() {
+		return nil, ErrZeroRef
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.objects[ref.Hash]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.Hash[:12])
+	}
+	return e.data[:len(e.data):len(e.data)], nil
+}
+
 // Has reports whether the object is resident on this station.
 func (s *Store) Has(ref Ref) bool {
 	if ref.Zero() {

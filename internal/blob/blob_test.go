@@ -36,6 +36,31 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestViewIsTheStoredBytes: View hands out the stored bytes without a
+// copy, capacity-capped so an append cannot write into the store, and
+// a view outlives the object's release unchanged.
+func TestViewIsTheStoredBytes(t *testing.T) {
+	s := NewStore()
+	ref := s.Put("x", KindImage, []byte{1, 2, 3})
+	a, err := s.View(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := s.View(ref)
+	if &a[0] != &b[0] || cap(a) != len(a) {
+		t.Fatal("View copied the stored bytes or left room to append into them")
+	}
+	if err := s.Release(ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, []byte{1, 2, 3}) {
+		t.Fatal("a view changed after the object was released")
+	}
+	if _, err := s.View(ref); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("View of a released object: err = %v, want ErrNotFound", err)
+	}
+}
+
 func TestPutOwnsItsData(t *testing.T) {
 	s := NewStore()
 	data := []byte{1, 2, 3}

@@ -79,10 +79,11 @@ func AppendBundle(dst []byte, b *Bundle) []byte {
 
 // ReadBundle decodes one bundle from r; check r.Err() afterwards.
 //
-// Ownership: Media[i].Data ALIASES r's buffer — media is the bulk of a
-// bundle and its one consumer, the BLOB store, copies what it keeps —
-// so a decoded bundle is valid only as long as the body it was read
-// from. Page, program and annotation bytes are owning copies: they are
+// Ownership: Media[i].Data ALIASES r's buffer — for a bundle received
+// over the transport, the frame buffer the envelope body is a slice
+// of. Media is the bulk of a bundle and its one consumer, the BLOB
+// store, copies what it keeps, so a decoded bundle is valid only as
+// long as the body it was read from, and must not be written to. Page, program and annotation bytes are owning copies: they are
 // small, and the relational engine keeps the very slice it is handed,
 // which would otherwise pin the whole frame for the life of the row.
 func ReadBundle(r *wire.Reader) Bundle {

@@ -461,21 +461,26 @@ type MediaRef struct {
 	Ref   blob.Ref
 }
 
+// implMediaRow is the impl_media row recording m, whose Owner is an
+// implementation's starting URL.
+func implMediaRow(m MediaRef) relstore.Row {
+	return relstore.Row{
+		"res_id":       m.ResID,
+		"starting_url": m.Owner,
+		"name":         m.Name,
+		"kind":         int64(m.Kind),
+		"blob_hash":    m.Ref.Hash,
+		"size":         m.Ref.Size,
+	}
+}
+
 // AttachImplMedia stores a multimedia resource in the BLOB layer and
 // records the implementation's descriptor. Identical content already on
 // the station is shared, not duplicated.
 func (s *Store) AttachImplMedia(url, name string, kind blob.Kind, data []byte) (MediaRef, error) {
 	ref := s.blobs.Put(name, kind, data)
 	m := MediaRef{ResID: s.nextID("res"), Owner: url, Name: name, Kind: kind, Ref: ref}
-	err := s.rel.Insert(schema.TableImplMedia, relstore.Row{
-		"res_id":       m.ResID,
-		"starting_url": url,
-		"name":         name,
-		"kind":         int64(kind),
-		"blob_hash":    ref.Hash,
-		"size":         ref.Size,
-	})
-	if err != nil {
+	if err := s.rel.Insert(schema.TableImplMedia, implMediaRow(m)); err != nil {
 		s.blobs.Release(ref)
 		return MediaRef{}, err
 	}
@@ -490,15 +495,7 @@ func (s *Store) ShareImplMedia(url, name string, ref blob.Ref) (MediaRef, error)
 		return MediaRef{}, err
 	}
 	m := MediaRef{ResID: s.nextID("res"), Owner: url, Name: name, Kind: ref.Kind, Ref: ref}
-	err := s.rel.Insert(schema.TableImplMedia, relstore.Row{
-		"res_id":       m.ResID,
-		"starting_url": url,
-		"name":         name,
-		"kind":         int64(ref.Kind),
-		"blob_hash":    ref.Hash,
-		"size":         ref.Size,
-	})
-	if err != nil {
+	if err := s.rel.Insert(schema.TableImplMedia, implMediaRow(m)); err != nil {
 		s.blobs.Release(ref)
 		return MediaRef{}, err
 	}

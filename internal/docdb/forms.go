@@ -41,7 +41,13 @@ func objectFromRow(r relstore.Row) DocObject {
 // NewInstance records that this station holds a physical instance of
 // the implementation.
 func (s *Store) NewInstance(url string, station int, persistent bool) (DocObject, error) {
-	obj := DocObject{
+	obj := s.instanceObject(url, station, persistent)
+	return obj, s.insertObject(obj)
+}
+
+// instanceObject is a fresh instance object for url held at station.
+func (s *Store) instanceObject(url string, station int, persistent bool) DocObject {
+	return DocObject{
 		ID:          s.nextID("obj"),
 		Form:        schema.FormInstance,
 		StartingURL: url,
@@ -49,7 +55,6 @@ func (s *Store) NewInstance(url string, station int, persistent bool) (DocObject
 		Origin:      int64(station),
 		Persistent:  persistent,
 	}
-	return obj, s.insertObject(obj)
 }
 
 // MakeReference records a reference-to-instance: a mirror entry telling
@@ -67,7 +72,12 @@ func (s *Store) MakeReference(url string, station, origin int) (DocObject, error
 }
 
 func (s *Store) insertObject(o DocObject) error {
-	return s.rel.Insert(schema.TableDocObjects, relstore.Row{
+	return s.rel.Insert(schema.TableDocObjects, s.objectRow(o))
+}
+
+// objectRow is the doc_objects row recording o, created now.
+func (s *Store) objectRow(o DocObject) relstore.Row {
+	return relstore.Row{
 		"obj_id":       o.ID,
 		"form":         o.Form,
 		"starting_url": o.StartingURL,
@@ -76,7 +86,7 @@ func (s *Store) insertObject(o DocObject) error {
 		"class_id":     o.ClassID,
 		"persistent":   o.Persistent,
 		"created":      s.Now(),
-	})
+	}
 }
 
 // Object fetches one document object by id.
@@ -552,7 +562,9 @@ func (s *Store) ExportReference(url string) (*Bundle, error) {
 
 // ExportBundle assembles the transferable closure of an implementation
 // resident on this station: the metadata closure plus its files, media
-// bytes and annotations.
+// bytes and annotations. The media bytes are the BLOB store's own,
+// viewed rather than copied (blob.Store.View): a caller must not write
+// to them.
 func (s *Store) ExportBundle(url string) (*Bundle, error) {
 	b, err := s.ExportReference(url)
 	if err != nil {
@@ -572,7 +584,7 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 	}
 	var media []BundleMedia
 	for _, m := range mediaRefs {
-		data, err := s.blobs.Get(m.Ref)
+		data, err := s.blobs.View(m.Ref)
 		if err != nil {
 			return nil, fmt.Errorf("%w: media %s of %s", ErrNotResident, m.Name, url)
 		}
@@ -590,68 +602,76 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 // database, script and implementation when missing, and returns the
 // local instance object. Media bytes go through the BLOB layer, so
 // resources already resident are shared, not duplicated.
+//
+// The import is atomic: the media BLOBs are put first, then the files,
+// media descriptors, annotations and the instance object commit as one
+// batch — one lock acquisition and one WAL append for the whole
+// bundle — and a batch that fails releases the puts, so a failed
+// import leaves no rows and no BLOB references behind. Only the
+// scaffold rows (database, script, implementation) commit ahead of the
+// batch; creating them is idempotent.
 func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject, error) {
+	url := b.Impl.StartingURL
 	// Re-importing a resident instance is a no-op: the content is
 	// already here and duplicating the media descriptors would distort
 	// the disk accounting.
-	if obj, err := s.ObjectByURL(b.Impl.StartingURL); err == nil && obj.Form == schema.FormInstance {
+	if obj, err := s.ObjectByURL(url); err == nil && obj.Form == schema.FormInstance {
 		return obj, nil
 	}
 	if err := s.ensureScaffold(b.Script, b.Impl); err != nil {
 		return DocObject{}, err
 	}
-	// The document-layer files land in one batch: one lock acquisition
-	// over the two file tables and one WAL append for the whole bundle,
-	// so a broadcast of N pages costs the same locking as one page.
-	var files relstore.Batch
+	var batch relstore.Batch
 	for _, f := range b.HTML {
-		s.queueHTML(&files, b.Impl.StartingURL, f.Path, f.Content)
+		s.queueHTML(&batch, url, f.Path, f.Content)
 	}
 	for _, f := range b.Programs {
-		s.queueProgram(&files, b.Impl.StartingURL, f.Path, f.Language, f.Content)
+		s.queueProgram(&batch, url, f.Path, f.Language, f.Content)
 	}
-	err := s.rel.ApplyThen(&files, func() {
+	refs := make([]blob.Ref, len(b.Media))
+	for i, m := range b.Media {
+		refs[i] = s.blobs.Put(m.Name, m.Kind, m.Data)
+		batch.Insert(schema.TableImplMedia, implMediaRow(MediaRef{
+			ResID: s.nextID("res"), Owner: url, Name: m.Name, Kind: m.Kind, Ref: refs[i],
+		}))
+	}
+	for _, a := range b.Annotations {
+		if !s.rel.Exists(schema.TableAnnotations, a.Name) {
+			batch.Insert(schema.TableAnnotations, s.annotationRow(a))
+		}
+	}
+	// An existing reference for this URL upgrades to an instance;
+	// otherwise a fresh instance object is recorded.
+	obj, err := s.ObjectByURL(url)
+	switch {
+	case err != nil:
+		obj = s.instanceObject(url, station, persistent)
+		batch.Insert(schema.TableDocObjects, s.objectRow(obj))
+	case obj.Form == schema.FormReference:
+		obj.Form, obj.Persistent, obj.Station = schema.FormInstance, persistent, int64(station)
+		batch.Update(schema.TableDocObjects, obj.ID, relstore.Row{
+			"form":       obj.Form,
+			"persistent": obj.Persistent,
+			"station":    obj.Station,
+		})
+	}
+	err = s.rel.ApplyThen(&batch, func() {
 		ix := s.ContentIndex()
 		if ix == nil {
 			return
 		}
 		for _, f := range b.HTML {
-			ix.IndexHTML(b.Impl.StartingURL, f.Path, f.Content)
+			ix.IndexHTML(url, f.Path, f.Content)
 		}
 		for _, f := range b.Programs {
-			ix.IndexProgram(b.Impl.StartingURL, f.Path, f.Language, f.Content)
+			ix.IndexProgram(url, f.Path, f.Language, f.Content)
 		}
 	})
 	if err != nil {
+		for _, ref := range refs {
+			s.blobs.Release(ref)
+		}
 		return DocObject{}, err
 	}
-	for _, m := range b.Media {
-		if _, err := s.AttachImplMedia(b.Impl.StartingURL, m.Name, m.Kind, m.Data); err != nil {
-			return DocObject{}, err
-		}
-	}
-	for _, a := range b.Annotations {
-		if !s.rel.Exists(schema.TableAnnotations, a.Name) {
-			if err := s.SaveAnnotation(a); err != nil {
-				return DocObject{}, err
-			}
-		}
-	}
-	// An existing reference for this URL upgrades to an instance;
-	// otherwise a fresh instance object is recorded.
-	if obj, err := s.ObjectByURL(b.Impl.StartingURL); err == nil {
-		if obj.Form == schema.FormReference {
-			err := s.rel.Update(schema.TableDocObjects, obj.ID, relstore.Row{
-				"form":       schema.FormInstance,
-				"persistent": persistent,
-				"station":    int64(station),
-			})
-			if err != nil {
-				return DocObject{}, err
-			}
-			return s.Object(obj.ID)
-		}
-		return obj, nil
-	}
-	return s.NewInstance(b.Impl.StartingURL, station, persistent)
+	return obj, nil
 }

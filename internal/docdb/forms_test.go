@@ -292,6 +292,57 @@ func TestImportBundleIdempotent(t *testing.T) {
 	}
 }
 
+// TestImportBundleAtomic: an import that fails part-way — here on an
+// annotation whose script does not exist — leaves no media rows, no
+// instance and no BLOB references behind, so a retry of the fixed
+// bundle installs exactly one descriptor per medium.
+func TestImportBundleAtomic(t *testing.T) {
+	src := newStore(t)
+	_, url := seedCourse(t, src)
+	b, err := src.ExportBundle(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := b.Annotations
+	b.Annotations = append(good, Annotation{Name: "stray", ScriptName: "no-such-script", StartingURL: url, File: []byte("x")})
+	dst := newStore(t)
+	before := dst.Blobs().Stats()
+	if _, err := dst.ImportBundle(b, 2, false); !errors.Is(err, relstore.ErrFK) {
+		t.Fatalf("import with a dangling annotation: err = %v, want a foreign key violation", err)
+	}
+	media, err := dst.ImplMedia(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := dst.Blobs().Stats()
+	if len(media) != 0 || after.Objects != before.Objects ||
+		after.PhysicalBytes != before.PhysicalBytes || after.LogicalBytes != before.LogicalBytes {
+		t.Fatalf("failed import left %d media rows and BLOB stats %+v (before %+v)", len(media), after, before)
+	}
+	if _, err := dst.ObjectByURL(url); err == nil {
+		t.Fatal("failed import left an object behind")
+	}
+
+	b.Annotations = good
+	if _, err := dst.ImportBundle(b, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	media, err = dst.ImplMedia(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(media) != len(b.Media) {
+		t.Fatalf("media rows after the retry = %d, want %d", len(media), len(b.Media))
+	}
+	var want int64
+	for _, m := range b.Media {
+		want += int64(len(m.Data))
+	}
+	if got := dst.Blobs().Stats().LogicalBytes; got != want {
+		t.Fatalf("LogicalBytes after the retry = %d, want %d", got, want)
+	}
+}
+
 func TestImportUpgradesReferenceToInstance(t *testing.T) {
 	src := newStore(t)
 	_, url := seedCourse(t, src)

@@ -124,6 +124,11 @@ type Annotation struct {
 
 // SaveAnnotation stores an annotation object.
 func (s *Store) SaveAnnotation(a Annotation) error {
+	return s.rel.Insert(schema.TableAnnotations, s.annotationRow(a))
+}
+
+// annotationRow is the annotations row SaveAnnotation inserts for a.
+func (s *Store) annotationRow(a Annotation) relstore.Row {
 	if a.Version == 0 {
 		a.Version = 1
 	}
@@ -138,7 +143,7 @@ func (s *Store) SaveAnnotation(a Annotation) error {
 	if a.StartingURL != "" {
 		row["starting_url"] = a.StartingURL
 	}
-	return s.rel.Insert(schema.TableAnnotations, row)
+	return row
 }
 
 // ReplaceAnnotation overwrites an existing annotation's file and bumps

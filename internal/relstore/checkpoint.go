@@ -219,16 +219,19 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 	if len(snaps) > 0 && info.Gen == 0 {
 		return nil, fmt.Errorf("relstore: no loadable checkpoint in %s: %w", dir, snapErr)
 	}
-	// Chain-replay the tails the snapshot does not cover.
+	// Chain-replay the tails the snapshot does not cover, noting where
+	// the newest one's last complete record ends.
+	tornEnd := int64(-1)
 	for _, gen := range tails {
 		if gen < info.Gen {
 			continue
 		}
-		f, err := os.Open(filepath.Join(dir, walFileName(gen)))
+		path := filepath.Join(dir, walFileName(gen))
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		applied, seq, rerr := db.ReplayWAL(f)
+		applied, seq, end, rerr := db.replayWAL(f)
 		f.Close()
 		info.Applied += applied
 		if seq > info.Seq {
@@ -237,12 +240,21 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 		if rerr != nil {
 			return nil, fmt.Errorf("relstore: replaying %s: %w", walFileName(gen), rerr)
 		}
+		if gen == tails[len(tails)-1] {
+			tornEnd = end
+		}
 	}
 	tailGen := info.Gen
 	if n := len(tails); n > 0 && tails[n-1] > tailGen {
 		tailGen = tails[n-1]
 	}
 	tail := filepath.Join(dir, walFileName(tailGen))
+	// A torn final record is cut before the tail is appended to: a
+	// commit written after it would turn it into a complete record
+	// that fails its CRC, and the next recovery would refuse the log.
+	if err := cutTornTail(tail, tornEnd); err != nil {
+		return nil, err
+	}
 	if err := db.OpenWAL(tail); err != nil {
 		return nil, err
 	}
@@ -251,6 +263,24 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 	info.WALTail = tail
 	pruneGenerations(dir, info.Gen)
 	return info, nil
+}
+
+// cutTornTail truncates the tail file at path to end when it holds
+// more than that: the bytes past end are a torn record. A negative end
+// (the tail was not replayed) and a tail that ends at a record
+// boundary leave the file untouched.
+func cutTornTail(path string, end int64) error {
+	if end < 0 {
+		return nil
+	}
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() <= end {
+		return nil
+	}
+	if err := os.Truncate(path, end); err != nil {
+		return fmt.Errorf("relstore: cutting the torn tail of %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 // Checkpoint writes a new checkpoint generation into dir (the

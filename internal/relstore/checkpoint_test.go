@@ -119,6 +119,63 @@ func TestCheckpointRestartReplaysOnlyTail(t *testing.T) {
 	db2.CloseWAL()
 }
 
+// TestOpenDurableCutsTornTail: recovery tolerates a torn final record,
+// and it must also cut it before the tail is appended to. Otherwise
+// the next commit lands behind the torn bytes, they read back as a
+// complete record that fails its CRC, and the station can never
+// recover again. On a tail that ends at a record boundary the cut is
+// a no-op.
+func TestOpenDurableCutsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	db := newDurableCourseDB(t, dir)
+	insertScripts(t, db, 0, 5)
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	tail := filepath.Join(dir, walFileName(0))
+	fi, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(tail, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := NewDB()
+	if _, err := db2.OpenDurable(dir); err != nil {
+		t.Fatalf("recovering the torn tail: %v", err)
+	}
+	if got := countScripts(t, db2); got != 4 {
+		t.Fatalf("recovered %d scripts past a torn fifth insert, want 4", got)
+	}
+	insertScripts(t, db2, 5, 5)
+	if err := db2.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db3 := NewDB()
+	if _, err := db3.OpenDurable(dir); err != nil {
+		t.Fatalf("recovering after appending past a torn tail: %v", err)
+	}
+	if got := countScripts(t, db3); got != 9 {
+		t.Fatalf("recovered %d scripts, want 9", got)
+	}
+	if err := db3.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != clean.Size() {
+		t.Fatalf("recovering an untorn tail resized it from %d to %d bytes", clean.Size(), after.Size())
+	}
+}
+
 func TestCheckpointPrunesOldGenerations(t *testing.T) {
 	dir := t.TempDir()
 	db := newDurableCourseDB(t, dir)

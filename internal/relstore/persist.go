@@ -313,6 +313,14 @@ func (w *WAL) append(recs []walRec) error {
 // before the binary format) and a read error other than end of input
 // all fail the replay.
 func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
+	applied, maxSeq, _, err = db.replayWAL(r)
+	return applied, maxSeq, err
+}
+
+// replayWAL is ReplayWAL that also reports end, the offset where the
+// last complete record ends: the length of the log without its torn
+// tail, which OpenDurable cuts before it appends after it.
+func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err error) {
 	defer func() { db.noteReplaySeq(maxSeq) }()
 	rp := &replayer{db: db}
 	defer rp.unlock()
@@ -320,14 +328,15 @@ func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 	for {
 		payload, err := wire.ReadRecord(br, 0)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return applied, maxSeq, nil // a clean or torn end of log
+			return applied, maxSeq, end, nil // a clean or torn end of log
 		}
 		if err != nil {
-			return applied, maxSeq, fmt.Errorf("relstore: reading WAL record: %w", err)
+			return applied, maxSeq, end, fmt.Errorf("relstore: reading WAL record: %w", err)
 		}
+		end += int64(wire.RecordSize(len(payload)))
 		line, err := decodeWalLine(payload, &rp.rows, rp.layout)
 		if err != nil {
-			return applied, maxSeq, err
+			return applied, maxSeq, end, err
 		}
 		if line.Seq > maxSeq {
 			maxSeq = line.Seq
@@ -342,7 +351,7 @@ func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
 			err = rp.apply(line.Recs)
 		}
 		if err != nil {
-			return applied, maxSeq, err
+			return applied, maxSeq, end, err
 		}
 		applied++
 	}

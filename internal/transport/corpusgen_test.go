@@ -31,26 +31,23 @@ func TestWriteCorpus(t *testing.T) {
 
 	// FuzzReadFrame: raw byte streams.
 	readSeeds := map[string][]byte{
-		"ping":           frameBytes(t, &envelope{ID: 1, Method: "Ping"}),
-		"push_payload":   frameBytes(t, &envelope{ID: 7, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0xAB}, 512)}),
-		"error_response": frameBytes(t, &envelope{ID: 9, IsResp: true, Err: "no such method"}),
-		"traced_call":    frameBytes(t, &envelope{ID: 3, Method: "Fabric.Search", TraceID: 0xDEADBEEF, Parent: 42}),
-		"stream_chunk":   frameBytes(t, &envelope{ID: 4, IsResp: true, More: true, Body: []byte("chunk")}),
-		"legacy_gob":     []byte(legacyGobFrame),  // must-reject: no gob reader is left
-		"corrupt_gob":    []byte(corruptGobFrame), // likewise
-		"empty":          {},
-		"short_header":   {0x00},
-		"zero_length":    {0x00, 0x00, 0x00, 0x00},
-		"giant_length":   {0xFF, 0xFF, 0xFF, 0xFF},
-		"over_max":       {0x7F, 0xFF, 0xFF, 0xFF},
-		"lying_length":   {0x00, 0x00, 0x00, 0x10, 1, 2},
+		"legacy_gob":   []byte(legacyGobFrame),  // must-reject: no gob reader is left
+		"corrupt_gob":  []byte(corruptGobFrame), // likewise
+		"empty":        {},
+		"short_header": {0x00},
+		"zero_length":  {0x00, 0x00, 0x00, 0x00},
+		"giant_length": {0xFF, 0xFF, 0xFF, 0xFF},
+		"over_max":     {0x7F, 0xFF, 0xFF, 0xFF},
+		"lying_length": {0x00, 0x00, 0x00, 0x10, 1, 2},
+		"lying_200mib": lyingFrame(),
 	}
-	corruptTrailer := frameBytes(t, &envelope{ID: 3, Method: "SQL", Body: []byte("x")})
-	corruptTrailer[len(corruptTrailer)-1] ^= 0xFF
-	readSeeds["corrupt_trailer"] = corruptTrailer
-	corruptBody := frameBytes(t, &envelope{ID: 8, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0x33}, 64)})
-	corruptBody[len(corruptBody)/2] ^= 0x01
-	readSeeds["corrupt_body"] = corruptBody
+	for _, seed := range frameSeeds {
+		frame := frameBytes(t, seed.env)
+		if corrupt, ok := corruptSeeds[seed.name]; ok {
+			corrupt(frame)
+		}
+		readSeeds[seed.name] = frame
+	}
 	for name, data := range readSeeds {
 		writeSeed("FuzzReadFrame", name, raw(data))
 	}

@@ -1,11 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
+	"net"
 
 	"repro/internal/wire"
 )
@@ -32,10 +31,10 @@ const (
 	flagBody   = 1 << 5
 )
 
-// appendEnvelope encodes env after dst (the frame payload, without
-// the length prefix), including the CRC trailer.
-func appendEnvelope(dst []byte, env *envelope) []byte {
-	start := len(dst)
+// appendHeader encodes the part of env's frame payload that precedes
+// the body bytes — everything but the body and the CRC trailer, the
+// body's length prefix included — after dst.
+func appendHeader(dst []byte, env *envelope) []byte {
 	var flags byte
 	if env.IsResp {
 		flags |= flagIsResp
@@ -68,14 +67,15 @@ func appendEnvelope(dst []byte, env *envelope) []byte {
 		dst = wire.AppendUvarint(dst, env.Parent)
 	}
 	if flags&flagBody != 0 {
-		dst = wire.AppendBytes(dst, env.Body)
+		dst = wire.AppendUvarint(dst, uint64(len(env.Body)))
 	}
-	return wire.AppendUint32(dst, wire.Checksum(dst[start:]))
+	return dst
 }
 
-// decodeEnvelope decodes a frame payload. Strings and the body are
-// copied out of p, which belongs to a recycled read buffer. Structural
-// failures are ErrBadHeader, integrity failures ErrChecksum.
+// decodeEnvelope decodes a frame payload. The body aliases p, which
+// readFrame allocated for this one frame and never recycles; strings
+// are copies. Structural failures are ErrBadHeader, integrity failures
+// ErrChecksum.
 func decodeEnvelope(p []byte) (*envelope, error) {
 	if len(p) < 8 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadHeader, len(p))
@@ -110,7 +110,7 @@ func decodeEnvelope(p []byte) (*envelope, error) {
 		env.Parent = r.Uvarint()
 	}
 	if flags&flagBody != 0 {
-		env.Body = r.Bytes()
+		env.Body = r.View()
 	}
 	if r.Err() != nil || r.Len() != 0 {
 		return nil, fmt.Errorf("%w: malformed frame fields", ErrBadHeader)
@@ -118,47 +118,68 @@ func decodeEnvelope(p []byte) (*envelope, error) {
 	return env, nil
 }
 
-// writeFrame sends one envelope: length prefix and payload coalesced
-// into a single Write, so a frame is one syscall and a peer never
-// observes a header whose body died in a second write. The scratch
-// buffer is pooled; steady-state framing allocates nothing beyond the
-// body the caller already built.
+// buffersWriter is a connection wrapper (countingConn) that hands a
+// vectored write to the connection beneath it, so wrapping a TCP
+// connection does not split a frame into one write per segment.
+type buffersWriter interface {
+	writeBuffers(bufs net.Buffers) (int64, error)
+}
+
+// writeFrame sends one envelope as one vectored write of three
+// segments: the length prefix and header, the caller's own body slice,
+// and the CRC trailer. On a TCP connection that is one writev, so a
+// frame is one syscall, a peer never observes a header whose body died
+// in a second write, and the body is never copied in user space. The
+// header and trailer share one pooled scratch buffer.
 func writeFrame(w io.Writer, env *envelope) error {
 	buf := wire.GetBuf()
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendEnvelope(buf, env)
-	if len(buf)-4 > MaxFrame {
-		wire.PutBuf(buf)
+	defer func() { wire.PutBuf(buf) }()
+	buf = appendHeader(append(buf, 0, 0, 0, 0), env)
+	head := len(buf)
+	n := head - 4 + len(env.Body) + 4
+	if n > MaxFrame {
 		return ErrTooLarge
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, err := w.Write(buf)
-	wire.PutBuf(buf)
+	binary.BigEndian.PutUint32(buf[:4], uint32(n))
+	buf = wire.AppendUint32(buf, wire.ChecksumUpdate(wire.Checksum(buf[4:head]), env.Body))
+	bufs := net.Buffers{buf[:head], env.Body, buf[head:]}
+	raceReleaseFrame()
+	var err error
+	if bw, ok := w.(buffersWriter); ok {
+		_, err = bw.writeBuffers(bufs)
+	} else {
+		_, err = bufs.WriteTo(w)
+	}
 	return err
 }
 
-// readBufPool recycles the per-frame read buffers.
-var readBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readFrame receives one envelope. The payload is read incrementally
-// rather than allocated up front from the header's length field, so a
-// hostile or corrupt header claiming a near-MaxFrame size costs only
-// the bytes the peer actually sends.
+// readFrame receives one envelope into a buffer of its own, which the
+// envelope's body then aliases. The buffer starts at the header's
+// length capped at a megabyte and doubles only as bytes arrive, so a
+// hostile or corrupt header claiming a near-MaxFrame size costs at
+// most about twice the bytes the peer actually sends.
 func readFrame(r io.Reader) (*envelope, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(head[:])
-	if n > MaxFrame {
+	claim := binary.BigEndian.Uint32(head[:])
+	if claim > MaxFrame {
 		return nil, ErrTooLarge
 	}
-	buf := readBufPool.Get().(*bytes.Buffer)
-	defer readBufPool.Put(buf)
-	buf.Reset()
-	buf.Grow(int(min(n, 1<<20)))
-	if _, err := io.CopyN(buf, r, int64(n)); err != nil {
-		return nil, err
+	n := int(claim)
+	buf := make([]byte, min(n, 1<<20))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			raceAcquireFrame()
+			return decodeEnvelope(buf)
+		}
+		off = len(buf)
+		grown := make([]byte, min(n, 2*off))
+		copy(grown, buf)
+		buf = grown
 	}
-	return decodeEnvelope(buf.Bytes())
 }

@@ -3,7 +3,12 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -106,11 +111,12 @@ func TestCorruptionErrorsAreNotUnreachable(t *testing.T) {
 	}
 }
 
-// countingWriter records each Write call, so the test can pin the
-// single-syscall framing contract.
+// countingWriter records each Write call and each vectored write, so
+// the tests can pin the one-write framing contract.
 type countingWriter struct {
-	writes int
-	buf    bytes.Buffer
+	writes  int
+	vectors []net.Buffers
+	buf     bytes.Buffer
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
@@ -118,18 +124,27 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
+func (w *countingWriter) writeBuffers(bufs net.Buffers) (int64, error) {
+	w.vectors = append(w.vectors, append(net.Buffers(nil), bufs...))
+	return bufs.WriteTo(&w.buf)
+}
+
 // TestWriteFrameSingleWrite pins the fix for the old two-write frame:
-// header and body must leave in ONE Write call, so a failure can
-// never strand a peer blocked after a bare header, and a frame costs
-// one syscall instead of two.
+// a frame leaves in ONE vectored write (one writev on a TCP
+// connection), so a failure can never strand a peer blocked after a
+// bare header and a frame costs one syscall. The body segment of that
+// write is the caller's own slice, not a copy of it.
 func TestWriteFrameSingleWrite(t *testing.T) {
 	w := &countingWriter{}
 	env := &envelope{ID: 1, Method: "Fabric.Push", Body: bytes.Repeat([]byte{9}, 10000)}
 	if err := writeFrame(w, env); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes != 1 {
-		t.Fatalf("writeFrame issued %d writes, want 1", w.writes)
+	if w.writes != 0 || len(w.vectors) != 1 {
+		t.Fatalf("writeFrame issued %d writes and %d vectored writes, want one vectored write", w.writes, len(w.vectors))
+	}
+	if body := w.vectors[0][1]; len(body) != len(env.Body) || &body[0] != &env.Body[0] {
+		t.Fatal("the body segment of the vectored write is not the caller's slice")
 	}
 	out, err := readFrame(&w.buf)
 	if err != nil {
@@ -137,6 +152,97 @@ func TestWriteFrameSingleWrite(t *testing.T) {
 	}
 	if !sameEnvelope(env, out) {
 		t.Fatal("round trip through counting writer mismatched")
+	}
+}
+
+// TestCountingConnCountsVectoredFrames: a frame the server writes
+// through its counting wrapper goes out as a vectored write and is
+// counted byte for byte.
+func TestCountingConnCountsVectoredFrames(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	srv := NewServer()
+	env := &envelope{ID: 3, Method: "Fabric.Push", IsResp: true, Body: bytes.Repeat([]byte{7}, 5000)}
+	sent := make(chan error, 1)
+	go func() { sent <- writeFrame(&countingConn{Conn: a, srv: srv}, env) }()
+	got, err := readFrame(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if !sameEnvelope(env, got) {
+		t.Fatal("frame through the counting wrapper mismatched")
+	}
+	if out, want := srv.Stats().BytesOut, int64(len(frameBytes(t, env))); out != want {
+		t.Fatalf("BytesOut = %d, want the frame's %d bytes", out, want)
+	}
+}
+
+// TestWriteFrameGolden pins the bytes on the wire: writeFrame's output
+// for every FuzzReadFrame seed envelope must equal the frames in
+// testdata/frames.golden, which were written by the copying encoder
+// that preceded vectored writes.
+func TestWriteFrameGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "frames.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, frame, _ := strings.Cut(line, " ")
+		golden[name] = frame
+	}
+	for _, seed := range frameSeeds {
+		want, ok := golden[seed.name]
+		if !ok {
+			t.Fatalf("%s: no golden frame", seed.name)
+		}
+		if got := hex.EncodeToString(frameBytes(t, seed.env)); got != want {
+			t.Errorf("%s: frame\n got %s\nwant %s", seed.name, got, want)
+		}
+	}
+}
+
+// TestFrameBodySurvivesNextRead: a decoded body is the frame's own
+// buffer, so reading the next frame from the same stream must leave
+// it untouched.
+func TestFrameBodySurvivesNextRead(t *testing.T) {
+	first := bytes.Repeat([]byte{0x11}, 4096)
+	var stream bytes.Buffer
+	for i, body := range [][]byte{first, bytes.Repeat([]byte{0xEE}, 4096)} {
+		if err := writeFrame(&stream, &envelope{ID: uint64(i), Method: "Fabric.Push", Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := readFrame(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(&stream); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Body, first) {
+		t.Fatal("reading the second frame changed the first frame's body")
+	}
+}
+
+// TestReadFrameLyingLengthBoundedAlloc: a header claiming 200 MiB
+// followed by 1 KiB and the end of the stream is an error, and the
+// read buffer grows with what arrives rather than with the claim.
+func TestReadFrameLyingLengthBoundedAlloc(t *testing.T) {
+	frame := lyingFrame()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame cut 1 KiB into a 200 MiB claim was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("reading the lying frame allocated %d bytes, want < 4 MiB", alloc)
 	}
 }
 

@@ -18,17 +18,48 @@ func frameBytes(t testing.TB, env *envelope) []byte {
 	return buf.Bytes()
 }
 
+// frameSeeds are the well-formed envelopes behind FuzzReadFrame's
+// seed frames, under their corpus file names. The last two go into
+// the corpus corrupted (corruptSeeds); TestWriteFrameGolden pins the
+// bytes writeFrame makes of every one of them.
+var frameSeeds = []struct {
+	name string
+	env  *envelope
+}{
+	{"ping", &envelope{ID: 1, Method: "Ping"}},
+	{"push_payload", &envelope{ID: 7, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0xAB}, 512)}},
+	{"error_response", &envelope{ID: 9, IsResp: true, Err: "no such method"}},
+	{"traced_call", &envelope{ID: 3, Method: "Fabric.Search", TraceID: 0xDEADBEEF, Parent: 42}},
+	{"stream_chunk", &envelope{ID: 4, IsResp: true, More: true, Body: []byte("chunk")}},
+	{"corrupt_trailer", &envelope{ID: 3, Method: "SQL", Body: []byte("x")}},
+	{"corrupt_body", &envelope{ID: 8, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0x33}, 64)}},
+}
+
+// corruptSeeds damages the frames of the two corrupt_ seeds: one
+// breaks the CRC trailer, the other flips a body byte under it.
+var corruptSeeds = map[string]func(frame []byte){
+	"corrupt_trailer": func(frame []byte) { frame[len(frame)-1] ^= 0xFF },
+	"corrupt_body":    func(frame []byte) { frame[len(frame)/2] ^= 0x01 },
+}
+
+// lyingFrame is a header claiming 200 MiB followed by the 1 KiB the
+// peer really sends before the stream ends.
+func lyingFrame() []byte {
+	return append([]byte{0x0C, 0x80, 0x00, 0x00}, bytes.Repeat([]byte{0x5A}, 1<<10)...)
+}
+
 // FuzzReadFrame feeds the wire decoder arbitrary bytes: hostile input
 // must produce an error — truncated headers, lying length prefixes,
 // corrupt CRC trailers, frames from a pre-binary gob peer — and must
 // never panic or allocate the claimed (rather than the delivered) body size.
 func FuzzReadFrame(f *testing.F) {
-	// Well-formed binary frames.
-	f.Add(frameBytes(f, &envelope{ID: 1, Method: "Ping"}))
-	f.Add(frameBytes(f, &envelope{ID: 7, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0xAB}, 512)}))
-	f.Add(frameBytes(f, &envelope{ID: 9, IsResp: true, Err: "no such method"}))
-	f.Add(frameBytes(f, &envelope{ID: 3, Method: "Fabric.Search", TraceID: 0xDEADBEEF, Parent: 42}))
-	f.Add(frameBytes(f, &envelope{ID: 4, IsResp: true, More: true, Body: []byte("chunk")}))
+	for _, seed := range frameSeeds {
+		frame := frameBytes(f, seed.env)
+		if corrupt, ok := corruptSeeds[seed.name]; ok {
+			corrupt(frame)
+		}
+		f.Add(frame)
+	}
 	// Pre-binary gob frames: no magic byte, rejected.
 	f.Add([]byte(legacyGobFrame))
 	f.Add([]byte(corruptGobFrame))
@@ -39,12 +70,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})       // length way beyond MaxFrame
 	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF})       // length just beyond MaxFrame
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10, 1, 2}) // claims 16 bytes, delivers 2
-	corrupt := frameBytes(f, &envelope{ID: 3, Method: "SQL", Body: []byte("x")})
-	corrupt[len(corrupt)-1] ^= 0xFF // breaks the CRC trailer
-	f.Add(corrupt)
-	badCRC := frameBytes(f, &envelope{ID: 8, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0x33}, 64)})
-	badCRC[len(badCRC)/2] ^= 0x01 // flips a body byte under the CRC
-	f.Add(badCRC)
+	f.Add(lyingFrame())                         // claims 200 MiB, delivers 1 KiB
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := readFrame(bytes.NewReader(data))
 		if err != nil {
@@ -67,7 +93,11 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzFrameRoundTrip builds envelopes from arbitrary field values —
 // trace context and stream chunks included — and asserts the codec is
-// lossless for everything writeFrame accepts.
+// lossless for everything writeFrame accepts. Each input goes out as
+// two frames on one stream, the second carrying the first's body
+// inverted, and the first body is checked again after the second
+// frame is read: a decoded body must not share a buffer the next read
+// reuses.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "Ping", false, "", []byte(nil), uint64(0), uint64(0), false)
 	f.Add(uint64(1<<63), "Fabric.Resolve", true, "fabric: no station on the parent route holds an instance", []byte("bundle"), uint64(0), uint64(0), false)
@@ -77,6 +107,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint64, method string, isResp bool, errStr string, body []byte, traceID, parent uint64, more bool) {
 		in := &envelope{ID: id, Method: method, IsResp: isResp, Err: errStr, Body: body,
 			TraceID: traceID, Parent: parent, More: more}
+		inverted := make([]byte, len(body))
+		for i, c := range body {
+			inverted[i] = ^c
+		}
+		next := &envelope{ID: id + 1, Method: method, IsResp: !isResp, Body: inverted, TraceID: parent, Parent: traceID}
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, in); err != nil {
 			t.Fatalf("writeFrame: %v", err)
@@ -85,12 +120,25 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if n := binary.BigEndian.Uint32(buf.Bytes()[:4]); int(n) != buf.Len()-4 {
 			t.Fatalf("header claims %d bytes, frame carries %d", n, buf.Len()-4)
 		}
+		if err := writeFrame(&buf, next); err != nil {
+			t.Fatalf("writeFrame: %v", err)
+		}
 		out, err := readFrame(&buf)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
 		if !sameEnvelope(in, out) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", in, out)
+		}
+		out2, err := readFrame(&buf)
+		if err != nil {
+			t.Fatalf("second readFrame: %v", err)
+		}
+		if !sameEnvelope(next, out2) {
+			t.Fatalf("second round-trip mismatch: %+v vs %+v", next, out2)
+		}
+		if !bytes.Equal(out.Body, body) {
+			t.Fatal("the first body changed when the second frame was read")
 		}
 		// A truncated frame must error, never hang or panic.
 		if buf2 := frameBytes(t, in); len(buf2) > 4 {

@@ -266,6 +266,20 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// writeBuffers is Write for a whole frame (see writeFrame): the
+// segments leave in one vectored write on the connection beneath and
+// are counted the same way.
+func (c *countingConn) writeBuffers(bufs net.Buffers) (int64, error) {
+	var size int64
+	for _, b := range bufs {
+		size += int64(len(b))
+	}
+	c.srv.bytesOut.Add(size)
+	n, err := bufs.WriteTo(c.Conn)
+	c.srv.bytesOut.Add(n - size)
+	return n, err
+}
+
 // Handle registers a method handler; it panics on duplicate names
 // (registration is static wiring).
 func (s *Server) Handle(method string, h Handler) {

@@ -66,6 +66,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // trailer costs a table lookup loop at worst.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
+// ChecksumUpdate returns the checksum of the bytes crc covered followed
+// by p, so a trailer can cover bytes that do not sit in one slice.
+func ChecksumUpdate(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
+
 // maxPooledBuf bounds the buffers the pool retains: a one-off giant
 // frame (a full-media bundle) should not pin its backing array for
 // the life of the process.
@@ -370,6 +374,13 @@ func AppendRecord(dst []byte, payload []byte) []byte {
 	dst = AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
 	return AppendUint32(dst, Checksum(payload))
+}
+
+// RecordSize is the length AppendRecord gives a record whose payload
+// is n bytes long.
+func RecordSize(n int) int {
+	var prefix [binary.MaxVarintLen64]byte
+	return 2 + binary.PutUvarint(prefix[:], uint64(n)) + n + 4
 }
 
 // magicErr describes a first byte that is not the wanted magic. No
