@@ -21,33 +21,25 @@ import (
 
 func blobFileName(gen uint64) string { return fmt.Sprintf("blobs-%010d", gen) }
 
-// Checkpoint writes one coordinated checkpoint generation — BLOB
-// sidecar plus relational snapshot plus rotated WAL tail — into dir
-// (the attached durability directory when dir is empty).
-func (s *Store) Checkpoint(dir string) (*relstore.CheckpointInfo, error) {
-	target := dir
-	if target == "" {
-		target = s.durDir
+// CheckpointNow writes one coordinated checkpoint generation — BLOB
+// sidecar plus relational snapshot plus rotated WAL tail — into the
+// directory Recover attached. The station RPC and the daemon's
+// background checkpointer call it.
+func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
+	dir := s.durDir
+	if dir == "" {
+		return nil, fmt.Errorf("docdb: no durability directory attached; Recover attaches one")
 	}
-	if target == "" {
-		return nil, fmt.Errorf("docdb: no durability directory attached; pass one to Checkpoint")
-	}
-	info, err := s.rel.CheckpointWith(target, func(gen uint64) error {
-		return atomicio.WriteFile(filepath.Join(target, blobFileName(gen)), func(w io.Writer) error {
+	info, err := s.rel.CheckpointWith(dir, func(gen uint64) error {
+		return atomicio.WriteFile(filepath.Join(dir, blobFileName(gen)), func(w io.Writer) error {
 			return s.blobs.Snapshot(w)
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	relstore.PruneGenerationFiles(target, "blobs-", info.Gen)
+	relstore.PruneGenerationFiles(dir, "blobs-", info.Gen)
 	return info, nil
-}
-
-// CheckpointNow checkpoints into the directory Recover attached — the
-// form the station RPC and the daemon's background checkpointer use.
-func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
-	return s.Checkpoint("")
 }
 
 // Recover restores the store from a durability directory: the BLOB
@@ -61,28 +53,25 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 // The sidecar is restored after relstore has chosen its generation, on
 // the calling goroutine: only that generation's blobs-<g> is read, and
 // every content hash in it is checked before the BLOB store changes.
+// A missing sidecar fails the recovery: rows without their BLOBs
+// would point at nothing. The checkpoint renames the sidecar before
+// the snapshot, so only a relstore-only checkpoint or a hand-pruned
+// directory lacks it.
 func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 	info, err := s.rel.OpenDurable(dir)
 	if err != nil {
 		return nil, err
 	}
 	if info.Gen > 0 {
-		f, err := os.Open(filepath.Join(dir, blobFileName(info.Gen)))
+		name := blobFileName(info.Gen)
+		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			// The checkpoint protocol renames the sidecar before the
-			// snapshot, so this only happens for a relstore-only
-			// checkpoint or a hand-pruned directory: recover the rows
-			// and carry on with an empty BLOB store rather than refuse
-			// to start.
-			if !os.IsNotExist(err) {
-				return nil, fmt.Errorf("docdb: opening BLOB sidecar: %w", err)
-			}
-		} else {
-			rerr := s.blobs.Restore(f)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", blobFileName(info.Gen), rerr)
-			}
+			return nil, fmt.Errorf("docdb: opening BLOB sidecar %s: %w", name, err)
+		}
+		err = s.blobs.Restore(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", name, err)
 		}
 	}
 	// A checkpoint restores the indexes its writer knew; a newer

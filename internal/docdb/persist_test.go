@@ -190,6 +190,34 @@ func TestRecoverNamesUnreadableBlobSidecar(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesMissingBlobSidecar: the loaded generation's
+// sidecar is gone. Recovery fails naming the file instead of restoring
+// media rows whose BLOBs are nowhere, and the course is not served.
+func TestRecoverRefusesMissingBlobSidecar(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	_, url := seedCourse(t, s)
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, blobFileName(1))); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Recover(dir); err == nil || !strings.Contains(err.Error(), blobFileName(1)) {
+		t.Fatalf("Recover err = %v, want one naming %s", err, blobFileName(1))
+	}
+	if _, err := s2.ExportBundle(url); err == nil {
+		t.Error("the store serves the course after a recovery that found no BLOB sidecar")
+	}
+}
+
 // TestCheckpointPrunesBlobSidecars: only the newest generation's
 // sidecar remains after a successful checkpoint.
 func TestCheckpointPrunesBlobSidecars(t *testing.T) {

@@ -178,8 +178,10 @@ func readSnapshotFile(path string) (*ckptImage, error) {
 // every WAL tail at or above that generation in ascending order, and
 // attaches the newest tail for subsequent appends (creating the
 // generation-0 tail on a fresh directory). The WAL sequence counter
-// resumes from the recovered high-water mark. Call it once, before the
-// database serves traffic and before any OpenWAL.
+// resumes from the recovered high-water mark. It is the only way to
+// load an image or attach a log: call it once, before the database
+// serves traffic; on a database with a tail attached it fails with
+// ErrWALOpen.
 func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
@@ -213,7 +215,6 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 		}
 		info.Gen = img.Gen
 		info.Seq = img.Seq
-		db.noteReplaySeq(img.Seq)
 		break
 	}
 	if len(snaps) > 0 && info.Gen == 0 {
@@ -249,38 +250,19 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 		tailGen = tails[n-1]
 	}
 	tail := filepath.Join(dir, walFileName(tailGen))
-	// A torn final record is cut before the tail is appended to: a
-	// commit written after it would turn it into a complete record
-	// that fails its CRC, and the next recovery would refuse the log.
-	if err := cutTornTail(tail, tornEnd); err != nil {
+	wal, err := openTail(tail, tornEnd)
+	if err != nil {
 		return nil, err
 	}
-	if err := db.OpenWAL(tail); err != nil {
-		return nil, err
-	}
+	db.seq.Store(info.Seq)
+	db.metaMu.Lock()
+	db.wal = wal
+	db.metaMu.Unlock()
 	db.dir = dir
 	db.gen = info.Gen
 	info.WALTail = tail
 	pruneGenerations(dir, info.Gen)
 	return info, nil
-}
-
-// cutTornTail truncates the tail file at path to end when it holds
-// more than that: the bytes past end are a torn record. A negative end
-// (the tail was not replayed) and a tail that ends at a record
-// boundary leave the file untouched.
-func cutTornTail(path string, end int64) error {
-	if end < 0 {
-		return nil
-	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() <= end {
-		return nil
-	}
-	if err := os.Truncate(path, end); err != nil {
-		return fmt.Errorf("relstore: cutting the torn tail of %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }
 
 // Checkpoint writes a new checkpoint generation into dir (the
@@ -325,12 +307,11 @@ func (db *DB) CheckpointWith(dir string, sidecar func(gen uint64) error) (*Check
 	db.metaMu.RLock()
 	names := db.lockAllTablesShared()
 	snap := db.captureLocked()
-	seq := db.lastSeq
+	seq := db.seq.Load()
 	var rotateErr, sideErr error
 	tailPath := ""
 	if wal := db.wal; wal != nil {
 		wal.mu.Lock()
-		seq = wal.seq
 		tailPath, rotateErr = rotateTailLocked(wal, dir, gen)
 		wal.mu.Unlock()
 	}
@@ -380,7 +361,7 @@ func (db *DB) CheckpointWith(dir string, sidecar func(gen uint64) error) (*Check
 // attached log onto a fresh wal-<gen> file. Caller holds wal.mu inside
 // the write-quiescent window, so no append can slip between the two
 // files.
-func rotateTailLocked(wal *WAL, dir string, gen uint64) (string, error) {
+func rotateTailLocked(wal *walTail, dir string, gen uint64) (string, error) {
 	path := filepath.Join(dir, walFileName(gen))
 	fresh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {

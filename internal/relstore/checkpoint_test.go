@@ -30,6 +30,48 @@ func newDurableCourseDB(t testing.TB, dir string) *DB {
 	return db
 }
 
+// openDurable opens a fresh durable database in dir.
+func openDurable(t testing.TB, dir string) *DB {
+	t.Helper()
+	db := NewDB()
+	if _, err := db.OpenDurable(dir); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// reopen detaches db's tail and recovers dir into a fresh database,
+// the way a restarted station does.
+func reopen(t testing.TB, db *DB, dir string) (*DB, *RecoverInfo) {
+	t.Helper()
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := NewDB()
+	info, err := db2.OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.CloseWAL() })
+	return db2, info
+}
+
+// roundTrip checkpoints db into a directory of its own and recovers
+// that directory into a fresh database.
+func roundTrip(t testing.TB, db *DB) *DB {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	db2 := NewDB()
+	if _, err := db2.OpenDurable(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.CloseWAL() })
+	return db2
+}
+
 func insertScripts(t testing.TB, db *DB, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
@@ -337,20 +379,11 @@ func TestCheckpointSeqContinuity(t *testing.T) {
 }
 
 // TestCheckpointParityWithFullReplay: recovering from checkpoint plus
-// tail produces exactly the state a full-history replay produces.
+// tail produces exactly the state a full-history replay of a directory
+// that was never checkpointed produces.
 func TestCheckpointParityWithFullReplay(t *testing.T) {
-	full := filepath.Join(t.TempDir(), "full.wal")
-	ref := NewDB()
-	if err := ref.OpenWAL(full); err != nil {
-		t.Fatal(err)
-	}
-	s, i := courseSchemas()
-	if err := ref.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.CreateTable(i); err != nil {
-		t.Fatal(err)
-	}
+	fullDir := t.TempDir()
+	ref := newDurableCourseDB(t, fullDir)
 
 	dir := t.TempDir()
 	db := newDurableCourseDB(t, dir)
@@ -379,22 +412,8 @@ func TestCheckpointParityWithFullReplay(t *testing.T) {
 		}
 	}
 	apply(func(d *DB) error { return d.Delete("scripts", "s002") })
-	ref.CloseWAL()
-	db.CloseWAL()
-
-	fromCkpt := NewDB()
-	if _, err := fromCkpt.OpenDurable(dir); err != nil {
-		t.Fatal(err)
-	}
-	fromFull := NewDB()
-	f, err := os.Open(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, _, err := fromFull.ReplayWAL(f); err != nil {
-		t.Fatal(err)
-	}
+	fromFull, _ := reopen(t, ref, fullDir)
+	fromCkpt, _ := reopen(t, db, dir)
 	a, err := fromCkpt.Select(Query{Table: "scripts"})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +432,6 @@ func TestCheckpointParityWithFullReplay(t *testing.T) {
 			}
 		}
 	}
-	fromCkpt.CloseWAL()
 }
 
 func TestCheckpointWithoutDirFails(t *testing.T) {
@@ -423,38 +441,35 @@ func TestCheckpointWithoutDirFails(t *testing.T) {
 	}
 }
 
+// TestOpenDurableRefusesAttachedWAL: a second OpenDurable, over the
+// same directory or another one, fails with ErrWALOpen and writes
+// nothing to the directory it was given.
 func TestOpenDurableRefusesAttachedWAL(t *testing.T) {
-	db := NewDB()
-	if err := db.OpenWAL(filepath.Join(t.TempDir(), "w.wal")); err != nil {
-		t.Fatal(err)
+	dir, other := t.TempDir(), t.TempDir()
+	db := newDurableCourseDB(t, dir)
+	defer db.CloseWAL()
+	for _, d := range []string{dir, other} {
+		if _, err := db.OpenDurable(d); !errors.Is(err, ErrWALOpen) {
+			t.Fatalf("second OpenDurable(%s) err = %v, want ErrWALOpen", d, err)
+		}
 	}
-	if _, err := db.OpenDurable(t.TempDir()); !errors.Is(err, ErrWALOpen) {
-		t.Fatalf("err = %v, want ErrWALOpen", err)
+	if entries, err := os.ReadDir(other); err != nil || len(entries) != 0 {
+		t.Errorf("the refused OpenDurable wrote %d files (err %v)", len(entries), err)
 	}
-	db.CloseWAL()
 }
 
 // BenchmarkRestart compares the two restart paths over the same ≥10k
-// transaction history: replaying the full WAL versus loading the
-// latest checkpoint and replaying only the tail. The checkpoint path's
-// cost is bounded by the tail, so it must win by a wide margin.
+// transaction history: recovering a directory that was never
+// checkpointed, which replays the full WAL, versus loading the latest
+// checkpoint and replaying only the tail. The checkpoint path's cost
+// is bounded by the tail, so it must win by a wide margin.
 func BenchmarkRestart(b *testing.B) {
 	const history = 10000
 	const tail = 100
 
-	fullPath := filepath.Join(b.TempDir(), "full.wal")
+	fullDir := b.TempDir()
 	{
-		db := NewDB()
-		if err := db.OpenWAL(fullPath); err != nil {
-			b.Fatal(err)
-		}
-		s, i := courseSchemas()
-		if err := db.CreateTable(s); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.CreateTable(i); err != nil {
-			b.Fatal(err)
-		}
+		db := newDurableCourseDB(b, fullDir)
 		insertScripts(b, db, 0, history)
 		if err := db.CloseWAL(); err != nil {
 			b.Fatal(err)
@@ -474,35 +489,23 @@ func BenchmarkRestart(b *testing.B) {
 		}
 	}
 
-	b.Run("wal-only", func(b *testing.B) {
+	restart := func(b *testing.B, dir string, want func(applied int) bool) {
 		for i := 0; i < b.N; i++ {
 			db := NewDB()
-			f, err := os.Open(fullPath)
+			rec, err := db.OpenDurable(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
-			applied, _, err := db.ReplayWAL(f)
-			f.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if applied < history {
-				b.Fatalf("replayed %d transactions, want >= %d", applied, history)
-			}
-		}
-	})
-
-	b.Run("checkpoint-tail", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			db := NewDB()
-			rec, err := db.OpenDurable(ckptDir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rec.Applied != tail {
-				b.Fatalf("restart applied %d transactions, want only the %d tail writes", rec.Applied, tail)
+			if !want(rec.Applied) {
+				b.Fatalf("restart applied %d transactions", rec.Applied)
 			}
 			db.CloseWAL()
 		}
+	}
+	b.Run("wal-only", func(b *testing.B) {
+		restart(b, fullDir, func(applied int) bool { return applied >= history })
+	})
+	b.Run("checkpoint-tail", func(b *testing.B) {
+		restart(b, ckptDir, func(applied int) bool { return applied == tail })
 	})
 }

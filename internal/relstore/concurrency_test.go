@@ -1,10 +1,8 @@
 package relstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -366,8 +364,8 @@ func TestBatchAtomicity(t *testing.T) {
 // batch appends exactly one committed WAL line regardless of size.
 func TestBatchSingleWALAppend(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
+	walPath := filepath.Join(dir, walFileName(0))
+	db := openDurable(t, dir)
 	if err := db.CreateTable(Schema{
 		Name:    "t",
 		Columns: []Column{{Name: "id", Type: TInt, NotNull: true}},
@@ -375,9 +373,7 @@ func TestBatchSingleWALAppend(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	ddl := len(walSeqs(t, walPath))
 	var b Batch
 	for i := 0; i < 100; i++ {
 		b.Insert("t", Row{"id": int64(i)})
@@ -385,39 +381,23 @@ func TestBatchSingleWALAppend(t *testing.T) {
 	if err := db.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if records := len(walSeqs(t, walPath)); records != 1 {
+	if records := len(walSeqs(t, walPath)) - ddl; records != 1 {
 		t.Errorf("WAL records = %d for one batch, want 1", records)
 	}
 
 	// And the single line replays back to the full table.
-	f2, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	db2 := NewDB()
-	if err := db2.CreateTable(Schema{
-		Name:    "t",
-		Columns: []Column{{Name: "id", Type: TInt, NotNull: true}},
-		Key:     "id",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db2.ReplayWAL(f2); err != nil {
-		t.Fatal(err)
-	}
+	db2, _ := reopen(t, db, dir)
 	if n, _ := db2.Count("t"); n != 100 {
 		t.Errorf("replayed rows = %d, want 100", n)
 	}
 }
 
-// TestConcurrentBatchesAndSnapshots mixes Apply with Snapshot to check
-// the all-table read lock of Snapshot composes with batch commits.
+// TestConcurrentBatchesAndSnapshots mixes Apply with Checkpoint to
+// check that the checkpoint's all-table read lock composes with batch
+// commits, and that the last image holds every committed batch.
 func TestConcurrentBatchesAndSnapshots(t *testing.T) {
 	db := concDB(t)
+	dir := t.TempDir()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -439,8 +419,7 @@ func TestConcurrentBatchesAndSnapshots(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			var sink discardWriter
-			if err := db.Snapshot(&sink); err != nil {
+			if _, err := db.Checkpoint(dir); err != nil {
 				t.Error(err)
 				return
 			}
@@ -450,19 +429,22 @@ func TestConcurrentBatchesAndSnapshots(t *testing.T) {
 	if n, _ := db.Count("notes"); n != 4*20*10 {
 		t.Errorf("notes = %d, want 800", n)
 	}
+	if n, _ := roundTrip(t, db).Count("notes"); n != 4*20*10 {
+		t.Errorf("notes after a checkpoint round trip = %d, want 800", n)
+	}
 }
 
-// TestReplayBesideReaders: a WAL replay shares the database with
-// readers and snapshots. Each record inserts two rows, and a reader
-// must never see one without the other.
+// TestReplayBesideReaders: recovery replays its tail while readers
+// already share the database. Each record inserts two rows, and a
+// reader must never see one without the other.
 func TestReplayBesideReaders(t *testing.T) {
 	schema := Schema{Name: "notes", Columns: []Column{{Name: "id", Type: TInt, NotNull: true}}, Key: "id"}
-	src := NewDB()
+	dir := t.TempDir()
+	src := openDurable(t, dir)
 	if err := src.CreateTable(schema); err != nil {
 		t.Fatal(err)
 	}
-	walPath := filepath.Join(t.TempDir(), "db.wal")
-	if err := src.OpenWAL(walPath); err != nil {
+	if _, err := src.Checkpoint(""); err != nil { // the table is in snap-1, the records in wal-1
 		t.Fatal(err)
 	}
 	const records = 300
@@ -477,10 +459,6 @@ func TestReplayBesideReaders(t *testing.T) {
 	if err := src.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	db := NewDB()
 	if err := db.CreateTable(schema); err != nil {
@@ -490,7 +468,7 @@ func TestReplayBesideReaders(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -507,29 +485,20 @@ func TestReplayBesideReaders(t *testing.T) {
 					t.Errorf("select saw %d notes (err %v): half a record", len(rows), err)
 					return
 				}
-				if g == 0 {
-					if err := db.Snapshot(discardWriter{}); err != nil {
-						t.Error(err)
-						return
-					}
-				}
 			}
-		}(g)
+		}()
 	}
-	applied, _, err := db.ReplayWAL(bytes.NewReader(raw))
+	info, err := db.OpenDurable(dir)
 	close(done)
 	wg.Wait()
-	if err != nil || applied != records {
-		t.Fatalf("replay applied %d records (err %v), want %d", applied, err, records)
+	if err != nil || info.Applied != records {
+		t.Fatalf("recovery replayed %v (err %v), want %d records", info, err, records)
 	}
+	defer db.CloseWAL()
 	if n, _ := db.Count("notes"); n != 2*records {
 		t.Errorf("notes = %d, want %d", n, 2*records)
 	}
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestReadNotStalledByUnrelatedWrite pins down the engine's headline
 // guarantee: a query of one table completes while a transaction holds

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // table is the in-memory storage of one relation.
@@ -165,11 +166,11 @@ type DB struct {
 	// exclusively by DDL. See lock.go for the full locking story.
 	metaMu sync.RWMutex
 	tables map[string]*table
-	wal    *WAL // nil when WAL logging is disabled
+	wal    *walTail // attached by OpenDurable; nil without a log
 
-	// lastSeq is the WAL sequence high-water observed outside an
-	// attached log (latest replay, last CloseWAL); guarded by metaMu.
-	lastSeq uint64
+	// seq is the WAL sequence high-water: the Seq of the last record
+	// appended, or the one OpenDurable recovered. It outlives CloseWAL.
+	seq atomic.Uint64
 
 	// ckptMu serializes checkpoints and guards the durability state
 	// below (see checkpoint.go).

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -117,14 +116,7 @@ func TestOrderedIndexValidation(t *testing.T) {
 
 func TestOrderedIndexSurvivesSnapshot(t *testing.T) {
 	db := orderedFixture(t, 30)
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewDB()
-	if err := db2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
+	db2 := roundTrip(t, db)
 	// The restored engine still has the ordered index (observable only
 	// through correct range results; plan equivalence is checked by the
 	// property test below).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -23,29 +24,6 @@ type snapTable struct {
 	*layout
 	rows             []tuple
 	indexed, ordered []string
-}
-
-// Snapshot writes a point-in-time image of the database as a
-// CRC-sealed binary image. The capture holds every table's read lock,
-// so it is consistent across tables; the encode itself runs after the
-// locks are released, which is safe because stored tuples are
-// immutable — every mutation installs a fresh tuple (see Tx.Update)
-// rather than editing one in place.
-func (db *DB) Snapshot(w io.Writer) error {
-	db.metaMu.RLock()
-	names := db.lockAllTablesShared()
-	snap := db.captureLocked()
-	db.unlockAllTablesShared(names)
-	db.metaMu.RUnlock()
-	img := ckptImage{Snap: snap}
-	payload, err := appendCkptImage(wire.GetBuf(), &img)
-	if err != nil {
-		return err
-	}
-	sealed := wire.SealImage(wire.SnapMagic, payload)
-	wire.PutBuf(payload)
-	_, err = w.Write(sealed)
-	return err
 }
 
 // lockAllTablesShared read-locks every table in sorted order and
@@ -86,20 +64,6 @@ func (db *DB) captureLocked() snapshot {
 		snap.Tables = append(snap.Tables, st)
 	}
 	return snap
-}
-
-// Restore replaces the database contents with a snapshot previously
-// written by Snapshot.
-func (db *DB) Restore(r io.Reader) error {
-	data, err := wire.ReadImage(r)
-	if err != nil {
-		return fmt.Errorf("relstore: reading snapshot: %w", err)
-	}
-	img, err := decodeSnapshotImage(data)
-	if err != nil {
-		return fmt.Errorf("relstore: decoding snapshot: %w", err)
-	}
-	return db.installSnapshot(&img.Snap)
 }
 
 // installSnapshot rebuilds the table set from a decoded snapshot and
@@ -160,16 +124,15 @@ func (db *DB) tableNamesLocked() []string {
 	return names
 }
 
-// WAL is a write-ahead log of committed transactions. Each committed
+// walTail is the attached write-ahead log tail. Each committed
 // transaction appends one CRC-framed binary record (see walbin.go)
-// carrying its redo entries and a commit marker; Replay applies only
+// carrying its redo entries and a commit marker; replay applies only
 // fully committed transactions, so a crash mid-append never replays a
 // torn one.
-type WAL struct {
+type walTail struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	f     *os.File
-	seq   uint64
 	bytes int64 // bytes appended to the current tail file
 }
 
@@ -179,35 +142,35 @@ type walLine struct {
 	Recs   []walRec
 }
 
-// OpenWAL attaches a write-ahead log file to the database. Subsequent
-// committed transactions append to it. Attaching over an
-// already-attached log fails with ErrWALOpen — silently replacing it
-// would leak the old handle with its unflushed buffer and split the
-// committed history across two files. The sequence counter resumes
-// from the high-water mark of the latest replay, so a restarted
-// station appends strictly increasing Seq values instead of starting
-// over at 1.
-func (db *DB) OpenWAL(path string) error {
+// openTail opens the tail file at path for appends. end is where its
+// last complete record ends, negative when it was not replayed. Bytes
+// past end are a torn record, and they are cut before anything is
+// appended: a commit written after them would turn them into a
+// complete record that fails its CRC, and the next recovery would
+// refuse the log.
+func openTail(path string, end int64) (*walTail, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("relstore: opening WAL: %w", err)
+		return nil, fmt.Errorf("relstore: opening WAL tail: %w", err)
 	}
-	db.metaMu.Lock()
-	defer db.metaMu.Unlock()
-	if db.wal != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("%w: %s", ErrWALOpen, path)
+		return nil, err
 	}
-	wal := &WAL{f: f, w: bufio.NewWriter(f), seq: db.lastSeq}
-	if fi, err := f.Stat(); err == nil {
-		wal.bytes = fi.Size()
+	size := fi.Size()
+	if end >= 0 && size > end {
+		if err := f.Truncate(end); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("relstore: cutting the torn tail of %s: %w", filepath.Base(path), err)
+		}
+		size = end
 	}
-	db.wal = wal
-	return nil
+	return &walTail{f: f, w: bufio.NewWriter(f), bytes: size}, nil
 }
 
-// CloseWAL flushes and detaches the log, recording the sequence
-// high-water so a later OpenWAL continues the numbering.
+// CloseWAL flushes and detaches the log. The sequence counter keeps
+// its value.
 func (db *DB) CloseWAL() error {
 	db.metaMu.Lock()
 	defer db.metaMu.Unlock()
@@ -218,9 +181,6 @@ func (db *DB) CloseWAL() error {
 	db.wal = nil
 	wal.mu.Lock()
 	defer wal.mu.Unlock()
-	if wal.seq > db.lastSeq {
-		db.lastSeq = wal.seq
-	}
 	if err := wal.w.Flush(); err != nil {
 		wal.f.Close()
 		return err
@@ -242,42 +202,23 @@ func (db *DB) WALTailBytes() int64 {
 	return db.wal.bytes
 }
 
-// LastSeq returns the highest WAL sequence number the database has
-// seen, whether appended through the attached log or observed during
-// replay.
-func (db *DB) LastSeq() uint64 {
-	db.metaMu.RLock()
-	defer db.metaMu.RUnlock()
-	if db.wal != nil {
-		db.wal.mu.Lock()
-		defer db.wal.mu.Unlock()
-		if db.wal.seq > db.lastSeq {
-			return db.wal.seq
-		}
-	}
-	return db.lastSeq
-}
+// LastSeq returns the WAL sequence high-water: the Seq of the last
+// record appended, or the one OpenDurable recovered, whether or not a
+// tail is attached.
+func (db *DB) LastSeq() uint64 { return db.seq.Load() }
 
-// noteReplaySeq folds a replay's high-water sequence into the counter
-// the next OpenWAL resumes from.
-func (db *DB) noteReplaySeq(seq uint64) {
-	db.metaMu.Lock()
-	if seq > db.lastSeq {
-		db.lastSeq = seq
-	}
-	db.metaMu.Unlock()
-}
-
-// append writes one committed transaction to the log as a CRC-framed
-// binary record. Row values are encoded natively by the wire codec —
-// a document body goes to disk as its raw bytes. Both scratch buffers
-// are pooled, so steady-state appends allocate only what the bufio
-// writer flushes.
-func (w *WAL) append(recs []walRec) error {
+// appendWAL writes one committed transaction to the attached log as a
+// CRC-framed binary record. Row values are encoded natively by the
+// wire codec — a document body goes to disk as its raw bytes. Both
+// scratch buffers are pooled, so steady-state appends allocate only
+// what the bufio writer flushes. Caller holds metaMu and has checked
+// that a log is attached; the sequence advances under the tail's lock,
+// so the file order is the Seq order.
+func (db *DB) appendWAL(recs []walRec) error {
+	w := db.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.seq++
-	line := walLine{Seq: w.seq, Commit: true, Recs: recs}
+	line := walLine{Seq: db.seq.Add(1), Commit: true, Recs: recs}
 	payload := wire.GetBuf()
 	payload, err := appendWalLine(payload, &line)
 	if err != nil {
@@ -296,10 +237,12 @@ func (w *WAL) append(recs []walRec) error {
 	return w.w.Flush()
 }
 
-// ReplayWAL applies a write-ahead log produced by a previous process
-// to the database and reports the committed transactions applied plus
-// the high-water sequence number observed (which OpenWAL resumes
-// from). Unknown tables fail the replay.
+// replayWAL applies a write-ahead log produced by a previous process
+// to the database and reports the committed transactions applied, the
+// high-water sequence number observed, and end, the offset where the
+// last complete record ends: the length of the log without its torn
+// tail, which OpenDurable cuts before it appends after it. Unknown
+// tables fail the replay.
 //
 // Each run of non-DDL records replays under one exclusive hold of the
 // schema lock, which shuts out every query and transaction, so no
@@ -312,16 +255,7 @@ func (w *WAL) append(recs []walRec) error {
 // parse, a first byte that is not wire.RecordMagic (a JSON line from
 // before the binary format) and a read error other than end of input
 // all fail the replay.
-func (db *DB) ReplayWAL(r io.Reader) (applied int, maxSeq uint64, err error) {
-	applied, maxSeq, _, err = db.replayWAL(r)
-	return applied, maxSeq, err
-}
-
-// replayWAL is ReplayWAL that also reports end, the offset where the
-// last complete record ends: the length of the log without its torn
-// tail, which OpenDurable cuts before it appends after it.
 func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err error) {
-	defer func() { db.noteReplaySeq(maxSeq) }()
 	rp := &replayer{db: db}
 	defer rp.unlock()
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -357,7 +291,7 @@ func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err
 	}
 }
 
-// replayer is ReplayWAL's state: the row decoder it reuses across
+// replayer is replayWAL's state: the row decoder it reuses across
 // records and, while it holds the schema lock, the transaction its
 // records apply through.
 type replayer struct {
@@ -398,20 +332,15 @@ func (rp *replayer) layout(name string) (*layout, error) {
 }
 
 // apply runs one committed record's operations, undoing them all when
-// one fails. With a log attached the record is appended to it, as a
-// commit would.
+// one fails. Replay runs only inside OpenDurable, before the tail is
+// attached, so the operations log nothing.
 func (rp *replayer) apply(recs []walRec) error {
 	rp.lock()
-	tx := rp.tx
-	tx.redo = tx.redo[:0]
-	if err := applyRecs(tx, recs); err != nil {
-		tx.undoLocked()
+	if err := applyRecs(rp.tx, recs); err != nil {
+		rp.tx.undoLocked()
 		return err
 	}
-	tx.undo = tx.undo[:0]
-	if rp.db.wal != nil && len(tx.redo) > 0 {
-		return rp.db.wal.append(tx.redo)
-	}
+	rp.tx.undo = rp.tx.undo[:0]
 	return nil
 }
 
@@ -441,12 +370,12 @@ func (db *DB) logDDL(s Schema) error {
 	if db.wal == nil {
 		return nil
 	}
-	return db.wal.append([]walRec{{Op: walOpCreate, Table: s.Name, DDL: &s}})
+	return db.appendWAL([]walRec{{Op: walOpCreate, Table: s.Name, DDL: &s}})
 }
 
 func (db *DB) logDrop(name string) error {
 	if db.wal == nil {
 		return nil
 	}
-	return db.wal.append([]walRec{{Op: walOpDrop, Table: name}})
+	return db.appendWAL([]walRec{{Op: walOpDrop, Table: name}})
 }

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,15 +25,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := NewDB()
-	if err := db2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
+	db2 := roundTrip(t, db)
 	got, err := db2.Get("scripts", "s")
 	if err != nil {
 		t.Fatal(err)
@@ -63,19 +54,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestWALReplayRebuildsDatabase(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	s, i := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(i); err != nil {
-		t.Fatal(err)
-	}
+	db := newDurableCourseDB(t, dir)
 	created := time.Date(1999, 4, 21, 10, 0, 0, 0, time.UTC)
 	if err := db.Insert("scripts", Row{"script_name": "a", "created": created}); err != nil {
 		t.Fatal(err)
@@ -95,22 +74,9 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 	if err := db.Delete("impls", "u"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2 := NewDB()
-	applied, _, err := db2.ReplayWAL(f)
-	if err != nil {
-		t.Fatalf("replay failed after %d records: %v", applied, err)
-	}
-	if applied < 6 { // 2 DDL + 3 inserts + 1 update + 1 delete (failed delete unlogged)
-		t.Errorf("applied = %d, want >= 6", applied)
+	db2, info := reopen(t, db, dir)
+	if applied := info.Applied; applied < 6 { // 2 DDL + 3 inserts + 1 update + 1 delete (failed delete unlogged)
+		t.Errorf("applied = %d, want >= 6", info.Applied)
 	}
 	got, err := db2.Get("scripts", "b")
 	if err != nil {
@@ -133,15 +99,7 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 
 func TestWALRollbackLeavesNoTrace(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
+	db := newDurableCourseDB(t, dir)
 	tx, _ := db.Begin()
 	if err := tx.Insert("scripts", Row{"script_name": "ghost"}); err != nil {
 		t.Fatal(err)
@@ -149,55 +107,20 @@ func TestWALRollbackLeavesNoTrace(t *testing.T) {
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2 := NewDB()
-	if _, _, err := db2.ReplayWAL(f); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Exists("scripts", "ghost") {
+	if db2, _ := reopen(t, db, dir); db2.Exists("scripts", "ghost") {
 		t.Error("rolled-back insert reached the WAL")
 	}
 }
 
 func TestWALBytesRoundTripExact(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	s, i := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(i); err != nil {
-		t.Fatal(err)
-	}
+	db := newDurableCourseDB(t, dir)
 	// A payload that is itself valid base64 text must not be corrupted.
 	tricky := []byte("aGVsbG8=")
 	if err := db.Insert("impls", Row{"starting_url": "u", "payload": tricky}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2 := NewDB()
-	if _, _, err := db2.ReplayWAL(f); err != nil {
-		t.Fatal(err)
-	}
+	db2, _ := reopen(t, db, dir)
 	got, err := db2.Get("impls", "u")
 	if err != nil {
 		t.Fatal(err)
@@ -211,15 +134,13 @@ func TestWALBytesRoundTripExact(t *testing.T) {
 // record; everything before it must replay cleanly, without an error.
 func TestReplayToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(dir, walFileName(0))
+	db := openDurable(t, dir)
 	s, _ := courseSchemas()
 	if err := db.CreateTable(s); err != nil {
 		t.Fatal(err)
 	}
+	ddlEnd := fileSize(t, walPath) // appends flush
 	if err := db.Insert("scripts", Row{"script_name": "whole"}); err != nil {
 		t.Fatal(err)
 	}
@@ -231,20 +152,23 @@ func TestReplayToleratesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append a torn copy of the last record: a prefix cut mid-value.
-	last := bytes.TrimRight(raw, "\n")
-	last = last[bytes.LastIndexByte(last, '\n')+1:]
+	last := raw[ddlEnd:]
 	torn := append(append([]byte{}, raw...), last[:len(last)/2]...)
+	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	db2 := NewDB()
-	applied, maxSeq, err := db2.ReplayWAL(bytes.NewReader(torn))
+	info, err := db2.OpenDurable(dir)
 	if err != nil {
-		t.Fatalf("torn tail failed the replay: %v", err)
+		t.Fatalf("torn tail failed the recovery: %v", err)
 	}
-	if applied != 2 { // the DDL record and the complete insert
-		t.Errorf("applied = %d, want 2", applied)
+	defer db2.CloseWAL()
+	if info.Applied != 2 { // the DDL record and the complete insert
+		t.Errorf("applied = %d, want 2", info.Applied)
 	}
-	if maxSeq != 2 {
-		t.Errorf("maxSeq = %d, want 2", maxSeq)
+	if info.Seq != 2 {
+		t.Errorf("seq = %d, want 2", info.Seq)
 	}
 	if !db2.Exists("scripts", "whole") {
 		t.Error("complete record before the torn tail was not replayed")
@@ -259,34 +183,15 @@ func TestReplayUnboundedRecordSize(t *testing.T) {
 		t.Skip("allocates a >64 MiB WAL record")
 	}
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
+	db := newDurableCourseDB(t, dir)
 	big := strings.Repeat("x", 65<<20)
 	if err := db.Insert("scripts", Row{"script_name": "big", "author": big}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
+	if size := fileSize(t, filepath.Join(dir, walFileName(0))); size <= 64<<20 {
+		t.Fatalf("test premise broken: WAL is %v bytes, want > 64 MiB", size)
 	}
-	if fi, err := os.Stat(walPath); err != nil || fi.Size() <= 64<<20 {
-		t.Fatalf("test premise broken: WAL is %v bytes, want > 64 MiB", fi.Size())
-	}
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2 := NewDB()
-	if _, _, err := db2.ReplayWAL(f); err != nil {
-		t.Fatalf("replay of an oversized record failed: %v", err)
-	}
+	db2, _ := reopen(t, db, dir)
 	got, err := db2.Get("scripts", "big")
 	if err != nil {
 		t.Fatal(err)
@@ -297,52 +202,30 @@ func TestReplayUnboundedRecordSize(t *testing.T) {
 }
 
 // TestOpenWALSecondAttachFails: attaching a second log must not
-// silently orphan the first one's handle and buffered records.
+// silently orphan the first one's handle and buffered records. The
+// refused attach leaves the first log working, and it keeps every
+// record.
 func TestOpenWALSecondAttachFails(t *testing.T) {
 	dir := t.TempDir()
-	first := filepath.Join(dir, "first.wal")
-	db := NewDB()
-	if err := db.OpenWAL(first); err != nil {
-		t.Fatal(err)
+	db := newDurableCourseDB(t, dir)
+	if _, err := db.OpenDurable(t.TempDir()); !errors.Is(err, ErrWALOpen) {
+		t.Fatalf("second OpenDurable err = %v, want ErrWALOpen", err)
 	}
-	s, _ := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.OpenWAL(filepath.Join(dir, "second.wal")); !errors.Is(err, ErrWALOpen) {
-		t.Fatalf("second OpenWAL err = %v, want ErrWALOpen", err)
-	}
-	// The original log keeps working and keeps every record.
 	if err := db.Insert("scripts", Row{"script_name": "after"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db2 := NewDB()
-	if _, _, err := db2.ReplayWAL(f); err != nil {
-		t.Fatal(err)
-	}
+	db2, _ := reopen(t, db, dir)
 	if !db2.Exists("scripts", "after") {
 		t.Error("write after the refused re-attach is missing from the first log")
 	}
 }
 
-// TestReopenedWALResumesSeq: a restarted station replaying its log and
-// appending to the same file must continue the sequence numbering, not
-// restart it at 1.
+// TestReopenedWALResumesSeq: a restarted station appending to the tail
+// it recovered must continue the sequence numbering, not restart it
+// at 1.
 func TestReopenedWALResumesSeq(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	db := openDurable(t, dir)
 	s, _ := courseSchemas()
 	if err := db.CreateTable(s); err != nil {
 		t.Fatal(err)
@@ -352,26 +235,9 @@ func TestReopenedWALResumesSeq(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The restart: replay, then append to the same file.
-	db2 := NewDB()
-	f, err := os.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, maxSeq, err := db2.ReplayWAL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxSeq != 4 { // 1 DDL + 3 inserts
-		t.Fatalf("replay high-water = %d, want 4", maxSeq)
-	}
-	if err := db2.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
+	db2, info := reopen(t, db, dir)
+	if info.Seq != 4 || db2.LastSeq() != 4 { // 1 DDL + 3 inserts
+		t.Fatalf("recovered seq = %d, LastSeq = %d, want 4", info.Seq, db2.LastSeq())
 	}
 	for i := 0; i < 2; i++ {
 		if err := db2.Insert("scripts", Row{"script_name": fmt.Sprintf("b%d", i)}); err != nil {
@@ -383,29 +249,20 @@ func TestReopenedWALResumesSeq(t *testing.T) {
 	}
 
 	var prev uint64
-	for _, seq := range walSeqs(t, walPath) {
+	for _, seq := range walSeqs(t, filepath.Join(dir, walFileName(0))) {
 		if seq <= prev {
 			t.Fatalf("seq %d after %d: reopened WAL does not continue monotonically", seq, prev)
 		}
 		prev = seq
 	}
-	if prev != 6 {
-		t.Errorf("final seq = %d, want 6", prev)
+	if prev != 6 || db2.LastSeq() != 6 {
+		t.Errorf("final seq = %d, LastSeq after CloseWAL = %d, want 6", prev, db2.LastSeq())
 	}
 }
 
 func TestSnapshotOfEmptyDB(t *testing.T) {
-	db := NewDB()
-	var buf bytes.Buffer
-	if err := db.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewDB()
-	if err := db2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(db2.Tables()) != 0 {
-		t.Error("empty snapshot produced tables")
+	if tables := roundTrip(t, NewDB()).Tables(); len(tables) != 0 {
+		t.Errorf("empty snapshot produced tables %v", tables)
 	}
 }
 
@@ -414,18 +271,7 @@ func TestSnapshotOfEmptyDB(t *testing.T) {
 func TestQuickWALReplayEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		dir := t.TempDir()
-		walPath := filepath.Join(dir, "q.wal")
-		db := NewDB()
-		if err := db.OpenWAL(walPath); err != nil {
-			return false
-		}
-		s, i := courseSchemas()
-		if err := db.CreateTable(s); err != nil {
-			return false
-		}
-		if err := db.CreateTable(i); err != nil {
-			return false
-		}
+		db := newDurableCourseDB(t, dir)
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 120; op++ {
 			name := fmt.Sprintf("s%d", rng.Intn(20))
@@ -445,18 +291,7 @@ func TestQuickWALReplayEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if err := db.CloseWAL(); err != nil {
-			return false
-		}
-		f, err := os.Open(walPath)
-		if err != nil {
-			return false
-		}
-		defer f.Close()
-		db2 := NewDB()
-		if _, _, err := db2.ReplayWAL(f); err != nil {
-			return false
-		}
+		db2, _ := reopen(t, db, dir)
 		for _, table := range []string{"scripts", "impls"} {
 			a, err1 := db.Select(Query{Table: table})
 			b, err2 := db2.Select(Query{Table: table})

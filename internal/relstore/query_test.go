@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -417,14 +416,7 @@ func TestCompositeAndPartialIndexesMatchScan(t *testing.T) {
 	}
 
 	// Composite indexes survive a snapshot.
-	var snap bytes.Buffer
-	if err := db.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored := newDB()
-	if err := restored.Restore(&snap); err != nil {
-		t.Fatal(err)
-	}
+	restored := roundTrip(t, db)
 	if restored.tables["ledger"].indexes["kind,obj|closed"] == nil || restored.tables["ledger"].indexes["kind,obj"] == nil {
 		t.Fatalf("restored indexes: %v", restored.tables["ledger"].indexes)
 	}

@@ -94,11 +94,26 @@ func TestReadersRejectForeignInput(t *testing.T) {
 		{"torn JSON line", []byte("{bad json"), true},
 		{"other magic", wire.SealImage(wire.BlobMagic, []byte("x")), false},
 	}
+	// recoverFrom writes data as the named file of a fresh durability
+	// directory and recovers it into db.
+	recoverFrom := func(name string) func(db *DB, data []byte) error {
+		return func(db *DB, data []byte) error {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := db.OpenDurable(dir)
+			if db.wal != nil {
+				t.Errorf("a WAL tail is attached after recovering a foreign %s", name)
+			}
+			return err
+		}
+	}
 	readers := []struct {
 		name string
 		read func(db *DB, data []byte) error
 	}{
-		{"Restore", func(db *DB, data []byte) error { return db.Restore(bytes.NewReader(data)) }},
+		{"OpenDurable over a snapshot", recoverFrom(snapFileName(3))},
 		{"readSnapshotFile", func(db *DB, data []byte) error {
 			path := filepath.Join(t.TempDir(), snapFileName(3))
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -110,10 +125,7 @@ func TestReadersRejectForeignInput(t *testing.T) {
 			}
 			return err
 		}},
-		{"ReplayWAL", func(db *DB, data []byte) error {
-			_, _, err := db.ReplayWAL(bytes.NewReader(data))
-			return err
-		}},
+		{"OpenDurable over a tail", recoverFrom(walFileName(0))},
 	}
 	for _, in := range inputs {
 		for _, rd := range readers {
@@ -208,10 +220,7 @@ func TestOpenDurableRefusesPreBinaryDirectory(t *testing.T) {
 // cannot be written must fail and leave the table set as it was — a
 // table the log never heard of fails the next replay at its first row.
 func TestDDLFailsWhenLogWriteFails(t *testing.T) {
-	db := NewDB()
-	if err := db.OpenWAL(filepath.Join(t.TempDir(), "db.wal")); err != nil {
-		t.Fatal(err)
-	}
+	db := openDurable(t, t.TempDir())
 	scripts, impls := courseSchemas()
 	if err := db.CreateTable(scripts); err != nil {
 		t.Fatal(err)
@@ -240,7 +249,7 @@ func TestReplayFailsOnReadError(t *testing.T) {
 	raw := binaryWAL(t, 4)
 	for _, cut := range []int{len(raw) / 4 * 3, len(raw)/4*3 + 5} { // after record 3; inside record 4
 		db := newCourseDB(t)
-		applied, _, err := db.ReplayWAL(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom)))
+		applied, _, _, err := db.replayWAL(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom)))
 		if !errors.Is(err, boom) {
 			t.Errorf("cut %d: err = %v after %d records, want the read error", cut, err, applied)
 		}
@@ -317,12 +326,15 @@ var repeatedColumnRows = []struct {
 // applies nothing.
 func TestDecodersRejectRepeatedColumn(t *testing.T) {
 	for _, row := range repeatedColumnRows {
-		err := NewDB().Restore(bytes.NewReader(snapshotWithRow(t, 0, row.pairs...)))
-		if err == nil || !strings.Contains(err.Error(), "scripts") {
-			t.Errorf("Restore of %s: err = %v, want a corrupt-snapshot error naming scripts", row.name, err)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), snapshotWithRow(t, 1, row.pairs...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewDB().OpenDurable(dir); err == nil || !strings.Contains(err.Error(), "scripts") {
+			t.Errorf("OpenDurable over only a snapshot with %s: err = %v, want a corrupt-snapshot error naming scripts", row.name, err)
 		}
 
-		dir := t.TempDir()
+		dir = t.TempDir()
 		src := newDurableCourseDB(t, dir)
 		insertScripts(t, src, 0, 3)
 		if _, err := src.Checkpoint(""); err != nil {
@@ -351,7 +363,7 @@ func TestDecodersRejectRepeatedColumn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			applied, _, err := db.ReplayWAL(bytes.NewReader(walWithRow(t, op, "dup", row.pairs...)))
+			applied, _, _, err := db.replayWAL(bytes.NewReader(walWithRow(t, op, "dup", row.pairs...)))
 			if err == nil || !strings.Contains(err.Error(), "scripts") {
 				t.Errorf("replay of an %v with %s: err = %v, want an error naming scripts", op, row.name, err)
 			}
@@ -382,15 +394,16 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 }
 
 // FuzzReplayWAL: no input makes a replay panic, hang or allocate beyond
-// its input, and the sequence high-water it reports is the one the
-// database resumes from.
+// its input, and the end offset it reports is a record boundary that
+// keeps the whole history: replaying the input cut there, as
+// OpenDurable cuts a torn tail, applies the same records.
 func FuzzReplayWAL(f *testing.F) {
 	fuzzSeeds(f, binaryWAL(f, 3))
 	for _, row := range repeatedColumnRows {
 		f.Add(walWithRow(f, walOpInsert, "dup", row.pairs...))
 		f.Add(walWithRow(f, walOpUpdate, "dup", row.pairs...))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	replay := func(t *testing.T, data []byte) (int, uint64, int64, error) {
 		db := NewDB()
 		s, impls := courseSchemas()
 		for _, schema := range []Schema{s, impls} {
@@ -398,15 +411,27 @@ func FuzzReplayWAL(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		_, maxSeq, _ := db.ReplayWAL(bytes.NewReader(data))
-		if db.LastSeq() != maxSeq {
-			t.Fatalf("replay reported seq %d, database resumes from %d", maxSeq, db.LastSeq())
+		return db.replayWAL(bytes.NewReader(data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		applied, maxSeq, end, err := replay(t, data)
+		if end < 0 || end > int64(len(data)) {
+			t.Fatalf("end offset %d outside the %d-byte input", end, len(data))
+		}
+		if err != nil {
+			return
+		}
+		applied2, maxSeq2, end2, err := replay(t, data[:end])
+		if err != nil || applied2 != applied || maxSeq2 != maxSeq || end2 != end {
+			t.Fatalf("replay of the input cut at %d = (%d, %d, %d, %v), want (%d, %d, %d, nil)",
+				end, applied2, maxSeq2, end2, err, applied, maxSeq, end)
 		}
 	})
 }
 
-// FuzzRestoreSnapshot: no input makes Restore panic; an input it
-// accepts re-encodes to an image that restores to the same tables.
+// FuzzRestoreSnapshot: no input makes the snapshot decode and install
+// OpenDurable runs panic; an input they accept checkpoints to an image
+// that recovers to the same tables.
 func FuzzRestoreSnapshot(f *testing.F) {
 	src := NewDB()
 	s, impls := courseSchemas()
@@ -421,30 +446,31 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if err := src.Insert("impls", Row{"starting_url": "u", "script_name": "s", "payload": []byte{4, 5, 6}}); err != nil {
 		f.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := src.Snapshot(&valid); err != nil {
+	info, err := src.Checkpoint(f.TempDir())
+	if err != nil {
 		f.Fatal(err)
 	}
-	fuzzSeeds(f, valid.Bytes())
+	valid, err := os.ReadFile(info.Snapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzSeeds(f, valid)
 	for _, row := range repeatedColumnRows {
 		f.Add(snapshotWithRow(f, 0, row.pairs...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := NewDB()
-		if err := db.Restore(bytes.NewReader(data)); err != nil {
+		img, err := decodeSnapshotImage(data)
+		if err == nil {
+			err = db.installSnapshot(&img.Snap)
+		}
+		if err != nil {
 			if len(db.Tables()) != 0 {
-				t.Fatalf("failed Restore left tables behind: %v", db.Tables())
+				t.Fatalf("failed install left tables behind: %v", db.Tables())
 			}
 			return
 		}
-		var again bytes.Buffer
-		if err := db.Snapshot(&again); err != nil {
-			t.Fatalf("restored database does not snapshot: %v", err)
-		}
-		db2 := NewDB()
-		if err := db2.Restore(&again); err != nil {
-			t.Fatalf("re-encoded snapshot rejected: %v", err)
-		}
+		db2 := roundTrip(t, db)
 		if got, want := strings.Join(db2.Tables(), ","), strings.Join(db.Tables(), ","); got != want {
 			t.Fatalf("tables after round trip = %s, want %s", got, want)
 		}

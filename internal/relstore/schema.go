@@ -4,8 +4,9 @@
 // schemas, single-column primary keys, hash secondary indexes (over one
 // or several columns, optionally partial: only the rows whose given
 // column IS NULL), foreign
-// keys, transactions with undo, and snapshot + write-ahead-log
-// persistence — the narrow slice of SQL-server behaviour the document
+// keys, transactions with undo, and durability through generation
+// checkpoints plus a write-ahead log, which OpenDurable alone loads and
+// attaches — the narrow slice of SQL-server behaviour the document
 // layer in section 3 of the paper actually relies on.
 //
 // Inside the engine a row is a tuple: one value per column, at the

@@ -104,7 +104,7 @@ func (tx *Tx) CommitThen(fn func()) error {
 	tx.done = true
 	var err error
 	if tx.db.wal != nil && len(tx.redo) > 0 {
-		err = tx.db.wal.append(tx.redo)
+		err = tx.db.appendWAL(tx.redo)
 	}
 	// A failed WAL append keeps the in-memory mutations (the existing
 	// Commit contract), so the hook still reflects the live state.

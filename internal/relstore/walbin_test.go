@@ -11,15 +11,13 @@ import (
 
 // TestBinaryWALCrashMatrix truncates a binary WAL at EVERY byte offset
 // — record boundaries, mid-payload, mid-length, mid-CRC — and demands
-// each prefix replay exactly the committed transactions it fully
-// contains, never an error and never a partial transaction.
+// that recovering each prefix replay exactly the committed
+// transactions it fully contains, never an error and never a partial
+// transaction, and cut the tail back to the last record boundary.
 func TestBinaryWALCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(dir, walFileName(0))
+	db := openDurable(t, dir)
 	s, _ := courseSchemas()
 	if err := db.CreateTable(s); err != nil {
 		t.Fatal(err)
@@ -52,23 +50,32 @@ func TestBinaryWALCrashMatrix(t *testing.T) {
 		t.Fatalf("file is %d bytes, last boundary %d", len(raw), boundaries[len(boundaries)-1])
 	}
 
+	crashDir := t.TempDir()
+	crashTail := filepath.Join(crashDir, walFileName(0))
 	for cut := 0; cut <= len(raw); cut++ {
-		wantApplied := 0
+		wantApplied, wantSize := 0, int64(0)
 		for _, b := range boundaries {
 			if int64(cut) >= b {
-				wantApplied++
+				wantApplied, wantSize = wantApplied+1, b
 			}
 		}
+		if err := os.WriteFile(crashTail, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
 		db2 := NewDB()
-		applied, maxSeq, err := db2.ReplayWAL(bytes.NewReader(raw[:cut]))
+		info, err := db2.OpenDurable(crashDir)
 		if err != nil {
-			t.Fatalf("cut=%d: replay error: %v", cut, err)
+			t.Fatalf("cut=%d: recovery error: %v", cut, err)
 		}
-		if applied != wantApplied {
-			t.Fatalf("cut=%d: applied = %d, want %d", cut, applied, wantApplied)
+		db2.CloseWAL()
+		if info.Applied != wantApplied {
+			t.Fatalf("cut=%d: applied = %d, want %d", cut, info.Applied, wantApplied)
 		}
-		if maxSeq != uint64(wantApplied) {
-			t.Fatalf("cut=%d: maxSeq = %d, want %d", cut, maxSeq, wantApplied)
+		if info.Seq != uint64(wantApplied) {
+			t.Fatalf("cut=%d: seq = %d, want %d", cut, info.Seq, wantApplied)
+		}
+		if size := fileSize(t, crashTail); size != wantSize {
+			t.Fatalf("cut=%d: recovered tail is %d bytes, want the %d up to the last whole record", cut, size, wantSize)
 		}
 		// The committed prefix is exactly present: DDL is record 1,
 		// insert k is record k+1.
@@ -81,10 +88,7 @@ func TestBinaryWALCrashMatrix(t *testing.T) {
 	}
 
 	// One full-file replay round-trips the native value types exactly.
-	db3 := NewDB()
-	if _, _, err := db3.ReplayWAL(bytes.NewReader(raw)); err != nil {
-		t.Fatal(err)
-	}
+	db3, _ := reopen(t, db, dir)
 	got, err := db3.Get("scripts", "r3")
 	if err != nil {
 		t.Fatal(err)
@@ -110,18 +114,8 @@ func fileSize(t *testing.T, path string) int64 {
 // bytes, not base64-inflated JSON.
 func TestBinaryWALNeverJSONEncodesBody(t *testing.T) {
 	dir := t.TempDir()
-	walPath := filepath.Join(dir, "db.wal")
-	db := NewDB()
-	if err := db.OpenWAL(walPath); err != nil {
-		t.Fatal(err)
-	}
-	s, impls := courseSchemas()
-	if err := db.CreateTable(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(impls); err != nil {
-		t.Fatal(err)
-	}
+	walPath := filepath.Join(dir, walFileName(0))
+	db := newDurableCourseDB(t, dir)
 	if err := db.Insert("scripts", Row{"script_name": "s"}); err != nil {
 		t.Fatal(err)
 	}

@@ -76,18 +76,6 @@ func NewPool(addr string, size int, timeout time.Duration) *Pool {
 // Addr returns the server address the pool dials.
 func (p *Pool) Addr() string { return p.addr }
 
-// SetFailFast tunes the dead-peer breaker: threshold consecutive dial
-// failures open it for the cooldown. A threshold <= 0 disables the
-// breaker entirely (every call dials a dead peer at full cost).
-func (p *Pool) SetFailFast(threshold int, cooldown time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.threshold = threshold
-	p.cooldown = cooldown
-	p.downUntil = time.Time{}
-	p.dialFails = 0
-}
-
 // Down reports whether the breaker is currently open (the peer was
 // recently undialable and calls are failing fast).
 func (p *Pool) Down() bool {
@@ -245,7 +233,7 @@ func (p *Pool) dial() (*Client, error) {
 	p.mu.Lock()
 	p.dialFails++
 	var evict []*Client
-	if p.threshold > 0 && p.dialFails >= p.threshold {
+	if p.dialFails >= p.threshold {
 		p.downUntil = time.Now().Add(p.cooldown)
 		evict = p.idle
 		p.idle = nil

@@ -220,7 +220,7 @@ func TestPoolFastFailAfterRepeatedDialFailure(t *testing.T) {
 
 	p := NewPool(addr, 2, time.Second)
 	defer p.Close()
-	p.SetFailFast(2, time.Minute)
+	p.threshold, p.cooldown = 2, time.Minute
 	// The first threshold calls pay the full dial-with-backoff cost...
 	for i := 0; i < 2; i++ {
 		if err := p.Call("echo", echoReq{}, nil); err == nil {
@@ -254,7 +254,7 @@ func TestPoolBreakerRecoversAfterCooldown(t *testing.T) {
 
 	p := NewPool(addr, 2, time.Second)
 	defer p.Close()
-	p.SetFailFast(1, 20*time.Millisecond)
+	p.threshold, p.cooldown = 1, 20*time.Millisecond
 	if err := p.Call("echo", echoReq{}, nil); err == nil {
 		t.Fatal("call to dead peer succeeded")
 	}
@@ -312,7 +312,7 @@ func TestPoolBreakerEvictsIdleConnections(t *testing.T) {
 	}
 	p := NewPool(addr, 4, time.Second)
 	defer p.Close()
-	p.SetFailFast(1, time.Minute)
+	p.threshold, p.cooldown = 1, time.Minute
 	// Park two connections.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {

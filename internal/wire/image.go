@@ -44,34 +44,9 @@ func remaining(r io.Reader) (int64, bool) {
 	return 0, false
 }
 
-// ReadImage reads all of r into one buffer sized up front from what r
-// reports it holds (a file's Stat, a reader's Len), so the read never
-// regrows and re-copies its buffer the way io.ReadAll does. A reader
-// that cannot report its size is read with io.ReadAll.
-func ReadImage(r io.Reader) ([]byte, error) {
-	n, ok := remaining(r)
-	if !ok {
-		return io.ReadAll(r)
-	}
-	b := make([]byte, 0, n+1) // +1: the read that meets EOF needs room
-	for {
-		m, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+m]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) { // the file grew after it was sized
-			b = append(b, 0)[:len(b)]
-		}
-	}
-}
-
 // ImageReader decodes a sealed image from a stream, with Reader's
 // sticky-error style. The payload length comes from the size of the
-// stream (see ReadImage), and every count and length the image claims
+// stream (see remaining), and every count and length the image claims
 // is checked against the bytes left before anything is allocated for
 // it. The CRC is checked by Finish, after the last field: nothing a
 // caller decoded may be acted on before Finish returns nil.

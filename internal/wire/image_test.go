@@ -91,10 +91,6 @@ func TestImageReaderRoundTrip(t *testing.T) {
 		if cap(large) != len(large) {
 			t.Errorf("%s: byte field cap %d, want exactly its length %d", name, cap(large), len(large))
 		}
-		got, err := ReadImage(open())
-		if err != nil || !bytes.Equal(got, img) {
-			t.Fatalf("%s: ReadImage = %d bytes, %v", name, len(got), err)
-		}
 	}
 }
 
@@ -160,19 +156,5 @@ func TestImageReaderBoundsClaims(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("rejecting a %d-byte claim allocated %d bytes", claim, got)
 		}
-	}
-}
-
-// TestReadImageSizesItsBuffer: a reader that reports its size is read
-// in one allocation, not io.ReadAll's doubling series.
-func TestReadImageSizesItsBuffer(t *testing.T) {
-	img := bytes.Repeat([]byte{7}, 1<<20)
-	allocs := testing.AllocsPerRun(10, func() {
-		if got, err := ReadImage(bytes.NewReader(img)); err != nil || len(got) != len(img) {
-			t.Fatalf("ReadImage = %d bytes, %v", len(got), err)
-		}
-	})
-	if allocs > 2 { // the buffer, and the bytes.Reader
-		t.Errorf("ReadImage of a sized reader: %.0f allocations", allocs)
 	}
 }

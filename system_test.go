@@ -3,8 +3,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -129,16 +127,16 @@ func TestFullSemesterScenario(t *testing.T) {
 	}
 }
 
-// TestStationPersistenceAcrossRestart snapshots a station (relational +
-// BLOB layers), rebuilds it from disk and verifies the document layer
-// is intact, including a bundle export.
+// TestStationPersistenceAcrossRestart checkpoints a durable station
+// (relational + BLOB layers), recovers it into a fresh store and
+// verifies the document layer is intact, including a bundle export.
 func TestStationPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	relPath := filepath.Join(dir, "rel.snap")
-	blobPath := filepath.Join(dir, "blob.snap")
-
 	store, err := docdb.Open(relstore.NewDB(), blob.NewStore())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
 	store.Now = func() time.Time { return time.Date(1999, 4, 21, 0, 0, 0, 0, time.UTC) }
@@ -155,47 +153,21 @@ func TestStationPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Persist both layers.
-	relFile, err := os.Create(relPath)
+	// Persist both layers, then restart from the directory.
+	if _, err := store.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := docdb.Open(relstore.NewDB(), blob.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Rel().Snapshot(relFile); err != nil {
+	if _, err := store2.Recover(dir); err != nil {
 		t.Fatal(err)
 	}
-	relFile.Close()
-	blobFile, err := os.Create(blobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Blobs().Snapshot(blobFile); err != nil {
-		t.Fatal(err)
-	}
-	blobFile.Close()
-
-	// "Restart": rebuild from disk.
-	rel2 := relstore.NewDB()
-	relIn, err := os.Open(relPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rel2.Restore(relIn); err != nil {
-		t.Fatal(err)
-	}
-	relIn.Close()
-	blobs2 := blob.NewStore()
-	blobIn, err := os.Open(blobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := blobs2.Restore(blobIn); err != nil {
-		t.Fatal(err)
-	}
-	blobIn.Close()
-	store2, err := docdb.Open(rel2, blobs2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer store2.Rel().CloseWAL()
 
 	// Everything is back: scripts, pages, media bytes, object forms.
 	sc, err := store2.Script(spec.ScriptName)
