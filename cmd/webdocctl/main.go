@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/minisql"
 	"repro/internal/mtree"
 	"repro/internal/obs"
 )
@@ -126,7 +127,7 @@ func main() {
 		if emit(reply) {
 			return
 		}
-		printSQL(reply)
+		fmt.Print(minisql.FormatCells(reply.Msg, reply.Affected, reply.Columns, reply.Rows))
 	case "top":
 		reply, err := rs.Stats()
 		if err != nil {
@@ -662,43 +663,6 @@ func printHealth(h fabric.HealthReply) {
 		}
 		fmt.Printf("  station %-3d %-21s %s\n", pos, h.Roster[pos], state)
 	}
-}
-
-func printSQL(reply cluster.SQLReply) {
-	if reply.Msg != "" {
-		fmt.Println(reply.Msg)
-		return
-	}
-	if reply.Columns == nil {
-		fmt.Printf("%d row(s) affected\n", reply.Affected)
-		return
-	}
-	widths := make([]int, len(reply.Columns))
-	for i, c := range reply.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range reply.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for i, c := range reply.Columns {
-		fmt.Printf("%-*s  ", widths[i], c)
-	}
-	fmt.Println()
-	for i := range reply.Columns {
-		fmt.Print(strings.Repeat("-", widths[i]), "  ")
-	}
-	fmt.Println()
-	for _, row := range reply.Rows {
-		for i, cell := range row {
-			fmt.Printf("%-*s  ", widths[i], cell)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("(%d rows)\n", len(reply.Rows))
 }
 
 func usage() {

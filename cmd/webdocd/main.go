@@ -4,10 +4,13 @@
 // and the document layer, and serves the station RPC protocol (Ping,
 // Bundle, Import, SQL) over TCP.
 //
-// Stations can run standalone or join a live distribution fabric (the
-// m-ary tree of the paper's section 4):
+// Every daemon is a station of a live distribution fabric (the m-ary
+// tree of the paper's section 4). Without -join it is the fabric root:
+// the instructor station at position 1 and the join authority. With
+// -join it contacts that root, is assigned the next linear position,
+// and serves broadcast/resolve/migrate traffic along the tree:
 //
-//	webdocd -addr 127.0.0.1:7070 -root -m 2 -seed-course 40
+//	webdocd -addr 127.0.0.1:7070 -m 2 -seed-course 40
 //	webdocd -addr 127.0.0.1:7071 -join 127.0.0.1:7070
 //	webdocd -addr 127.0.0.1:7072 -join 127.0.0.1:7070
 //	webdocd -data station1.d    # durable: checkpoints + WAL tail
@@ -24,9 +27,6 @@
 // directory written before the binary formats fails recovery with an
 // error naming the file (README: "Upgrading a pre-binary directory").
 //
-// A -root station is the instructor station (position 1) and the join
-// authority; -join stations contact it, are assigned the next linear
-// position, and serve broadcast/resolve/migrate traffic along the tree.
 // With -seed-course N the daemon authors a synthetic N-page course on
 // startup so a fresh deployment has something to serve.
 //
@@ -37,10 +37,10 @@
 //
 //	webdocd -addr 127.0.0.1:7072 -join 127.0.0.1:7070 -rejoin -pos 3
 //
-// asking for its old position back (-pos; same-address restarts get it
-// back automatically) and then catching up on the broadcasts it missed
-// — reference scaffolds first, full bundles via the parent route under
-// the watermark policy.
+// asking for its old position back (-pos, which means nothing without
+// -rejoin; same-address restarts get it back automatically) and then
+// catching up on the broadcasts it missed — reference scaffolds first,
+// full bundles via the parent route under the watermark policy.
 package main
 
 import (
@@ -73,23 +73,22 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "listen address")
 		httpAddr   = flag.String("http", "", "serve the Web-savvy virtual library UI on this address (empty disables)")
-		pos        = flag.Int("pos", 1, "station position in the linear joining order (standalone mode; with -rejoin: the position to reclaim)")
+		pos        = flag.Int("pos", 0, "with -rejoin: the position to reclaim")
 		dataDir    = flag.String("data", "", "durability directory: checkpoint generations + WAL tail (empty disables persistence)")
 		ckptBytes  = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint when the WAL tail exceeds this many bytes (0 disables the size trigger)")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "checkpoint on this interval (0 disables the timer trigger)")
 		seedCourse = flag.Int("seed-course", 0, "author a synthetic course with this many pages on startup")
-		root       = flag.Bool("root", false, "act as the distribution fabric root (instructor station, position 1)")
-		joinAddr   = flag.String("join", "", "join the distribution fabric via this root address")
+		joinAddr   = flag.String("join", "", "join the distribution fabric via this root address (empty: be the root)")
 		rejoin     = flag.Bool("rejoin", false, "with -join: reclaim the previous position (-pos) and catch up on missed broadcasts")
-		degree     = flag.Int("m", 2, "distribution tree degree (root mode)")
-		watermark  = flag.Int("watermark", 1, "watermark frequency: fetches beyond this replicate locally (root mode; negative never replicates)")
-		heartbeat  = flag.Duration("heartbeat", fabric.DefaultHeartbeatInterval, "root mode: probe joined stations this often and declare the unresponsive ones dead (0 disables)")
+		degree     = flag.Int("m", 2, "distribution tree degree (root only)")
+		watermark  = flag.Int("watermark", 1, "watermark frequency: fetches beyond this replicate locally (root only; negative never replicates)")
+		heartbeat  = flag.Duration("heartbeat", fabric.DefaultHeartbeatInterval, "root only: probe joined stations this often and declare the unresponsive ones dead (0 disables)")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof and expvar diagnostics on this address (bare :port binds loopback; empty disables)")
 		logEvents  = flag.Bool("log-events", false, "log structured one-line records for fault-path events (suspicion, grafts, rejoins, checkpoints)")
 	)
 	flag.Parse()
-	if *root && *joinAddr != "" {
-		log.Fatal("webdocd: -root and -join are mutually exclusive")
+	if *pos != 0 && !*rejoin {
+		log.Fatal("webdocd: -pos requires -rejoin (a joining station is assigned its position)")
 	}
 	if *rejoin && *joinAddr == "" {
 		log.Fatal("webdocd: -rejoin requires -join")
@@ -135,52 +134,42 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	// Start serving. In fabric mode the socket must be up before the
-	// join handshake (the root pushes bundles back to it); standalone
-	// stations seed first, serve after, like the original daemon.
-	var (
-		bound      string
-		stationPos int
-		stop       func() error
-		station    *fabric.Station // non-nil in fabric mode
-		statsNode  *cluster.Node   // the serving node, for diagnostics
-	)
-	switch {
-	case *root:
+	// Start serving. Without -join this station is the fabric root;
+	// a joiner's socket must be up before the join handshake (the root
+	// pushes bundles back to it).
+	var station *fabric.Station
+	if *joinAddr == "" {
 		// The root is position 1 and needs no peer to seed, so the
 		// course exists before the banner appears and the first
 		// broadcast can never race the seeding.
 		seed(store, lib, 1, *seedCourse)
-		st, err := fabric.NewRoot(store, *addr, *degree, *watermark)
+		station, err = fabric.NewRoot(store, *addr, *degree, *watermark)
 		if err != nil {
 			log.Fatalf("webdocd: starting fabric root: %v", err)
 		}
 		if *heartbeat > 0 {
-			if err := st.StartHeartbeat(*heartbeat, 0); err != nil {
+			if err := station.StartHeartbeat(*heartbeat, 0); err != nil {
 				log.Fatalf("webdocd: starting heartbeat: %v", err)
 			}
 		}
-		bound, stationPos, stop, station, statsNode = st.Addr(), st.Pos(), st.Close, st, st.Node()
 		fmt.Printf("webdocd: station %d serving on %s (fabric root, m=%d, watermark=%d)\n",
-			stationPos, bound, *degree, *watermark)
-	case *joinAddr != "":
-		var st *fabric.Station
-		var err error
+			station.Pos(), station.Addr(), *degree, *watermark)
+	} else {
 		if *rejoin {
-			st, err = fabric.Rejoin(store, *addr, *joinAddr, *pos)
+			station, err = fabric.Rejoin(store, *addr, *joinAddr, *pos)
 		} else {
-			st, err = fabric.Join(store, *addr, *joinAddr)
+			station, err = fabric.Join(store, *addr, *joinAddr)
 		}
 		if err != nil {
 			log.Fatalf("webdocd: joining fabric: %v", err)
 		}
 		// A joiner learns its position from the root, so it can only
 		// seed after the handshake; the banner waits for the seed.
-		seed(store, lib, st.Pos(), *seedCourse)
+		seed(store, lib, station.Pos(), *seedCourse)
 		if *rejoin {
 			// Reconcile with whatever was broadcast while this station
 			// was dark, before announcing readiness.
-			res, err := st.CatchUp()
+			res, err := station.CatchUp()
 			if err != nil {
 				log.Printf("webdocd: catch-up incomplete: %v", err)
 			} else {
@@ -188,27 +177,15 @@ func main() {
 					res.References, len(res.Resolved), res.Migrated)
 			}
 		}
-		bound, stationPos, stop, station, statsNode = st.Addr(), st.Pos(), st.Close, st, st.Node()
 		fmt.Printf("webdocd: station %d serving on %s (joined fabric via %s)\n",
-			stationPos, bound, *joinAddr)
-	default:
-		stationPos = *pos
-		seed(store, lib, stationPos, *seedCourse)
-		node := cluster.NewNode(stationPos, store)
-		b, err := node.Start(*addr)
-		if err != nil {
-			log.Fatalf("webdocd: listen: %v", err)
-		}
-		bound, stop, statsNode = b, node.Close, node
-		fmt.Printf("webdocd: station %d serving on %s\n", stationPos, bound)
+			station.Pos(), station.Addr(), *joinAddr)
 	}
+	statsNode := station.Node() // the serving node, for diagnostics
 
 	var evSink obs.EventSink
 	if *logEvents {
 		evSink = func(line string) { log.Printf("webdocd: %s", line) }
-		if station != nil {
-			station.SetEventSink(evSink)
-		}
+		station.SetEventSink(evSink)
 	}
 	if *debugAddr != "" {
 		startDebugServer(*debugAddr, statsNode)
@@ -217,17 +194,14 @@ func main() {
 	if *httpAddr != "" {
 		ui := webui.New(lib, store)
 		ui.Observer = statsNode.Observer()
-		if station != nil {
-			// Fabric stations offer the federated full-text mode: the
-			// query rides to the root and scatter-gathers the tree.
-			st := station
-			ui.Federated = func(q search.Query) ([]search.Hit, error) {
-				reply, err := st.Search(q)
-				if err != nil {
-					return nil, err
-				}
-				return reply.Hits, nil
+		// The federated full-text mode: the query rides to the root and
+		// scatter-gathers the tree.
+		ui.Federated = func(q search.Query) ([]search.Hit, error) {
+			reply, err := station.Search(q)
+			if err != nil {
+				return nil, err
 			}
+			return reply.Hits, nil
 		}
 		go func() {
 			log.Printf("webdocd: virtual library UI on http://%s/", *httpAddr)
@@ -258,7 +232,7 @@ func main() {
 	// during the shutdown itself leaves a loadable store.
 	close(stopCkpt)
 	ckptWG.Wait()
-	if err := stop(); err != nil {
+	if err := station.Close(); err != nil {
 		log.Printf("webdocd: closing station: %v", err)
 	}
 	if dir != "" {

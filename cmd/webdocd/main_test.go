@@ -132,7 +132,7 @@ func TestKillRestartPreservesMedia(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "station1.d")
 	spec := workload.DefaultSpec(1)
 
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir, "-seed-course", "3")
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir, "-seed-course", "3")
 	rs, err := cluster.DialStation(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestKillRestartPreservesMedia(t *testing.T) {
 	stopDaemon(t, cmd)
 
 	// Restart on the same directory, without reseeding.
-	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir)
+	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
 	rs2, err := cluster.DialStation(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSIGTERMRightAfterBannerPreservesMedia(t *testing.T) {
 	spec := workload.DefaultSpec(1)
 
 	for i := 0; i < 20; i++ {
-		args := []string{"-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir}
+		args := []string{"-addr", "127.0.0.1:0", "-data", dataDir}
 		if i == 0 {
 			args = append(args, "-seed-course", "3")
 		}
@@ -207,7 +207,7 @@ func TestSIGTERMRightAfterBannerPreservesMedia(t *testing.T) {
 		}
 	}
 
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir)
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
 	rs, err := cluster.DialStation(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestSIGKILLAfterCheckpointPreservesState(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "station1.d")
 	spec := workload.DefaultSpec(1)
 
-	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir, "-seed-course", "3")
+	addr, cmd := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir, "-seed-course", "3")
 	rs, err := cluster.DialStation(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestSIGKILLAfterCheckpointPreservesState(t *testing.T) {
 	}
 	cmd.Wait()
 
-	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-pos", "1", "-data", dataDir)
+	addr2, cmd2 := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
 	rs2, err := cluster.DialStation(addr2)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 	spec := workload.DefaultSpec(1)
 
 	rootAddr, _ := startDaemon(t, bin,
-		"-addr", "127.0.0.1:0", "-root", "-m", "2", "-watermark", "0",
+		"-addr", "127.0.0.1:0", "-m", "2", "-watermark", "0",
 		"-seed-course", "3", "-heartbeat", "100ms")
 	// Joins are sequential (the banner appears only after the
 	// handshake), so joiner i holds position i+2.
@@ -550,7 +550,7 @@ func TestChaosEventJournalNarratesKillRejoinCheckpoint(t *testing.T) {
 	// is attributable to the suspicion path the broadcast triggers —
 	// the narrative under test — not to a racing prober.
 	rootAddr, _ := startDaemon(t, bin,
-		"-addr", "127.0.0.1:0", "-root", "-m", "2", "-watermark", "0",
+		"-addr", "127.0.0.1:0", "-m", "2", "-watermark", "0",
 		"-seed-course", "3", "-heartbeat", "0")
 	dataDir := filepath.Join(t.TempDir(), "station2.d")
 	_, victimCmd := startDaemon(t, bin,
@@ -742,7 +742,7 @@ func TestDaemonFabricWalkthrough(t *testing.T) {
 	bin := daemonBinary(t)
 	spec := workload.DefaultSpec(1)
 
-	rootAddr, _ := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-root", "-m", "2", "-watermark", "0", "-seed-course", "3")
+	rootAddr, _ := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-m", "2", "-watermark", "0", "-seed-course", "3")
 	addr2, _ := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-join", rootAddr)
 	addr3, _ := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-join", rootAddr)
 

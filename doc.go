@@ -7,8 +7,9 @@
 // with watermark replication, virtual library, testing subsystem and
 // annotation model.
 //
-// The public facade is internal/core; see README.md for the tour and
-// DESIGN.md for the system inventory. The benchmarks in this package
+// There is no facade package: callers wire the substrates directly, as
+// examples/quickstart and examples/collab show. README.md has the tour
+// and the per-package verdicts. The benchmarks in this package
 // (bench_test.go) regenerate the evaluation tables E1–E10 and measure
 // the substrates.
 package repro

@@ -12,9 +12,10 @@ import (
 )
 
 // Node exposes one station's document database over TCP — the deployed
-// (non-simulated) form of a station, used by the webdocd daemon and the
-// multi-node integration tests. The same docdb semantics run under both
-// fabrics; netsim measures time, Node moves real bytes.
+// (non-simulated) form of a station, served by every fabric.Station (so
+// by every webdocd daemon) and by the multi-node integration tests. The
+// same docdb semantics run under both fabrics; netsim measures time,
+// Node moves real bytes.
 type Node struct {
 	pos   atomic.Int64
 	Store *docdb.Store
@@ -296,22 +297,7 @@ func (n *Node) handleSQL(decode func(any) error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply := SQLReply{Columns: res.Columns, Affected: res.Affected, Msg: res.Msg}
-	for _, row := range res.Rows {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			switch x := v.(type) {
-			case nil:
-				cells[i] = "NULL"
-			case []byte:
-				cells[i] = fmt.Sprintf("<%d bytes>", len(x))
-			default:
-				cells[i] = fmt.Sprint(x)
-			}
-		}
-		reply.Rows = append(reply.Rows, cells)
-	}
-	return reply, nil
+	return SQLReply{Columns: res.Columns, Rows: res.Cells(), Affected: res.Affected, Msg: res.Msg}, nil
 }
 
 // RemoteStation is a typed client for a Node.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +13,9 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/blob"
+	"repro/internal/minisql"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 )
 
 // newDurableStore opens a station store over a durability directory,
@@ -215,6 +218,62 @@ func TestRecoverRefusesMissingBlobSidecar(t *testing.T) {
 	}
 	if _, err := s2.ExportBundle(url); err == nil {
 		t.Error("the store serves the course after a recovery that found no BLOB sidecar")
+	}
+}
+
+// TestTimeValueSurvivesRecoveryUnchanged writes a checkout through the
+// store's default clock, time.Now, whose reading carries a monotonic
+// clock and the local zone. A recovered time comes back as UTC with no
+// monotonic reading, so the live row must already be in that form: the
+// row is DeepEqual before and after checkpoint + recovery, and its SQL
+// cell shows no m= reading either way.
+func TestTimeValueSurvivesRecoveryUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	name, _ := seedCourse(t, s)
+	id, err := s.CheckOut(schema.KindScript, name, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outTime := func(s *Store) (relstore.Row, string) {
+		t.Helper()
+		row, err := s.Rel().Get(schema.TableCheckouts, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := minisql.NewSession(s.Rel()).Exec("SELECT out_time FROM checkouts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row, res.Cells()[0][0]
+	}
+	liveRow, liveCell := outTime(s)
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rel().CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Rel().CloseWAL()
+	gotRow, gotCell := outTime(s2)
+	if !reflect.DeepEqual(liveRow, gotRow) {
+		t.Errorf("checkout row live %#v, recovered %#v", liveRow, gotRow)
+	}
+	if strings.Contains(liveCell, "m=") || liveCell != gotCell {
+		t.Errorf("out_time cell live %q, recovered %q", liveCell, gotCell)
 	}
 }
 

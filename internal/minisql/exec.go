@@ -2,7 +2,6 @@ package minisql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/relstore"
@@ -245,39 +244,68 @@ func (s *Session) runDescribe(st *DescribeStmt) (*Result, error) {
 	return &Result{Columns: []string{"column", "type", "attributes"}, Rows: rows}, nil
 }
 
-// Format renders a result as an aligned text table, used by the CLI and
-// the station daemon's administrative interface.
+// Format renders a result as an aligned text table; see FormatCells.
 func (r *Result) Format() string {
-	var sb strings.Builder
-	if r.Msg != "" {
-		sb.WriteString(r.Msg)
-		sb.WriteByte('\n')
-		return sb.String()
-	}
-	if r.Columns == nil {
-		fmt.Fprintf(&sb, "%d row(s) affected\n", r.Affected)
-		return sb.String()
-	}
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
+	return FormatCells(r.Msg, r.Affected, r.Columns, r.Cells())
+}
+
+// Cells converts every row value to the text a client displays: NULL
+// for a missing value, <N bytes> for a BLOB, fmt.Sprint otherwise. It
+// is the form a station's SQL RPC sends back, so every client shows the
+// same cell for the same value.
+func (r *Result) Cells() [][]string {
+	if len(r.Rows) == 0 {
+		return nil
 	}
 	cells := make([][]string, len(r.Rows))
 	for i, row := range r.Rows {
 		cells[i] = make([]string, len(row))
 		for j, v := range row {
-			s := formatValue(v)
-			cells[i][j] = s
+			switch x := v.(type) {
+			case nil:
+				cells[i][j] = "NULL"
+			case []byte:
+				cells[i][j] = fmt.Sprintf("<%d bytes>", len(x))
+			default:
+				cells[i][j] = fmt.Sprint(x)
+			}
+		}
+	}
+	return cells
+}
+
+// FormatCells renders a statement's outcome the way the administrative
+// CLI prints it: msg when a DDL statement set one, the affected count
+// when there are no result columns, and otherwise an aligned text
+// table of columns over the already converted cells, closed by a row
+// count.
+func FormatCells(msg string, affected int, columns []string, cells [][]string) string {
+	var sb strings.Builder
+	if msg != "" {
+		sb.WriteString(msg)
+		sb.WriteByte('\n')
+		return sb.String()
+	}
+	if columns == nil {
+		fmt.Fprintf(&sb, "%d row(s) affected\n", affected)
+		return sb.String()
+	}
+	widths := make([]int, len(columns))
+	for i, c := range columns {
+		widths[i] = len(c)
+	}
+	for _, row := range cells {
+		for j, s := range row {
 			if j < len(widths) && len(s) > widths[j] {
 				widths[j] = len(s)
 			}
 		}
 	}
-	for i, c := range r.Columns {
+	for i, c := range columns {
 		fmt.Fprintf(&sb, "%-*s  ", widths[i], c)
 	}
 	sb.WriteByte('\n')
-	for i := range r.Columns {
+	for i := range columns {
 		sb.WriteString(strings.Repeat("-", widths[i]))
 		sb.WriteString("  ")
 	}
@@ -288,35 +316,6 @@ func (r *Result) Format() string {
 		}
 		sb.WriteByte('\n')
 	}
-	fmt.Fprintf(&sb, "(%d rows)\n", len(r.Rows))
+	fmt.Fprintf(&sb, "(%d rows)\n", len(cells))
 	return sb.String()
-}
-
-func formatValue(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return "NULL"
-	case []byte:
-		return fmt.Sprintf("<%d bytes>", len(x))
-	default:
-		return fmt.Sprint(x)
-	}
-}
-
-// SortRows orders result rows by the named column for stable display;
-// used by tools that aggregate results from several stations.
-func (r *Result) SortRows(col string) {
-	idx := -1
-	for i, c := range r.Columns {
-		if c == col {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return
-	}
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		return formatValue(r.Rows[i][idx]) < formatValue(r.Rows[j][idx])
-	})
 }

@@ -172,8 +172,9 @@ func (s *Schema) validate() error {
 
 // coerce normalizes a caller-supplied value to the canonical in-engine
 // representation for the column type (int64, float64, string, []byte,
-// bool, time.Time), or reports ErrType. A value already in canonical
-// form is returned as the caller's interface value, not boxed again.
+// bool, time.Time in UTC with no monotonic reading), or reports
+// ErrType. A value already in canonical form is returned as the
+// caller's interface value, not boxed again.
 func coerce(t ColType, v any) (any, error) {
 	if v == nil {
 		return nil, nil
@@ -222,13 +223,18 @@ func coerce(t ColType, v any) (any, error) {
 			return v, nil
 		}
 	case TTime:
+		// Stored the way recovery and a bundle import read it back, so
+		// a live row and its recovered or imported copy are one value.
 		switch x := v.(type) {
 		case time.Time:
+			if ts := x.Round(0).UTC(); ts != x {
+				return ts, nil
+			}
 			return v, nil
 		case string:
 			ts, err := time.Parse(time.RFC3339Nano, x)
 			if err == nil {
-				return ts, nil
+				return ts.UTC(), nil
 			}
 		case int64:
 			return time.Unix(0, x).UTC(), nil

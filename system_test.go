@@ -8,12 +8,14 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/docdb"
+	"repro/internal/integrity"
 	"repro/internal/library"
+	"repro/internal/locking"
 	"repro/internal/minisql"
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/webtest"
 	"repro/internal/workload"
 )
 
@@ -34,33 +36,55 @@ func systemSpec(n int) workload.CourseSpec {
 // playback, collaborate on edits, circulate library materials for a
 // cohort of students, test the courses, and verify buffers reclaim.
 func TestFullSemesterScenario(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Stations = 13
-	u, err := core.NewUniversity(cfg)
+	c, err := cluster.New(cluster.Config{
+		Stations:  13,
+		M:         3,
+		UplinkBps: 1.25e6,
+		Latency:   5 * time.Millisecond,
+		Watermark: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	root, err := c.Station(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := root.Store
+	lib := library.New(store)
+	lib.RegisterInstructor("Shih")
+	locks := locking.NewManager()
+	alerts := integrity.NewQueue()
+	suite := &webtest.Suite{Store: store}
 
+	// Publishing authors each course on the instructor station,
+	// announces references to every student station and catalogs it.
 	specs := make([]workload.CourseSpec, 3)
 	for i := range specs {
 		specs[i] = systemSpec(i + 1)
-		if _, err := u.PublishCourse(specs[i], []string{"CS-101", "MM-201", "ED-110"}[i], "Shih"); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+		if _, _, err := c.AuthorCourse(specs[i]); err != nil {
+			t.Fatalf("author %d: %v", i, err)
+		}
+		if err := c.BroadcastReferences(specs[i].URL); err != nil {
+			t.Fatalf("announce %d: %v", i, err)
+		}
+		if err := lib.Add(specs[i].ScriptName, []string{"CS-101", "MM-201", "ED-110"}[i], "Shih"); err != nil {
+			t.Fatalf("catalog %d: %v", i, err)
 		}
 	}
 
 	// All three courses are searchable.
-	if hits := u.Search(library.Query{}); len(hits) != 3 {
+	if hits := lib.Search(library.Query{}); len(hits) != 3 {
 		t.Fatalf("catalog = %d", len(hits))
 	}
 
 	for li, spec := range specs {
-		if _, _, err := u.Distribute(spec.URL); err != nil {
+		if _, _, err := c.PreBroadcast(spec.URL); err != nil {
 			t.Fatalf("distribute %d: %v", li, err)
 		}
 		// Every student station plays without stalls.
-		for pos := 2; pos <= u.Cluster.Size(); pos += 4 {
-			rep, err := u.Cluster.Playback(pos, spec.URL, time.Second)
+		for pos := 2; pos <= c.Size(); pos += 4 {
+			rep, err := c.Playback(pos, spec.URL, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,28 +92,21 @@ func TestFullSemesterScenario(t *testing.T) {
 				t.Errorf("lecture %d station %d stalled %d times", li, pos, rep.Stalls)
 			}
 		}
-		// Mid-semester edit with alerts.
-		alerts, err := u.EditScript(context.Background(), "Ma", spec.ScriptName, func(s *docdb.Store) error {
-			return s.SetProgress(spec.ScriptName, float64(60+li*10))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alerts == 0 {
-			t.Error("edit raised no alerts")
-		}
+		// Mid-semester edit under a write lock, with integrity alerts
+		// propagated to the editor's queue.
+		editScript(t, store, locks, alerts, spec, "Ma", float64(60+li*10))
 		// Students check out the notes.
 		for _, student := range []string{"alice", "bob"} {
-			co, err := u.StudentCheckOut(spec.ScriptName, student)
+			co, err := lib.CheckOut(spec.ScriptName, student)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := u.StudentCheckIn(co); err != nil {
+			if err := lib.CheckIn(co); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Lecture ends; student buffers return to references.
-		freed, err := u.EndLecture(spec.URL)
+		freed, err := c.EndLecture(spec.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +114,7 @@ func TestFullSemesterScenario(t *testing.T) {
 			t.Errorf("lecture %d freed %d bytes", li, freed)
 		}
 		// The testing subsystem finds generated courses clean.
-		if _, bug, err := u.TestCourse(spec.URL, "Huang", li+1); err != nil {
+		if _, bug, err := suite.Report(spec.URL, "Huang", li+1); err != nil {
 			t.Fatal(err)
 		} else if bug != "" {
 			t.Errorf("course %d has bug %s", li, bug)
@@ -105,8 +122,8 @@ func TestFullSemesterScenario(t *testing.T) {
 	}
 
 	// After three lectures, only the instructor station holds bytes.
-	usage := u.Cluster.DiskUsage()
-	for pos := 2; pos <= u.Cluster.Size(); pos++ {
+	usage := c.DiskUsage()
+	for pos := 2; pos <= c.Size(); pos++ {
 		if usage[pos-1] != 0 {
 			t.Errorf("station %d holds %d bytes after semester end", pos, usage[pos-1])
 		}
@@ -117,7 +134,7 @@ func TestFullSemesterScenario(t *testing.T) {
 
 	// Assessment reflects six checkouts each semester for both students.
 	for _, student := range []string{"alice", "bob"} {
-		a, err := u.Assess(student)
+		a, err := lib.Assess(student)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +142,134 @@ func TestFullSemesterScenario(t *testing.T) {
 			t.Errorf("%s assessment = %+v", student, a)
 		}
 	}
+}
+
+// editScript performs one collaborative edit of spec's script: write-lock
+// the script subtree, check it out, set its progress to pct, check it
+// in, then propagate integrity alerts to the editor's queue. It asserts
+// that the queue holds exactly the alerts raised, that the edit left one
+// history version, and that the new progress reads back.
+func editScript(t *testing.T, store *docdb.Store, locks *locking.Manager, alerts *integrity.Queue, spec workload.CourseSpec, editor string, pct float64) {
+	t.Helper()
+	lock, err := locks.Acquire(context.Background(), editor, locking.Path{spec.DBName, spec.ScriptName}, locking.Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := store.CheckOut(schema.KindScript, spec.ScriptName, editor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SetProgress(spec.ScriptName, pct); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CheckIn(co, "edit by "+editor); err != nil {
+		t.Fatal(err)
+	}
+	lock.Release()
+	raised, err := integrity.Default().Propagate(integrity.DocResolver{Store: store}, schema.KindScript, spec.ScriptName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alerts.Push(editor, raised)
+	if len(raised) == 0 {
+		t.Error("edit raised no alerts")
+	}
+	if pending := alerts.Pending(editor); len(pending) != len(raised) {
+		t.Errorf("pending alerts = %d, want the %d raised", len(pending), len(raised))
+	}
+	alerts.AckAll(editor)
+	// The edit went through checkout: history holds one version.
+	if hist, err := store.History(schema.KindScript, spec.ScriptName); err != nil {
+		t.Fatal(err)
+	} else if len(hist) != 1 {
+		t.Errorf("history = %+v", hist)
+	}
+	if sc, err := store.Script(spec.ScriptName); err != nil {
+		t.Fatal(err)
+	} else if sc.PctComplete != pct {
+		t.Errorf("pct complete = %v, want %v", sc.PctComplete, pct)
+	}
+}
+
+// publishCourse authors spec on the instructor station of a seven-station
+// cluster, announces references to every student station and catalogs
+// the course in the virtual library.
+func publishCourse(t *testing.T, spec workload.CourseSpec, courseNumber, instructor string) (*cluster.Cluster, *docdb.Store, *library.Library) {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{
+		Stations:  7,
+		M:         3,
+		UplinkBps: 1.25e6,
+		Latency:   5 * time.Millisecond,
+		Watermark: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Station(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := library.New(root.Store)
+	lib.RegisterInstructor(instructor)
+	if _, _, err := c.AuthorCourse(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BroadcastReferences(spec.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := lib.Add(spec.ScriptName, courseNumber, instructor); err != nil {
+		t.Fatal(err)
+	}
+	return c, root.Store, lib
+}
+
+// TestPublishDistributeLectureCycle runs one lecture end to end: the
+// published course is searchable, pre-broadcast reaches every station,
+// a student plays it without stalls, and the lecture's end reclaims the
+// student buffers.
+func TestPublishDistributeLectureCycle(t *testing.T) {
+	spec := systemSpec(1)
+	c, _, lib := publishCourse(t, spec, "CS-101", "Shih")
+	hits := lib.Search(library.Query{Course: "CS-101"})
+	if len(hits) != 1 || hits[0].Entry.ScriptName != spec.ScriptName {
+		t.Fatalf("hits = %+v", hits)
+	}
+	times, size, err := c.PreBroadcast(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != c.Size() || size <= 0 {
+		t.Fatalf("pre-broadcast = %v, %d bytes", times, size)
+	}
+	// Every student station (all but the root at index 0) received it.
+	for i, d := range times[1:] {
+		if d <= 0 {
+			t.Errorf("station %d: pre-broadcast time %v", i+2, d)
+		}
+	}
+	rep, err := c.Playback(5, spec.URL, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stalls != 0 {
+		t.Errorf("stalls = %d after distribution", rep.Stalls)
+	}
+	freed, err := c.EndLecture(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freed <= 0 {
+		t.Errorf("freed = %d", freed)
+	}
+}
+
+// TestEditScriptLocksAndAlerts runs one collaborative edit on a freshly
+// published course.
+func TestEditScriptLocksAndAlerts(t *testing.T) {
+	spec := systemSpec(2)
+	_, store, _ := publishCourse(t, spec, "MM-201", "Ma")
+	editScript(t, store, locking.NewManager(), integrity.NewQueue(), spec, "Ma", 55)
 }
 
 // TestStationPersistenceAcrossRestart checkpoints a durable station
