@@ -306,13 +306,10 @@ func BenchmarkBundleExportImport(b *testing.B) {
 	}
 }
 
-// startBundleRPC serves one course shaped like the lecture-day bench
+// lectureCourse authors one course shaped like the lecture-day bench
 // corpus (10 pages, 4 extra links, one still image per page, media
-// shrunk 4x: about 300 KB on the wire) from a station's transport over
-// loopback. call fetches it once — ExportBundle on the server, the
-// Bundle body across the hop, the decode on the client — and size is
-// the body's length.
-func startBundleRPC(tb testing.TB) (call func() error, size int) {
+// shrunk 4x: about 300 KB on the wire) on a fresh station store.
+func lectureCourse(tb testing.TB) (*docdb.Store, workload.CourseSpec) {
 	tb.Helper()
 	store, err := workload.NewStore()
 	if err != nil {
@@ -326,6 +323,16 @@ func startBundleRPC(tb testing.TB) (call func() error, size int) {
 	if _, _, err := workload.AuthorCourse(store, spec); err != nil {
 		tb.Fatal(err)
 	}
+	return store, spec
+}
+
+// startBundleRPC serves lectureCourse's course from a station's
+// transport over loopback. call fetches it once — ExportBundle on the
+// server, the Bundle body across the hop, the decode on the client —
+// and size is the body's length.
+func startBundleRPC(tb testing.TB) (call func() error, size int) {
+	tb.Helper()
+	store, spec := lectureCourse(tb)
 	srv := transport.NewServer()
 	srv.Handle("Bundle", func(decode func(any) error) (any, error) {
 		var req struct{ URL string }
@@ -408,6 +415,69 @@ func TestBundleRPCAllocBudget(t *testing.T) {
 	t.Logf("a %d-byte bundle hop allocates %.0f bytes per call (%.2fx)", size, perCall, ratio)
 	if ratio > 2.5 {
 		t.Fatalf("%.2fx the body per call, want <= 2.5x", ratio)
+	}
+}
+
+// importAllocBudget bounds what one import + migrate cycle of a
+// wire-decoded lecture bundle allocates, as a multiple of its media
+// bytes: about 10 % above the 0.169 measured once the BLOB store adopted
+// received media instead of copying them (1.25 when it copied).
+const importAllocBudget = 0.19
+
+// TestImportBundleAllocBudget pins what a receiving station allocates
+// to install a pushed lecture and migrate it away afterwards, beyond
+// the frame it arrived in: the decoded rows and metadata, not the
+// media. Each cycle decodes the bundle afresh from its wire body, as
+// every push does.
+func TestImportBundleAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	src, spec := lectureCourse(t)
+	b, err := src.ExportBundle(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := b.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var media int
+	for _, m := range b.Media {
+		media += len(m.Data)
+	}
+	dst, err := workload.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		var got docdb.Bundle
+		if err := got.DecodeWire(body); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := dst.ImportBundle(&got, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.MigrateToReference(obj.ID, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	const cycles = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := float64(after.TotalAlloc-before.TotalAlloc) / cycles
+	ratio := perCycle / float64(media)
+	t.Logf("an import + migrate cycle of %d media bytes allocates %.0f bytes (%.3fx)", media, perCycle, ratio)
+	if ratio > importAllocBudget {
+		t.Fatalf("%.3fx the media bytes per cycle, want <= %.2fx", ratio, importAllocBudget)
 	}
 }
 

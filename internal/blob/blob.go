@@ -13,6 +13,12 @@
 // ascending hash order and every object's SHA-256 before the store
 // changes. It runs on the caller's goroutine alone, so its cost does
 // not depend on how many other cores happen to be idle.
+//
+// Stored bytes are immutable. Put copies what it is given; Adopt keeps
+// the caller's slice itself, which is how a station stores media it
+// received: the object's bytes stay in the frame buffer they arrived
+// in, and that buffer lives until the last object aliasing it is
+// released.
 package blob
 
 import (
@@ -102,8 +108,24 @@ func NewStore() *Store {
 // Put stores content under a logical name and returns its Ref with one
 // reference held by the caller. Identical content is stored once; the
 // second Put of the same bytes is a dedup hit that only bumps the
-// refcount.
+// refcount. A new object is a copy of data: the caller keeps its slice
+// and may write to it afterwards.
 func (s *Store) Put(name string, kind Kind, data []byte) Ref {
+	return s.put(name, kind, data, true)
+}
+
+// Adopt is Put without the copy: a new object keeps data itself,
+// capacity-clamped, as its stored bytes. The caller hands the bytes
+// over and must never write to them again — the store, every View of
+// them and every export of them read that very array. A dedup hit
+// takes a reference on the resident object and retains nothing of
+// data. Received media, which alias a frame buffer nothing writes
+// into, are adopted; anything a caller may still mutate is Put.
+func (s *Store) Adopt(name string, kind Kind, data []byte) Ref {
+	return s.put(name, kind, data, false)
+}
+
+func (s *Store) put(name string, kind Kind, data []byte, copyData bool) Ref {
 	sum := sha256.Sum256(data)
 	h := hex.EncodeToString(sum[:])
 	s.mu.Lock()
@@ -111,8 +133,11 @@ func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 	s.putCount++
 	e, ok := s.objects[h]
 	if !ok {
-		owned := make([]byte, len(data))
-		copy(owned, data)
+		owned := data[:len(data):len(data)]
+		if copyData {
+			owned = make([]byte, len(data))
+			copy(owned, data)
+		}
 		e = &entry{data: owned, kind: kind, names: make(map[string]struct{})}
 		s.objects[h] = e
 		s.physicalBytes += int64(len(data))
@@ -146,10 +171,11 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 
 // View returns the content of a stored object without copying it. The
 // slice is the store's own and is read-only: stored bytes are never
-// mutated (a Put copies what it is given, a Restore installs fresh
-// buffers), so a view stays valid and unchanged for as long as it is
-// referenced, even after the object is released. Callers that may
-// write to the bytes use Get.
+// mutated (a Put copies what it is given, an Adopt keeps bytes its
+// caller will never write again, a Restore installs fresh buffers), so
+// a view stays valid and unchanged for as long as it is referenced,
+// even after the object is released. Callers that may write to the
+// bytes use Get.
 func (s *Store) View(ref Ref) ([]byte, error) {
 	if ref.Zero() {
 		return nil, ErrZeroRef

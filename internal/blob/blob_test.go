@@ -2,11 +2,15 @@ package blob
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -70,6 +74,77 @@ func TestPutOwnsItsData(t *testing.T) {
 	if got[0] != 1 {
 		t.Error("caller mutation leaked into the store")
 	}
+}
+
+// TestAdoptKeepsTheCallersBytes pins Adopt's contract: a new object is
+// the caller's own array, capacity-clamped, under the SHA-256 of its
+// bytes; a dedup hit keeps the first object's bytes and retains nothing
+// of the second slice; Release to zero evicts the object as for Put.
+func TestAdoptKeepsTheCallersBytes(t *testing.T) {
+	s := NewStore()
+	frame := make([]byte, 8192)
+	for i := range frame {
+		frame[i] = byte(i * 7)
+	}
+	data := frame[100:4196] // a medium in the middle of its frame
+	ref := s.Adopt("clip.mpg", KindVideo, data)
+	sum := sha256.Sum256(data)
+	if want := (Ref{Hash: hex.EncodeToString(sum[:]), Size: int64(len(data)), Kind: KindVideo}); ref != want {
+		t.Fatalf("ref = %+v, want %+v", ref, want)
+	}
+	view, err := s.View(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &view[0] != &data[0] || len(view) != len(data) || cap(view) != len(view) {
+		t.Fatalf("View is not the adopted array capacity-clamped: len %d cap %d", len(view), cap(view))
+	}
+
+	want := bytes.Clone(data)
+	second := bytes.Clone(data)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&second[0], func(*byte) { close(freed) })
+	if again := s.Adopt("copy.mpg", KindVideo, second); again != ref {
+		t.Fatalf("dedup hit ref = %+v, want %+v", again, ref)
+	}
+	second[0] ^= 0xFF // the caller breaks its promise; the store must not see it
+	second = nil
+	if st := s.Stats(); st.Objects != 1 || st.DedupHits != 1 || s.RefCount(ref) != 2 {
+		t.Fatalf("after the dedup hit: stats %+v, refcount %d", st, s.RefCount(ref))
+	}
+	if view, _ := s.View(ref); &view[0] != &data[0] || !bytes.Equal(view, want) {
+		t.Fatal("a dedup hit replaced or changed the first object's bytes")
+	}
+	if !retainsNothing(freed) {
+		t.Fatal("the store retained the second slice of a dedup hit")
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := s.Release(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Has(ref) {
+		t.Fatal("adopted object survived its last release")
+	}
+	if st := s.Stats(); st.Objects != 0 || st.PhysicalBytes != 0 || st.LogicalBytes != 0 {
+		t.Fatalf("stats after eviction = %+v", st)
+	}
+}
+
+// retainsNothing collects garbage until the finalizer behind freed has
+// run, giving up after a second.
+func retainsNothing(freed <-chan struct{}) bool {
+	deadline := time.Now().Add(time.Second)
+	for time.Now().Before(deadline) {
+		runtime.GC()
+		select {
+		case <-freed:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
 }
 
 func TestDedupIdenticalContent(t *testing.T) {

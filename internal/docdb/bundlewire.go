@@ -81,11 +81,14 @@ func AppendBundle(dst []byte, b *Bundle) []byte {
 //
 // Ownership: Media[i].Data ALIASES r's buffer — for a bundle received
 // over the transport, the frame buffer the envelope body is a slice
-// of. Media is the bulk of a bundle and its one consumer, the BLOB
-// store, copies what it keeps, so a decoded bundle is valid only as
-// long as the body it was read from, and must not be written to. Page, program and annotation bytes are owning copies: they are
-// small, and the relational engine keeps the very slice it is handed,
-// which would otherwise pin the whole frame for the life of the row.
+// of. Media is the bulk of a bundle, and its one consumer,
+// ImportBundle, has the BLOB store adopt those bytes rather than copy
+// them, so neither the caller nor anyone it hands the body to may
+// write into the buffer afterwards; a stored medium keeps the buffer
+// alive until it is released. Page, program and annotation bytes are
+// owning copies: they are small, and the relational engine keeps the
+// very slice it is handed, which would otherwise pin the whole frame
+// for the life of the row.
 func ReadBundle(r *wire.Reader) Bundle {
 	var b Bundle
 	sc := &b.Script

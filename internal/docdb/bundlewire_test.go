@@ -3,11 +3,15 @@ package docdb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/relstore"
 	"repro/internal/wire"
 )
 
@@ -71,7 +75,8 @@ func TestExportReferenceIsTheMetadataClosure(t *testing.T) {
 // FuzzBundleDecodeWire: hostile bundle bodies — every rejoin document
 // decodes through this reader — are rejected with a corrupt-encoding
 // error, never a panic or a runaway allocation, and anything accepted
-// re-encodes to a fixed point.
+// imports into a fresh store without a write into the body it came
+// from and re-encodes to a fixed point.
 func FuzzBundleDecodeWire(f *testing.F) {
 	closure, full := sampleBundles()
 	closureBody, fullBody := appendWire(f, closure), appendWire(f, full)
@@ -81,7 +86,11 @@ func FuzzBundleDecodeWire(f *testing.F) {
 	// annotations); claim a giant page count instead.
 	giant := wire.AppendUvarint(bytes.Clone(closureBody[:len(closureBody)-4]), 1<<62)
 	giant = append(giant, 0, 0, 0)
-	for _, seed := range [][]byte{closureBody, fullBody, fullBody[:len(fullBody)/2], flipped, giant} {
+	// A bundle that decodes but fails to import: its last annotation
+	// names a script the store never gets.
+	stray := full
+	stray.Annotations = append(slices.Clip(full.Annotations), Annotation{Name: "stray", ScriptName: "no-such-script", StartingURL: full.Impl.StartingURL})
+	for _, seed := range [][]byte{closureBody, fullBody, fullBody[:len(fullBody)/2], flipped, giant, appendWire(f, stray)} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -92,6 +101,7 @@ func FuzzBundleDecodeWire(f *testing.F) {
 			}
 			return
 		}
+		importUntouched(t, data, &b)
 		again := appendWire(t, b)
 		var back Bundle
 		if err := back.DecodeWire(again); err != nil {
@@ -101,4 +111,162 @@ func FuzzBundleDecodeWire(f *testing.F) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
+}
+
+// importUntouched imports b, decoded from body, into a fresh store,
+// and returns the store, or nil when the import failed. Whether or not
+// the import succeeds, body must come out byte for byte as it went in:
+// the store adopts media that alias it and writes into none of them.
+// When the import succeeds, every stored medium reads back as the
+// bytes it was decoded as.
+func importUntouched(t *testing.T, body []byte, b *Bundle) *Store {
+	t.Helper()
+	pristine := bytes.Clone(body)
+	s := newStore(t)
+	_, err := s.ImportBundle(b, 2, false)
+	if !bytes.Equal(body, pristine) {
+		t.Fatalf("importing the bundle (err %v) wrote into its body", err)
+	}
+	if err != nil {
+		return nil
+	}
+	stored, err := s.ImplMedia(b.Impl.StartingURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != len(b.Media) {
+		t.Fatalf("%d media stored, %d decoded", len(stored), len(b.Media))
+	}
+	for _, m := range stored {
+		view, err := s.Blobs().View(m.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(b.Media, func(d BundleMedia) bool { return d.Name == m.Name && bytes.Equal(d.Data, view) }) {
+			t.Fatalf("stored medium %q matches no decoded medium of that name", m.Name)
+		}
+	}
+	return s
+}
+
+// lectureBundle is sampleBundles' full bundle carrying four distinct
+// 64 KB media, so that media are the bulk of its body, as in a pushed
+// lecture.
+func lectureBundle() Bundle {
+	_, b := sampleBundles()
+	b.Media = nil
+	for i := 0; i < 4; i++ {
+		b.Media = append(b.Media, BundleMedia{
+			Name: fmt.Sprintf("clip%d.mpg", i), Kind: blob.KindVideo,
+			Data: bytes.Repeat([]byte{byte(i + 1), 0x5A}, 32<<10),
+		})
+	}
+	return b
+}
+
+// importCycle is one pre-broadcast on a receiving station: decode the
+// received body, import the bundle, and migrate it back to a
+// reference after the lecture.
+func importCycle(tb testing.TB, s *Store, body []byte) {
+	tb.Helper()
+	var b Bundle
+	if err := b.DecodeWire(body); err != nil {
+		tb.Fatal(err)
+	}
+	obj, err := s.ImportBundle(&b, 2, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.MigrateToReference(obj.ID, 1); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// aliases reports whether p is a slice of buf's backing array.
+func aliases(buf, p []byte) bool {
+	for i := range buf {
+		if &buf[i] == &p[0] {
+			return i+len(p) <= len(buf)
+		}
+	}
+	return false
+}
+
+// TestImportAdoptsReceivedMedia: the media of a bundle decoded from its
+// wire body are stored as the body's own bytes, not copies, and the
+// import writes nothing into the body.
+func TestImportAdoptsReceivedMedia(t *testing.T) {
+	body := appendWire(t, lectureBundle())
+	var b Bundle
+	if err := b.DecodeWire(body); err != nil {
+		t.Fatal(err)
+	}
+	s := importUntouched(t, body, &b)
+	if s == nil {
+		t.Fatal("the bundle failed to import")
+	}
+	stored, err := s.ImplMedia(b.Impl.StartingURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range stored {
+		view, err := s.Blobs().View(m.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !aliases(body, view) {
+			t.Errorf("medium %s was copied out of the body it arrived in", m.Name)
+		}
+	}
+}
+
+// TestImportFreesFramesAfterMigration: a station that adopts received
+// media keeps each frame only while its media are referenced. Fifty
+// lectures, each decoded from a fresh copy of the body and migrated
+// away afterwards, leave the collected heap within two bodies of where
+// the first one left it.
+func TestImportFreesFramesAfterMigration(t *testing.T) {
+	body := appendWire(t, lectureBundle())
+	s := newStore(t)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	importCycle(t, s, bytes.Clone(body))
+	first := heap()
+	for i := 1; i < 50; i++ {
+		importCycle(t, s, bytes.Clone(body))
+	}
+	if grown := heap() - first; grown > 2*int64(len(body)) {
+		t.Fatalf("heap grew %d bytes over 49 lectures of a %d-byte body: migrated frames are still pinned", grown, len(body))
+	}
+	if st := s.Blobs().Stats(); st.Objects != 0 {
+		t.Fatalf("%d BLOB objects left after the last migration", st.Objects)
+	}
+}
+
+// BenchmarkImportBundle is the receive side of a pushed lecture as one
+// layer number: decode the body, import the bundle, migrate it back to
+// a reference. The body is decoded in place every iteration, as a
+// frame is, so B/op is what the import path allocates beyond the frame
+// it received, and SetBytes is the media it carries.
+func BenchmarkImportBundle(b *testing.B) {
+	src := lectureBundle()
+	body := appendWire(b, src)
+	s, err := Open(relstore.NewDB(), blob.NewStore())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var media int64
+	for _, m := range src.Media {
+		media += int64(len(m.Data))
+	}
+	b.SetBytes(media)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		importCycle(b, s, body)
+	}
 }

@@ -306,20 +306,24 @@ func (s *Store) MigrateToReference(objID string, origin int) error {
 	if obj.Persistent {
 		return fmt.Errorf("%w: %s is persistent", ErrWrongForm, objID)
 	}
-	if err := s.dropContent(obj.StartingURL); err != nil {
-		return err
-	}
-	return s.rel.Update(schema.TableDocObjects, objID, relstore.Row{
+	// The form flip commits in the same batch as the content deletes:
+	// a crash can leave the instance whole or the reference bare, never
+	// an instance without its pages and media.
+	var b relstore.Batch
+	b.Update(schema.TableDocObjects, objID, relstore.Row{
 		"form":   schema.FormReference,
 		"origin": int64(origin),
 	})
+	return s.dropContent(&b, obj.StartingURL)
 }
 
 // dropContent deletes the document-layer files of an implementation and
 // releases its BLOB references. The implementation row itself survives
-// (it is small metadata a reference still needs). The row deletes land
-// as one batch whose commit also drops the content from the index.
-func (s *Store) dropContent(url string) error {
+// (it is small metadata a reference still needs). The row deletes are
+// queued on b behind whatever the caller queued there, and the batch
+// commits as one transaction whose commit also drops the content from
+// the index.
+func (s *Store) dropContent(b *relstore.Batch, url string) error {
 	html, err := s.HTMLFiles(url)
 	if err != nil {
 		return err
@@ -332,7 +336,6 @@ func (s *Store) dropContent(url string) error {
 	if err != nil {
 		return err
 	}
-	var b relstore.Batch
 	for _, f := range html {
 		b.Delete(schema.TableHTMLFiles, f.ID)
 	}
@@ -342,7 +345,7 @@ func (s *Store) dropContent(url string) error {
 	for _, m := range media {
 		b.Delete(schema.TableImplMedia, m.ResID)
 	}
-	err = s.rel.ApplyThen(&b, func() {
+	err = s.rel.ApplyThen(b, func() {
 		if ix := s.ContentIndex(); ix != nil {
 			ix.RemoveContent(url)
 		}
@@ -404,7 +407,7 @@ func (s *Store) DeleteImplementation(url string) error {
 			return err
 		}
 	}
-	if err := s.dropContent(url); err != nil {
+	if err := s.dropContent(&relstore.Batch{}, url); err != nil {
 		return err
 	}
 	return s.rel.Delete(schema.TableImpls, url)
@@ -603,6 +606,18 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 // local instance object. Media bytes go through the BLOB layer, so
 // resources already resident are shared, not duplicated.
 //
+// The BLOB store adopts b's media bytes (blob.Store.Adopt) instead of
+// copying them, so the caller hands them over: nothing may write to a
+// Media[i].Data after the call, whether the import succeeds or not.
+// Every caller passes bytes nothing writes again — a push frame body,
+// a resolve reply, a state-stream record, an Import RPC body (each a
+// buffer read for that one message and never reused), or another
+// store's ExportBundle, which views that store's immutable objects.
+// A new object aliases those bytes, and so keeps the array under them
+// alive until the object is released. Page, program and annotation
+// bytes become row values as given; ReadBundle decodes them as owning
+// copies, so no row pins a frame.
+//
 // The import is atomic: the media BLOBs are put first, then the files,
 // media descriptors, annotations and the instance object commit as one
 // batch — one lock acquisition and one WAL append for the whole
@@ -630,7 +645,7 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 	}
 	refs := make([]blob.Ref, len(b.Media))
 	for i, m := range b.Media {
-		refs[i] = s.blobs.Put(m.Name, m.Kind, m.Data)
+		refs[i] = s.blobs.Adopt(m.Name, m.Kind, m.Data)
 		batch.Insert(schema.TableImplMedia, implMediaRow(MediaRef{
 			ResID: s.nextID("res"), Owner: url, Name: m.Name, Kind: m.Kind, Ref: refs[i],
 		}))

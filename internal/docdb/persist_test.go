@@ -1,8 +1,10 @@
 package docdb
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/minisql"
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
 // newDurableStore opens a station store over a durability directory,
@@ -124,6 +127,119 @@ func TestCheckpointCoversBlobsAcrossSIGKILL(t *testing.T) {
 	// restored ones.
 	if _, err := s2.AttachImplMedia(url, "fresh.gif", blob.KindImage, []byte("fresh")); err != nil {
 		t.Errorf("ID counter collided after recovery: %v", err)
+	}
+}
+
+// TestMigrationCommitsAsOne cuts the WAL at every record boundary a
+// migration wrote — the instants a SIGKILL could leave behind — and
+// recovers each prefix. The document must come back as an instance
+// with all of its pages, programs and resident media, or as a
+// reference with none of them: never an instance stripped of its
+// content, which every resolve below the station would be served.
+func TestMigrationCommitsAsOne(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	b := lectureBundle()
+	url := b.Impl.StartingURL
+	obj, err := s.ImportBundle(&b, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint puts the media in the BLOB sidecar, so only the
+	// migration's own records decide what a restart finds.
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	tails, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil || len(tails) == 0 {
+		t.Fatalf("no WAL tail after the checkpoint: %v", err)
+	}
+	tail := tails[len(tails)-1]
+	before, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MigrateToReference(obj.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(tail) // SIGKILL: no CloseWAL
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []int{len(before)}
+	br := bufio.NewReader(bytes.NewReader(raw[len(before):]))
+	for {
+		payload, err := wire.ReadRecord(br, 0)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, cuts[len(cuts)-1]+wire.RecordSize(len(payload)))
+	}
+	if len(cuts) == 1 {
+		t.Fatal("the migration wrote no WAL record")
+	}
+
+	for i, cut := range cuts {
+		crash := t.TempDir()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filepath.Join(dir, e.Name()) == tail {
+				data = data[:cut]
+			}
+			if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, _ := newDurableStore(t, crash)
+		got, err := r.Object(obj.ID)
+		if err != nil {
+			t.Fatalf("cut %d of %d: %v", i, len(cuts)-1, err)
+		}
+		html, err := r.HTMLFiles(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, err := r.ProgramFiles(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		media, err := r.ImplMedia(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := 0
+		for _, m := range media {
+			if r.Blobs().Has(m.Ref) {
+				resident++
+			}
+		}
+		switch {
+		case got.Form == schema.FormInstance && len(html) == len(b.HTML) && len(progs) == len(b.Programs) &&
+			len(media) == len(b.Media) && resident == len(b.Media):
+			if i == len(cuts)-1 {
+				t.Fatal("the whole WAL recovered the migrated document as an instance")
+			}
+		case got.Form == schema.FormReference && len(html)+len(progs)+len(media) == 0:
+			if i == 0 {
+				t.Fatal("the WAL without the migration recovered a reference")
+			}
+		default:
+			t.Fatalf("cut %d of %d: a %s with %d pages, %d programs, %d media rows (%d resident)",
+				i, len(cuts)-1, got.Form, len(html), len(progs), len(media), resident)
+		}
+		if err := r.Rel().CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

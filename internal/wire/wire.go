@@ -318,9 +318,10 @@ func (r *Reader) Bytes() []byte {
 
 // View reads a length-prefixed byte slice WITHOUT copying: the result
 // aliases the reader's buffer and is valid only as long as that buffer
-// is. It is for large payloads whose consumer copies what it keeps
-// (media bytes on their way into the BLOB store); everything else
-// should use Bytes. A zero length decodes as nil.
+// is, and nothing may write into it. It is for large payloads that
+// are read, not modified (a frame's body, and the media bytes in it,
+// which the BLOB store keeps as they are); everything else should use
+// Bytes. A zero length decodes as nil.
 func (r *Reader) View() []byte {
 	b := r.take(r.Uvarint())
 	if len(b) == 0 {
