@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blob"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 )
 
 // newConcStore builds a store whose clock is safe for concurrent use
@@ -122,6 +123,47 @@ func TestSyncIDsAfterRestore(t *testing.T) {
 	}
 	if id != "co-000002" {
 		t.Errorf("id = %s, want co-000002", id)
+	}
+}
+
+// TestSyncIDsPerTable: whichever of the five ID-bearing tables holds
+// the largest generated ID, alone, a recovered store's next ID is past
+// it.
+func TestSyncIDsPerTable(t *testing.T) {
+	const script, url = "os-course", "http://mmu/os-course/v1"
+	for _, tc := range []struct {
+		table string
+		row   relstore.Row
+	}{
+		{schema.TableCheckouts, relstore.Row{"co_id": "co-000950", "object_kind": "script", "object_id": script, "user": "alice"}},
+		{schema.TableVersions, relstore.Row{"ver_id": "ver-000950", "object_kind": "script", "object_id": script, "version": int64(1)}},
+		{schema.TableImplMedia, relstore.Row{"res_id": "res-000950", "starting_url": url, "blob_hash": "00"}},
+		{schema.TableScriptMedia, relstore.Row{"res_id": "res-000950", "script_name": script, "blob_hash": "00"}},
+		{schema.TableDocObjects, relstore.Row{"obj_id": "obj-000950", "form": "class", "starting_url": url}},
+	} {
+		t.Run(tc.table, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := newDurableStore(t, dir)
+			if err := s.CreateDatabase(Database{Name: "mmu"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CreateScript(Script{Name: script, DBName: "mmu"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddImplementation(Implementation{StartingURL: url, ScriptName: script}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Rel().Insert(tc.table, tc.row); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Rel().CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			recovered, _ := newDurableStore(t, dir)
+			if id := recovered.NewID("x"); id != "x-000951" {
+				t.Errorf("first ID after recovery = %s, want x-000951", id)
+			}
+		})
 	}
 }
 

@@ -130,22 +130,27 @@ func (s *Store) nextID(prefix string) string {
 // shared tables.
 func (s *Store) NewID(prefix string) string { return s.nextID(prefix) }
 
+// idColumns are the primary-key columns that hold identifiers nextID
+// generated.
+var idColumns = []struct{ table, column string }{
+	{schema.TableCheckouts, "co_id"},
+	{schema.TableVersions, "ver_id"},
+	{schema.TableImplMedia, "res_id"},
+	{schema.TableScriptMedia, "res_id"},
+	{schema.TableDocObjects, "obj_id"},
+}
+
 // SyncIDs advances the ID counter past every generated identifier
 // already present in the engine. Call it after restoring state from a
 // WAL or snapshot, where the rows survive but the process-local counter
 // restarts at zero; without it freshly generated IDs collide with
-// restored primary keys.
+// restored primary keys. It reads only the ID columns, building no
+// row.
 func (s *Store) SyncIDs() error {
 	var max uint64
-	for table, pkCol := range map[string]string{
-		schema.TableCheckouts:   "co_id",
-		schema.TableVersions:    "ver_id",
-		schema.TableImplMedia:   "res_id",
-		schema.TableScriptMedia: "res_id",
-		schema.TableDocObjects:  "obj_id",
-	} {
-		err := s.rel.Scan(table, func(r relstore.Row) bool {
-			id := rowString(r, pkCol)
+	for _, c := range idColumns {
+		err := s.rel.ScanColumn(c.table, c.column, func(v any) bool {
+			id, _ := v.(string)
 			if i := strings.LastIndexByte(id, '-'); i >= 0 {
 				if n, err := strconv.ParseUint(id[i+1:], 10, 64); err == nil && n > max {
 					max = n

@@ -569,22 +569,44 @@ func recoverCold(b testing.TB, dir string) {
 	}
 }
 
+// fixtureFileBytes reports the sizes of the one snapshot and the one
+// WAL tail recoverFixture leaves in dir.
+func fixtureFileBytes(tb testing.TB, dir string) (snap, wal int64) {
+	tb.Helper()
+	size := func(pattern string) int64 {
+		paths, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil || len(paths) != 1 {
+			tb.Fatalf("%s in the fixture: %v (err=%v), want exactly one", pattern, paths, err)
+		}
+		fi, err := os.Stat(paths[0])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return fi.Size()
+	}
+	return size("snap-*"), size("wal-*")
+}
+
 // BenchmarkRecover recovers recoverFixture's station cold over and
-// over. Run with -benchmem.
+// over, and reports the sizes of the files it reads. Run with
+// -benchmem.
 func BenchmarkRecover(b *testing.B) {
 	dir := recoverFixture(b)
+	snap, wal := fixtureFileBytes(b, dir)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		recoverCold(b, dir)
 	}
+	b.ReportMetric(float64(snap), "snap-B")
+	b.ReportMetric(float64(wal), "wal-B")
 }
 
 // recoverAllocBudget bounds the objects one cold recovery of
-// recoverFixture's station may allocate: about 10 % above the 16.3k
-// measured once relational rows decoded straight into tuples (from
-// 41.4k when every row was a map).
-const recoverAllocBudget = 18000
+// recoverFixture's station may allocate: about 10 % above the 10.34k
+// measured once rows were positional on disk and recovery interned
+// their strings (from 16.3k, and 41.4k when every row was a map).
+const recoverAllocBudget = 11400
 
 // TestRecoverAllocBudget keeps recovery's allocation count from
 // eroding silently. The count is exact, so unlike a timing it does not
@@ -593,5 +615,33 @@ func TestRecoverAllocBudget(t *testing.T) {
 	dir := recoverFixture(t)
 	if n := testing.AllocsPerRun(5, func() { recoverCold(t, dir) }); n > recoverAllocBudget {
 		t.Errorf("one cold recovery allocates %.0f objects, budget %d", n, recoverAllocBudget)
+	}
+}
+
+// The byte budgets of the positional row grammar, about 2 % above the
+// exact sizes it writes: recoverFixture's snapshot (51,228 bytes, from
+// 92,271 when rows named their columns) and the WAL record of one
+// RecordTest insert (75 bytes, from 115).
+const (
+	recoverSnapBudget   = 52250
+	recordTestWALBudget = 76
+)
+
+// TestRecoverFixtureBytes keeps the on-disk row grammar from growing
+// silently. The store's clock is fixed, so both sizes are exact.
+func TestRecoverFixtureBytes(t *testing.T) {
+	dir := recoverFixture(t)
+	snap, _ := fixtureFileBytes(t, dir)
+	s, _ := newDurableStore(t, dir)
+	before := s.Rel().WALTailBytes()
+	if err := s.RecordTest(TestRecord{Name: "test-budget", ScriptName: "course-000", Scope: "local"}); err != nil {
+		t.Fatal(err)
+	}
+	rec := s.Rel().WALTailBytes() - before
+	if snap > recoverSnapBudget {
+		t.Errorf("recoverFixture's snapshot holds %d bytes, budget %d", snap, recoverSnapBudget)
+	}
+	if rec > recordTestWALBudget {
+		t.Errorf("one RecordTest insert appends %d WAL bytes, budget %d", rec, recordTestWALBudget)
 	}
 }

@@ -151,22 +151,32 @@ func PruneGenerationFiles(dir, prefix string, keep uint64) {
 	}
 }
 
-// decodeSnapshotImage opens a sealed snapshot image and decodes it.
-func decodeSnapshotImage(data []byte) (*ckptImage, error) {
+// nameKeyedSnapMagic is the magic snapshots were sealed under while
+// rows named their columns. wire.SnapMagic replaced it when rows went
+// positional; a file that still carries it is refused with
+// ErrPrePositional rather than misread.
+const nameKeyedSnapMagic = 0xBA
+
+// decodeSnapshotImage opens a sealed snapshot image and decodes its
+// rows through dec.
+func decodeSnapshotImage(data []byte, dec *rowDecoder) (*ckptImage, error) {
+	if len(data) > 0 && data[0] == nameKeyedSnapMagic {
+		return nil, ErrPrePositional
+	}
 	payload, err := wire.OpenImage(wire.SnapMagic, data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeCkptImage(payload)
+	return decodeCkptImage(payload, dec)
 }
 
 // readSnapshotFile decodes one snap-<gen> file.
-func readSnapshotFile(path string) (*ckptImage, error) {
+func readSnapshotFile(path string, dec *rowDecoder) (*ckptImage, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	img, err := decodeSnapshotImage(data)
+	img, err := decodeSnapshotImage(data, dec)
 	if err != nil {
 		return nil, fmt.Errorf("relstore: decoding %s: %w", filepath.Base(path), err)
 	}
@@ -200,12 +210,20 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 		return nil, err
 	}
 	info := &RecoverInfo{}
+	// One row decoder serves the whole recovery, so a string the
+	// snapshot decoded is shared by the tail rows that repeat it.
+	dec := new(rowDecoder)
 	// Newest decodable snapshot wins; a corrupt newer file falls back
 	// to the previous generation, whose tail chain still reaches the
-	// same history.
+	// same history. A snapshot in the pre-positional format ends the
+	// recovery instead: every older one is older still, and nothing in
+	// the directory may change before the operator decides.
 	var snapErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
-		img, err := readSnapshotFile(filepath.Join(dir, snapFileName(snaps[i])))
+		img, err := readSnapshotFile(filepath.Join(dir, snapFileName(snaps[i])), dec)
+		if errors.Is(err, ErrPrePositional) {
+			return nil, err
+		}
 		if err == nil {
 			err = db.installSnapshot(&img.Snap)
 		}
@@ -232,7 +250,7 @@ func (db *DB) OpenDurable(dir string) (*RecoverInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		applied, seq, end, rerr := db.replayWAL(f)
+		applied, seq, end, rerr := db.replayWAL(f, dec)
 		f.Close()
 		info.Applied += applied
 		if seq > info.Seq {

@@ -85,6 +85,7 @@ func (db *DB) installSnapshot(snap *snapshot) error {
 	// caches rebuild lazily on first scan.
 	for _, st := range snap.Tables {
 		t := fresh.tables[st.schema.Name]
+		t.rows = make(map[string]tuple, len(st.rows))
 		for _, tp := range st.rows {
 			err := t.checkNotNull(tp)
 			if err == nil {
@@ -250,13 +251,14 @@ func (db *DB) appendWAL(recs []walRec) error {
 // around each DDL record. Every committed record still applies
 // atomically: a failing one is undone before the replay reports it.
 //
-// A truncated final record is tolerated as the torn tail a crash
-// mid-append leaves behind; a complete record that fails its CRC or
-// parse, a first byte that is not wire.RecordMagic (a JSON line from
+// Rows decode through dec. A truncated final record is tolerated as
+// the torn tail a crash mid-append leaves behind; a complete record
+// that fails its CRC or parse, a record in the pre-positional row
+// format, a first byte that is not wire.RecordMagic (a JSON line from
 // before the binary format) and a read error other than end of input
 // all fail the replay.
-func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err error) {
-	rp := &replayer{db: db}
+func (db *DB) replayWAL(r io.Reader, dec *rowDecoder) (applied int, maxSeq uint64, end int64, err error) {
+	rp := &replayer{db: db, rows: dec}
 	defer rp.unlock()
 	br := bufio.NewReaderSize(r, 1<<20)
 	for {
@@ -268,7 +270,7 @@ func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err
 			return applied, maxSeq, end, fmt.Errorf("relstore: reading WAL record: %w", err)
 		}
 		end += int64(wire.RecordSize(len(payload)))
-		line, err := decodeWalLine(payload, &rp.rows, rp.layout)
+		line, err := decodeWalLine(payload, rp.rows, rp.layout)
 		if err != nil {
 			return applied, maxSeq, end, err
 		}
@@ -291,12 +293,12 @@ func (db *DB) replayWAL(r io.Reader) (applied int, maxSeq uint64, end int64, err
 	}
 }
 
-// replayer is replayWAL's state: the row decoder it reuses across
-// records and, while it holds the schema lock, the transaction its
-// records apply through.
+// replayer is replayWAL's state: the row decoder its records share
+// and, while it holds the schema lock, the transaction its records
+// apply through.
 type replayer struct {
 	db   *DB
-	rows rowDecoder
+	rows *rowDecoder
 	tx   *Tx // non-nil while the schema lock is held exclusively
 }
 

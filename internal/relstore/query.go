@@ -375,3 +375,30 @@ func (db *DB) Scan(table string, fn func(Row) bool) error {
 	}
 	return nil
 }
+
+// ScanColumn visits the named column's value in every row of the
+// table, nil for NULL, until fn returns false. Rows come in no
+// particular order, and no Row or sorted key list is built, so a pass
+// over one column of a large table allocates nothing per row. The
+// table's read lock is held for the whole scan; fn must not call back
+// into the database.
+func (db *DB) ScanColumn(table, column string, fn func(v any) bool) error {
+	db.metaMu.RLock()
+	defer db.metaMu.RUnlock()
+	t, ok := db.tables[table]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoTable, table)
+	}
+	p, err := t.column(column)
+	if err != nil {
+		return err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, tp := range t.rows {
+		if !fn(tp[p]) {
+			return nil
+		}
+	}
+	return nil
+}

@@ -119,7 +119,7 @@ func TestReadersRejectForeignInput(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := readSnapshotFile(path)
+			_, err := readSnapshotFile(path, new(rowDecoder))
 			if err != nil && !strings.Contains(err.Error(), snapFileName(3)) {
 				t.Errorf("error does not name the file: %v", err)
 			}
@@ -184,34 +184,137 @@ func TestOpenDurableRefusesPreBinaryDirectory(t *testing.T) {
 			}
 		}()},
 	} {
-		dir := t.TempDir()
-		for name, data := range tc.files {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		err := refusedRecovery(t, tc.name, tc.files, tc.wantFile)
+		if !strings.Contains(err.Error(), preBinary) {
+			t.Errorf("%s: error = %v, want one that says it %s", tc.name, err, preBinary)
 		}
-		db := NewDB()
-		_, err := db.OpenDurable(dir)
-		if err == nil {
-			t.Fatalf("%s: OpenDurable accepted the directory", tc.name)
-		}
-		if !strings.Contains(err.Error(), preBinary) || !strings.Contains(err.Error(), tc.wantFile) {
-			t.Errorf("%s: error = %v, want one naming %s* that says it %s", tc.name, err, tc.wantFile, preBinary)
-		}
-		if db.wal != nil {
-			t.Errorf("%s: a WAL tail is attached after a failed recovery", tc.name)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
+	}
+}
+
+// refusedRecovery recovers a directory holding files, which must fail
+// with an error naming wantFile before it attaches, prunes, cuts or
+// rewrites anything. It returns the error.
+func refusedRecovery(t *testing.T, name string, files map[string][]byte, wantFile string) error {
+	t.Helper()
+	dir := t.TempDir()
+	for file, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != len(tc.files) {
-			t.Errorf("%s: directory holds %d files after the failed recovery, want %d", tc.name, len(entries), len(tc.files))
+	}
+	db := NewDB()
+	_, err := db.OpenDurable(dir)
+	if err == nil {
+		t.Fatalf("%s: OpenDurable accepted the directory", name)
+	}
+	if !strings.Contains(err.Error(), wantFile) {
+		t.Errorf("%s: error = %v, want one naming %s", name, err, wantFile)
+	}
+	if db.wal != nil {
+		t.Errorf("%s: a WAL tail is attached after a failed recovery", name)
+	}
+	entries, rerr := os.ReadDir(dir)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(entries) != len(files) {
+		t.Errorf("%s: directory holds %d files after the failed recovery, want %d", name, len(entries), len(files))
+	}
+	for file, want := range files {
+		if got, rerr := os.ReadFile(filepath.Join(dir, file)); rerr != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: %s changed or vanished (err=%v)", name, file, rerr)
 		}
-		for name, want := range tc.files {
-			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s: %s changed or vanished (err=%v)", tc.name, name, err)
-			}
+	}
+	return err
+}
+
+// nameKeyedSnapshot is a snap-<gen> file as sealed while rows named
+// their columns: the retired magic, and one scripts row whose pair
+// spells its column's name.
+func nameKeyedSnapshot(t testing.TB, gen uint64) []byte {
+	t.Helper()
+	s, _ := courseSchemas()
+	p := wire.AppendUvarint(nil, gen)
+	p = wire.AppendUvarint(p, 0) // Seq
+	p = wire.AppendUvarint(p, 1) // one table
+	p = appendSchema(p, &s)
+	p = wire.AppendUvarint(p, 1) // one row
+	p = appendNamedPair(t, wire.AppendUvarint(p, 1), "script_name", "legacy")
+	p = appendStrings(p, nil) // no hash indexes
+	p = appendStrings(p, nil) // no ordered indexes
+	return wire.SealImage(nameKeyedSnapMagic, p)
+}
+
+// nameKeyedWAL is a WAL tail as written while rows named their
+// columns: one committed insert into scripts whose flags lack
+// walFlagPositional and whose pair spells its column's name.
+func nameKeyedWAL(t testing.TB) []byte {
+	t.Helper()
+	p := wire.AppendUvarint(nil, 1) // Seq
+	p = append(p, walFlagCommit)
+	p = wire.AppendUvarint(p, 1) // one operation
+	p = append(p, byte(walOpInsert))
+	p = wire.AppendString(p, "scripts")
+	p, err := wire.AppendValue(p, "legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = appendNamedPair(t, wire.AppendUvarint(append(p, 1), 1), "script_name", "legacy")
+	p = append(p, 0) // no DDL
+	return wire.AppendRecord(nil, p)
+}
+
+func appendNamedPair(t testing.TB, dst []byte, name string, v any) []byte {
+	t.Helper()
+	dst, err := wire.AppendValue(wire.AppendString(dst, name), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestOpenDurableRefusesNameKeyedDirectory: a snapshot or WAL tail
+// written while rows named their columns fails recovery with
+// ErrPrePositional and an error naming the file, and leaves every file
+// as it was. A name-keyed snapshot ends the recovery even when an
+// older positional one could load: nothing falls back past it.
+func TestOpenDurableRefusesNameKeyedDirectory(t *testing.T) {
+	src := newDurableCourseDB(t, t.TempDir())
+	insertScripts(t, src, 0, 2)
+	info, err := src.Checkpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	positional, err := os.ReadFile(info.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.CloseWAL()
+	for _, tc := range []struct {
+		name, wantFile string
+		files          map[string][]byte
+	}{
+		{"name-keyed checkpoint and tail", snapFileName(1), map[string][]byte{
+			snapFileName(1): nameKeyedSnapshot(t, 1),
+			walFileName(1):  nameKeyedWAL(t),
+		}},
+		{"name-keyed checkpoint over a positional one", snapFileName(2), map[string][]byte{
+			snapFileName(1): positional,
+			walFileName(1):  nil,
+			snapFileName(2): nameKeyedSnapshot(t, 2),
+			walFileName(2):  nil,
+		}},
+		{"name-keyed tail only", walFileName(0), map[string][]byte{
+			walFileName(0): nameKeyedWAL(t),
+		}},
+		{"name-keyed tail after a positional checkpoint", walFileName(1), map[string][]byte{
+			snapFileName(1): positional,
+			walFileName(1):  nameKeyedWAL(t),
+		}},
+	} {
+		err := refusedRecovery(t, tc.name, tc.files, tc.wantFile)
+		if !errors.Is(err, ErrPrePositional) {
+			t.Errorf("%s: error = %v, want ErrPrePositional", tc.name, err)
 		}
 	}
 }
@@ -249,7 +352,7 @@ func TestReplayFailsOnReadError(t *testing.T) {
 	raw := binaryWAL(t, 4)
 	for _, cut := range []int{len(raw) / 4 * 3, len(raw)/4*3 + 5} { // after record 3; inside record 4
 		db := newCourseDB(t)
-		applied, _, _, err := db.replayWAL(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom)))
+		applied, _, _, err := db.replayWAL(io.MultiReader(bytes.NewReader(raw[:cut]), iotest.ErrReader(boom)), new(rowDecoder))
 		if !errors.Is(err, boom) {
 			t.Errorf("cut %d: err = %v after %d records, want the read error", cut, err, applied)
 		}
@@ -260,12 +363,12 @@ func TestReplayFailsOnReadError(t *testing.T) {
 }
 
 // appendPairs encodes a row in the on-disk grammar exactly as given:
-// the count is the number of pairs, names in the order listed.
+// the count is the number of pairs, positions in the order listed.
 func appendPairs(t testing.TB, dst []byte, pairs []any) []byte {
 	t.Helper()
 	dst = wire.AppendUvarint(dst, uint64(len(pairs)/2))
 	for i := 0; i < len(pairs); i += 2 {
-		dst = wire.AppendString(dst, pairs[i].(string))
+		dst = wire.AppendUvarint(dst, uint64(pairs[i].(int)))
 		var err error
 		if dst, err = wire.AppendValue(dst, pairs[i+1]); err != nil {
 			t.Fatal(err)
@@ -295,7 +398,7 @@ func snapshotWithRow(t testing.TB, gen uint64, pairs ...any) []byte {
 func walWithRow(t testing.TB, op walOp, pk any, pairs ...any) []byte {
 	t.Helper()
 	p := wire.AppendUvarint(nil, 1) // Seq
-	p = append(p, walFlagCommit)
+	p = append(p, walFlagCommit|walFlagPositional)
 	p = wire.AppendUvarint(p, 1) // one operation
 	p = append(p, byte(op))
 	p = wire.AppendString(p, "scripts")
@@ -308,24 +411,27 @@ func walWithRow(t testing.TB, op walOp, pk any, pairs ...any) []byte {
 	return wire.AppendRecord(nil, p)
 }
 
-// repeatedColumnRows are rows that name a column twice: once with two
-// different values (the second would silently win), once as a count
-// of three pairs over two distinct columns.
-var repeatedColumnRows = []struct {
+// badPositionRows are scripts rows (six columns: script_name,
+// author, version, created, pct_complete, archived) whose positions
+// are corrupt: a position given twice with two different values (the
+// second would silently win), a count of three pairs over two distinct
+// positions, and a position one past the last column.
+var badPositionRows = []struct {
 	name  string
 	pairs []any
 }{
-	{"a name given twice", []any{"script_name", "dup", "version", int64(1), "version", int64(2)}},
-	{"a count above the columns kept", []any{"script_name", "dup", "author", "x", "script_name", "dup"}},
+	{"a position given twice", []any{0, "dup", 2, int64(1), 2, int64(2)}},
+	{"a count above the columns kept", []any{0, "dup", 1, "x", 0, "dup"}},
+	{"a position past the columns", []any{0, "dup", 6, "x"}},
 }
 
-// TestDecodersRejectRepeatedColumn: a row naming a column twice is
-// corrupt. A snapshot holding one fails with an error naming the table,
-// and recovery falls back to the previous generation as it does for
-// any corrupt snapshot; a WAL record holding one fails the replay and
-// applies nothing.
+// TestDecodersRejectRepeatedColumn: a row giving a position twice or
+// a position past its table's columns is corrupt. A snapshot holding
+// one fails with an error naming the table, and recovery falls back to
+// the previous generation as it does for any corrupt snapshot; a WAL
+// record holding one fails the replay and applies nothing.
 func TestDecodersRejectRepeatedColumn(t *testing.T) {
-	for _, row := range repeatedColumnRows {
+	for _, row := range badPositionRows {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), snapshotWithRow(t, 1, row.pairs...), 0o644); err != nil {
 			t.Fatal(err)
@@ -363,7 +469,7 @@ func TestDecodersRejectRepeatedColumn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			applied, _, _, err := db.replayWAL(bytes.NewReader(walWithRow(t, op, "dup", row.pairs...)))
+			applied, _, _, err := db.replayWAL(bytes.NewReader(walWithRow(t, op, "dup", row.pairs...)), new(rowDecoder))
 			if err == nil || !strings.Contains(err.Error(), "scripts") {
 				t.Errorf("replay of an %v with %s: err = %v, want an error naming scripts", op, row.name, err)
 			}
@@ -377,7 +483,8 @@ func TestDecodersRejectRepeatedColumn(t *testing.T) {
 
 // fuzzSeeds are the inputs both fuzz targets start from: the valid
 // encoding, what the pre-binary writers produced, torn and flipped
-// copies of the valid one, and counts far beyond the input.
+// copies of the valid one, counts far beyond the input, and what the
+// writers produced while rows named their columns.
 func fuzzSeeds(f *testing.F, valid []byte) {
 	f.Add(valid)
 	f.Add(gobSnapshot(f))
@@ -387,10 +494,12 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	giant := wire.AppendUvarint(nil, 1<<62)
-	f.Add(wire.AppendRecord(nil, append([]byte{1, walFlagCommit}, giant...)))
+	f.Add(wire.AppendRecord(nil, append([]byte{1, walFlagCommit | walFlagPositional}, giant...)))
 	f.Add(wire.AppendUvarint([]byte{wire.RecordMagic, wire.Version}, 1<<62))
 	f.Add(wire.SealImage(wire.SnapMagic, append([]byte{1, 1}, giant...)))
 	f.Add([]byte{})
+	f.Add(nameKeyedWAL(f))
+	f.Add(nameKeyedSnapshot(f, 1))
 }
 
 // FuzzReplayWAL: no input makes a replay panic, hang or allocate beyond
@@ -399,7 +508,7 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 // OpenDurable cuts a torn tail, applies the same records.
 func FuzzReplayWAL(f *testing.F) {
 	fuzzSeeds(f, binaryWAL(f, 3))
-	for _, row := range repeatedColumnRows {
+	for _, row := range badPositionRows {
 		f.Add(walWithRow(f, walOpInsert, "dup", row.pairs...))
 		f.Add(walWithRow(f, walOpUpdate, "dup", row.pairs...))
 	}
@@ -411,7 +520,7 @@ func FuzzReplayWAL(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		return db.replayWAL(bytes.NewReader(data))
+		return db.replayWAL(bytes.NewReader(data), new(rowDecoder))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		applied, maxSeq, end, err := replay(t, data)
@@ -455,12 +564,12 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	fuzzSeeds(f, valid)
-	for _, row := range repeatedColumnRows {
+	for _, row := range badPositionRows {
 		f.Add(snapshotWithRow(f, 0, row.pairs...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := NewDB()
-		img, err := decodeSnapshotImage(data)
+		img, err := decodeSnapshotImage(data, new(rowDecoder))
 		if err == nil {
 			err = db.installSnapshot(&img.Snap)
 		}

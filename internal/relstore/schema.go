@@ -130,6 +130,12 @@ var (
 	ErrKeyChange   = errors.New("relstore: primary key of a row cannot be updated")
 	ErrLockOrder   = errors.New("relstore: table locks must be acquired in sorted order")
 	ErrWALOpen     = errors.New("relstore: a write-ahead log is already attached")
+
+	// ErrPrePositional reports a snapshot or WAL record written while
+	// rows named their columns instead of giving their positions. No
+	// reader for that grammar remains; the README's upgrade paragraph
+	// says what a station does with such a directory.
+	ErrPrePositional = errors.New("relstore: file uses the pre-positional row format")
 )
 
 // validate checks the schema for structural problems.

@@ -11,9 +11,12 @@ import (
 //	[uvarint Gen][uvarint Seq][uvarint nschemas]
 //	  per schema: [schema][uvarint nrows rows][indexed strs][ordered strs]
 //
-// Rows are in the (name, value)-pair grammar of tuple.go, carrying
-// tagged wire values, so a checkpoint of BLOB-bearing tables is a flat
-// byte copy.
+// Rows are in the (position, value)-pair grammar of tuple.go: each
+// position indexes the columns of the schema written just before the
+// rows, and the values are tagged wire values, so a checkpoint of
+// BLOB-bearing tables is a flat byte copy. Snapshots sealed under the
+// retired magic nameKeyedSnapMagic named each column instead; they are
+// refused with ErrPrePositional.
 
 // appendCkptImage encodes img after dst.
 func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
@@ -36,11 +39,11 @@ func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
 }
 
 // decodeCkptImage reverses appendCkptImage. Each table's rows decode
-// straight into tuples against the schema read just before them.
-func decodeCkptImage(payload []byte) (*ckptImage, error) {
+// straight into tuples, through dec, against the schema read just
+// before them.
+func decodeCkptImage(payload []byte, dec *rowDecoder) (*ckptImage, error) {
 	r := wire.NewReader(payload)
 	img := &ckptImage{Gen: r.Uvarint(), Seq: r.Uvarint()}
-	var dec rowDecoder
 	nschemas := r.Count()
 	for i := 0; i < nschemas && r.Err() == nil; i++ {
 		st := snapTable{layout: newLayout(readSchema(r))}

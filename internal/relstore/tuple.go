@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/wire"
 )
@@ -15,26 +14,22 @@ import (
 type tuple []any
 
 // layout is a table's column catalog, computed once from its schema:
-// the position of every column by name, the positions of the primary
-// key and of each foreign-key column, and the column positions in
-// ascending name order — the order rows are encoded in on disk.
+// the position of every column by name and the positions of the
+// primary key and of each foreign-key column. On disk a row refers to
+// its columns by position, so the positions mean what this catalog
+// says they mean.
 type layout struct {
 	schema Schema
 	pos    map[string]int
 	key    int   // position of the primary key, -1 if it names no column
 	fks    []int // fks[i] is the position of ForeignKeys[i].Column
-	byName []int
 }
 
 func newLayout(s Schema) *layout {
 	l := &layout{schema: s, pos: make(map[string]int, len(s.Columns)), key: -1}
 	for i, c := range s.Columns {
 		l.pos[c.Name] = i
-		l.byName = append(l.byName, i)
 	}
-	sort.SliceStable(l.byName, func(a, b int) bool {
-		return s.Columns[l.byName[a]].Name < s.Columns[l.byName[b]].Name
-	})
 	if p, ok := l.pos[s.Key]; ok {
 		l.key = p
 	}
@@ -107,8 +102,12 @@ func (l *layout) checkNotNull(tp tuple) error {
 }
 
 // The on-disk row grammar, shared by snapshots and WAL records, is a
-// count followed by that many (name string, tagged value) pairs in
-// ascending name order.
+// count followed by that many (uvarint column position, tagged value)
+// pairs in ascending position order. A position indexes the schema the
+// row is read against: in a snapshot, the schema written just before
+// the table's rows; in the WAL, the table's layout at that point of
+// the replay. A tuple omits its NULLs; an update's change set keeps
+// them, since an explicit NULL clears a column.
 
 // appendTuple encodes a tuple's non-NULL columns.
 func (l *layout) appendTuple(dst []byte, tp tuple) ([]byte, error) {
@@ -119,10 +118,10 @@ func (l *layout) appendTuple(dst []byte, tp tuple) ([]byte, error) {
 		}
 	}
 	dst = wire.AppendUvarint(dst, uint64(n))
-	for _, p := range l.byName {
-		if tp[p] != nil {
+	for p, v := range tp {
+		if v != nil {
 			var err error
-			if dst, err = l.appendPair(dst, p, tp[p]); err != nil {
+			if dst, err = l.appendPair(dst, p, v); err != nil {
 				return nil, err
 			}
 		}
@@ -134,8 +133,8 @@ func (l *layout) appendTuple(dst []byte, tp tuple) ([]byte, error) {
 // columns of the layout. Explicit NULLs are kept: they clear a column.
 func (l *layout) appendChanges(dst []byte, changes Row) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, uint64(len(changes)))
-	for _, p := range l.byName {
-		if v, ok := changes[l.schema.Columns[p].Name]; ok {
+	for p, c := range l.schema.Columns {
+		if v, ok := changes[c.Name]; ok {
 			var err error
 			if dst, err = l.appendPair(dst, p, v); err != nil {
 				return nil, err
@@ -146,44 +145,53 @@ func (l *layout) appendChanges(dst []byte, changes Row) ([]byte, error) {
 }
 
 func (l *layout) appendPair(dst []byte, p int, v any) ([]byte, error) {
-	name := l.schema.Columns[p].Name
-	dst = wire.AppendString(dst, name)
+	dst = wire.AppendUvarint(dst, uint64(p))
 	dst, err := wire.AppendValue(dst, v)
 	if err != nil {
-		return nil, fmt.Errorf("%s.%s: %w", l.schema.Name, name, err)
+		return nil, fmt.Errorf("%s.%s: %w", l.schema.Name, l.schema.Columns[p].Name, err)
 	}
 	return dst, nil
 }
 
-// rowDecoder reads rows in the on-disk grammar. It remembers, per
-// column position, the last row that named the column, so a name given
-// twice is caught without clearing any state between rows.
+// rowDecoder reads rows in the on-disk grammar for one recovery. It
+// remembers, per column position, the last row that gave the position,
+// so a position given twice is caught without clearing any state
+// between rows, and it interns string values: a string equal to one it
+// has already decoded comes back as the same boxed value, so a value
+// repeated across thousands of rows (a script name, a scope) is
+// allocated once. The table goes with the decoder. []byte values are never shared, since callers may
+// write into a Row's bytes.
 type rowDecoder struct {
 	marks []uint64
 	row   uint64
+	strs  map[string]any
 }
 
-// pairs reads n (name, value) pairs against the layout and hands each
-// value to set with its column's position. Names are looked up by
-// their bytes, which allocates nothing. A name the layout lacks and a
-// name given twice are errors naming the table.
+// pairs reads n (position, value) pairs against the layout and hands
+// each value to set with its position. A position at or past the
+// layout's columns and a position given twice are errors naming the
+// table.
 func (d *rowDecoder) pairs(r *wire.Reader, l *layout, n int, set func(p int, v any) error) error {
-	if len(d.marks) < len(l.schema.Columns) {
-		d.marks = make([]uint64, len(l.schema.Columns))
+	ncol := len(l.schema.Columns)
+	if len(d.marks) < ncol {
+		d.marks = make([]uint64, ncol)
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]any)
 	}
 	d.row++
 	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.View()
-		v := r.Value()
+		pos := r.Uvarint()
+		v := r.ValueIn(d.strs)
 		if r.Err() != nil {
 			break
 		}
-		p, ok := l.pos[string(name)]
-		if !ok {
-			return fmt.Errorf("table %s: %w: %q", l.schema.Name, ErrNoColumn, name)
+		if pos >= uint64(ncol) {
+			return fmt.Errorf("table %s: %w: position %d of %d columns", l.schema.Name, ErrNoColumn, pos, ncol)
 		}
+		p := int(pos)
 		if d.marks[p] == d.row {
-			return fmt.Errorf("table %s: a row names column %s twice", l.schema.Name, name)
+			return fmt.Errorf("table %s: a row names column %s twice", l.schema.Name, l.schema.Columns[p].Name)
 		}
 		d.marks[p] = d.row
 		if err := set(p, v); err != nil {

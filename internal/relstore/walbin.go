@@ -11,13 +11,24 @@ import (
 //
 //	[uvarint Seq][flags][uvarint nrecs]
 //	  per rec: [op][table string][PK value]
-//	           [row? nrow {name string, value}...] (tuple.go's row grammar)
+//	           [row? nrow {uvarint position, value}...] (tuple.go's row grammar)
 //	           [ddl? {name, key, cols{name, type, notnull}, fks{col, ref}}]
 //
-// Values use the wire tagged-value codec, so a document body is its
-// raw bytes on disk and replay never touches reflection.
+// A row's positions index the table's layout at that point of the
+// replay: the schema of its CREATE TABLE, in the snapshot or earlier
+// in the log. Values use the wire tagged-value codec, so a document
+// body is its raw bytes on disk and replay never touches reflection.
+//
+// Every record sets walFlagPositional. The record framing is shared
+// with the fabric's state stream and keeps its bytes, so this flag is
+// the WAL's format version: a record without it was written while
+// rows named their columns, and replay refuses it with
+// ErrPrePositional.
 
-const walFlagCommit = 1 << 0
+const (
+	walFlagCommit     = 1 << 0
+	walFlagPositional = 1 << 1
+)
 
 // walOp is a redo record's operation: the byte the record stores.
 type walOp byte
@@ -42,7 +53,7 @@ func (op walOp) String() string {
 // appendWalLine encodes one committed transaction after dst.
 func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 	dst = wire.AppendUvarint(dst, line.Seq)
-	var flags byte
+	flags := byte(walFlagPositional)
 	if line.Commit {
 		flags |= walFlagCommit
 	}
@@ -55,8 +66,8 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 		if dst, err = wire.AppendValue(dst, rec.PK); err != nil {
 			return nil, fmt.Errorf("relstore: WAL %s PK: %w", rec.Table, err)
 		}
-		// The layout's name order keeps the encoding deterministic, so
-		// identical transactions produce identical bytes.
+		// Position order keeps the encoding deterministic, so identical
+		// transactions produce identical bytes.
 		switch {
 		case rec.Tup != nil:
 			dst, err = rec.lay.appendTuple(append(dst, 1), rec.Tup)
@@ -84,7 +95,11 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 func decodeWalLine(payload []byte, dec *rowDecoder, layoutOf func(table string) (*layout, error)) (walLine, error) {
 	r := wire.NewReader(payload)
 	line := walLine{Seq: r.Uvarint()}
-	line.Commit = r.Byte()&walFlagCommit != 0
+	flags := r.Byte()
+	if r.Err() == nil && flags&walFlagPositional == 0 {
+		return line, fmt.Errorf("%w: WAL record %d", ErrPrePositional, line.Seq)
+	}
+	line.Commit = flags&walFlagCommit != 0
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		rec := walRec{Op: walOp(r.Byte())}

@@ -1,7 +1,9 @@
 package search_test
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,10 +25,18 @@ import (
 // TABLE. parent-dir.golden is dumpStation's output after that same
 // build recovered the directory (the media attached after the
 // checkpoint has its row and not its bytes: BLOBs persist only at
-// checkpoints). Deleting the fallbacks changed no byte on disk, so the
-// single-format readers must bring back exactly that state. The index
-// is rebuilt from the rows, so the search sidecar that build wrote is
-// never opened: recovery matches the golden file whether it is intact,
+// checkpoints).
+//
+// That build's snapshot and WAL rows named their columns, a grammar
+// no reader understands any more, so parent-dir is now the refusal
+// case: recovery must fail, name the snapshot, and touch nothing.
+// testdata/positional-dir carries the same history in the positional
+// grammar, transcoded once from parent-dir record for record: the
+// snapshot and every tail record re-encoded with the same generation,
+// sequence numbers and values, the BLOB and search sidecars copied
+// byte for byte. It must recover to the unchanged golden file. The
+// index is rebuilt from the rows, so the search sidecar is never
+// opened: recovery matches the golden file whether it is intact,
 // garbage or absent.
 
 // dumpStation renders everything a recovery must bring back: every
@@ -96,17 +106,17 @@ func dumpValue(v any) string {
 	}
 }
 
-// copyFixture copies the checked-in directory to a scratch one, since
-// recovery attaches the WAL tail for appends and prunes.
-func copyFixture(t *testing.T) string {
+// copyFixture copies the named checked-in directory to a scratch one,
+// since recovery attaches the WAL tail for appends and prunes.
+func copyFixture(t *testing.T, name string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(filepath.Join("testdata", "parent-dir"))
+	entries, err := os.ReadDir(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join("testdata", "parent-dir", e.Name()))
+		data, err := os.ReadFile(filepath.Join("testdata", name, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +141,7 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 		{name: "search file absent", touch: os.Remove},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := copyFixture(t)
+			dir := copyFixture(t, "positional-dir")
 			if tc.touch != nil {
 				if err := tc.touch(filepath.Join(dir, "search-0000000001")); err != nil {
 					t.Fatal(err)
@@ -145,9 +155,8 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 				t.Fatalf("recovered state differs from what the parent build wrote:\n--- got\n%s--- want\n%s", got, want)
 			}
 
-			// The bytes this build writes are the ones the parent wrote: a
-			// checkpoint of the recovered state, recovered again with no
-			// tail on top, is the same station.
+			// A checkpoint of the recovered state, recovered again with
+			// no tail on top, is the same station.
 			if _, err := s.CheckpointNow(); err != nil {
 				t.Fatal(err)
 			}
@@ -162,5 +171,37 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 				t.Fatalf("state differs after a checkpoint round trip:\n--- got\n%s--- want\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestRefusesNameKeyedDirectory: the directory the name-keyed build
+// wrote fails recovery with an error naming its snapshot, and every
+// file in it keeps its bytes: nothing is pruned, cut or renamed.
+func TestRefusesNameKeyedDirectory(t *testing.T) {
+	dir := copyFixture(t, "parent-dir")
+	s := newStore(t)
+	_, err := s.Recover(dir)
+	if !errors.Is(err, relstore.ErrPrePositional) || !strings.Contains(err.Error(), "snap-0000000001") {
+		t.Fatalf("Recover err = %v, want ErrPrePositional naming snap-0000000001", err)
+	}
+	want, err := os.ReadDir(filepath.Join("testdata", "parent-dir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("directory holds %d files after the refusal, want %d", len(got), len(want))
+	}
+	for _, e := range want {
+		orig, err := os.ReadFile(filepath.Join("testdata", "parent-dir", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, err := os.ReadFile(filepath.Join(dir, e.Name())); err != nil || !bytes.Equal(after, orig) {
+			t.Errorf("%s changed or vanished (err=%v)", e.Name(), err)
+		}
 	}
 }

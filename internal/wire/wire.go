@@ -36,7 +36,7 @@ import (
 const (
 	FrameMagic  = 0xB7 // transport envelope payload
 	RecordMagic = 0xB9 // one WAL record
-	SnapMagic   = 0xBA // relstore checkpoint image
+	SnapMagic   = 0xC1 // relstore checkpoint image (0xBA while rows named their columns)
 	BlobMagic   = 0xBB // BLOB store sidecar
 	PushMagic   = 0xBD // fabric push request body
 	ReplyMagic  = 0xBE // fabric resolve reply body
@@ -361,6 +361,29 @@ func (r *Reader) Value() any {
 		}
 		return nil
 	}
+}
+
+// ValueIn reads one tagged scalar as Value does, except that a string
+// equal to one already in strs comes back as that same boxed value,
+// and a new string is added to strs. A decoder that meets the same
+// string many times thus allocates it once. Only strings are shared:
+// they are immutable, and a []byte is not.
+func (r *Reader) ValueIn(strs map[string]any) any {
+	if r.err != nil || r.off >= len(r.buf) || r.buf[r.off] != tagStr {
+		return r.Value()
+	}
+	r.off++
+	b := r.take(r.Uvarint())
+	if r.err != nil {
+		return nil
+	}
+	if v, ok := strs[string(b)]; ok {
+		return v
+	}
+	s := string(b)
+	var v any = s
+	strs[s] = v
+	return v
 }
 
 // AppendRecord frames one record payload for an append-only log:

@@ -60,6 +60,51 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueInSharesOnlyStrings: ValueIn decodes what Value decodes; a
+// string it has met before comes back without an allocation, as the
+// boxed value the table holds, while []byte values are never shared.
+func TestValueInSharesOnlyStrings(t *testing.T) {
+	values := []any{"lecture", []byte("media"), int64(700), "lecture", []byte("media"), nil, 2.5, true,
+		time.Date(1999, 9, 21, 12, 30, 45, 0, time.UTC)}
+	var buf []byte
+	for _, v := range values {
+		var err error
+		if buf, err = AppendValue(buf, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strs := make(map[string]any)
+	r := NewReader(buf)
+	var got []any
+	for range values {
+		got = append(got, r.ValueIn(strs))
+	}
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Len())
+	}
+	for i, want := range values {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+			t.Errorf("value %d = %#v, want %#v", i, got[i], want)
+		}
+	}
+	if len(strs) != 1 || strs["lecture"] != "lecture" {
+		t.Errorf("string table = %v, want the one string", strs)
+	}
+	got[1].([]byte)[0] = 'M'
+	if string(got[4].([]byte)) != "media" {
+		t.Errorf("a []byte decoded later shares the first one's bytes: %q", got[4])
+	}
+	again := buf[:len("lecture")+2]
+	if n := testing.AllocsPerRun(100, func() {
+		r := Reader{buf: again}
+		if r.ValueIn(strs) != "lecture" {
+			t.Fatal("repeated string decoded wrong")
+		}
+	}); n != 0 {
+		t.Errorf("a repeated string allocates %.0f objects, want 0", n)
+	}
+}
+
 func TestValueRejectsUnknownType(t *testing.T) {
 	if _, err := AppendValue(nil, struct{ X int }{1}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
