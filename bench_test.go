@@ -315,15 +315,20 @@ func lectureCourse(tb testing.TB) (*docdb.Store, workload.CourseSpec) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	spec := workload.CourseSpec{
-		DBName: "mmu", ScriptName: "course-000", URL: "http://mmu/course-000/v1",
-		Author: "instructor-0", Keywords: []string{"virtual", "university", "topic0"},
-		Pages: 10, ExtraLinks: 4, ImagesPerPage: 1, MediaScaleDown: 4, Seed: 1999,
-	}
+	spec := lectureSpec()
 	if _, _, err := workload.AuthorCourse(store, spec); err != nil {
 		tb.Fatal(err)
 	}
 	return store, spec
+}
+
+// lectureSpec is lectureCourse's course.
+func lectureSpec() workload.CourseSpec {
+	return workload.CourseSpec{
+		DBName: "mmu", ScriptName: "course-000", URL: "http://mmu/course-000/v1",
+		Author: "instructor-0", Keywords: []string{"virtual", "university", "topic0"},
+		Pages: 10, ExtraLinks: 4, ImagesPerPage: 1, MediaScaleDown: 4, Seed: 1999,
+	}
 }
 
 // startBundleRPC serves lectureCourse's course from a station's

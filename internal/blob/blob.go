@@ -19,15 +19,25 @@
 // received: the object's bytes stay in the frame buffer they arrived
 // in, and that buffer lives until the last object aliasing it is
 // released.
+//
+// Content is hashed where bytes enter the fabric and where they come
+// back from disk, and nowhere between. Put hashes what an author
+// stores, Verify hashes what a client hands a station, and Restore
+// hashes every object it reads back. Adopt takes the hash a bundle
+// carries from the station that sent it and hashes nothing: between
+// stations the frame's CRC32C guards transit. Stats.HashedBytes counts
+// every byte the store has hashed.
 package blob
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind classifies a multimedia resource, following the BLOB-layer list
@@ -80,7 +90,42 @@ var (
 	ErrNotFound    = errors.New("blob: no such object")
 	ErrZeroRef     = errors.New("blob: zero reference")
 	ErrOverRelease = errors.New("blob: release of unreferenced object")
+	// ErrBadHash reports a hash that is not the 64 lowercase hex digits
+	// of a SHA-256, or that is missing.
+	ErrBadHash = errors.New("blob: malformed content hash")
+	// ErrHashMismatch reports bytes whose SHA-256 is not the hash they
+	// were handed in under.
+	ErrHashMismatch = errors.New("blob: content does not match its hash")
+	// ErrSizeMismatch reports an adopted object whose length differs
+	// from the resident object stored under the same hash.
+	ErrSizeMismatch = errors.New("blob: size differs from the resident object")
 )
+
+// HashSize is the length of a raw SHA-256 hash, as a bundle carries it.
+const HashSize = sha256.Size
+
+// HashOf returns the hex SHA-256 under which a store keeps data. It is
+// a pure function: only the store's own hashing counts in
+// Stats.HashedBytes.
+func HashOf(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// ValidHash reports whether h is the 64 lowercase hex digits HashOf
+// returns. Uppercase digits are refused: they would key a second copy
+// of content already stored under the lowercase form.
+func ValidHash(h string) bool {
+	if len(h) != 2*HashSize {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 type entry struct {
 	data     []byte
@@ -98,6 +143,8 @@ type Store struct {
 	physicalBytes int64 // Σ size of distinct objects actually held
 	putCount      int64
 	dedupHits     int64
+
+	hashedBytes atomic.Int64 // kept outside mu: Verify and Restore hash without the store lock
 }
 
 // NewStore returns an empty store.
@@ -109,47 +156,85 @@ func NewStore() *Store {
 // reference held by the caller. Identical content is stored once; the
 // second Put of the same bytes is a dedup hit that only bumps the
 // refcount. A new object is a copy of data: the caller keeps its slice
-// and may write to it afterwards.
+// and may write to it afterwards. Put hashes data: it is how bytes an
+// author made enter the store.
 func (s *Store) Put(name string, kind Kind, data []byte) Ref {
-	return s.put(name, kind, data, true)
-}
-
-// Adopt is Put without the copy: a new object keeps data itself,
-// capacity-clamped, as its stored bytes. The caller hands the bytes
-// over and must never write to them again — the store, every View of
-// them and every export of them read that very array. A dedup hit
-// takes a reference on the resident object and retains nothing of
-// data. Received media, which alias a frame buffer nothing writes
-// into, are adopted; anything a caller may still mutate is Put.
-func (s *Store) Adopt(name string, kind Kind, data []byte) Ref {
-	return s.put(name, kind, data, false)
-}
-
-func (s *Store) put(name string, kind Kind, data []byte, copyData bool) Ref {
-	sum := sha256.Sum256(data)
-	h := hex.EncodeToString(sum[:])
+	h := HashOf(data)
+	s.hashedBytes.Add(int64(len(data)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.putCount++
 	e, ok := s.objects[h]
 	if !ok {
-		owned := data[:len(data):len(data)]
-		if copyData {
-			owned = make([]byte, len(data))
-			copy(owned, data)
-		}
-		e = &entry{data: owned, kind: kind, names: make(map[string]struct{})}
-		s.objects[h] = e
-		s.physicalBytes += int64(len(data))
+		e = s.insertLocked(h, kind, bytes.Clone(data))
 	} else {
 		s.dedupHits++
 	}
+	return s.referLocked(h, e, name)
+}
+
+// Adopt stores data under hash, the hex SHA-256 the station that sent
+// it computed, without hashing it again and without a copy: a new
+// object keeps data itself, capacity-clamped, as its stored bytes. The
+// caller hands the bytes over and must never write to them again — the
+// store, every View of them and every export of them read that very
+// array. A hash the store already holds is a dedup hit: it takes a
+// reference on the resident object, touches no byte of data and
+// retains nothing of it, but data must be as long as the resident
+// object (ErrSizeMismatch otherwise). A hash that is not ValidHash
+// fails with ErrBadHash. Either error leaves the store unchanged.
+//
+// Adopt trusts hash. Bytes whose hash nobody has checked — from a
+// client rather than another station — go through Verify first; an
+// adopted object whose bytes do not match its hash fails the next
+// Restore of a snapshot that holds it.
+func (s *Store) Adopt(name string, kind Kind, hash string, data []byte) (Ref, error) {
+	if !ValidHash(hash) {
+		return Ref{}, fmt.Errorf("%w: %q", ErrBadHash, hash)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.objects[hash]
+	if !ok {
+		e = s.insertLocked(hash, kind, data[:len(data):len(data)])
+	} else if len(e.data) != len(data) {
+		return Ref{}, fmt.Errorf("%w: %.12s holds %d bytes, adopted %d", ErrSizeMismatch, hash, len(e.data), len(data))
+	} else {
+		s.dedupHits++
+	}
+	return s.referLocked(hash, e, name), nil
+}
+
+// Verify fails with ErrHashMismatch unless data's SHA-256 is hash. It
+// is the check a station makes on media a client hands it, before they
+// are adopted under the hash they came with.
+func (s *Store) Verify(hash string, data []byte) error {
+	got := HashOf(data)
+	s.hashedBytes.Add(int64(len(data)))
+	if got != hash {
+		return fmt.Errorf("%w: %.12s names %d bytes that hash to %.12s", ErrHashMismatch, hash, len(data), got)
+	}
+	return nil
+}
+
+// insertLocked makes owned, whose hash is h, a new object with no
+// references; the caller holds the write lock.
+func (s *Store) insertLocked(h string, kind Kind, owned []byte) *entry {
+	e := &entry{data: owned, kind: kind, names: make(map[string]struct{})}
+	s.objects[h] = e
+	s.physicalBytes += int64(len(owned))
+	return e
+}
+
+// referLocked takes one reference on e, stored under h, for name; the
+// caller holds the write lock.
+func (s *Store) referLocked(h string, e *entry, name string) Ref {
+	s.putCount++
 	e.refcount++
 	if name != "" {
 		e.names[name] = struct{}{}
 	}
-	s.logicalBytes += int64(len(data))
-	return Ref{Hash: h, Size: int64(len(data)), Kind: e.kind}
+	s.logicalBytes += int64(len(e.data))
+	return Ref{Hash: h, Size: int64(len(e.data)), Kind: e.kind}
 }
 
 // Get returns the content of a stored object. The returned slice is a
@@ -162,7 +247,7 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 	defer s.mu.RUnlock()
 	e, ok := s.objects[ref.Hash]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.Hash[:12])
+		return nil, fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
 	out := make([]byte, len(e.data))
 	copy(out, e.data)
@@ -184,7 +269,7 @@ func (s *Store) View(ref Ref) ([]byte, error) {
 	defer s.mu.RUnlock()
 	e, ok := s.objects[ref.Hash]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.Hash[:12])
+		return nil, fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
 	return e.data[:len(e.data):len(e.data)], nil
 }
@@ -210,7 +295,7 @@ func (s *Store) Retain(ref Ref) error {
 	defer s.mu.Unlock()
 	e, ok := s.objects[ref.Hash]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, ref.Hash[:12])
+		return fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
 	e.refcount++
 	s.logicalBytes += int64(len(e.data))
@@ -228,10 +313,10 @@ func (s *Store) Release(ref Ref) error {
 	defer s.mu.Unlock()
 	e, ok := s.objects[ref.Hash]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, ref.Hash[:12])
+		return fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
 	if e.refcount <= 0 {
-		return fmt.Errorf("%w: %s", ErrOverRelease, ref.Hash[:12])
+		return fmt.Errorf("%w: %.12s", ErrOverRelease, ref.Hash)
 	}
 	e.refcount--
 	s.logicalBytes -= int64(len(e.data))
@@ -258,8 +343,9 @@ type Stats struct {
 	Objects       int   // distinct resident objects
 	PhysicalBytes int64 // disk actually used
 	LogicalBytes  int64 // disk that per-document duplication would use
-	Puts          int64 // total Put calls
-	DedupHits     int64 // Puts served by an already-resident object
+	Puts          int64 // total Put and Adopt calls
+	DedupHits     int64 // Puts and Adopts served by an already-resident object
+	HashedBytes   int64 // bytes SHA-256 has read: Put, Verify and Restore
 }
 
 // SharingFactor is logical/physical bytes: 1.0 means no sharing, higher
@@ -281,6 +367,7 @@ func (s *Store) Stats() Stats {
 		LogicalBytes:  s.logicalBytes,
 		Puts:          s.putCount,
 		DedupHits:     s.dedupHits,
+		HashedBytes:   s.hashedBytes.Load(),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -76,10 +77,21 @@ func TestPutOwnsItsData(t *testing.T) {
 	}
 }
 
+// adopt is Adopt for a test that expects it to succeed.
+func adopt(t *testing.T, s *Store, name string, kind Kind, hash string, data []byte) Ref {
+	t.Helper()
+	ref, err := s.Adopt(name, kind, hash, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // TestAdoptKeepsTheCallersBytes pins Adopt's contract: a new object is
-// the caller's own array, capacity-clamped, under the SHA-256 of its
-// bytes; a dedup hit keeps the first object's bytes and retains nothing
-// of the second slice; Release to zero evicts the object as for Put.
+// the caller's own array, capacity-clamped, under the hash it was
+// handed; a dedup hit keeps the first object's bytes and retains
+// nothing of the second slice; Release to zero evicts the object as for
+// Put; and none of it hashes a byte.
 func TestAdoptKeepsTheCallersBytes(t *testing.T) {
 	s := NewStore()
 	frame := make([]byte, 8192)
@@ -87,9 +99,10 @@ func TestAdoptKeepsTheCallersBytes(t *testing.T) {
 		frame[i] = byte(i * 7)
 	}
 	data := frame[100:4196] // a medium in the middle of its frame
-	ref := s.Adopt("clip.mpg", KindVideo, data)
 	sum := sha256.Sum256(data)
-	if want := (Ref{Hash: hex.EncodeToString(sum[:]), Size: int64(len(data)), Kind: KindVideo}); ref != want {
+	hash := hex.EncodeToString(sum[:])
+	ref := adopt(t, s, "clip.mpg", KindVideo, hash, data)
+	if want := (Ref{Hash: hash, Size: int64(len(data)), Kind: KindVideo}); ref != want {
 		t.Fatalf("ref = %+v, want %+v", ref, want)
 	}
 	view, err := s.View(ref)
@@ -104,12 +117,12 @@ func TestAdoptKeepsTheCallersBytes(t *testing.T) {
 	second := bytes.Clone(data)
 	freed := make(chan struct{})
 	runtime.SetFinalizer(&second[0], func(*byte) { close(freed) })
-	if again := s.Adopt("copy.mpg", KindVideo, second); again != ref {
+	if again := adopt(t, s, "copy.mpg", KindVideo, hash, second); again != ref {
 		t.Fatalf("dedup hit ref = %+v, want %+v", again, ref)
 	}
 	second[0] ^= 0xFF // the caller breaks its promise; the store must not see it
 	second = nil
-	if st := s.Stats(); st.Objects != 1 || st.DedupHits != 1 || s.RefCount(ref) != 2 {
+	if st := s.Stats(); st.Objects != 1 || st.DedupHits != 1 || st.HashedBytes != 0 || s.RefCount(ref) != 2 {
 		t.Fatalf("after the dedup hit: stats %+v, refcount %d", st, s.RefCount(ref))
 	}
 	if view, _ := s.View(ref); &view[0] != &data[0] || !bytes.Equal(view, want) {
@@ -129,6 +142,87 @@ func TestAdoptKeepsTheCallersBytes(t *testing.T) {
 	}
 	if st := s.Stats(); st.Objects != 0 || st.PhysicalBytes != 0 || st.LogicalBytes != 0 {
 		t.Fatalf("stats after eviction = %+v", st)
+	}
+}
+
+// TestAdoptTrustsTheCarriedHash: Adopt stores bytes under the hash it
+// is handed without checking it — that is the receiving station's
+// saving — but refuses a hash that is not one, and a dedup hit whose
+// length differs from the resident object's, leaving the store as it
+// was either way.
+func TestAdoptTrustsTheCarriedHash(t *testing.T) {
+	s := NewStore()
+	wrong := HashOf([]byte("some other content"))
+	ref := adopt(t, s, "clip.mpg", KindVideo, wrong, []byte("these bytes"))
+	if got, _ := s.View(ref); ref.Hash != wrong || string(got) != "these bytes" {
+		t.Fatalf("adopted under %.12s as %q", ref.Hash, got)
+	}
+	if st := s.Stats(); st.HashedBytes != 0 {
+		t.Fatalf("Adopt hashed %d bytes", st.HashedBytes)
+	}
+	for _, bad := range []string{"", "abc", strings.ToUpper(wrong), wrong[:63] + "g", wrong + "0"} {
+		if _, err := s.Adopt("x", KindVideo, bad, []byte("x")); !errors.Is(err, ErrBadHash) {
+			t.Errorf("Adopt under %q: err = %v, want ErrBadHash", bad, err)
+		}
+	}
+	if _, err := s.Adopt("short.mpg", KindVideo, wrong, []byte("these")); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("dedup hit of another length: err = %v, want ErrSizeMismatch", err)
+	}
+	if st := s.Stats(); st.Objects != 1 || st.Puts != 1 || st.DedupHits != 0 || s.RefCount(ref) != 1 {
+		t.Fatalf("refused adoptions changed the store: %+v, refcount %d", st, s.RefCount(ref))
+	}
+}
+
+// TestHashedBytesCountsEveryHash: Put, Verify and Restore hash the
+// bytes they are given, and Stats.HashedBytes says how many.
+func TestHashedBytesCountsEveryHash(t *testing.T) {
+	s := NewStore()
+	data := []byte("authored media")
+	ref := s.Put("a", KindImage, data)
+	s.Put("b", KindImage, data) // a dedup hit still hashes
+	if got := s.Stats().HashedBytes; got != 2*int64(len(data)) {
+		t.Fatalf("after two Puts: hashed %d bytes, want %d", got, 2*len(data))
+	}
+	if err := s.Verify(ref.Hash, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(ref.Hash, []byte("authored medib")); !errors.Is(err, ErrHashMismatch) || !strings.Contains(err.Error(), ref.Hash[:12]) {
+		t.Fatalf("Verify of other bytes: err = %v, want ErrHashMismatch naming %.12s", err, ref.Hash)
+	}
+	if got := s.Stats().HashedBytes; got != 4*int64(len(data)) {
+		t.Fatalf("after two Verifies: hashed %d bytes, want %d", got, 4*len(data))
+	}
+	var image bytes.Buffer
+	if err := s.Snapshot(&image); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStore()
+	if err := restored.Restore(&image); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats().HashedBytes; got != int64(len(data)) {
+		t.Fatalf("Restore hashed %d bytes, want %d", got, len(data))
+	}
+}
+
+// TestShortHashIsNotFound: a hash shorter than the twelve digits an
+// error names — one a hand-written SQL row can hold — is an absent
+// object, not a panic.
+func TestShortHashIsNotFound(t *testing.T) {
+	s := NewStore()
+	s.Put("x", KindImage, []byte("resident"))
+	ref := Ref{Hash: "abc", Size: 3, Kind: KindImage}
+	if _, err := s.Get(ref); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get: %v", err)
+	}
+	if _, err := s.View(ref); !errors.Is(err, ErrNotFound) {
+		t.Errorf("View: %v", err)
+	}
+	if err := s.Retain(ref); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Retain: %v", err)
+	}
+	if err := s.Release(ref); !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "abc") {
+		t.Errorf("Release: %v", err)
 	}
 }
 

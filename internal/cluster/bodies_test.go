@@ -16,13 +16,14 @@ import (
 // sampleBundle is a bundle with every list populated.
 func sampleBundle() docdb.Bundle {
 	at := time.Date(1999, 4, 21, 9, 0, 0, 0, time.UTC)
+	media := bytes.Repeat([]byte{7}, 300)
 	return docdb.Bundle{
 		Script: docdb.Script{Name: "cs101", DBName: "mmu", Keywords: []string{"intro", "cs"}, Author: "shih",
 			Version: 3, Created: at, Description: "Introduction", ExpectedCompletion: at.Add(time.Hour), PctComplete: 0.5},
 		Impl:        docdb.Implementation{StartingURL: "http://mmu/cs101/v1", ScriptName: "cs101", Author: "shih", Created: at},
 		HTML:        []docdb.File{{ID: "h1", StartingURL: "http://mmu/cs101/v1", Path: "index.html", Content: []byte("<html>")}},
 		Programs:    []docdb.File{{ID: "p1", StartingURL: "http://mmu/cs101/v1", Path: "quiz.js", Language: "js", Content: []byte("x=1")}},
-		Media:       []docdb.BundleMedia{{Name: "intro.mpg", Kind: blob.Kind(2), Data: bytes.Repeat([]byte{7}, 300)}},
+		Media:       []docdb.BundleMedia{{Name: "intro.mpg", Kind: blob.Kind(2), Hash: blob.HashOf(media), Data: media}},
 		Annotations: []docdb.Annotation{{Name: "a1", ScriptName: "cs101", StartingURL: "http://mmu/cs101/v1", Author: "ma", Version: 1, Created: at, File: []byte("note")}},
 	}
 }

@@ -211,10 +211,19 @@ func (n *Node) handleBundle(decode func(any) error) (any, error) {
 	return *b, nil
 }
 
+// handleImport installs a bundle a client sent. This is where media
+// enter the fabric, so each one is hashed here and a medium whose
+// bytes do not match the hash it carries is refused
+// (blob.ErrHashMismatch) before ImportBundle adopts anything under it.
 func (n *Node) handleImport(decode func(any) error) (any, error) {
 	var req ImportRequest
 	if err := decode(&req); err != nil {
 		return nil, err
+	}
+	for _, m := range req.Bundle.Media {
+		if err := n.Store.Blobs().Verify(m.Hash, m.Data); err != nil {
+			return nil, fmt.Errorf("cluster: medium %q of %s: %w", m.Name, req.Bundle.Impl.StartingURL, err)
+		}
 	}
 	obj, err := n.Store.ImportBundle(&req.Bundle, n.Pos(), req.Persistent)
 	if err != nil {

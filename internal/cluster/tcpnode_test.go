@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -200,5 +202,48 @@ func TestTCPSQL(t *testing.T) {
 	}
 	if !strings.Contains(reply.Rows[0][0], "bytes>") {
 		t.Errorf("bytes cell = %q", reply.Rows[0][0])
+	}
+}
+
+// TestImportRPCRefusesMediaThatAreNotTheirHash: the Import RPC is where
+// bytes enter the fabric, so it is where the trust rule checks a
+// bundle's carried hashes. A medium whose bytes do not match its hash
+// is refused with blob.ErrHashMismatch, naming the hash, and the
+// station keeps nothing of the bundle; the same bundle with honest
+// bytes imports.
+func TestImportRPCRefusesMediaThatAreNotTheirHash(t *testing.T) {
+	_, addr1, spec := startNode(t, 1, true)
+	node2, addr2, _ := startNode(t, 2, false)
+	src, err := DialStation(addr1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	honest, err := src.FetchBundle(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *honest
+	forged.Media = slices.Clone(honest.Media)
+	forged.Media[0].Data = bytes.Clone(forged.Media[0].Data)
+	forged.Media[0].Data[0] ^= 0xFF
+
+	dst, err := DialStation(addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	_, err = dst.Import(&forged, false)
+	if err == nil || !strings.Contains(err.Error(), blob.ErrHashMismatch.Error()) || !strings.Contains(err.Error(), forged.Media[0].Hash[:12]) {
+		t.Fatalf("forged medium: err = %v, want %q naming %.12s", err, blob.ErrHashMismatch, forged.Media[0].Hash)
+	}
+	if _, err := node2.Store.ObjectByURL(spec.URL); err == nil {
+		t.Fatal("the refused import left a document object")
+	}
+	if st := node2.Store.Blobs().Stats(); st.Objects != 0 || st.HashedBytes == 0 {
+		t.Fatalf("after the refusal: BLOB stats %+v, want no objects and some bytes hashed", st)
+	}
+	if _, err := dst.Import(honest, false); err != nil {
+		t.Fatalf("honest bundle: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"encoding/hex"
 	"fmt"
 	"slices"
 
@@ -17,15 +18,22 @@ import (
 //	script := name db keywords author version created description expected pct
 //	impl   := url script author created
 //	file   := id url path language content
-//	media  := name kind data
+//	media  := name kind sha256 data
 //	ann    := name script url author version created file
 //
 // Strings and byte slices are uvarint-length-prefixed, list counts are
-// uvarints, times are wire.AppendTime pairs. Integrity is the
-// enclosing frame's CRC32C; a bundle carries none of its own.
+// uvarints, times are wire.AppendTime pairs. sha256 is the medium's
+// content hash as 32 raw bytes, the blob.Ref hash of the station that
+// exported it; a receiving station adopts the medium under it without
+// hashing the bytes again (ImportBundle). Integrity in transit is the
+// enclosing frame's CRC32C; a bundle carries no checksum of its own.
+// The bodies that carry bundles open with wire.BundleVersion, which
+// this grammar moved to 2; there is no reader for version 1.
 
-// AppendBundle appends b's wire encoding to dst.
-func AppendBundle(dst []byte, b *Bundle) []byte {
+// AppendBundle appends b's wire encoding to dst. A medium whose Hash is
+// not blob.ValidHash fails with blob.ErrBadHash: a bundle goes out
+// naming its media or not at all.
+func AppendBundle(dst []byte, b *Bundle) ([]byte, error) {
 	sc := &b.Script
 	dst = wire.AppendString(dst, sc.Name)
 	dst = wire.AppendString(dst, sc.DBName)
@@ -59,8 +67,12 @@ func AppendBundle(dst []byte, b *Bundle) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(b.Media)))
 	for i := range b.Media {
 		m := &b.Media[i]
+		if !blob.ValidHash(m.Hash) {
+			return nil, fmt.Errorf("docdb: medium %q of %s: %w: %q", m.Name, b.Impl.StartingURL, blob.ErrBadHash, m.Hash)
+		}
 		dst = wire.AppendString(dst, m.Name)
 		dst = wire.AppendUvarint(dst, uint64(m.Kind))
+		dst = appendRawHash(dst, m.Hash)
 		dst = wire.AppendBytes(dst, m.Data)
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(b.Annotations)))
@@ -73,6 +85,21 @@ func AppendBundle(dst []byte, b *Bundle) []byte {
 		dst = wire.AppendVarint(dst, a.Version)
 		dst = wire.AppendTime(dst, a.Created)
 		dst = wire.AppendBytes(dst, a.File)
+	}
+	return dst, nil
+}
+
+// appendRawHash appends the blob.HashSize bytes that h, a
+// blob.ValidHash, spells in hex.
+func appendRawHash(dst []byte, h string) []byte {
+	nibble := func(c byte) byte {
+		if c <= '9' {
+			return c - '0'
+		}
+		return c - 'a' + 10
+	}
+	for i := 0; i < len(h); i += 2 {
+		dst = append(dst, nibble(h[i])<<4|nibble(h[i+1]))
 	}
 	return dst
 }
@@ -124,6 +151,7 @@ func ReadBundle(r *wire.Reader) Bundle {
 		b.Media = append(b.Media, BundleMedia{
 			Name: r.String(),
 			Kind: blob.Kind(r.Uvarint()),
+			Hash: hex.EncodeToString(r.Fixed(blob.HashSize)),
 			Data: r.View(),
 		})
 	}
@@ -143,17 +171,18 @@ func ReadBundle(r *wire.Reader) Bundle {
 
 // AppendWire makes a Bundle a self-encoding message body (the station
 // RPCs' Bundle reply) and field (ImportRequest, the rejoin state
-// stream): [BundleMagic][ver] then AppendBundle.
+// stream): [BundleMagic][wire.BundleVersion] then AppendBundle.
 func (b Bundle) AppendWire(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, 1024+int(b.TotalBytes()))
-	return AppendBundle(append(dst, wire.BundleMagic, wire.Version), &b), nil
+	return AppendBundle(append(dst, wire.BundleMagic, wire.BundleVersion), &b)
 }
 
 // DecodeWire is the decode half of AppendWire. The decoded bundle's
-// media bytes alias body (see ReadBundle).
+// media bytes alias body (see ReadBundle). A body of another version
+// fails with wire.ErrCorrupt, naming its version.
 func (b *Bundle) DecodeWire(body []byte) error {
-	if len(body) < 2 || body[0] != wire.BundleMagic || body[1] != wire.Version {
-		return fmt.Errorf("%w: not a version-%d bundle body", wire.ErrCorrupt, wire.Version)
+	if err := wire.CheckBundleHeader(body, wire.BundleMagic, "bundle"); err != nil {
+		return err
 	}
 	r := wire.NewReader(body[2:])
 	got := ReadBundle(r)

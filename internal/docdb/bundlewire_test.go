@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
+	"repro/internal/minisql"
 	"repro/internal/relstore"
 	"repro/internal/wire"
 )
@@ -28,10 +30,16 @@ func sampleBundles() (closure, full Bundle) {
 	full = closure
 	full.HTML = []File{{ID: "h1", StartingURL: "http://mmu/cs101/v1", Path: "index.html", Content: []byte("<html>intro</html>")}}
 	full.Programs = []File{{ID: "p1", StartingURL: "http://mmu/cs101/v1", Path: "quiz.js", Language: "js", Content: []byte("ask()")}}
-	full.Media = []BundleMedia{{Name: "lecture.mpg", Kind: blob.KindVideo, Data: bytes.Repeat([]byte{0xAB}, 300)}}
+	full.Media = []BundleMedia{medium("lecture.mpg", blob.KindVideo, bytes.Repeat([]byte{0xAB}, 300))}
 	full.Annotations = []Annotation{{Name: "ann-1", ScriptName: "cs101", StartingURL: "http://mmu/cs101/v1",
 		Author: "ta", Version: 1, Created: at, File: []byte("note")}}
 	return closure, full
+}
+
+// medium is a bundle's medium named by its content hash, as
+// ExportBundle fills it in.
+func medium(name string, kind blob.Kind, data []byte) BundleMedia {
+	return BundleMedia{Name: name, Kind: kind, Hash: blob.HashOf(data), Data: data}
 }
 
 func appendWire(tb testing.TB, b Bundle) []byte {
@@ -117,8 +125,11 @@ func FuzzBundleDecodeWire(f *testing.F) {
 // and returns the store, or nil when the import failed. Whether or not
 // the import succeeds, body must come out byte for byte as it went in:
 // the store adopts media that alias it and writes into none of them.
-// When the import succeeds, every stored medium reads back as the
-// bytes it was decoded as.
+// When the import succeeds, every stored medium is filed under a
+// decoded medium's name and hash, and reads back as the bytes of the
+// first decoded medium carrying that hash: the store adopts a carried
+// hash as given, so a later medium under the same hash shares the
+// first one's object.
 func importUntouched(t *testing.T, body []byte, b *Bundle) *Store {
 	t.Helper()
 	pristine := bytes.Clone(body)
@@ -142,8 +153,12 @@ func importUntouched(t *testing.T, body []byte, b *Bundle) *Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.ContainsFunc(b.Media, func(d BundleMedia) bool { return d.Name == m.Name && bytes.Equal(d.Data, view) }) {
-			t.Fatalf("stored medium %q matches no decoded medium of that name", m.Name)
+		if !slices.ContainsFunc(b.Media, func(d BundleMedia) bool { return d.Name == m.Name && d.Hash == m.Ref.Hash }) {
+			t.Fatalf("stored medium %q matches no decoded medium of that name and hash", m.Name)
+		}
+		first := slices.IndexFunc(b.Media, func(d BundleMedia) bool { return d.Hash == m.Ref.Hash })
+		if !bytes.Equal(b.Media[first].Data, view) {
+			t.Fatalf("stored medium %q does not read back as the first medium carrying its hash", m.Name)
 		}
 	}
 	return s
@@ -156,10 +171,8 @@ func lectureBundle() Bundle {
 	_, b := sampleBundles()
 	b.Media = nil
 	for i := 0; i < 4; i++ {
-		b.Media = append(b.Media, BundleMedia{
-			Name: fmt.Sprintf("clip%d.mpg", i), Kind: blob.KindVideo,
-			Data: bytes.Repeat([]byte{byte(i + 1), 0x5A}, 32<<10),
-		})
+		b.Media = append(b.Media, medium(fmt.Sprintf("clip%d.mpg", i), blob.KindVideo,
+			bytes.Repeat([]byte{byte(i + 1), 0x5A}, 32<<10)))
 	}
 	return b
 }
@@ -268,5 +281,109 @@ func BenchmarkImportBundle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		importCycle(b, s, body)
+	}
+}
+
+// TestImportAdoptsUnderTheCarriedHash: a receiving station files each
+// medium under the hash the bundle carries and hashes nothing, even
+// when the hash does not match the bytes — the trust rule puts that
+// check where bytes enter the fabric and where they come back from
+// disk, not on every hop.
+func TestImportAdoptsUnderTheCarriedHash(t *testing.T) {
+	src := newStore(t)
+	_, url := seedCourse(t, src)
+	b, err := src.ExportBundle(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lied := blob.HashOf([]byte("not these bytes"))
+	b.Media[0].Hash = lied
+	dst := newStore(t)
+	if _, err := dst.ImportBundle(b, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := dst.ImplMedia(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range stored {
+		if want := b.Media[slices.IndexFunc(b.Media, func(d BundleMedia) bool { return d.Name == m.Name })].Hash; m.Ref.Hash != want {
+			t.Errorf("medium %s filed under %.12s, carried %.12s", m.Name, m.Ref.Hash, want)
+		}
+	}
+	if st := dst.Blobs().Stats(); st.HashedBytes != 0 {
+		t.Fatalf("the receiving station hashed %d bytes", st.HashedBytes)
+	}
+}
+
+// TestImportRefusesMediaWithoutAHash: a medium with a missing or
+// malformed hash fails the import with blob.ErrBadHash before anything
+// is written — no rows, no scaffold, no BLOB references — and nothing
+// falls back to hashing its bytes. So does a medium whose hash is
+// resident at another length.
+func TestImportRefusesMediaWithoutAHash(t *testing.T) {
+	_, full := sampleBundles()
+	for _, bad := range []string{"", "abc", strings.ToUpper(full.Media[0].Hash)} {
+		b := full
+		b.Media = []BundleMedia{full.Media[0]}
+		b.Media[0].Hash = bad
+		s := newStore(t)
+		_, err := s.ImportBundle(&b, 2, false)
+		if !errors.Is(err, blob.ErrBadHash) {
+			t.Fatalf("hash %q: err = %v, want blob.ErrBadHash", bad, err)
+		}
+		if n, _ := s.Rel().Count("scripts"); n != 0 {
+			t.Fatalf("hash %q: a refused import left %d script rows", bad, n)
+		}
+		if st := s.Blobs().Stats(); st.Objects != 0 || st.HashedBytes != 0 {
+			t.Fatalf("hash %q: a refused import left BLOB stats %+v", bad, st)
+		}
+		if _, err := AppendBundle(nil, &b); !errors.Is(err, blob.ErrBadHash) {
+			t.Fatalf("hash %q: encoding err = %v, want blob.ErrBadHash", bad, err)
+		}
+	}
+
+	s := newStore(t)
+	b := full
+	first := medium("first.mpg", blob.KindVideo, []byte("resident bytes"))
+	twin := BundleMedia{Name: "twin.mpg", Kind: blob.KindVideo, Hash: first.Hash, Data: []byte("longer than the resident")}
+	b.Media = []BundleMedia{first, twin}
+	if _, err := s.ImportBundle(&b, 2, false); !errors.Is(err, blob.ErrSizeMismatch) {
+		t.Fatalf("a hash resident at another length: err = %v, want blob.ErrSizeMismatch", err)
+	}
+	if st := s.Blobs().Stats(); st.Objects != 0 {
+		t.Fatalf("a refused import kept %d BLOB objects", st.Objects)
+	}
+}
+
+// TestBundleBodyOfAnotherVersionIsRefused: a version-1 bundle body —
+// what a station on an older build sends — fails with wire.ErrCorrupt,
+// and the error names the version it carries.
+func TestBundleBodyOfAnotherVersionIsRefused(t *testing.T) {
+	_, full := sampleBundles()
+	body := appendWire(t, full)
+	if body[1] != wire.BundleVersion {
+		t.Fatalf("body version %d, want %d", body[1], wire.BundleVersion)
+	}
+	body[1] = 1
+	var b Bundle
+	err := b.DecodeWire(body)
+	if !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version-1 body: err = %v, want wire.ErrCorrupt naming version 1", err)
+	}
+}
+
+// TestExportOfAShortHashIsNotResident: an impl_media row whose
+// blob_hash is shorter than the digits an error names — SQL can insert
+// one — makes ExportBundle report ErrNotResident instead of panicking.
+func TestExportOfAShortHashIsNotResident(t *testing.T) {
+	s := newStore(t)
+	_, url := seedCourse(t, s)
+	stmt := fmt.Sprintf("INSERT INTO impl_media (res_id, starting_url, name, kind, blob_hash, size) VALUES ('res-short', '%s', 'short.gif', 3, 'abc', 3)", url)
+	if _, err := minisql.NewSession(s.Rel()).Exec(stmt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExportBundle(url); !errors.Is(err, ErrNotResident) {
+		t.Fatalf("err = %v, want ErrNotResident", err)
 	}
 }

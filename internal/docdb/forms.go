@@ -505,10 +505,12 @@ func (s *Store) ResidentBytes(url string) (int64, error) {
 	return total, nil
 }
 
-// BundleMedia is one multimedia resource carried inside a bundle.
+// BundleMedia is one multimedia resource carried inside a bundle,
+// under the hash that names it in the exporting station's BLOB store.
 type BundleMedia struct {
 	Name string
 	Kind blob.Kind
+	Hash string // hex SHA-256 of Data, as in blob.Ref
 	Data []byte
 }
 
@@ -591,7 +593,7 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: media %s of %s", ErrNotResident, m.Name, url)
 		}
-		media = append(media, BundleMedia{Name: m.Name, Kind: m.Kind, Data: data})
+		media = append(media, BundleMedia{Name: m.Name, Kind: m.Kind, Hash: m.Ref.Hash, Data: data})
 	}
 	anns, err := s.Annotations(url)
 	if err != nil {
@@ -606,22 +608,32 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 // local instance object. Media bytes go through the BLOB layer, so
 // resources already resident are shared, not duplicated.
 //
-// The BLOB store adopts b's media bytes (blob.Store.Adopt) instead of
-// copying them, so the caller hands them over: nothing may write to a
-// Media[i].Data after the call, whether the import succeeds or not.
-// Every caller passes bytes nothing writes again — a push frame body,
-// a resolve reply, a state-stream record, an Import RPC body (each a
-// buffer read for that one message and never reused), or another
-// store's ExportBundle, which views that store's immutable objects.
-// A new object aliases those bytes, and so keeps the array under them
-// alive until the object is released. Page, program and annotation
-// bytes become row values as given; ReadBundle decodes them as owning
-// copies, so no row pins a frame.
+// Each medium is adopted under the hash the bundle carries for it
+// (blob.Store.Adopt): the station that exported the bundle hashed it,
+// and this one does not hash it again. A medium whose hash is missing
+// or malformed fails the import with blob.ErrBadHash before anything
+// is written; nothing falls back to hashing the bytes. ImportBundle
+// trusts the hashes it is given: a caller holding bytes no station has
+// hashed — the Import RPC, fed by a client — checks them first
+// (blob.Store.Verify). A mismatch that slips through is caught when
+// the BLOB sidecar is restored at the next restart.
 //
-// The import is atomic: the media BLOBs are put first, then the files,
-// media descriptors, annotations and the instance object commit as one
-// batch — one lock acquisition and one WAL append for the whole
-// bundle — and a batch that fails releases the puts, so a failed
+// The BLOB store adopts b's media bytes instead of copying them, so the
+// caller hands them over: nothing may write to a Media[i].Data after
+// the call, whether the import succeeds or not. Every caller passes
+// bytes nothing writes again — a push frame body, a resolve reply, a
+// state-stream record, an Import RPC body (each a buffer read for that
+// one message and never reused), or another store's ExportBundle,
+// which views that store's immutable objects. A new object aliases
+// those bytes, and so keeps the array under them alive until the
+// object is released. Page, program and annotation bytes become row
+// values as given; ReadBundle decodes them as owning copies, so no row
+// pins a frame.
+//
+// The import is atomic: the media BLOBs are adopted first, then the
+// files, media descriptors, annotations and the instance object commit
+// as one batch — one lock acquisition and one WAL append for the whole
+// bundle — and a batch that fails releases the adoptions, so a failed
 // import leaves no rows and no BLOB references behind. Only the
 // scaffold rows (database, script, implementation) commit ahead of the
 // batch; creating them is idempotent.
@@ -633,6 +645,11 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 	if obj, err := s.ObjectByURL(url); err == nil && obj.Form == schema.FormInstance {
 		return obj, nil
 	}
+	for _, m := range b.Media {
+		if !blob.ValidHash(m.Hash) {
+			return DocObject{}, fmt.Errorf("docdb: medium %q of %s: %w: %q", m.Name, url, blob.ErrBadHash, m.Hash)
+		}
+	}
 	if err := s.ensureScaffold(b.Script, b.Impl); err != nil {
 		return DocObject{}, err
 	}
@@ -643,11 +660,16 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 	for _, f := range b.Programs {
 		s.queueProgram(&batch, url, f.Path, f.Language, f.Content)
 	}
-	refs := make([]blob.Ref, len(b.Media))
-	for i, m := range b.Media {
-		refs[i] = s.blobs.Adopt(m.Name, m.Kind, m.Data)
+	refs := make([]blob.Ref, 0, len(b.Media))
+	for _, m := range b.Media {
+		ref, err := s.blobs.Adopt(m.Name, m.Kind, m.Hash, m.Data)
+		if err != nil {
+			s.releaseAll(refs)
+			return DocObject{}, fmt.Errorf("docdb: medium %q of %s: %w", m.Name, url, err)
+		}
+		refs = append(refs, ref)
 		batch.Insert(schema.TableImplMedia, implMediaRow(MediaRef{
-			ResID: s.nextID("res"), Owner: url, Name: m.Name, Kind: m.Kind, Ref: refs[i],
+			ResID: s.nextID("res"), Owner: url, Name: m.Name, Kind: m.Kind, Ref: ref,
 		}))
 	}
 	for _, a := range b.Annotations {
@@ -683,10 +705,15 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 		}
 	})
 	if err != nil {
-		for _, ref := range refs {
-			s.blobs.Release(ref)
-		}
+		s.releaseAll(refs)
 		return DocObject{}, err
 	}
 	return obj, nil
+}
+
+// releaseAll drops one reference on each of refs.
+func (s *Store) releaseAll(refs []blob.Ref) {
+	for _, ref := range refs {
+		s.blobs.Release(ref)
+	}
 }

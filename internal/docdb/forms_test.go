@@ -246,7 +246,10 @@ func TestBundleWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := AppendBundle(nil, want)
+	enc, err := AppendBundle(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := wire.NewReader(enc)
 	got := ReadBundle(r)
 	if r.Err() != nil || r.Len() != 0 {

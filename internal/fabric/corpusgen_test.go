@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestWriteCorpus regenerates the committed FuzzDecodePush seed
@@ -14,7 +16,10 @@ import (
 //
 //	go test -tags corpusgen -run TestWriteCorpus ./internal/fabric/
 //
-// after changing the push body layout or the bundle codec.
+// after changing the push body layout or the bundle codec. The corpus
+// also holds version_1_push, the last full_push of body version 1,
+// whose media carry no hash: no encoder writes that version any more,
+// so it is kept as committed, a body every decode must refuse.
 func TestWriteCorpus(t *testing.T) {
 	good := encodePush(t, samplePush())
 	ref := samplePush()
@@ -24,6 +29,7 @@ func TestWriteCorpus(t *testing.T) {
 	empty.Bundles = nil
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x01
+	const v = wire.BundleVersion
 	seeds := map[string][]byte{
 		"full_push":      good,
 		"reference_push": encodePush(t, ref),
@@ -32,9 +38,9 @@ func TestWriteCorpus(t *testing.T) {
 		"torn_bundle":    good[:len(good)-1],
 		"trailing_byte":  append(append([]byte(nil), good...), 0),
 		"flipped_byte":   flipped,
-		"bad_policy":     {0xBD, 0x01, 0x02},
-		"giant_counts":   {0xBD, 0x01, 0x00, 0x06, 0x0e, 0x01, 0x18, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"wrong_magic":    {0xBE, 0x01, 0x00},
+		"bad_policy":     {wire.PushMagic, v, 0x02},
+		"giant_counts":   {wire.PushMagic, v, 0x00, 0x06, 0x0e, 0x01, 0x18, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"wrong_magic":    {wire.ReplyMagic, v, 0x00},
 		"gob_prefix":     {0x1f, 0xff, 0x81, 0x03, 0x01, 0x01},
 		"empty":          {},
 	}

@@ -15,19 +15,19 @@ import (
 // implement transport.WireAppender/WireDecoder, so transport.Marshal
 // and Unmarshal route them here instead of through the body codec:
 //
-//	push  := [PushMagic][ver] header bundle{count}
+//	push  := [PushMagic][BundleVersion] header bundle{count}
 //	header:= refonly(0|1) M N watermark epoch
 //	         n×(pos addr)  roster, ascending pos
 //	         n×pos         down-set, ascending
 //	         count         number of bundles, never 0
-//	reply := [ReplyMagic][ver] servedBy bundle
+//	reply := [ReplyMagic][BundleVersion] servedBy bundle
 //
 // Integers are zigzag varints, counts uvarints, bundles are
-// docdb.AppendBundle. The header comes first so that a relay can read
-// the topology and start forwarding the body it was handed without
-// looking at a single bundle byte (see handlePush). Neither body
-// carries a checksum: the transport frame's CRC32C covers it on every
-// hop.
+// docdb.AppendBundle, each medium under its SHA-256. The header comes
+// first so that a relay can read the topology and start forwarding the
+// body it was handed without looking at a single bundle byte (see
+// handlePush). Neither body carries a checksum: the transport frame's
+// CRC32C covers it on every hop.
 
 // ErrBadBody reports a push or resolve-reply body that does not decode.
 var ErrBadBody = errors.New("fabric: malformed message body")
@@ -38,10 +38,11 @@ var ErrBadBody = errors.New("fabric: malformed message body")
 var pushEncodes atomic.Int64
 
 // openBody checks a body's magic and version bytes and returns a
-// reader positioned after them.
+// reader positioned after them. A body of another version fails naming
+// that version.
 func openBody(body []byte, magic byte, what string) (*wire.Reader, error) {
-	if len(body) < 2 || body[0] != magic || body[1] != wire.Version {
-		return nil, fmt.Errorf("%w: not a version-%d %s body", ErrBadBody, wire.Version, what)
+	if err := wire.CheckBundleHeader(body, magic, what); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadBody, err)
 	}
 	return wire.NewReader(body[2:]), nil
 }
@@ -54,7 +55,7 @@ func (r PushRequest) AppendWire(dst []byte) ([]byte, error) {
 		size += int(r.Bundles[i].TotalBytes())
 	}
 	dst = slices.Grow(dst, size)
-	dst = append(dst, wire.PushMagic, wire.Version)
+	dst = append(dst, wire.PushMagic, wire.BundleVersion)
 	if r.RefOnly {
 		dst = append(dst, 1)
 	} else {
@@ -86,7 +87,10 @@ func (r PushRequest) AppendWire(dst []byte) ([]byte, error) {
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(r.Bundles)))
 	for i := range r.Bundles {
-		dst = docdb.AppendBundle(dst, &r.Bundles[i])
+		var err error
+		if dst, err = docdb.AppendBundle(dst, &r.Bundles[i]); err != nil {
+			return nil, err
+		}
 	}
 	return dst, nil
 }
@@ -168,9 +172,9 @@ func (r *PushRequest) DecodeWire(body []byte) error {
 // AppendWire implements transport.WireAppender.
 func (r ResolveReply) AppendWire(dst []byte) ([]byte, error) {
 	dst = slices.Grow(dst, 1024+int(r.Bundle.TotalBytes()))
-	dst = append(dst, wire.ReplyMagic, wire.Version)
+	dst = append(dst, wire.ReplyMagic, wire.BundleVersion)
 	dst = wire.AppendVarint(dst, int64(r.ServedBy))
-	return docdb.AppendBundle(dst, &r.Bundle), nil
+	return docdb.AppendBundle(dst, &r.Bundle)
 }
 
 // DecodeWire implements transport.WireDecoder. The decoded bundle's

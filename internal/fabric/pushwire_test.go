@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/blob"
 	"repro/internal/docdb"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // samplePush is a small push that exercises every field of the body:
@@ -34,8 +39,8 @@ func samplePush() PushRequest {
 			{ID: url + "#quiz.js", StartingURL: url, Path: "quiz.js", Language: "javascript", Content: []byte("grade()")},
 		},
 		Media: []docdb.BundleMedia{
-			{Name: "image-0001.gif", Kind: blob.KindImage, Data: bytes.Repeat([]byte{0x47, 0x49, 0x46}, 40)},
-			{Name: "talk.mid", Kind: blob.KindMIDI, Data: []byte{1, 2, 3}},
+			medium("image-0001.gif", blob.KindImage, bytes.Repeat([]byte{0x47, 0x49, 0x46}, 40)),
+			medium("talk.mid", blob.KindMIDI, []byte{1, 2, 3}),
 		},
 		Annotations: []docdb.Annotation{
 			{Name: "ann-1", ScriptName: "course-001", StartingURL: url, Author: "ma", Version: 2, Created: at, File: []byte("line 1 2 3 4")},
@@ -55,6 +60,12 @@ func samplePush() PushRequest {
 			Down:   map[int]bool{4: true, 6: true},
 		},
 	}
+}
+
+// medium is a bundle's medium named by its content hash, as
+// ExportBundle fills it in.
+func medium(name string, kind blob.Kind, data []byte) docdb.BundleMedia {
+	return docdb.BundleMedia{Name: name, Kind: kind, Hash: blob.HashOf(data), Data: data}
 }
 
 func encodePush(t testing.TB, req PushRequest) []byte {
@@ -190,6 +201,51 @@ func TestResolveReplyRoundTrip(t *testing.T) {
 	// A push body is not a reply body.
 	if err := got.DecodeWire(encodePush(t, samplePush())); !errors.Is(err, ErrBadBody) {
 		t.Fatalf("push body accepted as a reply: %v", err)
+	}
+}
+
+// TestBodiesOfAnotherVersionAreRefused: a version-1 push or resolve
+// reply — what a station on an older build sends, its media carrying
+// no hash — fails with ErrBadBody, and the error names the version.
+func TestBodiesOfAnotherVersionAreRefused(t *testing.T) {
+	push := encodePush(t, samplePush())
+	reply, err := transport.Marshal(ResolveReply{Bundle: samplePush().Bundles[0], ServedBy: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what   string
+		body   []byte
+		decode func([]byte) error
+	}{
+		{"push", push, new(PushRequest).DecodeWire},
+		{"resolve reply", reply, new(ResolveReply).DecodeWire},
+	} {
+		if c.body[1] != wire.BundleVersion {
+			t.Fatalf("%s body version %d, want %d", c.what, c.body[1], wire.BundleVersion)
+		}
+		old := bytes.Clone(c.body)
+		old[1] = 1
+		err := c.decode(old)
+		if !errors.Is(err, ErrBadBody) || !strings.Contains(err.Error(), c.what+" body version 1") {
+			t.Errorf("version-1 %s: err = %v, want ErrBadBody naming version 1", c.what, err)
+		}
+	}
+
+	// The committed seed is a push a version-1 build really encoded.
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodePush", "version_1_push"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(seed), "\n")
+	quoted, ok := strings.CutSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+	body, uerr := strconv.Unquote(quoted)
+	if !ok || uerr != nil {
+		t.Fatalf("version_1_push is not a fuzz seed file: %q", lines[1])
+	}
+	var req PushRequest
+	if err := req.DecodeWire([]byte(body)); !errors.Is(err, ErrBadBody) || !strings.Contains(err.Error(), "push body version 1") {
+		t.Fatalf("the version-1 seed: err = %v, want ErrBadBody naming version 1", err)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/cluster"
+	"repro/internal/docdb"
 	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/transport"
@@ -374,4 +376,109 @@ func TestResolveNeverServesHalfMigratedBundle(t *testing.T) {
 	}
 	churn.Wait()
 	t.Logf("bundles served by station: %v", served)
+}
+
+// TestBroadcastHashesNothing is the exact count behind hashing once, at
+// the root: the root hashed every medium when it was authored, a push
+// names each medium by that hash, and no station — root, relay or leaf
+// — runs SHA-256 over a byte of it during the broadcast.
+func TestBroadcastHashesNothing(t *testing.T) {
+	stations := newFabric(t, 3, 2, 1)
+	spec := authorCourse(t, stations[0], 1)
+	before := make([]int64, len(stations))
+	for i, st := range stations {
+		before[i] = st.Store().Blobs().Stats().HashedBytes
+	}
+	if before[0] == 0 {
+		t.Fatal("authoring the course hashed nothing at the root")
+	}
+	res, err := stations[0].Broadcast(spec.URL, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range res.Stations {
+		if sr.Err != "" {
+			t.Errorf("station %d: %s", sr.Pos, sr.Err)
+		}
+	}
+	for i, st := range stations {
+		if !holdsInstance(st, spec.URL) {
+			t.Errorf("station %d holds no instance after the broadcast", st.Pos())
+		}
+		if after := st.Store().Blobs().Stats().HashedBytes; after != before[i] {
+			t.Errorf("station %d hashed %d bytes during the broadcast, want 0", st.Pos(), after-before[i])
+		}
+	}
+}
+
+// TestRelayedForgeryIsCaughtAtRestart follows a medium whose carried
+// hash does not match its bytes down the tree to where the trust rule
+// says it is caught. A relay and a durable leaf below it adopt it as
+// sent — between stations only the frame's CRC32C is checked — and the
+// leaf's next restart re-hashes its BLOB sidecar: blob.Restore refuses
+// the object, naming its hash, and the recovery fails.
+func TestRelayedForgeryIsCaughtAtRestart(t *testing.T) {
+	root, err := NewRoot(newTestStore(t), "127.0.0.1:0", 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { root.Close() })
+	relay := joinStation(t, root) // 2: children 4, 5
+	joinStation(t, root)          // 3
+	dir := t.TempDir()
+	durable := newTestStore(t)
+	if _, err := durable.Recover(dir); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := Join(durable, "127.0.0.1:0", root.Addr()) // 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leaf.Close() })
+	if leaf.Pos() != 4 {
+		t.Fatalf("durable station joined at %d, want 4", leaf.Pos())
+	}
+
+	spec := authorCourse(t, root, 1)
+	forged, err := root.Store().ExportBundle(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &forged.Media[0]
+	m.Data = bytes.Clone(m.Data)
+	m.Data[0] ^= 0xFF
+	root.mu.Lock()
+	push := PushRequest{Bundles: []docdb.Bundle{*forged}, Topology: root.topologyLocked()}
+	root.mu.Unlock()
+
+	// Hand the forged body to the relay as its parent would.
+	pool := transport.NewPool(relay.Addr(), 1, time.Minute)
+	defer pool.Close()
+	var reply PushReply
+	if err := pool.Call(methodPush, push, &reply); err != nil {
+		t.Fatal(err)
+	}
+	installed := map[int]bool{}
+	for _, sr := range reply.Results {
+		if sr.Err != "" {
+			t.Fatalf("station %d refused the relayed bundle: %s", sr.Pos, sr.Err)
+		}
+		installed[sr.Pos] = sr.Form == schema.FormInstance
+	}
+	if !installed[2] || !installed[4] {
+		t.Fatalf("relay results %+v: want instances at 2 and 4", reply.Results)
+	}
+	if !durable.Blobs().Has(blob.Ref{Hash: m.Hash}) {
+		t.Fatalf("the durable station did not adopt the medium under its carried hash %.12s", m.Hash)
+	}
+	if _, err := durable.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	leaf.Close()
+	durable.Rel().CloseWAL()
+
+	_, err = newTestStore(t).Recover(dir)
+	if err == nil || !strings.Contains(err.Error(), "fails content verification") || !strings.Contains(err.Error(), m.Hash[:12]) {
+		t.Fatalf("restart after adopting a forged medium: err = %v, want blob.Restore's content verification failure naming %.12s", err, m.Hash)
+	}
 }

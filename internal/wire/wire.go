@@ -44,8 +44,15 @@ const (
 	BodyMagic   = 0xC0 // plan-encoded message body (body.go)
 
 	// Version is the current format version, encoded after every
-	// magic byte. Decoders reject versions they do not know.
+	// magic byte but the three bundle-carrying bodies'. Decoders reject
+	// versions they do not know.
 	Version = 1
+
+	// BundleVersion is the version byte after PushMagic, ReplyMagic and
+	// BundleMagic. It moves on its own, because Version also frames the
+	// WAL and the fabric's State stream. Version 2 carries each
+	// medium's SHA-256; there is no reader for version 1.
+	BundleVersion = 2
 )
 
 // Codec errors.
@@ -316,6 +323,12 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
+// Fixed reads the next n bytes WITHOUT copying, as View does; nil
+// when fewer are left.
+func (r *Reader) Fixed(n int) []byte {
+	return r.take(uint64(n))
+}
+
 // View reads a length-prefixed byte slice WITHOUT copying: the result
 // aliases the reader's buffer and is valid only as long as that buffer
 // is, and nothing may write into it. It is for large payloads that
@@ -416,6 +429,20 @@ func magicErr(what string, got, want byte) error {
 		return fmt.Errorf("%w: %s starts 0x%02x, not magic 0x%02x: it predates the binary format", ErrCorrupt, what, got, want)
 	}
 	return fmt.Errorf("%w: %s magic 0x%02x, want 0x%02x", ErrCorrupt, what, got, want)
+}
+
+// CheckBundleHeader checks that body opens with magic and
+// BundleVersion. Its error wraps ErrCorrupt and, for a body of another
+// version, names that version: a peer on another build learns why the
+// call failed.
+func CheckBundleHeader(body []byte, magic byte, what string) error {
+	if len(body) < 2 || body[0] != magic {
+		return fmt.Errorf("%w: not a %s body", ErrCorrupt, what)
+	}
+	if body[1] != BundleVersion {
+		return fmt.Errorf("%w: %s body version %d, this build reads version %d", ErrCorrupt, what, body[1], BundleVersion)
+	}
+	return nil
 }
 
 // ReadRecord reads one record written by AppendRecord from br. It
