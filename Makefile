@@ -39,7 +39,10 @@ test:
 
 # Besides the locking stress tests, this job carries the persistence
 # crash matrix: checkpoint + WAL-tail recovery, kill-mid-checkpoint
-# fallback, torn-tail replay, BLOB-sidecar generation coupling, and
+# fallback, torn-tail replay, BLOB-sidecar generation coupling, every
+# document operation's WAL cut at each record boundary and checked
+# against the invariant oracle, BLOB reference counts re-derived from
+# the rows after a WAL tail, and
 # the content index's rebuild from the recovered rows (after a clean
 # checkpoint, after a WAL tail, beside an older build's leftover
 # search-<gen> file) plus its concurrent index/query stress.

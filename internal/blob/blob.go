@@ -327,6 +327,29 @@ func (s *Store) Release(ref Ref) error {
 	return nil
 }
 
+// Recount sets each resident object's reference count to counts[hash],
+// evicts the objects counts does not name, and recomputes the logical
+// bytes. A durable station calls it at recovery with the number of rows
+// naming each object: a restored snapshot holds the counts of its
+// checkpoint, and the commits replayed after it may have added or
+// dropped rows. A hash in counts that names no resident object is
+// ignored.
+func (s *Store) Recount(counts map[string]int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.logicalBytes = 0
+	for h, e := range s.objects {
+		n := counts[h]
+		if n <= 0 {
+			s.physicalBytes -= int64(len(e.data))
+			delete(s.objects, h)
+			continue
+		}
+		e.refcount = n
+		s.logicalBytes += int64(n) * int64(len(e.data))
+	}
+}
+
 // RefCount returns the current reference count of an object, zero when
 // absent.
 func (s *Store) RefCount(ref Ref) int {

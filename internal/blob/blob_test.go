@@ -297,6 +297,34 @@ func TestReleaseEvictsAtZero(t *testing.T) {
 	}
 }
 
+// TestRecountSetsCountsFromRows: each resident object takes the count
+// given for it, an object given none is evicted, a count for an absent
+// object installs nothing, and the byte accounting follows.
+func TestRecountSetsCountsFromRows(t *testing.T) {
+	s := NewStore()
+	kept := s.Put("kept", KindAudio, []byte("kept bytes"))
+	gone := s.Put("gone", KindImage, []byte("gone"))
+	s.Recount(map[string]int{kept.Hash: 3, HashOf([]byte("absent")): 2})
+	if got := s.RefCount(kept); got != 3 {
+		t.Errorf("refcount = %d, want 3", got)
+	}
+	if s.Has(gone) {
+		t.Error("an object no row names survived the recount")
+	}
+	st := s.Stats()
+	if st.Objects != 1 || st.PhysicalBytes != kept.Size || st.LogicalBytes != 3*kept.Size {
+		t.Errorf("stats after recount = %+v", st)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Release(kept); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); s.Has(kept) || st.PhysicalBytes != 0 || st.LogicalBytes != 0 {
+		t.Errorf("after three releases: resident %v, stats %+v", s.Has(kept), st)
+	}
+}
+
 func TestRetainMissing(t *testing.T) {
 	s := NewStore()
 	err := s.Retain(Ref{Hash: "deadbeefdeadbeef", Size: 1})

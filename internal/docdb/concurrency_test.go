@@ -100,6 +100,44 @@ func TestConcurrentCheckInVersions(t *testing.T) {
 	}
 }
 
+// TestConcurrentReplaceAnnotationVersions races instructors revising
+// one overlay: every replacement must bump the version exactly once,
+// so none is lost to a read another replacement overtook.
+func TestConcurrentReplaceAnnotationVersions(t *testing.T) {
+	s := newConcStore(t)
+	if err := s.CreateDatabase(Database{Name: "mmu"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateScript(Script{Name: "intro-cs", DBName: "mmu"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveAnnotation(Annotation{Name: "overlay", ScriptName: "intro-cs", File: []byte("v1")}); err != nil {
+		t.Fatal(err)
+	}
+	const writers, replaces = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < replaces; i++ {
+				if err := s.ReplaceAnnotation("overlay", []byte{byte(w), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	row, err := s.Rel().Get(schema.TableAnnotations, "overlay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := row["version"], int64(1+writers*replaces); got != want {
+		t.Errorf("version after %d replacements = %v, want %d", writers*replaces, got, want)
+	}
+}
+
 // TestSyncIDsAfterRestore simulates a process restart over restored
 // state: a second Store opened over the same engine starts its ID
 // counter at zero, and without SyncIDs its first checkout would collide
@@ -167,9 +205,11 @@ func TestSyncIDsPerTable(t *testing.T) {
 	}
 }
 
-// TestConcurrentBundleImportAndReaders imports many bundles in parallel
-// (each import lands its files through one relstore Batch) while
-// readers walk the catalog, and checks every import arrived whole. Run
+// TestConcurrentBundleImportAndReaders imports many documents of one
+// database in parallel into an empty station while readers walk the
+// catalog, and checks every import arrived whole. Each import races
+// the others for the database's scaffold row. The documents come as
+// full bundles, and as the bare references the fabric broadcasts. Run
 // with -race.
 func TestConcurrentBundleImportAndReaders(t *testing.T) {
 	src := newConcStore(t)
@@ -203,51 +243,65 @@ func TestConcurrentBundleImportAndReaders(t *testing.T) {
 		bundles[i] = b
 	}
 
-	dst := newConcStore(t)
-	var wg sync.WaitGroup
-	for i := 0; i < courses; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := dst.ImportBundle(bundles[i], 2, false); err != nil {
-				t.Errorf("import %d: %v", i, err)
+	for _, tc := range []struct {
+		form         string
+		imp          func(dst *Store, b *Bundle) (DocObject, error)
+		pages, progs int
+	}{
+		{schema.FormInstance, func(dst *Store, b *Bundle) (DocObject, error) { return dst.ImportBundle(b, 2, false) }, 4, 1},
+		{schema.FormReference, func(dst *Store, b *Bundle) (DocObject, error) { return dst.ImportReference(b.Script, b.Impl, 2, 1) }, 0, 0},
+	} {
+		t.Run(tc.form, func(t *testing.T) {
+			dst := newConcStore(t)
+			var wg sync.WaitGroup
+			for i := 0; i < courses; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if _, err := tc.imp(dst, bundles[i]); err != nil {
+						t.Errorf("import %d: %v", i, err)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := dst.Scripts("mmu"); err != nil && !errors.Is(err, relstore.ErrNoTable) {
-					t.Errorf("reader: %v", err)
-					return
-				}
-				url := fmt.Sprintf("http://mmu/course%d/v1", (r+i)%courses)
-				if _, err := dst.HTMLFiles(url); err != nil {
-					t.Errorf("reader: %v", err)
-					return
-				}
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						if _, err := dst.Scripts("mmu"); err != nil && !errors.Is(err, relstore.ErrNoTable) {
+							t.Errorf("reader: %v", err)
+							return
+						}
+						url := fmt.Sprintf("http://mmu/course%d/v1", (r+i)%courses)
+						if _, err := dst.HTMLFiles(url); err != nil {
+							t.Errorf("reader: %v", err)
+							return
+						}
+					}
+				}(r)
 			}
-		}(r)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	for i := 0; i < courses; i++ {
-		url := fmt.Sprintf("http://mmu/course%d/v1", i)
-		html, err := dst.HTMLFiles(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(html) != 4 {
-			t.Errorf("course%d: %d HTML files, want 4", i, len(html))
-		}
-		progs, err := dst.ProgramFiles(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(progs) != 1 {
-			t.Errorf("course%d: %d program files, want 1", i, len(progs))
-		}
+			for i := 0; i < courses; i++ {
+				url := fmt.Sprintf("http://mmu/course%d/v1", i)
+				if obj, err := dst.ObjectByURL(url); err != nil || obj.Form != tc.form {
+					t.Errorf("course%d: object %+v (err %v), want a %s", i, obj, err, tc.form)
+				}
+				html, err := dst.HTMLFiles(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(html) != tc.pages {
+					t.Errorf("course%d: %d HTML files, want %d", i, len(html), tc.pages)
+				}
+				progs, err := dst.ProgramFiles(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(progs) != tc.progs {
+					t.Errorf("course%d: %d program files, want %d", i, len(progs), tc.progs)
+				}
+			}
+		})
 	}
 }

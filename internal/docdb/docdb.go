@@ -6,12 +6,19 @@
 // components, and the class / instance / reference object forms with
 // prototype-based reuse described in section 4.
 //
+// Every document operation is one transaction, one WAL record: it
+// queues its rows on one relstore.Batch and commits through
+// Store.commit, so a crash leaves it wholly on disk or not at all.
+// Single-row writes commit directly; the check-out ledger and
+// ReplaceAnnotation, which read before they write, run in a relstore.Tx.
+//
 // A durable store (persist.go) checkpoints the relational engine and
 // the BLOB layer as one generation: the blobs-<gen> sidecar lands
 // before relstore's snap-<gen>. Recover lets relstore load and replay
 // first, then restores the sidecar of the generation relstore loaded,
-// checking every content hash before the BLOB store changes, and
-// rebuilds the attached content index from the rows.
+// checking every content hash before the BLOB store changes, re-derives
+// each BLOB's reference count from the rows naming it, and rebuilds the
+// attached content index from the rows.
 package docdb
 
 import (
@@ -87,13 +94,40 @@ func (s *Store) ContentIndex() ContentIndex {
 	return ix
 }
 
-// noteScript tells the index about a created (or imported) script.
-// Call it from a CommitThen/ApplyThen hook, so the indexing is atomic
-// with the commit.
-func (s *Store) noteScript(sc Script) {
-	if ix := s.ContentIndex(); ix != nil {
-		ix.IndexScript(sc.Name, sc.Description, sc.Author, sc.Keywords)
+// commit applies b as one transaction, one WAL record. taken are the
+// BLOB references acquired for b's rows: a batch that fails releases
+// them, so a failed operation leaves no reference behind. drop are the
+// references b's deletes end: released once b commits. index, when not
+// nil, runs with the attached content index inside the commit, before
+// the touched tables' locks release, so concurrent writes of one
+// document reach the index in commit order.
+func (s *Store) commit(b *relstore.Batch, taken, drop []blob.Ref, index func(ContentIndex)) error {
+	err := s.rel.ApplyThen(b, func() {
+		if ix := s.ContentIndex(); ix != nil && index != nil {
+			index(ix)
+		}
+	})
+	if err != nil {
+		s.releaseAll(taken)
+		return err
 	}
+	s.releaseAll(drop)
+	return nil
+}
+
+// releaseAll drops one reference on each of refs. An object already
+// gone is the loss a crash leaves for bytes never checkpointed, and
+// there is nothing left to release.
+func (s *Store) releaseAll(refs []blob.Ref) {
+	for _, ref := range refs {
+		s.blobs.Release(ref)
+	}
+}
+
+// indexScript is the index hook of a batch that creates (or imports)
+// sc.
+func indexScript(sc Script) func(ContentIndex) {
+	return func(ix ContentIndex) { ix.IndexScript(sc.Name, sc.Description, sc.Author, sc.Keywords) }
 }
 
 // Open wires a document store over a relational engine and a BLOB
@@ -181,16 +215,21 @@ type Database struct {
 
 // CreateDatabase registers a new course database.
 func (s *Store) CreateDatabase(d Database) error {
+	return s.rel.Insert(schema.TableDatabases, s.databaseRow(d))
+}
+
+// databaseRow is the databases row recording d, created now.
+func (s *Store) databaseRow(d Database) relstore.Row {
 	if d.Version == 0 {
 		d.Version = 1
 	}
-	return s.rel.Insert(schema.TableDatabases, relstore.Row{
+	return relstore.Row{
 		"db_name":  d.Name,
 		"keywords": schema.JoinList(d.Keywords),
 		"author":   d.Author,
 		"version":  d.Version,
 		"created":  s.Now(),
-	})
+	}
 }
 
 // Database fetches a Database-layer object.
@@ -224,6 +263,13 @@ type Script struct {
 
 // CreateScript stores a new script under its database.
 func (s *Store) CreateScript(sc Script) error {
+	var b relstore.Batch
+	b.Insert(schema.TableScripts, s.scriptRow(sc))
+	return s.commit(&b, nil, nil, indexScript(sc))
+}
+
+// scriptRow is the scripts row recording sc, created now.
+func (s *Store) scriptRow(sc Script) relstore.Row {
 	if sc.Version == 0 {
 		sc.Version = 1
 	}
@@ -240,10 +286,7 @@ func (s *Store) CreateScript(sc Script) error {
 	if !sc.ExpectedCompletion.IsZero() {
 		row["expected_completion"] = sc.ExpectedCompletion
 	}
-	// One-row batch for the commit-atomic index hook (see PutHTML).
-	var b relstore.Batch
-	b.Insert(schema.TableScripts, row)
-	return s.rel.ApplyThen(&b, func() { s.noteScript(sc) })
+	return row
 }
 
 // Script fetches one script by name.
@@ -298,12 +341,17 @@ type Implementation struct {
 
 // AddImplementation stores a new implementation of a script.
 func (s *Store) AddImplementation(im Implementation) error {
-	return s.rel.Insert(schema.TableImpls, relstore.Row{
+	return s.rel.Insert(schema.TableImpls, s.implRow(im))
+}
+
+// implRow is the implementations row recording im, created now.
+func (s *Store) implRow(im Implementation) relstore.Row {
+	return relstore.Row{
 		"starting_url": im.StartingURL,
 		"script_name":  im.ScriptName,
 		"author":       im.Author,
 		"created":      s.Now(),
-	})
+	}
 }
 
 // Implementation fetches one implementation by starting URL.
@@ -312,12 +360,7 @@ func (s *Store) Implementation(url string) (Implementation, error) {
 	if err != nil {
 		return Implementation{}, err
 	}
-	return Implementation{
-		StartingURL: rowString(row, "starting_url"),
-		ScriptName:  rowString(row, "script_name"),
-		Author:      rowString(row, "author"),
-		Created:     rowTime(row, "created"),
-	}, nil
+	return implFromRow(row), nil
 }
 
 // Implementations lists the tries recorded for a script.
@@ -328,14 +371,18 @@ func (s *Store) Implementations(scriptName string) ([]Implementation, error) {
 	}
 	out := make([]Implementation, len(rows))
 	for i, r := range rows {
-		out[i] = Implementation{
-			StartingURL: rowString(r, "starting_url"),
-			ScriptName:  rowString(r, "script_name"),
-			Author:      rowString(r, "author"),
-			Created:     rowTime(r, "created"),
-		}
+		out[i] = implFromRow(r)
 	}
 	return out, nil
+}
+
+func implFromRow(r relstore.Row) Implementation {
+	return Implementation{
+		StartingURL: rowString(r, "starting_url"),
+		ScriptName:  rowString(r, "script_name"),
+		Author:      rowString(r, "author"),
+		Created:     rowTime(r, "created"),
+	}
 }
 
 // File is an HTML or program file belonging to an implementation.
@@ -349,50 +396,59 @@ type File struct {
 
 func fileID(url, path string) string { return url + "#" + path }
 
-// queueHTML appends an insert-or-replace of one HTML file row to the
-// batch; it is the single place the html_files row shape lives.
-func (s *Store) queueHTML(b *relstore.Batch, url, path string, content []byte) {
-	id := fileID(url, path)
-	if s.rel.Exists(schema.TableHTMLFiles, id) {
-		b.Update(schema.TableHTMLFiles, id, relstore.Row{"content": content})
+// queueFile queues f as one of url's files in table (html_files or
+// program_files): an insert, or a replacement of an existing file's
+// content. It is the single place the file row shape lives.
+func (s *Store) queueFile(b *relstore.Batch, table, url string, f File) {
+	id := fileID(url, f.Path)
+	row := relstore.Row{"content": f.Content}
+	if table == schema.TableProgFiles {
+		row["language"] = f.Language
+	}
+	if s.rel.Exists(table, id) {
+		b.Update(table, id, row)
 		return
 	}
-	b.Insert(schema.TableHTMLFiles, relstore.Row{
-		"file_id":      id,
-		"starting_url": url,
-		"path":         path,
-		"content":      content,
-	})
+	row["file_id"], row["starting_url"], row["path"] = id, url, f.Path
+	b.Insert(table, row)
 }
 
-// queueProgram is queueHTML's counterpart for program files.
-func (s *Store) queueProgram(b *relstore.Batch, url, path, language string, content []byte) {
-	id := fileID(url, path)
-	if s.rel.Exists(schema.TableProgFiles, id) {
-		b.Update(schema.TableProgFiles, id, relstore.Row{"content": content, "language": language})
-		return
+// queueFiles queues url's HTML files html and program files progs.
+func (s *Store) queueFiles(b *relstore.Batch, url string, html, progs []File) {
+	for _, f := range html {
+		s.queueFile(b, schema.TableHTMLFiles, url, f)
 	}
-	b.Insert(schema.TableProgFiles, relstore.Row{
-		"file_id":      id,
-		"starting_url": url,
-		"path":         path,
-		"language":     language,
-		"content":      content,
-	})
+	for _, f := range progs {
+		s.queueFile(b, schema.TableProgFiles, url, f)
+	}
 }
 
-// PutHTML stores (or replaces) an HTML file of an implementation. The
-// content-index hook runs inside the commit (before the file tables'
-// locks release), so concurrent writes of one file index in commit
-// order.
+// indexFiles tells ix about the HTML and program files a batch wrote
+// under url.
+func indexFiles(ix ContentIndex, url string, html, progs []File) {
+	for _, f := range html {
+		ix.IndexHTML(url, f.Path, f.Content)
+	}
+	for _, f := range progs {
+		ix.IndexProgram(url, f.Path, f.Language, f.Content)
+	}
+}
+
+// PutHTML stores (or replaces) an HTML file of an implementation.
 func (s *Store) PutHTML(url, path string, content []byte) error {
+	return s.putFiles(url, []File{{Path: path, Content: content}}, nil)
+}
+
+// PutProgram stores (or replaces) an add-on control program file.
+func (s *Store) PutProgram(url, path, language string, content []byte) error {
+	return s.putFiles(url, nil, []File{{Path: path, Language: language, Content: content}})
+}
+
+// putFiles stores html and progs as url's files in one commit.
+func (s *Store) putFiles(url string, html, progs []File) error {
 	var b relstore.Batch
-	s.queueHTML(&b, url, path, content)
-	return s.rel.ApplyThen(&b, func() {
-		if ix := s.ContentIndex(); ix != nil {
-			ix.IndexHTML(url, path, content)
-		}
-	})
+	s.queueFiles(&b, url, html, progs)
+	return s.commit(&b, nil, nil, func(ix ContentIndex) { indexFiles(ix, url, html, progs) })
 }
 
 // HTML fetches the content of one HTML file.
@@ -407,38 +463,17 @@ func (s *Store) HTML(url, path string) ([]byte, error) {
 
 // HTMLFiles lists the HTML files of an implementation in path order.
 func (s *Store) HTMLFiles(url string) ([]File, error) {
-	rows, err := s.rel.Lookup(schema.TableHTMLFiles, "starting_url", url)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]File, len(rows))
-	for i, r := range rows {
-		c, _ := r["content"].([]byte)
-		out[i] = File{
-			ID:          rowString(r, "file_id"),
-			StartingURL: rowString(r, "starting_url"),
-			Path:        rowString(r, "path"),
-			Content:     c,
-		}
-	}
-	return out, nil
-}
-
-// PutProgram stores (or replaces) an add-on control program file, with
-// the same commit-atomic index hook as PutHTML.
-func (s *Store) PutProgram(url, path, language string, content []byte) error {
-	var b relstore.Batch
-	s.queueProgram(&b, url, path, language, content)
-	return s.rel.ApplyThen(&b, func() {
-		if ix := s.ContentIndex(); ix != nil {
-			ix.IndexProgram(url, path, language, content)
-		}
-	})
+	return s.files(schema.TableHTMLFiles, url)
 }
 
 // ProgramFiles lists the program files of an implementation.
 func (s *Store) ProgramFiles(url string) ([]File, error) {
-	rows, err := s.rel.Lookup(schema.TableProgFiles, "starting_url", url)
+	return s.files(schema.TableProgFiles, url)
+}
+
+// files lists url's files in table (html_files or program_files).
+func (s *Store) files(table, url string) ([]File, error) {
+	rows, err := s.rel.Lookup(table, "starting_url", url)
 	if err != nil {
 		return nil, err
 	}
@@ -466,101 +501,76 @@ type MediaRef struct {
 	Ref   blob.Ref
 }
 
-// implMediaRow is the impl_media row recording m, whose Owner is an
-// implementation's starting URL.
-func implMediaRow(m MediaRef) relstore.Row {
-	return relstore.Row{
-		"res_id":       m.ResID,
-		"starting_url": m.Owner,
-		"name":         m.Name,
-		"kind":         int64(m.Kind),
-		"blob_hash":    m.Ref.Hash,
-		"size":         m.Ref.Size,
+// ownerColumn names the column of a media table (impl_media or
+// script_media) that holds the owner.
+func ownerColumn(table string) string {
+	if table == schema.TableScriptMedia {
+		return "script_name"
 	}
+	return "starting_url"
+}
+
+// mediaRow is the row of a media table recording m.
+func mediaRow(table string, m MediaRef) relstore.Row {
+	return relstore.Row{
+		"res_id":           m.ResID,
+		ownerColumn(table): m.Owner,
+		"name":             m.Name,
+		"kind":             int64(m.Kind),
+		"blob_hash":        m.Ref.Hash,
+		"size":             m.Ref.Size,
+	}
+}
+
+// blobRef is the BLOB a media row names.
+func blobRef(r relstore.Row) blob.Ref {
+	return blob.Ref{Hash: rowString(r, "blob_hash"), Size: rowInt(r, "size"), Kind: blob.Kind(rowInt(r, "kind"))}
 }
 
 // AttachImplMedia stores a multimedia resource in the BLOB layer and
 // records the implementation's descriptor. Identical content already on
 // the station is shared, not duplicated.
 func (s *Store) AttachImplMedia(url, name string, kind blob.Kind, data []byte) (MediaRef, error) {
-	ref := s.blobs.Put(name, kind, data)
-	m := MediaRef{ResID: s.nextID("res"), Owner: url, Name: name, Kind: kind, Ref: ref}
-	if err := s.rel.Insert(schema.TableImplMedia, implMediaRow(m)); err != nil {
-		s.blobs.Release(ref)
-		return MediaRef{}, err
-	}
-	return m, nil
-}
-
-// ShareImplMedia attaches an already-resident BLOB to another
-// implementation without copying bytes (BLOB-layer sharing of section
-// 4).
-func (s *Store) ShareImplMedia(url, name string, ref blob.Ref) (MediaRef, error) {
-	if err := s.blobs.Retain(ref); err != nil {
-		return MediaRef{}, err
-	}
-	m := MediaRef{ResID: s.nextID("res"), Owner: url, Name: name, Kind: ref.Kind, Ref: ref}
-	if err := s.rel.Insert(schema.TableImplMedia, implMediaRow(m)); err != nil {
-		s.blobs.Release(ref)
-		return MediaRef{}, err
-	}
-	return m, nil
+	return s.attachMedia(schema.TableImplMedia, url, name, kind, data)
 }
 
 // AttachScriptMedia stores a script-level resource (e.g. the verbal
 // description of section 3).
 func (s *Store) AttachScriptMedia(scriptName, name string, kind blob.Kind, data []byte) (MediaRef, error) {
+	return s.attachMedia(schema.TableScriptMedia, scriptName, name, kind, data)
+}
+
+// attachMedia puts data in the BLOB layer and records it in a media
+// table under owner.
+func (s *Store) attachMedia(table, owner, name string, kind blob.Kind, data []byte) (MediaRef, error) {
 	ref := s.blobs.Put(name, kind, data)
-	m := MediaRef{ResID: s.nextID("res"), Owner: scriptName, Name: name, Kind: kind, Ref: ref}
-	err := s.rel.Insert(schema.TableScriptMedia, relstore.Row{
-		"res_id":      m.ResID,
-		"script_name": scriptName,
-		"name":        name,
-		"kind":        int64(kind),
-		"blob_hash":   ref.Hash,
-		"size":        ref.Size,
-	})
-	if err != nil {
-		s.blobs.Release(ref)
-		return MediaRef{}, err
-	}
-	return m, nil
+	m := MediaRef{ResID: s.nextID("res"), Owner: owner, Name: name, Kind: kind, Ref: ref}
+	var b relstore.Batch
+	b.Insert(table, mediaRow(table, m))
+	return m, s.commit(&b, []blob.Ref{ref}, nil, nil)
 }
 
 // ImplMedia lists the media descriptors of an implementation.
 func (s *Store) ImplMedia(url string) ([]MediaRef, error) {
-	rows, err := s.rel.Lookup(schema.TableImplMedia, "starting_url", url)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MediaRef, len(rows))
-	for i, r := range rows {
-		out[i] = MediaRef{
-			ResID: rowString(r, "res_id"),
-			Owner: rowString(r, "starting_url"),
-			Name:  rowString(r, "name"),
-			Kind:  blob.Kind(rowInt(r, "kind")),
-			Ref:   blob.Ref{Hash: rowString(r, "blob_hash"), Size: rowInt(r, "size"), Kind: blob.Kind(rowInt(r, "kind"))},
-		}
-	}
-	return out, nil
+	return s.media(schema.TableImplMedia, url)
 }
 
 // ScriptMedia lists the media descriptors of a script.
 func (s *Store) ScriptMedia(scriptName string) ([]MediaRef, error) {
-	rows, err := s.rel.Lookup(schema.TableScriptMedia, "script_name", scriptName)
+	return s.media(schema.TableScriptMedia, scriptName)
+}
+
+// media lists the descriptors a media table holds for owner.
+func (s *Store) media(table, owner string) ([]MediaRef, error) {
+	col := ownerColumn(table)
+	rows, err := s.rel.Lookup(table, col, owner)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]MediaRef, len(rows))
 	for i, r := range rows {
-		out[i] = MediaRef{
-			ResID: rowString(r, "res_id"),
-			Owner: rowString(r, "script_name"),
-			Name:  rowString(r, "name"),
-			Kind:  blob.Kind(rowInt(r, "kind")),
-			Ref:   blob.Ref{Hash: rowString(r, "blob_hash"), Size: rowInt(r, "size"), Kind: blob.Kind(rowInt(r, "kind"))},
-		}
+		ref := blobRef(r)
+		out[i] = MediaRef{ResID: rowString(r, "res_id"), Owner: rowString(r, col), Name: rowString(r, "name"), Kind: ref.Kind, Ref: ref}
 	}
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package docdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/blob"
@@ -41,33 +43,22 @@ func objectFromRow(r relstore.Row) DocObject {
 // NewInstance records that this station holds a physical instance of
 // the implementation.
 func (s *Store) NewInstance(url string, station int, persistent bool) (DocObject, error) {
-	obj := s.instanceObject(url, station, persistent)
+	obj := s.newObject(schema.FormInstance, url, station, station)
+	obj.Persistent = persistent
 	return obj, s.insertObject(obj)
 }
 
-// instanceObject is a fresh instance object for url held at station.
-func (s *Store) instanceObject(url string, station int, persistent bool) DocObject {
-	return DocObject{
-		ID:          s.nextID("obj"),
-		Form:        schema.FormInstance,
-		StartingURL: url,
-		Station:     int64(station),
-		Origin:      int64(station),
-		Persistent:  persistent,
-	}
+// newObject is a fresh document object of a form for url, held at
+// station; origin is the station holding the instance.
+func (s *Store) newObject(form, url string, station, origin int) DocObject {
+	return DocObject{ID: s.nextID("obj"), Form: form, StartingURL: url, Station: int64(station), Origin: int64(origin)}
 }
 
 // MakeReference records a reference-to-instance: a mirror entry telling
 // this station where the physical instance lives. References are what
 // the paper broadcasts to remote stations when an instance is created.
 func (s *Store) MakeReference(url string, station, origin int) (DocObject, error) {
-	obj := DocObject{
-		ID:          s.nextID("obj"),
-		Form:        schema.FormReference,
-		StartingURL: url,
-		Station:     int64(station),
-		Origin:      int64(origin),
-	}
+	obj := s.newObject(schema.FormReference, url, station, origin)
 	return obj, s.insertObject(obj)
 }
 
@@ -137,21 +128,12 @@ func (s *Store) DeclareClass(instanceID string) (DocObject, error) {
 	if inst.Form != schema.FormInstance {
 		return DocObject{}, fmt.Errorf("%w: %s is a %s", ErrWrongForm, instanceID, inst.Form)
 	}
-	class := DocObject{
-		ID:          s.nextID("obj"),
-		Form:        schema.FormClass,
-		StartingURL: inst.StartingURL,
-		Station:     inst.Station,
-		Origin:      inst.Station,
-		Persistent:  true,
-	}
-	if err := s.insertObject(class); err != nil {
-		return DocObject{}, err
-	}
-	if err := s.rel.Update(schema.TableDocObjects, instanceID, relstore.Row{"class_id": class.ID}); err != nil {
-		return DocObject{}, err
-	}
-	return class, nil
+	class := s.newObject(schema.FormClass, inst.StartingURL, int(inst.Station), int(inst.Station))
+	class.Persistent = true
+	var b relstore.Batch
+	b.Insert(schema.TableDocObjects, s.objectRow(class))
+	b.Update(schema.TableDocObjects, instanceID, relstore.Row{"class_id": class.ID})
+	return class, s.commit(&b, nil, nil, nil)
 }
 
 // Instantiate creates a new document instance from a class: the class's
@@ -166,22 +148,19 @@ func (s *Store) Instantiate(classID, newURL string, station int) (DocObject, err
 	if class.Form != schema.FormClass {
 		return DocObject{}, fmt.Errorf("%w: %s is a %s", ErrWrongForm, classID, class.Form)
 	}
-	srcImpl, err := s.Implementation(class.StartingURL)
+	src, err := s.Implementation(class.StartingURL)
 	if err != nil {
 		return DocObject{}, err
 	}
-	if err := s.copyStructure(class.StartingURL, newURL, srcImpl.ScriptName, srcImpl.Author); err != nil {
+	var b relstore.Batch
+	taken, index, err := s.queueCopy(&b, src, newURL, src.Author)
+	if err != nil {
 		return DocObject{}, err
 	}
-	obj := DocObject{
-		ID:          s.nextID("obj"),
-		Form:        schema.FormInstance,
-		StartingURL: newURL,
-		Station:     int64(station),
-		Origin:      int64(station),
-		ClassID:     classID,
-	}
-	return obj, s.insertObject(obj)
+	obj := s.newObject(schema.FormInstance, newURL, station, station)
+	obj.ClassID = classID
+	b.Insert(schema.TableDocObjects, s.objectRow(obj))
+	return obj, s.commit(&b, taken, nil, index)
 }
 
 // DuplicateComponent duplicates a reusable compound object to a new
@@ -189,88 +168,86 @@ func (s *Store) Instantiate(classID, newURL string, station int) (DocObject, err
 // "relatively smaller sizes, such as HTML files") and the BLOBs shared,
 // exactly as section 3 prescribes.
 func (s *Store) DuplicateComponent(url, newURL, author string) error {
-	srcImpl, err := s.Implementation(url)
+	src, err := s.Implementation(url)
 	if err != nil {
 		return err
 	}
-	return s.copyStructure(url, newURL, srcImpl.ScriptName, author)
+	var b relstore.Batch
+	taken, index, err := s.queueCopy(&b, src, newURL, author)
+	if err != nil {
+		return err
+	}
+	return s.commit(&b, taken, nil, index)
 }
 
-// copyStructure clones the implementation row, its HTML and program
-// files, and shares its media refs under a new starting URL. The file
-// copies go through one batched transaction.
-func (s *Store) copyStructure(srcURL, dstURL, scriptName, author string) error {
-	if err := s.AddImplementation(Implementation{StartingURL: dstURL, ScriptName: scriptName, Author: author}); err != nil {
-		return err
-	}
-	html, err := s.HTMLFiles(srcURL)
+// queueCopy queues a copy of src's structure under dstURL, by author:
+// the implementation row, copies of its HTML and program files, and
+// media rows sharing its BLOBs. It returns the BLOB references the
+// media rows take, already held, and the index hook for the copied
+// files.
+func (s *Store) queueCopy(b *relstore.Batch, src Implementation, dstURL, author string) ([]blob.Ref, func(ContentIndex), error) {
+	html, err := s.HTMLFiles(src.StartingURL)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	var files relstore.Batch
-	for _, f := range html {
-		content := make([]byte, len(f.Content))
-		copy(content, f.Content)
-		s.queueHTML(&files, dstURL, f.Path, content)
-	}
-	progs, err := s.ProgramFiles(srcURL)
+	progs, err := s.ProgramFiles(src.StartingURL)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	for _, f := range progs {
-		content := make([]byte, len(f.Content))
-		copy(content, f.Content)
-		s.queueProgram(&files, dstURL, f.Path, f.Language, content)
+	media, err := s.ImplMedia(src.StartingURL)
+	if err != nil {
+		return nil, nil, err
 	}
-	err = s.rel.ApplyThen(&files, func() {
-		ix := s.ContentIndex()
-		if ix == nil {
-			return
+	b.Insert(schema.TableImpls, s.implRow(Implementation{StartingURL: dstURL, ScriptName: src.ScriptName, Author: author}))
+	for _, files := range [][]File{html, progs} {
+		for i := range files {
+			files[i].Content = bytes.Clone(files[i].Content)
 		}
-		for _, f := range html {
-			ix.IndexHTML(dstURL, f.Path, f.Content)
-		}
-		for _, f := range progs {
-			ix.IndexProgram(dstURL, f.Path, f.Language, f.Content)
-		}
-	})
-	if err != nil {
-		return err
 	}
-	media, err := s.ImplMedia(srcURL)
-	if err != nil {
-		return err
-	}
+	s.queueFiles(b, dstURL, html, progs)
+	taken := make([]blob.Ref, 0, len(media))
 	for _, m := range media {
-		if _, err := s.ShareImplMedia(dstURL, m.Name, m.Ref); err != nil {
-			return err
+		if err := s.blobs.Retain(m.Ref); err != nil {
+			s.releaseAll(taken)
+			return nil, nil, fmt.Errorf("docdb: sharing medium %q of %s: %w", m.Name, src.StartingURL, err)
 		}
+		taken = append(taken, m.Ref)
+		m.ResID, m.Owner = s.nextID("res"), dstURL
+		b.Insert(schema.TableImplMedia, mediaRow(schema.TableImplMedia, m))
 	}
-	return nil
+	return taken, func(ix ContentIndex) { indexFiles(ix, dstURL, html, progs) }, nil
 }
 
-// ensureScaffold installs the metadata a document hangs off — the
-// database, script and implementation rows — when missing. Both
-// import paths (full bundles and bare references) share it.
-func (s *Store) ensureScaffold(script Script, impl Implementation) error {
+// queueScaffold queues the rows a document hangs off — its database,
+// script and implementation — that this station lacks, and returns the
+// index hook for them. A station that already holds all three queues
+// nothing, so its import's batch locks none of their tables.
+func (s *Store) queueScaffold(b *relstore.Batch, script Script, impl Implementation) (index func(ContentIndex)) {
+	index = func(ContentIndex) {}
 	if !s.rel.Exists(schema.TableDatabases, script.DBName) {
-		// Documents of one database may be imported concurrently; the
-		// importer that loses the race for the shared row finds it there.
-		if err := s.CreateDatabase(Database{Name: script.DBName}); err != nil && !errors.Is(err, relstore.ErrDuplicate) {
-			return err
-		}
+		b.Insert(schema.TableDatabases, s.databaseRow(Database{Name: script.DBName}))
 	}
 	if !s.rel.Exists(schema.TableScripts, script.Name) {
-		if err := s.CreateScript(script); err != nil {
-			return err
-		}
+		b.Insert(schema.TableScripts, s.scriptRow(script))
+		index = indexScript(script)
 	}
 	if !s.rel.Exists(schema.TableImpls, impl.StartingURL) {
-		if err := s.AddImplementation(impl); err != nil {
-			return err
-		}
+		b.Insert(schema.TableImpls, s.implRow(impl))
 	}
-	return nil
+	return index
+}
+
+// retryDuplicate runs an import, and runs it once more if it lost a
+// race for a scaffold row: imports of documents of one database (or of
+// one document) may each find a row missing and queue it, and the one
+// that commits second fails with relstore.ErrDuplicate. Its second
+// attempt re-reads the rows and finds that one there.
+func retryDuplicate(attempt func() (DocObject, error)) (DocObject, error) {
+	obj, err := attempt()
+	if errors.Is(err, relstore.ErrDuplicate) {
+		obj, err = attempt()
+	}
+	return obj, err
 }
 
 // ImportReference installs the metadata scaffolding for a document
@@ -278,15 +255,19 @@ func (s *Store) ensureScaffold(script Script, impl Implementation) error {
 // object pointing at the origin. This is what the paper broadcasts to
 // remote stations when an instance is created — "references to the
 // instance are broadcasted and stored in many remote stations". An
-// existing object for the URL (any form) is returned unchanged.
+// existing object for the URL (any form) is returned unchanged, and
+// nothing is written.
 func (s *Store) ImportReference(script Script, impl Implementation, station, origin int) (DocObject, error) {
-	if err := s.ensureScaffold(script, impl); err != nil {
-		return DocObject{}, err
-	}
-	if obj, err := s.ObjectByURL(impl.StartingURL); err == nil {
-		return obj, nil
-	}
-	return s.MakeReference(impl.StartingURL, station, origin)
+	return retryDuplicate(func() (DocObject, error) {
+		if obj, err := s.ObjectByURL(impl.StartingURL); err == nil {
+			return obj, nil
+		}
+		var b relstore.Batch
+		index := s.queueScaffold(&b, script, impl)
+		obj := s.newObject(schema.FormReference, impl.StartingURL, station, origin)
+		b.Insert(schema.TableDocObjects, s.objectRow(obj))
+		return obj, s.commit(&b, nil, nil, index)
+	})
 }
 
 // MigrateToReference converts a non-persistent local instance into a
@@ -314,165 +295,149 @@ func (s *Store) MigrateToReference(objID string, origin int) error {
 		"form":   schema.FormReference,
 		"origin": int64(origin),
 	})
-	return s.dropContent(&b, obj.StartingURL)
+	drop, err := s.queueContentDrop(&b, obj.StartingURL)
+	if err != nil {
+		return err
+	}
+	return s.commit(&b, nil, drop, func(ix ContentIndex) { ix.RemoveContent(obj.StartingURL) })
 }
 
-// dropContent deletes the document-layer files of an implementation and
-// releases its BLOB references. The implementation row itself survives
-// (it is small metadata a reference still needs). The row deletes are
-// queued on b behind whatever the caller queued there, and the batch
-// commits as one transaction whose commit also drops the content from
-// the index.
-func (s *Store) dropContent(b *relstore.Batch, url string) error {
-	html, err := s.HTMLFiles(url)
+// queueDeletes queues the deletes of the rows of table whose col is
+// val, each named by its key column, and returns the rows.
+func (s *Store) queueDeletes(b *relstore.Batch, table, col string, val any, key string) ([]relstore.Row, error) {
+	rows, err := s.rel.Lookup(table, col, val)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	progs, err := s.ProgramFiles(url)
-	if err != nil {
-		return err
+	for _, r := range rows {
+		b.Delete(table, r[key])
 	}
-	media, err := s.ImplMedia(url)
-	if err != nil {
-		return err
-	}
-	for _, f := range html {
-		b.Delete(schema.TableHTMLFiles, f.ID)
-	}
-	for _, f := range progs {
-		b.Delete(schema.TableProgFiles, f.ID)
-	}
-	for _, m := range media {
-		b.Delete(schema.TableImplMedia, m.ResID)
-	}
-	err = s.rel.ApplyThen(b, func() {
-		if ix := s.ContentIndex(); ix != nil {
-			ix.RemoveContent(url)
+	return rows, nil
+}
+
+// queueContentDrop queues the deletes of the document-layer files and
+// media rows of an implementation, and returns the BLOB references the
+// media rows held. The implementation row itself survives (it is small
+// metadata a reference still needs).
+func (s *Store) queueContentDrop(b *relstore.Batch, url string) ([]blob.Ref, error) {
+	for _, table := range []string{schema.TableHTMLFiles, schema.TableProgFiles} {
+		if _, err := s.queueDeletes(b, table, "starting_url", url, "file_id"); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return err
 	}
-	for _, m := range media {
-		if err := s.blobs.Release(m.Ref); err != nil {
+	media, err := s.queueDeletes(b, schema.TableImplMedia, "starting_url", url, "res_id")
+	return blobRefs(media), err
+}
+
+// blobRefs lists the BLOBs media rows name.
+func blobRefs(media []relstore.Row) []blob.Ref {
+	refs := make([]blob.Ref, len(media))
+	for i, r := range media {
+		refs[i] = blobRef(r)
+	}
+	return refs
+}
+
+// queueTestDeletes queues the deletes of test records, each after the
+// bug reports filed against it.
+func (s *Store) queueTestDeletes(b *relstore.Batch, tests []relstore.Row) error {
+	for _, tr := range tests {
+		name := rowString(tr, "test_name")
+		if _, err := s.queueDeletes(b, schema.TableBugReports, "test_name", name, "bug_name"); err != nil {
 			return err
 		}
+		b.Delete(schema.TableTestRecords, name)
 	}
 	return nil
 }
 
-// DeleteImplementation removes an implementation and everything hanging
-// off it — files, media descriptors (releasing the BLOBs), annotations,
-// test records with their bug reports, and document objects — in
-// FK-safe order. The script survives.
-func (s *Store) DeleteImplementation(url string) error {
-	if _, err := s.Implementation(url); err != nil {
-		return err
-	}
-	// Bug reports -> test records referencing this implementation.
+// queueImplDelete queues, children before parents, the deletes that
+// remove an implementation and everything hanging off it — test
+// records with their bug reports, annotations, document objects, files
+// and media rows — and returns the BLOB references the media rows
+// held.
+func (s *Store) queueImplDelete(b *relstore.Batch, url string) ([]blob.Ref, error) {
 	tests, err := s.rel.Lookup(schema.TableTestRecords, "starting_url", url)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, tr := range tests {
-		name := rowString(tr, "test_name")
-		bugs, err := s.BugReports(name)
-		if err != nil {
-			return err
-		}
-		for _, b := range bugs {
-			if err := s.rel.Delete(schema.TableBugReports, b.Name); err != nil {
-				return err
-			}
-		}
-		if err := s.rel.Delete(schema.TableTestRecords, name); err != nil {
-			return err
-		}
+	if err := s.queueTestDeletes(b, tests); err != nil {
+		return nil, err
 	}
-	anns, err := s.Annotations(url)
+	if _, err := s.queueDeletes(b, schema.TableAnnotations, "starting_url", url, "ann_name"); err != nil {
+		return nil, err
+	}
+	if _, err := s.queueDeletes(b, schema.TableDocObjects, "starting_url", url, "obj_id"); err != nil {
+		return nil, err
+	}
+	drop, err := s.queueContentDrop(b, url)
+	if err != nil {
+		return nil, err
+	}
+	b.Delete(schema.TableImpls, url)
+	return drop, nil
+}
+
+// DeleteImplementation removes an implementation and everything hanging
+// off it — files, media descriptors (releasing the BLOBs), annotations,
+// test records with their bug reports, and document objects — in one
+// transaction. The script survives.
+func (s *Store) DeleteImplementation(url string) error {
+	var b relstore.Batch
+	drop, err := s.queueImplDelete(&b, url)
 	if err != nil {
 		return err
 	}
-	for _, a := range anns {
-		if err := s.rel.Delete(schema.TableAnnotations, a.Name); err != nil {
-			return err
-		}
-	}
-	objs, err := s.rel.Lookup(schema.TableDocObjects, "starting_url", url)
-	if err != nil {
-		return err
-	}
-	for _, o := range objs {
-		if err := s.rel.Delete(schema.TableDocObjects, rowString(o, "obj_id")); err != nil {
-			return err
-		}
-	}
-	if err := s.dropContent(&relstore.Batch{}, url); err != nil {
-		return err
-	}
-	return s.rel.Delete(schema.TableImpls, url)
+	return s.commit(&b, nil, drop, func(ix ContentIndex) { ix.RemoveContent(url) })
 }
 
 // DeleteScript removes a script and all of its implementations (the
-// instructor's delete privilege of section 5). Script-level media is
-// released from the BLOB layer.
+// instructor's delete privilege of section 5) in one transaction.
+// Script-level media is released from the BLOB layer.
 func (s *Store) DeleteScript(name string) error {
 	impls, err := s.Implementations(name)
 	if err != nil {
 		return err
 	}
+	var b relstore.Batch
+	var drop []blob.Ref
+	ours := make(map[string]bool, len(impls))
 	for _, im := range impls {
-		if err := s.DeleteImplementation(im.StartingURL); err != nil {
-			return err
-		}
-	}
-	// Test records attached to the script without an implementation.
-	tests, err := s.TestRecords(name)
-	if err != nil {
-		return err
-	}
-	for _, tr := range tests {
-		bugs, err := s.BugReports(tr.Name)
+		refs, err := s.queueImplDelete(&b, im.StartingURL)
 		if err != nil {
 			return err
 		}
-		for _, b := range bugs {
-			if err := s.rel.Delete(schema.TableBugReports, b.Name); err != nil {
-				return err
-			}
-		}
-		if err := s.rel.Delete(schema.TableTestRecords, tr.Name); err != nil {
-			return err
-		}
+		drop = append(drop, refs...)
+		ours[im.StartingURL] = true
 	}
-	// Script-only annotations.
+	// The test records and annotations of the script that no
+	// implementation's cascade above reached.
+	queued := func(r relstore.Row) bool { return ours[rowString(r, "starting_url")] }
+	tests, err := s.rel.Lookup(schema.TableTestRecords, "script_name", name)
+	if err != nil {
+		return err
+	}
+	if err := s.queueTestDeletes(&b, slices.DeleteFunc(tests, queued)); err != nil {
+		return err
+	}
 	anns, err := s.rel.Lookup(schema.TableAnnotations, "script_name", name)
 	if err != nil {
 		return err
 	}
-	for _, a := range anns {
-		if err := s.rel.Delete(schema.TableAnnotations, rowString(a, "ann_name")); err != nil {
-			return err
-		}
+	for _, a := range slices.DeleteFunc(anns, queued) {
+		b.Delete(schema.TableAnnotations, a["ann_name"])
 	}
-	media, err := s.ScriptMedia(name)
+	media, err := s.queueDeletes(&b, schema.TableScriptMedia, "script_name", name, "res_id")
 	if err != nil {
 		return err
 	}
-	for _, m := range media {
-		if err := s.rel.Delete(schema.TableScriptMedia, m.ResID); err != nil {
-			return err
-		}
-		if err := s.blobs.Release(m.Ref); err != nil {
-			return err
-		}
-	}
-	var b relstore.Batch
+	drop = append(drop, blobRefs(media)...)
 	b.Delete(schema.TableScripts, name)
-	return s.rel.ApplyThen(&b, func() {
-		if ix := s.ContentIndex(); ix != nil {
-			ix.RemoveScript(name)
+	return s.commit(&b, nil, drop, func(ix ContentIndex) {
+		for _, im := range impls {
+			ix.RemoveContent(im.StartingURL)
 		}
+		ix.RemoveScript(name)
 	})
 }
 
@@ -630,19 +595,27 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 // values as given; ReadBundle decodes them as owning copies, so no row
 // pins a frame.
 //
-// The import is atomic: the media BLOBs are adopted first, then the
-// files, media descriptors, annotations and the instance object commit
-// as one batch — one lock acquisition and one WAL append for the whole
-// bundle — and a batch that fails releases the adoptions, so a failed
-// import leaves no rows and no BLOB references behind. Only the
-// scaffold rows (database, script, implementation) commit ahead of the
-// batch; creating them is idempotent.
+// The import is one transaction: the media BLOBs are adopted first,
+// then the scaffold rows the station lacks (database, script,
+// implementation), the files, media descriptors, annotations and the
+// instance object commit as one batch — one lock acquisition and one
+// WAL append for the whole bundle — and a batch that fails releases
+// the adoptions, so a failed import leaves no rows and no BLOB
+// references behind. An import that loses a race for a scaffold row to
+// a concurrent import runs once more.
 func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject, error) {
+	return retryDuplicate(func() (DocObject, error) { return s.importBundle(b, station, persistent) })
+}
+
+// importBundle is one attempt at ImportBundle.
+func (s *Store) importBundle(b *Bundle, station int, persistent bool) (DocObject, error) {
 	url := b.Impl.StartingURL
 	// Re-importing a resident instance is a no-op: the content is
 	// already here and duplicating the media descriptors would distort
 	// the disk accounting.
-	if obj, err := s.ObjectByURL(url); err == nil && obj.Form == schema.FormInstance {
+	obj, err := s.ObjectByURL(url)
+	held := err == nil
+	if held && obj.Form == schema.FormInstance {
 		return obj, nil
 	}
 	for _, m := range b.Media {
@@ -650,16 +623,9 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 			return DocObject{}, fmt.Errorf("docdb: medium %q of %s: %w: %q", m.Name, url, blob.ErrBadHash, m.Hash)
 		}
 	}
-	if err := s.ensureScaffold(b.Script, b.Impl); err != nil {
-		return DocObject{}, err
-	}
 	var batch relstore.Batch
-	for _, f := range b.HTML {
-		s.queueHTML(&batch, url, f.Path, f.Content)
-	}
-	for _, f := range b.Programs {
-		s.queueProgram(&batch, url, f.Path, f.Language, f.Content)
-	}
+	indexScaffold := s.queueScaffold(&batch, b.Script, b.Impl)
+	s.queueFiles(&batch, url, b.HTML, b.Programs)
 	refs := make([]blob.Ref, 0, len(b.Media))
 	for _, m := range b.Media {
 		ref, err := s.blobs.Adopt(m.Name, m.Kind, m.Hash, m.Data)
@@ -668,7 +634,7 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 			return DocObject{}, fmt.Errorf("docdb: medium %q of %s: %w", m.Name, url, err)
 		}
 		refs = append(refs, ref)
-		batch.Insert(schema.TableImplMedia, implMediaRow(MediaRef{
+		batch.Insert(schema.TableImplMedia, mediaRow(schema.TableImplMedia, MediaRef{
 			ResID: s.nextID("res"), Owner: url, Name: m.Name, Kind: m.Kind, Ref: ref,
 		}))
 	}
@@ -679,10 +645,10 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 	}
 	// An existing reference for this URL upgrades to an instance;
 	// otherwise a fresh instance object is recorded.
-	obj, err := s.ObjectByURL(url)
 	switch {
-	case err != nil:
-		obj = s.instanceObject(url, station, persistent)
+	case !held:
+		obj = s.newObject(schema.FormInstance, url, station, station)
+		obj.Persistent = persistent
 		batch.Insert(schema.TableDocObjects, s.objectRow(obj))
 	case obj.Form == schema.FormReference:
 		obj.Form, obj.Persistent, obj.Station = schema.FormInstance, persistent, int64(station)
@@ -692,28 +658,8 @@ func (s *Store) ImportBundle(b *Bundle, station int, persistent bool) (DocObject
 			"station":    obj.Station,
 		})
 	}
-	err = s.rel.ApplyThen(&batch, func() {
-		ix := s.ContentIndex()
-		if ix == nil {
-			return
-		}
-		for _, f := range b.HTML {
-			ix.IndexHTML(url, f.Path, f.Content)
-		}
-		for _, f := range b.Programs {
-			ix.IndexProgram(url, f.Path, f.Language, f.Content)
-		}
+	return obj, s.commit(&batch, refs, nil, func(ix ContentIndex) {
+		indexScaffold(ix)
+		indexFiles(ix, url, b.HTML, b.Programs)
 	})
-	if err != nil {
-		s.releaseAll(refs)
-		return DocObject{}, err
-	}
-	return obj, nil
-}
-
-// releaseAll drops one reference on each of refs.
-func (s *Store) releaseAll(refs []blob.Ref) {
-	for _, ref := range refs {
-		s.blobs.Release(ref)
-	}
 }

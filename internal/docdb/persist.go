@@ -44,9 +44,10 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 
 // Recover restores the store from a durability directory: the BLOB
 // sidecar of the generation the relational recovery selects, the
-// relational snapshot plus its WAL tail chain, the ID counter resynced
-// past every restored row, and the attached content index rebuilt from
-// the recovered rows. It attaches the directory for subsequent WAL
+// relational snapshot plus its WAL tail chain, each BLOB's reference
+// count re-derived from the media rows that name it, the ID counter
+// resynced past every restored row, and the attached content index
+// rebuilt from the recovered rows. It attaches the directory for subsequent WAL
 // appends and checkpoints. Call it once, before the store serves
 // traffic.
 //
@@ -74,6 +75,21 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 			return nil, fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", name, err)
 		}
 	}
+	// The sidecar holds its checkpoint's reference counts, and the tail
+	// replayed since may have added or dropped media rows: each object's
+	// count is re-derived from the rows that name it.
+	counts := make(map[string]int)
+	for _, table := range []string{schema.TableImplMedia, schema.TableScriptMedia} {
+		err := s.rel.ScanColumn(table, "blob_hash", func(v any) bool {
+			h, _ := v.(string)
+			counts[h]++
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	s.blobs.Recount(counts)
 	// A checkpoint restores the indexes its writer knew; a newer
 	// build's are added here (a no-op when nothing is missing).
 	if err := schema.CreateIndexes(s.rel); err != nil {

@@ -130,6 +130,67 @@ func TestCheckpointCoversBlobsAcrossSIGKILL(t *testing.T) {
 	}
 }
 
+// walCuts runs op, which commits to the durable store over dir
+// without checkpointing, and returns the WAL tail op appended to and
+// every record boundary op left in it: the tail's length before op,
+// then the end of each record op wrote. Each is an instant a SIGKILL
+// could leave behind.
+func walCuts(t *testing.T, dir string, op func()) (tail string, cuts []int) {
+	t.Helper()
+	tails, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil || len(tails) == 0 {
+		t.Fatalf("no WAL tail in %s: %v", dir, err)
+	}
+	tail = tails[len(tails)-1]
+	before, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op()
+	raw, err := os.ReadFile(tail) // SIGKILL: no CloseWAL
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts = []int{len(before)}
+	br := bufio.NewReader(bytes.NewReader(raw[len(before):]))
+	for {
+		payload, err := wire.ReadRecord(br, 0)
+		if err == io.EOF {
+			return tail, cuts
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, cuts[len(cuts)-1]+wire.RecordSize(len(payload)))
+	}
+}
+
+// recoverCut copies dir with its WAL tail cut to the first cut bytes,
+// as a SIGKILL at that record boundary leaves it, and recovers a store
+// from the copy. The caller detaches the recovered store's WAL.
+func recoverCut(t *testing.T, dir, tail string, cut int) *Store {
+	t.Helper()
+	crash := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Join(dir, e.Name()) == tail {
+			data = data[:cut]
+		}
+		if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, _ := newDurableStore(t, crash)
+	return r
+}
+
 // TestMigrationCommitsAsOne cuts the WAL at every record boundary a
 // migration wrote — the instants a SIGKILL could leave behind — and
 // recovers each prefix. The document must come back as an instance
@@ -150,57 +211,17 @@ func TestMigrationCommitsAsOne(t *testing.T) {
 	if _, err := s.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
-	tails, err := filepath.Glob(filepath.Join(dir, "wal-*"))
-	if err != nil || len(tails) == 0 {
-		t.Fatalf("no WAL tail after the checkpoint: %v", err)
-	}
-	tail := tails[len(tails)-1]
-	before, err := os.ReadFile(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MigrateToReference(obj.ID, 1); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(tail) // SIGKILL: no CloseWAL
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{len(before)}
-	br := bufio.NewReader(bytes.NewReader(raw[len(before):]))
-	for {
-		payload, err := wire.ReadRecord(br, 0)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	tail, cuts := walCuts(t, dir, func() {
+		if err := s.MigrateToReference(obj.ID, 1); err != nil {
 			t.Fatal(err)
 		}
-		cuts = append(cuts, cuts[len(cuts)-1]+wire.RecordSize(len(payload)))
-	}
+	})
 	if len(cuts) == 1 {
 		t.Fatal("the migration wrote no WAL record")
 	}
 
 	for i, cut := range cuts {
-		crash := t.TempDir()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if filepath.Join(dir, e.Name()) == tail {
-				data = data[:cut]
-			}
-			if err := os.WriteFile(filepath.Join(crash, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, _ := newDurableStore(t, crash)
+		r := recoverCut(t, dir, tail, cut)
 		got, err := r.Object(obj.ID)
 		if err != nil {
 			t.Fatalf("cut %d of %d: %v", i, len(cuts)-1, err)
@@ -240,6 +261,84 @@ func TestMigrationCommitsAsOne(t *testing.T) {
 		if err := r.Rel().CloseWAL(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRecoveredRefcountDropsReleasedReference: a migration after the
+// checkpoint releases the instance's references, and only its WAL
+// record survives the SIGKILL. The restored sidecar still counts them;
+// recovery must count the rows instead, so deleting the last row
+// naming each medium frees its bytes rather than pinning them forever.
+func TestRecoveredRefcountDropsReleasedReference(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	b := lectureBundle()
+	obj, err := s.ImportBundle(&b, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copyURL = "http://mmu/cs101/copy"
+	if err := s.DuplicateComponent(b.Impl.StartingURL, copyURL, "ta"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MigrateToReference(obj.ID, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _ := newDurableStore(t, dir) // SIGKILL: no CloseWAL
+	defer r.Rel().CloseWAL()
+	for _, m := range b.Media {
+		if got := r.Blobs().RefCount(blob.Ref{Hash: m.Hash}); got != 1 {
+			t.Errorf("medium %s: recovered refcount %d, but one row names it", m.Name, got)
+		}
+	}
+	if err := r.DeleteImplementation(copyURL); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Blobs().Stats(); st.Objects != 0 || st.PhysicalBytes != 0 || st.LogicalBytes != 0 {
+		t.Errorf("no row names a BLOB, yet the store holds %+v", st)
+	}
+}
+
+// TestRecoveredRefcountKeepsSharedReference: a copy made after the
+// checkpoint shares the original's media, and only its WAL record
+// survives the SIGKILL. The restored sidecar counts one reference
+// where two rows name each medium; recovery must count the rows, so
+// deleting the original leaves the copy's bytes resident.
+func TestRecoveredRefcountKeepsSharedReference(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableStore(t, dir)
+	b := lectureBundle()
+	if _, err := s.ImportBundle(&b, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	const copyURL = "http://mmu/cs101/copy"
+	if err := s.DuplicateComponent(b.Impl.StartingURL, copyURL, "ta"); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _ := newDurableStore(t, dir) // SIGKILL: no CloseWAL
+	defer r.Rel().CloseWAL()
+	for _, m := range b.Media {
+		if got := r.Blobs().RefCount(blob.Ref{Hash: m.Hash}); got != 2 {
+			t.Errorf("medium %s: recovered refcount %d, but two rows name it", m.Name, got)
+		}
+	}
+	if err := r.DeleteImplementation(b.Impl.StartingURL); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ExportBundle(copyURL)
+	if err != nil {
+		t.Fatalf("the copy after its original was deleted: %v", err)
+	}
+	if len(got.Media) != len(b.Media) {
+		t.Errorf("the copy exports %d media, want %d", len(got.Media), len(b.Media))
 	}
 }
 

@@ -148,16 +148,26 @@ func (s *Store) annotationRow(a Annotation) relstore.Row {
 
 // ReplaceAnnotation overwrites an existing annotation's file and bumps
 // its version — an instructor revising their overlay between lectures.
+// The read and the bump run in one relstore transaction, so concurrent
+// replacements of one annotation each bump the version once.
 func (s *Store) ReplaceAnnotation(name string, file []byte) error {
-	row, err := s.rel.Get(schema.TableAnnotations, name)
+	tx, err := s.rel.Begin(schema.TableAnnotations)
 	if err != nil {
 		return err
 	}
-	return s.rel.Update(schema.TableAnnotations, name, relstore.Row{
-		"file":    file,
-		"version": rowInt(row, "version") + 1,
-		"created": s.Now(),
-	})
+	row, err := tx.Get(schema.TableAnnotations, name)
+	if err == nil {
+		err = tx.Update(schema.TableAnnotations, name, relstore.Row{
+			"file":    file,
+			"version": rowInt(row, "version") + 1,
+			"created": s.Now(),
+		})
+	}
+	if err != nil {
+		tx.Rollback()
+		return err
+	}
+	return tx.Commit()
 }
 
 // Annotations lists the annotations over an implementation, one per
