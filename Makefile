@@ -62,10 +62,13 @@ race:
 # parity run and the three-gather table with a killed interior
 # station, and the fan-out kernel's socket-free classification
 # matrix), the station RPC node, the pooled transport with chunked
-# response streaming, and the subprocess crash tests (SIGKILL
-# mid-broadcast + rejoin, SIGKILL after a checkpoint, SIGKILL after a
-# tail-free checkpoint with the index rebuilt) against real webdocd
-# processes.
+# response streaming, the two dial-deadline tests (transport's
+# TestCallTimeoutBoundsTheDial and fabric's
+# TestProbeTimeoutBoundsTheDial: a call or a heartbeat sweep against a
+# host that accepts no connections ends within its timeout), and the
+# subprocess crash tests (SIGKILL mid-broadcast + rejoin, SIGKILL after
+# a checkpoint, SIGKILL after a tail-free checkpoint with the index
+# rebuilt) against real webdocd processes.
 race-fabric:
 	$(GO) test -race ./internal/fabric/... ./internal/cluster/... ./internal/transport/... ./cmd/webdocd/...
 

@@ -262,10 +262,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := transport.Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := transport.NewPool(addr, 1, time.Minute)
 	defer c.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -351,11 +348,8 @@ func startBundleRPC(tb testing.TB) (call func() error, size int) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	c, err := transport.Dial(addr)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { c.Close() })
+	c := transport.NewPool(addr, 1, time.Minute)
+	tb.Cleanup(c.Close)
 	b, err := store.ExportBundle(spec.URL)
 	if err != nil {
 		tb.Fatal(err)

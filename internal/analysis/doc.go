@@ -31,8 +31,7 @@
 //   - tracecall: inside traced scopes (CtxHandler registrations,
 //     functions carrying a trace context, and the method set of any
 //     type that registers CtxHandlers) RPCs go through CallTrace, not
-//     Call or CallWithTimeout, so distributed traces never silently
-//     lose a hop.
+//     Pool.Call, so distributed traces never silently lose a hop.
 //   - wiretag: every tag constant in a wire package is referenced by
 //     an Append-side function and has a case arm in a Read-side
 //     switch, keeping the codec's encode and decode tables in lockstep.

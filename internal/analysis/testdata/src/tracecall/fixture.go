@@ -4,8 +4,6 @@
 package tc
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -32,7 +30,7 @@ func (s *server) handlePush(ctx *transport.Ctx, decode func(any) error) (any, er
 // helper is not itself registered, but server registers CtxHandlers,
 // so its whole method set is the traced data plane.
 func (s *server) helper() error {
-	return s.pool.CallWithTimeout("Down", struct{}{}, nil, time.Second) // want `pool\.CallWithTimeout inside a traced scope drops the trace context`
+	return s.pool.Call("Down", struct{}{}, nil) // want `pool\.Call inside a traced scope drops the trace context`
 }
 
 // fanOut received a trace context, so dropping it downstream loses

@@ -9,9 +9,9 @@ import (
 // TraceCall guards the federation's tracing invariant (PR 7): one
 // TraceID stitches a whole m-ary tree traversal because every traced
 // scope hands its context to the next hop via CallTrace. A bare
-// pool.Call or CallWithTimeout inside such a scope silently severs
-// the trace — the downstream hop records an orphan span or none at
-// all, and `webdocctl trace` shows a truncated tree with no hint why.
+// pool.Call inside such a scope silently severs the trace — the
+// downstream hop records an orphan span or none at all, and
+// `webdocctl trace` shows a truncated tree with no hint why.
 //
 // Traced scopes are:
 //   - any function with a *transport.Ctx or obs.TraceContext
@@ -92,8 +92,8 @@ func runTraceCall(p *Pass) {
 	}
 }
 
-// checkUntracedCalls reports Pool/Client calls in body that drop the
-// trace context.
+// checkUntracedCalls reports transport.Pool.Call calls in body, which
+// drop the trace context.
 func checkUntracedCalls(p *Pass, body *ast.BlockStmt, reported map[token.Pos]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -101,7 +101,7 @@ func checkUntracedCalls(p *Pass, body *ast.BlockStmt, reported map[token.Pos]boo
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Call" && sel.Sel.Name != "CallWithTimeout") {
+		if !ok || sel.Sel.Name != "Call" {
 			return true
 		}
 		fn, ok := p.ObjectOf(sel.Sel).(*types.Func)
@@ -109,11 +109,11 @@ func checkUntracedCalls(p *Pass, body *ast.BlockStmt, reported map[token.Pos]boo
 			return true
 		}
 		tn := receiverTypeName(fn)
-		if tn == nil || (tn.Name() != "Pool" && tn.Name() != "Client") {
+		if tn == nil || tn.Name() != "Pool" {
 			return true
 		}
 		reported[call.Pos()] = true
-		p.Reportf(call.Pos(), "%s.%s inside a traced scope drops the trace context; use CallTrace, or annotate why this RPC is deliberately untraced", lowerFirst(tn.Name()), sel.Sel.Name)
+		p.Reportf(call.Pos(), "pool.Call inside a traced scope drops the trace context; use CallTrace, or annotate why this RPC is deliberately untraced")
 		return true
 	})
 }
@@ -158,11 +158,4 @@ func receiverTypeName(fn *types.Func) *types.TypeName {
 		return named.Obj()
 	}
 	return nil
-}
-
-func lowerFirst(s string) string {
-	if s == "" {
-		return s
-	}
-	return string(s[0]|0x20) + s[1:]
 }

@@ -105,6 +105,6 @@ func (n *Node) StatsNow() StatsReply {
 // Stats scrapes the station's unified accounting snapshot.
 func (r *RemoteStation) Stats() (StatsReply, error) {
 	var reply StatsReply
-	err := r.c.Call("Stats", struct{}{}, &reply)
+	err := r.pool.Call("Stats", struct{}{}, &reply)
 	return reply, err
 }

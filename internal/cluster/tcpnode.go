@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/docdb"
 	"repro/internal/minisql"
@@ -309,34 +310,36 @@ func (n *Node) handleSQL(decode func(any) error) (any, error) {
 	return SQLReply{Columns: res.Columns, Rows: res.Cells(), Affected: res.Affected, Msg: res.Msg}, nil
 }
 
-// RemoteStation is a typed client for a Node.
+// RemoteStation is a typed client for a Node. It runs on a transport
+// pool, so concurrent calls use parallel connections and a station that
+// restarts is redialed on the next call.
 type RemoteStation struct {
-	c *transport.Client
+	pool *transport.Pool
 }
 
-// DialStation connects to a station daemon.
+// DialStation returns a client for a station daemon. It dials lazily,
+// like DialAdmin: a bad address fails at the first call.
 func DialStation(addr string) (*RemoteStation, error) {
-	c, err := transport.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteStation{c: c}, nil
+	return &RemoteStation{pool: transport.NewPool(addr, transport.DefaultPoolSize, 5*time.Minute)}, nil
 }
 
-// Close releases the connection.
-func (r *RemoteStation) Close() error { return r.c.Close() }
+// Close releases the client's connections.
+func (r *RemoteStation) Close() error {
+	r.pool.Close()
+	return nil
+}
 
 // Ping fetches station info.
 func (r *RemoteStation) Ping() (PingReply, error) {
 	var reply PingReply
-	err := r.c.Call("Ping", struct{}{}, &reply)
+	err := r.pool.Call("Ping", struct{}{}, &reply)
 	return reply, err
 }
 
 // FetchBundle pulls a document's closure from the station.
 func (r *RemoteStation) FetchBundle(url string) (*docdb.Bundle, error) {
 	var b docdb.Bundle
-	if err := r.c.Call("Bundle", BundleRequest{URL: url}, &b); err != nil {
+	if err := r.pool.Call("Bundle", BundleRequest{URL: url}, &b); err != nil {
 		return nil, err
 	}
 	return &b, nil
@@ -345,40 +348,40 @@ func (r *RemoteStation) FetchBundle(url string) (*docdb.Bundle, error) {
 // Import pushes a bundle onto the station.
 func (r *RemoteStation) Import(b *docdb.Bundle, persistent bool) (ImportReply, error) {
 	var reply ImportReply
-	err := r.c.Call("Import", ImportRequest{Bundle: *b, Persistent: persistent}, &reply)
+	err := r.pool.Call("Import", ImportRequest{Bundle: *b, Persistent: persistent}, &reply)
 	return reply, err
 }
 
 // SQL executes a minisql statement on the station.
 func (r *RemoteStation) SQL(stmt string) (SQLReply, error) {
 	var reply SQLReply
-	err := r.c.Call("SQL", SQLRequest{Stmt: stmt}, &reply)
+	err := r.pool.Call("SQL", SQLRequest{Stmt: stmt}, &reply)
 	return reply, err
 }
 
 // Checkpoint makes the station write a checkpoint generation now.
 func (r *RemoteStation) Checkpoint() (CheckpointReply, error) {
 	var reply CheckpointReply
-	err := r.c.Call("Checkpoint", struct{}{}, &reply)
+	err := r.pool.Call("Checkpoint", struct{}{}, &reply)
 	return reply, err
 }
 
 // CheckOut opens a checkout of a course component on the station.
 func (r *RemoteStation) CheckOut(kind, objectID, user string) (string, error) {
 	var reply CheckOutReply
-	err := r.c.Call("CheckOut", CheckOutRequest{Kind: kind, ObjectID: objectID, User: user}, &reply)
+	err := r.pool.Call("CheckOut", CheckOutRequest{Kind: kind, ObjectID: objectID, User: user}, &reply)
 	return reply.CheckoutID, err
 }
 
 // CheckIn closes a checkout on the station.
 func (r *RemoteStation) CheckIn(checkoutID, comment string) error {
 	var reply struct{}
-	return r.c.Call("CheckIn", CheckInRequest{CheckoutID: checkoutID, Comment: comment}, &reply)
+	return r.pool.Call("CheckIn", CheckInRequest{CheckoutID: checkoutID, Comment: comment}, &reply)
 }
 
 // SearchLocal queries the station's own content index.
 func (r *RemoteStation) SearchLocal(terms []string, phrase bool, topK int) ([]search.Hit, error) {
 	var reply SearchLocalReply
-	err := r.c.Call("SearchLocal", SearchLocalRequest{Terms: terms, Phrase: phrase, TopK: topK}, &reply)
+	err := r.pool.Call("SearchLocal", SearchLocalRequest{Terms: terms, Phrase: phrase, TopK: topK}, &reply)
 	return reply.Hits, err
 }

@@ -57,6 +57,34 @@ func TestTCPPing(t *testing.T) {
 	}
 }
 
+// TestRemoteStationSurvivesRestart: a client outlives its station's
+// process — after the station restarts on the same address, the next
+// call redials instead of failing on the dead connection.
+func TestRemoteStationSurvivesRestart(t *testing.T) {
+	node, addr, _ := startNode(t, 1, true)
+	rs, err := DialStation(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if _, err := rs.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	node.Close()
+	restarted := NewNode(1, node.Store)
+	if _, err := restarted.Start(addr); err != nil {
+		t.Skipf("cannot rebind %s: %v", addr, err)
+	}
+	defer restarted.Close()
+	info, err := rs.Ping()
+	if err != nil {
+		t.Fatalf("ping after the station restarted: %v", err)
+	}
+	if info.Pos != 1 || info.Objects != 1 {
+		t.Errorf("info = %+v", info)
+	}
+}
+
 func TestTCPBundleTransferBetweenStations(t *testing.T) {
 	_, addr1, spec := startNode(t, 1, true)
 	node2, addr2, _ := startNode(t, 2, false)

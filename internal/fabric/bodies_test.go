@@ -167,10 +167,7 @@ func TestGobBodiesAreRejected(t *testing.T) {
 	// And over a live socket: the root answers the old station's Join
 	// with that error and stays up.
 	root := newFabric(t, 1, 2, 0)[0]
-	c, err := transport.Dial(root.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := transport.NewPool(root.Addr(), 1, 5*time.Second)
 	defer c.Close()
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(JoinRequest{Addr: "127.0.0.1:1"}); err != nil {

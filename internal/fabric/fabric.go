@@ -41,14 +41,17 @@
 //   - Failure detection: the root heartbeats every joined station
 //     (StartHeartbeat); a station that misses consecutive probes — or
 //     whose cluster.Node liveness check reports unhealthy — is marked
-//     down. Rosters are epoch-numbered: the root bumps the epoch on
+//     down. Each probe is one call on a fresh connection, closed
+//     afterwards, and ends within the heartbeat timeout, dial
+//     included, so a host that stopped answering costs a sweep one
+//     timeout. Rosters are epoch-numbered: the root bumps the epoch on
 //     every membership or liveness change and pushes the roster plus
 //     its down-set on every tree RPC, so stations converge on the
 //     newest view without a separate gossip channel. Relays that fail
 //     to reach a peer mid-operation report it to the root
-//     (Fabric.ReportDown), which confirms with one probe before
-//     declaring it dead; operators can force the matter with
-//     webdocctl evict.
+//     (Fabric.ReportDown), which confirms with one probe of the same
+//     kind before declaring it dead; operators can force the matter
+//     with webdocctl evict.
 //
 //   - Tree repair: a broadcast or migration reaching a dead child
 //     retries once, then grafts the dead station's children onto the
@@ -181,8 +184,7 @@ type Station struct {
 	suspect   map[int]bool // locally observed failures, pending root confirmation
 	fetches   map[string]int
 	pools     map[string]*transport.Pool
-	hbPools   map[string]*transport.Pool // size-1 probe pools, isolated from bundle traffic
-	catalog   []CatalogEntry             // root only: every broadcast, for rejoin catch-up
+	catalog   []CatalogEntry // root only: every broadcast, for rejoin catch-up
 
 	// heartbeat state (root only).
 	hbStop  chan struct{}
@@ -250,7 +252,6 @@ func newStation(store *docdb.Store, isRoot bool, m, watermark int) *Station {
 		suspect:   make(map[int]bool),
 		fetches:   make(map[string]int),
 		pools:     make(map[string]*transport.Pool),
-		hbPools:   make(map[string]*transport.Pool),
 		hbFails:   make(map[int]int),
 	}
 	s.node = cluster.NewNode(0, store)
@@ -392,13 +393,8 @@ func (s *Station) Close() error {
 	s.closed = true
 	pools := s.pools
 	s.pools = make(map[string]*transport.Pool)
-	hbPools := s.hbPools
-	s.hbPools = make(map[string]*transport.Pool)
 	s.mu.Unlock()
 	for _, p := range pools {
-		p.Close()
-	}
-	for _, p := range hbPools {
 		p.Close()
 	}
 	return err
@@ -423,25 +419,6 @@ func (s *Station) pool(addr string) *transport.Pool {
 	return p
 }
 
-// hbPool returns the liveness-probe pool for a peer address: a single
-// connection apart from the bundle-transfer pool, so probes never
-// queue behind multi-minute transfers — a fabric under broadcast load
-// must not lose its failure detector.
-func (s *Station) hbPool(addr string) *transport.Pool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.hbPools[addr]
-	if !ok {
-		p = transport.NewPool(addr, 1, DefaultHeartbeatTimeout)
-		if s.closed {
-			p.Close()
-			return p
-		}
-		s.hbPools[addr] = p
-	}
-	return p
-}
-
 // pruneStalePoolsLocked drops the pools of addresses that left the
 // roster (mu held). Rejoins put restarted stations on fresh sockets,
 // so without pruning a long-lived fabric leaks one pool per crash.
@@ -457,12 +434,6 @@ func (s *Station) pruneStalePoolsLocked() {
 		if !live[addr] {
 			stale = append(stale, p)
 			delete(s.pools, addr)
-		}
-	}
-	for addr, p := range s.hbPools {
-		if !live[addr] {
-			stale = append(stale, p)
-			delete(s.hbPools, addr)
 		}
 	}
 	if len(stale) > 0 {
@@ -594,13 +565,8 @@ func (s *Station) handleJoin(decode func(any) error) (any, error) {
 		oldAddr, held := s.roster[req.OldPos]
 		down := s.down[req.OldPos]
 		s.mu.Unlock()
-		if held && oldAddr != req.Addr {
-			// probeDirect, not the pooled probe: a takeover decided on
-			// a breaker-cached failure could hand the position to the
-			// rejoiner while the old process still serves it.
-			if down || s.probeDirect(req.OldPos, oldAddr, DefaultHeartbeatTimeout) != nil {
-				takeoverAddr = oldAddr
-			}
+		if held && oldAddr != req.Addr && (down || s.probe(req.OldPos, oldAddr, DefaultHeartbeatTimeout) != nil) {
+			takeoverAddr = oldAddr
 		}
 	}
 	s.mu.Lock()

@@ -3,12 +3,16 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/schema"
+	"repro/internal/transport"
 	"repro/internal/webtest"
 )
 
@@ -26,6 +30,77 @@ func probeUntilDown(t *testing.T, root *Station, positions ...int) {
 		}
 		return true
 	})
+}
+
+// unresponsiveAddr returns the address of a listening socket whose
+// accept queue is full and never drained: a connect to it neither
+// succeeds nor fails but hangs until the dialer gives up — a host that
+// stopped answering. Linux only: there a listen backlog of 0 queues
+// exactly one connection, which the helper makes, and later SYNs are
+// dropped.
+func unresponsiveAddr(t *testing.T) string {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		t.Skip("needs Linux accept-queue behaviour: a backlog-0 listener with one queued connection drops later SYNs, so a dial hangs")
+	}
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+	filler, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { filler.Close() })
+	return addr
+}
+
+// TestProbeTimeoutBoundsTheDial: a joined station whose host stopped
+// answering costs a heartbeat sweep the probe timeout, dial included,
+// and counts as one failed probe.
+func TestProbeTimeoutBoundsTheDial(t *testing.T) {
+	stations := newFabric(t, 3, 2, 0)
+	root := stations[0]
+	addr := unresponsiveAddr(t)
+	// Join the address by hand: nothing listens behind it to do so.
+	join := transport.NewPool(root.Addr(), 1, 5*time.Second)
+	defer join.Close()
+	var reply JoinReply
+	if err := join.Call(methodJoin, JoinRequest{Addr: addr}, &reply); err != nil || reply.Pos != 4 {
+		t.Fatalf("joining %s: %+v, %v", addr, reply, err)
+	}
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		root.ProbeOnce(200 * time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("a 200ms sweep over an unresponsive station took %v", elapsed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 200ms sweep over an unresponsive station had not returned after 5s")
+	}
+	root.mu.Lock()
+	fails := root.hbFails[4]
+	root.mu.Unlock()
+	if fails != 1 {
+		t.Errorf("failed probes of station 4 = %d, want 1", fails)
+	}
 }
 
 func TestHeartbeatDeclaresDeadStationAndRevives(t *testing.T) {

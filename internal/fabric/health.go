@@ -202,37 +202,22 @@ func (s *Station) ProbeOnce(timeout time.Duration) {
 // probe sends one heartbeat and validates the answer: a transport
 // failure, a failing liveness check, or a station that turns out to
 // hold a different position (the address was recycled) all count as
-// probe failures. Probes ride their own single-connection pool so
-// they never queue behind bundle transfers — a busy fabric must not
-// look dead.
+// probe failures. Every probe — a heartbeat sweep's, a down report's
+// confirmation, a rejoin takeover's — is one call on a fresh pool of
+// one, closed afterwards: it never queues behind bundle transfers on
+// the peer's pool (a busy fabric must not look dead), it reflects the
+// wire right now rather than a verdict a breaker cached a moment ago
+// (handing a position to a rejoiner on a stale fast-fail would split
+// it between two live processes), and timeout bounds all of it, dial
+// included.
 func (s *Station) probe(pos int, addr string, timeout time.Duration) error {
+	p := transport.NewPool(addr, 1, timeout)
+	defer p.Close()
 	var reply HeartbeatReply
 	//lint:ignore tracecall heartbeat probes are deliberately untraced: they fire every interval on every station and would drown the span rings in no-op control-plane spans
-	if err := s.hbPool(addr).CallWithTimeout(methodHeartbeat, struct{}{}, &reply, timeout); err != nil {
+	if err := p.Call(methodHeartbeat, struct{}{}, &reply); err != nil {
 		return err
 	}
-	return validateHeartbeat(pos, addr, reply)
-}
-
-// probeDirect is probe over a fresh dial, bypassing the probe pool's
-// dead-peer breaker. One-shot confirmations — a relay's down report, a
-// rejoin takeover — must reflect the wire right now, not a verdict the
-// breaker cached a moment ago: handing a position to a rejoiner on a
-// stale fast-fail would split it between two live processes.
-func (s *Station) probeDirect(pos int, addr string, timeout time.Duration) error {
-	c, err := transport.Dial(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	var reply HeartbeatReply
-	if err := c.CallTimeout(methodHeartbeat, struct{}{}, &reply, timeout); err != nil {
-		return err
-	}
-	return validateHeartbeat(pos, addr, reply)
-}
-
-func validateHeartbeat(pos int, addr string, reply HeartbeatReply) error {
 	if reply.Err != "" {
 		return fmt.Errorf("fabric: station %d liveness check: %s", pos, reply.Err)
 	}
@@ -316,7 +301,7 @@ func (s *Station) confirmDown(pos int) {
 	if !held || already || pos == 1 {
 		return
 	}
-	if s.probeDirect(pos, addr, DefaultHeartbeatTimeout) == nil {
+	if s.probe(pos, addr, DefaultHeartbeatTimeout) == nil {
 		s.mu.Lock()
 		delete(s.suspect, pos)
 		s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 // selfCoded is a body that encodes itself: one length byte, then the
@@ -78,14 +79,11 @@ func TestRawRelaysBodiesVerbatimOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 
 	var typed selfCoded
-	if err := c.Call("relay", selfCoded{text: "push"}, &typed); err != nil || typed.text != "push" {
+	if err := p.Call("relay", selfCoded{text: "push"}, &typed); err != nil || typed.text != "push" {
 		t.Fatalf("typed round trip through a raw relay: %+v, %v", typed, err)
 	}
 	want := append([]byte{4}, "push"...)
@@ -94,7 +92,7 @@ func TestRawRelaysBodiesVerbatimOverTheWire(t *testing.T) {
 	}
 
 	var back Raw
-	if err := c.Call("relay", Raw(want), &back); err != nil || !bytes.Equal(back, want) {
+	if err := p.Call("relay", Raw(want), &back); err != nil || !bytes.Equal(back, want) {
 		t.Fatalf("raw round trip: %q, %v", back, err)
 	}
 	if got := <-seen; !bytes.Equal(got, want) {

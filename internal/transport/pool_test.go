@@ -2,9 +2,13 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -37,6 +41,14 @@ func startGated(t *testing.T, hold time.Duration) (string, *atomic.Int64) {
 	}
 	t.Cleanup(func() { s.Close() })
 	return addr, &peak
+}
+
+// down reports whether the pool's breaker is open: the peer was
+// recently undialable and calls are failing fast.
+func (p *Pool) down() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return time.Now().Before(p.downUntil)
 }
 
 func TestPoolCallAndReuse(t *testing.T) {
@@ -220,14 +232,13 @@ func TestPoolFastFailAfterRepeatedDialFailure(t *testing.T) {
 
 	p := NewPool(addr, 2, time.Second)
 	defer p.Close()
-	p.threshold, p.cooldown = 2, time.Minute
 	// The first threshold calls pay the full dial-with-backoff cost...
-	for i := 0; i < 2; i++ {
+	for i := 0; i < failThreshold; i++ {
 		if err := p.Call("echo", echoReq{}, nil); err == nil {
 			t.Fatal("call to dead peer succeeded")
 		}
 	}
-	if !p.Down() {
+	if !p.down() {
 		t.Fatal("breaker did not open after repeated dial failure")
 	}
 	// ...after which the breaker fails calls fast without dialing.
@@ -254,11 +265,12 @@ func TestPoolBreakerRecoversAfterCooldown(t *testing.T) {
 
 	p := NewPool(addr, 2, time.Second)
 	defer p.Close()
-	p.threshold, p.cooldown = 1, 20*time.Millisecond
-	if err := p.Call("echo", echoReq{}, nil); err == nil {
-		t.Fatal("call to dead peer succeeded")
+	for i := 0; i < failThreshold; i++ {
+		if err := p.Call("echo", echoReq{}, nil); err == nil {
+			t.Fatal("call to dead peer succeeded")
+		}
 	}
-	if !p.Down() {
+	if !p.down() {
 		t.Fatal("breaker did not open")
 	}
 
@@ -292,30 +304,30 @@ func TestPoolBreakerRecoversAfterCooldown(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if p.Down() {
+	if p.down() {
 		t.Error("breaker still open after successful dial")
 	}
 }
 
 func TestPoolBreakerEvictsIdleConnections(t *testing.T) {
+	const parked = 4
+	arrived, release := make(chan struct{}, parked), make(chan struct{})
 	s1 := NewServer()
 	s1.Handle("echo", func(decode func(any) error) (any, error) {
-		var req echoReq
-		if err := decode(&req); err != nil {
-			return nil, err
-		}
-		return echoResp{Text: req.Text}, nil
+		arrived <- struct{}{}
+		<-release
+		return echoResp{}, nil
 	})
 	addr, err := s1.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(addr, 4, time.Second)
+	p := NewPool(addr, parked, time.Second)
 	defer p.Close()
-	p.threshold, p.cooldown = 1, time.Minute
-	// Park two connections.
+	// Park a connection in every slot: each call is held until all of
+	// them are in flight, so each needs a connection of its own.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < parked; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -324,36 +336,94 @@ func TestPoolBreakerEvictsIdleConnections(t *testing.T) {
 			}
 		}()
 	}
+	for i := 0; i < parked; i++ {
+		<-arrived
+	}
+	close(release)
 	wg.Wait()
 	s1.Close()
-	// Concurrent calls beyond the idle count force a dial, which fails
-	// and trips the breaker; the parked (now stale) connections must be
-	// evicted with it.
-	for i := 0; i < 3; i++ {
+	// Each call pops a stale parked connection and retries on a dial,
+	// which fails; failThreshold of them trip the breaker, and the
+	// parked connections no call has reached yet must be evicted with
+	// it.
+	calls := 0
+	for !p.down() && calls < parked {
 		p.Call("echo", echoReq{}, nil)
-		if p.Down() {
-			break
-		}
+		calls++
 	}
-	if !p.Down() {
+	if !p.down() {
 		t.Fatal("breaker did not open")
 	}
 	p.mu.Lock()
 	idle := len(p.idle)
 	p.mu.Unlock()
-	if idle != 0 {
-		t.Errorf("idle connections after breaker opened = %d, want 0", idle)
+	if idle != 0 || calls >= parked {
+		t.Errorf("breaker opened after %d calls with %d connections still parked; want fewer than %d calls and none parked", calls, idle, parked)
 	}
 }
 
 func TestClientCallTimeoutDirect(t *testing.T) {
 	addr, _ := startGated(t, 2*time.Second)
-	c, err := Dial(addr)
+	c := dialConn(t, addr)
+	if err := call(c, "gated", echoReq{}, &echoResp{}, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Errorf("err = %v, want ErrTimeout", err)
+	}
+}
+
+// unresponsiveAddr returns the address of a listening socket whose
+// accept queue is full and never drained: a connect to it neither
+// succeeds nor fails but hangs until the dialer gives up — a host that
+// stopped answering. Linux only: there a listen backlog of 0 queues
+// exactly one connection, which the helper makes, and later SYNs are
+// dropped.
+func unresponsiveAddr(t *testing.T) string {
+	t.Helper()
+	if runtime.GOOS != "linux" {
+		t.Skip("needs Linux accept-queue behaviour: a backlog-0 listener with one queued connection drops later SYNs, so a dial hangs")
+	}
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.CallTimeout("gated", echoReq{}, &echoResp{}, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Errorf("err = %v, want ErrTimeout", err)
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+	filler, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { filler.Close() })
+	return addr
+}
+
+// TestCallTimeoutBoundsTheDial: a peer that accepts no connections
+// costs a call its timeout — dial attempts and backoff stop at the
+// call's deadline — and the failure reads as an unreachable peer.
+func TestCallTimeoutBoundsTheDial(t *testing.T) {
+	addr := unresponsiveAddr(t)
+	p := NewPool(addr, 1, 200*time.Millisecond)
+	defer p.Close()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- p.Call("echo", echoReq{}, nil) }()
+	select {
+	case err := <-done:
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("a 200ms call to an unresponsive peer took %v", elapsed)
+		}
+		if !Unreachable(err) {
+			t.Errorf("err = %v, want an unreachable-peer error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 200ms call to an unresponsive peer had not returned after 5s")
 	}
 }

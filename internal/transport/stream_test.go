@@ -47,13 +47,10 @@ func TestCallStreamMultiChunk(t *testing.T) {
 	// Three full chunks plus a partial one.
 	payload := streamPayload(3*StreamChunk + 1234)
 	addr, _ := streamServer(t, payload)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 	var got bytes.Buffer
-	n, err := c.CallStream("Stream", struct{}{}, &got, 5*time.Second)
+	n, err := p.CallStream("Stream", struct{}{}, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +62,17 @@ func TestCallStreamMultiChunk(t *testing.T) {
 	}
 	// The connection stays usable for ordinary calls afterwards.
 	var echo string
-	if err := c.Call("Echo", "still alive", &echo); err != nil || echo != "still alive" {
+	if err := p.Call("Echo", "still alive", &echo); err != nil || echo != "still alive" {
 		t.Fatalf("call after stream: %q, %v", echo, err)
 	}
 }
 
 func TestCallStreamEmptyPayload(t *testing.T) {
 	addr, _ := streamServer(t, nil)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, time.Second)
+	defer p.Close()
 	var got bytes.Buffer
-	n, err := c.CallStream("Stream", struct{}{}, &got, time.Second)
+	n, err := p.CallStream("Stream", struct{}{}, &got)
 	if err != nil || n != 0 {
 		t.Fatalf("empty stream = %d bytes, %v", n, err)
 	}
@@ -113,13 +107,10 @@ func TestCallStreamMidStreamError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 	var got bytes.Buffer
-	n, err := c.CallStream("Bad", struct{}{}, &got, 5*time.Second)
+	n, err := p.CallStream("Bad", struct{}{}, &got)
 	if err == nil || err.Error() != "disk ate the checkpoint" {
 		t.Fatalf("err = %v, want the server's read error", err)
 	}
@@ -127,9 +118,15 @@ func TestCallStreamMidStreamError(t *testing.T) {
 		t.Errorf("partial bytes before the error = %d, want %d", n, StreamChunk/2)
 	}
 	// The error frame closed the stream cleanly: the connection is
-	// still good.
+	// parked again.
+	p.mu.Lock()
+	idle := len(p.idle)
+	p.mu.Unlock()
+	if idle != 1 {
+		t.Errorf("idle connections after a mid-stream error = %d, want 1", idle)
+	}
 	var echo bytes.Buffer
-	if _, err := c.CallStream("Bad", struct{}{}, &echo, 5*time.Second); err == nil {
+	if _, err := p.CallStream("Bad", struct{}{}, &echo); err == nil {
 		t.Fatal("second stream unexpectedly succeeded")
 	}
 }
@@ -186,8 +183,8 @@ func TestPoolCallStreamRetriesStaleIdle(t *testing.T) {
 }
 
 // chunkyReader yields many small Reads so the server emits one frame
-// per kilobyte — enough frames to overfill a stream's client-side
-// buffer.
+// per kilobyte — enough frames that the server is still sending when
+// the consumer gives up.
 type chunkyReader struct{ left int }
 
 func (r *chunkyReader) Read(p []byte) (int, error) {
@@ -216,9 +213,8 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestAbandonedStreamDoesNotWedgeClient: a consumer that dies
-// mid-stream must not strand the read loop on the full chunk buffer —
-// the remaining frames drain in the background and other calls on the
-// same connection keep working.
+// mid-stream costs only its connection — the pool discards it, unread
+// frames and all — and the next call on the same pool goes through.
 func TestAbandonedStreamDoesNotWedgeClient(t *testing.T) {
 	srv := NewServer()
 	srv.Handle("Chunks", func(decode func(any) error) (any, error) {
@@ -226,7 +222,7 @@ func TestAbandonedStreamDoesNotWedgeClient(t *testing.T) {
 		if err := decode(&req); err != nil {
 			return nil, err
 		}
-		return &chunkyReader{left: 64}, nil // 64 one-KiB frames, buffer holds 16
+		return &chunkyReader{left: 64}, nil // 64 one-KiB frames
 	})
 	srv.Handle("Echo", func(decode func(any) error) (any, error) {
 		var s string
@@ -240,16 +236,13 @@ func TestAbandonedStreamDoesNotWedgeClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.CallStream("Chunks", struct{}{}, &failAfterWriter{}, 5*time.Second); err == nil {
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
+	if _, err := p.CallStream("Chunks", struct{}{}, &failAfterWriter{}); err == nil {
 		t.Fatal("stream with a failing consumer succeeded")
 	}
 	var echo string
-	if err := c.CallTimeout("Echo", "alive", &echo, 5*time.Second); err != nil || echo != "alive" {
+	if err := p.Call("Echo", "alive", &echo); err != nil || echo != "alive" {
 		t.Fatalf("call after abandoned stream: %q, %v (client wedged?)", echo, err)
 	}
 }
@@ -270,13 +263,10 @@ func TestCallStreamTimeoutOnSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { close(block); srv.Close() }()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 50*time.Millisecond)
+	defer p.Close()
 	var sink bytes.Buffer
-	if _, err := c.CallStream("Hang", struct{}{}, &sink, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := p.CallStream("Hang", struct{}{}, &sink); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
@@ -298,16 +288,13 @@ func BenchmarkCallStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 30*time.Second)
+	defer p.Close()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink countWriter
-		if _, err := c.CallStream("Stream", struct{}{}, &sink, 30*time.Second); err != nil {
+		if _, err := p.CallStream("Stream", struct{}{}, &sink); err != nil {
 			b.Fatal(err)
 		}
 		if int(sink) != len(payload) {

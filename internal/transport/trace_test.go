@@ -31,15 +31,12 @@ func TestTraceRidesEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 
 	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: 42}
 	var out string
-	if err := c.CallTrace("Echo", "hi", &out, tc, 5*time.Second); err != nil {
+	if err := p.CallTrace("Echo", "hi", &out, tc, 0); err != nil {
 		t.Fatal(err)
 	}
 	if out != "hi" {
@@ -68,7 +65,7 @@ func TestTraceRidesEnvelope(t *testing.T) {
 	}
 
 	// An untraced call records no span but still hits the histogram.
-	if err := c.Call("Echo", "again", &out); err != nil {
+	if err := p.Call("Echo", "again", &out); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(o.ForTrace(tc.TraceID)); got != 1 {

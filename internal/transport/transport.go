@@ -1,10 +1,11 @@
 // Package transport is a length-prefixed request/response layer over
 // TCP: the wire protocol between the paper's three tiers (Web client
 // front ends, the class administrator middle tier, and the database
-// stations). It offers named-method dispatch on the server and
-// concurrent-safe calls with response correlation on the client — the
-// slice of ODBC/HTTP plumbing the 1999 system obtained from its
-// platform. A message body is one of three things, and Marshal and
+// stations). It offers named-method dispatch on the server and one
+// client, Pool: a bounded set of connections to one peer, each carrying
+// one call at a time, whose per-call timeout bounds the dial as well as
+// the reply — the slice of ODBC/HTTP plumbing the 1999 system obtained
+// from its platform. A message body is one of three things, and Marshal and
 // Unmarshal are the only place that tells them apart: a Raw is relayed
 // as the bytes it is; a value with an AppendWire/DecodeWire pair
 // encodes itself (the bodies that carry bundles and need a header-only
@@ -16,7 +17,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -35,7 +35,7 @@ const (
 
 	// StreamChunk is the body size of one streamed-response frame. A
 	// handler that returns an io.Reader has its bytes relayed in
-	// chunks of this size (see Client.CallStream), so arbitrarily
+	// chunks of this size (see Pool.CallStream), so arbitrarily
 	// large payloads — checkpoint images crossing the wire during
 	// rejoin catch-up — never need a single arbitrarily large frame.
 	StreamChunk = 1 << 20
@@ -453,267 +453,4 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
-}
-
-// Client is one connection to a server; Call is safe for concurrent
-// use.
-type Client struct {
-	conn    net.Conn
-	writeMu sync.Mutex
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *envelope
-	closed  bool
-	readErr error
-}
-
-// Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{conn: conn, pending: make(map[uint64]chan *envelope)}
-	go c.readLoop()
-	return c, nil
-}
-
-func (c *Client) readLoop() {
-	for {
-		env, err := readFrame(c.conn)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			c.closed = true
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[env.ID]
-		if ok && !env.More {
-			// A More chunk keeps the correlation entry alive; the
-			// stream's final (or error) frame retires it.
-			delete(c.pending, env.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- env
-		}
-	}
-}
-
-// Call invokes a method: req is encoded by Marshal, the response decoded into
-// resp (which may be nil for fire-and-forget semantics with an
-// acknowledgment).
-func (c *Client) Call(method string, req, resp any) error {
-	err, _ := c.do(method, req, resp, 0, obs.TraceContext{})
-	return err
-}
-
-// CallTimeout is Call with a deadline: if the response has not arrived
-// within d the call fails with ErrTimeout (a zero or negative d means no
-// deadline). A late response is discarded by the correlation table.
-func (c *Client) CallTimeout(method string, req, resp any, d time.Duration) error {
-	err, _ := c.do(method, req, resp, d, obs.TraceContext{})
-	return err
-}
-
-// CallTrace is CallTimeout carrying a trace context: the serving hop
-// records a span for tc's trace, parented to tc's span. A zero tc is
-// an ordinary untraced call.
-func (c *Client) CallTrace(method string, req, resp any, tc obs.TraceContext, d time.Duration) error {
-	err, _ := c.do(method, req, resp, d, tc)
-	return err
-}
-
-// do runs one call and additionally reports whether the connection is
-// still trustworthy for reuse: true when the call completed with a
-// server response (even an error response), false on any
-// transport-level failure. The pool uses the flag to decide between
-// parking and discarding the connection.
-func (c *Client) do(method string, req, resp any, d time.Duration, tc obs.TraceContext) (error, bool) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed, false
-	}
-	c.nextID++
-	id := c.nextID
-	ch := make(chan *envelope, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	body, err := Marshal(req)
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return err, true
-	}
-	env := &envelope{ID: id, Method: method, Body: body, TraceID: tc.TraceID, Parent: tc.SpanID}
-	c.writeMu.Lock()
-	err = writeFrame(c.conn, env)
-	c.writeMu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return err, false
-	}
-
-	var timeout <-chan time.Time
-	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case got, ok := <-ch:
-		if !ok {
-			return fmt.Errorf("%w: %v", ErrClosed, c.err()), false
-		}
-		if got.Err != "" {
-			return errors.New(got.Err), true
-		}
-		if resp != nil {
-			return Unmarshal(got.Body, resp), true
-		}
-		return nil, true
-	case <-timeout:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s after %v", ErrTimeout, method, d), false
-	}
-}
-
-// CallStream invokes a method whose response is a byte stream (the
-// server handler returned an io.Reader): chunks are written to w as
-// they arrive and the total byte count returned. d bounds the wait for
-// each frame, not the whole transfer (zero or negative means no
-// deadline). The consumer applies backpressure to the connection —
-// start large pulls on their own pooled connection, as Pool.CallStream
-// does.
-func (c *Client) CallStream(method string, req any, w io.Writer, d time.Duration) (int64, error) {
-	n, err, _ := c.doStream(method, req, w, d)
-	return n, err
-}
-
-// doStream runs one streamed call, additionally reporting whether the
-// connection remains trustworthy for reuse (the stream ended with the
-// server's final frame, even an error frame).
-func (c *Client) doStream(method string, req any, w io.Writer, d time.Duration) (int64, error, bool) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, ErrClosed, false
-	}
-	c.nextID++
-	id := c.nextID
-	// Chunks buffer ahead of the consumer; a full buffer blocks the
-	// read loop, which is the backpressure.
-	ch := make(chan *envelope, 16)
-	c.pending[id] = ch
-	c.mu.Unlock()
-	drop := func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-	}
-	// abandon gives up on a stream that is still arriving (consumer
-	// write failure, inactivity timeout). The correlation entry stays
-	// registered and a drainer consumes the remaining chunks: the read
-	// loop may already be blocked sending into the full buffer, and
-	// deleting the entry would strand that send — wedging every call
-	// on this connection — so the entry is only retired by the
-	// stream's own final frame or by connection teardown (which closes
-	// the channel).
-	abandon := func() {
-		go func() {
-			for env := range ch {
-				if !env.More {
-					return
-				}
-			}
-		}()
-	}
-
-	body, err := Marshal(req)
-	if err != nil {
-		drop()
-		return 0, err, true
-	}
-	env := &envelope{ID: id, Method: method, Body: body}
-	c.writeMu.Lock()
-	err = writeFrame(c.conn, env)
-	c.writeMu.Unlock()
-	if err != nil {
-		drop()
-		return 0, err, false
-	}
-
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	if d > 0 {
-		timer = time.NewTimer(d)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	var total int64
-	for {
-		select {
-		case got, ok := <-ch:
-			if !ok {
-				return total, fmt.Errorf("%w: %v", ErrClosed, c.err()), false
-			}
-			if got.Err != "" {
-				return total, errors.New(got.Err), true
-			}
-			if len(got.Body) > 0 {
-				n, werr := w.Write(got.Body)
-				total += int64(n)
-				if werr != nil {
-					if got.More {
-						abandon()
-					}
-					return total, werr, false
-				}
-			}
-			if !got.More {
-				return total, nil, true
-			}
-			if timer != nil {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				timer.Reset(d)
-			}
-		case <-timeout:
-			abandon()
-			return total, fmt.Errorf("%w: %s after %v of stream silence", ErrTimeout, method, d), false
-		}
-	}
-}
-
-func (c *Client) err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readErr
-}
-
-// Close terminates the connection; in-flight calls fail with ErrClosed.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
 }

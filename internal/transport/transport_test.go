@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -45,15 +46,34 @@ func startEcho(t *testing.T) (string, *Server) {
 	return addr, s
 }
 
-func TestCallRoundTrip(t *testing.T) {
-	addr, _ := startEcho(t)
-	c, err := Dial(addr)
+// call is one unary round trip on a bare connection, the step a
+// Pool call makes once it holds one.
+func call(c *conn, method string, req, resp any, d time.Duration) error {
+	body, err := Marshal(req)
+	if err != nil {
+		return err
+	}
+	_, err, _ = c.roundTrip(&envelope{Method: method, Body: body}, resp, nil, d, time.Now().Add(d))
+	return err
+}
+
+// dialConn opens a bare connection to addr, closed with the test.
+func dialConn(t *testing.T, addr string) *conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { nc.Close() })
+	return &conn{Conn: nc}
+}
+
+func TestCallRoundTrip(t *testing.T) {
+	addr, _ := startEcho(t)
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 	var resp echoResp
-	if err := c.Call("echo", echoReq{Text: "hello", N: 21}, &resp); err != nil {
+	if err := p.Call("echo", echoReq{Text: "hello", N: 21}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Text != "hello" || resp.Twice != 42 {
@@ -63,12 +83,9 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallServerError(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Call("fail", echoReq{}, nil)
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
+	err := p.Call("fail", echoReq{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -76,12 +93,9 @@ func TestCallServerError(t *testing.T) {
 
 func TestCallUnknownMethod(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Call("nope", echoReq{}, nil)
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
+	err := p.Call("nope", echoReq{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "no such method") {
 		t.Fatalf("err = %v", err)
 	}
@@ -89,11 +103,8 @@ func TestCallUnknownMethod(t *testing.T) {
 
 func TestConcurrentCallsCorrelate(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 4, 5*time.Second)
+	defer p.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 40; i++ {
 		wg.Add(1)
@@ -101,7 +112,7 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 			defer wg.Done()
 			var resp echoResp
 			text := fmt.Sprintf("msg-%d", i)
-			if err := c.Call("echo", echoReq{Text: text, N: i}, &resp); err != nil {
+			if err := p.Call("echo", echoReq{Text: text, N: i}, &resp); err != nil {
 				t.Error(err)
 				return
 			}
@@ -113,39 +124,43 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSlowHandlerDoesNotBlockOthers: the server runs each request in
+// its own goroutine, so a fast request sent after a slow one on the
+// same connection is answered first.
 func TestSlowHandlerDoesNotBlockOthers(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
+	c := dialConn(t, addr)
+	start := time.Now()
+	for id, method := range []string{"slow", "echo"} {
+		body, err := Marshal(echoReq{Text: method})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(c, &envelope{ID: uint64(id + 1), Method: method, Body: body}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	slowDone := make(chan struct{})
-	go func() {
-		var resp echoResp
-		c.Call("slow", echoReq{}, &resp)
-		close(slowDone)
-	}()
-	start := time.Now()
-	var resp echoResp
-	if err := c.Call("echo", echoReq{Text: "fast"}, &resp); err != nil {
-		t.Fatal(err)
+	if first.ID != 2 {
+		t.Errorf("first reply answers request %d, want the fast request 2", first.ID)
 	}
 	if d := time.Since(start); d > 40*time.Millisecond {
 		t.Errorf("fast call took %v behind slow call", d)
 	}
-	<-slowDone
+	if second, err := readFrame(c); err != nil || second.ID != 1 {
+		t.Fatalf("second reply: %+v, %v", second, err)
+	}
 }
 
 func TestClientCloseFailsPending(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialConn(t, addr)
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- c.Call("slow", echoReq{}, nil)
+		errCh <- call(c, "slow", echoReq{}, nil, 5*time.Second)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
@@ -157,38 +172,31 @@ func TestClientCloseFailsPending(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("pending call hung after close")
 	}
-	if err := c.Call("echo", echoReq{}, nil); !errors.Is(err, ErrClosed) {
+	if err := call(c, "echo", echoReq{}, nil, 5*time.Second); !errors.Is(err, ErrClosed) {
 		t.Errorf("call after close: %v", err)
 	}
 }
 
 func TestServerCloseStopsClients(t *testing.T) {
 	addr, s := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr)
 	var resp echoResp
-	if err := c.Call("echo", echoReq{Text: "x"}, &resp); err != nil {
+	if err := call(c, "echo", echoReq{Text: "x"}, &resp, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if err := c.Call("echo", echoReq{Text: "y"}, &resp); err == nil {
+	if err := call(c, "echo", echoReq{Text: "y"}, &resp, 5*time.Second); err == nil {
 		t.Error("call succeeded after server close")
 	}
 }
 
 func TestLargePayload(t *testing.T) {
 	addr, _ := startEcho(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := NewPool(addr, 1, 5*time.Second)
+	defer p.Close()
 	big := strings.Repeat("x", 4<<20)
 	var resp echoResp
-	if err := c.Call("echo", echoReq{Text: big, N: 1}, &resp); err != nil {
+	if err := p.Call("echo", echoReq{Text: big, N: 1}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Text) != len(big) {
