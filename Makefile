@@ -62,7 +62,10 @@ race:
 # parity run and the three-gather table with a killed interior
 # station, and the fan-out kernel's socket-free classification
 # matrix), the station RPC node, the pooled transport with chunked
-# response streaming, the two dial-deadline tests (transport's
+# response streaming, the server's in-order test (transport's
+# TestOneConnectionAnswersInOrder: a connection's requests are served
+# one at a time on its own goroutine and answered in the order they
+# came), the two dial-deadline tests (transport's
 # TestCallTimeoutBoundsTheDial and fabric's
 # TestProbeTimeoutBoundsTheDial: a call or a heartbeat sweep against a
 # host that accepts no connections ends within its timeout), and the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/docdb"
+	"repro/internal/fabric"
 	"repro/internal/schema"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -84,17 +85,17 @@ func TestCheckoutPairAllocBudget(t *testing.T) {
 }
 
 // The budget of one small RPC through a transport pool over loopback,
-// both sides counted, about 10 % above the 27 allocations and 784 bytes
+// both sides counted, about 10 % above the 24 allocations and 696 bytes
 // measured.
 const (
-	smallRPCAllocBudget = 30
-	smallRPCByteBudget  = 860
+	smallRPCAllocBudget = 26
+	smallRPCByteBudget  = 770
 )
 
 // TestSmallRPCAllocBudget pins what the path every RPC takes allocates
 // for a message with almost no body: the request's encode and frame,
-// the server's dispatch goroutine, span and reply, and the caller's
-// frame read and decode.
+// the server's frame read, dispatch, span and reply on the connection's
+// goroutine, and the caller's frame read and decode.
 func TestSmallRPCAllocBudget(t *testing.T) {
 	if raceBuild {
 		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
@@ -122,23 +123,73 @@ func TestSmallRPCAllocBudget(t *testing.T) {
 			t.Fatalf("echo %d: %+v, %v", n, resp, err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		call()
+	checkAllocBudget(t, "a small RPC", 10, 20000, call, smallRPCAllocBudget, smallRPCByteBudget)
+}
+
+// checkAllocBudget runs op warm times, then n times under measurement,
+// and fails t when the mean allocations or bytes per op pass their
+// budget. It counts the whole process, so an in-process server is
+// counted with its caller.
+func checkAllocBudget(t *testing.T, what string, warm, n int, op func(), allocBudget, byteBudget int) {
+	t.Helper()
+	for i := 0; i < warm; i++ {
+		op()
 	}
-	const calls = 20000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		call()
+	for i := 0; i < n; i++ {
+		op()
 	}
 	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / calls
-	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
-	t.Logf("a small RPC allocates %.1f objects, %.0f bytes", allocs, perCall)
-	if allocs > smallRPCAllocBudget {
-		t.Errorf("%.1f allocations per call, budget %d", allocs, smallRPCAllocBudget)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(n)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%s allocates %.1f objects, %.0f bytes", what, allocs, bytes)
+	if allocs > float64(allocBudget) {
+		t.Errorf("%.1f allocations per op, budget %d", allocs, allocBudget)
 	}
-	if perCall > smallRPCByteBudget {
-		t.Errorf("%.0f bytes per call, budget %d", perCall, smallRPCByteBudget)
+	if bytes > float64(byteBudget) {
+		t.Errorf("%.0f bytes per op, budget %d", bytes, byteBudget)
 	}
+}
+
+// The budget of one Resolve hop, both stations counted, about 10 %
+// above the 230 allocations and 821,600 bytes measured (a 391,674-byte
+// reply body: the root's encode and the leaf's frame buffer are most of
+// the bytes).
+const (
+	resolveHopAllocBudget = 254
+	resolveHopByteBudget  = 904000
+)
+
+// TestResolveHopAllocBudget pins what a station allocates, together
+// with its parent, to resolve lectureSpec's course over one fabric hop:
+// the request, the root's export and reply frame on its connection's
+// goroutine, and the leaf's frame read and bundle decode, whose media
+// alias the frame. A negative watermark keeps every fetch remote.
+func TestResolveHopAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	store, spec := lectureCourse(t)
+	root, err := fabric.NewRoot(store, "127.0.0.1:0", 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	leafStore, err := workload.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := fabric.Join(leafStore, "127.0.0.1:0", root.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaf.Close()
+	resolve := func() {
+		res, err := leaf.Resolve(spec.URL)
+		if err != nil || res.Local || res.Replicated || res.ServedBy != 1 {
+			t.Fatalf("resolve %s: %+v, %v", spec.URL, res, err)
+		}
+	}
+	checkAllocBudget(t, "a Resolve hop", 3, 200, resolve, resolveHopAllocBudget, resolveHopByteBudget)
 }

@@ -18,8 +18,9 @@ import (
 //
 // The CRC32C trailer covers every payload byte before it. Optional
 // fields are present when their flag bit is set, so a Ping costs nine
-// bytes of framing. A payload that does not start with the magic byte
-// is ErrBadHeader.
+// bytes of framing. Only a request names its method; a response or
+// stream chunk is matched to its call by ID alone. A payload that does
+// not start with the magic byte is ErrBadHeader.
 
 // Envelope flag bits.
 const (

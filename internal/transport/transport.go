@@ -5,14 +5,17 @@
 // client, Pool: a bounded set of connections to one peer, each carrying
 // one call at a time, whose per-call timeout bounds the dial as well as
 // the reply — the slice of ODBC/HTTP plumbing the 1999 system obtained
-// from its platform. A message body is one of three things, and Marshal and
-// Unmarshal are the only place that tells them apart: a Raw is relayed
-// as the bytes it is; a value with an AppendWire/DecodeWire pair
-// encodes itself (the bodies that carry bundles and need a header-only
-// decode or media that aliases the frame); anything else goes through
-// internal/wire's plan-cached body codec, a positional binary encoding
-// with no type descriptors. There is no fourth, slower arm: a value
-// the codec cannot encode is an error naming its type and field.
+// from its platform. The server serves a connection's requests in
+// order on the connection's own goroutine, and Server.Close does not
+// wait for a handler that is still running. A message body is one of
+// three things, and Marshal and Unmarshal are the only place that
+// tells them apart: a Raw is relayed as the bytes it is; a value with
+// an AppendWire/DecodeWire pair encodes itself (the bodies that carry
+// bundles and need a header-only decode or media that aliases the
+// frame); anything else goes through internal/wire's plan-cached body
+// codec, a positional binary encoding with no type descriptors. There
+// is no fourth, slower arm: a value the codec cannot encode is an error
+// naming its type and field.
 package transport
 
 import (
@@ -173,15 +176,16 @@ func (c *Ctx) Annotate(format string, args ...any) { c.Span().Annotate(format, a
 // the hop itself.
 type CtxHandler func(ctx *Ctx, decode func(any) error) (any, error)
 
-// Server dispatches requests to named handlers. Each connection gets a
-// reader goroutine; each request runs in its own goroutine, so slow
-// handlers do not stall the connection.
+// Server dispatches requests to named handlers. A connection's
+// requests are served in order on its own goroutine, each answered
+// before the next is read, as a pooled caller sends them; a slow
+// handler holds only its own connection.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]CtxHandler
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the accept loop
 	closed   bool
 
 	// observer, when set, receives a latency-histogram observation for
@@ -329,13 +333,13 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
+// serveConn answers each request before it reads the next; a failed
+// read or write ends the connection.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -343,79 +347,64 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	cc := &countingConn{Conn: conn, srv: s}
-	var writeMu sync.Mutex
 	for {
 		env, err := readFrame(cc)
-		if err != nil {
+		if err != nil || s.serve(cc, env) != nil {
 			return
 		}
-		s.noteCall(env.Method)
-		s.mu.RLock()
-		h, ok := s.handlers[env.Method]
-		s.mu.RUnlock()
-		go func(env *envelope) {
-			// Per-request observability: every dispatch lands in the
-			// method's latency histogram; a traced request (non-zero
-			// TraceID) additionally records a span parented to the
-			// caller's hop.
-			o := s.Observer()
-			span := o.Begin(obs.TraceContext{TraceID: env.TraceID, SpanID: env.Parent}, env.Method)
-			start := time.Now()
-			resp := &envelope{ID: env.ID, Method: env.Method, IsResp: true}
-			if !ok {
-				resp.Err = ErrNoMethod.Error() + ": " + env.Method
-			} else {
-				out, err := h(&Ctx{span: span}, func(v any) error { return Unmarshal(env.Body, v) })
-				if err != nil {
-					resp.Err = err.Error()
-				} else if r, streamed := out.(io.Reader); streamed {
-					// A handler returning a reader streams its bytes
-					// in StreamChunk frames; the caller receives them
-					// through CallStream.
-					span.Annotate("streamed response")
-					n := streamResponse(cc, &writeMu, env, r)
-					o.Observe(env.Method, time.Since(start), false)
-					span.AddBytes(int64(len(env.Body)) + n)
-					span.End(nil)
-					return
-				} else if out != nil {
-					body, err := Marshal(out)
-					if err != nil {
-						resp.Err = err.Error()
-					} else {
-						resp.Body = body
-					}
-				}
-			}
-			o.Observe(env.Method, time.Since(start), resp.Err != "")
-			span.AddBytes(int64(len(env.Body) + len(resp.Body)))
-			if resp.Err != "" {
-				span.End(errors.New(resp.Err))
-			} else {
-				span.End(nil)
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			writeFrame(cc, resp) // a write failure also ends the reader
-		}(env)
 	}
 }
 
-// streamResponse relays a handler's reader to the caller as a chunk
-// sequence: zero or more More-flagged frames followed by a bare final
-// frame (or an Err frame on a mid-stream read failure). The reader is
-// closed when it implements io.Closer. Each chunk is encoded under the
-// connection's write lock, so chunks from concurrent handlers
-// interleave at frame granularity without corruption. Returns the
-// body bytes relayed, for span accounting.
-func streamResponse(conn net.Conn, writeMu *sync.Mutex, env *envelope, r io.Reader) int64 {
+// serve runs one request's handler and answers it on w, returning the
+// write's error. Every dispatch lands in the method's latency
+// histogram; a traced request (non-zero TraceID) also records a span
+// parented to the caller's hop.
+func (s *Server) serve(w io.Writer, env *envelope) error {
+	s.noteCall(env.Method)
+	s.mu.RLock()
+	h, ok := s.handlers[env.Method]
+	s.mu.RUnlock()
+	o := s.Observer()
+	span := o.Begin(obs.TraceContext{TraceID: env.TraceID, SpanID: env.Parent}, env.Method)
+	start := time.Now()
+	var out any
+	var err error
+	if !ok {
+		err = errors.New(ErrNoMethod.Error() + ": " + env.Method)
+	} else {
+		out, err = h(&Ctx{span: span}, func(v any) error { return Unmarshal(env.Body, v) })
+	}
+	if r, streamed := out.(io.Reader); streamed && err == nil {
+		// A handler returning a reader streams its bytes in StreamChunk
+		// frames; the caller receives them through CallStream.
+		span.Annotate("streamed response")
+		n, err := streamResponse(w, env.ID, r)
+		o.Observe(env.Method, time.Since(start), false)
+		span.AddBytes(int64(len(env.Body)) + n)
+		span.End(nil)
+		return err
+	}
+	resp := &envelope{ID: env.ID, IsResp: true}
+	if err == nil && out != nil {
+		resp.Body, err = Marshal(out)
+	}
+	if err != nil {
+		resp.Body, resp.Err = nil, err.Error()
+	}
+	o.Observe(env.Method, time.Since(start), err != nil)
+	span.AddBytes(int64(len(env.Body) + len(resp.Body)))
+	span.End(err)
+	return writeFrame(w, resp)
+}
+
+// streamResponse relays a handler's reader to the caller of request id
+// as a chunk sequence: zero or more More-flagged frames followed by a
+// bare final frame (or an Err frame on a mid-stream read failure). The
+// reader is closed when it implements io.Closer. Returns the body bytes
+// relayed, for span accounting, and the first write error.
+func streamResponse(w io.Writer, id uint64, r io.Reader) (int64, error) {
 	if c, ok := r.(io.Closer); ok {
 		defer c.Close()
-	}
-	send := func(resp *envelope) bool {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return writeFrame(conn, resp) == nil
 	}
 	var total int64
 	buf := make([]byte, StreamChunk)
@@ -423,22 +412,22 @@ func streamResponse(conn net.Conn, writeMu *sync.Mutex, env *envelope, r io.Read
 		n, err := r.Read(buf)
 		if n > 0 {
 			total += int64(n)
-			if !send(&envelope{ID: env.ID, Method: env.Method, IsResp: true, More: true, Body: buf[:n]}) {
-				return total
+			if err := writeFrame(w, &envelope{ID: id, IsResp: true, More: true, Body: buf[:n]}); err != nil {
+				return total, err
 			}
 		}
 		switch {
 		case errors.Is(err, io.EOF):
-			send(&envelope{ID: env.ID, Method: env.Method, IsResp: true})
-			return total
+			return total, writeFrame(w, &envelope{ID: id, IsResp: true})
 		case err != nil:
-			send(&envelope{ID: env.ID, Method: env.Method, IsResp: true, Err: err.Error()})
-			return total
+			return total, writeFrame(w, &envelope{ID: id, IsResp: true, Err: err.Error()})
 		}
 	}
 }
 
-// Close stops accepting and closes every live connection.
+// Close stops accepting and closes every live connection. It waits for
+// the accept loop but not for a handler still running: that handler's
+// reply fails on its closed connection, whose goroutine then ends.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -124,13 +125,12 @@ func TestConcurrentCallsCorrelate(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlowHandlerDoesNotBlockOthers: the server runs each request in
-// its own goroutine, so a fast request sent after a slow one on the
-// same connection is answered first.
-func TestSlowHandlerDoesNotBlockOthers(t *testing.T) {
+// TestOneConnectionAnswersInOrder: a connection's requests are served
+// one at a time, so a fast request written behind a slow one on the
+// same socket is answered second.
+func TestOneConnectionAnswersInOrder(t *testing.T) {
 	addr, _ := startEcho(t)
 	c := dialConn(t, addr)
-	start := time.Now()
 	for id, method := range []string{"slow", "echo"} {
 		body, err := Marshal(echoReq{Text: method})
 		if err != nil {
@@ -140,18 +140,117 @@ func TestSlowHandlerDoesNotBlockOthers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first, err := readFrame(c)
+	for want := uint64(1); want <= 2; want++ {
+		got, err := readFrame(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want || got.Err != "" || got.Method != "" {
+			t.Fatalf("reply %d: ID %d, err %q, method %q; want ID %d with no method", want, got.ID, got.Err, got.Method, want)
+		}
+	}
+}
+
+// blocker is a "block" handler beside startEcho's methods: it signals
+// entered, waits for release (safe to call more than once), and
+// signals returned as it hands back its reply.
+type blocker struct {
+	entered, returned chan struct{}
+	release           func()
+}
+
+func blockingServer(t *testing.T) (string, *Server, *blocker) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	b := &blocker{
+		entered:  make(chan struct{}, 1),
+		returned: make(chan struct{}, 1),
+		release:  func() { once.Do(func() { close(gate) }) },
+	}
+	t.Cleanup(b.release)
+	addr, srv := startEcho(t)
+	srv.Handle("block", func(decode func(any) error) (any, error) {
+		b.entered <- struct{}{}
+		<-gate
+		b.returned <- struct{}{}
+		return echoResp{Text: "released"}, nil
+	})
+	return addr, srv, b
+}
+
+// TestPoolSlowCallDoesNotDelayAnother: a call stuck in a slow handler
+// holds only its own connection; a second call through the same pool
+// takes the other one and is answered at once.
+func TestPoolSlowCallDoesNotDelayAnother(t *testing.T) {
+	addr, _, b := blockingServer(t)
+	p := NewPool(addr, 2, 5*time.Second)
+	defer p.Close()
+	slow := make(chan error, 1)
+	go func() {
+		var resp echoResp
+		err := p.Call("block", echoReq{}, &resp)
+		if err == nil && resp.Text != "released" {
+			err = fmt.Errorf("block replied %+v", resp)
+		}
+		slow <- err
+	}()
+	<-b.entered
+	start := time.Now()
+	var resp echoResp
+	if err := p.Call("echo", echoReq{Text: "fast", N: 2}, &resp); err != nil || resp.Text != "fast" || resp.Twice != 4 {
+		t.Fatalf("fast call beside a blocked one: %+v, %v", resp, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("fast call took %v beside a blocked one", d)
+	}
+	select {
+	case err := <-slow:
+		t.Fatalf("blocked call returned before its release: %v", err)
+	default:
+	}
+	b.release()
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServerCloseDoesNotWaitForHandlers: Close returns while a handler
+// is still blocked, and the handler's late reply fails on its closed
+// connection: no connection, its own or another, receives a frame.
+func TestServerCloseDoesNotWaitForHandlers(t *testing.T) {
+	addr, srv, b := blockingServer(t)
+	blocked, idle := dialConn(t, addr), dialConn(t, addr)
+	if err := call(idle, "echo", echoReq{Text: "x"}, nil, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	body, err := Marshal(echoReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.ID != 2 {
-		t.Errorf("first reply answers request %d, want the fast request 2", first.ID)
+	if err := writeFrame(blocked, &envelope{ID: 1, Method: "block", Body: body}); err != nil {
+		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Errorf("fast call took %v behind slow call", d)
+	<-b.entered
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		b.release()
+		t.Fatal("Close waited for a running handler")
 	}
-	if second, err := readFrame(c); err != nil || second.ID != 1 {
-		t.Fatalf("second reply: %+v, %v", second, err)
+	b.release()
+	<-b.returned
+	for name, c := range map[string]*conn{"blocked": blocked, "idle": idle} {
+		if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readFrame(c); err == nil {
+			t.Errorf("%s connection received frame %+v after Close", name, got)
+		} else if !errors.Is(err, io.EOF) {
+			t.Errorf("%s connection: %v, want EOF", name, err)
+		}
 	}
 }
 
