@@ -85,11 +85,11 @@ func TestCheckoutPairAllocBudget(t *testing.T) {
 }
 
 // The budget of one small RPC through a transport pool over loopback,
-// both sides counted, about 10 % above the 24 allocations and 696 bytes
+// both sides counted, about 10 % above the 17 allocations and 416 bytes
 // measured.
 const (
-	smallRPCAllocBudget = 26
-	smallRPCByteBudget  = 770
+	smallRPCAllocBudget = 19
+	smallRPCByteBudget  = 460
 )
 
 // TestSmallRPCAllocBudget pins what the path every RPC takes allocates
@@ -153,11 +153,11 @@ func checkAllocBudget(t *testing.T, what string, warm, n int, op func(), allocBu
 }
 
 // The budget of one Resolve hop, both stations counted, about 10 %
-// above the 230 allocations and 821,600 bytes measured (a 391,674-byte
+// above the 224 allocations and 821,000 bytes measured (a 391,674-byte
 // reply body: the root's encode and the leaf's frame buffer are most of
 // the bytes).
 const (
-	resolveHopAllocBudget = 254
+	resolveHopAllocBudget = 246
 	resolveHopByteBudget  = 904000
 )
 
@@ -192,4 +192,52 @@ func TestResolveHopAllocBudget(t *testing.T) {
 		}
 	}
 	checkAllocBudget(t, "a Resolve hop", 3, 200, resolve, resolveHopAllocBudget, resolveHopByteBudget)
+}
+
+// TestRestartHashBudget pins, as exact counts, the SHA-256 work of a
+// durable station's restart: recovery hashes no media, the first export
+// of a course hashes each of its media once, and the next export
+// hashes nothing.
+func TestRestartHashBudget(t *testing.T) {
+	store, spec := durableLectureStation(t)
+	if _, err := store.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	store.Rel().CloseWAL()
+	restarted, err := workload.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.Recover(store.DurableDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Rel().CloseWAL()
+	if got := restarted.Blobs().Stats().HashedBytes; got != 0 {
+		t.Errorf("recovery hashed %d bytes, want 0", got)
+	}
+	hashed := func() int64 { return restarted.Blobs().Stats().HashedBytes }
+	b, err := restarted.ExportBundle(spec.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	media := map[string]bool{}
+	var mediaBytes int64
+	for _, m := range b.Media {
+		if !media[m.Hash] {
+			media[m.Hash] = true
+			mediaBytes += int64(len(m.Data))
+		}
+	}
+	if len(media) == 0 {
+		t.Fatal("the course has no media")
+	}
+	if got := hashed(); got != mediaBytes {
+		t.Errorf("the first export hashed %d bytes, want the %d bytes of its %d media", got, mediaBytes, len(media))
+	}
+	if _, err := restarted.ExportBundle(spec.URL); err != nil {
+		t.Fatal(err)
+	}
+	if got := hashed() - mediaBytes; got != 0 {
+		t.Errorf("the second export hashed %d bytes, want 0", got)
+	}
 }

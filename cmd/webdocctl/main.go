@@ -448,7 +448,8 @@ func printStats(s cluster.StatsReply) {
 	} else {
 		fmt.Printf("  wal       in-memory (no durability directory)\n")
 	}
-	fmt.Printf("  blobs     %d objects, %d physical bytes (%d logical)\n", s.BlobObjects, s.PhysicalBytes, s.LogicalBytes)
+	fmt.Printf("  blobs     %d objects, %d physical bytes (%d logical), %d unverified, %d failed verification\n",
+		s.BlobObjects, s.PhysicalBytes, s.LogicalBytes, s.BlobUnverified, s.VerifyFailures)
 	if s.Indexed {
 		fmt.Printf("  index     %d docs, %d terms, %d postings\n", s.IndexDocs, s.IndexTerms, s.IndexPostings)
 	} else {

@@ -9,10 +9,12 @@
 // The store persists as one sealed image of every object (persist.go),
 // streamed out by Snapshot and read back by Restore. A restore reads
 // each object's bytes from the reader once, into a buffer of exactly
-// their size that the object then owns, and checks the image's CRC, its
-// ascending hash order and every object's SHA-256 before the store
-// changes. It runs on the caller's goroutine alone, so its cost does
-// not depend on how many other cores happen to be idle.
+// their size that the object then owns, and checks the image's CRC,
+// that every name is a hash, its ascending hash order and the
+// reference counts before the store changes. It hashes nothing: each
+// object it installs is unverified until its first read. It runs on
+// the caller's goroutine alone, so its cost does not depend on how
+// many other cores happen to be idle.
 //
 // Stored bytes are immutable. Put copies what it is given; Adopt keeps
 // the caller's slice itself, which is how a station stores media it
@@ -20,13 +22,16 @@
 // in, and that buffer lives until the last object aliasing it is
 // released.
 //
-// Content is hashed where bytes enter the fabric and where they come
-// back from disk, and nowhere between. Put hashes what an author
-// stores, Verify hashes what a client hands a station, and Restore
-// hashes every object it reads back. Adopt takes the hash a bundle
-// carries from the station that sent it and hashes nothing: between
-// stations the frame's CRC32C guards transit. Stats.HashedBytes counts
-// every byte the store has hashed.
+// Content is hashed where bytes enter the fabric and where they are
+// first read back from disk, and nowhere between. Put hashes what an
+// author stores, Verify hashes what a client hands a station, and the
+// first View or Get of a restored object hashes it: a match verifies
+// the object for good, a mismatch fails that read and every later one
+// with ErrHashMismatch, so bytes that fail their hash are never
+// returned. Adopt takes the hash a bundle carries from the station
+// that sent it and hashes nothing: between stations the frame's CRC32C
+// guards transit. Stats.HashedBytes counts every byte the store has
+// hashed.
 package blob
 
 import (
@@ -127,11 +132,23 @@ func ValidHash(h string) bool {
 	return true
 }
 
+// The states of an object's content check. Put and Adopt store
+// verified objects; Restore stores unverified ones, which their first
+// read settles.
+const (
+	verified uint32 = iota
+	unverified
+	failed
+)
+
 type entry struct {
-	data     []byte
+	data     []byte // never written once stored, so read without the store lock
 	kind     Kind
 	refcount int
 	names    map[string]struct{} // logical names attached to the object
+
+	state atomic.Uint32 // verified, unverified or failed; leaves unverified under the store's write lock
+	check sync.Once     // runs the first-read hash of an unverified object once
 }
 
 // Store is one workstation's BLOB store. It is safe for concurrent use.
@@ -139,12 +156,14 @@ type Store struct {
 	mu      sync.RWMutex
 	objects map[string]*entry
 
-	logicalBytes  int64 // Σ size × refcount: what duplication would cost
-	physicalBytes int64 // Σ size of distinct objects actually held
-	putCount      int64
-	dedupHits     int64
+	logicalBytes   int64 // Σ size × refcount: what duplication would cost
+	physicalBytes  int64 // Σ size of distinct objects actually held
+	putCount       int64
+	dedupHits      int64
+	unverified     int   // resident objects whose state is unverified
+	verifyFailures int64 // objects whose check failed
 
-	hashedBytes atomic.Int64 // kept outside mu: Verify and Restore hash without the store lock
+	hashedBytes atomic.Int64 // kept outside mu: Verify and a first read hash without the store lock
 }
 
 // NewStore returns an empty store.
@@ -158,15 +177,25 @@ func NewStore() *Store {
 // refcount. A new object is a copy of data: the caller keeps its slice
 // and may write to it afterwards. Put hashes data: it is how bytes an
 // author made enter the store.
+//
+// A dedup hit on a restored object not yet read settles its check
+// without hashing it again: bytes equal to data verify it, and other
+// bytes — which cannot hash to data's hash — are replaced by a copy of
+// data, keeping the object's references and names.
 func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 	h := HashOf(data)
 	s.hashedBytes.Add(int64(len(data)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[h]
-	if !ok {
+	switch {
+	case !ok:
 		e = s.insertLocked(h, kind, bytes.Clone(data))
-	} else {
+	case e.state.Load() != verified && !bytes.Equal(e.data, data):
+		e = s.replaceLocked(h, e, bytes.Clone(data))
+		s.dedupHits++
+	default:
+		s.settleLocked(h, e, verified)
 		s.dedupHits++
 	}
 	return s.referLocked(h, e, name)
@@ -183,10 +212,14 @@ func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 // object (ErrSizeMismatch otherwise). A hash that is not ValidHash
 // fails with ErrBadHash. Either error leaves the store unchanged.
 //
-// Adopt trusts hash. Bytes whose hash nobody has checked — from a
-// client rather than another station — go through Verify first; an
-// adopted object whose bytes do not match its hash fails the next
-// Restore of a snapshot that holds it.
+// Adopt trusts hash: a new object is verified from the start. Bytes
+// whose hash nobody has checked — from a client rather than another
+// station — go through Verify first; an adopted object whose bytes do
+// not match its hash is written to the next snapshot as it is, and
+// after a Restore of that snapshot its first read fails with
+// ErrHashMismatch. A resident object whose bytes have failed their
+// hash is no dedup target: data replaces its bytes, as it would stand
+// for a new object, so receiving the medium again repairs it.
 func (s *Store) Adopt(name string, kind Kind, hash string, data []byte) (Ref, error) {
 	if !ValidHash(hash) {
 		return Ref{}, fmt.Errorf("%w: %q", ErrBadHash, hash)
@@ -194,11 +227,15 @@ func (s *Store) Adopt(name string, kind Kind, hash string, data []byte) (Ref, er
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[hash]
-	if !ok {
+	switch {
+	case !ok:
 		e = s.insertLocked(hash, kind, data[:len(data):len(data)])
-	} else if len(e.data) != len(data) {
+	case e.state.Load() == failed:
+		e = s.replaceLocked(hash, e, data[:len(data):len(data)])
+		s.dedupHits++
+	case len(e.data) != len(data):
 		return Ref{}, fmt.Errorf("%w: %.12s holds %d bytes, adopted %d", ErrSizeMismatch, hash, len(e.data), len(data))
-	} else {
+	default:
 		s.dedupHits++
 	}
 	return s.referLocked(hash, e, name), nil
@@ -216,13 +253,54 @@ func (s *Store) Verify(hash string, data []byte) error {
 	return nil
 }
 
-// insertLocked makes owned, whose hash is h, a new object with no
-// references; the caller holds the write lock.
+// insertLocked makes owned, whose hash is h, a new verified object with
+// no references; the caller holds the write lock.
 func (s *Store) insertLocked(h string, kind Kind, owned []byte) *entry {
 	e := &entry{data: owned, kind: kind, names: make(map[string]struct{})}
 	s.objects[h] = e
 	s.physicalBytes += int64(len(owned))
 	return e
+}
+
+// replaceLocked stores owned, whose hash h the caller has just
+// computed or trusts, in place of old's bytes that fail it: a new
+// verified entry takes over old's kind, references and names, because
+// a reader that is hashing old's bytes may not see them change. The
+// caller holds the write lock.
+func (s *Store) replaceLocked(h string, old *entry, owned []byte) *entry {
+	s.settleLocked(h, old, failed)
+	e := &entry{data: owned, kind: old.kind, refcount: old.refcount, names: old.names}
+	s.objects[h] = e
+	delta := int64(len(owned)) - int64(len(old.data))
+	s.physicalBytes += delta
+	s.logicalBytes += int64(old.refcount) * delta
+	return e
+}
+
+// settleLocked ends the check of e, stored under h, with state st if e
+// is still unverified; the caller holds the write lock. Only a
+// resident object counts in s.unverified.
+func (s *Store) settleLocked(h string, e *entry, st uint32) {
+	if e.state.Load() != unverified {
+		return
+	}
+	e.state.Store(st)
+	if s.objects[h] == e {
+		s.unverified--
+	}
+	if st == failed {
+		s.verifyFailures++
+	}
+}
+
+// evictLocked removes e, stored under h; the caller holds the write
+// lock.
+func (s *Store) evictLocked(h string, e *entry) {
+	if e.state.Load() == unverified {
+		s.unverified--
+	}
+	s.physicalBytes -= int64(len(e.data))
+	delete(s.objects, h)
 }
 
 // referLocked takes one reference on e, stored under h, for name; the
@@ -238,20 +316,14 @@ func (s *Store) referLocked(h string, e *entry, name string) Ref {
 }
 
 // Get returns the content of a stored object. The returned slice is a
-// copy; callers may mutate it freely.
+// copy; callers may mutate it freely. Like View, it checks a restored
+// object's hash on its first read.
 func (s *Store) Get(ref Ref) ([]byte, error) {
-	if ref.Zero() {
-		return nil, ErrZeroRef
+	data, err := s.View(ref)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.objects[ref.Hash]
-	if !ok {
-		return nil, fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
-	}
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
-	return out, nil
+	return bytes.Clone(data), nil
 }
 
 // View returns the content of a stored object without copying it. The
@@ -261,17 +333,46 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 // a view stays valid and unchanged for as long as it is referenced,
 // even after the object is released. Callers that may write to the
 // bytes use Get.
+//
+// The first read of a restored object hashes it, without the store
+// lock; concurrent first readers wait for that one hash. A match
+// verifies the object, so a later read costs one atomic load more than
+// a map lookup. A mismatch fails this read and every later one with
+// ErrHashMismatch naming the hash, and the bytes are never returned.
 func (s *Store) View(ref Ref) ([]byte, error) {
 	if ref.Zero() {
 		return nil, ErrZeroRef
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	e, ok := s.objects[ref.Hash]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
+	if e.state.Load() != verified && !s.checkFirstRead(ref.Hash, e) {
+		return nil, fmt.Errorf("%w: %s", ErrHashMismatch, ref.Hash)
+	}
 	return e.data[:len(e.data):len(e.data)], nil
+}
+
+// checkFirstRead hashes the bytes of e, stored under h, unless a
+// check has already settled them, and reports whether they are
+// verified.
+func (s *Store) checkFirstRead(h string, e *entry) bool {
+	e.check.Do(func() {
+		if e.state.Load() != unverified {
+			return // a Put dedup hit settled it
+		}
+		s.hashedBytes.Add(int64(len(e.data)))
+		st := failed
+		if HashOf(e.data) == h {
+			st = verified
+		}
+		s.mu.Lock()
+		s.settleLocked(h, e, st)
+		s.mu.Unlock()
+	})
+	return e.state.Load() == verified
 }
 
 // Has reports whether the object is resident on this station.
@@ -321,8 +422,7 @@ func (s *Store) Release(ref Ref) error {
 	e.refcount--
 	s.logicalBytes -= int64(len(e.data))
 	if e.refcount == 0 {
-		s.physicalBytes -= int64(len(e.data))
-		delete(s.objects, ref.Hash)
+		s.evictLocked(ref.Hash, e)
 	}
 	return nil
 }
@@ -341,8 +441,7 @@ func (s *Store) Recount(counts map[string]int) {
 	for h, e := range s.objects {
 		n := counts[h]
 		if n <= 0 {
-			s.physicalBytes -= int64(len(e.data))
-			delete(s.objects, h)
+			s.evictLocked(h, e)
 			continue
 		}
 		e.refcount = n
@@ -368,7 +467,11 @@ type Stats struct {
 	LogicalBytes  int64 // disk that per-document duplication would use
 	Puts          int64 // total Put and Adopt calls
 	DedupHits     int64 // Puts and Adopts served by an already-resident object
-	HashedBytes   int64 // bytes SHA-256 has read: Put, Verify and Restore
+	// HashedBytes counts the bytes SHA-256 has read: Put, Verify and the
+	// first read of a restored object. Restore and Adopt hash nothing.
+	HashedBytes    int64
+	Unverified     int   // restored objects resident and not yet read
+	VerifyFailures int64 // restored objects whose bytes failed their hash
 }
 
 // SharingFactor is logical/physical bytes: 1.0 means no sharing, higher
@@ -385,12 +488,14 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Objects:       len(s.objects),
-		PhysicalBytes: s.physicalBytes,
-		LogicalBytes:  s.logicalBytes,
-		Puts:          s.putCount,
-		DedupHits:     s.dedupHits,
-		HashedBytes:   s.hashedBytes.Load(),
+		Objects:        len(s.objects),
+		PhysicalBytes:  s.physicalBytes,
+		LogicalBytes:   s.logicalBytes,
+		Puts:           s.putCount,
+		DedupHits:      s.dedupHits,
+		HashedBytes:    s.hashedBytes.Load(),
+		Unverified:     s.unverified,
+		VerifyFailures: s.verifyFailures,
 	}
 }
 

@@ -173,8 +173,9 @@ func TestAdoptTrustsTheCarriedHash(t *testing.T) {
 	}
 }
 
-// TestHashedBytesCountsEveryHash: Put, Verify and Restore hash the
-// bytes they are given, and Stats.HashedBytes says how many.
+// TestHashedBytesCountsEveryHash: Put and Verify hash the bytes they
+// are given, Restore hashes nothing, and the first read of a restored
+// object hashes it once; Stats.HashedBytes says how many bytes.
 func TestHashedBytesCountsEveryHash(t *testing.T) {
 	s := NewStore()
 	data := []byte("authored media")
@@ -200,8 +201,16 @@ func TestHashedBytesCountsEveryHash(t *testing.T) {
 	if err := restored.Restore(&image); err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Stats().HashedBytes; got != int64(len(data)) {
-		t.Fatalf("Restore hashed %d bytes, want %d", got, len(data))
+	if st := restored.Stats(); st.HashedBytes != 0 || st.Unverified != 1 {
+		t.Fatalf("after Restore: hashed %d bytes with %d objects unverified, want 0 and 1", st.HashedBytes, st.Unverified)
+	}
+	for i, want := range []int64{int64(len(data)), int64(len(data))} {
+		if view, err := restored.View(ref); err != nil || !bytes.Equal(view, data) {
+			t.Fatalf("View %d: %q, %v", i+1, view, err)
+		}
+		if st := restored.Stats(); st.HashedBytes != want || st.Unverified != 0 || st.VerifyFailures != 0 {
+			t.Fatalf("after View %d: %+v, want %d bytes hashed and nothing unverified", i+1, st, want)
+		}
 	}
 }
 

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/wire"
@@ -136,8 +139,8 @@ func TestRestoreRejectsHostileInput(t *testing.T) {
 		{"empty file", "too short", nil},
 		{"another file's magic", "magic", wire.SealImage(wire.SnapMagic, []byte{0})},
 		{"short hash, no references", "reference count 0", sealEntries(snapshotEntry{Hash: "abc", Kind: KindOther, Data: []byte("payload")})},
-		{"short hash, wrong content", "content verification", sealEntries(snapshotEntry{Hash: "abc", Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
-		{"empty hash", "content verification", sealEntries(snapshotEntry{Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
+		{"short hash, wrong content", "malformed content hash", sealEntries(snapshotEntry{Hash: "abc", Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
+		{"empty hash", "malformed content hash", sealEntries(snapshotEntry{Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
 		{"negative reference count", "reference count -1", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: -1, Data: []byte("payload")})},
 		{"reference count beyond any station", "reference count", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: 1 << 40, Data: []byte("payload")})},
 		{"entry count beyond the input", "truncated", wire.SealImage(wire.BlobMagic, wire.AppendUvarint(nil, 1<<62))},
@@ -194,8 +197,10 @@ func TestRestoreAcceptsUnnamedAndSharedObjects(t *testing.T) {
 	}
 }
 
-// FuzzRestore: no input makes Restore panic or spin; a store it
-// accepts snapshots to an image that restores to the same store.
+// FuzzRestore: no input makes Restore panic or spin; in a store it
+// accepts, every object's first read returns bytes that hash to its
+// name or fails with ErrHashMismatch, and the store snapshots to an
+// image that restores to the same store.
 func FuzzRestore(f *testing.F) {
 	src := NewStore()
 	src.Put("a.gif", KindImage, []byte("image-bytes"))
@@ -213,6 +218,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(sealEntries(snapshotEntry{Hash: "abc", Refcount: 1 << 62, Data: []byte("x")})) // short hash, giant refcount
 	f.Add(duplicateEntries(NewStore().Put("", KindOther, []byte("payload")).Hash))
 	f.Add(reversedEntries([]byte("payload"), []byte("another")))
+	f.Add(sealEntries(snapshotEntry{Hash: HashOf([]byte("another")), Kind: KindOther, Refcount: 1, Data: []byte("payload")})) // a hash over other bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
 		if err := s.Restore(bytes.NewReader(data)); err != nil {
@@ -220,6 +226,15 @@ func FuzzRestore(f *testing.F) {
 				t.Fatal("failed Restore left objects behind")
 			}
 			return
+		}
+		for _, ref := range s.List() {
+			got, err := s.View(ref)
+			if err == nil && HashOf(got) != ref.Hash {
+				t.Fatalf("View of %.12s returned bytes that hash to %.12s", ref.Hash, HashOf(got))
+			}
+			if err != nil && (!errors.Is(err, ErrHashMismatch) || got != nil) {
+				t.Fatalf("View of %.12s: %d bytes, err = %v, want its bytes or ErrHashMismatch", ref.Hash, len(got), err)
+			}
 		}
 		var again bytes.Buffer
 		if err := s.Snapshot(&again); err != nil {
@@ -338,8 +353,9 @@ func TestSnapshotStreams(t *testing.T) {
 }
 
 // TestRestoreChecksEveryObjectsHash: wherever it sits in the image, an
-// object whose bytes do not match its name fails the restore, and the
-// error names that object.
+// object whose bytes do not match its name restores, and its first
+// read — View or Get — fails with ErrHashMismatch naming it, as does
+// every read after; every other object serves its bytes.
 func TestRestoreChecksEveryObjectsHash(t *testing.T) {
 	src, _ := mediaStore()
 	var entries []snapshotEntry
@@ -353,13 +369,169 @@ func TestRestoreChecksEveryObjectsHash(t *testing.T) {
 	for _, i := range []int{0, len(entries) / 2, len(entries) - 1} {
 		entries[i].Data[len(entries[i].Data)-1] ^= 1
 		s := NewStore()
-		err := s.Restore(bytes.NewReader(sealEntries(entries...)))
-		if want := entries[i].Hash[:12] + " fails content verification"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("object %d of %d altered: err = %v, want one containing %q", i, len(entries), err, want)
+		if err := s.Restore(bytes.NewReader(sealEntries(entries...))); err != nil {
+			t.Fatalf("object %d of %d altered: %v", i, len(entries), err)
 		}
-		if s.Stats().Objects != 0 {
-			t.Errorf("object %d of %d altered: the store took objects anyway", i, len(entries))
+		read := s.View
+		if i%2 == 1 {
+			read = s.Get
+		}
+		for j, e := range entries {
+			ref := Ref{Hash: e.Hash, Size: int64(len(e.Data)), Kind: e.Kind}
+			got, err := read(ref)
+			if j != i {
+				if err != nil || !bytes.Equal(got, e.Data) {
+					t.Errorf("object %d of %d altered: object %d read %d bytes, %v", i, len(entries), j, len(got), err)
+				}
+				continue
+			}
+			for k := 0; k < 2; k++ { // the first read, and one after
+				if err == nil || !errors.Is(err, ErrHashMismatch) || !strings.Contains(err.Error(), e.Hash) || got != nil {
+					t.Errorf("object %d of %d altered: read %d returned %d bytes, err = %v, want ErrHashMismatch naming %s", i, len(entries), k+1, len(got), err, e.Hash)
+				}
+				got, err = s.Get(ref)
+			}
+		}
+		if st := s.Stats(); st.Objects != len(entries) || st.Unverified != 0 || st.VerifyFailures != 1 {
+			t.Errorf("object %d of %d altered: stats after reading every object %+v, want %d objects, none unverified, one failure", i, len(entries), st, len(entries))
 		}
 		entries[i].Data[len(entries[i].Data)-1] ^= 1
+	}
+}
+
+// restoredStore returns a store restored from an image of objects, each
+// named by its own hash unless forged names it by another's.
+func restoredStore(t *testing.T, objects [][]byte, forged map[int][]byte) *Store {
+	t.Helper()
+	var entries []snapshotEntry
+	for i, data := range objects {
+		hash := HashOf(data)
+		if claimed, ok := forged[i]; ok {
+			hash = HashOf(claimed)
+		}
+		entries = append(entries, snapshotEntry{Hash: hash, Kind: KindOther, Refcount: 1, Names: []string{fmt.Sprint("n", i)}, Data: data})
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Hash < entries[j].Hash })
+	s := NewStore()
+	if err := s.Restore(bytes.NewReader(sealEntries(entries...))); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestPutSettlesARestoredObject: a Put dedup hit on a restored object
+// nobody has read yet settles its check with the bytes Put has just
+// hashed. Equal bytes verify it, so its first read hashes nothing;
+// other bytes are replaced by the Put's copy, which keeps the object's
+// references and names and is what every read then returns.
+func TestPutSettlesARestoredObject(t *testing.T) {
+	good, bad, claimed := []byte("lecture video"), []byte("forged audio"), []byte("lecture audio")
+	s := restoredStore(t, [][]byte{good, bad}, map[int][]byte{1: claimed})
+	goodRef := s.Put("again", KindOther, good)
+	badRef := s.Put("again", KindOther, claimed)
+	hashed := int64(len(good) + len(claimed))
+	if st := s.Stats(); st.Unverified != 0 || st.VerifyFailures != 1 || st.HashedBytes != hashed || st.DedupHits != 2 || st.PhysicalBytes != int64(len(good)+len(claimed)) || st.LogicalBytes != 2*st.PhysicalBytes {
+		t.Fatalf("after the Puts: %+v", st)
+	}
+	for ref, want := range map[Ref][]byte{goodRef: good, badRef: claimed} {
+		if got, err := s.View(ref); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("View %.12s = %q, %v; want %q", ref.Hash, got, err, want)
+		}
+		if s.RefCount(ref) != 2 || len(s.Names(ref)) != 2 {
+			t.Errorf("%.12s: refcount %d names %v, want both the restored and the Put's", ref.Hash, s.RefCount(ref), s.Names(ref))
+		}
+	}
+	if got := s.Stats().HashedBytes; got != hashed {
+		t.Errorf("reads after the Puts hashed %d bytes", got-hashed)
+	}
+}
+
+// TestAdoptRepairsAFailedObject: once a restored object's first read
+// has failed, adopting its hash again replaces its bytes, keeping its
+// references and names, instead of taking a reference on bytes no
+// reader may have: pulling the medium again repairs the station.
+func TestAdoptRepairsAFailedObject(t *testing.T) {
+	bad, claimed := []byte("forged audio"), []byte("lecture audio")
+	s := restoredStore(t, [][]byte{bad}, map[int][]byte{0: claimed})
+	ref := Ref{Hash: HashOf(claimed)}
+	if _, err := s.View(ref); !errors.Is(err, ErrHashMismatch) {
+		t.Fatalf("first read of the forged object: err = %v, want ErrHashMismatch", err)
+	}
+	if _, err := s.Adopt("pulled", KindOther, ref.Hash, bytes.Clone(claimed)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.View(ref); err != nil || !bytes.Equal(got, claimed) {
+		t.Fatalf("View after the adoption = %q, %v; want %q", got, err, claimed)
+	}
+	if s.RefCount(ref) != 2 || len(s.Names(ref)) != 2 {
+		t.Errorf("refcount %d names %v, want both the restored and the adopted", s.RefCount(ref), s.Names(ref))
+	}
+	if st := s.Stats(); st.VerifyFailures != 1 || st.HashedBytes != int64(len(bad)) || st.PhysicalBytes != int64(len(claimed)) || st.LogicalBytes != 2*st.PhysicalBytes {
+		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestConcurrentFirstReads: many readers make the first read of one
+// restored object at once, while another restored object is retained,
+// released and deduplicated onto by a Put. Every reader gets the same
+// correct bytes, the object is hashed exactly once, and no read after
+// that check hashes.
+func TestConcurrentFirstReads(t *testing.T) {
+	target, other := bytes.Repeat([]byte("lecture"), 64<<10), []byte("slide image")
+	s := restoredStore(t, [][]byte{target, other}, nil)
+	ref := Ref{Hash: HashOf(target)}
+	otherRef := Ref{Hash: HashOf(other)}
+	const readers = 8
+	start := make(chan struct{})
+	views := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			read := s.View
+			if i%2 == 1 {
+				read = s.Get
+			}
+			data, err := read(ref)
+			if err != nil {
+				t.Error(err)
+			}
+			views[i] = data
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 50; i++ {
+			if err := s.Retain(otherRef); err != nil {
+				t.Error(err)
+			}
+			if err := s.Release(otherRef); err != nil {
+				t.Error(err)
+			}
+		}
+		s.Put("dedup", KindOther, other)
+	}()
+	close(start)
+	wg.Wait()
+	for i, v := range views {
+		if !bytes.Equal(v, target) {
+			t.Errorf("reader %d got %d bytes, not the object", i, len(v))
+		}
+	}
+	want := int64(len(target) + len(other))
+	if st := s.Stats(); st.HashedBytes != want || st.Unverified != 0 || st.VerifyFailures != 0 || s.RefCount(otherRef) != 2 {
+		t.Fatalf("after the readers: %+v, refcount %d; want %d bytes hashed: the object once and the Put's", st, s.RefCount(otherRef), want)
+	}
+	for _, r := range []Ref{ref, otherRef} {
+		if _, err := s.View(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().HashedBytes; got != want {
+		t.Fatalf("reads after the check hashed %d bytes", got-want)
 	}
 }

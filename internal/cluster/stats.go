@@ -42,10 +42,14 @@ type StatsReply struct {
 	WALTailBytes  int64  // bytes in the WAL tail since that generation
 	Durable       bool   // station runs with a durability directory
 
-	// BLOB store.
-	BlobObjects   int
-	PhysicalBytes int64
-	LogicalBytes  int64
+	// BLOB store. A restored object is hashed on its first read:
+	// BlobUnverified counts those not yet read, VerifyFailures those
+	// whose bytes failed their hash and are refused to every reader.
+	BlobObjects    int
+	PhysicalBytes  int64
+	LogicalBytes   int64
+	BlobUnverified int
+	VerifyFailures int64
 
 	// Content index ("" dimensions stay zero when none is attached).
 	Indexed       bool
@@ -92,6 +96,8 @@ func (n *Node) StatsNow() StatsReply {
 	reply.BlobObjects = bs.Objects
 	reply.PhysicalBytes = bs.PhysicalBytes
 	reply.LogicalBytes = bs.LogicalBytes
+	reply.BlobUnverified = bs.Unverified
+	reply.VerifyFailures = bs.VerifyFailures
 	if ix, ok := n.Store.ContentIndex().(*search.Index); ok && ix != nil {
 		st := ix.Stats()
 		reply.Indexed = true

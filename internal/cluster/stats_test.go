@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/blob"
 )
 
 // TestStatsRPC exercises the unified snapshot over the wire: the
@@ -80,5 +84,50 @@ func TestStatsNowMatchesRPC(t *testing.T) {
 	if local.Objects != viaRPC.Objects || local.Tables != viaRPC.Tables ||
 		local.BlobObjects != viaRPC.BlobObjects || local.PhysicalBytes != viaRPC.PhysicalBytes {
 		t.Errorf("local %+v disagrees with wire %+v", local, viaRPC)
+	}
+}
+
+// TestStatsCountsUnverifiedBlobs: after the BLOB store is restored, the
+// Stats RPC reports every object unverified. Exporting the course reads
+// and verifies its media, and a read of a forged object fails and is
+// counted as a verify failure.
+func TestStatsCountsUnverifiedBlobs(t *testing.T) {
+	n, addr, spec := startNode(t, 1, true)
+	rs, err := DialStation(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	blobs := n.Store.Blobs()
+	forged, err := blobs.Adopt("forged.gif", blob.KindImage, blob.HashOf([]byte("the claimed image")), []byte("another image"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := blobs.Snapshot(&image); err != nil {
+		t.Fatal(err)
+	}
+	if err := blobs.Restore(&image); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := rs.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobObjects < 2 || stats.BlobUnverified != stats.BlobObjects || stats.VerifyFailures != 0 {
+		t.Fatalf("after the restore: %d objects, %d unverified, %d failures; want every object unverified", stats.BlobObjects, stats.BlobUnverified, stats.VerifyFailures)
+	}
+	if _, err := n.Store.ExportBundle(spec.URL); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := blobs.View(forged); !errors.Is(err, blob.ErrHashMismatch) {
+		t.Fatalf("View of the forged object: err = %v, want blob.ErrHashMismatch", err)
+	}
+	stats, err = rs.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BlobUnverified != 0 || stats.VerifyFailures != 1 {
+		t.Fatalf("after the export and the forged read: %d unverified, %d failures; want 0 and 1", stats.BlobUnverified, stats.VerifyFailures)
 	}
 }

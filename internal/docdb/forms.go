@@ -534,7 +534,9 @@ func (s *Store) ExportReference(url string) (*Bundle, error) {
 // resident on this station: the metadata closure plus its files, media
 // bytes and annotations. The media bytes are the BLOB store's own,
 // viewed rather than copied (blob.Store.View): a caller must not write
-// to them.
+// to them. A medium restored from the BLOB sidecar is hashed on its
+// first export, and one whose bytes fail their hash fails the export
+// with blob.ErrHashMismatch naming it.
 func (s *Store) ExportBundle(url string) (*Bundle, error) {
 	b, err := s.ExportReference(url)
 	if err != nil {
@@ -555,6 +557,9 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 	var media []BundleMedia
 	for _, m := range mediaRefs {
 		data, err := s.blobs.View(m.Ref)
+		if errors.Is(err, blob.ErrHashMismatch) {
+			return nil, fmt.Errorf("docdb: media %s of %s: %w", m.Name, url, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: media %s of %s", ErrNotResident, m.Name, url)
 		}
@@ -580,8 +585,8 @@ func (s *Store) ExportBundle(url string) (*Bundle, error) {
 // is written; nothing falls back to hashing the bytes. ImportBundle
 // trusts the hashes it is given: a caller holding bytes no station has
 // hashed — the Import RPC, fed by a client — checks them first
-// (blob.Store.Verify). A mismatch that slips through is caught when
-// the BLOB sidecar is restored at the next restart.
+// (blob.Store.Verify). A mismatch that slips through is written to the
+// next BLOB sidecar as it is, and after a restart its first read fails.
 //
 // The BLOB store adopts b's media bytes instead of copying them, so the
 // caller hands them over: nothing may write to a Media[i].Data after

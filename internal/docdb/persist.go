@@ -53,7 +53,10 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 //
 // The sidecar is restored after relstore has chosen its generation, on
 // the calling goroutine: only that generation's blobs-<g> is read, and
-// every content hash in it is checked before the BLOB store changes.
+// its structure is checked before the BLOB store changes. Recovery
+// hashes no media: each restored object is hashed on its first read
+// (blob.Store.View), so an export of a medium whose bytes fail their
+// hash fails, while the recovery and every other medium do not.
 // A missing sidecar fails the recovery: rows without their BLOBs
 // would point at nothing. The checkpoint renames the sidecar before
 // the snapshot, so only a relstore-only checkpoint or a hand-pruned

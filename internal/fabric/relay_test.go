@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -411,13 +412,14 @@ func TestBroadcastHashesNothing(t *testing.T) {
 	}
 }
 
-// TestRelayedForgeryIsCaughtAtRestart follows a medium whose carried
+// TestRelayedForgeryIsCaughtAtFirstRead follows a medium whose carried
 // hash does not match its bytes down the tree to where the trust rule
 // says it is caught. A relay and a durable leaf below it adopt it as
-// sent — between stations only the frame's CRC32C is checked — and the
-// leaf's next restart re-hashes its BLOB sidecar: blob.Restore refuses
-// the object, naming its hash, and the recovery fails.
-func TestRelayedForgeryIsCaughtAtRestart(t *testing.T) {
+// sent — between stations only the frame's CRC32C is checked. The
+// leaf's next restart succeeds without hashing any medium, and the
+// first read of the forged one hashes it: the export of its course
+// fails with blob.ErrHashMismatch naming its hash.
+func TestRelayedForgeryIsCaughtAtFirstRead(t *testing.T) {
 	root, err := NewRoot(newTestStore(t), "127.0.0.1:0", 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -477,8 +479,18 @@ func TestRelayedForgeryIsCaughtAtRestart(t *testing.T) {
 	leaf.Close()
 	durable.Rel().CloseWAL()
 
-	_, err = newTestStore(t).Recover(dir)
-	if err == nil || !strings.Contains(err.Error(), "fails content verification") || !strings.Contains(err.Error(), m.Hash[:12]) {
-		t.Fatalf("restart after adopting a forged medium: err = %v, want blob.Restore's content verification failure naming %.12s", err, m.Hash)
+	restarted := newTestStore(t)
+	if _, err := restarted.Recover(dir); err != nil {
+		t.Fatalf("restart after adopting a forged medium: %v", err)
+	}
+	defer restarted.Rel().CloseWAL()
+	if st := restarted.Blobs().Stats(); st.HashedBytes != 0 || st.Unverified != st.Objects {
+		t.Fatalf("the restart hashed media: %+v", st)
+	}
+	if _, err := restarted.ExportBundle(spec.URL); !errors.Is(err, blob.ErrHashMismatch) || !strings.Contains(err.Error(), m.Hash) {
+		t.Fatalf("export of the forged course after the restart: err = %v, want blob.ErrHashMismatch naming %s", err, m.Hash)
+	}
+	if st := restarted.Blobs().Stats(); st.VerifyFailures != 1 {
+		t.Fatalf("after the export: %+v, want one verify failure", st)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"repro/internal/wire"
 )
@@ -121,9 +122,35 @@ func decodeEnvelope(p []byte) (*envelope, error) {
 
 // buffersWriter is a connection wrapper (countingConn) that hands a
 // vectored write to the connection beneath it, so wrapping a TCP
-// connection does not split a frame into one write per segment.
+// connection does not split a frame into one write per segment. The
+// write consumes *bufs, as net.Buffers.WriteTo does.
 type buffersWriter interface {
-	writeBuffers(bufs net.Buffers) (int64, error)
+	writeBuffers(bufs *net.Buffers) (int64, error)
+}
+
+// frameScratch is what one writeFrame needs besides the body: the
+// header and trailer bytes and the vector that sends them around the
+// body. It is pooled whole, so writing a frame allocates nothing.
+type frameScratch struct {
+	buf  []byte
+	segs [3][]byte
+	bufs net.Buffers
+}
+
+var frameScratches = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// maxScratch bounds the header buffer a pooled scratch keeps: a frame
+// carrying a giant error string does not pin its header forever.
+const maxScratch = 4 << 10
+
+// release drops the scratch's hold on the body (bufs slices segs) and
+// returns it to the pool.
+func (fs *frameScratch) release() {
+	fs.segs = [3][]byte{}
+	if cap(fs.buf) > maxScratch {
+		fs.buf = nil
+	}
+	frameScratches.Put(fs)
 }
 
 // writeFrame sends one envelope as one vectored write of three
@@ -131,11 +158,11 @@ type buffersWriter interface {
 // and the CRC trailer. On a TCP connection that is one writev, so a
 // frame is one syscall, a peer never observes a header whose body died
 // in a second write, and the body is never copied in user space. The
-// header and trailer share one pooled scratch buffer.
+// header, the trailer and the vector come from one pooled scratch.
 func writeFrame(w io.Writer, env *envelope) error {
-	buf := wire.GetBuf()
-	defer func() { wire.PutBuf(buf) }()
-	buf = appendHeader(append(buf, 0, 0, 0, 0), env)
+	fs := frameScratches.Get().(*frameScratch)
+	defer fs.release()
+	buf := appendHeader(append(fs.buf[:0], 0, 0, 0, 0), env)
 	head := len(buf)
 	n := head - 4 + len(env.Body) + 4
 	if n > MaxFrame {
@@ -143,13 +170,15 @@ func writeFrame(w io.Writer, env *envelope) error {
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(n))
 	buf = wire.AppendUint32(buf, wire.ChecksumUpdate(wire.Checksum(buf[4:head]), env.Body))
-	bufs := net.Buffers{buf[:head], env.Body, buf[head:]}
+	fs.buf = buf
+	fs.segs = [3][]byte{buf[:head], env.Body, buf[head:]}
+	fs.bufs = fs.segs[:]
 	raceReleaseFrame()
 	var err error
 	if bw, ok := w.(buffersWriter); ok {
-		_, err = bw.writeBuffers(bufs)
+		_, err = bw.writeBuffers(&fs.bufs)
 	} else {
-		_, err = bufs.WriteTo(w)
+		_, err = fs.bufs.WriteTo(w)
 	}
 	return err
 }

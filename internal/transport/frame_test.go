@@ -124,8 +124,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-func (w *countingWriter) writeBuffers(bufs net.Buffers) (int64, error) {
-	w.vectors = append(w.vectors, append(net.Buffers(nil), bufs...))
+func (w *countingWriter) writeBuffers(bufs *net.Buffers) (int64, error) {
+	w.vectors = append(w.vectors, append(net.Buffers(nil), *bufs...))
 	return bufs.WriteTo(&w.buf)
 }
 

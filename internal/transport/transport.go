@@ -273,9 +273,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // writeBuffers is Write for a whole frame (see writeFrame): the
 // segments leave in one vectored write on the connection beneath and
 // are counted the same way.
-func (c *countingConn) writeBuffers(bufs net.Buffers) (int64, error) {
+func (c *countingConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	var size int64
-	for _, b := range bufs {
+	for _, b := range *bufs {
 		size += int64(len(b))
 	}
 	c.srv.bytesOut.Add(size)
