@@ -85,16 +85,16 @@ func TestCheckoutPairAllocBudget(t *testing.T) {
 }
 
 // The budget of one small RPC through a transport pool over loopback,
-// both sides counted, about 10 % above the 17 allocations and 416 bytes
+// both sides counted, about 10 % above the 11 allocations and 368 bytes
 // measured.
 const (
-	smallRPCAllocBudget = 19
-	smallRPCByteBudget  = 460
+	smallRPCAllocBudget = 12
+	smallRPCByteBudget  = 405
 )
 
 // TestSmallRPCAllocBudget pins what the path every RPC takes allocates
 // for a message with almost no body: the request's encode and frame,
-// the server's frame read, dispatch, span and reply on the connection's
+// the server's frame read, dispatch and reply on the connection's
 // goroutine, and the caller's frame read and decode.
 func TestSmallRPCAllocBudget(t *testing.T) {
 	if raceBuild {
@@ -153,19 +153,19 @@ func checkAllocBudget(t *testing.T, what string, warm, n int, op func(), allocBu
 }
 
 // The budget of one Resolve hop, both stations counted, about 10 %
-// above the 224 allocations and 821,000 bytes measured (a 391,674-byte
-// reply body: the root's encode and the leaf's frame buffer are most of
-// the bytes).
+// above the 219 allocations and 420,600 bytes measured (a 391,674-byte
+// reply body: the leaf's frame buffer is most of the bytes; the root
+// sends its media as the store views they are).
 const (
-	resolveHopAllocBudget = 246
-	resolveHopByteBudget  = 904000
+	resolveHopAllocBudget = 240
+	resolveHopByteBudget  = 463000
 )
 
 // TestResolveHopAllocBudget pins what a station allocates, together
 // with its parent, to resolve lectureSpec's course over one fabric hop:
-// the request, the root's export and reply frame on its connection's
-// goroutine, and the leaf's frame read and bundle decode, whose media
-// alias the frame. A negative watermark keeps every fetch remote.
+// the request, the root's export and reply segments on its
+// connection's goroutine, and the leaf's frame read and bundle decode,
+// whose media alias the frame. A negative watermark keeps every fetch remote.
 func TestResolveHopAllocBudget(t *testing.T) {
 	if raceBuild {
 		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")

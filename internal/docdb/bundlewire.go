@@ -3,7 +3,6 @@ package docdb
 import (
 	"encoding/hex"
 	"fmt"
-	"slices"
 
 	"repro/internal/blob"
 	"repro/internal/wire"
@@ -30,63 +29,66 @@ import (
 // The bodies that carry bundles open with wire.BundleVersion, which
 // this grammar moved to 2; there is no reader for version 1.
 
-// AppendBundle appends b's wire encoding to dst. A medium whose Hash is
-// not blob.ValidHash fails with blob.ErrBadHash: a bundle goes out
-// naming its media or not at all.
-func AppendBundle(dst []byte, b *Bundle) ([]byte, error) {
-	sc := &b.Script
-	dst = wire.AppendString(dst, sc.Name)
-	dst = wire.AppendString(dst, sc.DBName)
-	dst = wire.AppendUvarint(dst, uint64(len(sc.Keywords)))
+// EncodeBundle encodes bd into b, the one bundle encoder: every
+// medium's bytes go through b.AppendBytes, so a medium of
+// wire.SpliceMin bytes or more is spliced in as the BLOB store view it
+// is, never copied. A medium whose Hash is not blob.ValidHash fails
+// with blob.ErrBadHash: a bundle goes out naming its media or not at
+// all.
+func EncodeBundle(b *wire.Builder, bd *Bundle) error {
+	sc := &bd.Script
+	b.Buf = wire.AppendString(b.Buf, sc.Name)
+	b.Buf = wire.AppendString(b.Buf, sc.DBName)
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(sc.Keywords)))
 	for _, k := range sc.Keywords {
-		dst = wire.AppendString(dst, k)
+		b.Buf = wire.AppendString(b.Buf, k)
 	}
-	dst = wire.AppendString(dst, sc.Author)
-	dst = wire.AppendVarint(dst, sc.Version)
-	dst = wire.AppendTime(dst, sc.Created)
-	dst = wire.AppendString(dst, sc.Description)
-	dst = wire.AppendTime(dst, sc.ExpectedCompletion)
-	dst = wire.AppendFloat64(dst, sc.PctComplete)
+	b.Buf = wire.AppendString(b.Buf, sc.Author)
+	b.Buf = wire.AppendVarint(b.Buf, sc.Version)
+	b.Buf = wire.AppendTime(b.Buf, sc.Created)
+	b.Buf = wire.AppendString(b.Buf, sc.Description)
+	b.Buf = wire.AppendTime(b.Buf, sc.ExpectedCompletion)
+	b.Buf = wire.AppendFloat64(b.Buf, sc.PctComplete)
 
-	dst = wire.AppendString(dst, b.Impl.StartingURL)
-	dst = wire.AppendString(dst, b.Impl.ScriptName)
-	dst = wire.AppendString(dst, b.Impl.Author)
-	dst = wire.AppendTime(dst, b.Impl.Created)
+	b.Buf = wire.AppendString(b.Buf, bd.Impl.StartingURL)
+	b.Buf = wire.AppendString(b.Buf, bd.Impl.ScriptName)
+	b.Buf = wire.AppendString(b.Buf, bd.Impl.Author)
+	b.Buf = wire.AppendTime(b.Buf, bd.Impl.Created)
 
-	for _, files := range [][]File{b.HTML, b.Programs} {
-		dst = wire.AppendUvarint(dst, uint64(len(files)))
+	for _, files := range [][]File{bd.HTML, bd.Programs} {
+		b.Buf = wire.AppendUvarint(b.Buf, uint64(len(files)))
 		for i := range files {
 			f := &files[i]
-			dst = wire.AppendString(dst, f.ID)
-			dst = wire.AppendString(dst, f.StartingURL)
-			dst = wire.AppendString(dst, f.Path)
-			dst = wire.AppendString(dst, f.Language)
-			dst = wire.AppendBytes(dst, f.Content)
+			b.Buf = wire.AppendString(b.Buf, f.ID)
+			b.Buf = wire.AppendString(b.Buf, f.StartingURL)
+			b.Buf = wire.AppendString(b.Buf, f.Path)
+			b.Buf = wire.AppendString(b.Buf, f.Language)
+			b.Buf = wire.AppendBytes(b.Buf, f.Content)
 		}
 	}
-	dst = wire.AppendUvarint(dst, uint64(len(b.Media)))
-	for i := range b.Media {
-		m := &b.Media[i]
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(bd.Media)))
+	for i := range bd.Media {
+		m := &bd.Media[i]
 		if !blob.ValidHash(m.Hash) {
-			return nil, fmt.Errorf("docdb: medium %q of %s: %w: %q", m.Name, b.Impl.StartingURL, blob.ErrBadHash, m.Hash)
+			return fmt.Errorf("docdb: medium %q of %s: %w: %q", m.Name, bd.Impl.StartingURL, blob.ErrBadHash, m.Hash)
 		}
-		dst = wire.AppendString(dst, m.Name)
-		dst = wire.AppendUvarint(dst, uint64(m.Kind))
-		dst = appendRawHash(dst, m.Hash)
-		dst = wire.AppendBytes(dst, m.Data)
+		b.Buf = wire.AppendString(b.Buf, m.Name)
+		b.Buf = wire.AppendUvarint(b.Buf, uint64(m.Kind))
+		b.Buf = appendRawHash(b.Buf, m.Hash)
+		b.AppendBytes(m.Data)
 	}
-	dst = wire.AppendUvarint(dst, uint64(len(b.Annotations)))
-	for i := range b.Annotations {
-		a := &b.Annotations[i]
-		dst = wire.AppendString(dst, a.Name)
-		dst = wire.AppendString(dst, a.ScriptName)
-		dst = wire.AppendString(dst, a.StartingURL)
-		dst = wire.AppendString(dst, a.Author)
-		dst = wire.AppendVarint(dst, a.Version)
-		dst = wire.AppendTime(dst, a.Created)
-		dst = wire.AppendBytes(dst, a.File)
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(bd.Annotations)))
+	for i := range bd.Annotations {
+		a := &bd.Annotations[i]
+		b.Buf = wire.AppendString(b.Buf, a.Name)
+		b.Buf = wire.AppendString(b.Buf, a.ScriptName)
+		b.Buf = wire.AppendString(b.Buf, a.StartingURL)
+		b.Buf = wire.AppendString(b.Buf, a.Author)
+		b.Buf = wire.AppendVarint(b.Buf, a.Version)
+		b.Buf = wire.AppendTime(b.Buf, a.Created)
+		b.Buf = wire.AppendBytes(b.Buf, a.File)
 	}
-	return dst, nil
+	return nil
 }
 
 // appendRawHash appends the blob.HashSize bytes that h, a
@@ -169,13 +171,17 @@ func ReadBundle(r *wire.Reader) Bundle {
 	return b
 }
 
-// AppendWire makes a Bundle a self-encoding message body (the station
-// RPCs' Bundle reply) and field (ImportRequest, the rejoin state
-// stream): [BundleMagic][wire.BundleVersion] then AppendBundle.
-func (b Bundle) AppendWire(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, 1024+int(b.TotalBytes()))
-	return AppendBundle(append(dst, wire.BundleMagic, wire.BundleVersion), &b)
+// AppendSegments makes a Bundle a self-encoding message body (the
+// station RPCs' Bundle reply): [BundleMagic][wire.BundleVersion] then
+// EncodeBundle.
+func (b Bundle) AppendSegments(w *wire.Builder) error {
+	w.Buf = append(w.Buf, wire.BundleMagic, wire.BundleVersion)
+	return EncodeBundle(w, &b)
 }
+
+// AppendWire is AppendSegments flattened, for the bundle as a field
+// (ImportRequest, the rejoin state stream) and for Marshal.
+func (b Bundle) AppendWire(dst []byte) ([]byte, error) { return wire.AppendFlat(dst, b.AppendSegments) }
 
 // DecodeWire is the decode half of AppendWire. The decoded bundle's
 // media bytes alias body (see ReadBundle). A body of another version

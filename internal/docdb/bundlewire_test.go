@@ -338,7 +338,7 @@ func TestImportRefusesMediaWithoutAHash(t *testing.T) {
 		if st := s.Blobs().Stats(); st.Objects != 0 || st.HashedBytes != 0 {
 			t.Fatalf("hash %q: a refused import left BLOB stats %+v", bad, st)
 		}
-		if _, err := AppendBundle(nil, &b); !errors.Is(err, blob.ErrBadHash) {
+		if err := EncodeBundle(new(wire.Builder), &b); !errors.Is(err, blob.ErrBadHash) {
 			t.Fatalf("hash %q: encoding err = %v, want blob.ErrBadHash", bad, err)
 		}
 	}

@@ -246,10 +246,11 @@ func TestBundleWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := AppendBundle(nil, want)
-	if err != nil {
+	var b wire.Builder
+	if err := EncodeBundle(&b, want); err != nil {
 		t.Fatal(err)
 	}
+	enc := wire.Join(nil, b.Segments())
 	r := wire.NewReader(enc)
 	got := ReadBundle(r)
 	if r.Err() != nil || r.Len() != 0 {

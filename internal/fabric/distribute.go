@@ -153,11 +153,13 @@ func (s *Station) broadcastAllSpanned(urls []string, refOnly bool, span *obs.Act
 	}
 	v := s.view()
 	// The one encode of the whole broadcast: every station in the tree
-	// receives, and relays, exactly these bytes.
-	body, err := transport.Marshal(PushRequest{Bundles: bundles, RefOnly: refOnly, Topology: v.Topology})
-	if err != nil {
+	// receives, and relays, exactly these bytes. The root sends them as
+	// segments, its media spliced in as the store views they are.
+	var b wire.Builder
+	if err := (PushRequest{Bundles: bundles, RefOnly: refOnly, Topology: v.Topology}).AppendSegments(&b); err != nil {
 		return nil, err
 	}
+	body := transport.Segments(b.Segments())
 	// The catalog entries land before the fan-out: a station rejoining
 	// while this broadcast is still in flight must see the documents in
 	// its catch-up catalog — the root holds the bundles either way.
@@ -214,7 +216,7 @@ func (s *Station) handlePush(ctx *transport.Ctx, decode func(any) error) (any, e
 	relayed := make(chan struct{})
 	go func() {
 		defer close(relayed)
-		sub = s.fanOut(pos, req.Topology, body, ctx.Span())
+		sub = s.fanOut(pos, req.Topology, transport.Segments{body}, ctx.Span())
 	}()
 	local := s.installPush(pos, req.RefOnly, bundles)
 	<-relayed
@@ -222,11 +224,11 @@ func (s *Station) handlePush(ctx *transport.Ctx, decode func(any) error) (any, e
 }
 
 // fanOut relays a push body to every child of pos, grafting around
-// dead hops: body is what this station was sent (or, at the root, what
-// it encoded), and every delivery — to a child, or to a dead child's
-// children — puts those same bytes on the wire. The hop's span context
-// rides on each child call.
-func (s *Station) fanOut(pos int, topo Topology, body transport.Raw, span *obs.ActiveSpan) []StationResult {
+// dead hops: body is what this station was sent, as one segment (or,
+// at the root, the segments it encoded), and every delivery — to a
+// child, or to a dead child's children — puts those same bytes on the
+// wire. The hop's span context rides on each child call.
+func (s *Station) fanOut(pos int, topo Topology, body transport.Segments, span *obs.ActiveSpan) []StationResult {
 	return fanOutTree(s, span, pos, topo, false, func(addr string, timeout time.Duration) (subtree[struct{}], error) {
 		var reply PushReply
 		err := s.pool(addr).CallTrace(methodPush, body, &reply, span.Context(), timeout)

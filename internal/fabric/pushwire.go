@@ -3,7 +3,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -12,8 +11,9 @@ import (
 )
 
 // Binary bodies of the two fabric messages that carry bundles. Both
-// implement transport.WireAppender/WireDecoder, so transport.Marshal
-// and Unmarshal route them here instead of through the body codec:
+// implement wire.Segmenter and transport.WireAppender/WireDecoder, so
+// the transport sends them as segments, and Marshal and Unmarshal
+// route them here instead of through the body codec:
 //
 //	push  := [PushMagic][BundleVersion] header bundle{count}
 //	header:= refonly(0|1) M N watermark epoch
@@ -23,7 +23,7 @@ import (
 //	reply := [ReplyMagic][BundleVersion] servedBy bundle
 //
 // Integers are zigzag varints, counts uvarints, bundles are
-// docdb.AppendBundle, each medium under its SHA-256. The header comes
+// docdb.EncodeBundle, each medium under its SHA-256. The header comes
 // first so that a relay can read the topology and start forwarding the
 // body it was handed without looking at a single bundle byte (see
 // handlePush). Neither body carries a checksum: the transport frame's
@@ -47,32 +47,28 @@ func openBody(body []byte, magic byte, what string) (*wire.Reader, error) {
 	return wire.NewReader(body[2:]), nil
 }
 
-// AppendWire implements transport.WireAppender.
-func (r PushRequest) AppendWire(dst []byte) ([]byte, error) {
+// AppendSegments encodes the push into b, its media spliced in as the
+// store views they are (docdb.EncodeBundle).
+func (r PushRequest) AppendSegments(b *wire.Builder) error {
 	pushEncodes.Add(1)
-	size := 1024 // header and roster; one allocation, not a doubling walk through the media
-	for i := range r.Bundles {
-		size += int(r.Bundles[i].TotalBytes())
-	}
-	dst = slices.Grow(dst, size)
-	dst = append(dst, wire.PushMagic, wire.BundleVersion)
+	b.Buf = append(b.Buf, wire.PushMagic, wire.BundleVersion)
 	if r.RefOnly {
-		dst = append(dst, 1)
+		b.Buf = append(b.Buf, 1)
 	} else {
-		dst = append(dst, 0)
+		b.Buf = append(b.Buf, 0)
 	}
 	for _, v := range []int{r.M, r.N, r.Watermark, r.Epoch} {
-		dst = wire.AppendVarint(dst, int64(v))
+		b.Buf = wire.AppendVarint(b.Buf, int64(v))
 	}
 	positions := make([]int, 0, len(r.Roster))
 	for pos := range r.Roster {
 		positions = append(positions, pos)
 	}
 	sort.Ints(positions)
-	dst = wire.AppendUvarint(dst, uint64(len(positions)))
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(positions)))
 	for _, pos := range positions {
-		dst = wire.AppendVarint(dst, int64(pos))
-		dst = wire.AppendString(dst, r.Roster[pos])
+		b.Buf = wire.AppendVarint(b.Buf, int64(pos))
+		b.Buf = wire.AppendString(b.Buf, r.Roster[pos])
 	}
 	positions = positions[:0]
 	for pos, down := range r.Down {
@@ -81,18 +77,22 @@ func (r PushRequest) AppendWire(dst []byte) ([]byte, error) {
 		}
 	}
 	sort.Ints(positions)
-	dst = wire.AppendUvarint(dst, uint64(len(positions)))
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(positions)))
 	for _, pos := range positions {
-		dst = wire.AppendVarint(dst, int64(pos))
+		b.Buf = wire.AppendVarint(b.Buf, int64(pos))
 	}
-	dst = wire.AppendUvarint(dst, uint64(len(r.Bundles)))
+	b.Buf = wire.AppendUvarint(b.Buf, uint64(len(r.Bundles)))
 	for i := range r.Bundles {
-		var err error
-		if dst, err = docdb.AppendBundle(dst, &r.Bundles[i]); err != nil {
-			return nil, err
+		if err := docdb.EncodeBundle(b, &r.Bundles[i]); err != nil {
+			return err
 		}
 	}
-	return dst, nil
+	return nil
+}
+
+// AppendWire is AppendSegments flattened, for Marshal.
+func (r PushRequest) AppendWire(dst []byte) ([]byte, error) {
+	return wire.AppendFlat(dst, r.AppendSegments)
 }
 
 // decodePushHeader decodes a push body up to its bundles: the returned
@@ -169,12 +169,17 @@ func (r *PushRequest) DecodeWire(body []byte) error {
 	return nil
 }
 
-// AppendWire implements transport.WireAppender.
+// AppendSegments encodes the reply into b, its media spliced in as
+// the store views they are (docdb.EncodeBundle).
+func (r ResolveReply) AppendSegments(b *wire.Builder) error {
+	b.Buf = append(b.Buf, wire.ReplyMagic, wire.BundleVersion)
+	b.Buf = wire.AppendVarint(b.Buf, int64(r.ServedBy))
+	return docdb.EncodeBundle(b, &r.Bundle)
+}
+
+// AppendWire is AppendSegments flattened, for Marshal.
 func (r ResolveReply) AppendWire(dst []byte) ([]byte, error) {
-	dst = slices.Grow(dst, 1024+int(r.Bundle.TotalBytes()))
-	dst = append(dst, wire.ReplyMagic, wire.BundleVersion)
-	dst = wire.AppendVarint(dst, int64(r.ServedBy))
-	return docdb.AppendBundle(dst, &r.Bundle)
+	return wire.AppendFlat(dst, r.AppendSegments)
 }
 
 // DecodeWire implements transport.WireDecoder. The decoded bundle's

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -33,10 +34,27 @@ const (
 	flagBody   = 1 << 5
 )
 
+// Frame sizes on the read and write paths. Both are fixed: they follow
+// the frames the stations send, not a setting. In the benchmark's
+// workloads every small frame is at most 2 KiB and every bundle frame
+// 256-512 KiB, with none in between.
+const (
+	// smallBody is the largest body a frame is copied whole for, into
+	// one contiguous Write. Every small RPC and its reply fit; a bundle
+	// does not, and goes out as a vectored write of its segments.
+	smallBody = 2 << 10
+
+	// readBuffer is the size of a connection's read-ahead buffer
+	// (newFrameReader): a small frame, header and trailer included,
+	// arrives in one read, and a larger one costs one read for its
+	// head before the rest lands in the frame's own buffer directly.
+	readBuffer = 4 << 10
+)
+
 // appendHeader encodes the part of env's frame payload that precedes
 // the body bytes — everything but the body and the CRC trailer, the
-// body's length prefix included — after dst.
-func appendHeader(dst []byte, env *envelope) []byte {
+// body's length prefix included — after dst. n is the body's length.
+func appendHeader(dst []byte, env *envelope, n int) []byte {
 	var flags byte
 	if env.IsResp {
 		flags |= flagIsResp
@@ -53,7 +71,7 @@ func appendHeader(dst []byte, env *envelope) []byte {
 	if env.Method != "" {
 		flags |= flagMethod
 	}
-	if len(env.Body) != 0 {
+	if n != 0 {
 		flags |= flagBody
 	}
 	dst = append(dst, wire.FrameMagic, wire.Version, flags)
@@ -69,7 +87,7 @@ func appendHeader(dst []byte, env *envelope) []byte {
 		dst = wire.AppendUvarint(dst, env.Parent)
 	}
 	if flags&flagBody != 0 {
-		dst = wire.AppendUvarint(dst, uint64(len(env.Body)))
+		dst = wire.AppendUvarint(dst, uint64(n))
 	}
 	return dst
 }
@@ -129,71 +147,116 @@ type buffersWriter interface {
 }
 
 // frameScratch is what one writeFrame needs besides the body: the
-// header and trailer bytes and the vector that sends them around the
-// body. It is pooled whole, so writing a frame allocates nothing.
+// header and trailer bytes (or, for a small frame, the whole frame)
+// and the vector that sends them around the body's segments. It is
+// pooled whole, so writing a frame allocates nothing.
 type frameScratch struct {
 	buf  []byte
-	segs [3][]byte
-	bufs net.Buffers
+	vec  [][]byte
+	bufs net.Buffers // the vector as the write consumes it
 }
 
 var frameScratches = sync.Pool{New: func() any { return new(frameScratch) }}
 
-// maxScratch bounds the header buffer a pooled scratch keeps: a frame
-// carrying a giant error string does not pin its header forever.
-const maxScratch = 4 << 10
+// maxScratch bounds the frame buffer a pooled scratch keeps, and
+// maxVector the segments its vector keeps room for: a frame carrying
+// a giant error string or thousands of media does not pin its scratch
+// forever.
+const (
+	maxScratch = 4 << 10
+	maxVector  = 64
+)
 
-// release drops the scratch's hold on the body (bufs slices segs) and
-// returns it to the pool.
+// release drops the scratch's hold on the body (a consumed vector has
+// nilled what it sent, but a failed write leaves the rest) and returns
+// it to the pool.
 func (fs *frameScratch) release() {
-	fs.segs = [3][]byte{}
+	clear(fs.vec)
+	fs.vec, fs.bufs = fs.vec[:0], nil
+	if cap(fs.vec) > maxVector {
+		fs.vec = nil
+	}
 	if cap(fs.buf) > maxScratch {
 		fs.buf = nil
 	}
 	frameScratches.Put(fs)
 }
 
-// writeFrame sends one envelope as one vectored write of three
-// segments: the length prefix and header, the caller's own body slice,
-// and the CRC trailer. On a TCP connection that is one writev, so a
-// frame is one syscall, a peer never observes a header whose body died
-// in a second write, and the body is never copied in user space. The
-// header, the trailer and the vector come from one pooled scratch.
-func writeFrame(w io.Writer, env *envelope) error {
+// writeFrame sends one envelope whose body is the concatenation of
+// body's segments, in one write. A frame whose body is at most
+// smallBody bytes is copied whole into the scratch and written with
+// one Write. A larger one goes out as one vectored write of the length
+// prefix and header, the caller's own segments, and the CRC trailer,
+// which is run across the segments where they lie: on a TCP connection
+// that is one writev (Go splits a vector longer than the kernel's
+// IOV_MAX into as many as it needs), so a peer never observes a header
+// whose body died in a second write, and the body is never copied in
+// user space. Either way the frame's bytes are the same.
+func writeFrame(w io.Writer, env *envelope, body [][]byte) error {
 	fs := frameScratches.Get().(*frameScratch)
 	defer fs.release()
-	buf := appendHeader(append(fs.buf[:0], 0, 0, 0, 0), env)
+	size := bodyLen(body)
+	buf := appendHeader(append(fs.buf[:0], 0, 0, 0, 0), env, size)
 	head := len(buf)
-	n := head - 4 + len(env.Body) + 4
+	n := head - 4 + size + 4
 	if n > MaxFrame {
 		return ErrTooLarge
 	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(n))
-	buf = wire.AppendUint32(buf, wire.ChecksumUpdate(wire.Checksum(buf[4:head]), env.Body))
-	fs.buf = buf
-	fs.segs = [3][]byte{buf[:head], env.Body, buf[head:]}
-	fs.bufs = fs.segs[:]
-	raceReleaseFrame()
-	var err error
-	if bw, ok := w.(buffersWriter); ok {
-		_, err = bw.writeBuffers(&fs.bufs)
-	} else {
-		_, err = fs.bufs.WriteTo(w)
+	crc := wire.Checksum(buf[4:head])
+	for _, seg := range body {
+		crc = wire.ChecksumUpdate(crc, seg)
 	}
+	raceReleaseFrame()
+	if size <= smallBody {
+		buf = wire.AppendUint32(wire.Join(buf, body), crc)
+		fs.buf = buf
+		_, err := w.Write(buf)
+		return err
+	}
+	buf = wire.AppendUint32(buf, crc)
+	fs.buf = buf
+	fs.vec = append(append(append(fs.vec[:0], buf[:head]), body...), buf[head:])
+	fs.bufs = fs.vec
+	if bw, ok := w.(buffersWriter); ok {
+		_, err := bw.writeBuffers(&fs.bufs)
+		return err
+	}
+	_, err := fs.bufs.WriteTo(w)
 	return err
 }
 
+// bodyLen is the length of the body made of segs.
+func bodyLen(segs [][]byte) int {
+	n := 0
+	for _, seg := range segs {
+		n += len(seg)
+	}
+	return n
+}
+
+// newFrameReader is a connection's read side: one buffered reader for
+// the connection's life, from which every frame is read. A small frame
+// is parsed from one read. A connection carries one call at a time, so
+// read-ahead past a frame is the next frame of the same conversation
+// (the next request, or the next chunk of a streamed reply) and waits
+// in the buffer for the next readFrame.
+func newFrameReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBuffer) }
+
 // readFrame receives one envelope into a buffer of its own, which the
-// envelope's body then aliases. The buffer starts at the header's
-// length capped at a megabyte and doubles only as bytes arrive, so a
-// hostile or corrupt header claiming a near-MaxFrame size costs at
-// most about twice the bytes the peer actually sends.
-func readFrame(r io.Reader) (*envelope, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+// envelope's body then aliases: a small frame is copied out of the
+// connection's read-ahead buffer, a larger one's remainder is read
+// straight into its own. The buffer starts at the header's length
+// capped at a megabyte and doubles only as bytes arrive, so a hostile
+// or corrupt header claiming a near-MaxFrame size costs at most about
+// twice the bytes the peer actually sends.
+func readFrame(r *bufio.Reader) (*envelope, error) {
+	head, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	claim := binary.BigEndian.Uint32(head[:])
+	claim := binary.BigEndian.Uint32(head)
+	_, _ = r.Discard(4) // cannot fail: Peek buffered these 4 bytes
 	if claim > MaxFrame {
 		return nil, ErrTooLarge
 	}

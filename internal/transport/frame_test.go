@@ -10,7 +10,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -43,10 +45,10 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 	for i, in := range cases {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, in); err != nil {
+		if err := send(&buf, in); err != nil {
 			t.Fatalf("case %d: writeFrame: %v", i, err)
 		}
-		out, err := readFrame(&buf)
+		out, err := recv(&buf)
 		if err != nil {
 			t.Fatalf("case %d: readFrame: %v", i, err)
 		}
@@ -62,7 +64,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 // attempt.
 func TestLegacyGobFrameRejected(t *testing.T) {
 	for _, frame := range []string{legacyGobFrame, corruptGobFrame} {
-		if env, err := readFrame(strings.NewReader(frame)); !errors.Is(err, ErrBadHeader) {
+		if env, err := recv(strings.NewReader(frame)); !errors.Is(err, ErrBadHeader) {
 			t.Fatalf("gob frame: envelope %+v, err %v; want ErrBadHeader", env, err)
 		}
 	}
@@ -71,13 +73,13 @@ func TestLegacyGobFrameRejected(t *testing.T) {
 func TestFrameChecksumDetectsCorruption(t *testing.T) {
 	in := &envelope{ID: 5, Method: "SQL", Body: bytes.Repeat([]byte{0x11}, 64)}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, in); err != nil {
+	if err := send(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one body byte; the CRC trailer must catch it.
 	raw := buf.Bytes()
 	raw[len(raw)/2] ^= 0x01
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
+	if _, err := recv(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("err = %v, want ErrChecksum", err)
 	}
 }
@@ -85,12 +87,12 @@ func TestFrameChecksumDetectsCorruption(t *testing.T) {
 func TestFrameBadVersionIsBadHeader(t *testing.T) {
 	in := &envelope{ID: 5, Method: "m"}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, in); err != nil {
+	if err := send(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[5] = 0x7F // version byte, right after the prefix and magic
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadHeader) {
+	if _, err := recv(bytes.NewReader(raw)); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("err = %v, want ErrBadHeader", err)
 	}
 }
@@ -130,23 +132,42 @@ func (w *countingWriter) writeBuffers(bufs *net.Buffers) (int64, error) {
 }
 
 // TestWriteFrameSingleWrite pins the fix for the old two-write frame:
-// a frame leaves in ONE vectored write (one writev on a TCP
-// connection), so a failure can never strand a peer blocked after a
-// bare header and a frame costs one syscall. The body segment of that
-// write is the caller's own slice, not a copy of it.
+// a frame leaves in ONE write, so a failure can never strand a peer
+// blocked after a bare header and a frame costs one syscall. A small
+// frame is one Write of a contiguous copy; a larger one is one
+// vectored write (one writev on a TCP connection) whose body segments
+// are the caller's own slices, not copies of them.
 func TestWriteFrameSingleWrite(t *testing.T) {
+	small := &envelope{ID: 1, Method: "SQL", Body: bytes.Repeat([]byte{5}, smallBody)}
 	w := &countingWriter{}
+	if err := writeFrame(w, small, [][]byte{small.Body[:100], small.Body[100:]}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 || len(w.vectors) != 0 {
+		t.Fatalf("a small frame took %d writes and %d vectored writes, want one write", w.writes, len(w.vectors))
+	}
+	if !bytes.Equal(w.buf.Bytes(), frameBytes(t, small)) {
+		t.Fatal("the small frame's bytes differ from its one-segment write")
+	}
+
 	env := &envelope{ID: 1, Method: "Fabric.Push", Body: bytes.Repeat([]byte{9}, 10000)}
-	if err := writeFrame(w, env); err != nil {
+	segs := [][]byte{env.Body[:10], env.Body[10:6000], env.Body[6000:]}
+	w = &countingWriter{}
+	if err := writeFrame(w, env, segs); err != nil {
 		t.Fatal(err)
 	}
 	if w.writes != 0 || len(w.vectors) != 1 {
 		t.Fatalf("writeFrame issued %d writes and %d vectored writes, want one vectored write", w.writes, len(w.vectors))
 	}
-	if body := w.vectors[0][1]; len(body) != len(env.Body) || &body[0] != &env.Body[0] {
-		t.Fatal("the body segment of the vectored write is not the caller's slice")
+	if vec := w.vectors[0]; len(vec) != len(segs)+2 {
+		t.Fatalf("the vector has %d segments, want header, %d body segments and trailer", len(vec), len(segs))
 	}
-	out, err := readFrame(&w.buf)
+	for i, seg := range segs {
+		if got := w.vectors[0][1+i]; len(got) != len(seg) || &got[0] != &seg[0] {
+			t.Fatalf("body segment %d of the vectored write is not the caller's slice", i)
+		}
+	}
+	out, err := recv(&w.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +186,8 @@ func TestCountingConnCountsVectoredFrames(t *testing.T) {
 	srv := NewServer()
 	env := &envelope{ID: 3, Method: "Fabric.Push", IsResp: true, Body: bytes.Repeat([]byte{7}, 5000)}
 	sent := make(chan error, 1)
-	go func() { sent <- writeFrame(&countingConn{Conn: a, srv: srv}, env) }()
-	got, err := readFrame(b)
+	go func() { sent <- send(&countingConn{Conn: a, srv: srv}, env) }()
+	got, err := recv(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +234,16 @@ func TestFrameBodySurvivesNextRead(t *testing.T) {
 	first := bytes.Repeat([]byte{0x11}, 4096)
 	var stream bytes.Buffer
 	for i, body := range [][]byte{first, bytes.Repeat([]byte{0xEE}, 4096)} {
-		if err := writeFrame(&stream, &envelope{ID: uint64(i), Method: "Fabric.Push", Body: body}); err != nil {
+		if err := send(&stream, &envelope{ID: uint64(i), Method: "Fabric.Push", Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, err := readFrame(&stream)
+	r := newFrameReader(&stream)
+	a, err := readFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&stream); err != nil {
+	if _, err := readFrame(r); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Body, first) {
@@ -236,7 +258,7 @@ func TestReadFrameLyingLengthBoundedAlloc(t *testing.T) {
 	frame := lyingFrame()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(frame))
+	_, err := recv(bytes.NewReader(frame))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a frame cut 1 KiB into a 200 MiB claim was accepted")
@@ -248,7 +270,7 @@ func TestReadFrameLyingLengthBoundedAlloc(t *testing.T) {
 
 func TestWriteFrameRejectsOversize(t *testing.T) {
 	env := &envelope{ID: 1, Body: make([]byte, MaxFrame+1)}
-	if err := writeFrame(&countingWriter{}, env); !errors.Is(err, ErrTooLarge) {
+	if err := send(&countingWriter{}, env); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -265,7 +287,7 @@ func TestFrameTruncatedFieldsAreBadHeader(t *testing.T) {
 	binary.BigEndian.PutUint32(head[:], uint32(len(payload)))
 	buf.Write(head[:])
 	buf.Write(payload)
-	if _, err := readFrame(&buf); !errors.Is(err, ErrBadHeader) {
+	if _, err := recv(&buf); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("err = %v, want ErrBadHeader", err)
 	}
 }
@@ -278,7 +300,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink.buf.Reset()
-		if err := writeFrame(&sink, env); err != nil {
+		if err := send(&sink, env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,7 +309,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 func BenchmarkFrameDecode(b *testing.B) {
 	env := &envelope{ID: 42, Method: "Fabric.Push", Body: bytes.Repeat([]byte{0xCD}, 4096), TraceID: 7, Parent: 3}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, env); err != nil {
+	if err := send(&buf, env); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -295,8 +317,61 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := readFrame(bytes.NewReader(raw)); err != nil {
+		if _, err := recv(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ioCounter counts the reads that return bytes and the writes made on
+// the connection beneath it.
+type ioCounter struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *ioCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *ioCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestSmallCallReadsAndWritesOnce pins a small call's floor: on each
+// side, one read and one write per call. The request and the reply are
+// each written whole and each parsed from one read of the connection's
+// buffered reader.
+func TestSmallCallReadsAndWritesOnce(t *testing.T) {
+	_, srv := startEcho(t)
+	a, b := net.Pipe()
+	client, server := &ioCounter{Conn: a}, &ioCounter{Conn: b}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.serveConn(server)
+	}()
+	c := newConn(client)
+	const calls = 20
+	for i := 0; i < calls; i++ {
+		var resp echoResp
+		if err := call(c, "echo", echoReq{Text: "small", N: i}, &resp, 5*time.Second); err != nil || resp.Twice != 2*i {
+			t.Fatalf("call %d: %+v, %v", i, resp, err)
+		}
+	}
+	c.Close()
+	<-served
+	for side, n := range map[string][2]int64{
+		"caller": {client.reads.Load(), client.writes.Load()},
+		"server": {server.reads.Load(), server.writes.Load()},
+	} {
+		if n[0] != calls || n[1] != calls {
+			t.Errorf("%s: %d reads and %d writes for %d calls, want one of each per call", side, n[0], n[1], calls)
 		}
 	}
 }

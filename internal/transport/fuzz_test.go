@@ -3,16 +3,27 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 )
+
+// send writes env as a frame whose body is env.Body, in one segment.
+func send(w io.Writer, env *envelope) error { return writeFrame(w, env, [][]byte{env.Body}) }
+
+// recv reads one frame from a stream through a reader of its own.
+func recv(r io.Reader) (*envelope, error) { return readFrame(newFrameReader(r)) }
 
 // frameBytes encodes one envelope the way writeFrame puts it on the
 // wire, for building seed inputs.
 func frameBytes(t testing.TB, env *envelope) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, env); err != nil {
+	if err := send(&buf, env); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -72,7 +83,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10, 1, 2}) // claims 16 bytes, delivers 2
 	f.Add(lyingFrame())                         // claims 200 MiB, delivers 1 KiB
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := readFrame(bytes.NewReader(data))
+		env, err := recv(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is the expected outcome for hostile bytes
 		}
@@ -81,7 +92,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// A frame the decoder accepted must survive a write/read cycle
 		// intact — otherwise the codec silently mangles traffic.
-		back, err := readFrame(bytes.NewReader(frameBytes(t, env)))
+		back, err := recv(bytes.NewReader(frameBytes(t, env)))
 		if err != nil {
 			t.Fatalf("re-reading an accepted frame failed: %v", err)
 		}
@@ -93,61 +104,117 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzFrameRoundTrip builds envelopes from arbitrary field values —
 // trace context and stream chunks included — and asserts the codec is
-// lossless for everything writeFrame accepts. Each input goes out as
-// two frames on one stream, the second carrying the first's body
-// inverted, and the first body is checked again after the second
-// frame is read: a decoded body must not share a buffer the next read
-// reuses.
+// lossless for everything writeFrame accepts. Each input goes out on
+// one stream as four frames: itself, then a streamed reply of two
+// More-flagged chunks (its body inverted, then its body) and a final
+// frame. The fuzzer's inputs also choose, through a generator seeded
+// with their hash, where each body is cut into segments and how short
+// each read of the stream returns. Each frame must equal the one
+// written with its body in one segment, byte for byte, and read back
+// identical through one buffered reader; the first body is checked
+// again after the rest is read: a decoded body must not share a buffer
+// a later read reuses.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "Ping", false, "", []byte(nil), uint64(0), uint64(0), false)
 	f.Add(uint64(1<<63), "Fabric.Resolve", true, "fabric: no station on the parent route holds an instance", []byte("bundle"), uint64(0), uint64(0), false)
 	f.Add(uint64(0), "", false, "", bytes.Repeat([]byte{0}, 4096), uint64(0), uint64(0), true)
 	f.Add(uint64(42), "a method name with spaces \x00 and bytes", true, "err", []byte{0xDE, 0xAD}, uint64(7), uint64(3), false)
 	f.Add(uint64(5), "Fabric.Search", false, "", []byte("q"), uint64(1<<62), uint64(1<<61), true)
+	// Bodies at the edges of the two frame sizes: the largest written
+	// whole, the smallest written as a vector, and one that spans
+	// several fills of a connection's read-ahead buffer.
+	f.Add(uint64(6), "Bundle", true, "", bytes.Repeat([]byte{0x5C}, smallBody), uint64(0), uint64(0), false)
+	f.Add(uint64(7), "Fabric.Resolve", true, "", bytes.Repeat([]byte{0xA5}, smallBody+1), uint64(9), uint64(2), false)
+	f.Add(uint64(8), "Fabric.Push", false, "", bytes.Repeat([]byte{0x3C}, 3*readBuffer+17), uint64(1), uint64(1), true)
 	f.Fuzz(func(t *testing.T, id uint64, method string, isResp bool, errStr string, body []byte, traceID, parent uint64, more bool) {
-		in := &envelope{ID: id, Method: method, IsResp: isResp, Err: errStr, Body: body,
-			TraceID: traceID, Parent: parent, More: more}
+		h := fnv.New64a()
+		fmt.Fprint(h, id, method, isResp, errStr, traceID, parent, more)
+		h.Write(body)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		inverted := make([]byte, len(body))
 		for i, c := range body {
 			inverted[i] = ^c
 		}
-		next := &envelope{ID: id + 1, Method: method, IsResp: !isResp, Body: inverted, TraceID: parent, Parent: traceID}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, in); err != nil {
-			t.Fatalf("writeFrame: %v", err)
+		frames := []*envelope{
+			{ID: id, Method: method, IsResp: isResp, Err: errStr, Body: body, TraceID: traceID, Parent: parent, More: more},
+			{ID: id + 1, IsResp: true, More: true, Body: inverted, TraceID: parent, Parent: traceID},
+			{ID: id + 1, IsResp: true, More: true, Body: body},
+			{ID: id + 1, IsResp: true},
 		}
-		// The length prefix must match the payload exactly.
-		if n := binary.BigEndian.Uint32(buf.Bytes()[:4]); int(n) != buf.Len()-4 {
-			t.Fatalf("header claims %d bytes, frame carries %d", n, buf.Len()-4)
+		var stream bytes.Buffer
+		for i, env := range frames {
+			start := stream.Len()
+			if err := writeFrame(&stream, env, cutBody(rng, env.Body)); err != nil {
+				t.Fatalf("frame %d: writeFrame: %v", i, err)
+			}
+			frame := stream.Bytes()[start:]
+			// The length prefix must match the payload exactly.
+			if n := binary.BigEndian.Uint32(frame[:4]); int(n) != len(frame)-4 {
+				t.Fatalf("frame %d: header claims %d bytes, frame carries %d", i, n, len(frame)-4)
+			}
+			if !bytes.Equal(frame, frameBytes(t, env)) {
+				t.Fatalf("frame %d: a segmented write differs from the one-segment write", i)
+			}
 		}
-		if err := writeFrame(&buf, next); err != nil {
-			t.Fatalf("writeFrame: %v", err)
+		r := newFrameReader(&shortReader{r: &stream, rng: rng, max: 1 + rng.Intn(2*readBuffer)})
+		var first *envelope
+		for i, env := range frames {
+			out, err := readFrame(r)
+			if err != nil {
+				t.Fatalf("frame %d: readFrame: %v", i, err)
+			}
+			if !sameEnvelope(env, out) {
+				t.Fatalf("frame %d: round-trip mismatch: %+v vs %+v", i, env, out)
+			}
+			if i == 0 {
+				first = out
+			}
 		}
-		out, err := readFrame(&buf)
-		if err != nil {
-			t.Fatalf("readFrame: %v", err)
+		if _, err := readFrame(r); !errors.Is(err, io.EOF) {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
 		}
-		if !sameEnvelope(in, out) {
-			t.Fatalf("round-trip mismatch: %+v vs %+v", in, out)
-		}
-		out2, err := readFrame(&buf)
-		if err != nil {
-			t.Fatalf("second readFrame: %v", err)
-		}
-		if !sameEnvelope(next, out2) {
-			t.Fatalf("second round-trip mismatch: %+v vs %+v", next, out2)
-		}
-		if !bytes.Equal(out.Body, body) {
-			t.Fatal("the first body changed when the second frame was read")
+		if !bytes.Equal(first.Body, body) {
+			t.Fatal("the first body changed when the later frames were read")
 		}
 		// A truncated frame must error, never hang or panic.
-		if buf2 := frameBytes(t, in); len(buf2) > 4 {
-			if _, err := readFrame(bytes.NewReader(buf2[:len(buf2)-1])); err == nil {
+		if buf2 := frameBytes(t, frames[0]); len(buf2) > 4 {
+			if _, err := recv(bytes.NewReader(buf2[:len(buf2)-1])); err == nil {
 				t.Fatal("truncated frame accepted")
 			}
-			if _, err := readFrame(io.LimitReader(bytes.NewReader(buf2), 4)); err == nil {
+			if _, err := recv(io.LimitReader(bytes.NewReader(buf2), 4)); err == nil {
 				t.Fatal("header-only frame accepted")
 			}
 		}
 	})
+}
+
+// cutBody splits body into up to five segments at points rng chooses;
+// a segment may be empty.
+func cutBody(rng *rand.Rand, body []byte) [][]byte {
+	cuts := make([]int, rng.Intn(5))
+	for i := range cuts {
+		cuts[i] = rng.Intn(len(body) + 1)
+	}
+	slices.Sort(cuts)
+	segs, at := [][]byte{}, 0
+	for _, c := range cuts {
+		segs = append(segs, body[at:c])
+		at = c
+	}
+	return append(segs, body[at:])
+}
+
+// shortReader returns at most max bytes from each Read, and often
+// fewer, as a socket may.
+type shortReader struct {
+	r   io.Reader
+	rng *rand.Rand
+	max int
+}
+
+func (s *shortReader) Read(p []byte) (int, error) {
+	if n := min(len(p), s.max); n > 0 {
+		p = p[:1+s.rng.Intn(n)]
+	}
+	return s.r.Read(p)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -114,14 +115,16 @@ func (p *Pool) CallStream(method string, req any, w io.Writer) (int64, error) {
 // makes the stale-idle retry. resp receives a unary reply and w a
 // streamed one; a call sets at most one of them.
 func (p *Pool) roundTrip(method string, req any, tc obs.TraceContext, resp any, w io.Writer, d time.Duration) (int64, error) {
-	body, err := Marshal(req)
+	b := getBuilder()
+	defer putBuilder(b)
+	body, err := marshalSegments(b, req)
 	if err != nil {
 		return 0, err
 	}
 	if d <= 0 {
 		d = p.timeout
 	}
-	env := &envelope{Method: method, Body: body, TraceID: tc.TraceID, Parent: tc.SpanID}
+	env := &envelope{Method: method, TraceID: tc.TraceID, Parent: tc.SpanID}
 	p.slots <- struct{}{}
 	defer func() { <-p.slots }()
 	deadline := time.Now().Add(d)
@@ -129,7 +132,7 @@ func (p *Pool) roundTrip(method string, req any, tc obs.TraceContext, resp any, 
 	for err == nil {
 		var n int64
 		var reusable bool
-		n, err, reusable = c.roundTrip(env, resp, w, d, deadline)
+		n, err, reusable = c.roundTrip(env, body, resp, w, d, deadline)
 		if reusable {
 			p.put(c)
 			return n, err
@@ -193,7 +196,7 @@ func (p *Pool) dial(deadline time.Time) (*conn, error) {
 			p.dialFails = 0
 			p.downUntil = time.Time{}
 			p.mu.Unlock()
-			return &conn{Conn: nc}, nil
+			return newConn(nc), nil
 		}
 	}
 	p.mu.Lock()
@@ -241,31 +244,35 @@ func (p *Pool) Close() {
 // conn is one pooled connection. The pool hands it to one call at a
 // time, so the reply is read in the caller's own goroutine: no reader
 // loop, no correlation table, and a deadline on the socket is the
-// call's timeout.
+// call's timeout. Every reply frame is read through the connection's
+// own buffered reader.
 type conn struct {
 	net.Conn
+	r      *bufio.Reader
 	lastID uint64
 }
 
-// roundTrip sends one request and reads its reply — a stream of
-// More-flagged chunks ending in a final frame, of which a unary reply
-// is the one-frame case. Chunks go to w; a final frame's body is
-// decoded into resp when the caller asked for one, and written to w
-// otherwise. The first frame must arrive by deadline, each later one
+func newConn(nc net.Conn) *conn { return &conn{Conn: nc, r: newFrameReader(nc)} }
+
+// roundTrip sends one request, whose body is the segments body, and
+// reads its reply — a stream of More-flagged chunks ending in a final
+// frame, of which a unary reply is the one-frame case. Chunks go to w;
+// a final frame's body is decoded into resp when the caller asked for
+// one, and written to w otherwise. The first frame must arrive by deadline, each later one
 // within d of the one before. reusable reports whether the connection
 // is still trustworthy: true when the server's final frame (even an
 // error frame) arrived, false on any transport-level failure.
-func (c *conn) roundTrip(env *envelope, resp any, w io.Writer, d time.Duration, deadline time.Time) (n int64, err error, reusable bool) {
+func (c *conn) roundTrip(env *envelope, body [][]byte, resp any, w io.Writer, d time.Duration, deadline time.Time) (n int64, err error, reusable bool) {
 	c.lastID++
 	env.ID = c.lastID
 	if err := c.SetDeadline(deadline); err != nil {
 		return 0, broken(err, env.Method, d), false
 	}
-	if err := writeFrame(c.Conn, env); err != nil {
+	if err := writeFrame(c.Conn, env, body); err != nil {
 		return 0, broken(err, env.Method, d), false
 	}
 	for {
-		got, err := readFrame(c.Conn)
+		got, err := readFrame(c.r)
 		if err != nil {
 			return n, broken(err, env.Method, d), false
 		}

@@ -7,18 +7,27 @@
 // the reply — the slice of ODBC/HTTP plumbing the 1999 system obtained
 // from its platform. The server serves a connection's requests in
 // order on the connection's own goroutine, and Server.Close does not
-// wait for a handler that is still running. A message body is one of
-// three things, and Marshal and Unmarshal are the only place that
-// tells them apart: a Raw is relayed as the bytes it is; a value with
-// an AppendWire/DecodeWire pair encodes itself (the bodies that carry
-// bundles and need a header-only decode or media that aliases the
-// frame); anything else goes through internal/wire's plan-cached body
-// codec, a positional binary encoding with no type descriptors. There
-// is no fourth, slower arm: a value the codec cannot encode is an error
-// naming its type and field.
+// wait for a handler that is still running. Each connection reads
+// through one buffered reader of its own, so a small frame costs one
+// read, and writes each frame in one write: a small one copied whole,
+// a larger one as a vector of segments.
+//
+// A message body is one of five things, and marshalSegments (for the
+// send path) and Marshal (the same bytes as one slice) are the only
+// places that tell them apart: a Raw is relayed as the bytes it is,
+// and Segments as the segments they are; a wire.Segmenter (the three
+// bodies that carry bundles) encodes itself into segments, its media
+// spliced in as the BLOB store views they are, so a medium reaches the
+// socket without a copy and stays a view until its write returns; a
+// value with only an AppendWire/DecodeWire pair encodes itself flat;
+// anything else goes through internal/wire's plan-cached body codec, a
+// positional binary encoding with no type descriptors. There is no
+// slower arm: a value the codec cannot encode is an error naming its
+// type and field.
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -83,7 +92,9 @@ func Unreachable(err error) bool {
 // with a frame whose More is false (or whose Err reports a mid-stream
 // failure). TraceID/Parent carry the distributed-tracing context
 // hop-by-hop: a non-zero TraceID makes the serving hop record a span
-// whose parent is the caller's span (Parent).
+// whose parent is the caller's span (Parent). Body is a received
+// frame's body; a frame being sent carries its body as writeFrame's
+// segments.
 type envelope struct {
 	ID      uint64
 	Method  string
@@ -116,17 +127,64 @@ type WireAppender = wire.Appender
 // slices that alias it (and must document that it does).
 type WireDecoder = wire.Decoder
 
-// Marshal encodes a payload value for an envelope body: a Raw is
-// passed through, a WireAppender encodes itself, anything else is
-// encoded by wire.AppendBody.
+// Segments is a body already encoded, held as the segments it is sent
+// as: the root encodes a push once and relays these to every child,
+// with no copy and no second encode.
+type Segments [][]byte
+
+// marshalSegments encodes a payload value for an envelope body into b
+// and returns the body's segments: a Raw and Segments are passed
+// through, a wire.Segmenter splices its bulk bytes in, a WireAppender
+// appends itself, and anything else is encoded by wire.AppendBody. The
+// segments alias b and v's own bytes until b is reset.
+func marshalSegments(b *wire.Builder, v any) ([][]byte, error) {
+	var err error
+	switch x := v.(type) {
+	case Raw:
+		b.Splice(x)
+	case Segments:
+		return x, nil
+	case wire.Segmenter:
+		err = x.AppendSegments(b)
+	case WireAppender:
+		b.Buf, err = x.AppendWire(b.Buf)
+	default:
+		b.Buf, err = wire.AppendBody(b.Buf, v)
+	}
+	return b.Segments(), err
+}
+
+// Marshal encodes a payload value for an envelope body as one slice:
+// the bytes marshalSegments sends, joined. A Raw is passed through,
+// Segments are joined, a WireAppender (every wire.Segmenter is one)
+// appends itself flat, and anything else is encoded by wire.AppendBody.
 func Marshal(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case Raw:
 		return x, nil
+	case Segments:
+		return wire.Join(nil, x), nil
 	case WireAppender:
 		return x.AppendWire(nil)
 	}
 	return wire.AppendBody(nil, v)
+}
+
+// builders recycles the builders outgoing bodies are encoded into. A
+// builder whose running buffer grew past maxBuilder is not kept.
+var builders = sync.Pool{New: func() any { return new(wire.Builder) }}
+
+const maxBuilder = 64 << 10
+
+func getBuilder() *wire.Builder { return builders.Get().(*wire.Builder) }
+
+// putBuilder returns a builder once the frame its segments went out in
+// has been written.
+func putBuilder(b *wire.Builder) {
+	b.Reset()
+	if cap(b.Buf) <= maxBuilder {
+		builders.Put(b)
+	}
 }
 
 // Unmarshal decodes an envelope body into the caller's value, the
@@ -144,13 +202,17 @@ func Unmarshal(data []byte, v any) error {
 }
 
 // Handler serves one method: decode the request with the provided
-// function, return the response value (encoded for the caller by
-// Marshal) or an error.
+// function, which is valid until the handler returns, and return the
+// response value (encoded for the caller as Marshal encodes it) or an
+// error.
 type Handler func(decode func(any) error) (any, error)
 
 // Ctx carries per-request observability state into handlers registered
 // with HandleCtx: the span the server opened for a traced request (nil
-// for untraced ones — every method tolerates that).
+// for untraced ones — every method tolerates that). A connection
+// reuses one Ctx for each request it serves, so a handler must not
+// keep it past its return; work that outlives the handler takes the
+// span instead.
 type Ctx struct {
 	span *obs.ActiveSpan
 }
@@ -337,6 +399,20 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// serverConn is one accepted connection's state. The connection
+// carries one request at a time, so the request in hand, the Ctx its
+// handler gets and the decode function over its body belong to the
+// connection, bound once: a handler must not keep either past its
+// return.
+type serverConn struct {
+	s      *Server
+	w      countingConn
+	r      *bufio.Reader
+	env    *envelope
+	ctx    Ctx
+	decode func(any) error
+}
+
 // serveConn answers each request before it reads the next; a failed
 // read or write ends the connection.
 func (s *Server) serveConn(conn net.Conn) {
@@ -346,20 +422,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	cc := &countingConn{Conn: conn, srv: s}
+	sc := &serverConn{s: s, w: countingConn{Conn: conn, srv: s}}
+	sc.r = newFrameReader(&sc.w)
+	sc.decode = func(v any) error { return Unmarshal(sc.env.Body, v) }
 	for {
-		env, err := readFrame(cc)
-		if err != nil || s.serve(cc, env) != nil {
+		env, err := readFrame(sc.r)
+		if err != nil || sc.serve(env) != nil {
 			return
 		}
 	}
 }
 
-// serve runs one request's handler and answers it on w, returning the
+// serve runs one request's handler and answers it, returning the
 // write's error. Every dispatch lands in the method's latency
 // histogram; a traced request (non-zero TraceID) also records a span
 // parented to the caller's hop.
-func (s *Server) serve(w io.Writer, env *envelope) error {
+func (sc *serverConn) serve(env *envelope) error {
+	s := sc.s
 	s.noteCall(env.Method)
 	s.mu.RLock()
 	h, ok := s.handlers[env.Method]
@@ -372,29 +451,34 @@ func (s *Server) serve(w io.Writer, env *envelope) error {
 	if !ok {
 		err = errors.New(ErrNoMethod.Error() + ": " + env.Method)
 	} else {
-		out, err = h(&Ctx{span: span}, func(v any) error { return Unmarshal(env.Body, v) })
+		sc.env, sc.ctx.span = env, span
+		out, err = h(&sc.ctx, sc.decode)
+		sc.env, sc.ctx.span = nil, nil
 	}
 	if r, streamed := out.(io.Reader); streamed && err == nil {
 		// A handler returning a reader streams its bytes in StreamChunk
 		// frames; the caller receives them through CallStream.
 		span.Annotate("streamed response")
-		n, err := streamResponse(w, env.ID, r)
+		n, err := streamResponse(&sc.w, env.ID, r)
 		o.Observe(env.Method, time.Since(start), false)
 		span.AddBytes(int64(len(env.Body)) + n)
 		span.End(nil)
 		return err
 	}
 	resp := &envelope{ID: env.ID, IsResp: true}
+	b := getBuilder()
+	defer putBuilder(b)
+	var body [][]byte
 	if err == nil && out != nil {
-		resp.Body, err = Marshal(out)
+		body, err = marshalSegments(b, out)
 	}
 	if err != nil {
-		resp.Body, resp.Err = nil, err.Error()
+		body, resp.Err = nil, err.Error()
 	}
 	o.Observe(env.Method, time.Since(start), err != nil)
-	span.AddBytes(int64(len(env.Body) + len(resp.Body)))
+	span.AddBytes(int64(len(env.Body) + bodyLen(body)))
 	span.End(err)
-	return writeFrame(w, resp)
+	return writeFrame(&sc.w, resp, body)
 }
 
 // streamResponse relays a handler's reader to the caller of request id
@@ -412,15 +496,15 @@ func streamResponse(w io.Writer, id uint64, r io.Reader) (int64, error) {
 		n, err := r.Read(buf)
 		if n > 0 {
 			total += int64(n)
-			if err := writeFrame(w, &envelope{ID: id, IsResp: true, More: true, Body: buf[:n]}); err != nil {
+			if err := writeFrame(w, &envelope{ID: id, IsResp: true, More: true}, [][]byte{buf[:n]}); err != nil {
 				return total, err
 			}
 		}
 		switch {
 		case errors.Is(err, io.EOF):
-			return total, writeFrame(w, &envelope{ID: id, IsResp: true})
+			return total, writeFrame(w, &envelope{ID: id, IsResp: true}, nil)
 		case err != nil:
-			return total, writeFrame(w, &envelope{ID: id, IsResp: true, Err: err.Error()})
+			return total, writeFrame(w, &envelope{ID: id, IsResp: true, Err: err.Error()}, nil)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func call(c *conn, method string, req, resp any, d time.Duration) error {
 	if err != nil {
 		return err
 	}
-	_, err, _ = c.roundTrip(&envelope{Method: method, Body: body}, resp, nil, d, time.Now().Add(d))
+	_, err, _ = c.roundTrip(&envelope{Method: method}, [][]byte{body}, resp, nil, d, time.Now().Add(d))
 	return err
 }
 
@@ -66,7 +66,7 @@ func dialConn(t *testing.T, addr string) *conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return &conn{Conn: nc}
+	return newConn(nc)
 }
 
 func TestCallRoundTrip(t *testing.T) {
@@ -136,12 +136,12 @@ func TestOneConnectionAnswersInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(c, &envelope{ID: uint64(id + 1), Method: method, Body: body}); err != nil {
+		if err := send(c, &envelope{ID: uint64(id + 1), Method: method, Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for want := uint64(1); want <= 2; want++ {
-		got, err := readFrame(c)
+		got, err := readFrame(c.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestServerCloseDoesNotWaitForHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(blocked, &envelope{ID: 1, Method: "block", Body: body}); err != nil {
+	if err := send(blocked, &envelope{ID: 1, Method: "block", Body: body}); err != nil {
 		t.Fatal(err)
 	}
 	<-b.entered
@@ -246,7 +246,7 @@ func TestServerCloseDoesNotWaitForHandlers(t *testing.T) {
 		if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := readFrame(c); err == nil {
+		if got, err := readFrame(c.r); err == nil {
 			t.Errorf("%s connection received frame %+v after Close", name, got)
 		} else if !errors.Is(err, io.EOF) {
 			t.Errorf("%s connection: %v, want EOF", name, err)
@@ -306,10 +306,10 @@ func TestLargePayload(t *testing.T) {
 func TestFrameEncodingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &envelope{ID: 7, Method: "m", Body: []byte{1, 2, 3}}
-	if err := writeFrame(&buf, in); err != nil {
+	if err := send(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, err := recv(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestFrameEncodingRoundTrip(t *testing.T) {
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); !errors.Is(err, ErrTooLarge) {
+	if _, err := recv(&buf); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -332,7 +332,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 12})
 	buf.Write([]byte("junk payload"))
-	if _, err := readFrame(&buf); !errors.Is(err, ErrBadHeader) {
+	if _, err := recv(&buf); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("err = %v", err)
 	}
 }
