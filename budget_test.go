@@ -85,11 +85,12 @@ func TestCheckoutPairAllocBudget(t *testing.T) {
 }
 
 // The budget of one small RPC through a transport pool over loopback,
-// both sides counted, about 10 % above the 11 allocations and 368 bytes
-// measured.
+// both sides counted, about 10 % above the 8 allocations and 168 bytes
+// measured once each side decoded into its connection's one envelope
+// (11 and 368 before).
 const (
-	smallRPCAllocBudget = 12
-	smallRPCByteBudget  = 405
+	smallRPCAllocBudget = 9
+	smallRPCByteBudget  = 185
 )
 
 // TestSmallRPCAllocBudget pins what the path every RPC takes allocates
@@ -194,10 +195,11 @@ func TestResolveHopAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "a Resolve hop", 3, 200, resolve, resolveHopAllocBudget, resolveHopByteBudget)
 }
 
-// TestRestartHashBudget pins, as exact counts, the SHA-256 work of a
-// durable station's restart: recovery hashes no media, the first export
-// of a course hashes each of its media once, and the next export
-// hashes nothing.
+// TestRestartHashBudget pins, as exact counts, the media a durable
+// station's restart reads from its BLOB sidecar and hashes: recovery
+// reads and hashes none, the first export of a course reads and hashes
+// each of its media once, and the next export reads and hashes
+// nothing.
 func TestRestartHashBudget(t *testing.T) {
 	store, spec := durableLectureStation(t)
 	if _, err := store.CheckpointNow(); err != nil {
@@ -212,10 +214,13 @@ func TestRestartHashBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restarted.Rel().CloseWAL()
-	if got := restarted.Blobs().Stats().HashedBytes; got != 0 {
-		t.Errorf("recovery hashed %d bytes, want 0", got)
+	work := func() (loaded, hashed int64) {
+		st := restarted.Blobs().Stats()
+		return st.LoadedBytes, st.HashedBytes
 	}
-	hashed := func() int64 { return restarted.Blobs().Stats().HashedBytes }
+	if loaded, hashed := work(); loaded != 0 || hashed != 0 {
+		t.Errorf("recovery read %d media bytes and hashed %d, want 0 and 0", loaded, hashed)
+	}
 	b, err := restarted.ExportBundle(spec.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -231,13 +236,13 @@ func TestRestartHashBudget(t *testing.T) {
 	if len(media) == 0 {
 		t.Fatal("the course has no media")
 	}
-	if got := hashed(); got != mediaBytes {
-		t.Errorf("the first export hashed %d bytes, want the %d bytes of its %d media", got, mediaBytes, len(media))
+	if loaded, hashed := work(); loaded != mediaBytes || hashed != mediaBytes {
+		t.Errorf("the first export read %d bytes and hashed %d, want the %d bytes of its %d media for each", loaded, hashed, mediaBytes, len(media))
 	}
 	if _, err := restarted.ExportBundle(spec.URL); err != nil {
 		t.Fatal(err)
 	}
-	if got := hashed() - mediaBytes; got != 0 {
-		t.Errorf("the second export hashed %d bytes, want 0", got)
+	if loaded, hashed := work(); loaded != mediaBytes || hashed != mediaBytes {
+		t.Errorf("the second export read %d bytes and hashed %d, want 0 and 0", loaded-mediaBytes, hashed-mediaBytes)
 	}
 }

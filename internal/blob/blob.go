@@ -6,15 +6,15 @@
 // as much as possible among different documents" (section 4), with
 // reference counting to know when a resource may be evicted.
 //
-// The store persists as one sealed image of every object (persist.go),
-// streamed out by Snapshot and read back by Restore. A restore reads
-// each object's bytes from the reader once, into a buffer of exactly
-// their size that the object then owns, and checks the image's CRC,
-// that every name is a hash, its ascending hash order and the
-// reference counts before the store changes. It hashes nothing: each
-// object it installs is unverified until its first read. It runs on
-// the caller's goroutine alone, so its cost does not depend on how
-// many other cores happen to be idle.
+// The store persists as an image (persist.go): a sealed index of every
+// object, then their bytes, streamed out by Snapshot and read back by
+// Restore. A restore reads the index alone and checks its CRC, its
+// ascending hash order, the reference counts and that the image is
+// exactly as long as the index says before the store changes. It reads
+// and hashes no object's bytes: each object it installs is unloaded,
+// and its first read loads it from the image into a buffer of exactly
+// its size and hashes it. It runs on the caller's goroutine alone, so
+// its cost does not depend on how many other cores happen to be idle.
 //
 // Stored bytes are immutable. Put copies what it is given; Adopt keeps
 // the caller's slice itself, which is how a station stores media it
@@ -25,13 +25,14 @@
 // Content is hashed where bytes enter the fabric and where they are
 // first read back from disk, and nowhere between. Put hashes what an
 // author stores, Verify hashes what a client hands a station, and the
-// first View or Get of a restored object hashes it: a match verifies
-// the object for good, a mismatch fails that read and every later one
-// with ErrHashMismatch, so bytes that fail their hash are never
-// returned. Adopt takes the hash a bundle carries from the station
-// that sent it and hashes nothing: between stations the frame's CRC32C
-// guards transit. Stats.HashedBytes counts every byte the store has
-// hashed.
+// first View or Get of a restored object loads and hashes it: a match
+// verifies the object for good, a mismatch fails that read and every
+// later one with ErrHashMismatch, so bytes that fail their hash are
+// never returned. Adopt takes the hash a bundle carries from the
+// station that sent it and hashes nothing: between stations the
+// frame's CRC32C guards transit. Stats.HashedBytes counts every byte
+// the store has hashed, and Stats.LoadedBytes every byte first reads
+// have loaded from an image.
 package blob
 
 import (
@@ -40,6 +41,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,23 +134,35 @@ func ValidHash(h string) bool {
 	return true
 }
 
-// The states of an object's content check. Put and Adopt store
-// verified objects; Restore stores unverified ones, which their first
-// read settles.
+// The states of an object. Put and Adopt store verified objects, whose
+// bytes are in memory; Restore stores unloaded ones, whose bytes are
+// in the image it read, and their first read (or a Put or Adopt of the
+// same hash) settles them. A failed object's bytes are in the image
+// and fail their hash.
 const (
 	verified uint32 = iota
-	unverified
+	unloaded
 	failed
 )
 
 type entry struct {
-	data     []byte // never written once stored, so read without the store lock
+	// data holds a verified object's bytes. It is set before the state
+	// becomes verified, under the store's write lock, and never written
+	// again, so a reader that has seen verified reads it without the
+	// lock.
+	data     []byte
+	size     int64
 	kind     Kind
 	refcount int
-	names    map[string]struct{} // logical names attached to the object
+	names    map[string]struct{} // logical names attached to the object; nil until one is
 
-	state atomic.Uint32 // verified, unverified or failed; leaves unverified under the store's write lock
-	check sync.Once     // runs the first-read hash of an unverified object once
+	// src and off locate a restored object's bytes in its image; never
+	// written once stored.
+	src io.ReaderAt
+	off int64
+
+	state atomic.Uint32 // verified, unloaded or failed; leaves unloaded under the store's write lock
+	check sync.Once     // runs the first-read load of an unloaded object once
 }
 
 // Store is one workstation's BLOB store. It is safe for concurrent use.
@@ -160,10 +174,13 @@ type Store struct {
 	physicalBytes  int64 // Σ size of distinct objects actually held
 	putCount       int64
 	dedupHits      int64
-	unverified     int   // resident objects whose state is unverified
+	unverified     int   // resident objects whose state is unloaded
 	verifyFailures int64 // objects whose check failed
 
-	hashedBytes atomic.Int64 // kept outside mu: Verify and a first read hash without the store lock
+	// Kept outside mu: Verify and a first read hash, and a first read
+	// loads, without the store lock.
+	hashedBytes atomic.Int64
+	loadedBytes atomic.Int64
 }
 
 // NewStore returns an empty store.
@@ -178,10 +195,11 @@ func NewStore() *Store {
 // and may write to it afterwards. Put hashes data: it is how bytes an
 // author made enter the store.
 //
-// A dedup hit on a restored object not yet read settles its check
-// without hashing it again: bytes equal to data verify it, and other
-// bytes — which cannot hash to data's hash — are replaced by a copy of
-// data, keeping the object's references and names.
+// A dedup hit on a restored object not yet read settles it without
+// reading it: a copy of data, which Put has just hashed, becomes its
+// bytes. An object whose bytes have failed their hash, or whose image
+// gives it another length than data's, is replaced by that copy
+// instead, keeping its references and names.
 func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 	h := HashOf(data)
 	s.hashedBytes.Add(int64(len(data)))
@@ -191,11 +209,13 @@ func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 	switch {
 	case !ok:
 		e = s.insertLocked(h, kind, bytes.Clone(data))
-	case e.state.Load() != verified && !bytes.Equal(e.data, data):
-		e = s.replaceLocked(h, e, bytes.Clone(data))
+	case e.state.Load() == verified:
+		s.dedupHits++
+	case e.state.Load() == unloaded && e.size == int64(len(data)):
+		s.fillLocked(h, e, bytes.Clone(data))
 		s.dedupHits++
 	default:
-		s.settleLocked(h, e, verified)
+		e = s.replaceLocked(h, e, bytes.Clone(data))
 		s.dedupHits++
 	}
 	return s.referLocked(h, e, name)
@@ -209,8 +229,10 @@ func (s *Store) Put(name string, kind Kind, data []byte) Ref {
 // array. A hash the store already holds is a dedup hit: it takes a
 // reference on the resident object, touches no byte of data and
 // retains nothing of it, but data must be as long as the resident
-// object (ErrSizeMismatch otherwise). A hash that is not ValidHash
-// fails with ErrBadHash. Either error leaves the store unchanged.
+// object (ErrSizeMismatch otherwise). A hit on a restored object not
+// yet read settles it without reading it: data becomes its bytes, as
+// for a new object. A hash that is not ValidHash fails with
+// ErrBadHash. Either error leaves the store unchanged.
 //
 // Adopt trusts hash: a new object is verified from the start. Bytes
 // whose hash nobody has checked — from a client rather than another
@@ -233,8 +255,11 @@ func (s *Store) Adopt(name string, kind Kind, hash string, data []byte) (Ref, er
 	case e.state.Load() == failed:
 		e = s.replaceLocked(hash, e, data[:len(data):len(data)])
 		s.dedupHits++
-	case len(e.data) != len(data):
-		return Ref{}, fmt.Errorf("%w: %.12s holds %d bytes, adopted %d", ErrSizeMismatch, hash, len(e.data), len(data))
+	case e.size != int64(len(data)):
+		return Ref{}, fmt.Errorf("%w: %.12s holds %d bytes, adopted %d", ErrSizeMismatch, hash, e.size, len(data))
+	case e.state.Load() == unloaded:
+		s.fillLocked(hash, e, data[:len(data):len(data)])
+		s.dedupHits++
 	default:
 		s.dedupHits++
 	}
@@ -256,32 +281,42 @@ func (s *Store) Verify(hash string, data []byte) error {
 // insertLocked makes owned, whose hash is h, a new verified object with
 // no references; the caller holds the write lock.
 func (s *Store) insertLocked(h string, kind Kind, owned []byte) *entry {
-	e := &entry{data: owned, kind: kind, names: make(map[string]struct{})}
+	e := &entry{data: owned, size: int64(len(owned)), kind: kind}
 	s.objects[h] = e
-	s.physicalBytes += int64(len(owned))
+	s.physicalBytes += e.size
 	return e
 }
 
+// fillLocked makes owned, whose hash h the caller has just computed or
+// trusts and which is as long as e, the bytes of the unloaded object
+// e, stored under h. A first read of e that is under way finds it
+// settled. The caller holds the write lock.
+func (s *Store) fillLocked(h string, e *entry, owned []byte) {
+	e.data = owned
+	s.settleLocked(h, e, verified)
+}
+
 // replaceLocked stores owned, whose hash h the caller has just
-// computed or trusts, in place of old's bytes that fail it: a new
-// verified entry takes over old's kind, references and names, because
-// a reader that is hashing old's bytes may not see them change. The
-// caller holds the write lock.
+// computed or trusts, in place of old's bytes, which fail it or differ
+// from it in length: a new verified entry takes over old's kind,
+// references and names, and old fails, because a reader that is
+// checking old's bytes may not see them change. The caller holds the
+// write lock.
 func (s *Store) replaceLocked(h string, old *entry, owned []byte) *entry {
 	s.settleLocked(h, old, failed)
-	e := &entry{data: owned, kind: old.kind, refcount: old.refcount, names: old.names}
+	e := &entry{data: owned, size: int64(len(owned)), kind: old.kind, refcount: old.refcount, names: old.names}
 	s.objects[h] = e
-	delta := int64(len(owned)) - int64(len(old.data))
+	delta := e.size - old.size
 	s.physicalBytes += delta
 	s.logicalBytes += int64(old.refcount) * delta
 	return e
 }
 
 // settleLocked ends the check of e, stored under h, with state st if e
-// is still unverified; the caller holds the write lock. Only a
-// resident object counts in s.unverified.
+// is still unloaded; the caller holds the write lock. Only a resident
+// object counts in s.unverified.
 func (s *Store) settleLocked(h string, e *entry, st uint32) {
-	if e.state.Load() != unverified {
+	if e.state.Load() != unloaded {
 		return
 	}
 	e.state.Store(st)
@@ -296,10 +331,10 @@ func (s *Store) settleLocked(h string, e *entry, st uint32) {
 // evictLocked removes e, stored under h; the caller holds the write
 // lock.
 func (s *Store) evictLocked(h string, e *entry) {
-	if e.state.Load() == unverified {
+	if e.state.Load() == unloaded {
 		s.unverified--
 	}
-	s.physicalBytes -= int64(len(e.data))
+	s.physicalBytes -= e.size
 	delete(s.objects, h)
 }
 
@@ -309,10 +344,13 @@ func (s *Store) referLocked(h string, e *entry, name string) Ref {
 	s.putCount++
 	e.refcount++
 	if name != "" {
+		if e.names == nil {
+			e.names = make(map[string]struct{})
+		}
 		e.names[name] = struct{}{}
 	}
-	s.logicalBytes += int64(len(e.data))
-	return Ref{Hash: h, Size: int64(len(e.data)), Kind: e.kind}
+	s.logicalBytes += e.size
+	return Ref{Hash: h, Size: e.size, Kind: e.kind}
 }
 
 // Get returns the content of a stored object. The returned slice is a
@@ -329,15 +367,16 @@ func (s *Store) Get(ref Ref) ([]byte, error) {
 // View returns the content of a stored object without copying it. The
 // slice is the store's own and is read-only: stored bytes are never
 // mutated (a Put copies what it is given, an Adopt keeps bytes its
-// caller will never write again, a Restore installs fresh buffers), so
-// a view stays valid and unchanged for as long as it is referenced,
+// caller will never write again, a first read loads a fresh buffer),
+// so a view stays valid and unchanged for as long as it is referenced,
 // even after the object is released. Callers that may write to the
 // bytes use Get.
 //
-// The first read of a restored object hashes it, without the store
-// lock; concurrent first readers wait for that one hash. A match
-// verifies the object, so a later read costs one atomic load more than
-// a map lookup. A mismatch fails this read and every later one with
+// The first read of a restored object loads its bytes from the image
+// and hashes them, without the store lock; concurrent first readers
+// wait for that one load. A match verifies the object, so a later read
+// costs one atomic load more than a map lookup. A mismatch, or bytes
+// the image no longer yields, fails this read and every later one with
 // ErrHashMismatch naming the hash, and the bytes are never returned.
 func (s *Store) View(ref Ref) ([]byte, error) {
 	if ref.Zero() {
@@ -349,26 +388,34 @@ func (s *Store) View(ref Ref) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
-	if e.state.Load() != verified && !s.checkFirstRead(ref.Hash, e) {
+	if e.state.Load() != verified && !s.load(ref.Hash, e) {
 		return nil, fmt.Errorf("%w: %s", ErrHashMismatch, ref.Hash)
 	}
 	return e.data[:len(e.data):len(e.data)], nil
 }
 
-// checkFirstRead hashes the bytes of e, stored under h, unless a
-// check has already settled them, and reports whether they are
-// verified.
-func (s *Store) checkFirstRead(h string, e *entry) bool {
+// load reads the bytes of e, stored under h, from its image and hashes
+// them, unless a Put, an Adopt or an earlier read has settled e, and
+// reports whether e is verified.
+func (s *Store) load(h string, e *entry) bool {
 	e.check.Do(func() {
-		if e.state.Load() != unverified {
-			return // a Put dedup hit settled it
+		if e.state.Load() != unloaded {
+			return
 		}
-		s.hashedBytes.Add(int64(len(e.data)))
+		buf := make([]byte, e.size)
+		k, _ := e.src.ReadAt(buf, e.off)
+		s.loadedBytes.Add(int64(k))
 		st := failed
-		if HashOf(e.data) == h {
-			st = verified
+		if k == len(buf) {
+			s.hashedBytes.Add(e.size)
+			if HashOf(buf) == h {
+				st = verified
+			}
 		}
 		s.mu.Lock()
+		if st == verified && e.state.Load() == unloaded {
+			e.data = buf
+		}
 		s.settleLocked(h, e, st)
 		s.mu.Unlock()
 	})
@@ -399,7 +446,7 @@ func (s *Store) Retain(ref Ref) error {
 		return fmt.Errorf("%w: %.12s", ErrNotFound, ref.Hash)
 	}
 	e.refcount++
-	s.logicalBytes += int64(len(e.data))
+	s.logicalBytes += e.size
 	return nil
 }
 
@@ -420,7 +467,7 @@ func (s *Store) Release(ref Ref) error {
 		return fmt.Errorf("%w: %.12s", ErrOverRelease, ref.Hash)
 	}
 	e.refcount--
-	s.logicalBytes -= int64(len(e.data))
+	s.logicalBytes -= e.size
 	if e.refcount == 0 {
 		s.evictLocked(ref.Hash, e)
 	}
@@ -445,7 +492,7 @@ func (s *Store) Recount(counts map[string]int) {
 			continue
 		}
 		e.refcount = n
-		s.logicalBytes += int64(n) * int64(len(e.data))
+		s.logicalBytes += int64(n) * e.size
 	}
 }
 
@@ -469,7 +516,11 @@ type Stats struct {
 	DedupHits     int64 // Puts and Adopts served by an already-resident object
 	// HashedBytes counts the bytes SHA-256 has read: Put, Verify and the
 	// first read of a restored object. Restore and Adopt hash nothing.
-	HashedBytes    int64
+	HashedBytes int64
+	// LoadedBytes counts the bytes first reads of restored objects have
+	// read from their image. Restore reads none, and a Snapshot that
+	// copies an unloaded object into a new image loads none of it.
+	LoadedBytes    int64
 	Unverified     int   // restored objects resident and not yet read
 	VerifyFailures int64 // restored objects whose bytes failed their hash
 }
@@ -494,6 +545,7 @@ func (s *Store) Stats() Stats {
 		Puts:           s.putCount,
 		DedupHits:      s.dedupHits,
 		HashedBytes:    s.hashedBytes.Load(),
+		LoadedBytes:    s.loadedBytes.Load(),
 		Unverified:     s.unverified,
 		VerifyFailures: s.verifyFailures,
 	}
@@ -504,12 +556,7 @@ func (s *Store) Stats() Stats {
 func (s *Store) List() []Ref {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	refs := make([]Ref, 0, len(s.objects))
-	for h, e := range s.objects {
-		refs = append(refs, Ref{Hash: h, Size: int64(len(e.data)), Kind: e.kind})
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Hash < refs[j].Hash })
-	return refs
+	return s.listLocked()
 }
 
 // Names returns the logical names attached to an object, sorted.

@@ -1,6 +1,10 @@
 package blob
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,94 +13,131 @@ import (
 	"repro/internal/wire"
 )
 
-// snapshotEntry is the image of one stored object. On disk it is a
-// binary record under wire.BlobMagic, entries in ascending hash order:
+// The store's image (a station's blobs-<gen> sidecar) is a sealed
+// index followed by every object's bytes, in index order:
 //
-//	[uvarint nentries] per entry:
-//	  [hash string][uvarint kind][uvarint refcount]
-//	  [uvarint nnames names...][data bytes]
-type snapshotEntry struct {
-	Hash     string
-	Kind     Kind
-	Refcount int
-	Names    []string
-	Data     []byte
-}
+//	[wire.BlobMagic][version][uvarint len(index)][index][crc32c(index)]
+//	[bytes of object 0][bytes of object 1]...
+//
+//	index: [uvarint nobjects] per object, in ascending hash order:
+//	  [sha256, 32 raw bytes][uvarint kind][uvarint refcount]
+//	  [uvarint nnames names...][uvarint size]
+//
+// The CRC covers the index alone: an object's bytes are checked
+// against its hash when they are first read, and the image's length
+// must be exactly what the index accounts for.
+
+// wholeImageMagic opened the layout before this one: one sealed image
+// with each object's bytes inline. A file that still carries it is
+// refused with ErrOldLayout rather than misread.
+const wholeImageMagic = 0xBB
+
+// ErrOldLayout reports an image in the layout that sealed every
+// object's bytes inline. This build reads only the indexed layout, and
+// nothing converts the old one: a station whose sidecar is refused
+// starts from an empty directory and pulls its courses again.
+var ErrOldLayout = errors.New("blob: image uses the pre-index layout")
+
+// minIndexEntry is the fewest index bytes an object takes: its hash
+// and four one-byte varints.
+const minIndexEntry = HashSize + 4
 
 // Snapshot writes a point-in-time image of the store, so a station can
 // persist its BLOB layer alongside the relational snapshot. The image
-// is streamed: object bytes go from the store to w under a running
-// CRC32C seal, with no image-sized buffer in between.
+// is streamed: the index, then each object's bytes, from memory or —
+// for an object a Restore installed and nothing has read — straight
+// from the image it was restored from, without loading it.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	iw := wire.NewImageWriter(w, wire.BlobMagic)
-	iw.PutUvarint(uint64(len(s.objects)))
+	refs := s.listLocked()
+	index := wire.AppendUvarint(nil, uint64(len(refs)))
 	var names []string
-	for _, ref := range s.listLocked() {
+	var raw [HashSize]byte
+	for _, ref := range refs {
 		e := s.objects[ref.Hash]
 		names = names[:0]
 		for n := range e.names {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		iw.PutString(ref.Hash)
-		iw.PutUvarint(uint64(e.kind))
-		iw.PutUvarint(uint64(e.refcount))
-		iw.PutUvarint(uint64(len(names)))
+		hex.Decode(raw[:], []byte(ref.Hash)) // every stored hash is ValidHash
+		index = append(index, raw[:]...)
+		index = wire.AppendUvarint(index, uint64(e.kind))
+		index = wire.AppendUvarint(index, uint64(e.refcount))
+		index = wire.AppendUvarint(index, uint64(len(names)))
 		for _, n := range names {
-			iw.PutString(n)
+			index = wire.AppendString(index, n)
 		}
-		iw.PutBytes(e.data)
+		index = wire.AppendUvarint(index, uint64(e.size))
 	}
-	return iw.Close()
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.Write(wire.AppendSealed(nil, wire.BlobMagic, index)) // bufio errors stick; Flush reports them
+	var chunk []byte
+	for _, ref := range refs {
+		e := s.objects[ref.Hash]
+		if e.state.Load() == verified {
+			bw.Write(e.data)
+			continue
+		}
+		if chunk == nil {
+			chunk = make([]byte, 64<<10)
+		}
+		if err := copyAt(bw, e.src, e.off, e.size, chunk); err != nil {
+			return fmt.Errorf("blob: copying object %.12s from its image: %w", ref.Hash, err)
+		}
+	}
+	return bw.Flush()
 }
 
-// Restore replaces the store contents with a snapshot previously
-// written by Snapshot. Each object's bytes are read from r once, into a
-// buffer of their own size that the object then owns; the store changes
-// only after the seal, every name, the hash order and the reference
-// counts have checked out. On any error the store is left as it was.
+// copyAt copies n bytes of src from off to w through chunk.
+func copyAt(w io.Writer, src io.ReaderAt, off, n int64, chunk []byte) error {
+	for n > 0 {
+		p := chunk[:min(n, int64(len(chunk)))]
+		if k, err := src.ReadAt(p, off); k < len(p) {
+			return err
+		}
+		w.Write(p)
+		off += int64(len(p))
+		n -= int64(len(p))
+	}
+	return nil
+}
+
+// Restore replaces the store contents with an image previously written
+// by Snapshot. It reads the image's index and nothing else: the store
+// changes only after the index's seal, the hash order and the
+// reference counts have checked out and the image's length is exactly
+// what the index accounts for. On any error the store is left as it
+// was.
 //
-// Restore hashes nothing. Every object it installs is unverified, and
-// its first View or Get checks its bytes against its name (see View):
-// a restart pays SHA-256 only for the media it goes on to serve.
+// Each object is installed unloaded: the store remembers where its
+// bytes are, and its first View or Get reads them from the image and
+// hashes them (see View). A restart pays for reading and hashing only
+// the media it goes on to serve.
+//
+// An r that is an io.ReaderAt and reports its Size (a *bytes.Reader,
+// an *io.SectionReader) is the image, from its first byte whatever
+// has been read from it: the store keeps r and reads it until every
+// object is loaded or gone, so what r reads must not change. Any
+// other r is read whole first.
 func (s *Store) Restore(r io.Reader) error {
-	entries, err := readEntries(r)
+	src, ok := r.(sizedReaderAt)
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return fmt.Errorf("blob: reading image: %w", err)
+		}
+		src = bytes.NewReader(data)
+	}
+	objects, err := readIndex(src, src.Size())
 	if err != nil {
 		return err
 	}
-	for i, e := range entries {
-		// An unreferenced object is never stored, and a count no station
-		// could have reached would overflow the byte accounting.
-		if e.Refcount <= 0 || e.Refcount > math.MaxInt32 {
-			return fmt.Errorf("blob: snapshot object %.12s has reference count %d", e.Hash, e.Refcount)
-		}
-		// An object is named by the hash of its bytes; a name that is
-		// not one could never match them.
-		if !ValidHash(e.Hash) {
-			return fmt.Errorf("%w: snapshot object %.64q", ErrBadHash, e.Hash)
-		}
-		// Snapshot writes each object once, in ascending hash order.
-		if i > 0 && e.Hash == entries[i-1].Hash {
-			return fmt.Errorf("blob: snapshot lists object %.12s twice", e.Hash)
-		}
-		if i > 0 && e.Hash < entries[i-1].Hash {
-			return fmt.Errorf("blob: snapshot object %.12s is out of hash order", e.Hash)
-		}
-	}
-	objects := make(map[string]*entry, len(entries))
 	var logical, physical int64
-	for _, e := range entries {
-		names := make(map[string]struct{}, len(e.Names))
-		for _, n := range e.Names {
-			names[n] = struct{}{}
-		}
-		o := &entry{data: e.Data, kind: e.Kind, refcount: e.Refcount, names: names}
-		o.state.Store(unverified)
-		objects[e.Hash] = o
-		physical += int64(len(e.Data))
-		logical += int64(e.Refcount) * int64(len(e.Data))
+	for _, e := range objects {
+		physical += e.size
+		logical += int64(e.refcount) * e.size
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,33 +148,79 @@ func (s *Store) Restore(r io.Reader) error {
 	return nil
 }
 
-// readEntries decodes a sidecar stream into entries whose Data are
-// owned, exactly-sized copies, and checks the seal.
-func readEntries(r io.Reader) ([]snapshotEntry, error) {
-	ir, err := wire.NewImageReader(wire.BlobMagic, r)
+// sizedReaderAt is an image Restore reads in place.
+type sizedReaderAt interface {
+	io.ReaderAt
+	Size() int64
+}
+
+// readIndex decodes and checks the index of the image src, size bytes
+// long, into unloaded objects that read their bytes from src.
+func readIndex(src io.ReaderAt, size int64) (map[string]*entry, error) {
+	index, off, err := wire.ReadSealedAt(src, size, wire.BlobMagic)
 	if err != nil {
-		return nil, fmt.Errorf("blob: decoding snapshot: %w", err)
-	}
-	// Not preallocated: the count is not yet covered by the CRC, while
-	// each decoded entry has consumed input of its own.
-	var entries []snapshotEntry
-	for i, n := 0, ir.Count(); i < n && ir.Err() == nil; i++ {
-		e := snapshotEntry{
-			Hash:     ir.String(),
-			Kind:     Kind(ir.Uvarint()),
-			Refcount: int(ir.Uvarint()),
+		var first [1]byte
+		if k, _ := src.ReadAt(first[:], 0); k == 1 && first[0] == wholeImageMagic {
+			return nil, ErrOldLayout
 		}
-		nn := ir.Count()
-		for j := 0; j < nn && ir.Err() == nil; j++ {
-			e.Names = append(e.Names, ir.String())
+		return nil, fmt.Errorf("blob: decoding image: %w", err)
+	}
+	r := wire.NewReader(index)
+	n := r.Count()
+	if r.Err() != nil {
+		return nil, fmt.Errorf("blob: decoding image index: %w", r.Err())
+	}
+	if n > r.Len()/minIndexEntry {
+		return nil, fmt.Errorf("%w: index lists %d objects in %d bytes", wire.ErrCorrupt, n, len(index))
+	}
+	entries := make([]entry, n)
+	objects := make(map[string]*entry, n)
+	prev := ""
+	for i := range entries {
+		e := &entries[i]
+		h := hex.EncodeToString(r.Fixed(HashSize))
+		e.kind = Kind(r.Uvarint())
+		refcount := r.Uvarint()
+		if nn := r.Count(); nn > 0 {
+			e.names = make(map[string]struct{}, nn)
+			for j := 0; j < nn; j++ {
+				e.names[r.String()] = struct{}{}
+			}
 		}
-		e.Data = ir.Bytes()
-		entries = append(entries, e)
+		sz := r.Uvarint()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("blob: decoding image index: %w", r.Err())
+		}
+		// An unreferenced object is never stored, and a count no station
+		// could have reached would overflow the byte accounting.
+		if refcount == 0 || refcount > math.MaxInt32 {
+			return nil, fmt.Errorf("blob: image object %.12s has reference count %d", h, refcount)
+		}
+		// Snapshot writes each object once, in ascending hash order.
+		if h == prev {
+			return nil, fmt.Errorf("blob: image lists object %.12s twice", h)
+		}
+		if h < prev {
+			return nil, fmt.Errorf("blob: image object %.12s is out of hash order", h)
+		}
+		if sz > uint64(size-off) {
+			return nil, fmt.Errorf("%w: image of %d bytes ends inside object %.12s", wire.ErrCorrupt, size, h)
+		}
+		e.refcount = int(refcount)
+		e.size = int64(sz)
+		e.src, e.off = src, off
+		e.state.Store(unloaded)
+		off += e.size
+		objects[h] = e
+		prev = h
 	}
-	if err := ir.Finish(); err != nil {
-		return nil, fmt.Errorf("blob: corrupt snapshot: %w", err)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the image index", wire.ErrCorrupt, r.Len())
 	}
-	return entries, nil
+	if off != size {
+		return nil, fmt.Errorf("%w: image of %d bytes holds %d past its last object", wire.ErrCorrupt, size, size-off)
+	}
+	return objects, nil
 }
 
 // listLocked returns refs sorted by hash; caller holds at least the
@@ -141,7 +228,7 @@ func readEntries(r io.Reader) ([]snapshotEntry, error) {
 func (s *Store) listLocked() []Ref {
 	refs := make([]Ref, 0, len(s.objects))
 	for h, e := range s.objects {
-		refs = append(refs, Ref{Hash: h, Size: int64(len(e.data)), Kind: e.kind})
+		refs = append(refs, Ref{Hash: h, Size: e.size, Kind: e.kind})
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Hash < refs[j].Hash })
 	return refs

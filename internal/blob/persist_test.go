@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -59,14 +60,16 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreVerifiesContentHash: a content byte flipped inside the
+// image is not the index's to catch. The image restores, and the
+// object's first read fails its hash.
 func TestRestoreVerifiesContentHash(t *testing.T) {
 	s := NewStore()
-	s.Put("x", KindOther, []byte("payload"))
+	ref := s.Put("x", KindOther, []byte("payload"))
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one content byte inside the image.
 	raw := buf.Bytes()
 	idx := bytes.Index(raw, []byte("payload"))
 	if idx < 0 {
@@ -74,8 +77,14 @@ func TestRestoreVerifiesContentHash(t *testing.T) {
 	}
 	raw[idx] ^= 0xFF
 	s2 := NewStore()
-	if err := s2.Restore(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted snapshot accepted")
+	if err := s2.Restore(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.View(ref); !errors.Is(err, ErrHashMismatch) || got != nil {
+		t.Fatalf("View of the corrupted object = %q, %v; want ErrHashMismatch", got, err)
+	}
+	if st := s2.Stats(); st.VerifyFailures != 1 || st.LoadedBytes != int64(len("payload")) {
+		t.Fatalf("stats %+v, want one failure after loading the object's 7 bytes", st)
 	}
 }
 
@@ -94,6 +103,15 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	}
 }
 
+// snapshotEntry is one object of an image a test builds by hand.
+type snapshotEntry struct {
+	Hash     string
+	Kind     Kind
+	Refcount int
+	Names    []string
+	Data     []byte
+}
+
 // gobSidecar is a blobs-<gen> file as the pre-binary writer produced it.
 func gobSidecar(t testing.TB) []byte {
 	t.Helper()
@@ -106,9 +124,33 @@ func gobSidecar(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// sealEntries seals hand-built entries the way Snapshot would, so a
-// test can hold what no Store would ever write.
+// sealEntries lays hand-built entries out the way Snapshot would, so a
+// test can hold what no Store would ever write. Each Hash is the hex
+// of the 32 bytes the index carries.
 func sealEntries(entries ...snapshotEntry) []byte {
+	index := wire.AppendUvarint(nil, uint64(len(entries)))
+	var data []byte
+	for _, e := range entries {
+		raw, err := hex.DecodeString(e.Hash)
+		if err != nil || len(raw) != HashSize {
+			panic(fmt.Sprintf("sealEntries: %q is not a hex SHA-256", e.Hash))
+		}
+		index = append(index, raw...)
+		index = wire.AppendUvarint(index, uint64(e.Kind))
+		index = wire.AppendUvarint(index, uint64(e.Refcount))
+		index = wire.AppendUvarint(index, uint64(len(e.Names)))
+		for _, n := range e.Names {
+			index = wire.AppendString(index, n)
+		}
+		index = wire.AppendUvarint(index, uint64(len(e.Data)))
+		data = append(data, e.Data...)
+	}
+	return append(wire.AppendSealed(nil, wire.BlobMagic, index), data...)
+}
+
+// wholeImage is an image in the layout before the index: one sealed
+// image with each object's hex hash and bytes inline.
+func wholeImage(entries ...snapshotEntry) []byte {
 	payload := wire.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
 		payload = wire.AppendString(payload, e.Hash)
@@ -120,15 +162,19 @@ func sealEntries(entries ...snapshotEntry) []byte {
 		}
 		payload = wire.AppendBytes(payload, e.Data)
 	}
-	return wire.SealImage(wire.BlobMagic, payload)
+	return wire.SealImage(wholeImageMagic, payload)
 }
 
 // TestRestoreRejectsHostileInput: one reader, one format. Everything
-// else — what the gob writer produced, a JSON line, and sealed images
-// whose entries lie — is a clean error that leaves the store as it was.
+// else — what the gob writer produced, a JSON line, the layout before
+// the index, and images whose index lies or whose length does not
+// match it — is a clean error that leaves the store as it was.
 func TestRestoreRejectsHostileInput(t *testing.T) {
 	good := NewStore().Put("", KindOther, []byte("payload")).Hash
 	other := NewStore().Put("", KindOther, []byte("another")).Hash
+	image := sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: 1, Data: []byte("payload")})
+	flipped := bytes.Clone(image)
+	flipped[8] ^= 1 // inside the hash in the index
 	for _, tc := range []struct {
 		name, want string
 		data       []byte
@@ -137,13 +183,17 @@ func TestRestoreRejectsHostileInput(t *testing.T) {
 		{"JSON line", "predates the binary format", []byte(`{"seq":1,"commit":true}` + "\n")},
 		{"text", "predates the binary format", []byte("junk")},
 		{"empty file", "too short", nil},
-		{"another file's magic", "magic", wire.SealImage(wire.SnapMagic, []byte{0})},
-		{"short hash, no references", "reference count 0", sealEntries(snapshotEntry{Hash: "abc", Kind: KindOther, Data: []byte("payload")})},
-		{"short hash, wrong content", "malformed content hash", sealEntries(snapshotEntry{Hash: "abc", Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
-		{"empty hash", "malformed content hash", sealEntries(snapshotEntry{Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
-		{"negative reference count", "reference count -1", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: -1, Data: []byte("payload")})},
+		{"another file's magic", "magic", wire.AppendSealed(nil, wire.SnapMagic, []byte{0})},
+		{"the layout before the index", ErrOldLayout.Error(), wholeImage(snapshotEntry{Hash: good, Kind: KindOther, Refcount: 1, Data: []byte("payload")})},
+		{"flipped index byte", "checksum", flipped},
+		{"no references", "reference count 0", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Data: []byte("payload")})},
 		{"reference count beyond any station", "reference count", sealEntries(snapshotEntry{Hash: good, Kind: KindOther, Refcount: 1 << 40, Data: []byte("payload")})},
-		{"entry count beyond the input", "truncated", wire.SealImage(wire.BlobMagic, wire.AppendUvarint(nil, 1<<62))},
+		{"entry count beyond the index", "truncated", wire.AppendSealed(nil, wire.BlobMagic, wire.AppendUvarint(nil, 1<<62))},
+		{"entry count beyond what the index can hold", "objects in", wire.AppendSealed(nil, wire.BlobMagic, append(wire.AppendUvarint(nil, 2), make([]byte, 40)...))},
+		{"name cut short", "truncated", wire.AppendSealed(nil, wire.BlobMagic, append(append(wire.AppendUvarint(nil, 1), make([]byte, HashSize)...), 1, 1, 1, 5, 'a'))},
+		{"image cut inside an object", "ends inside object", image[:len(image)-1]},
+		{"image cut at the index", "ends inside object", image[:len(image)-len("payload")]},
+		{"bytes past the last object", "1 past its last object", append(bytes.Clone(image), 0)},
 		{"one object listed twice", good[:12] + " twice", duplicateEntries(good)},
 		{"entries out of hash order", min(good, other)[:12] + " is out of hash order", reversedEntries([]byte("payload"), []byte("another"))},
 	} {
@@ -198,9 +248,10 @@ func TestRestoreAcceptsUnnamedAndSharedObjects(t *testing.T) {
 }
 
 // FuzzRestore: no input makes Restore panic or spin; in a store it
-// accepts, every object's first read returns bytes that hash to its
-// name or fails with ErrHashMismatch, and the store snapshots to an
-// image that restores to the same store.
+// accepts, every object's first read loads bytes that hash to its name
+// or fails with ErrHashMismatch, and the store snapshots to an image
+// that restores to the same store. Half the inputs are snapshotted
+// before they are read, so the copy of unloaded objects is fuzzed too.
 func FuzzRestore(f *testing.F) {
 	src := NewStore()
 	src.Put("a.gif", KindImage, []byte("image-bytes"))
@@ -213,12 +264,13 @@ func FuzzRestore(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(gobSidecar(f))
 	f.Add([]byte(`{"seq":1,"commit":true}` + "\n"))
-	f.Add(valid.Bytes()[:valid.Len()/2])                                                 // torn
-	f.Add(wire.SealImage(wire.BlobMagic, wire.AppendUvarint(nil, 1<<62)))                // giant entry count
-	f.Add(sealEntries(snapshotEntry{Hash: "abc", Refcount: 1 << 62, Data: []byte("x")})) // short hash, giant refcount
+	f.Add(valid.Bytes()[:valid.Len()/2])                                                               // torn
+	f.Add(wire.AppendSealed(nil, wire.BlobMagic, wire.AppendUvarint(nil, 1<<62)))                      // giant entry count
+	f.Add(sealEntries(snapshotEntry{Hash: HashOf([]byte("x")), Refcount: 1 << 62, Data: []byte("x")})) // giant refcount
 	f.Add(duplicateEntries(NewStore().Put("", KindOther, []byte("payload")).Hash))
 	f.Add(reversedEntries([]byte("payload"), []byte("another")))
 	f.Add(sealEntries(snapshotEntry{Hash: HashOf([]byte("another")), Kind: KindOther, Refcount: 1, Data: []byte("payload")})) // a hash over other bytes
+	f.Add(wholeImage(snapshotEntry{Hash: HashOf([]byte("payload")), Kind: KindOther, Refcount: 1, Data: []byte("payload")}))  // the layout before the index
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewStore()
 		if err := s.Restore(bytes.NewReader(data)); err != nil {
@@ -226,6 +278,12 @@ func FuzzRestore(f *testing.F) {
 				t.Fatal("failed Restore left objects behind")
 			}
 			return
+		}
+		var again bytes.Buffer
+		if len(data)%2 == 0 {
+			if err := s.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, ref := range s.List() {
 			got, err := s.View(ref)
@@ -236,9 +294,10 @@ func FuzzRestore(f *testing.F) {
 				t.Fatalf("View of %.12s: %d bytes, err = %v, want its bytes or ErrHashMismatch", ref.Hash, len(got), err)
 			}
 		}
-		var again bytes.Buffer
-		if err := s.Snapshot(&again); err != nil {
-			t.Fatal(err)
+		if again.Len() == 0 {
+			if err := s.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
 		}
 		s2 := NewStore()
 		if err := s2.Restore(&again); err != nil {
@@ -250,11 +309,13 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
-// TestSnapshotMatchesCheckedInSidecar: the streamed writer produces the
-// very bytes the whole-image writer did. The fixture is the blobs-<gen>
-// sidecar of a station directory an earlier build wrote.
+// TestSnapshotMatchesCheckedInSidecar: a store restored from a
+// checked-in sidecar, and not read, snapshots to that very file: the
+// objects' bytes are copied from it without being loaded. The fixture
+// is the blobs-<gen> sidecar of a station directory an earlier build
+// wrote, transcoded object for object into the indexed layout.
 func TestSnapshotMatchesCheckedInSidecar(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "search", "testdata", "parent-dir", "blobs-0000000001"))
+	want, err := os.ReadFile(filepath.Join("..", "search", "testdata", "positional-dir", "blobs-0000000001"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +332,27 @@ func TestSnapshotMatchesCheckedInSidecar(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("snapshot of the restored fixture is %d bytes and differs from the %d-byte file", got.Len(), len(want))
+	}
+	if st := s.Stats(); st.LoadedBytes != 0 || st.Unverified != st.Objects {
+		t.Fatalf("the snapshot loaded objects: %+v", st)
+	}
+}
+
+// TestRestoreRefusesTheLayoutBeforeTheIndex: the sidecar the parent
+// station directory carries, written before the index, is refused with
+// ErrOldLayout, and the store is left as it was.
+func TestRestoreRefusesTheLayoutBeforeTheIndex(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "search", "testdata", "parent-dir", "blobs-0000000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	kept := s.Put("kept", KindOther, []byte("resident"))
+	if err := s.Restore(bytes.NewReader(old)); !errors.Is(err, ErrOldLayout) {
+		t.Fatalf("Restore err = %v, want ErrOldLayout", err)
+	}
+	if st := s.Stats(); st.Objects != 1 || s.RefCount(kept) != 1 {
+		t.Fatalf("a refused image changed the store: %+v", st)
 	}
 }
 
@@ -295,10 +377,11 @@ func allocated(f func()) int64 {
 	return int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// TestRestoreCopiesMediaOnce: restoring an image of N media bytes, from
-// memory or from a file, allocates each object's bytes once and little
-// else — not an image-sized read buffer grown by doubling and two more
-// copies on top.
+// TestRestoreCopiesMediaOnce: restoring an image of N media bytes, in
+// memory or over a file, allocates a small fraction of N and loads
+// none of it; reading every object then copies each object's bytes out
+// of the image once, into a buffer of their own size, and the second
+// read of each copies nothing.
 func TestRestoreCopiesMediaOnce(t *testing.T) {
 	src, n := mediaStore()
 	var img bytes.Buffer
@@ -309,31 +392,42 @@ func TestRestoreCopiesMediaOnce(t *testing.T) {
 	if err := os.WriteFile(path, img.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func() (io.Reader, func()){
-		"memory": func() (io.Reader, func()) { return bytes.NewReader(img.Bytes()), func() {} },
-		"file": func() (io.Reader, func()) {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f, func() { f.Close() }
-		},
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, r := range map[string]io.Reader{
+		"memory": bytes.NewReader(img.Bytes()),
+		"file":   io.NewSectionReader(f, 0, int64(img.Len())),
 	} {
-		r, done := open()
 		s := NewStore()
 		got := allocated(func() {
 			if err := s.Restore(r); err != nil {
 				t.Fatal(err)
 			}
 		})
-		done()
-		if got, want := s.Stats(), src.Stats(); got.Objects != want.Objects || got.PhysicalBytes != n || got.LogicalBytes != want.LogicalBytes {
-			t.Fatalf("%s: restored %+v, want %+v", name, got, want)
+		if got, want := s.Stats(), src.Stats(); got.Objects != want.Objects || got.PhysicalBytes != n || got.LogicalBytes != want.LogicalBytes || got.LoadedBytes != 0 {
+			t.Fatalf("%s: restored %+v, want %+v and nothing loaded", name, got, want)
 		}
-		if limit := n * 13 / 10; got > limit {
-			t.Errorf("%s: Restore of %d media bytes allocated %d (%.2f N), want at most 1.3 N", name, n, got, float64(got)/float64(n))
+		if limit := n / 100; got > limit {
+			t.Errorf("%s: Restore of %d media bytes allocated %d (%.3f N), want at most 0.01 N", name, n, got, float64(got)/float64(n))
 		}
-		t.Logf("%s: Restore allocated %.2f N", name, float64(got)/float64(n))
+		readAll := func() {
+			for _, ref := range s.List() {
+				if _, err := s.View(ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		first, second := allocated(readAll), allocated(readAll)
+		if first < n || first > n*11/10 || second > n/100 {
+			t.Errorf("%s: reading every object allocated %d bytes, then %d; want about N = %d, then almost none", name, first, second, n)
+		}
+		if st := s.Stats(); st.LoadedBytes != n || st.HashedBytes != n || st.Unverified != 0 {
+			t.Errorf("%s: after reading every object twice: %+v, want %d bytes loaded and hashed", name, st, n)
+		}
+		t.Logf("%s: Restore allocated %.4f N, the first reads %.2f N", name, float64(got)/float64(n), float64(first)/float64(n))
 	}
 }
 

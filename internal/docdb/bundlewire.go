@@ -139,7 +139,9 @@ func ReadBundle(r *wire.Reader) Bundle {
 	b.Impl.Created = r.Time()
 
 	for _, files := range []*[]File{&b.HTML, &b.Programs} {
-		for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		n := r.Count()
+		*files = presize[File](r, n, 5) // four strings and the content, each at least its length byte
+		for i := 0; i < n && r.Err() == nil; i++ {
 			*files = append(*files, File{
 				ID:          r.String(),
 				StartingURL: r.String(),
@@ -149,7 +151,9 @@ func ReadBundle(r *wire.Reader) Bundle {
 			})
 		}
 	}
-	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+	n := r.Count()
+	b.Media = presize[BundleMedia](r, n, 3+blob.HashSize) // name, kind, hash and data length
+	for i := 0; i < n && r.Err() == nil; i++ {
 		b.Media = append(b.Media, BundleMedia{
 			Name: r.String(),
 			Kind: blob.Kind(r.Uvarint()),
@@ -157,7 +161,9 @@ func ReadBundle(r *wire.Reader) Bundle {
 			Data: r.View(),
 		})
 	}
-	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+	n = r.Count()
+	b.Annotations = presize[Annotation](r, n, 8) // four strings, version, time (two varints) and file
+	for i := 0; i < n && r.Err() == nil; i++ {
 		b.Annotations = append(b.Annotations, Annotation{
 			Name:        r.String(),
 			ScriptName:  r.String(),
@@ -169,6 +175,17 @@ func ReadBundle(r *wire.Reader) Bundle {
 		})
 	}
 	return b
+}
+
+// presize returns an empty slice with room for the n elements a count
+// has announced, each of which takes at least minBytes of r, but never
+// for more than what r has left could hold: a hostile count sizes no
+// allocation beyond the input. It returns nil for no elements.
+func presize[T any](r *wire.Reader, n, minBytes int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, min(n, r.Len()/minBytes))
 }
 
 // AppendSegments makes a Bundle a self-encoding message body (the

@@ -15,10 +15,11 @@
 // A durable store (persist.go) checkpoints the relational engine and
 // the BLOB layer as one generation: the blobs-<gen> sidecar lands
 // before relstore's snap-<gen>. Recover lets relstore load and replay
-// first, then restores the sidecar of the generation relstore loaded,
-// checking every content hash before the BLOB store changes, re-derives
-// each BLOB's reference count from the rows naming it, and rebuilds the
-// attached content index from the rows.
+// first, then restores the index of the sidecar of the generation
+// relstore loaded — each medium is read from the sidecar and checked
+// against its content hash on its first read, not at recovery —
+// re-derives each BLOB's reference count from the rows naming it, and
+// rebuilds the attached content index from the rows.
 package docdb
 
 import (

@@ -52,11 +52,16 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 // traffic.
 //
 // The sidecar is restored after relstore has chosen its generation, on
-// the calling goroutine: only that generation's blobs-<g> is read, and
-// its structure is checked before the BLOB store changes. Recovery
-// hashes no media: each restored object is hashed on its first read
+// the calling goroutine: only that generation's blobs-<g> is opened,
+// and only its index is read and checked before the BLOB store
+// changes. Recovery reads and hashes no media: each restored object is
+// read from the sidecar and hashed on its first read
 // (blob.Store.View), so an export of a medium whose bytes fail their
-// hash fails, while the recovery and every other medium do not.
+// hash fails, while the recovery and every other medium do not. The
+// sidecar therefore stays open, owned by the BLOB store, after the
+// next checkpoint has superseded and pruned it: that checkpoint copies
+// the media nobody has read from it into its own sidecar, so a
+// station holds at most this one superseded file open.
 // A missing sidecar fails the recovery: rows without their BLOBs
 // would point at nothing. The checkpoint renames the sidecar before
 // the snapshot, so only a relstore-only checkpoint or a hand-pruned
@@ -67,15 +72,8 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 		return nil, err
 	}
 	if info.Gen > 0 {
-		name := blobFileName(info.Gen)
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("docdb: opening BLOB sidecar %s: %w", name, err)
-		}
-		err = s.blobs.Restore(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", name, err)
+		if err := s.restoreBlobs(dir, blobFileName(info.Gen)); err != nil {
+			return nil, err
 		}
 	}
 	// The sidecar holds its checkpoint's reference counts, and the tail
@@ -108,6 +106,24 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 	}
 	s.durDir = dir
 	return info, nil
+}
+
+// restoreBlobs restores the BLOB store from the sidecar name in dir,
+// which it leaves open for the store to read media from.
+func (s *Store) restoreBlobs(dir, name string) error {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return fmt.Errorf("docdb: opening BLOB sidecar %s: %w", name, err)
+	}
+	fi, err := f.Stat()
+	if err == nil {
+		err = s.blobs.Restore(io.NewSectionReader(f, 0, fi.Size()))
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("docdb: restoring BLOB sidecar %s: %w", name, err)
+	}
+	return nil
 }
 
 // DurableDir reports the durability directory Recover attached ("" for

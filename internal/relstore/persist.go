@@ -238,6 +238,26 @@ func (db *DB) appendWAL(recs []walRec) error {
 	return w.w.Flush()
 }
 
+// maxReplayBuf caps the buffer a WAL replay reads its log through.
+const maxReplayBuf = 1 << 20
+
+// replayBufSize sizes the replay buffer to the log r holds, when r can
+// say (a file's size, an in-memory reader's length), up to
+// maxReplayBuf: a short tail, or the empty one a fresh generation
+// starts with, gets a buffer of its own size.
+func replayBufSize(r io.Reader) int {
+	n := int64(maxReplayBuf)
+	switch x := r.(type) {
+	case *os.File:
+		if fi, err := x.Stat(); err == nil {
+			n = min(n, fi.Size())
+		}
+	case interface{ Len() int }:
+		n = min(n, int64(x.Len()))
+	}
+	return int(n)
+}
+
 // replayWAL applies a write-ahead log produced by a previous process
 // to the database and reports the committed transactions applied, the
 // high-water sequence number observed, and end, the offset where the
@@ -260,7 +280,7 @@ func (db *DB) appendWAL(recs []walRec) error {
 func (db *DB) replayWAL(r io.Reader, dec *rowDecoder) (applied int, maxSeq uint64, end int64, err error) {
 	rp := &replayer{db: db, rows: dec}
 	defer rp.unlock()
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, replayBufSize(r))
 	for {
 		payload, err := wire.ReadRecord(br, 0)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {

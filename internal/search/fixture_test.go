@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/docdb"
 	"repro/internal/relstore"
 	"repro/internal/search"
@@ -33,11 +34,14 @@ import (
 // testdata/positional-dir carries the same history in the positional
 // grammar, transcoded once from parent-dir record for record: the
 // snapshot and every tail record re-encoded with the same generation,
-// sequence numbers and values, the BLOB and search sidecars copied
-// byte for byte. It must recover to the unchanged golden file. The
-// index is rebuilt from the rows, so the search sidecar is never
-// opened: recovery matches the golden file whether it is intact,
-// garbage or absent.
+// sequence numbers and values, the search sidecar copied byte for
+// byte. Its BLOB sidecar was transcoded again, object for object, when
+// the sidecar came to lead with an index: the same hashes, kinds,
+// reference counts, names and bytes. It must recover to the unchanged
+// golden file. The index is rebuilt from the rows, so the search
+// sidecar is never opened: recovery matches the golden file whether
+// it is intact, garbage or absent. parent-dir's BLOB sidecar, in the
+// layout before the index, is the refusal case for that change.
 
 // dumpStation renders everything a recovery must bring back: every
 // row of every table, every BLOB with its refcount and names, and the
@@ -184,7 +188,14 @@ func TestRefusesNameKeyedDirectory(t *testing.T) {
 	if !errors.Is(err, relstore.ErrPrePositional) || !strings.Contains(err.Error(), "snap-0000000001") {
 		t.Fatalf("Recover err = %v, want ErrPrePositional naming snap-0000000001", err)
 	}
-	want, err := os.ReadDir(filepath.Join("testdata", "parent-dir"))
+	checkUntouched(t, dir, filepath.Join("testdata", "parent-dir"))
+}
+
+// checkUntouched fails t unless dir holds exactly the files of want,
+// byte for byte.
+func checkUntouched(t *testing.T, dir, want string) {
+	t.Helper()
+	wantFiles, err := os.ReadDir(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +203,11 @@ func TestRefusesNameKeyedDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("directory holds %d files after the refusal, want %d", len(got), len(want))
+	if len(got) != len(wantFiles) {
+		t.Errorf("directory holds %d files after the refusal, want %d", len(got), len(wantFiles))
 	}
-	for _, e := range want {
-		orig, err := os.ReadFile(filepath.Join("testdata", "parent-dir", e.Name()))
+	for _, e := range wantFiles {
+		orig, err := os.ReadFile(filepath.Join(want, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,4 +215,30 @@ func TestRefusesNameKeyedDirectory(t *testing.T) {
 			t.Errorf("%s changed or vanished (err=%v)", e.Name(), err)
 		}
 	}
+}
+
+// TestRefusesPreIndexBlobSidecar: positional-dir with parent-dir's BLOB
+// sidecar, written before the sidecar led with an index, fails
+// recovery with blob.ErrOldLayout naming the sidecar, and every file
+// keeps its bytes.
+func TestRefusesPreIndexBlobSidecar(t *testing.T) {
+	dir := copyFixture(t, "positional-dir")
+	old, err := os.ReadFile(filepath.Join("testdata", "parent-dir", "blobs-0000000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "blobs-0000000001"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := copyFixture(t, "positional-dir")
+	if err := os.WriteFile(filepath.Join(want, "blobs-0000000001"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(t)
+	_, err = s.Recover(dir)
+	if !errors.Is(err, blob.ErrOldLayout) || !strings.Contains(err.Error(), "blobs-0000000001") {
+		t.Fatalf("Recover err = %v, want blob.ErrOldLayout naming blobs-0000000001", err)
+	}
+	s.Rel().CloseWAL()
+	checkUntouched(t, dir, want)
 }

@@ -92,35 +92,40 @@ func appendHeader(dst []byte, env *envelope, n int) []byte {
 	return dst
 }
 
-// decodeEnvelope decodes a frame payload. The body aliases p, which
-// readFrame allocated for this one frame and never recycles; strings
-// are copies. Structural failures are ErrBadHeader, integrity failures
-// ErrChecksum.
-func decodeEnvelope(p []byte) (*envelope, error) {
+// decodeEnvelope decodes a frame payload into env, overwriting every
+// field. The body aliases p, which readFrame allocated for this one
+// frame and never recycles. The method is names' string for its bytes
+// when names is set (a server's registered name: no copy), a copy
+// otherwise; an error string is a copy. Structural failures are
+// ErrBadHeader, integrity failures ErrChecksum.
+func decodeEnvelope(p []byte, env *envelope, names func([]byte) string) error {
+	*env = envelope{}
 	if len(p) < 8 {
-		return nil, fmt.Errorf("%w: %d-byte frame", ErrBadHeader, len(p))
+		return fmt.Errorf("%w: %d-byte frame", ErrBadHeader, len(p))
 	}
 	if p[0] != wire.FrameMagic {
-		return nil, fmt.Errorf("%w: frame magic 0x%02x", ErrBadHeader, p[0])
+		return fmt.Errorf("%w: frame magic 0x%02x", ErrBadHeader, p[0])
 	}
 	if p[1] != wire.Version {
-		return nil, fmt.Errorf("%w: frame version %d", ErrBadHeader, p[1])
+		return fmt.Errorf("%w: frame version %d", ErrBadHeader, p[1])
 	}
 	body, crc := p[:len(p)-4], binary.LittleEndian.Uint32(p[len(p)-4:])
 	if wire.Checksum(body) != crc {
-		return nil, fmt.Errorf("%w: frame of %d bytes", ErrChecksum, len(p))
+		return fmt.Errorf("%w: frame of %d bytes", ErrChecksum, len(p))
 	}
 	r := wire.NewReader(body)
 	r.Byte() // magic
 	r.Byte() // version
 	flags := r.Byte()
-	env := &envelope{
-		ID:     r.Uvarint(),
-		IsResp: flags&flagIsResp != 0,
-		More:   flags&flagMore != 0,
-	}
+	env.ID = r.Uvarint()
+	env.IsResp = flags&flagIsResp != 0
+	env.More = flags&flagMore != 0
 	if flags&flagMethod != 0 {
-		env.Method = r.String()
+		if names != nil {
+			env.Method = names(r.View())
+		} else {
+			env.Method = r.String()
+		}
 	}
 	if flags&flagErr != 0 {
 		env.Err = r.String()
@@ -133,9 +138,10 @@ func decodeEnvelope(p []byte) (*envelope, error) {
 		env.Body = r.View()
 	}
 	if r.Err() != nil || r.Len() != 0 {
-		return nil, fmt.Errorf("%w: malformed frame fields", ErrBadHeader)
+		*env = envelope{}
+		return fmt.Errorf("%w: malformed frame fields", ErrBadHeader)
 	}
-	return env, nil
+	return nil
 }
 
 // buffersWriter is a connection wrapper (countingConn) that hands a
@@ -243,32 +249,34 @@ func bodyLen(segs [][]byte) int {
 // in the buffer for the next readFrame.
 func newFrameReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBuffer) }
 
-// readFrame receives one envelope into a buffer of its own, which the
+// readFrame receives one envelope into env (see decodeEnvelope for
+// names) from a buffer of its own, which the
 // envelope's body then aliases: a small frame is copied out of the
 // connection's read-ahead buffer, a larger one's remainder is read
 // straight into its own. The buffer starts at the header's length
 // capped at a megabyte and doubles only as bytes arrive, so a hostile
 // or corrupt header claiming a near-MaxFrame size costs at most about
 // twice the bytes the peer actually sends.
-func readFrame(r *bufio.Reader) (*envelope, error) {
+func readFrame(r *bufio.Reader, env *envelope, names func([]byte) string) error {
+	*env = envelope{}
 	head, err := r.Peek(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	claim := binary.BigEndian.Uint32(head)
 	_, _ = r.Discard(4) // cannot fail: Peek buffered these 4 bytes
 	if claim > MaxFrame {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
 	n := int(claim)
 	buf := make([]byte, min(n, 1<<20))
 	for off := 0; ; {
 		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			return nil, err
+			return err
 		}
 		if len(buf) == n {
 			raceAcquireFrame()
-			return decodeEnvelope(buf)
+			return decodeEnvelope(buf, env, names)
 		}
 		off = len(buf)
 		grown := make([]byte, min(n, 2*off))

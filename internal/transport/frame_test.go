@@ -239,11 +239,11 @@ func TestFrameBodySurvivesNextRead(t *testing.T) {
 		}
 	}
 	r := newFrameReader(&stream)
-	a, err := readFrame(r)
+	a, err := readEnvelope(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(r); err != nil {
+	if _, err := readEnvelope(r); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Body, first) {

@@ -249,6 +249,7 @@ func (p *Pool) Close() {
 type conn struct {
 	net.Conn
 	r      *bufio.Reader
+	in     envelope // the reply frame in hand
 	lastID uint64
 }
 
@@ -271,9 +272,10 @@ func (c *conn) roundTrip(env *envelope, body [][]byte, resp any, w io.Writer, d 
 	if err := writeFrame(c.Conn, env, body); err != nil {
 		return 0, broken(err, env.Method, d), false
 	}
+	got := &c.in
+	defer func() { *got = envelope{} }() // the reply's frame is the caller's now, or garbage
 	for {
-		got, err := readFrame(c.r)
-		if err != nil {
+		if err := readFrame(c.r, got, nil); err != nil {
 			return n, broken(err, env.Method, d), false
 		}
 		if got.ID != env.ID || (got.More && w == nil) {

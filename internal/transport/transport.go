@@ -244,7 +244,7 @@ type CtxHandler func(ctx *Ctx, decode func(any) error) (any, error)
 // handler holds only its own connection.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]CtxHandler
+	handlers map[string]registered
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup // the accept loop
@@ -279,7 +279,7 @@ type ServerStats struct {
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]CtxHandler),
+		handlers: make(map[string]registered),
 		conns:    make(map[net.Conn]struct{}),
 		calls:    make(map[string]int64),
 	}
@@ -362,7 +362,27 @@ func (s *Server) HandleCtx(method string, h CtxHandler) {
 	if _, ok := s.handlers[method]; ok {
 		panic("transport: duplicate handler for " + method)
 	}
-	s.handlers[method] = h
+	s.handlers[method] = registered{name: method, h: h}
+}
+
+// registered is a handler with the name it was registered under, which
+// every request for it carries as its method.
+type registered struct {
+	name string
+	h    CtxHandler
+}
+
+// methodName returns the registered name of the method a request
+// names, so decoding a request copies no method; an unknown method is
+// copied, for the error that names it.
+func (s *Server) methodName(raw []byte) string {
+	s.mu.RLock()
+	reg, ok := s.handlers[string(raw)]
+	s.mu.RUnlock()
+	if !ok {
+		return string(raw)
+	}
+	return reg.name
 }
 
 // Listen starts accepting on the address (e.g. "127.0.0.1:0") and
@@ -400,15 +420,16 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // serverConn is one accepted connection's state. The connection
-// carries one request at a time, so the request in hand, the Ctx its
-// handler gets and the decode function over its body belong to the
-// connection, bound once: a handler must not keep either past its
-// return.
+// carries one request at a time, so the request in hand, decoded into
+// the connection's one envelope, the Ctx its handler gets and the
+// decode function over its body belong to the connection, bound once:
+// a handler must not keep either past its return.
 type serverConn struct {
 	s      *Server
 	w      countingConn
 	r      *bufio.Reader
-	env    *envelope
+	in     envelope
+	names  func([]byte) string
 	ctx    Ctx
 	decode func(any) error
 }
@@ -422,26 +443,28 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	sc := &serverConn{s: s, w: countingConn{Conn: conn, srv: s}}
+	sc := &serverConn{s: s, w: countingConn{Conn: conn, srv: s}, names: s.methodName}
 	sc.r = newFrameReader(&sc.w)
-	sc.decode = func(v any) error { return Unmarshal(sc.env.Body, v) }
+	sc.decode = func(v any) error { return Unmarshal(sc.in.Body, v) }
 	for {
-		env, err := readFrame(sc.r)
-		if err != nil || sc.serve(env) != nil {
+		if readFrame(sc.r, &sc.in, sc.names) != nil || sc.serve() != nil {
 			return
 		}
 	}
 }
 
-// serve runs one request's handler and answers it, returning the
-// write's error. Every dispatch lands in the method's latency
-// histogram; a traced request (non-zero TraceID) also records a span
-// parented to the caller's hop.
-func (sc *serverConn) serve(env *envelope) error {
+// serve runs the handler of the request in hand and answers it,
+// returning the write's error; it then drops the request, so its frame
+// is not kept until the next one arrives. Every dispatch lands in the
+// method's latency histogram; a traced request (non-zero TraceID) also
+// records a span parented to the caller's hop.
+func (sc *serverConn) serve() error {
+	env := &sc.in
+	defer func() { *env = envelope{} }()
 	s := sc.s
 	s.noteCall(env.Method)
 	s.mu.RLock()
-	h, ok := s.handlers[env.Method]
+	reg, ok := s.handlers[env.Method]
 	s.mu.RUnlock()
 	o := s.Observer()
 	span := o.Begin(obs.TraceContext{TraceID: env.TraceID, SpanID: env.Parent}, env.Method)
@@ -451,9 +474,9 @@ func (sc *serverConn) serve(env *envelope) error {
 	if !ok {
 		err = errors.New(ErrNoMethod.Error() + ": " + env.Method)
 	} else {
-		sc.env, sc.ctx.span = env, span
-		out, err = h(&sc.ctx, sc.decode)
-		sc.env, sc.ctx.span = nil, nil
+		sc.ctx.span = span
+		out, err = reg.h(&sc.ctx, sc.decode)
+		sc.ctx.span = nil
 	}
 	if r, streamed := out.(io.Reader); streamed && err == nil {
 		// A handler returning a reader streams its bytes in StreamChunk

@@ -141,7 +141,7 @@ func TestOneConnectionAnswersInOrder(t *testing.T) {
 		}
 	}
 	for want := uint64(1); want <= 2; want++ {
-		got, err := readFrame(c.r)
+		got, err := readEnvelope(c.r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestServerCloseDoesNotWaitForHandlers(t *testing.T) {
 		if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := readFrame(c.r); err == nil {
+		if got, err := readEnvelope(c.r); err == nil {
 			t.Errorf("%s connection received frame %+v after Close", name, got)
 		} else if !errors.Is(err, io.EOF) {
 			t.Errorf("%s connection: %v, want EOF", name, err)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -9,150 +10,112 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"testing/iotest"
 )
 
-// imageFields is one of each field kind, with a byte field longer than
-// the stream buffer so the writer's and the reader's bypass paths run.
-var imageFields = struct {
-	count  uint64
-	name   string
-	small  []byte
-	large  []byte
-	absent []byte
-}{3, "a.gif", []byte("small"), bytes.Repeat([]byte("0123456789abcdef"), imageStreamBuf/8), nil}
+// sealedFile is a sealed head followed by bytes it describes, which
+// ReadSealedAt must not read.
+func sealedFile() (file, payload, rest []byte) {
+	payload = AppendString(AppendUvarint(nil, 3), "a.gif")
+	rest = bytes.Repeat([]byte("0123456789abcdef"), 4<<10)
+	return append(AppendSealed(nil, BlobMagic, payload), rest...), payload, rest
+}
 
-func streamImage(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	iw := NewImageWriter(&buf, BlobMagic)
-	iw.PutUvarint(imageFields.count)
-	iw.PutString(imageFields.name)
-	iw.PutBytes(imageFields.small)
-	iw.PutBytes(imageFields.large)
-	iw.PutBytes(imageFields.absent)
-	if err := iw.Close(); err != nil {
+// countingReaderAt counts the bytes read through it.
+type countingReaderAt struct {
+	r    io.ReaderAt
+	read int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.read += int64(n)
+	return n, err
+}
+
+// TestSealedMatchesRecordLayout: a sealed head is a record under the
+// file's own magic, so AppendRecord is AppendSealed under RecordMagic
+// and ReadRecord reads what AppendSealed wrote.
+func TestSealedMatchesRecordLayout(t *testing.T) {
+	payload := []byte("one record payload")
+	if got, want := AppendSealed(nil, RecordMagic, payload), AppendRecord(nil, payload); !bytes.Equal(got, want) {
+		t.Fatalf("AppendSealed under RecordMagic = %x, AppendRecord = %x", got, want)
+	}
+	got, err := ReadRecord(bufio.NewReader(bytes.NewReader(AppendSealed(nil, RecordMagic, payload))), 0)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadRecord = %q, %v", got, err)
+	}
+}
+
+// TestSealedRoundTrip: from memory and from a file, ReadSealedAt
+// returns the payload and where the bytes after it start, and reads
+// nothing past the head.
+func TestSealedRoundTrip(t *testing.T) {
+	file, payload, rest := sealedFile()
+	path := filepath.Join(t.TempDir(), "sealed")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// TestImageWriterMatchesSealImage: a streamed image is byte for byte
-// the image SealImage seals around the same payload.
-func TestImageWriterMatchesSealImage(t *testing.T) {
-	payload := AppendUvarint(nil, imageFields.count)
-	payload = AppendString(payload, imageFields.name)
-	payload = AppendBytes(payload, imageFields.small)
-	payload = AppendBytes(payload, imageFields.large)
-	payload = AppendBytes(payload, imageFields.absent)
-	if got, want := streamImage(t), SealImage(BlobMagic, payload); !bytes.Equal(got, want) {
-		t.Fatalf("streamed image (%d bytes) differs from SealImage's (%d bytes)", len(got), len(want))
-	}
-}
-
-// sources returns the ways a reader can arrive: in memory (Len), as a
-// file (Stat), and as a stream that can report neither.
-func sources(t *testing.T, img []byte) map[string]func() io.Reader {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "image")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]func() io.Reader{
-		"bytes.Reader": func() io.Reader { return bytes.NewReader(img) },
-		"file": func() io.Reader {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { f.Close() })
-			return f
-		},
-		"unsized stream": func() io.Reader { return iotest.HalfReader(bytes.NewReader(img)) },
-	}
-}
-
-func TestImageReaderRoundTrip(t *testing.T) {
-	img := streamImage(t)
-	for name, open := range sources(t, img) {
-		ir, err := NewImageReader(BlobMagic, open())
+	defer f.Close()
+	for name, r := range map[string]io.ReaderAt{"bytes.Reader": bytes.NewReader(file), "file": f} {
+		c := &countingReaderAt{r: r}
+		got, end, err := ReadSealedAt(c, int64(len(file)), BlobMagic)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		count, str := ir.Count(), ir.String()
-		small, large, absent := ir.Bytes(), ir.Bytes(), ir.Bytes()
-		if err := ir.Finish(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if !bytes.Equal(got, payload) || cap(got) != len(got) || !bytes.Equal(file[end:], rest) {
+			t.Fatalf("%s: payload %q (cap %d), end %d; want %q ending at %d", name, got, cap(got), end, payload, len(file)-len(rest))
 		}
-		if count != int(imageFields.count) || str != imageFields.name || !bytes.Equal(small, imageFields.small) ||
-			!bytes.Equal(large, imageFields.large) || absent != nil {
-			t.Fatalf("%s: fields did not round-trip", name)
-		}
-		if cap(large) != len(large) {
-			t.Errorf("%s: byte field cap %d, want exactly its length %d", name, cap(large), len(large))
+		if c.read > end+2+8 {
+			t.Errorf("%s: read %d bytes to open a %d-byte head", name, c.read, end)
 		}
 	}
 }
 
-// decodeAll reads imageFields' layout and returns the first error.
-func decodeAll(r io.Reader) error {
-	ir, err := NewImageReader(BlobMagic, r)
-	if err != nil {
+// TestSealedRejectsDamage: every strict prefix of a head, a flipped
+// payload byte, another format's magic and a format older than the
+// magic bytes all fail — as the same error classes OpenImage uses.
+func TestSealedRejectsDamage(t *testing.T) {
+	file, payload, _ := sealedFile()
+	head := len(file) - 4<<14
+	read := func(b []byte) error {
+		_, _, err := ReadSealedAt(bytes.NewReader(b), int64(len(b)), BlobMagic)
 		return err
 	}
-	ir.Count()
-	_ = ir.String()
-	ir.Bytes()
-	ir.Bytes()
-	ir.Bytes()
-	return ir.Finish()
-}
-
-// TestImageReaderRejectsDamage: every strict prefix, a flipped payload
-// byte, a byte past the trailer, another format's magic and a format
-// older than the magic bytes all fail — as the same error classes
-// OpenImage uses.
-func TestImageReaderRejectsDamage(t *testing.T) {
-	img := streamImage(t)
-	for n := 0; n < len(img); n++ {
-		if n > 256 && n < len(img)-256 && n%4099 != 0 { // the middle of the large field, sampled
-			continue
-		}
-		if err := decodeAll(bytes.NewReader(img[:n])); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
-			t.Fatalf("prefix of %d bytes: err = %v", n, err)
+	for n := 0; n < head; n++ {
+		if err := read(file[:n]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix of %d bytes: err = %v, want ErrCorrupt", n, err)
 		}
 	}
-	flipped := bytes.Clone(img)
-	flipped[len(flipped)/2] ^= 0x01
-	if err := decodeAll(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) {
-		t.Errorf("flipped media byte: err = %v, want ErrChecksum", err)
+	flipped := bytes.Clone(file)
+	flipped[head-4-len(payload)/2] ^= 0x01
+	if err := read(flipped); !errors.Is(err, ErrChecksum) {
+		t.Errorf("flipped payload byte: err = %v, want ErrChecksum", err)
 	}
-	if err := decodeAll(bytes.NewReader(append(bytes.Clone(img), 0))); err == nil {
-		t.Error("a byte past the trailer was accepted")
-	}
-	if err := decodeAll(bytes.NewReader(SealImage(SnapMagic, []byte{0}))); !errors.Is(err, ErrCorrupt) {
+	if err := read(AppendSealed(nil, SnapMagic, payload)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("another format's magic: err = %v", err)
 	}
-	if err := decodeAll(strings.NewReader(`{"seq":1}`)); err == nil || !strings.Contains(err.Error(), "predates the binary format") {
+	if err := read([]byte(`{"seq":1}`)); err == nil || !strings.Contains(err.Error(), "predates the binary format") {
 		t.Errorf("JSON document: err = %v", err)
 	}
 }
 
-// TestImageReaderBoundsClaims: a length or count beyond the bytes the
-// stream holds fails before anything is allocated for it.
-func TestImageReaderBoundsClaims(t *testing.T) {
+// TestSealedBoundsClaims: a head length beyond the bytes the file holds
+// fails before anything is allocated for it.
+func TestSealedBoundsClaims(t *testing.T) {
 	for _, claim := range []uint64{64 << 20, 1 << 62} {
-		img := SealImage(BlobMagic, AppendUvarint(nil, claim))
+		file := AppendUvarint([]byte{BlobMagic, Version}, claim)
+		file = append(file, "short"...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ir, err := NewImageReader(BlobMagic, bytes.NewReader(img))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ir.Bytes() != nil || !errors.Is(ir.Finish(), ErrCorrupt) {
-			t.Fatalf("a %d-byte field in a %d-byte image was accepted", claim, len(img))
-		}
+		_, _, err := ReadSealedAt(bytes.NewReader(file), int64(len(file)), BlobMagic)
 		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a %d-byte head in a %d-byte file: err = %v, want ErrCorrupt", claim, len(file), err)
+		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("rejecting a %d-byte claim allocated %d bytes", claim, got)
 		}

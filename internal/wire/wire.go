@@ -37,7 +37,7 @@ const (
 	FrameMagic  = 0xB7 // transport envelope payload
 	RecordMagic = 0xB9 // one WAL record
 	SnapMagic   = 0xC1 // relstore checkpoint image (0xBA while rows named their columns)
-	BlobMagic   = 0xBB // BLOB store sidecar
+	BlobMagic   = 0xC2 // BLOB store sidecar: a sealed index, then the objects' bytes (0xBB while it was one sealed image)
 	PushMagic   = 0xBD // fabric push request body
 	ReplyMagic  = 0xBE // fabric resolve reply body
 	BundleMagic = 0xBF // a document bundle sent as a body of its own
@@ -407,10 +407,7 @@ func (r *Reader) ValueIn(strs map[string]any) any {
 // the magic byte makes a log written before the binary format (JSON
 // lines) a clean error instead of a misparse.
 func AppendRecord(dst []byte, payload []byte) []byte {
-	dst = append(dst, RecordMagic, Version)
-	dst = AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return AppendUint32(dst, Checksum(payload))
+	return AppendSealed(dst, RecordMagic, payload)
 }
 
 // RecordSize is the length AppendRecord gives a record whose payload
