@@ -37,9 +37,11 @@ lint:
 test:
 	$(GO) test ./...
 
-# Besides the locking stress tests, this job carries the persistence
-# crash matrix: checkpoint + WAL-tail recovery, kill-mid-checkpoint
-# fallback, torn-tail replay, BLOB-sidecar generation coupling, every
+# Besides the locking stress tests (among them eight readers' first
+# lookup through an unbuilt hash index beside a writer), this job
+# carries the persistence crash matrix: checkpoint + WAL-tail
+# recovery, kill-mid-checkpoint fallback, torn-tail replay,
+# BLOB-sidecar generation coupling, every
 # document operation's WAL cut at each record boundary and checked
 # against the invariant oracle, BLOB reference counts re-derived from
 # the rows after a WAL tail, and
@@ -80,17 +82,20 @@ race-fabric:
 # fabric's binary push body, the plan-driven body decoder, the bundle
 # decoder every rejoin document passes through and the three
 # durable-file readers (WAL replay, relational snapshot, BLOB sidecar)
-# must reject hostile input with errors, never panics.
+# must reject hostile input with errors, never panics. An input that
+# reaches new coverage is minimized for at most 100 ms: under Go's 60 s
+# default the first such input takes the rest of the window, and a
+# 1 s budget still spends most of it minimizing on the slower targets.
 fuzz-smoke:
-	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s
-	$(GO) test ./internal/docdb -run '^$$' -fuzz '^FuzzBundleDecodeWire$$' -fuzztime 10s
-	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s
-	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s
-	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s
-	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s
-	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s
-	$(GO) test ./internal/blob -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s
+	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/docdb -run '^$$' -fuzz '^FuzzBundleDecodeWire$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/fabric -run '^$$' -fuzz '^FuzzDecodePush$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/relstore -run '^$$' -fuzz '^FuzzRestoreSnapshot$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/blob -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 100ms
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,40 +43,61 @@ func (s *Store) CheckpointNow() (*relstore.CheckpointInfo, error) {
 	return info, nil
 }
 
-// Recover restores the store from a durability directory: the BLOB
-// sidecar of the generation the relational recovery selects, the
-// relational snapshot plus its WAL tail chain, each BLOB's reference
-// count re-derived from the media rows that name it, the ID counter
-// resynced past every restored row, and the attached content index
-// rebuilt from the recovered rows. It attaches the directory for subsequent WAL
-// appends and checkpoints. Call it once, before the store serves
-// traffic.
+// Recover restores the store from a durability directory: the
+// relational snapshot plus its WAL tail chain, the ID counter resynced
+// past every restored row, the attached content index rebuilt from
+// the recovered rows, the BLOB sidecar of the generation the
+// relational recovery selected, and each BLOB's reference count
+// re-derived from the media rows that name it. It attaches the
+// directory for subsequent WAL appends and checkpoints. Call it once,
+// before the store serves traffic.
 //
-// The sidecar is restored after relstore has chosen its generation, on
-// the calling goroutine: only that generation's blobs-<g> is opened,
-// and only its index is read and checked before the BLOB store
-// changes. Recovery reads and hashes no media: each restored object is
-// read from the sidecar and hashed on its first read
-// (blob.Store.View), so an export of a medium whose bytes fail their
-// hash fails, while the recovery and every other medium do not. The
-// sidecar therefore stays open, owned by the BLOB store, after the
-// next checkpoint has superseded and pruned it: that checkpoint copies
-// the media nobody has read from it into its own sidecar, so a
-// station holds at most this one superseded file open.
+// A recovery that fails leaves the store empty with no tail attached,
+// so Recover may be called again, on another directory. The one
+// exception is relstore.ErrWALOpen: the store is already recovered,
+// and is left as it is.
+//
+// The sidecar is restored last, on the calling goroutine: only the
+// chosen generation's blobs-<g> is opened, and only its index is read
+// and checked before the BLOB store changes, so a refused sidecar
+// leaves the BLOB store as it was. Recovery reads and hashes no media:
+// each restored object is read from the sidecar and hashed on its
+// first read (blob.Store.View), so an export of a medium whose bytes
+// fail their hash fails, while the recovery and every other medium do
+// not. The sidecar therefore stays open, owned by the BLOB store,
+// after the next checkpoint has superseded and pruned it: that
+// checkpoint copies the media nobody has read from it into its own
+// sidecar, so a station holds at most this one superseded file open.
 // A missing sidecar fails the recovery: rows without their BLOBs
 // would point at nothing. The checkpoint renames the sidecar before
 // the snapshot, so only a relstore-only checkpoint or a hand-pruned
 // directory lacks it.
 func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 	info, err := s.rel.OpenDurable(dir)
-	if err != nil {
+	if err == nil {
+		err = s.recoverAfterRel(dir, info.Gen)
+	} else if errors.Is(err, relstore.ErrWALOpen) {
 		return nil, err
 	}
-	if info.Gen > 0 {
-		if err := s.restoreBlobs(dir, blobFileName(info.Gen)); err != nil {
-			return nil, err
+	if err != nil {
+		// Drop what OpenDurable loaded: the rows a later step failed
+		// on, or a snapshot whose tail would not replay.
+		if derr := s.rel.Discard(); derr != nil {
+			err = fmt.Errorf("%w (and detaching the WAL tail: %v)", err, derr)
 		}
+		if ix := s.ContentIndex(); ix != nil {
+			_ = ix.Rebuild(s.rel) // over the emptied tables; its error adds nothing to err
+		}
+		return nil, err
 	}
+	s.durDir = dir
+	return info, nil
+}
+
+// recoverAfterRel finishes a recovery whose relational half has
+// loaded generation gen. Every step that can fail runs before the BLOB
+// store changes.
+func (s *Store) recoverAfterRel(dir string, gen uint64) error {
 	// The sidecar holds its checkpoint's reference counts, and the tail
 	// replayed since may have added or dropped media rows: each object's
 	// count is re-derived from the rows that name it.
@@ -87,25 +109,29 @@ func (s *Store) Recover(dir string) (*relstore.RecoverInfo, error) {
 			return true
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	s.blobs.Recount(counts)
 	// A checkpoint restores the indexes its writer knew; a newer
 	// build's are added here (a no-op when nothing is missing).
 	if err := schema.CreateIndexes(s.rel); err != nil {
-		return nil, err
+		return err
 	}
 	if err := s.SyncIDs(); err != nil {
-		return nil, err
+		return err
 	}
 	if ix := s.ContentIndex(); ix != nil {
 		if err := ix.Rebuild(s.rel); err != nil {
-			return nil, fmt.Errorf("docdb: rebuilding content index: %w", err)
+			return fmt.Errorf("docdb: rebuilding content index: %w", err)
 		}
 	}
-	s.durDir = dir
-	return info, nil
+	if gen > 0 {
+		if err := s.restoreBlobs(dir, blobFileName(gen)); err != nil {
+			return err
+		}
+	}
+	s.blobs.Recount(counts)
+	return nil
 }
 
 // restoreBlobs restores the BLOB store from the sidecar name in dir,

@@ -576,18 +576,12 @@ func TestRecoverSkipsSidecarOfCorruptSnapshot(t *testing.T) {
 
 // TestRecoverRefusesCorruptSidecarOfLoadedGeneration: the snapshot
 // loads but its sidecar's index fails its checks. Recovery fails naming
-// the file, and the BLOB store is left empty, not half-restored.
+// the file and leaves the store empty, with no WAL tail attached: a
+// second Recover on the same store, of an undamaged directory holding
+// the same course, restores it.
 func TestRecoverRefusesCorruptSidecarOfLoadedGeneration(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := newDurableStore(t, dir)
-	seedCourse(t, s)
-	if _, err := s.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rel().CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, blobFileName(1))
+	dir, _, path := checkpointedCourse(t)
+	clean, url, _ := checkpointedCourse(t)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -605,6 +599,18 @@ func TestRecoverRefusesCorruptSidecarOfLoadedGeneration(t *testing.T) {
 	}
 	if st := s2.Blobs().Stats(); st.Objects != 0 {
 		t.Errorf("a refused sidecar left %d objects installed", st.Objects)
+	}
+	for _, table := range s2.Rel().Tables() {
+		if n, err := s2.Rel().Count(table); err != nil || n != 0 {
+			t.Errorf("after the failed recovery %s holds %d rows (err=%v), want none", table, n, err)
+		}
+	}
+	if _, err := s2.Recover(clean); err != nil {
+		t.Fatalf("second Recover, of an undamaged directory: %v", err)
+	}
+	defer s2.Rel().CloseWAL()
+	if _, err := s2.ExportBundle(url); err != nil {
+		t.Errorf("the course after the second Recover: %v", err)
 	}
 }
 
@@ -837,7 +843,7 @@ func recoverFixture(b testing.TB) string {
 }
 
 // recoverCold recovers a fresh store from dir and detaches its tail.
-func recoverCold(b testing.TB, dir string) {
+func recoverCold(b testing.TB, dir string) *Store {
 	s, err := Open(relstore.NewDB(), blob.NewStore())
 	if err != nil {
 		b.Fatal(err)
@@ -848,6 +854,55 @@ func recoverCold(b testing.TB, dir string) {
 	if err := s.Rel().CloseWAL(); err != nil {
 		b.Fatal(err)
 	}
+	return s
+}
+
+// indexLookups is one query per hash index of the station schema,
+// each pinning exactly that index's columns: the foreign-key indexes
+// CreateTable adds, then the ones schema.CreateIndexes adds. A query
+// that another index also serves (a composite's prefix) considers that
+// one too.
+func indexLookups(tb testing.TB, rel *relstore.DB) []relstore.Query {
+	tb.Helper()
+	eq := func(table string, cols ...string) []relstore.Cond {
+		sc, err := rel.SchemaOf(table)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var conds []relstore.Cond
+		for _, c := range cols {
+			var val any = "x"
+			if i := slices.IndexFunc(sc.Columns, func(col relstore.Column) bool { return col.Name == c }); i >= 0 && sc.Columns[i].Type == relstore.TInt {
+				val = int64(1)
+			}
+			conds = append(conds, relstore.Cond{Col: c, Op: relstore.OpEq, Val: val})
+		}
+		return conds
+	}
+	var qs []relstore.Query
+	for _, table := range rel.Tables() {
+		sc, err := rel.SchemaOf(table)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, fk := range sc.ForeignKeys {
+			qs = append(qs, relstore.Query{Table: table, Conds: eq(table, fk.Column), Limit: 1})
+		}
+	}
+	for _, ix := range [][]string{
+		{schema.TableScripts, "author"},
+		{schema.TableScripts, "keywords"},
+		{schema.TableCheckouts, "user"},
+		{schema.TableCheckouts, "object_id"},
+		{schema.TableVersions, "object_id"},
+		{schema.TableVersions, "object_kind", "object_id"},
+		{schema.TableDocObjects, "station"},
+		{schema.TableDocObjects, "form"},
+	} {
+		qs = append(qs, relstore.Query{Table: ix[0], Conds: eq(ix[0], ix[1:]...), Limit: 1})
+	}
+	open := append(eq(schema.TableCheckouts, "object_kind", "object_id"), relstore.Cond{Col: "in_time", Op: relstore.OpIsNull})
+	return append(qs, relstore.Query{Table: schema.TableCheckouts, Conds: open, Limit: 1})
 }
 
 // fixtureFileBytes reports the sizes of the one snapshot and the one
@@ -884,11 +939,17 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // recoverAllocBudget bounds the objects one cold recovery of
-// recoverFixture's station may allocate: about 10 % above the 10.26k
-// measured once the BLOB sidecar's index alone was read at recovery
-// (10.34k when every medium was read, 16.3k before rows were
-// positional on disk, and 41.4k when every row was a map).
-const recoverAllocBudget = 11300
+// recoverFixture's station may allocate: about 10 % above the 9.98k
+// measured once hash indexes were built on their first lookup (10.26k
+// when recovery built every index, 10.34k when it read every medium,
+// 16.3k before rows were positional on disk, and 41.4k when every row
+// was a map). eagerRecoverAllocs is what recovery allocated while it
+// still built every index: recovery followed by a lookup through every
+// index may not allocate more.
+const (
+	recoverAllocBudget = 11000
+	eagerRecoverAllocs = 10262
+)
 
 // TestRecoverAllocBudget keeps recovery's allocation count from
 // eroding silently. The count is exact, so unlike a timing it does not
@@ -897,6 +958,71 @@ func TestRecoverAllocBudget(t *testing.T) {
 	dir := recoverFixture(t)
 	if n := testing.AllocsPerRun(5, func() { recoverCold(t, dir) }); n > recoverAllocBudget {
 		t.Errorf("one cold recovery allocates %.0f objects, budget %d", n, recoverAllocBudget)
+	}
+	// The lookups' own allocations, counted on a store whose indexes
+	// are built, are not index building.
+	built := recoverCold(t, dir).Rel()
+	lookups := indexLookups(t, built)
+	lookupAll := func(rel *relstore.DB) {
+		for _, q := range lookups {
+			if _, err := rel.Select(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	lookupAll(built)
+	own := testing.AllocsPerRun(5, func() { lookupAll(built) })
+	n := testing.AllocsPerRun(5, func() { lookupAll(recoverCold(t, dir).Rel()) })
+	if n-own > eagerRecoverAllocs {
+		t.Errorf("a cold recovery and a lookup through every index allocate %.0f objects (%.0f of them the lookups'), more than the %d of a recovery that built every index", n, own, eagerRecoverAllocs)
+	}
+}
+
+// TestRecoverBuildsIndexesOnFirstLookup pins how many hash indexes a
+// restart builds: none at recovery, then on a lookup exactly the
+// indexes the planner considered for it, and on a repeated lookup
+// none. A lookup through every index builds each once.
+func TestRecoverBuildsIndexesOnFirstLookup(t *testing.T) {
+	dir := recoverFixture(t)
+	rel := recoverCold(t, dir).Rel()
+	if built := rel.BuiltIndexes(); len(built) != 0 {
+		t.Fatalf("a cold recovery built %v, want no index", built)
+	}
+	lookup := func(q relstore.Query, want ...string) {
+		t.Helper()
+		before := rel.BuiltIndexes()
+		if _, err := rel.Select(q); err != nil {
+			t.Fatal(err)
+		}
+		var added []string
+		for _, name := range rel.BuiltIndexes() {
+			if !slices.Contains(before, name) {
+				added = append(added, name)
+			}
+		}
+		if !slices.Equal(added, want) {
+			t.Errorf("lookup %+v built %v, want %v", q.Conds, added, want)
+		}
+	}
+	records := relstore.Query{Table: schema.TableTestRecords, Conds: []relstore.Cond{{Col: "script_name", Op: relstore.OpEq, Val: "course-001"}}}
+	lookup(records, "test_records.script_name")
+	lookup(records)
+	open := relstore.Query{Table: schema.TableCheckouts, Conds: []relstore.Cond{
+		{Col: "object_kind", Op: relstore.OpEq, Val: schema.KindScript},
+		{Col: "object_id", Op: relstore.OpEq, Val: "course-001"},
+		{Col: "in_time", Op: relstore.OpIsNull},
+	}}
+	lookup(open, "checkouts.object_id", "checkouts.object_kind,object_id|in_time")
+	lookup(open)
+
+	lookups := indexLookups(t, rel)
+	for _, q := range lookups {
+		if _, err := rel.Select(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if built := rel.BuiltIndexes(); len(built) != len(lookups) {
+		t.Errorf("a lookup through each of %d indexes built %d: %v", len(lookups), len(built), built)
 	}
 }
 

@@ -21,6 +21,13 @@ type table struct {
 	rows    map[string]tuple  // encoded pk -> stored tuple
 	indexes map[string]*index // index name (its column list) -> hash index
 
+	// built lists the hash indexes a lookup has built, in build order.
+	// Writers maintain only these, so a write pays nothing for an
+	// index no lookup has used. ensure appends under cacheMu (it may
+	// run under the shared table lock); writers read it under the
+	// exclusive one.
+	built []*index
+
 	// ordered holds the ordered (range) indexes, keyed by column; nil
 	// until CreateOrderedIndex is used.
 	ordered map[string]*orderedIndex
@@ -38,12 +45,19 @@ type table struct {
 // index (nullOnly set) holds only the rows whose nullOnly column is
 // NULL — the open rows of a ledger — so rows that have left that state
 // cost it nothing.
+//
+// An index starts unbuilt: creating it, installing a snapshot and
+// replaying a WAL tail fill no buckets. Its first lookup builds it from
+// the table's rows (table.ensure), and from then on it sits in
+// table.built and every writer maintains it. An unbuilt index is never
+// read, and writers skip it.
 type index struct {
 	columns  []string
 	nullOnly string
 	cols     []int // positions of columns
 	nullPos  int   // position of nullOnly, -1 for a full index
-	buckets  map[string]map[string]struct{}
+	once     sync.Once
+	buckets  map[string]map[string]struct{} // nil until built
 }
 
 // newIndex builds an empty index over columns of the layout, checking
@@ -52,7 +66,7 @@ func (l *layout) newIndex(nullOnly string, columns ...string) (*index, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("relstore: index on %s names no column", l.schema.Name)
 	}
-	ix := &index{columns: columns, nullOnly: nullOnly, nullPos: -1, buckets: make(map[string]map[string]struct{})}
+	ix := &index{columns: columns, nullOnly: nullOnly, nullPos: -1}
 	for _, col := range columns {
 		p, err := l.column(col)
 		if err != nil {
@@ -138,6 +152,40 @@ func (ix *index) remove(tp tuple, pk string) {
 			delete(ix.buckets, string(k))
 		}
 	}
+}
+
+// ensure builds ix, one of t's indexes, from t's rows on its first
+// call, and adds it to the indexes writers maintain. The caller holds
+// t's lock in either mode, so the rows cannot change while it runs;
+// concurrent readers of an unbuilt index wait for its one build.
+func (t *table) ensure(ix *index) {
+	ix.once.Do(func() {
+		ix.buckets = make(map[string]map[string]struct{})
+		for pk, tp := range t.rows {
+			ix.add(tp, pk)
+		}
+		t.cacheMu.Lock()
+		t.built = append(t.built, ix)
+		t.cacheMu.Unlock()
+	})
+}
+
+// BuiltIndexes names the hash indexes that lookups have built, as
+// "table.index" in sorted order. Recovery builds none; each index is
+// built on its first lookup and counted once.
+func (db *DB) BuiltIndexes() []string {
+	db.metaMu.RLock()
+	defer db.metaMu.RUnlock()
+	var names []string
+	for name, t := range db.tables {
+		t.cacheMu.Lock()
+		for _, ix := range t.built {
+			names = append(names, name+"."+ix.name())
+		}
+		t.cacheMu.Unlock()
+	}
+	sort.Strings(names)
+	return names
 }
 
 // sortedPKs lists a bucket's primary keys in ascending order.
@@ -283,13 +331,9 @@ func (db *DB) createIndex(tableName, nullOnly string, columns []string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := t.indexes[ix.name()]; ok {
-		return nil
+	if _, ok := t.indexes[ix.name()]; !ok {
+		t.indexes[ix.name()] = ix // built on its first lookup
 	}
-	for pk, tp := range t.rows {
-		ix.add(tp, pk)
-	}
-	t.indexes[ix.name()] = ix
 	return nil
 }
 
@@ -369,6 +413,7 @@ func (db *DB) referencers(name string, pkVal any) []string {
 			if ix == nil {
 				continue // FK columns are always indexed at CreateTable
 			}
+			other.ensure(ix)
 			if n := len(ix.buckets[string(key)]); n > 0 {
 				hits = append(hits, fmt.Sprintf("%s.%s(%d rows)", other.schema.Name, fk.Column, n))
 			}
@@ -405,7 +450,7 @@ func (db *DB) insertRawLocked(t *table, tp tuple) (string, error) {
 	}
 	t.rows[pk] = tp
 	t.dirty = true
-	for _, ix := range t.indexes {
+	for _, ix := range t.built {
 		ix.add(tp, pk)
 	}
 	t.orderedAdd(tp, pk)
@@ -453,7 +498,7 @@ func (db *DB) deleteLocked(t *table, pk string) (tuple, error) {
 	}
 	delete(t.rows, pk)
 	t.dirty = true
-	for _, ix := range t.indexes {
+	for _, ix := range t.built {
 		ix.remove(tp, pk)
 	}
 	t.orderedRemove(tp, pk)

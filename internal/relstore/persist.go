@@ -189,6 +189,31 @@ func (db *DB) CloseWAL() error {
 	return wal.f.Close()
 }
 
+// Discard undoes a recovery its caller could not finish: it detaches
+// the WAL tail and the durability directory, resets the sequence
+// counter and empties every table, keeping the schemas and index
+// definitions, so that the next OpenDurable starts from an empty
+// database. The tables are emptied even when flushing the tail fails.
+func (db *DB) Discard() error {
+	err := db.CloseWAL()
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	db.metaMu.RLock()
+	names := db.lockAllTablesShared()
+	snap := db.captureLocked()
+	db.unlockAllTablesShared(names)
+	db.metaMu.RUnlock()
+	for i := range snap.Tables {
+		snap.Tables[i].rows = nil
+	}
+	if ierr := db.installSnapshot(&snap); err == nil {
+		err = ierr
+	}
+	db.dir, db.gen = "", 0
+	db.seq.Store(0)
+	return err
+}
+
 // WALTailBytes reports how many bytes the attached log's current tail
 // file holds — the size a background checkpointer watches to bound
 // restart cost.

@@ -198,6 +198,7 @@ func (t *table) planLocked(q Query) (accessPath, error) {
 		if !usable {
 			continue
 		}
+		t.ensure(ix)
 		var buf keyBuf
 		b := ix.buckets[string(ix.appendKeyOf(buf[:0], func(i int) any { return p.conds[find(ix.columns[i], OpEq)].Val }))]
 		// Ties go to the index that settles more conditions, then to

@@ -137,14 +137,14 @@ func (tx *Tx) undoLocked() {
 		cur, exists := t.rows[op.pk]
 		if exists {
 			delete(t.rows, op.pk)
-			for _, ix := range t.indexes {
+			for _, ix := range t.built {
 				ix.remove(cur, op.pk)
 			}
 			t.orderedRemove(cur, op.pk)
 		}
 		if op.present {
 			t.rows[op.pk] = op.before
-			for _, ix := range t.indexes {
+			for _, ix := range t.built {
 				ix.add(op.before, op.pk)
 			}
 			t.orderedAdd(op.before, op.pk)
@@ -267,7 +267,7 @@ func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
 	if err := tx.db.checkFKs(t, merged); err != nil {
 		return err
 	}
-	for _, ix := range t.indexes {
+	for _, ix := range t.built {
 		ix.remove(old, pk)
 		ix.add(merged, pk)
 	}

@@ -219,8 +219,8 @@ func checkUntouched(t *testing.T, dir, want string) {
 
 // TestRefusesPreIndexBlobSidecar: positional-dir with parent-dir's BLOB
 // sidecar, written before the sidecar led with an index, fails
-// recovery with blob.ErrOldLayout naming the sidecar, and every file
-// keeps its bytes.
+// recovery with blob.ErrOldLayout naming the sidecar, every file keeps
+// its bytes, and the store, its content index included, is left empty.
 func TestRefusesPreIndexBlobSidecar(t *testing.T) {
 	dir := copyFixture(t, "positional-dir")
 	old, err := os.ReadFile(filepath.Join("testdata", "parent-dir", "blobs-0000000001"))
@@ -235,10 +235,16 @@ func TestRefusesPreIndexBlobSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newStore(t)
+	ix, err := search.Attach(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, err = s.Recover(dir)
 	if !errors.Is(err, blob.ErrOldLayout) || !strings.Contains(err.Error(), "blobs-0000000001") {
 		t.Fatalf("Recover err = %v, want blob.ErrOldLayout naming blobs-0000000001", err)
 	}
-	s.Rel().CloseWAL()
+	if n := ix.Docs(); n != 0 {
+		t.Errorf("the content index holds %d documents after the failed recovery", n)
+	}
 	checkUntouched(t, dir, want)
 }
