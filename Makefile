@@ -20,8 +20,11 @@ fmt-check:
 # the invariants go vet cannot see — atomic-write discipline, lock
 # acquisition order, errors.Is over sentinel ==, trace propagation in
 # handler scopes, route-around classification where the tree kernel
-# picks its classifier (fabric.hopRules), and wire-tag encode/decode
-# coverage. Zero dependencies; the only
+# picks its classifier (fabric.hopRules), wire-tag encode/decode
+# coverage, and a non-test caller for every name declared in internal/
+# (unreached: a name only tests call is moved into a test file, deleted
+# or waived with the paper section or the test it serves). Zero
+# dependencies; the only
 # waivers are reasoned //lint:ignore comments.
 # The second step keeps encoding/gob out of the module: every RPC body
 # and every durable file has one binary encoding (internal/wire), and a

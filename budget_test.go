@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/docdb"
 	"repro/internal/fabric"
+	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -151,6 +152,58 @@ func checkAllocBudget(t *testing.T, what string, warm, n int, op func(), allocBu
 	if bytes > float64(byteBudget) {
 		t.Errorf("%.0f bytes per op, budget %d", bytes, byteBudget)
 	}
+}
+
+// The budget of one row inserted through a relstore Batch and
+// committed to a store with a WAL tail, about 10 % above the 18
+// allocations and 1,689 bytes measured.
+const (
+	durableInsertAllocBudget = 20
+	durableInsertByteBudget  = 1860
+)
+
+// TestDurableInsertAllocBudget pins what one Batch insert costs on a
+// durable store: the row's tuple, the upkeep of one built index, and
+// the one WAL record the commit appends. Every document operation
+// commits this way (docdb's Store.commit), so a caller moved from a
+// convenience onto Batch shows here if the commit path grew.
+func TestDurableInsertAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	db := relstore.NewDB()
+	if _, err := db.OpenDurable(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.CloseWAL() })
+	err := db.CreateTable(relstore.Schema{
+		Name: "items",
+		Columns: []relstore.Column{
+			{Name: "id", Type: relstore.TInt, NotNull: true},
+			{Name: "grp", Type: relstore.TInt},
+			{Name: "name", Type: relstore.TText},
+		},
+		Key: "id",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("items", "grp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Lookup("items", "grp", int64(0)); err != nil { // builds the index
+		t.Fatal(err)
+	}
+	id := int64(0)
+	insert := func() {
+		id++
+		var b relstore.Batch
+		b.Insert("items", relstore.Row{"id": id, "grp": id % 16, "name": "lecture"})
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAllocBudget(t, "a durable Batch insert", 100, 2000, insert, durableInsertAllocBudget, durableInsertByteBudget)
 }
 
 // The budget of one Resolve hop, both stations counted, about 10 %

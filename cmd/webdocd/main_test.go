@@ -394,7 +394,7 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 	}
 	admin := fabric.DialAdmin(rootAddr)
 	defer admin.Close()
-	webtest.Eventually(t, 30*time.Second, "all seven stations in the roster", func() bool {
+	eventually(t, 30*time.Second, "all seven stations in the roster", func() bool {
 		top, err := admin.Topology()
 		return err == nil && top.N == 7
 	})
@@ -426,11 +426,11 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 	// declares exactly the killed stations dead.
 	for _, pos := range []int{3, 4, 6, 7} {
 		addr := joiners[pos-2].addr
-		webtest.Eventually(t, 30*time.Second,
+		eventually(t, 30*time.Second,
 			fmt.Sprintf("station %d to hold the broadcast pages", pos),
 			func() bool { return stationHasPages(addr) })
 	}
-	webtest.Eventually(t, 30*time.Second, "root health to declare stations 2 and 5 dead",
+	eventually(t, 30*time.Second, "root health to declare stations 2 and 5 dead",
 		healthShows(admin, 2, 5))
 
 	// An orphaned station (4, child of dead 2) keeps serving: its
@@ -462,7 +462,7 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 			"-addr", "127.0.0.1:0", "-join", rootAddr, "-rejoin", "-pos", strconv.Itoa(pos))
 		joiners[pos-2] = joiner{addr, cmd}
 	}
-	webtest.Eventually(t, 30*time.Second, "root health to show every station up",
+	eventually(t, 30*time.Second, "root health to show every station up",
 		healthShows(admin))
 	top, err := admin.Topology()
 	if err != nil {
@@ -475,7 +475,7 @@ func TestChaosKilledStationsMidBroadcastRejoin(t *testing.T) {
 		if top.Roster[pos] != joiners[pos-2].addr {
 			t.Errorf("roster[%d] = %s, want the rejoined address %s", pos, top.Roster[pos], joiners[pos-2].addr)
 		}
-		webtest.Eventually(t, 30*time.Second,
+		eventually(t, 30*time.Second,
 			fmt.Sprintf("rejoined station %d to finish catch-up", pos),
 			func() bool { return stationHasPages(joiners[pos-2].addr) })
 	}
@@ -563,7 +563,7 @@ func TestChaosEventJournalNarratesKillRejoinCheckpoint(t *testing.T) {
 	}
 	admin := fabric.DialAdmin(rootAddr)
 	defer admin.Close()
-	webtest.Eventually(t, 30*time.Second, "all five stations in the roster", func() bool {
+	eventually(t, 30*time.Second, "all five stations in the roster", func() bool {
 		top, err := admin.Topology()
 		return err == nil && top.N == 5
 	})
@@ -577,7 +577,7 @@ func TestChaosEventJournalNarratesKillRejoinCheckpoint(t *testing.T) {
 	if _, err := admin.Broadcast(spec.URL, false); err != nil {
 		t.Fatalf("broadcast across the kill: %v", err)
 	}
-	webtest.Eventually(t, 30*time.Second, "root health to confirm station 2 dead",
+	eventually(t, 30*time.Second, "root health to confirm station 2 dead",
 		healthShows(admin, 2))
 
 	// Query through a bystander: the Events entry forwards to the root
@@ -587,7 +587,7 @@ func TestChaosEventJournalNarratesKillRejoinCheckpoint(t *testing.T) {
 	defer relay.Close()
 	waitForEvent := func(name string) {
 		t.Helper()
-		webtest.Eventually(t, 30*time.Second, fmt.Sprintf("journal to record %q", name), func() bool {
+		eventually(t, 30*time.Second, fmt.Sprintf("journal to record %q", name), func() bool {
 			reply, err := relay.Events(obs.EventFilter{})
 			if err != nil {
 				return false
@@ -819,5 +819,14 @@ func TestDaemonFabricWalkthrough(t *testing.T) {
 	}
 	if !fetch.Replicated {
 		t.Errorf("fetch = %+v", fetch)
+	}
+}
+
+// eventually polls cond until it holds, failing the test when timeout
+// passes first.
+func eventually(t testing.TB, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	if err := webtest.PollErr(timeout, what, func() (bool, error) { return cond(), nil }); err != nil {
+		t.Fatal(err)
 	}
 }

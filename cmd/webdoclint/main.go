@@ -1,7 +1,9 @@
 // Command webdoclint runs the project's static analyzers — the build-
 // time guard for the fabric's cross-cutting invariants (durable writes
 // through atomicio, sorted lock declarations, errors.Is on sentinels,
-// trace propagation in handler scopes, wire-tag codec exhaustiveness).
+// trace propagation in handler scopes, route-around classification,
+// wire-tag codec exhaustiveness, and a non-test caller for every name
+// declared in internal/).
 // It is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types against source, no x/tools.
 //
@@ -10,7 +12,9 @@
 //	webdoclint [-json] [-list] [dir ... | ./...]
 //
 // With no arguments (or "./...") it lints every non-test package of
-// the enclosing module. Diagnostics print one per line as
+// the enclosing module. Named directories are reported on alone, but
+// the whole module is still loaded, since unreached counts references
+// from every package. Diagnostics print one per line as
 // file:line:col: message (analyzer); -json switches to an indented
 // JSON array of typed diagnostics, the same machine-readable
 // convention as webdocctl -json. Exit status is 1 when diagnostics
@@ -55,33 +59,21 @@ func main() {
 		fail("webdoclint: %v", err)
 	}
 
+	// With ./... among the arguments every package is reported on;
+	// otherwise only the named ones, though the whole module is always
+	// loaded (see analysis.Lint).
 	var dirs []string
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	for _, arg := range args {
+	for _, arg := range flag.Args() {
 		if arg == "./..." || arg == "..." {
-			all, err := analysis.PackageDirs(loader.ModRoot)
-			if err != nil {
-				fail("webdoclint: walking %s: %v", loader.ModRoot, err)
-			}
-			dirs = append(dirs, all...)
-			continue
+			dirs = nil
+			break
 		}
 		dirs = append(dirs, strings.TrimSuffix(arg, "/"))
 	}
-
-	var pkgs []*analysis.Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			fail("webdoclint: %v", err)
-		}
-		pkgs = append(pkgs, pkg)
+	diags, err := analysis.Lint(loader, dirs, analyzers)
+	if err != nil {
+		fail("webdoclint: %v", err)
 	}
-
-	diags := analysis.Run(pkgs, analyzers)
 	for i := range diags {
 		if rel, err := filepath.Rel(loader.ModRoot, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].File = rel

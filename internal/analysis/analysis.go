@@ -26,6 +26,7 @@ type Pass struct {
 	Info     *types.Info
 
 	diags *[]Diagnostic
+	refs  *references // what every package of the run references
 }
 
 // Diagnostic is one finding, position-tagged for editors and CI.
@@ -71,6 +72,7 @@ func All() []*Analyzer {
 		RouteAround,
 		SentinelErr,
 		TraceCall,
+		Unreached,
 		WireTag,
 	}
 }
@@ -82,6 +84,7 @@ func All() []*Analyzer {
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	var sups []*suppression
+	refs := buildReferences(pkgs)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			a.Run(&Pass{
@@ -91,6 +94,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				diags:    &diags,
+				refs:     refs,
 			})
 		}
 		sups = append(sups, collectSuppressions(pkg)...)

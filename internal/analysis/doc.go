@@ -13,7 +13,7 @@
 // position-tagged diagnostic sink. Run applies a set of analyzers to a
 // set of packages and returns the merged, position-sorted diagnostics.
 //
-// The six project analyzers encode invariants the rest of the
+// The seven project analyzers encode invariants the rest of the
 // codebase relies on but go vet cannot see:
 //
 //   - atomicwrite: no raw os.Create, os.WriteFile or os.Rename outside
@@ -32,6 +32,11 @@
 //     functions carrying a trace context, and the method set of any
 //     type that registers CtxHandlers) RPCs go through CallTrace, not
 //     Pool.Call, so distributed traces never silently lose a hop.
+//   - unreached: every package-level name and method declared in
+//     internal/ is referenced by some non-test file of the module;
+//     what only tests call lives in a test file. It counts references
+//     over the whole run, so Lint loads the whole module even when
+//     asked for one package.
 //   - wiretag: every tag constant in a wire package is referenced by
 //     an Append-side function and has a case arm in a Read-side
 //     switch, keeping the codec's encode and decode tables in lockstep.

@@ -68,10 +68,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the shared position set of every package this loader
-// touched.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadDir loads the package in dir (absolute or relative to the
 // working directory). Results are cached by import path, so loading
 // the same directory twice is free.
@@ -251,4 +247,48 @@ func modulePath(gomod string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("analysis: no module declaration in %s", gomod)
+}
+
+// Lint loads every package of the loader's module, and any of dirs
+// outside it, runs analyzers over all of them, and returns the
+// diagnostics whose file lies in one of dirs (all of them when dirs is
+// empty). The whole module is loaded even for a run over one package:
+// unreached counts references from every package, and would otherwise
+// report each name only the rest of the module uses.
+func Lint(l *Loader, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	all, err := PackageDirs(l.ModRoot)
+	if err != nil {
+		return nil, err
+	}
+	want := make(map[string]bool)
+	for _, dir := range dirs {
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			return nil, err
+		}
+		want[abs] = true
+	}
+	var pkgs []*Package
+	seen := make(map[string]bool)
+	for _, dir := range append(all, dirs...) {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		if !seen[pkg.Path] {
+			seen[pkg.Path] = true
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	diags := Run(pkgs, analyzers)
+	if len(dirs) == 0 {
+		return diags, nil
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if want[filepath.Dir(d.File)] {
+			kept = append(kept, d)
+		}
+	}
+	return kept, nil
 }

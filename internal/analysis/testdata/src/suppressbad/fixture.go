@@ -3,6 +3,8 @@
 // comments) in TestMalformedSuppressions.
 package supbad
 
+func init() { missingBoth(); missingReason(); unknownAnalyzer() }
+
 //lint:ignore
 func missingBoth() {}
 

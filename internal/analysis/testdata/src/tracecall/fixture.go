@@ -21,7 +21,7 @@ func (s *server) register() {
 }
 
 // handlePush is HandleCtx-registered: its downstream calls must carry
-// ctx.Trace().
+// ctx.Span().Context().
 func (s *server) handlePush(ctx *transport.Ctx, decode func(any) error) (any, error) {
 	err := s.pool.Call("Down", struct{}{}, nil) // want `pool\.Call inside a traced scope drops the trace context`
 	return nil, err
@@ -46,7 +46,7 @@ func relay(p *transport.Pool, tc obs.TraceContext) error {
 
 // handleGood reads its ctx: no diagnostic.
 func (s *server) handleGood(ctx *transport.Ctx, decode func(any) error) (any, error) {
-	return nil, s.pool.CallTrace("Down", struct{}{}, nil, ctx.Trace(), 0)
+	return nil, s.pool.CallTrace("Down", struct{}{}, nil, ctx.Span().Context(), 0)
 }
 
 // client registers nothing and carries no context; its plain calls

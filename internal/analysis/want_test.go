@@ -117,6 +117,7 @@ func TestSentinelErrFixture(t *testing.T)  { checkFixture(t, "sentinelerr", []*A
 func TestTraceCallFixture(t *testing.T)    { checkFixture(t, "tracecall", []*Analyzer{TraceCall}) }
 func TestWireTagFixture(t *testing.T)      { checkFixture(t, "wiretag", []*Analyzer{WireTag}) }
 func TestSuppressionsFixture(t *testing.T) { checkFixture(t, "suppress", []*Analyzer{AtomicWrite}) }
+func TestUnreachedFixture(t *testing.T)    { checkFixture(t, "unreached", []*Analyzer{Unreached}) }
 
 // TestMalformedSuppressions pins the suppression system's own
 // diagnostics: missing analyzer, missing reason, unknown analyzer.
@@ -185,21 +186,37 @@ func TestRepoSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader := loaderFor(t)
-	dirs, err := PackageDirs(loader.ModRoot)
+	diags, err := Lint(loaderFor(t), nil, All())
 	if err != nil {
-		t.Fatalf("PackageDirs: %v", err)
+		t.Fatal(err)
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	for _, d := range Run(pkgs, All()) {
+	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestSubsetRunReportsNoFalseUnreached: a run over one package still
+// counts references from the rest of the module, so it reports none of
+// the names only other packages use, and nothing outside the package.
+func TestSubsetRunReportsNoFalseUnreached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	loader := loaderFor(t)
+	dir := filepath.Join(loader.ModRoot, "internal", "wire")
+	pkg, err := loader.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(Run([]*Package{pkg}, []*Analyzer{Unreached})) == 0 {
+		t.Fatal("wire alone references none of its exported names; this test needs a package other packages call")
+	}
+	diags, err := Lint(loader, []string{dir}, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("subset run reported %s", d)
 	}
 }
 

@@ -175,31 +175,6 @@ func Decode(data []byte) (*Document, error) {
 	return &d, nil
 }
 
-// Playback returns the primitives with offsets in [from, to), in time
-// order, for the annotation playback the student subsystem performs.
-func (d *Document) Playback(from, to time.Duration) []Primitive {
-	out := make([]Primitive, 0, len(d.Primitives))
-	for _, p := range d.Primitives {
-		if p.At >= from && p.At < to {
-			out = append(out, p)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Duration is the offset of the last primitive, i.e. the playback
-// length.
-func (d *Document) Duration() time.Duration {
-	var max time.Duration
-	for _, p := range d.Primitives {
-		if p.At > max {
-			max = p.At
-		}
-	}
-	return max
-}
-
 // Merge overlays several instructors' annotations of the same page into
 // one time-ordered stream, preserving each primitive's author through
 // the returned parallel slice.
@@ -222,32 +197,6 @@ func Merge(docs ...*Document) ([]Primitive, []string) {
 		authors[i] = t.author
 	}
 	return prims, authors
-}
-
-// BoundingBox returns the smallest rectangle covering every point of
-// the document, and false when the document draws nothing.
-func (d *Document) BoundingBox() (min, max Point, ok bool) {
-	for _, p := range d.Primitives {
-		for _, pt := range p.Points {
-			if !ok {
-				min, max, ok = pt, pt, true
-				continue
-			}
-			if pt.X < min.X {
-				min.X = pt.X
-			}
-			if pt.Y < min.Y {
-				min.Y = pt.Y
-			}
-			if pt.X > max.X {
-				max.X = pt.X
-			}
-			if pt.Y > max.Y {
-				max.Y = pt.Y
-			}
-		}
-	}
-	return min, max, ok
 }
 
 // Validate checks structural invariants: primitives in supported kinds,

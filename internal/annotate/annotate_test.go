@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,4 +197,55 @@ func TestPrimKindString(t *testing.T) {
 			t.Errorf("%d = %s", k, k.String())
 		}
 	}
+}
+
+// Playback returns the primitives with offsets in [from, to), in time
+// order, for the annotation playback the student subsystem performs.
+func (d *Document) Playback(from, to time.Duration) []Primitive {
+	out := make([]Primitive, 0, len(d.Primitives))
+	for _, p := range d.Primitives {
+		if p.At >= from && p.At < to {
+			out = append(out, p)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
+}
+
+// Duration is the offset of the last primitive, i.e. the playback
+// length.
+func (d *Document) Duration() time.Duration {
+	var max time.Duration
+	for _, p := range d.Primitives {
+		if p.At > max {
+			max = p.At
+		}
+	}
+	return max
+}
+
+// BoundingBox returns the smallest rectangle covering every point of
+// the document, and false when the document draws nothing.
+func (d *Document) BoundingBox() (min, max Point, ok bool) {
+	for _, p := range d.Primitives {
+		for _, pt := range p.Points {
+			if !ok {
+				min, max, ok = pt, pt, true
+				continue
+			}
+			if pt.X < min.X {
+				min.X = pt.X
+			}
+			if pt.Y < min.Y {
+				min.Y = pt.Y
+			}
+			if pt.X > max.X {
+				max.X = pt.X
+			}
+			if pt.Y > max.Y {
+				max.Y = pt.Y
+			}
+		}
+	}
+	return min, max, ok
 }

@@ -498,6 +498,8 @@ func (s *Store) Recount(counts map[string]int) {
 
 // RefCount returns the current reference count of an object, zero when
 // absent.
+//
+//lint:ignore unreached test hook: blob's persistence tests, docdb's TestRecoveredRefcountDropsReleasedReference and the docdb invariant oracle observe the counts through it
 func (s *Store) RefCount(ref Ref) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -534,6 +536,34 @@ func (st Stats) SharingFactor() float64 {
 	return float64(st.LogicalBytes) / float64(st.PhysicalBytes)
 }
 
+// List returns the refs of all resident objects sorted by hash, for
+// deterministic iteration in tests and replication.
+//
+//lint:ignore unreached test hook: docdb's invariant oracle and search's TestRecoversParentWrittenDirectory golden list the resident objects through it
+func (s *Store) List() []Ref {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.listLocked()
+}
+
+// Names returns the logical names attached to an object, sorted.
+//
+//lint:ignore unreached test hook: search's TestRecoversParentWrittenDirectory golden pins the names a recovery restores through it
+func (s *Store) Names(ref Ref) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.objects[ref.Hash]
+	if !ok {
+		return nil
+	}
+	names := make([]string, 0, len(e.names))
+	for n := range e.names {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Stats returns the current accounting snapshot.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
@@ -549,28 +579,4 @@ func (s *Store) Stats() Stats {
 		Unverified:     s.unverified,
 		VerifyFailures: s.verifyFailures,
 	}
-}
-
-// List returns the refs of all resident objects sorted by hash, for
-// deterministic iteration in tests and replication.
-func (s *Store) List() []Ref {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.listLocked()
-}
-
-// Names returns the logical names attached to an object, sorted.
-func (s *Store) Names(ref Ref) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.objects[ref.Hash]
-	if !ok {
-		return nil
-	}
-	names := make([]string, 0, len(e.names))
-	for n := range e.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

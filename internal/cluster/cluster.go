@@ -64,10 +64,6 @@ type Station struct {
 	fetches map[string]int // starting URL -> remote retrievals so far
 }
 
-// Fetches returns how many times this station has pulled the document
-// from a remote holder.
-func (s *Station) Fetches(url string) int { return s.fetches[url] }
-
 // Cluster is the simulated deployment.
 type Cluster struct {
 	cfg      Config
@@ -122,9 +118,6 @@ func (c *Cluster) Size() int { return len(c.stations) }
 
 // M returns the distribution tree degree.
 func (c *Cluster) M() int { return c.cfg.M }
-
-// Now returns the current simulated time.
-func (c *Cluster) Now() time.Duration { return c.sim.Now() }
 
 // WireBytes returns the total bytes moved between stations so far.
 func (c *Cluster) WireBytes() int64 { return c.sim.Stats().TotalBytes }

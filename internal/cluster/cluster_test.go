@@ -190,8 +190,8 @@ func TestFetchOnDemandFromRoot(t *testing.T) {
 		t.Error("replicated below watermark")
 	}
 	st, _ := c.Station(5)
-	if st.Fetches(spec.URL) != 1 {
-		t.Errorf("fetches = %d", st.Fetches(spec.URL))
+	if st.fetches[spec.URL] != 1 {
+		t.Errorf("fetches = %d", st.fetches[spec.URL])
 	}
 }
 

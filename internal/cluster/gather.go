@@ -7,7 +7,7 @@ import (
 )
 
 // Simulated scatter-gather: the discrete-event model of the live
-// fabric's gather kernel (fabric.Station.Search / Trace / Events), so
+// fabric's gather kernel (its search and event collection), so
 // the real implementation's results and costs can be pinned against
 // controlled simulated time the same way broadcast, resolve, migration
 // and catch-up are. The requesting station sends the request to the
@@ -18,24 +18,20 @@ import (
 // the broadcasts use: their subtrees stay covered, their own
 // contribution is lost until they rejoin.
 //
-// What differs between the three operations is only the cost model.
+// What differs between the two operations is only the cost model.
 // Search merges to a bounded top-k, so an edge carries at most TopK
-// hits however large the subtree below it. Span and event sets
-// concatenate, so an edge near the root carries its whole subtree's
-// items: collection traffic grows with the footprint of the operation
-// or incident being reconstructed — the price of a complete
-// reconstruction, and the reason the rings are bounded and event
-// requests carry a since-seq cursor.
+// hits however large the subtree below it. Event sets concatenate, so
+// an edge near the root carries its whole subtree's items: collection
+// traffic grows with the footprint of the incident being reconstructed
+// — the price of a complete reconstruction, and the reason the rings
+// are bounded and event requests carry a since-seq cursor.
 
 // Cost model: a request is a small fixed message; a reply costs the
 // same fixed overhead plus a per-item share (a hit's key, score and
-// snippet; a span's method, timing, byte counts and annotations; an
-// event's name, category, timing and key/value pairs).
+// snippet; an event's name, category, timing and key/value pairs).
 const (
 	searchRequestBytes = 256
 	searchHitBytes     = 256
-	traceRequestBytes  = 128
-	traceSpanBytes     = 192
 	eventRequestBytes  = 96
 	eventRecordBytes   = 160
 )
@@ -158,6 +154,8 @@ type SearchReport struct {
 
 // SearchFederated answers a full-text query issued at a station,
 // modeling the scatter-gather over the simulated network.
+//
+//lint:ignore unreached test oracle: fabric's TestFederatedSearchMatchesBaselineAndSimulator checks the live scatter-gather against this model
 func (c *Cluster) SearchFederated(pos int, q search.Query) (*SearchReport, error) {
 	if _, err := c.liveStation(pos); err != nil {
 		return nil, err
@@ -185,26 +183,6 @@ func (c *Cluster) SearchFederated(pos int, q search.Query) (*SearchReport, error
 	return &SearchReport{Hits: hits, Latency: rep.Latency, Answered: rep.Covered, WireBytes: rep.WireBytes}, nil
 }
 
-// TraceCollectReport summarizes one simulated trace collection: Spans
-// is the total gathered (down stations' contributions are lost until
-// they rejoin).
-type TraceCollectReport struct {
-	Spans int
-	gatherReport
-}
-
-// CollectTrace models collecting one trace's spans fabric-wide from a
-// requesting station. spanCount reports how many spans each station's
-// ring holds for the trace (the simulator has no real rings; the
-// caller supplies the footprint of the operation being reconstructed).
-func (c *Cluster) CollectTrace(pos int, spanCount func(p int) int) (*TraceCollectReport, error) {
-	spans, rep, err := gatherUp(c, pos, traceRequestBytes, spanCount, sum, replyCost(traceRequestBytes, traceSpanBytes))
-	if err != nil {
-		return nil, err
-	}
-	return &TraceCollectReport{Spans: spans, gatherReport: rep}, nil
-}
-
 // EventCollectReport summarizes one simulated event collection: Events
 // is the total gathered (down stations' journals are unreadable until
 // they rejoin).
@@ -218,6 +196,8 @@ type EventCollectReport struct {
 // events each station's journal contributes under the filter (the
 // simulator has no real journals; the caller supplies the incident's
 // footprint).
+//
+//lint:ignore unreached test oracle: fabric's TestEventsCollectsMergedTimelineFromAnyStation and webdocd's TestChaosEventJournalNarratesKillRejoinCheckpoint check the live collection against this model
 func (c *Cluster) CollectEvents(pos int, eventCount func(p int) int) (*EventCollectReport, error) {
 	events, rep, err := gatherUp(c, pos, eventRequestBytes, eventCount, sum, replyCost(eventRequestBytes, eventRecordBytes))
 	if err != nil {

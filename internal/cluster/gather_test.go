@@ -8,7 +8,7 @@ import (
 )
 
 // simGather adapts one of the three simulated gathers to a common
-// shape: k is the per-station footprint (spans or events a station
+// shape: k is the per-station footprint (the spans or events a station
 // contributes; for search, the TopK that bounds every reply), and the
 // run reports the items gathered beside the shared coverage, latency
 // and wire figures.
@@ -46,7 +46,7 @@ func simGathers() []simGather {
 		{
 			name: "trace",
 			run: func(c *Cluster, pos, k int) (int, int, time.Duration, int64, error) {
-				rep, err := c.CollectTrace(pos, func(int) int { return k })
+				rep, err := c.collectTrace(pos, func(int) int { return k })
 				if err != nil {
 					return 0, 0, 0, 0, err
 				}
@@ -154,4 +154,26 @@ func TestGathersOverTheSimulatedTree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// traceCollectReport summarizes one simulated trace collection: Spans
+// is the total gathered (down stations' contributions are lost until
+// they rejoin).
+type traceCollectReport struct {
+	Spans int
+	gatherReport
+}
+
+// collectTrace models collecting one trace's spans fabric-wide from a
+// requesting station. spanCount reports how many spans each station's
+// ring holds for the trace (the simulator has no real rings; the
+// caller supplies the footprint of the operation being reconstructed).
+// A trace request is 128 bytes and each span 192; the live fabric
+// collects traces through its own gather, so only these tests model it.
+func (c *Cluster) collectTrace(pos int, spanCount func(p int) int) (*traceCollectReport, error) {
+	spans, rep, err := gatherUp(c, pos, 128, spanCount, sum, replyCost(128, 192))
+	if err != nil {
+		return nil, err
+	}
+	return &traceCollectReport{Spans: spans, gatherReport: rep}, nil
 }

@@ -144,6 +144,8 @@ func (n *Node) Observer() *obs.Observer { return n.srv.Observer() }
 
 // SetObserver replaces (or with nil disables) the node's observer —
 // the switch the tracing-overhead benchmark flips.
+//
+//lint:ignore unreached test hook: the root package's BenchmarkFabricBroadcastObsOff, which make obs-overhead runs, switches tracing off through it
 func (n *Node) SetObserver(o *obs.Observer) {
 	o.SetPos(n.Pos())
 	n.srv.SetObserver(o)
@@ -166,6 +168,8 @@ func (n *Node) HandleCtx(method string, h transport.CtxHandler) { n.srv.HandleCt
 // (its subtree is grafted onto live ancestors until the check clears).
 // A nil check (the default) means the station is healthy whenever it
 // answers at all. Safe to call while the node is serving.
+//
+//lint:ignore unreached test hook: fabric's TestHeartbeatHonorsLivenessCheck installs an unhealthy check through it
 func (n *Node) SetLivenessCheck(check func() error) {
 	n.check.Store(&check)
 }

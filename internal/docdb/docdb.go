@@ -313,19 +313,6 @@ func scriptFromRow(row relstore.Row) Script {
 	}
 }
 
-// Scripts lists the scripts of a database in name order.
-func (s *Store) Scripts(dbName string) ([]Script, error) {
-	rows, err := s.rel.Lookup(schema.TableScripts, "db_name", dbName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Script, len(rows))
-	for i, r := range rows {
-		out[i] = scriptFromRow(r)
-	}
-	return out, nil
-}
-
 // SetProgress updates the percentage-of-completion status attribute.
 func (s *Store) SetProgress(scriptName string, pct float64) error {
 	return s.rel.Update(schema.TableScripts, scriptName, relstore.Row{"pct_complete": pct})
@@ -537,6 +524,8 @@ func (s *Store) AttachImplMedia(url, name string, kind blob.Kind, data []byte) (
 
 // AttachScriptMedia stores a script-level resource (e.g. the verbal
 // description of section 3).
+//
+//lint:ignore unreached paper section 3: the script-level resource (the verbal description) of the document layer
 func (s *Store) AttachScriptMedia(scriptName, name string, kind blob.Kind, data []byte) (MediaRef, error) {
 	return s.attachMedia(schema.TableScriptMedia, scriptName, name, kind, data)
 }
@@ -554,11 +543,6 @@ func (s *Store) attachMedia(table, owner, name string, kind blob.Kind, data []by
 // ImplMedia lists the media descriptors of an implementation.
 func (s *Store) ImplMedia(url string) ([]MediaRef, error) {
 	return s.media(schema.TableImplMedia, url)
-}
-
-// ScriptMedia lists the media descriptors of a script.
-func (s *Store) ScriptMedia(scriptName string) ([]MediaRef, error) {
-	return s.media(schema.TableScriptMedia, scriptName)
 }
 
 // media lists the descriptors a media table holds for owner.

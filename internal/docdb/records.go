@@ -35,26 +35,6 @@ func (s *Store) RecordTest(tr TestRecord) error {
 	return s.rel.Insert(schema.TableTestRecords, row)
 }
 
-// TestRecords lists the test records of a script.
-func (s *Store) TestRecords(scriptName string) ([]TestRecord, error) {
-	rows, err := s.rel.Lookup(schema.TableTestRecords, "script_name", scriptName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TestRecord, len(rows))
-	for i, r := range rows {
-		out[i] = TestRecord{
-			Name:        rowString(r, "test_name"),
-			ScriptName:  rowString(r, "script_name"),
-			StartingURL: rowString(r, "starting_url"),
-			Scope:       rowString(r, "scope"),
-			Messages:    schema.SplitList(rowString(r, "messages")),
-			Created:     rowTime(r, "created"),
-		}
-	}
-	return out, nil
-}
-
 // BugReport mirrors the paper's BugReport table.
 type BugReport struct {
 	Name             string
@@ -83,30 +63,6 @@ func (s *Store) FileBugReport(br BugReport) error {
 		"redundant_objects": schema.JoinList(br.RedundantObjects),
 		"created":           s.Now(),
 	})
-}
-
-// BugReports lists the bug reports filed against a test record.
-func (s *Store) BugReports(testName string) ([]BugReport, error) {
-	rows, err := s.rel.Lookup(schema.TableBugReports, "test_name", testName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BugReport, len(rows))
-	for i, r := range rows {
-		out[i] = BugReport{
-			Name:             rowString(r, "bug_name"),
-			TestName:         rowString(r, "test_name"),
-			QAEngineer:       rowString(r, "qa_engineer"),
-			Procedure:        rowString(r, "procedure"),
-			Description:      rowString(r, "description"),
-			BadURLs:          schema.SplitList(rowString(r, "bad_urls")),
-			MissingObjects:   schema.SplitList(rowString(r, "missing_objects")),
-			Inconsistency:    rowString(r, "inconsistency"),
-			RedundantObjects: schema.SplitList(rowString(r, "redundant_objects")),
-			Created:          rowTime(r, "created"),
-		}
-	}
-	return out, nil
 }
 
 // Annotation mirrors the paper's Annotation table: a per-instructor
@@ -150,6 +106,8 @@ func (s *Store) annotationRow(a Annotation) relstore.Row {
 // its version — an instructor revising their overlay between lectures.
 // The read and the bump run in one relstore transaction, so concurrent
 // replacements of one annotation each bump the version once.
+//
+//lint:ignore unreached paper section 3: an instructor revises an annotation, which versions it
 func (s *Store) ReplaceAnnotation(name string, file []byte) error {
 	tx, err := s.rel.Begin(schema.TableAnnotations)
 	if err != nil {
@@ -357,37 +315,6 @@ func (s *Store) History(kind, objectID string) ([]Version, error) {
 			Author:     rowString(r, "author"),
 			Comment:    rowString(r, "comment"),
 			Created:    rowTime(r, "created"),
-		}
-	}
-	return out, nil
-}
-
-// Outstanding lists a user's open checkouts.
-func (s *Store) Outstanding(user string) ([]Checkout, error) {
-	rows, err := s.rel.Lookup(schema.TableCheckouts, "user", user)
-	if err != nil {
-		return nil, err
-	}
-	var out []Checkout
-	for _, r := range rows {
-		if _, closed := r["in_time"].(time.Time); !closed {
-			out = append(out, checkoutFromRow(r))
-		}
-	}
-	return out, nil
-}
-
-// CheckoutsOf lists every checkout (open and closed) of one object,
-// feeding the virtual library's assessment criteria.
-func (s *Store) CheckoutsOf(kind, objectID string) ([]Checkout, error) {
-	rows, err := s.rel.Lookup(schema.TableCheckouts, "object_id", objectID)
-	if err != nil {
-		return nil, err
-	}
-	var out []Checkout
-	for _, r := range rows {
-		if rowString(r, "object_kind") == kind {
-			out = append(out, checkoutFromRow(r))
 		}
 	}
 	return out, nil

@@ -43,9 +43,3 @@ var eventsOp = &gatherOp[obs.EventFilter, obs.Event, *EventsReply]{
 		return &EventsReply{Events: events, Stations: all.Stations}
 	},
 }
-
-// Events collects the fabric-wide event timeline matching the filter
-// from this station.
-func (s *Station) Events(f obs.EventFilter) (*EventsReply, error) {
-	return gather(s, eventsOp, f, nil)
-}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/webtest"
 )
 
 // eventsByName indexes a merged timeline for assertion convenience.
@@ -48,7 +47,7 @@ func TestEventsCollectsMergedTimelineFromAnyStation(t *testing.T) {
 	if res.TraceID == 0 {
 		t.Fatal("broadcast result carries no trace ID")
 	}
-	webtest.Eventually(t, 10*time.Second, "root to confirm the suspected station down", func() bool {
+	eventually(t, 10*time.Second, "root to confirm the suspected station down", func() bool {
 		return root.Down(2)
 	})
 

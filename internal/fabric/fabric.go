@@ -376,14 +376,6 @@ func (s *Station) Store() *docdb.Store { return s.store }
 // Node exposes the underlying base station service.
 func (s *Station) Node() *cluster.Node { return s.node }
 
-// Fetches returns how many times this station has pulled the document
-// from a remote holder since the last migration.
-func (s *Station) Fetches(url string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fetches[url]
-}
-
 // Close stops serving, halts the heartbeat loop and releases every
 // peer connection.
 func (s *Station) Close() error {

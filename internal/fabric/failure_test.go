@@ -13,7 +13,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/transport"
-	"repro/internal/webtest"
 )
 
 // probeUntilDown sweeps the root's heartbeat until the given positions
@@ -21,7 +20,7 @@ import (
 // station).
 func probeUntilDown(t *testing.T, root *Station, positions ...int) {
 	t.Helper()
-	webtest.Eventually(t, 30*time.Second, "root to declare stations dead", func() bool {
+	eventually(t, 30*time.Second, "root to declare stations dead", func() bool {
 		root.ProbeOnce(200 * time.Millisecond)
 		for _, pos := range positions {
 			if !root.Down(pos) {
@@ -158,7 +157,7 @@ func TestHeartbeatHonorsLivenessCheck(t *testing.T) {
 
 	// The check clears; probes revive the station.
 	stations[1].Node().SetLivenessCheck(nil)
-	webtest.Eventually(t, 30*time.Second, "root to revive the station", func() bool {
+	eventually(t, 30*time.Second, "root to revive the station", func() bool {
 		root.ProbeOnce(time.Second)
 		return !root.Down(2)
 	})
@@ -222,7 +221,7 @@ func TestBroadcastGraftsAroundDeadStation(t *testing.T) {
 		}
 	}
 	// The in-flight discovery escalates to the root's roster.
-	webtest.Eventually(t, 30*time.Second, "root to confirm the death", func() bool {
+	eventually(t, 30*time.Second, "root to confirm the death", func() bool {
 		return stations[0].Down(2)
 	})
 }
@@ -833,7 +832,7 @@ func TestThirteenStationFailureMatchesSimulator(t *testing.T) {
 	}
 
 	// The in-flight discovery reaches the root's roster.
-	webtest.Eventually(t, 30*time.Second, "root to confirm both deaths", func() bool {
+	eventually(t, 30*time.Second, "root to confirm both deaths", func() bool {
 		return root.Down(2) && root.Down(6)
 	})
 

@@ -76,34 +76,6 @@ func (s *Station) MarkDown(pos int) error {
 	return nil
 }
 
-// MarkUp returns a station to service (root only). Heartbeats do this
-// automatically when a dead station answers probes again; rejoin does
-// it as part of re-assigning the position.
-func (s *Station) MarkUp(pos int) error {
-	if !s.isRoot {
-		return fmt.Errorf("%w: mark-up", ErrNotRoot)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.roster[pos]; !ok {
-		return fmt.Errorf("fabric: no station at position %d", pos)
-	}
-	if s.down[pos] || s.suspect[pos] {
-		delete(s.down, pos)
-		delete(s.suspect, pos)
-		s.hbFails[pos] = 0
-		s.epoch++
-	}
-	return nil
-}
-
-// Down reports whether the station's current view declares pos dead.
-func (s *Station) Down(pos int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.down[pos]
-}
-
 // Epoch returns the station's current roster epoch.
 func (s *Station) Epoch() int {
 	s.mu.Lock()

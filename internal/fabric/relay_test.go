@@ -14,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/schema"
 	"repro/internal/transport"
-	"repro/internal/webtest"
 )
 
 // pushRecorder is a stand-in station that speaks just enough of the
@@ -200,7 +199,7 @@ func TestRelayForwardsBeforeItsOwnImportCompletes(t *testing.T) {
 
 	done := broadcastAsync(root, spec.URL)
 
-	webtest.Eventually(t, 20*time.Second, "station 2's children to install while its own import is latched", func() bool {
+	eventually(t, 20*time.Second, "station 2's children to install while its own import is latched", func() bool {
 		return holdsInstance(stations[4], spec.URL) && holdsInstance(stations[5], spec.URL) && holdsInstance(stations[6], spec.URL)
 	})
 	if holdsInstance(relay, spec.URL) {
@@ -268,7 +267,7 @@ func TestRelayKilledMidBroadcastGraftsToTheSameEndState(t *testing.T) {
 	relay.importMu.Lock()
 	defer relay.importMu.Unlock()
 	done := broadcastAsync(root, spec.URL)
-	webtest.Eventually(t, 20*time.Second, "station 2 to forward to its children", func() bool {
+	eventually(t, 20*time.Second, "station 2 to forward to its children", func() bool {
 		return holdsInstance(stations[4], spec.URL) && holdsInstance(stations[5], spec.URL) && holdsInstance(stations[6], spec.URL)
 	})
 	relay.Close()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/docdb"
 	"repro/internal/netsim"
 	"repro/internal/search"
-	"repro/internal/webtest"
 )
 
 // addLocalDoc authors a station-local page: the catalog scaffold plus
@@ -377,7 +376,7 @@ func TestSearchWaitsOutRepairedStation(t *testing.T) {
 		t.Fatal(err)
 	}
 	stations[1].Close()
-	webtest.Eventually(t, 10*time.Second, "root to declare station 2 dead", func() bool {
+	eventually(t, 10*time.Second, "root to declare station 2 dead", func() bool {
 		return root.Down(2)
 	})
 	reply, err := stations[6].Search(search.Query{Terms: []string{"corpus"}, TopK: 1 << 16})

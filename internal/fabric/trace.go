@@ -32,9 +32,3 @@ var traceOp = &gatherOp[uint64, obs.Span, *TraceReply]{
 		return &TraceReply{ID: id, Spans: spans, Stations: all.Stations}
 	},
 }
-
-// Trace collects the fabric-wide span set for one TraceID from this
-// station.
-func (s *Station) Trace(id uint64) (*TraceReply, error) {
-	return gather(s, traceOp, id, nil)
-}

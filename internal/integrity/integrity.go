@@ -12,7 +12,6 @@ package integrity
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -93,23 +92,6 @@ func (d *Diagram) AddLink(l Link) error {
 	return nil
 }
 
-// Links returns the outgoing links of a kind.
-func (d *Diagram) Links(kind string) []Link {
-	out := make([]Link, len(d.links[kind]))
-	copy(out, d.links[kind])
-	return out
-}
-
-// Kinds returns the registered kinds, sorted.
-func (d *Diagram) Kinds() []string {
-	out := make([]string, 0, len(d.nodes))
-	for k := range d.nodes {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Resolver finds the concrete dependent objects of a given object along
 // one kind of link. Implementations query the document database.
 type Resolver interface {
@@ -177,41 +159,6 @@ func (d *Diagram) Propagate(r Resolver, kind, id string) ([]Alert, error) {
 	return alerts, nil
 }
 
-// Violation is a multiplicity constraint failure found by Verify.
-type Violation struct {
-	Kind  string
-	ID    string
-	Link  Link
-	Count int
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("%s %s has %d %s dependents via %q, multiplicity %s requires at least one",
-		v.Kind, v.ID, v.Count, v.Link.To, v.Link.Label, v.Link.Mult)
-}
-
-// Verify checks the "+" multiplicity constraints for one object: every
-// Plus link must resolve to at least one dependent.
-func (d *Diagram) Verify(r Resolver, kind, id string) ([]Violation, error) {
-	if !d.nodes[kind] {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownKind, kind)
-	}
-	var out []Violation
-	for _, l := range d.links[kind] {
-		if l.Mult != Plus {
-			continue
-		}
-		deps, err := r.Dependents(kind, id, l.To)
-		if err != nil {
-			return nil, err
-		}
-		if len(deps) == 0 {
-			out = append(out, Violation{Kind: kind, ID: id, Link: l, Count: 0})
-		}
-	}
-	return out, nil
-}
-
 // Queue buffers pending alerts per user until acknowledged, the way the
 // paper's system "triggers a message which alerts the user to update
 // the destination object".
@@ -244,21 +191,6 @@ func (q *Queue) Pending(user string) []Alert {
 	out := make([]Alert, len(q.pending[user]))
 	copy(out, q.pending[user])
 	return out
-}
-
-// Ack removes one alert from a user's queue by id, reporting whether it
-// was present.
-func (q *Queue) Ack(user string, id int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	alerts := q.pending[user]
-	for i, a := range alerts {
-		if a.ID == id {
-			q.pending[user] = append(alerts[:i], alerts[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // AckAll clears a user's queue, returning how many alerts were dropped.

@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -285,4 +286,54 @@ func TestDocResolverUnknownPair(t *testing.T) {
 	if _, err := r.Dependents(schema.KindBugReport, "b1", schema.KindScript); err == nil {
 		t.Error("expected error for unresolvable pair")
 	}
+}
+
+// Violation is a multiplicity constraint failure found by Verify.
+type Violation struct {
+	Kind  string
+	ID    string
+	Link  Link
+	Count int
+}
+
+func (v Violation) String() string {
+	return fmt.Sprintf("%s %s has %d %s dependents via %q, multiplicity %s requires at least one",
+		v.Kind, v.ID, v.Count, v.Link.To, v.Link.Label, v.Link.Mult)
+}
+
+// Verify checks the "+" multiplicity constraints for one object: every
+// Plus link must resolve to at least one dependent.
+func (d *Diagram) Verify(r Resolver, kind, id string) ([]Violation, error) {
+	if !d.nodes[kind] {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownKind, kind)
+	}
+	var out []Violation
+	for _, l := range d.links[kind] {
+		if l.Mult != Plus {
+			continue
+		}
+		deps, err := r.Dependents(kind, id, l.To)
+		if err != nil {
+			return nil, err
+		}
+		if len(deps) == 0 {
+			out = append(out, Violation{Kind: kind, ID: id, Link: l, Count: 0})
+		}
+	}
+	return out, nil
+}
+
+// Ack removes one alert from a user's queue by id, reporting whether it
+// was present.
+func (q *Queue) Ack(user string, id int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	alerts := q.pending[user]
+	for i, a := range alerts {
+		if a.ID == id {
+			q.pending[user] = append(alerts[:i], alerts[i+1:]...)
+			return true
+		}
+	}
+	return false
 }

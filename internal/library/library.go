@@ -110,29 +110,6 @@ func (l *Library) Add(scriptName, courseNumber, instructor string) error {
 	return nil
 }
 
-// Remove deletes a document from the catalog (instructor privilege).
-func (l *Library) Remove(scriptName, instructor string) error {
-	if !l.IsInstructor(instructor) {
-		return fmt.Errorf("%w: %s", ErrNotInstructor, instructor)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e, ok := l.entries[scriptName]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotInLibrary, scriptName)
-	}
-	delete(l.entries, scriptName)
-	for _, tok := range entryTokens(e) {
-		if set := l.index[tok]; set != nil {
-			delete(set, scriptName)
-			if len(set) == 0 {
-				delete(l.index, tok)
-			}
-		}
-	}
-	return nil
-}
-
 // Catalog lists the library contents sorted by script name.
 func (l *Library) Catalog() []Entry {
 	l.mu.RLock()

@@ -279,3 +279,15 @@ func TestPercentiles(t *testing.T) {
 		t.Errorf("p99 of one sample = %v", got)
 	}
 }
+
+// OpCounts tallies planned ops per kind — the determinism tests
+// compare these across independent BuildPlan calls.
+func (pl *Plan) OpCounts() map[string]int {
+	out := map[string]int{}
+	for _, ops := range pl.Ops {
+		for _, op := range ops {
+			out[op.Kind]++
+		}
+	}
+	return out
+}

@@ -123,15 +123,3 @@ func BuildPlan(p *Profile) *Plan {
 	}
 	return plan
 }
-
-// OpCounts tallies planned ops per kind — the determinism tests
-// compare these across independent BuildPlan calls.
-func (pl *Plan) OpCounts() map[string]int {
-	out := map[string]int{}
-	for _, ops := range pl.Ops {
-		for _, op := range ops {
-			out[op.Kind]++
-		}
-	}
-	return out
-}

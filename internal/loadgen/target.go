@@ -98,9 +98,6 @@ func DialFabric(rootAddr string, want int, wait time.Duration) (*FabricTarget, e
 // Stations reports the number of dialed stations.
 func (t *FabricTarget) Stations() int { return len(t.stations) }
 
-// Addrs lists the dialed station addresses, index-aligned.
-func (t *FabricTarget) Addrs() []string { return t.addrs }
-
 // Broadcast pushes one course tree-wide from the root.
 func (t *FabricTarget) Broadcast(url string, refsOnly bool) (int64, uint64, error) {
 	res, err := t.admins[0].Broadcast(url, refsOnly)

@@ -156,15 +156,6 @@ type Lock struct {
 	done bool
 }
 
-// User returns the lock owner.
-func (l *Lock) User() string { return l.user }
-
-// Mode returns the granted mode.
-func (l *Lock) Mode() Mode { return l.mode }
-
-// Path returns the locked object path.
-func (l *Lock) Path() Path { return l.path }
-
 // walk returns the chain of nodes from the root to the path's node,
 // creating nodes as needed. Caller holds m.mu.
 func (m *Manager) walk(p Path, create bool) []*node {
@@ -317,43 +308,6 @@ func (l *Lock) Release() error {
 	close(m.waitCh)
 	m.waitCh = make(chan struct{})
 	return nil
-}
-
-// HeldLock describes one granted lock for introspection.
-type HeldLock struct {
-	User string
-	Mode Mode
-	Path string
-}
-
-// Held lists all granted locks sorted by path then user, for the
-// instructor workstation's lock table display.
-func (m *Manager) Held() []HeldLock {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []HeldLock
-	var dfs func(n *node)
-	dfs = func(n *node) {
-		for _, h := range n.holders {
-			out = append(out, HeldLock{User: h.user, Mode: h.mode, Path: h.path.String()})
-		}
-		keys := make([]string, 0, len(n.children))
-		for k := range n.children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dfs(n.children[k])
-		}
-	}
-	dfs(m.root)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		return out[i].User < out[j].User
-	})
-	return out
 }
 
 // TableString renders the compatibility table, matching the package

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -391,4 +392,41 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// HeldLock describes one granted lock for introspection.
+type HeldLock struct {
+	User string
+	Mode Mode
+	Path string
+}
+
+// Held lists all granted locks sorted by path then user, for the
+// instructor workstation's lock table display.
+func (m *Manager) Held() []HeldLock {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []HeldLock
+	var dfs func(n *node)
+	dfs = func(n *node) {
+		for _, h := range n.holders {
+			out = append(out, HeldLock{User: h.user, Mode: h.mode, Path: h.path.String()})
+		}
+		keys := make([]string, 0, len(n.children))
+		for k := range n.children {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			dfs(n.children[k])
+		}
+	}
+	dfs(m.root)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Path != out[j].Path {
+			return out[i].Path < out[j].Path
+		}
+		return out[i].User < out[j].User
+	})
+	return out
 }

@@ -118,3 +118,25 @@ func TestUnknownKindUsesOtherProfile(t *testing.T) {
 		t.Errorf("unknown kind should use other magic: % x", r.Data[:8])
 	}
 }
+
+// GenerateMix produces a typical lecture-page media mix: with the given
+// counts per kind, in a deterministic order.
+func (g *Generator) GenerateMix(videos, audios, images, animations, midis int) []Resource {
+	var out []Resource
+	for i := 0; i < videos; i++ {
+		out = append(out, g.Generate(blob.KindVideo))
+	}
+	for i := 0; i < audios; i++ {
+		out = append(out, g.Generate(blob.KindAudio))
+	}
+	for i := 0; i < images; i++ {
+		out = append(out, g.Generate(blob.KindImage))
+	}
+	for i := 0; i < animations; i++ {
+		out = append(out, g.Generate(blob.KindAnimation))
+	}
+	for i := 0; i < midis; i++ {
+		out = append(out, g.Generate(blob.KindMIDI))
+	}
+	return out
+}

@@ -102,8 +102,7 @@ func Parse(src string) (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.toks[p.i] }
 
 func (p *parser) accept(kind tokenKind, text string) bool {
 	t := p.cur()

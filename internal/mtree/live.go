@@ -53,18 +53,3 @@ func LiveAncestors(k, m int, down func(int) bool) ([]int, error) {
 	}
 	return out, nil
 }
-
-// NearestLiveAncestor returns the closest live ancestor of station k,
-// skipping any run of consecutive dead positions on the root path. The
-// boolean reports whether one exists (false when every ancestor,
-// including the root, is dead).
-func NearestLiveAncestor(k, m int, down func(int) bool) (int, bool, error) {
-	live, err := LiveAncestors(k, m, down)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(live) == 0 {
-		return 0, false, nil
-	}
-	return live[0], true, nil
-}

@@ -391,3 +391,31 @@ func TestChooseMFanoutValidation(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 }
+
+// Edge is one parent-to-child transfer in the distribution tree.
+type Edge struct {
+	From int // sender's linear position
+	To   int // receiver's linear position
+}
+
+// Edges returns every tree edge for N stations joined under degree m, in
+// breadth-first order of the receiving station. This is the "broadcast
+// vector" of section 4: a linear sequence of stations, each annotated
+// with the sender it copies from.
+func Edges(total, m int) ([]Edge, error) {
+	if m < 1 {
+		return nil, ErrBadDegree
+	}
+	if total < 1 {
+		return nil, ErrBadStation
+	}
+	edges := make([]Edge, 0, total-1)
+	for k := 2; k <= total; k++ {
+		p, err := Parent(k, m)
+		if err != nil {
+			return nil, err
+		}
+		edges = append(edges, Edge{From: p, To: k})
+	}
+	return edges, nil
+}

@@ -52,7 +52,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event  { return h[0] }
 
 // node is one simulated station's network interface.
 type node struct {
@@ -281,20 +280,6 @@ func (s *Sim) Run() time.Duration {
 	return s.now
 }
 
-// RunUntil processes events up to and including the given time; later
-// events stay queued.
-func (s *Sim) RunUntil(t time.Duration) time.Duration {
-	for len(s.events) > 0 && s.events.Peek().at <= t {
-		e := heap.Pop(&s.events).(*event)
-		s.now = e.at
-		e.fn()
-	}
-	if s.now < t {
-		s.now = t
-	}
-	return s.now
-}
-
 // Stats describe the traffic observed by the simulation so far.
 type Stats struct {
 	TotalBytes int64
@@ -304,20 +289,4 @@ type Stats struct {
 // Stats returns cumulative traffic counters.
 func (s *Sim) Stats() Stats {
 	return Stats{TotalBytes: s.totalBytes, Transfers: s.transfers}
-}
-
-// BytesSent returns the bytes a station has finished sending.
-func (s *Sim) BytesSent(id int) int64 {
-	if n, ok := s.nodes[id]; ok {
-		return n.bytesSent
-	}
-	return 0
-}
-
-// BytesReceived returns the bytes a station has finished receiving.
-func (s *Sim) BytesReceived(id int) int64 {
-	if n, ok := s.nodes[id]; ok {
-		return n.bytesRecv
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 	"time"
@@ -270,4 +271,34 @@ func TestQuickEventTimeMonotonic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RunUntil processes events up to and including the given time; later
+// events stay queued.
+func (s *Sim) RunUntil(t time.Duration) time.Duration {
+	for len(s.events) > 0 && s.events[0].at <= t {
+		e := heap.Pop(&s.events).(*event)
+		s.now = e.at
+		e.fn()
+	}
+	if s.now < t {
+		s.now = t
+	}
+	return s.now
+}
+
+// BytesSent returns the bytes a station has finished sending.
+func (s *Sim) BytesSent(id int) int64 {
+	if n, ok := s.nodes[id]; ok {
+		return n.bytesSent
+	}
+	return 0
+}
+
+// BytesReceived returns the bytes a station has finished receiving.
+func (s *Sim) BytesReceived(id int) int64 {
+	if n, ok := s.nodes[id]; ok {
+		return n.bytesRecv
+	}
+	return 0
 }

@@ -248,14 +248,6 @@ func (r *EventRing) Add(e Event) Event {
 	return e
 }
 
-// Snapshot returns every retained event — ring plus reservoir, deduped
-// by Seq — in sequence order.
-func (r *EventRing) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked()
-}
-
 func (r *EventRing) snapshotLocked() []Event {
 	out, merged := r.r.snapshot()
 	if merged {

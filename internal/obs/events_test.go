@@ -271,3 +271,11 @@ func TestEventRingAdmitsOutOfClockOrderMonotonic(t *testing.T) {
 		t.Fatalf("SortEvents order = seq %d, %d; want %d, %d", events[0].Seq, events[1].Seq, first.Seq, second.Seq)
 	}
 }
+
+// Snapshot returns every retained event — ring plus reservoir, deduped
+// by Seq — in sequence order.
+func (r *EventRing) Snapshot() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.snapshotLocked()
+}

@@ -180,3 +180,31 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("count %d want 8000", snap.Count)
 	}
 }
+
+// Merge folds another snapshot into this one (federation-wide method
+// totals are the merge of every station's snapshot).
+func (s *HistSnapshot) Merge(o HistSnapshot) {
+	s.Count += o.Count
+	s.Errors += o.Errors
+	s.SumNs += o.SumNs
+	if o.MaxNs > s.MaxNs {
+		s.MaxNs = o.MaxNs
+	}
+	merged := make([]BucketCount, 0, len(s.Buckets)+len(o.Buckets))
+	i, j := 0, 0
+	for i < len(s.Buckets) || j < len(o.Buckets) {
+		switch {
+		case j >= len(o.Buckets) || (i < len(s.Buckets) && s.Buckets[i].Bucket < o.Buckets[j].Bucket):
+			merged = append(merged, s.Buckets[i])
+			i++
+		case i >= len(s.Buckets) || o.Buckets[j].Bucket < s.Buckets[i].Bucket:
+			merged = append(merged, o.Buckets[j])
+			j++
+		default:
+			merged = append(merged, BucketCount{Bucket: s.Buckets[i].Bucket, Count: s.Buckets[i].Count + o.Buckets[j].Count})
+			i++
+			j++
+		}
+	}
+	s.Buckets = merged
+}

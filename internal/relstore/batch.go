@@ -35,9 +35,6 @@ func (b *Batch) Delete(table string, pkVal any) {
 // Len reports the number of queued operations.
 func (b *Batch) Len() int { return len(b.recs) }
 
-// Reset empties the batch for reuse, keeping its capacity.
-func (b *Batch) Reset() { b.recs = b.recs[:0] }
-
 // Apply runs the batch as one transaction declared over every touched
 // table: all locks are taken up front in sorted order, the operations
 // run in queue order, and the commit appends a single WAL record. On

@@ -411,7 +411,7 @@ func TestCheckpointParityWithFullReplay(t *testing.T) {
 			}
 		}
 	}
-	apply(func(d *DB) error { return d.Delete("scripts", "s002") })
+	apply(func(d *DB) error { return deleteRow(d, "scripts", "s002") })
 	fromFull, _ := reopen(t, ref, fullDir)
 	fromCkpt, _ := reopen(t, db, dir)
 	a, err := fromCkpt.Select(Query{Table: "scripts"})

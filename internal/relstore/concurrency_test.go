@@ -111,7 +111,7 @@ func TestConcurrentMultiTableStress(t *testing.T) {
 						errs <- err
 						return
 					}
-					if err := db.Delete("docs", id+2_000_000); err != nil {
+					if err := deleteRow(db, "docs", id+2_000_000); err != nil {
 						errs <- err
 						return
 					}
@@ -341,7 +341,7 @@ func TestBatchAtomicity(t *testing.T) {
 		t.Errorf("notes = %d after failed batch, want 0", n)
 	}
 
-	b.Reset()
+	b = Batch{}
 	b.Insert("docs", Row{"id": int64(1), "author": "a0"})
 	b.Update("docs", int64(1), Row{"title": "batched"})
 	b.Insert("notes", Row{"id": int64(1)})

@@ -180,13 +180,13 @@ func TestDeleteRestrictedWhileReferenced(t *testing.T) {
 	if err := db.Insert("impls", Row{"starting_url": "u", "script_name": "s"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("scripts", "s"); !errors.Is(err, ErrFK) {
+	if err := deleteRow(db, "scripts", "s"); !errors.Is(err, ErrFK) {
 		t.Fatalf("delete referenced row: err = %v, want ErrFK", err)
 	}
-	if err := db.Delete("impls", "u"); err != nil {
+	if err := deleteRow(db, "impls", "u"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("scripts", "s"); err != nil {
+	if err := deleteRow(db, "scripts", "s"); err != nil {
 		t.Fatalf("delete after dereference: %v", err)
 	}
 }
@@ -372,3 +372,16 @@ func TestTimeCoercionFromString(t *testing.T) {
 		t.Errorf("created = %v", ts)
 	}
 }
+
+// deleteRow deletes one row in a batch of its own.
+func deleteRow(db *DB, table string, pk any) error {
+	var b Batch
+	b.Delete(table, pk)
+	return db.Apply(&b)
+}
+
+// autoDB gives a database the one-row Delete a Tx has, for workloads
+// that write through either.
+type autoDB struct{ *DB }
+
+func (a autoDB) Delete(table string, pk any) error { return deleteRow(a.DB, table, pk) }

@@ -153,7 +153,7 @@ func runLazy(t *testing.T, seed int64, steps int) {
 				t.Fatal(err)
 			}
 			for n := 0; n < 100; n++ {
-				lazyWrite(rng, db)
+				lazyWrite(rng, autoDB{db})
 			}
 			if err := db.CloseWAL(); err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func runLazy(t *testing.T, seed int64, steps int) {
 		}
 		switch k := rng.Intn(10); {
 		case k < 6:
-			lazyWrite(rng, db)
+			lazyWrite(rng, autoDB{db})
 		case k < 8:
 			tx, err := db.Begin("items", "refs")
 			if err != nil {
@@ -249,7 +249,7 @@ func TestFirstLookupBesideWriter(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := db.Delete("items", id-100); err != nil {
+				if err := deleteRow(db, "items", id-100); err != nil {
 					t.Error(err)
 					return
 				}

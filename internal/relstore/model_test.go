@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -120,7 +121,7 @@ func (m model) apply(op string, id int64, r Row) error {
 		if !exists {
 			return ErrNotFound
 		}
-		next := cur.Clone()
+		next := maps.Clone(cur)
 		for k, v := range r {
 			if v == nil {
 				delete(next, k)
@@ -154,7 +155,7 @@ func nonNull(r Row) Row {
 func (m model) clone() model {
 	c := model{}
 	for k, v := range m {
-		c[k] = v.Clone()
+		c[k] = maps.Clone(v)
 	}
 	return c
 }
@@ -293,7 +294,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 				r = randChanges(rng)
 				err = db.Update("items", id, r)
 			default:
-				err = db.Delete("items", id)
+				err = deleteRow(db, "items", id)
 			}
 			if want := m.apply(op, id, r); !errors.Is(err, want) {
 				t.Fatalf("step %d: %s %d %v: err = %v, want %v", step, op, id, r, err, want)
@@ -319,11 +320,16 @@ func runModel(t *testing.T, seed int64, steps int) {
 				default:
 					err = tx.Delete("items", id)
 				}
+				// Roll back before failing: the open Tx holds metaMu
+				// shared, and the deferred CloseWAL waits for it
+				// exclusively, so a Fatalf with the Tx open hangs.
 				if want := shadow.apply(op, id, r); (want == nil) != (err == nil) {
+					tx.Rollback()
 					t.Fatalf("step %d: tx %s %d: err = %v, want %v", step, op, id, err, want)
 				}
 				got, err := tx.Get("items", id)
 				if want, ok := shadow[id]; ok != (err == nil) || ok && !reflect.DeepEqual(got, want) {
+					tx.Rollback()
 					t.Fatalf("step %d: Tx.Get(%d) = %v, want %v", step, id, got, want)
 				}
 			}

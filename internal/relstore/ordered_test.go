@@ -166,8 +166,8 @@ func TestQuickOrderedIndexMatchesScan(t *testing.T) {
 				indexed.Update("t", id, Row{"v": v})
 				plain.Update("t", id, Row{"v": v})
 			case 2:
-				indexed.Delete("t", id)
-				plain.Delete("t", id)
+				deleteRow(indexed, "t", id)
+				deleteRow(plain, "t", id)
 			case 3:
 				// A rolled-back transaction must leave the index intact.
 				tx, _ := indexed.Begin()

@@ -41,7 +41,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Errorf("restored payload = %v", b)
 	}
 	// FK behaviour must survive the restore.
-	if err := db2.Delete("scripts", "s"); err == nil {
+	if err := deleteRow(db2, "scripts", "s"); err == nil {
 		t.Error("restored DB lost FK enforcement")
 	}
 	// Secondary indexes must survive the restore.
@@ -68,10 +68,10 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 	if err := db.Update("scripts", "b", Row{"version": 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("scripts", "a"); err == nil {
+	if err := deleteRow(db, "scripts", "a"); err == nil {
 		t.Fatal("expected FK restrict")
 	}
-	if err := db.Delete("impls", "u"); err != nil {
+	if err := deleteRow(db, "impls", "u"); err != nil {
 		t.Fatal(err)
 	}
 	db2, info := reopen(t, db, dir)
@@ -281,13 +281,13 @@ func TestQuickWALReplayEquivalence(t *testing.T) {
 			case 1:
 				db.Update("scripts", name, Row{"version": int64(rng.Intn(9))})
 			case 2:
-				db.Delete("scripts", name)
+				deleteRow(db, "scripts", name)
 			case 3:
 				url := fmt.Sprintf("u%d", rng.Intn(10))
 				if rng.Intn(2) == 0 {
 					db.Insert("impls", Row{"starting_url": url, "script_name": name})
 				} else {
-					db.Delete("impls", url)
+					deleteRow(db, "impls", url)
 				}
 			}
 		}

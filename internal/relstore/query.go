@@ -333,24 +333,6 @@ func (t *table) countLocked(q Query) (int, error) {
 	return n, nil
 }
 
-// SelectOne returns the single row matching the query, ErrNotFound when
-// none matches, or an error naming the table when several match.
-func (db *DB) SelectOne(q Query) (Row, error) {
-	q.Limit = 2
-	rows, err := db.Select(q)
-	if err != nil {
-		return nil, err
-	}
-	switch len(rows) {
-	case 0:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, q.Table)
-	case 1:
-		return rows[0], nil
-	default:
-		return nil, fmt.Errorf("relstore: query on %s matched more than one row", q.Table)
-	}
-}
-
 // Lookup is shorthand for an indexed equality select.
 func (db *DB) Lookup(table, column string, val any) ([]Row, error) {
 	return db.Select(Query{Table: table, Conds: []Cond{{Col: column, Op: OpEq, Val: val}}})

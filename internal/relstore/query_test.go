@@ -156,7 +156,7 @@ func TestCreateIndexBackfillsAndStaysConsistent(t *testing.T) {
 	if err := db.CreateIndex("scripts", "author"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("scripts", "s002"); err != nil {
+	if err := deleteRow(db, "scripts", "s002"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Update("scripts", "s007", Row{"author": "author0"}); err != nil {
@@ -185,24 +185,6 @@ func TestSelectErrors(t *testing.T) {
 	}
 	if _, err := db.Select(Query{Table: "scripts", Conds: []Cond{{Col: "version", Op: OpEq, Val: "NaN"}}}); !errors.Is(err, ErrType) {
 		t.Errorf("bad cond value: %v", err)
-	}
-}
-
-func TestSelectOne(t *testing.T) {
-	db := newCourseDB(t)
-	seedScripts(t, db, 4)
-	row, err := db.SelectOne(Query{Table: "scripts", Conds: []Cond{{Col: "script_name", Op: OpEq, Val: "s001"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row["script_name"] != "s001" {
-		t.Fatalf("row = %+v", row)
-	}
-	if _, err := db.SelectOne(Query{Table: "scripts", Conds: []Cond{{Col: "script_name", Op: OpEq, Val: "zz"}}}); !errors.Is(err, ErrNotFound) {
-		t.Errorf("no match: %v", err)
-	}
-	if _, err := db.SelectOne(Query{Table: "scripts"}); err == nil {
-		t.Error("multiple matches should error")
 	}
 }
 
@@ -257,7 +239,7 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 					live[id] = grp
 				}
 			case 2:
-				if err := db.Delete("t", id); err == nil {
+				if err := deleteRow(db, "t", id); err == nil {
 					delete(live, id)
 				}
 			}
@@ -346,7 +328,7 @@ func TestCompositeAndPartialIndexesMatchScan(t *testing.T) {
 				live[id] = r
 			}
 		case 2:
-			if db.Delete("ledger", id) == nil {
+			if deleteRow(db, "ledger", id) == nil {
 				delete(live, id)
 			}
 		case 3: // a write that is rolled back must leave the buckets alone

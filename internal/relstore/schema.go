@@ -105,15 +105,6 @@ type Schema struct {
 // NULL"; it is a fresh map the caller may keep and modify.
 type Row map[string]any
 
-// Clone returns a shallow copy of the row ([]byte values are shared).
-func (r Row) Clone() Row {
-	c := make(Row, len(r))
-	for k, v := range r {
-		c[k] = v
-	}
-	return c
-}
-
 // Engine-level errors. Errors wrapping these can be tested with
 // errors.Is.
 var (

@@ -291,7 +291,6 @@ func SplitList(s string) []string {
 // Object kinds used by the version/checkout tables and the lock
 // hierarchy.
 const (
-	KindDatabase       = "database"
 	KindScript         = "script"
 	KindImplementation = "implementation"
 	KindHTMLFile       = "html_file"

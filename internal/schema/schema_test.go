@@ -64,7 +64,9 @@ func TestForeignKeyChainEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleting the script while the implementation lives is restricted.
-	if err := db.Delete(TableScripts, "s"); !errors.Is(err, relstore.ErrFK) {
+	var b relstore.Batch
+	b.Delete(TableScripts, "s")
+	if err := db.Apply(&b); !errors.Is(err, relstore.ErrFK) {
 		t.Fatalf("restrict err = %v", err)
 	}
 }

@@ -22,7 +22,7 @@ func TestTraceRidesEnvelope(t *testing.T) {
 		if err := decode(&s); err != nil {
 			return nil, err
 		}
-		seen = ctx.Trace()
+		seen = ctx.Span().Context()
 		ctx.Annotate("hop note %d", 1)
 		return s, nil
 	})

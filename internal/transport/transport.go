@@ -225,10 +225,6 @@ func (c *Ctx) Span() *obs.ActiveSpan {
 	return c.span
 }
 
-// Trace returns the context downstream calls should propagate: this
-// hop's span as parent. Zero when untraced.
-func (c *Ctx) Trace() obs.TraceContext { return c.Span().Context() }
-
 // Annotate appends a note to the request's span, if any.
 func (c *Ctx) Annotate(format string, args ...any) { c.Span().Annotate(format, args...) }
 

@@ -2,50 +2,20 @@ package webtest
 
 import (
 	"fmt"
-	"testing"
 	"time"
 )
 
-// Readiness polling for the multi-process and multi-station tests.
-// Fixed sleeps either flake on a loaded CI machine or idle on a fast
-// one; Poll re-checks a condition with exponential backoff (1ms up to
-// 50ms between probes) so a test proceeds the moment the system
-// settles and still survives slow schedulers.
+// Readiness polling for process orchestration and the multi-process
+// and multi-station tests. Fixed sleeps either flake on a loaded CI
+// machine or idle on a fast one; PollErr re-checks a condition with
+// exponential backoff (1ms up to 50ms between probes) so a caller
+// proceeds the moment the system settles and still survives slow
+// schedulers.
 
-// Poll runs cond until it returns true or the timeout elapses,
-// reporting whether the condition was met. It never fails the test
-// itself — use Eventually for that.
-func Poll(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	interval := time.Millisecond
-	for {
-		if cond() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(interval)
-		if interval < 50*time.Millisecond {
-			interval *= 2
-		}
-	}
-}
-
-// Eventually polls cond until it returns true, failing the test with
-// the description when the timeout elapses first.
-func Eventually(t testing.TB, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	if !Poll(timeout, cond) {
-		t.Fatalf("timed out after %v waiting for %s", timeout, what)
-	}
-}
-
-// PollErr is Poll for process orchestration outside tests (the load
-// harness waiting for a fabric roster to fill, a driver waiting for a
-// daemon socket): cond reports done, or a hard error that aborts the
-// wait immediately. A timeout yields an error naming what was waited
-// for.
+// PollErr waits for cond (the load harness waiting for a fabric roster
+// to fill, a driver waiting for a daemon socket): cond reports done, or
+// a hard error that aborts the wait immediately. A timeout yields an
+// error naming what was waited for.
 func PollErr(timeout time.Duration, what string, cond func() (bool, error)) error {
 	deadline := time.Now().Add(timeout)
 	interval := time.Millisecond

@@ -1,40 +1,42 @@
 package webtest
 
 import (
-	"sync/atomic"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestPollReturnsOnCondition(t *testing.T) {
-	var n atomic.Int64
+	n := 0
 	start := time.Now()
-	ok := Poll(5*time.Second, func() bool { return n.Add(1) >= 3 })
-	if !ok {
-		t.Fatal("Poll gave up before the condition held")
+	if err := PollErr(5*time.Second, "three probes", func() (bool, error) { n++; return n >= 3, nil }); err != nil {
+		t.Fatalf("PollErr gave up before the condition held: %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
-		t.Errorf("Poll took %v for a near-immediate condition", d)
+		t.Errorf("PollErr took %v for a near-immediate condition", d)
 	}
 }
 
 func TestPollTimesOut(t *testing.T) {
 	start := time.Now()
-	if Poll(30*time.Millisecond, func() bool { return false }) {
-		t.Fatal("Poll reported success on a never-true condition")
+	err := PollErr(30*time.Millisecond, "nothing", func() (bool, error) { return false, nil })
+	if err == nil || !strings.Contains(err.Error(), "timed out") || !strings.Contains(err.Error(), "nothing") {
+		t.Fatalf("err = %v, want a timeout naming what was waited for", err)
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Errorf("Poll gave up after only %v", d)
+		t.Errorf("PollErr gave up after only %v", d)
 	}
 }
 
-func TestEventuallyPasses(t *testing.T) {
-	hit := false
-	Eventually(t, time.Second, "flag flip", func() bool {
-		hit = true
-		return true
-	})
-	if !hit {
-		t.Fatal("condition never ran")
+func TestPollErrStopsOnHardError(t *testing.T) {
+	boom := errors.New("boom")
+	start := time.Now()
+	err := PollErr(5*time.Second, "a socket", func() (bool, error) { return false, boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap the condition's error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("PollErr kept polling for %v after a hard error", d)
 	}
 }

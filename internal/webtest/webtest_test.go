@@ -9,6 +9,7 @@ import (
 	"repro/internal/docdb"
 	"repro/internal/htmlmini"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -249,21 +250,22 @@ func TestReportPersistsRecordAndBug(t *testing.T) {
 	if testName == "" || bugName == "" {
 		t.Fatalf("names = %q %q", testName, bugName)
 	}
-	recs, err := s.TestRecords("fixture")
+	list := func(r relstore.Row, col string) []string { v, _ := r[col].(string); return schema.SplitList(v) }
+	recs, err := s.Rel().Lookup(schema.TableTestRecords, "script_name", "fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Scope != "global" || len(recs[0].Messages) == 0 {
+	if len(recs) != 1 || recs[0]["scope"] != "global" || len(list(recs[0], "messages")) == 0 {
 		t.Errorf("records = %+v", recs)
 	}
-	bugs, err := s.BugReports(testName)
+	bugs, err := s.Rel().Lookup(schema.TableBugReports, "test_name", testName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bugs) != 1 {
 		t.Fatalf("bugs = %+v", bugs)
 	}
-	if len(bugs[0].BadURLs) != 1 || len(bugs[0].MissingObjects) != 1 || len(bugs[0].RedundantObjects) != 2 {
+	if len(list(bugs[0], "bad_urls")) != 1 || len(list(bugs[0], "missing_objects")) != 1 || len(list(bugs[0], "redundant_objects")) != 2 {
 		t.Errorf("bug = %+v", bugs[0])
 	}
 }

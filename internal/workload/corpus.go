@@ -9,7 +9,6 @@ import (
 	"repro/internal/docdb"
 	"repro/internal/library"
 	"repro/internal/relstore"
-	"repro/internal/schema"
 )
 
 // Shared corpus builders: every bench entry point (mmubench's
@@ -185,7 +184,3 @@ func BuildQACorpus(store *docdb.Store, spec QACorpusSpec) error {
 	}
 	return nil
 }
-
-// Schema kinds the QA corpus seeds, re-exported for corpus consumers
-// that probe integrity propagation.
-var QAProbeKinds = []string{schema.KindScript, schema.KindImplementation, schema.KindTestRecord}

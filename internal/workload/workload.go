@@ -160,35 +160,6 @@ func BuildCourse(store *docdb.Store, spec CourseSpec) (Course, error) {
 	return course, nil
 }
 
-// Access is one student page-view event.
-type Access struct {
-	Student int
-	Doc     int // course index
-	Page    int
-}
-
-// AccessPattern draws a Zipf-distributed trace: course popularity is
-// Zipfian (a few hot lectures), students uniform, pages uniform.
-func AccessPattern(students, docs, pages, steps int, seed int64) []Access {
-	rng := rand.New(rand.NewSource(seed))
-	if docs < 1 {
-		docs = 1
-	}
-	if pages < 1 {
-		pages = 1
-	}
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(docs-1))
-	out := make([]Access, steps)
-	for i := range out {
-		out[i] = Access{
-			Student: rng.Intn(max(students, 1)),
-			Doc:     int(zipf.Uint64()),
-			Page:    rng.Intn(pages),
-		}
-	}
-	return out
-}
-
 // Vocabulary returns a deterministic keyword vocabulary of the given
 // size.
 func Vocabulary(size int) []string {
@@ -221,11 +192,4 @@ func PickKeywords(rng *rand.Rand, vocab []string, k int) []string {
 		out = append(out, vocab[idx])
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blob"
 	"repro/internal/docdb"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 )
 
 func newStore(t *testing.T) *docdb.Store {
@@ -94,7 +95,7 @@ func TestBuildCourseSharedDatabase(t *testing.T) {
 	if _, err := BuildCourse(s, smallSpec(2)); err != nil {
 		t.Fatal(err)
 	}
-	scripts, err := s.Scripts("mmu")
+	scripts, err := s.Rel().Lookup(schema.TableScripts, "db_name", "mmu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,4 +163,33 @@ func TestVocabularyAndPickKeywords(t *testing.T) {
 	if len(kws) != 3 {
 		t.Errorf("clipped kws = %v", kws)
 	}
+}
+
+// Access is one student page-view event.
+type Access struct {
+	Student int
+	Doc     int // course index
+	Page    int
+}
+
+// AccessPattern draws a Zipf-distributed trace: course popularity is
+// Zipfian (a few hot lectures), students uniform, pages uniform.
+func AccessPattern(students, docs, pages, steps int, seed int64) []Access {
+	rng := rand.New(rand.NewSource(seed))
+	if docs < 1 {
+		docs = 1
+	}
+	if pages < 1 {
+		pages = 1
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(docs-1))
+	out := make([]Access, steps)
+	for i := range out {
+		out[i] = Access{
+			Student: rng.Intn(max(students, 1)),
+			Doc:     int(zipf.Uint64()),
+			Page:    rng.Intn(pages),
+		}
+	}
+	return out
 }
