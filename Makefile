@@ -85,13 +85,16 @@ race-fabric:
 # fabric's binary push body, the plan-driven body decoder, the bundle
 # decoder every rejoin document passes through and the three
 # durable-file readers (WAL replay, relational snapshot, BLOB sidecar)
-# must reject hostile input with errors, never panics. An input that
+# must reject hostile input with errors, never panics; and the
+# interning value decoder recovery reads rows through must decode
+# every input exactly as the plain one does. An input that
 # reaches new coverage is minimized for at most 100 ms: under Go's 60 s
 # default the first such input takes the rest of the window, and a
 # 1 s budget still spends most of it minimizing on the slower targets.
 fuzz-smoke:
 	$(GO) test ./internal/minisql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100ms
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBody$$' -fuzztime 10s -fuzzminimizetime 100ms
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzValueIn$$' -fuzztime 10s -fuzzminimizetime 100ms
 	$(GO) test ./internal/docdb -run '^$$' -fuzz '^FuzzBundleDecodeWire$$' -fuzztime 10s -fuzzminimizetime 100ms
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s -fuzzminimizetime 100ms
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 10s -fuzzminimizetime 100ms

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -297,5 +298,55 @@ func TestRestartHashBudget(t *testing.T) {
 	}
 	if loaded, hashed := work(); loaded != mediaBytes || hashed != mediaBytes {
 		t.Errorf("the second export read %d bytes and hashed %d, want 0 and 0", loaded-mediaBytes, hashed-mediaBytes)
+	}
+}
+
+// The budget of replaying one RecordTest WAL record at a restart,
+// about 10 % above the 8.12 allocations measured (9.12 while each
+// record's table name was allocated afresh).
+const replayRecordAllocBudget = 9
+
+// TestReplayRecordAllocBudget pins what a restart allocates to replay
+// one RecordTest WAL record: recovering a checkpointed station whose
+// tail holds replayRecords of them, less recovering the same
+// checkpoint with an empty tail, per record.
+func TestReplayRecordAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	const replayRecords = 200
+	store, spec := durableLectureStation(t)
+	if _, err := store.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	dir := store.DurableDir()
+	store.Rel().CloseWAL()
+	recoverDir := func() *docdb.Store {
+		s, err := workload.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recover(dir); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	recoverCold := func() { recoverDir().Rel().CloseWAL() }
+	empty := testing.AllocsPerRun(5, recoverCold)
+
+	s := recoverDir()
+	for i := 0; i < replayRecords; i++ {
+		tr := docdb.TestRecord{Name: fmt.Sprintf("replayed-%04d", i), ScriptName: spec.ScriptName, Scope: "local"}
+		if err := s.RecordTest(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Rel().CloseWAL()
+	full := testing.AllocsPerRun(5, recoverCold)
+
+	per := (full - empty) / replayRecords
+	t.Logf("replaying one RecordTest record allocates %.2f objects (%.0f with the tail, %.0f without)", per, full, empty)
+	if per > replayRecordAllocBudget {
+		t.Errorf("replaying one RecordTest record allocates %.2f objects, budget %d", per, replayRecordAllocBudget)
 	}
 }

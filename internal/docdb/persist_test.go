@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -939,15 +940,25 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // recoverAllocBudget bounds the objects one cold recovery of
-// recoverFixture's station may allocate: about 10 % above the 9.98k
-// measured once hash indexes were built on their first lookup (10.26k
-// when recovery built every index, 10.34k when it read every medium,
-// 16.3k before rows were positional on disk, and 41.4k when every row
-// was a map). eagerRecoverAllocs is what recovery allocated while it
-// still built every index: recovery followed by a lookup through every
-// index may not allocate more.
+// recoverFixture's station may allocate: about 10 % above the 7.54k
+// measured once strings were interned in a fixed direct-mapped table
+// and each snapshot table decoded into one slab with one key arena
+// (9.98k with an intern map and a tuple and a key per row, once hash
+// indexes were built on their first lookup; 10.26k when recovery built
+// every index, 10.34k when it read every medium, 16.3k before rows
+// were positional on disk, and 41.4k when every row was a map).
+// eagerRecoverAllocs is what recovery allocated while it still built
+// every index: recovery followed by a lookup through every index may
+// not allocate more.
+//
+// recoverByteBudget bounds the bytes one cold recovery allocates the
+// same way: about 10 % above the 700 KB measured with the fixed intern
+// table (787 KB with the intern map and a tuple per row, and 797 KB
+// with a map behind the fixed table's calls, whose growth the object
+// count barely sees).
 const (
-	recoverAllocBudget = 11000
+	recoverAllocBudget = 8300
+	recoverByteBudget  = 770_000
 	eagerRecoverAllocs = 10262
 )
 
@@ -975,6 +986,26 @@ func TestRecoverAllocBudget(t *testing.T) {
 	n := testing.AllocsPerRun(5, func() { lookupAll(recoverCold(t, dir).Rel()) })
 	if n-own > eagerRecoverAllocs {
 		t.Errorf("a cold recovery and a lookup through every index allocate %.0f objects (%.0f of them the lookups'), more than the %d of a recovery that built every index", n, own, eagerRecoverAllocs)
+	}
+}
+
+// TestRecoverByteBudget keeps the bytes one cold recovery allocates
+// from eroding silently.
+func TestRecoverByteBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	dir := recoverFixture(t)
+	recoverCold(t, dir)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		recoverCold(t, dir)
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > recoverByteBudget {
+		t.Errorf("one cold recovery allocates %d bytes, budget %d", n, recoverByteBudget)
 	}
 }
 

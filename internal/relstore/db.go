@@ -439,16 +439,23 @@ func (db *DB) insertLocked(t *table, tp tuple) (string, error) {
 }
 
 // insertRawLocked adds a coerced tuple without NOT NULL or foreign-key
-// checks. Only snapshot restore, which checks both itself and runs on a
-// private database, may use it.
+// checks, encoding its primary key.
 func (db *DB) insertRawLocked(t *table, tp tuple) (string, error) {
 	pkVal := tp[t.key]
 	if pkVal == nil {
-		return "", fmt.Errorf("%w: %s.%s", ErrNull, t.schema.Name, t.schema.Key)
+		return "", t.nullKey()
 	}
 	pk := encodeKey(pkVal)
+	return pk, db.insertKeyedLocked(t, tp, pk)
+}
+
+// insertKeyedLocked adds a coerced tuple whose primary key is not NULL
+// under pk, its encoded key, without NOT NULL or foreign-key checks.
+// Snapshot restore, which checks both itself and runs on a private
+// database, calls it with keys it encoded for the whole table at once.
+func (db *DB) insertKeyedLocked(t *table, tp tuple, pk string) error {
 	if _, exists := t.rows[pk]; exists {
-		return "", fmt.Errorf("%w: %s[%v]", ErrDuplicate, t.schema.Name, pkVal)
+		return fmt.Errorf("%w: %s[%v]", ErrDuplicate, t.schema.Name, tp[t.key])
 	}
 	t.rows[pk] = tp
 	t.dirty = true
@@ -456,7 +463,12 @@ func (db *DB) insertRawLocked(t *table, tp tuple) (string, error) {
 		ix.add(tp, pk)
 	}
 	t.orderedAdd(tp, pk)
-	return pk, nil
+	return nil
+}
+
+// nullKey is the error for a row whose primary key is NULL.
+func (t *table) nullKey() error {
+	return fmt.Errorf("%w: %s.%s", ErrNull, t.schema.Name, t.schema.Key)
 }
 
 // verifyAllFKs checks every foreign key of every row, returning the

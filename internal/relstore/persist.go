@@ -86,14 +86,12 @@ func (db *DB) installSnapshot(snap *snapshot) error {
 	for _, st := range snap.Tables {
 		t := fresh.tables[st.schema.Name]
 		t.rows = make(map[string]tuple, len(st.rows))
-		for _, tp := range st.rows {
-			err := t.checkNotNull(tp)
-			if err == nil {
-				_, err = fresh.insertRawLocked(t, tp)
-			}
-			if err != nil {
-				return fmt.Errorf("relstore: snapshot row in %s: %w", st.schema.Name, err)
-			}
+		keys, ends, err := keyArena(t, st.rows)
+		for i := 0; err == nil && i < len(st.rows); i++ {
+			err = fresh.insertKeyedLocked(t, st.rows[i], keys[ends[i]:ends[i+1]])
+		}
+		if err != nil {
+			return fmt.Errorf("relstore: snapshot row in %s: %w", st.schema.Name, err)
 		}
 		for _, name := range st.indexed {
 			columns, nullOnly, _ := strings.Cut(name, "|") // see index.name
@@ -114,6 +112,27 @@ func (db *DB) installSnapshot(snap *snapshot) error {
 	db.tables = fresh.tables
 	db.metaMu.Unlock()
 	return nil
+}
+
+// keyArena checks each of a table's restored rows for NULLs where its
+// schema allows none and encodes their primary keys into one string:
+// row i's key is keys[ends[i]:ends[i+1]]. A restore thus allocates its
+// keys at once instead of once per row.
+func keyArena(t *table, rows []tuple) (keys string, ends []int, err error) {
+	buf := wire.GetBuf()
+	defer func() { wire.PutBuf(buf) }()
+	ends = make([]int, 1, len(rows)+1)
+	for _, tp := range rows {
+		if err := t.checkNotNull(tp); err != nil {
+			return "", nil, err
+		}
+		if tp[t.key] == nil {
+			return "", nil, t.nullKey()
+		}
+		buf = appendKey(buf, tp[t.key])
+		ends = append(ends, len(buf))
+	}
+	return string(buf), ends, nil
 }
 
 func (db *DB) tableNamesLocked() []string {

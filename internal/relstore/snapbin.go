@@ -38,20 +38,38 @@ func appendCkptImage(dst []byte, img *ckptImage) ([]byte, error) {
 	return dst, nil
 }
 
+// slabValues bounds the values one slab of decoded snapshot rows
+// holds (16 bytes each, so 128 KiB). A row may be a single byte on
+// disk however many columns its table has, so a slab sized from the
+// row count alone would let a small hostile image reserve far more
+// memory than its rows could; a table larger than one slab takes
+// several.
+const slabValues = 8192
+
 // decodeCkptImage reverses appendCkptImage. Each table's rows decode
 // straight into tuples, through dec, against the schema read just
-// before them.
+// before them. The tuples are carved from one slab per table (or per
+// slabValues values), each capped at its own length so that no append
+// can reach into the next row.
 func decodeCkptImage(payload []byte, dec *rowDecoder) (*ckptImage, error) {
 	r := wire.NewReader(payload)
 	img := &ckptImage{Gen: r.Uvarint(), Seq: r.Uvarint()}
 	nschemas := r.Count()
 	for i := 0; i < nschemas && r.Err() == nil; i++ {
 		st := snapTable{layout: newLayout(readSchema(r))}
+		ncol := len(st.schema.Columns)
+		perSlab := max(1, slabValues/max(1, ncol))
 		nrows := r.Count()
 		st.rows = make([]tuple, 0, nrows)
+		var slab []any
 		for j := 0; j < nrows && r.Err() == nil; j++ {
-			tp, err := dec.tuple(r, st.layout)
-			if err != nil {
+			if len(slab) == 0 {
+				// Every row left takes at least a byte of what is left.
+				slab = make([]any, min(nrows-j, max(1, r.Len()), perSlab)*ncol)
+			}
+			tp := tuple(slab[:ncol:ncol])
+			slab = slab[ncol:]
+			if err := dec.tupleInto(r, st.layout, tp); err != nil {
 				return nil, fmt.Errorf("relstore: corrupt snapshot: %w", err)
 			}
 			st.rows = append(st.rows, tp)

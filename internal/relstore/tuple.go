@@ -156,15 +156,17 @@ func (l *layout) appendPair(dst []byte, p int, v any) ([]byte, error) {
 // rowDecoder reads rows in the on-disk grammar for one recovery. It
 // remembers, per column position, the last row that gave the position,
 // so a position given twice is caught without clearing any state
-// between rows, and it interns string values: a string equal to one it
-// has already decoded comes back as the same boxed value, so a value
-// repeated across thousands of rows (a script name, a scope) is
-// allocated once. The table goes with the decoder. []byte values are never shared, since callers may
+// between rows, and it interns string values through a fixed-size
+// wire.Interner: a string equal to the last one decoded into its slot
+// comes back as the same boxed value, so a value repeated across
+// thousands of rows (a script name, a scope) is allocated about once.
+// The WAL decoder interns each record's table name and primary key
+// through it too. []byte values are never shared, since callers may
 // write into a Row's bytes.
 type rowDecoder struct {
 	marks []uint64
 	row   uint64
-	strs  map[string]any
+	strs  wire.Interner
 }
 
 // pairs reads n (position, value) pairs against the layout and hands
@@ -176,13 +178,10 @@ func (d *rowDecoder) pairs(r *wire.Reader, l *layout, n int, set func(p int, v a
 	if len(d.marks) < ncol {
 		d.marks = make([]uint64, ncol)
 	}
-	if d.strs == nil {
-		d.strs = make(map[string]any)
-	}
 	d.row++
 	for i := 0; i < n && r.Err() == nil; i++ {
 		pos := r.Uvarint()
-		v := r.ValueIn(d.strs)
+		v := r.ValueIn(&d.strs)
 		if r.Err() != nil {
 			break
 		}
@@ -201,16 +200,19 @@ func (d *rowDecoder) pairs(r *wire.Reader, l *layout, n int, set func(p int, v a
 	return nil
 }
 
-// tuple decodes one row into a fresh tuple, checking each value's type
-// as coerce does.
+// tuple decodes one row into a fresh tuple.
 func (d *rowDecoder) tuple(r *wire.Reader, l *layout) (tuple, error) {
-	n := r.Count()
 	tp := make(tuple, len(l.schema.Columns))
-	err := d.pairs(r, l, n, func(p int, v any) (err error) {
+	return tp, d.tupleInto(r, l, tp)
+}
+
+// tupleInto decodes one row into tp, which holds one nil per column of
+// the layout, checking each value's type as coerce does.
+func (d *rowDecoder) tupleInto(r *wire.Reader, l *layout, tp tuple) error {
+	return d.pairs(r, l, r.Count(), func(p int, v any) (err error) {
 		tp[p], err = l.coerce(p, v)
 		return err
 	})
-	return tp, err
 }
 
 // changes decodes one update change set. Its names are the layout's

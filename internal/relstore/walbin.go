@@ -89,9 +89,14 @@ func appendWalLine(dst []byte, line *walLine) ([]byte, error) {
 	return dst, nil
 }
 
+// minWalRecBytes is the least one redo entry takes: its op, an empty
+// table name, a NULL primary key and the two absent-section bytes.
+const minWalRecBytes = 5
+
 // decodeWalLine reverses appendWalLine. A record's row decodes against
 // the layout layoutOf reports for its table: an insert's into a tuple,
-// an update's into its change set.
+// an update's into its change set. The table name and the primary key
+// go through dec's interner, so they share the strings the rows repeat.
 func decodeWalLine(payload []byte, dec *rowDecoder, layoutOf func(table string) (*layout, error)) (walLine, error) {
 	r := wire.NewReader(payload)
 	line := walLine{Seq: r.Uvarint()}
@@ -101,13 +106,14 @@ func decodeWalLine(payload []byte, dec *rowDecoder, layoutOf func(table string) 
 	}
 	line.Commit = flags&walFlagCommit != 0
 	n := r.Count()
+	line.Recs = make([]walRec, 0, min(n, r.Len()/minWalRecBytes))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		rec := walRec{Op: walOp(r.Byte())}
 		if !rec.Op.valid() && r.Err() == nil {
 			return line, fmt.Errorf("relstore: corrupt WAL record: %v", rec.Op)
 		}
-		rec.Table = r.String()
-		rec.PK = r.Value()
+		rec.Table = r.StringIn(&dec.strs)
+		rec.PK = r.ValueIn(&dec.strs)
 		if r.Byte() == 1 {
 			lay, err := layoutOf(rec.Table)
 			if err != nil {

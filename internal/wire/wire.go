@@ -376,27 +376,67 @@ func (r *Reader) Value() any {
 	}
 }
 
+// internSlots is the number of slots in an Interner: a power of two,
+// so a string's slot is its hash masked. It is fixed, so an Interner
+// never grows or rehashes.
+const internSlots = 4096
+
+// Interner shares the strings a decoder meets more than once. It is a
+// direct-mapped table: a string hashes (CRC32C, the same in every
+// process, so allocation counts do not vary from run to run) to one
+// slot, which holds the boxed string last decoded there. A string
+// equal to the slot's comes back as that boxed value; any other string
+// is allocated, boxed and takes the slot over. Two strings that share
+// a slot, met alternately, are each allocated every time, but decode
+// correctly. The zero Interner is ready to use and allocates its slots
+// on the first string it is given.
+type Interner struct {
+	slots *[internSlots]any
+}
+
+// internSlot returns the slot b hashes to.
+func internSlot(b []byte) int { return int(Checksum(b) & (internSlots - 1)) }
+
+// intern returns b as a boxed string, shared with the last string that
+// hashed to the same slot if it is equal.
+func (in *Interner) intern(b []byte) any {
+	if in.slots == nil {
+		in.slots = new([internSlots]any)
+	}
+	slot := &in.slots[internSlot(b)]
+	if s, ok := (*slot).(string); ok && s == string(b) {
+		return *slot
+	}
+	var v any = string(b)
+	*slot = v
+	return v
+}
+
 // ValueIn reads one tagged scalar as Value does, except that a string
-// equal to one already in strs comes back as that same boxed value,
-// and a new string is added to strs. A decoder that meets the same
-// string many times thus allocates it once. Only strings are shared:
-// they are immutable, and a []byte is not.
-func (r *Reader) ValueIn(strs map[string]any) any {
+// goes through in: a string equal to the one in its slot comes back as
+// that same boxed value, so a string met many times is allocated once,
+// unless another string takes its slot in between. Only strings are
+// shared: they are immutable, and a []byte is not.
+func (r *Reader) ValueIn(in *Interner) any {
 	if r.err != nil || r.off >= len(r.buf) || r.buf[r.off] != tagStr {
 		return r.Value()
 	}
 	r.off++
 	b := r.take(r.Uvarint())
 	if r.err != nil {
-		return nil
+		return "" // what Value returns for a truncated string
 	}
-	if v, ok := strs[string(b)]; ok {
-		return v
+	return in.intern(b)
+}
+
+// StringIn reads a length-prefixed string, as String does, through in
+// as ValueIn does.
+func (r *Reader) StringIn(in *Interner) string {
+	b := r.take(r.Uvarint())
+	if r.err != nil {
+		return ""
 	}
-	s := string(b)
-	var v any = s
-	strs[s] = v
-	return v
+	return in.intern(b).(string)
 }
 
 // AppendRecord frames one record payload for an append-only log:

@@ -62,22 +62,18 @@ func TestValueRoundTrip(t *testing.T) {
 
 // TestValueInSharesOnlyStrings: ValueIn decodes what Value decodes; a
 // string it has met before comes back without an allocation, as the
-// boxed value the table holds, while []byte values are never shared.
+// boxed value the interner holds, while []byte values are never
+// shared. Two strings that share a slot, decoded alternately, each
+// come back as themselves.
 func TestValueInSharesOnlyStrings(t *testing.T) {
 	values := []any{"lecture", []byte("media"), int64(700), "lecture", []byte("media"), nil, 2.5, true,
 		time.Date(1999, 9, 21, 12, 30, 45, 0, time.UTC)}
-	var buf []byte
-	for _, v := range values {
-		var err error
-		if buf, err = AppendValue(buf, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	strs := make(map[string]any)
+	buf := appendValues(t, values...)
+	var in Interner
 	r := NewReader(buf)
 	var got []any
 	for range values {
-		got = append(got, r.ValueIn(strs))
+		got = append(got, r.ValueIn(&in))
 	}
 	if r.Err() != nil || r.Len() != 0 {
 		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Len())
@@ -87,8 +83,8 @@ func TestValueInSharesOnlyStrings(t *testing.T) {
 			t.Errorf("value %d = %#v, want %#v", i, got[i], want)
 		}
 	}
-	if len(strs) != 1 || strs["lecture"] != "lecture" {
-		t.Errorf("string table = %v, want the one string", strs)
+	if held := in.slots[internSlot([]byte("lecture"))]; held != "lecture" {
+		t.Errorf("the string's slot holds %#v, want the string", held)
 	}
 	got[1].([]byte)[0] = 'M'
 	if string(got[4].([]byte)) != "media" {
@@ -97,11 +93,123 @@ func TestValueInSharesOnlyStrings(t *testing.T) {
 	again := buf[:len("lecture")+2]
 	if n := testing.AllocsPerRun(100, func() {
 		r := Reader{buf: again}
-		if r.ValueIn(strs) != "lecture" {
+		if r.ValueIn(&in) != "lecture" {
 			t.Fatal("repeated string decoded wrong")
 		}
 	}); n != 0 {
 		t.Errorf("a repeated string allocates %.0f objects, want 0", n)
+	}
+
+	a, b := collidingStrings(t)
+	alternate := appendValues(t, a, b, a, b)
+	r = NewReader(alternate)
+	for i, want := range []string{a, b, a, b} {
+		if v := r.ValueIn(&in); v != want {
+			t.Errorf("string %d of a colliding pair decoded as %#v, want %q", i, v, want)
+		}
+	}
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("decoding a colliding pair: err %v, %d bytes left", r.Err(), r.Len())
+	}
+}
+
+// TestStringInShares: StringIn reads what String reads, and a string
+// it has met before comes back without an allocation.
+func TestStringInShares(t *testing.T) {
+	buf := AppendString(AppendString(nil, "scripts"), "scripts")
+	var in Interner
+	r := NewReader(buf)
+	if a, b := r.StringIn(&in), r.StringIn(&in); a != "scripts" || b != "scripts" || r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("StringIn = %q, %q (err %v, %d bytes left)", a, b, r.Err(), r.Len())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r := Reader{buf: buf}
+		if r.StringIn(&in) != "scripts" {
+			t.Fatal("repeated string decoded wrong")
+		}
+	}); n != 0 {
+		t.Errorf("a repeated string allocates %.0f objects, want 0", n)
+	}
+	r = NewReader(buf[:3])
+	if s := r.StringIn(&in); s != "" || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("a truncated string = %q, %v; want \"\" and ErrCorrupt", s, r.Err())
+	}
+}
+
+// appendValues encodes values one after another.
+func appendValues(tb testing.TB, values ...any) []byte {
+	tb.Helper()
+	var buf []byte
+	for _, v := range values {
+		var err error
+		if buf, err = AppendValue(buf, v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf
+}
+
+// collidingStrings finds two distinct strings that hash to one
+// interner slot.
+func collidingStrings(tb testing.TB) (string, string) {
+	tb.Helper()
+	seen := make(map[int]string)
+	for i := 0; i < 4*internSlots; i++ {
+		s := fmt.Sprintf("course-%03d", i)
+		slot := internSlot([]byte(s))
+		if prev, ok := seen[slot]; ok {
+			return prev, s
+		}
+		seen[slot] = s
+	}
+	tb.Fatal("no two strings share a slot")
+	return "", ""
+}
+
+// FuzzValueIn: decoding any input value by value through ValueIn, with
+// one Interner for the whole input, gives what Value gives at every
+// step: the same type, the same value, the same error and the same
+// offset.
+func FuzzValueIn(f *testing.F) {
+	a, b := collidingStrings(f)
+	f.Add(appendValues(f, a, b, a, b, a))
+	f.Add(appendValues(f, a, []byte(b), b, []byte(a), a))
+	f.Add(appendValues(f, "lecture", []byte("media"), int64(700), "lecture", nil, 2.5, true, false,
+		time.Date(1999, 9, 21, 12, 30, 45, 0, time.UTC), "", ""))
+	f.Add(appendValues(f, a, b)[:len(a)+3])
+	f.Add([]byte{tagStr})
+	f.Add([]byte{0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in Interner
+		plain, interned := NewReader(data), NewReader(data)
+		for step := 0; plain.Err() == nil && plain.Len() > 0; step++ {
+			want, got := plain.Value(), interned.ValueIn(&in)
+			if !sameValue(got, want) {
+				t.Fatalf("step %d: ValueIn = %#v, Value = %#v", step, got, want)
+			}
+			if fmt.Sprint(interned.Err()) != fmt.Sprint(plain.Err()) || interned.Len() != plain.Len() {
+				t.Fatalf("step %d: ValueIn left (%v, %d bytes), Value (%v, %d bytes)", step, interned.Err(), interned.Len(), plain.Err(), plain.Len())
+			}
+		}
+	})
+}
+
+// sameValue reports whether two decoded values have one type and one
+// value; floats compare by their bits, so NaN equals itself.
+func sameValue(a, b any) bool {
+	if fmt.Sprintf("%T", a) != fmt.Sprintf("%T", b) {
+		return false
+	}
+	switch x := a.(type) {
+	case []byte:
+		y := b.([]byte)
+		return bytes.Equal(x, y) && (x == nil) == (y == nil)
+	case float64:
+		return math.Float64bits(x) == math.Float64bits(b.(float64))
+	case time.Time:
+		return x.Equal(b.(time.Time)) && x.Location() == b.(time.Time).Location()
+	default:
+		return a == b
 	}
 }
 
