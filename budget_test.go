@@ -22,11 +22,12 @@ import (
 // not, so the budgets are skipped there.
 
 // The budget of one check-out/check-in pair of a script on a durable
-// station, about 10 % above the 67 allocations and 5,174 bytes
-// measured.
+// station, about 10 % above the 51 allocations and 3,588 bytes
+// measured once Begin built no lock maps and each WAL tail kept one
+// scratch buffer (67 and 5,174 before).
 const (
-	checkoutPairAllocBudget = 74
-	checkoutPairByteBudget  = 5700
+	checkoutPairAllocBudget = 56
+	checkoutPairByteBudget  = 3950
 )
 
 // durableLectureStation authors lectureCourse's course on a station
@@ -156,11 +157,12 @@ func checkAllocBudget(t *testing.T, what string, warm, n int, op func(), allocBu
 }
 
 // The budget of one row inserted through a relstore Batch and
-// committed to a store with a WAL tail, about 10 % above the 18
-// allocations and 1,689 bytes measured.
+// committed to a store with a WAL tail, about 10 % above the 11
+// allocations and 1,078 bytes measured once Begin built no lock maps
+// and each WAL tail kept one scratch buffer (18 and 1,689 before).
 const (
-	durableInsertAllocBudget = 20
-	durableInsertByteBudget  = 1860
+	durableInsertAllocBudget = 12
+	durableInsertByteBudget  = 1190
 )
 
 // TestDurableInsertAllocBudget pins what one Batch insert costs on a

@@ -68,7 +68,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicWrite,
-		LockOrder,
 		RouteAround,
 		SentinelErr,
 		TraceCall,

@@ -13,14 +13,11 @@
 // position-tagged diagnostic sink. Run applies a set of analyzers to a
 // set of packages and returns the merged, position-sorted diagnostics.
 //
-// The seven project analyzers encode invariants the rest of the
+// The six project analyzers encode invariants the rest of the
 // codebase relies on but go vet cannot see:
 //
 //   - atomicwrite: no raw os.Create, os.WriteFile or os.Rename outside
 //     internal/atomicio — file installation is temp, fsync, rename.
-//   - lockorder: statically-known table lists passed to relstore's
-//     Begin are sorted ascending, mirroring the runtime lock hierarchy
-//     so deadlock-shaped declarations are caught before they run.
 //   - routearound: every route-around classifier a function hands
 //     out — the fabric kernel's hopRules picks one from an operation's
 //     idempotent flag — is grounded in transport.Unreachable; grafting

@@ -15,7 +15,7 @@ func trailing(path string, data []byte) error {
 }
 
 func wrongAnalyzer(path string, data []byte) error {
-	//lint:ignore lockorder fixture: names the wrong analyzer, so the write below still fires // want `unused suppression for lockorder`
+	//lint:ignore sentinelerr fixture: names the wrong analyzer, so the write below still fires // want `unused suppression for sentinelerr`
 	return os.WriteFile(path, data, 0o644) // want `os\.WriteFile truncates the destination`
 }
 

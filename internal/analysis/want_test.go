@@ -111,7 +111,6 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 
 func TestAtomicWriteFixture(t *testing.T)  { checkFixture(t, "atomicwrite", []*Analyzer{AtomicWrite}) }
 func TestAtomicioExemption(t *testing.T)   { checkFixture(t, "atomicio", []*Analyzer{AtomicWrite}) }
-func TestLockOrderFixture(t *testing.T)    { checkFixture(t, "lockorder", []*Analyzer{LockOrder}) }
 func TestRouteAroundFixture(t *testing.T)  { checkFixture(t, "routearound", []*Analyzer{RouteAround}) }
 func TestSentinelErrFixture(t *testing.T)  { checkFixture(t, "sentinelerr", []*Analyzer{SentinelErr}) }
 func TestTraceCallFixture(t *testing.T)    { checkFixture(t, "tracecall", []*Analyzer{TraceCall}) }

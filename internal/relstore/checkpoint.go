@@ -350,12 +350,11 @@ func (db *DB) CheckpointWith(dir string, sidecar func(gen uint64) error) (*Check
 	// valid while writers fill the new tail. The rename is the commit
 	// point of the whole checkpoint.
 	img := ckptImage{Gen: gen, Seq: seq, Snap: snap}
-	payload, err := appendCkptImage(wire.GetBuf(), &img)
+	payload, err := appendCkptImage(nil, &img)
 	if err != nil {
 		return nil, err
 	}
 	sealed := wire.SealImage(wire.SnapMagic, payload)
-	wire.PutBuf(payload)
 	path := filepath.Join(dir, snapFileName(gen))
 	if err := atomicio.WriteFile(path, func(w io.Writer) error {
 		_, err := w.Write(sealed)

@@ -220,16 +220,41 @@ func TestConcurrentTxDisjointTables(t *testing.T) {
 	}
 }
 
-func TestLazyLockOrder(t *testing.T) {
+// TestTxLocksOnlyWhatItDeclares: a transaction reads only the tables
+// it holds and writes only the tables it declared. Anything else fails
+// with ErrUndeclared and takes no lock, so another writer of that
+// table commits while the transaction is still open.
+func TestTxLocksOnlyWhatItDeclares(t *testing.T) {
 	db := concDB(t)
 
-	// Lazily touching tables in ascending name order works.
-	tx, err := db.Begin()
+	tx, err := db.Begin("notes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("docs", Row{"id": int64(1)}); err != nil {
-		t.Fatal(err)
+	if _, err := tx.Get("docs", int64(1)); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Get of an undeclared table: err = %v, want ErrUndeclared", err)
+	}
+	if _, err := tx.Select(Query{Table: "docs"}); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Select of an undeclared table: err = %v, want ErrUndeclared", err)
+	}
+	if _, err := tx.Count(Query{Table: "docs"}); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Count of an undeclared table: err = %v, want ErrUndeclared", err)
+	}
+	if err := tx.Insert("docs", Row{"id": int64(1)}); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Insert into an undeclared table: err = %v, want ErrUndeclared", err)
+	}
+	if err := tx.Insert("nope", Row{"id": int64(1)}); !errors.Is(err, ErrNoTable) {
+		t.Errorf("Insert into a missing table: err = %v, want ErrNoTable", err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- db.Insert("docs", Row{"id": int64(2), "author": "a1"}) }()
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a write to docs waited on a transaction that never declared it")
 	}
 	if err := tx.Insert("notes", Row{"id": int64(1)}); err != nil {
 		t.Fatal(err)
@@ -238,37 +263,29 @@ func TestLazyLockOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Touching a table that sorts before an already-locked one fails
-	// fast instead of risking deadlock.
-	tx, err = db.Begin()
+	// A foreign-key neighbour is held shared: readable, not writable.
+	tx, err = db.Begin("docs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("notes", Row{"id": int64(2)}); err != nil {
-		t.Fatal(err)
+	if _, err := tx.Get("authors", "a0"); err != nil {
+		t.Errorf("Get of a foreign-key neighbour: %v", err)
 	}
-	if err := tx.Insert("docs", Row{"id": int64(2)}); !errors.Is(err, ErrLockOrder) {
-		t.Fatalf("out-of-order lazy lock: err = %v, want ErrLockOrder", err)
+	if err := tx.Insert("authors", Row{"name": "new"}); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Insert into a foreign-key neighbour: err = %v, want ErrUndeclared", err)
 	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Writing a table the transaction only holds a read (neighbour)
-	// lock on is an upgrade, also rejected.
-	tx, err = db.Begin()
-	if err != nil {
-		t.Fatal(err)
+	if err := tx.Update("authors", "a0", Row{"rank": int64(7)}); !errors.Is(err, ErrUndeclared) {
+		t.Errorf("Update of a foreign-key neighbour: err = %v, want ErrUndeclared", err)
 	}
 	if err := tx.Insert("docs", Row{"id": int64(3), "author": "a0"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("authors", Row{"name": "new"}); !errors.Is(err, ErrLockOrder) {
-		t.Fatalf("read-to-write upgrade: err = %v, want ErrLockOrder", err)
-	}
 	tx.Rollback()
+	if db.Exists("authors", "new") || db.Exists("docs", int64(3)) {
+		t.Error("rolled-back rows visible after Rollback")
+	}
 
-	// Declaring both tables at Begin permits any op order.
+	// Declaring tables at Begin in any order permits any op order.
 	tx, err = db.Begin("notes", "docs", "authors")
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +301,84 @@ func TestLazyLockOrder(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeginPermutationsCommit: six goroutines each declare the same
+// three foreign-key-linked tables (courses <- lectures <- slides) in a
+// different order and commit 500 transactions over all three. Begin
+// sorts what it is given, so no order deadlocks. Run it under -race.
+func TestBeginPermutationsCommit(t *testing.T) {
+	db := NewDB()
+	for _, s := range []Schema{
+		{Name: "courses", Columns: []Column{{Name: "id", Type: TInt, NotNull: true}}, Key: "id"},
+		{
+			Name:        "lectures",
+			Columns:     []Column{{Name: "id", Type: TInt, NotNull: true}, {Name: "course", Type: TInt}},
+			Key:         "id",
+			ForeignKeys: []ForeignKey{{Column: "course", RefTable: "courses"}},
+		},
+		{
+			Name:        "slides",
+			Columns:     []Column{{Name: "id", Type: TInt, NotNull: true}, {Name: "lecture", Type: TInt}},
+			Key:         "id",
+			ForeignKeys: []ForeignKey{{Column: "lecture", RefTable: "lectures"}},
+		},
+	} {
+		if err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perms := [][]string{
+		{"courses", "lectures", "slides"},
+		{"courses", "slides", "lectures"},
+		{"lectures", "courses", "slides"},
+		{"lectures", "slides", "courses"},
+		{"slides", "courses", "lectures"},
+		{"slides", "lectures", "courses"},
+	}
+	const commits = 500
+	errs := make(chan error, len(perms))
+	for g, tables := range perms {
+		go func(g int, tables []string) {
+			for i := 0; i < commits; i++ {
+				id := int64(g*commits + i)
+				tx, err := db.Begin(tables...)
+				if err == nil {
+					err = tx.Insert("courses", Row{"id": id})
+				}
+				if err == nil {
+					err = tx.Insert("lectures", Row{"id": id, "course": id})
+				}
+				if err == nil {
+					err = tx.Insert("slides", Row{"id": id, "lecture": id})
+				}
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("order %v, commit %d: %w", tables, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}(g, tables)
+	}
+	deadline := time.After(30 * time.Second)
+	for range perms {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("transactions declaring the same tables in different orders did not all commit within 30 s")
+		}
+	}
+	for _, table := range []string{"courses", "lectures", "slides"} {
+		if n, _ := db.Count(table); n != len(perms)*commits {
+			t.Errorf("%s has %d rows, want %d", table, n, len(perms)*commits)
+		}
 	}
 }
 

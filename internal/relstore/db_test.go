@@ -232,7 +232,7 @@ func TestTransactionRollbackRestoresExactState(t *testing.T) {
 	if err := db.Insert("scripts", Row{"script_name": "keep", "version": 1}); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := db.Begin()
+	tx, err := db.Begin("scripts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestTransactionRollbackRestoresExactState(t *testing.T) {
 
 func TestTransactionCommitKeepsState(t *testing.T) {
 	db := newCourseDB(t)
-	tx, _ := db.Begin()
+	tx, _ := db.Begin("scripts")
 	for n := 0; n < 10; n++ {
 		if err := tx.Insert("scripts", Row{"script_name": fmt.Sprintf("s%d", n)}); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 package relstore
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // The engine's locks form a strict hierarchy, always acquired downward:
@@ -14,17 +14,17 @@ import (
 //     schema are frozen, so DDL needs no per-table locks at all.
 //  2. table.mu — one reader/writer lock per table, acquired in
 //     ascending table-name order. A transaction takes exclusive locks
-//     on the tables it writes and shared locks on their foreign-key
-//     neighbours; plain queries take a single shared lock.
+//     on the tables it declares at Begin and shared locks on their
+//     foreign-key neighbours, all of them before Begin returns, and no
+//     lock after; plain queries take a single shared lock.
 //  3. Leaf mutexes (table.cacheMu, WAL.mu), never held while acquiring
 //     anything above them.
 //
-// Blocking waits on table locks only ever happen for names greater than
-// every name the waiter already holds, so a wait-for cycle would need
-// strictly increasing names all the way around — impossible. Lock
-// acquisitions that would violate the order fail fast with ErrLockOrder
-// instead of risking a deadlock; declaring the tables at Begin acquires
-// the whole set up front in sorted order and never hits that error.
+// Every blocking wait on a table lock is for a name greater than every
+// name the waiter already holds, so a wait-for cycle would need
+// strictly increasing names all the way around — impossible. Begin
+// sorts what it is given, so the order tables are declared in does not
+// matter.
 
 // lockMode is the strength of a per-table lock held by a transaction.
 type lockMode int
@@ -36,95 +36,65 @@ const (
 
 // heldLock records one per-table lock a transaction holds.
 type heldLock struct {
-	name string
 	t    *table
 	mode lockMode
 }
 
-// writeNeeds returns the lock set one write to a table requires: the
-// table itself exclusively, plus shared locks on its foreign-key
-// neighbours — tables it references (read during FK checks) and tables
-// referencing it (read during delete restrict checks). Caller holds
-// metaMu.
-func (db *DB) writeNeeds(name string) map[string]lockMode {
-	needs := map[string]lockMode{name: lockWrite}
-	t := db.tables[name]
-	if t == nil {
-		return needs
+// heldIndex finds a table in a lock set sorted by name.
+func heldIndex(held []heldLock, name string) (int, bool) {
+	return slices.BinarySearchFunc(held, name, func(h heldLock, target string) int {
+		return strings.Compare(h.t.schema.Name, target)
+	})
+}
+
+// need merges one lock into a sorted lock set, keeping the stronger
+// mode when the table is already in it.
+func need(held []heldLock, t *table, mode lockMode) []heldLock {
+	i, ok := heldIndex(held, t.schema.Name)
+	if !ok {
+		return slices.Insert(held, i, heldLock{t: t, mode: mode})
 	}
+	held[i].mode = max(held[i].mode, mode)
+	return held
+}
+
+// writeNeeds merges into held the lock set one write to t requires: t
+// itself exclusively, plus shared locks on its foreign-key neighbours —
+// tables it references (read during FK checks) and tables referencing
+// it (read during delete restrict checks). Caller holds metaMu.
+func (db *DB) writeNeeds(held []heldLock, t *table) []heldLock {
+	held = need(held, t, lockWrite)
 	for _, fk := range t.schema.ForeignKeys {
-		if _, ok := db.tables[fk.RefTable]; ok && needs[fk.RefTable] == 0 {
-			needs[fk.RefTable] = lockRead
+		if ref, ok := db.tables[fk.RefTable]; ok {
+			held = need(held, ref, lockRead)
 		}
 	}
-	for other, ot := range db.tables {
-		if other == name {
+	for _, ot := range db.tables {
+		if ot == t {
 			continue
 		}
 		for _, fk := range ot.schema.ForeignKeys {
-			if fk.RefTable == name && needs[other] == 0 {
-				needs[other] = lockRead
+			if fk.RefTable == t.schema.Name {
+				held = need(held, ot, lockRead)
 			}
 		}
 	}
-	return needs
+	return held
 }
 
-// acquire takes the needed per-table locks, skipping any the
-// transaction already holds with sufficient strength. Newly needed
-// locks must all sort after every lock already held, keeping blocking
-// waits in ascending name order; needs violating that (or upgrading a
-// shared lock to exclusive) fail with ErrLockOrder.
-func (tx *Tx) acquire(needs map[string]lockMode) error {
-	names := make([]string, 0, len(needs))
-	for name, mode := range needs {
-		if held, ok := tx.modes[name]; ok {
-			if held >= mode {
-				continue
-			}
-			return fmt.Errorf("%w: cannot upgrade the read lock on %s; declare it at Begin", ErrLockOrder, name)
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	if tx.top != "" && names[0] <= tx.top {
-		return fmt.Errorf("%w: %s sorts before already-locked %s; declare tables at Begin", ErrLockOrder, names[0], tx.top)
-	}
-	for _, name := range names {
-		t, ok := tx.db.tables[name]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoTable, name)
-		}
-		mode := needs[name]
-		if mode == lockWrite {
-			t.mu.Lock()
+// lock takes every lock in the sorted set, in order.
+func (tx *Tx) lock() {
+	for _, h := range tx.held {
+		if h.mode == lockWrite {
+			h.t.mu.Lock()
 		} else {
-			t.mu.RLock()
+			h.t.mu.RLock()
 		}
-		tx.held = append(tx.held, heldLock{name: name, t: t, mode: mode})
-		tx.modes[name] = mode
-		tx.top = name
 	}
-	return nil
 }
 
-// acquireWrite ensures the transaction holds the write lock on the
-// table and read locks on its foreign-key neighbours. Holding the
-// write lock already implies the neighbour locks (they were taken by
-// the same writeNeeds set), so the common repeated-write case skips the
-// need-set computation entirely.
-func (tx *Tx) acquireWrite(name string) error {
-	if tx.modes[name] == lockWrite {
-		return nil
-	}
-	return tx.acquire(tx.db.writeNeeds(name))
-}
-
-// release drops every held table lock in reverse acquisition order and
-// then the shared schema lock, ending the transaction's footprint.
+// release drops every held table lock in reverse order and then the
+// shared schema lock, ending the transaction's footprint.
 func (tx *Tx) release() {
 	for i := len(tx.held) - 1; i >= 0; i-- {
 		h := tx.held[i]

@@ -223,7 +223,7 @@ func checkReads(t *testing.T, rng *rand.Rand, db *DB, m model, step int) {
 		if got := byID(rows); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
 			fail(fmt.Sprintf("Select %+v", qc.q.Conds), got, want)
 		}
-		tx, err := db.Begin()
+		tx, err := db.Begin("items")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func TestQuickOrderedIndexMatchesScan(t *testing.T) {
 				deleteRow(plain, "t", id)
 			case 3:
 				// A rolled-back transaction must leave the index intact.
-				tx, _ := indexed.Begin()
+				tx, _ := indexed.Begin("t")
 				tx.Insert("t", Row{"id": id + 1000, "v": v})
 				tx.Rollback()
 			}

@@ -117,10 +117,10 @@ func (db *DB) installSnapshot(snap *snapshot) error {
 // keyArena checks each of a table's restored rows for NULLs where its
 // schema allows none and encodes their primary keys into one string:
 // row i's key is keys[ends[i]:ends[i+1]]. A restore thus allocates its
-// keys at once instead of once per row.
+// keys at once instead of once per row: a first pass measures them, so
+// the string is allocated at its final size.
 func keyArena(t *table, rows []tuple) (keys string, ends []int, err error) {
-	buf := wire.GetBuf()
-	defer func() { wire.PutBuf(buf) }()
+	var key []byte // one key, reused
 	ends = make([]int, 1, len(rows)+1)
 	for _, tp := range rows {
 		if err := t.checkNotNull(tp); err != nil {
@@ -129,10 +129,16 @@ func keyArena(t *table, rows []tuple) (keys string, ends []int, err error) {
 		if tp[t.key] == nil {
 			return "", nil, t.nullKey()
 		}
-		buf = appendKey(buf, tp[t.key])
-		ends = append(ends, len(buf))
+		key = appendKey(key[:0], tp[t.key])
+		ends = append(ends, ends[len(ends)-1]+len(key))
 	}
-	return string(buf), ends, nil
+	var b strings.Builder
+	b.Grow(ends[len(ends)-1])
+	for _, tp := range rows {
+		key = appendKey(key[:0], tp[t.key])
+		b.Write(key)
+	}
+	return b.String(), ends, nil
 }
 
 func (db *DB) tableNamesLocked() []string {
@@ -153,7 +159,8 @@ type walTail struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	f     *os.File
-	bytes int64 // bytes appended to the current tail file
+	bytes int64  // bytes appended to the current tail file
+	buf   []byte // appendWAL's scratch, used under mu
 }
 
 type walLine struct {
@@ -252,30 +259,37 @@ func (db *DB) WALTailBytes() int64 {
 // tail is attached.
 func (db *DB) LastSeq() uint64 { return db.seq.Load() }
 
+// maxWALScratch bounds the scratch buffer a tail keeps between
+// appends: one giant record should not pin its buffer for the life of
+// the tail.
+const maxWALScratch = 1 << 20
+
 // appendWAL writes one committed transaction to the attached log as a
 // CRC-framed binary record. Row values are encoded natively by the
-// wire codec — a document body goes to disk as its raw bytes. Both
-// scratch buffers are pooled, so steady-state appends allocate only
-// what the bufio writer flushes. Caller holds metaMu and has checked
-// that a log is attached; the sequence advances under the tail's lock,
-// so the file order is the Seq order.
+// wire codec — a document body goes to disk as its raw bytes. The
+// payload and its frame are encoded one after the other into the
+// tail's scratch buffer, so steady-state appends allocate only what
+// the bufio writer flushes. Caller holds metaMu and has checked that a
+// log is attached; the sequence advances under the tail's lock, so the
+// file order is the Seq order.
 func (db *DB) appendWAL(recs []walRec) error {
 	w := db.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	line := walLine{Seq: db.seq.Add(1), Commit: true, Recs: recs}
-	payload := wire.GetBuf()
-	payload, err := appendWalLine(payload, &line)
-	if err != nil {
-		wire.PutBuf(payload)
-		return err
+	buf, err := appendWalLine(w.buf[:0], &line)
+	if err == nil {
+		payload := len(buf)
+		buf = wire.AppendRecord(buf, buf[:payload])
+		var n int
+		n, err = w.w.Write(buf[payload:])
+		w.bytes += int64(n)
 	}
-	framed := wire.GetBuf()
-	framed = wire.AppendRecord(framed, payload)
-	wire.PutBuf(payload)
-	n, err := w.w.Write(framed)
-	w.bytes += int64(n)
-	wire.PutBuf(framed)
+	if cap(buf) <= maxWALScratch {
+		w.buf = buf
+	} else {
+		w.buf = nil
+	}
 	if err != nil {
 		return err
 	}
@@ -367,16 +381,16 @@ type replayer struct {
 }
 
 // lock takes the schema lock exclusively and opens a transaction that
-// counts every table as write-locked, so its operations take no table
-// lock of their own. Holding the schema lock is what makes that true.
+// counts every table as write-held without taking a table lock.
+// Holding the schema lock is what makes that true.
 func (rp *replayer) lock() {
 	if rp.tx != nil {
 		return
 	}
 	rp.db.metaMu.Lock()
-	rp.tx = &Tx{db: rp.db, modes: make(map[string]lockMode, len(rp.db.tables))}
-	for name := range rp.db.tables {
-		rp.tx.modes[name] = lockWrite
+	rp.tx = &Tx{db: rp.db}
+	for _, t := range rp.db.tables {
+		rp.tx.held = need(rp.tx.held, t, lockWrite)
 	}
 }
 

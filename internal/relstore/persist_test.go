@@ -100,7 +100,7 @@ func TestWALReplayRebuildsDatabase(t *testing.T) {
 func TestWALRollbackLeavesNoTrace(t *testing.T) {
 	dir := t.TempDir()
 	db := newDurableCourseDB(t, dir)
-	tx, _ := db.Begin()
+	tx, _ := db.Begin("scripts")
 	if err := tx.Insert("scripts", Row{"script_name": "ghost"}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func seedScripts(t *testing.T, db *DB, n int) {
 	t.Helper()
-	tx, _ := db.Begin()
+	tx, _ := db.Begin("scripts")
 	for i := 0; i < n; i++ {
 		err := tx.Insert("scripts", Row{
 			"script_name":  fmt.Sprintf("s%03d", i),
@@ -361,7 +361,7 @@ func TestCompositeAndPartialIndexesMatchScan(t *testing.T) {
 					if err != nil || len(rows) != want {
 						t.Fatalf("select %s/%s %v: %d rows (err %v), scan says %d", kind, obj, closed.Op, len(rows), err, want)
 					}
-					tx, _ := db.Begin()
+					tx, _ := db.Begin("ledger")
 					n, err := tx.Count(q)
 					tx.Rollback()
 					if err != nil || n != want {

@@ -119,7 +119,7 @@ var (
 	ErrSchema      = errors.New("relstore: invalid schema")
 	ErrTxDone      = errors.New("relstore: transaction already finished")
 	ErrKeyChange   = errors.New("relstore: primary key of a row cannot be updated")
-	ErrLockOrder   = errors.New("relstore: table locks must be acquired in sorted order")
+	ErrUndeclared  = errors.New("relstore: table not declared at Begin")
 	ErrWALOpen     = errors.New("relstore: a write-ahead log is already attached")
 
 	// ErrPrePositional reports a snapshot or WAL record written while

@@ -31,56 +31,42 @@ type walRec struct {
 }
 
 // Tx is a transaction over a set of tables. The engine uses per-table
-// two-phase locking: the transaction holds exclusive locks on the
-// tables it writes and shared locks on their foreign-key neighbours
-// from first touch (or from Begin, when declared) until Commit or
-// Rollback. Transactions over disjoint tables run in parallel, and
-// queries of unrelated tables are never blocked. Rollback restores the
-// exact pre-transaction state.
+// two-phase locking: Begin takes exclusive locks on the tables the
+// transaction declares and shared locks on their foreign-key
+// neighbours, and the transaction holds exactly those until Commit or
+// Rollback. It writes only declared tables and reads only tables it
+// holds; any other table fails with ErrUndeclared. Transactions over
+// disjoint tables run in parallel, and queries of unrelated tables are
+// never blocked. Rollback restores the exact pre-transaction state.
 //
 // A transaction belongs to one goroutine. While it is open that
 // goroutine must read through the transaction's own Get/Select (which
 // see its uncommitted writes) rather than the DB-level methods, which
 // would wait for the transaction's locks.
 type Tx struct {
-	db    *DB
-	modes map[string]lockMode // table name -> strongest held mode
-	held  []heldLock          // acquisition order, for release
-	top   string              // greatest table name locked so far
-	undo  []undoOp
-	redo  []walRec
-	done  bool
+	db   *DB
+	held []heldLock // sorted by table name
+	undo []undoOp
+	redo []walRec
+	done bool
 }
 
-// Begin opens a transaction. Declaring the tables the transaction will
-// write acquires every lock up front in sorted order, which is required
-// when the transaction writes tables in an order that is not itself
-// ascending. With no declared tables, locks are acquired lazily at
-// first touch; that succeeds whenever each newly touched table sorts
-// after all tables already locked (single-table transactions always
-// do), and fails with ErrLockOrder otherwise.
+// Begin opens a transaction over the tables it declares, in any order:
+// it takes every lock the transaction will hold before it returns, in
+// ascending name order, so it never deadlocks with another
+// transaction.
 func (db *DB) Begin(tables ...string) (*Tx, error) {
 	db.metaMu.RLock()
-	tx := &Tx{db: db, modes: make(map[string]lockMode)}
-	if len(tables) == 0 {
-		return tx, nil
-	}
-	needs := make(map[string]lockMode)
+	tx := &Tx{db: db}
 	for _, name := range tables {
-		if _, ok := db.tables[name]; !ok {
+		t, ok := db.tables[name]
+		if !ok {
 			db.metaMu.RUnlock()
 			return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 		}
-		for n, m := range db.writeNeeds(name) {
-			if m > needs[n] {
-				needs[n] = m
-			}
-		}
+		tx.held = db.writeNeeds(tx.held, t)
 	}
-	if err := tx.acquire(needs); err != nil {
-		tx.release()
-		return nil, err
-	}
+	tx.lock()
 	return tx, nil
 }
 
@@ -162,38 +148,23 @@ func (tx *Tx) log(rec walRec) {
 	}
 }
 
-// writeTable resolves a table the transaction is about to write,
-// taking its write lock and its neighbours' read locks.
-func (tx *Tx) writeTable(name string) (*table, error) {
+// table resolves a table the transaction holds with at least mode.
+func (tx *Tx) table(name string, mode lockMode) (*table, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	t, ok := tx.db.tables[name]
-	if !ok {
+	if i, ok := heldIndex(tx.held, name); ok && tx.held[i].mode >= mode {
+		return tx.held[i].t, nil
+	}
+	if _, ok := tx.db.tables[name]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
-	return t, tx.acquireWrite(name)
-}
-
-// readTable resolves a table the transaction is about to read,
-// read-locking it unless the transaction already holds it.
-func (tx *Tx) readTable(name string) (*table, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	t, ok := tx.db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	if tx.modes[name] != 0 {
-		return t, nil
-	}
-	return t, tx.acquire(map[string]lockMode{name: lockRead})
+	return nil, fmt.Errorf("%w: %s", ErrUndeclared, name)
 }
 
 // Insert adds a row inside the transaction.
 func (tx *Tx) Insert(tableName string, r Row) error {
-	t, err := tx.writeTable(tableName)
+	t, err := tx.table(tableName, lockWrite)
 	if err != nil {
 		return err
 	}
@@ -206,7 +177,7 @@ func (tx *Tx) Insert(tableName string, r Row) error {
 
 // insertTuple adds an already coerced tuple, as WAL replay decodes it.
 func (tx *Tx) insertTuple(tableName string, tp tuple) error {
-	t, err := tx.writeTable(tableName)
+	t, err := tx.table(tableName, lockWrite)
 	if err != nil {
 		return err
 	}
@@ -226,7 +197,7 @@ func (tx *Tx) insert(t *table, tp tuple) error {
 // Update merges column changes into an existing row inside the
 // transaction. Changing the primary-key column is rejected.
 func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
-	t, err := tx.writeTable(tableName)
+	t, err := tx.table(tableName, lockWrite)
 	if err != nil {
 		return err
 	}
@@ -283,7 +254,7 @@ func (tx *Tx) Update(tableName string, pkVal any, changes Row) error {
 // Delete removes a row inside the transaction, enforcing referential
 // integrity (restrict semantics).
 func (tx *Tx) Delete(tableName string, pkVal any) error {
-	t, err := tx.writeTable(tableName)
+	t, err := tx.table(tableName, lockWrite)
 	if err != nil {
 		return err
 	}
@@ -301,10 +272,11 @@ func (tx *Tx) Delete(tableName string, pkVal any) error {
 }
 
 // Get fetches a row by primary key from inside the transaction, seeing
-// the transaction's own uncommitted writes. The table is read-locked
-// lazily if the transaction does not already hold it.
+// the transaction's own uncommitted writes. The table must be one the
+// transaction holds, declared or a declared table's foreign-key
+// neighbour; any other fails with ErrUndeclared.
 func (tx *Tx) Get(tableName string, pkVal any) (Row, error) {
-	t, err := tx.readTable(tableName)
+	t, err := tx.table(tableName, lockRead)
 	if err != nil {
 		return nil, err
 	}
@@ -312,10 +284,10 @@ func (tx *Tx) Get(tableName string, pkVal any) (Row, error) {
 }
 
 // Select runs a query inside the transaction, seeing the transaction's
-// own uncommitted writes. The table is read-locked lazily if the
-// transaction does not already hold it.
+// own uncommitted writes. The table must be one the transaction holds,
+// as for Get.
 func (tx *Tx) Select(q Query) ([]Row, error) {
-	t, err := tx.readTable(q.Table)
+	t, err := tx.table(q.Table, lockRead)
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +296,10 @@ func (tx *Tx) Select(q Query) ([]Row, error) {
 
 // Count reports how many rows match the query's conditions (OrderBy
 // and Limit play no part) as seen inside the transaction, without
-// cloning them. The table is read-locked lazily like Select.
+// cloning them. The table must be one the transaction holds, as for
+// Get.
 func (tx *Tx) Count(q Query) (int, error) {
-	t, err := tx.readTable(q.Table)
+	t, err := tx.table(q.Table, lockRead)
 	if err != nil {
 		return 0, err
 	}

@@ -6,9 +6,9 @@
 // codec every RPC message that does not encode itself goes through
 // (body.go). It replaces gob on the wire (which re-sends type
 // descriptors and re-walks reflection on every message) and JSON in
-// the WAL (which base64-wraps every []byte), and recycles its encode
-// buffers through a sync.Pool so steady-state traffic allocates
-// nothing for framing.
+// the WAL (which base64-wraps every []byte). Every function appends to
+// a buffer its caller owns, so a caller that keeps one buffer
+// allocates nothing for framing.
 //
 // Every magic byte lives in [0x80, 0xF7]: a gob stream always starts
 // with a segment length encoded either as one byte < 0x80 or as a
@@ -27,7 +27,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -76,31 +75,6 @@ func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 // ChecksumUpdate returns the checksum of the bytes crc covered followed
 // by p, so a trailer can cover bytes that do not sit in one slice.
 func ChecksumUpdate(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
-
-// maxPooledBuf bounds the buffers the pool retains: a one-off giant
-// frame (a full-media bundle) should not pin its backing array for
-// the life of the process.
-const maxPooledBuf = 1 << 20
-
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// GetBuf returns a zero-length scratch buffer from the pool.
-func GetBuf() []byte { return (*bufPool.Get().(*[]byte))[:0] }
-
-// PutBuf recycles a buffer obtained from GetBuf (pass the final,
-// possibly reallocated slice). Oversized buffers are dropped.
-func PutBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:0]
-	bufPool.Put(&b)
-}
 
 // AppendUvarint appends v in unsigned LEB128.
 func AppendUvarint(dst []byte, v uint64) []byte {

@@ -470,17 +470,6 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	if len(b) != 0 {
-		t.Fatal("pooled buffer not empty")
-	}
-	b = append(b, "scratch"...)
-	PutBuf(b)
-	// Oversized buffers must be dropped, not retained.
-	PutBuf(make([]byte, 0, maxPooledBuf*2))
-}
-
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: the codec against the encodings it replaces. These
 // ride in the CI benchtime=1x compile check with every other package's
@@ -505,7 +494,7 @@ func BenchmarkAppendValueRow(b *testing.B) {
 	for k := range row {
 		keys = append(keys, k)
 	}
-	buf := GetBuf()
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -553,14 +542,13 @@ func BenchmarkRecordRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		buf := GetBuf()
-		buf = AppendRecord(buf, payload)
+		buf = AppendRecord(buf[:0], payload)
 		got, err := ReadRecord(bufio.NewReader(bytes.NewReader(buf)), 0)
 		if err != nil || len(got) != len(payload) {
 			b.Fatalf("round trip: %v", err)
 		}
-		PutBuf(buf)
 	}
 }
 
