@@ -18,9 +18,7 @@ fmt-check:
 
 # Project linter: webdoclint type-checks every package and enforces
 # the invariants go vet cannot see — atomic-write discipline, errors.Is
-# over sentinel ==, trace propagation in handler scopes, route-around
-# classification where the tree kernel picks its classifier
-# (fabric.hopRules), wire-tag encode/decode coverage, and a non-test
+# over sentinel ==, trace propagation in handler scopes, and a non-test
 # caller for every name declared in internal/ (unreached: a name only
 # tests call is moved into a test file, deleted or waived with the
 # paper section or the test it serves). Zero dependencies; the only

@@ -724,6 +724,8 @@ func BenchmarkFabricBroadcast(b *testing.B) {
 				}
 				defer st.Close()
 			}
+			admin := fabric.DialAdmin(root.Addr())
+			defer admin.Close()
 			spec := workload.DefaultSpec(1)
 			spec.Pages = 6
 			spec.MediaScaleDown = 16384
@@ -750,7 +752,7 @@ func BenchmarkFabricBroadcast(b *testing.B) {
 						b.Fatalf("station %d: %s", sr.Pos, sr.Err)
 					}
 				}
-				if _, err := root.EndLecture(spec.URL); err != nil {
+				if _, err := admin.EndLecture(spec.URL); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -785,6 +787,8 @@ func benchObsFabric(b *testing.B, obsOn bool) {
 		defer st.Close()
 		stations = append(stations, st)
 	}
+	admin := fabric.DialAdmin(root.Addr())
+	defer admin.Close()
 	if !obsOn {
 		for _, st := range stations {
 			st.Node().SetObserver(nil)
@@ -811,7 +815,7 @@ func benchObsFabric(b *testing.B, obsOn bool) {
 				b.Fatalf("station %d: %s", sr.Pos, sr.Err)
 			}
 		}
-		if _, err := root.EndLecture(spec.URL); err != nil {
+		if _, err := admin.EndLecture(spec.URL); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -847,6 +851,8 @@ func benchEventsFabric(b *testing.B, eventsOn bool) {
 		defer st.Close()
 		stations = append(stations, st)
 	}
+	admin := fabric.DialAdmin(root.Addr())
+	defer admin.Close()
 	if !eventsOn {
 		for _, st := range stations {
 			st.Node().Observer().DisableEventJournal()
@@ -873,7 +879,7 @@ func benchEventsFabric(b *testing.B, eventsOn bool) {
 				b.Fatalf("station %d: %s", sr.Pos, sr.Err)
 			}
 		}
-		if _, err := root.EndLecture(spec.URL); err != nil {
+		if _, err := admin.EndLecture(spec.URL); err != nil {
 			b.Fatal(err)
 		}
 	}

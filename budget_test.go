@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/docdb"
 	"repro/internal/fabric"
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/search"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -249,6 +251,54 @@ func TestResolveHopAllocBudget(t *testing.T) {
 		}
 	}
 	checkAllocBudget(t, "a Resolve hop", 3, 200, resolve, resolveHopAllocBudget, resolveHopByteBudget)
+}
+
+// The budget of one SearchLocal round trip, both sides counted, about
+// 10 % above the 97 allocations and 9,320 bytes measured (ten hits
+// for a one-term query).
+const (
+	searchLocalAllocBudget = 107
+	searchLocalByteBudget  = 10250
+)
+
+// TestSearchLocalAllocBudget pins what one station-local search costs
+// over the wire, the call the scatter-gather search makes at every
+// station: the request, the query against the content index of a
+// station holding lectureSpec's course, the ranked hits' reply and the
+// caller's decode of them.
+func TestSearchLocalAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the budget is for the optimized build; -race instrumentation allocates more")
+	}
+	store, err := workload.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := search.Attach(store); err != nil {
+		t.Fatal(err)
+	}
+	spec := lectureSpec()
+	if _, _, err := workload.AuthorCourse(store, spec); err != nil {
+		t.Fatal(err)
+	}
+	node := cluster.NewNode(1, store)
+	addr, err := node.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	rs, err := cluster.DialStation(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	query := func() {
+		hits, err := rs.SearchLocal([]string{"lecture"}, false, 10)
+		if err != nil || len(hits) != spec.Pages {
+			t.Fatalf("search: %d hits, %v; want one per page of %d", len(hits), err, spec.Pages)
+		}
+	}
+	checkAllocBudget(t, "a SearchLocal round trip", 10, 2000, query, searchLocalAllocBudget, searchLocalByteBudget)
 }
 
 // TestRestartHashBudget pins, as exact counts, the media a durable

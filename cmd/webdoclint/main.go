@@ -1,8 +1,7 @@
 // Command webdoclint runs the project's static analyzers — the build-
 // time guard for the fabric's cross-cutting invariants (durable writes
 // through atomicio, errors.Is on sentinels, trace propagation in
-// handler scopes, route-around classification, wire-tag codec
-// exhaustiveness, and a non-test caller for every name declared in
+// handler scopes, and a non-test caller for every name declared in
 // internal/).
 // It is stdlib-only: packages are parsed with go/parser and
 // type-checked with go/types against source, no x/tools.

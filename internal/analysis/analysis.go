@@ -68,11 +68,9 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicWrite,
-		RouteAround,
 		SentinelErr,
 		TraceCall,
 		Unreached,
-		WireTag,
 	}
 }
 

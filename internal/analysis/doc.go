@@ -13,16 +13,11 @@
 // position-tagged diagnostic sink. Run applies a set of analyzers to a
 // set of packages and returns the merged, position-sorted diagnostics.
 //
-// The six project analyzers encode invariants the rest of the
+// The four project analyzers encode invariants the rest of the
 // codebase relies on but go vet cannot see:
 //
 //   - atomicwrite: no raw os.Create, os.WriteFile or os.Rename outside
 //     internal/atomicio — file installation is temp, fsync, rename.
-//   - routearound: every route-around classifier a function hands
-//     out — the fabric kernel's hopRules picks one from an operation's
-//     idempotent flag — is grounded in transport.Unreachable; grafting
-//     on any other error class re-delivers to subtrees whose relay
-//     already ran.
 //   - sentinelerr: comparisons against the module's Err* sentinels use
 //     errors.Is, not == or !=, so wrapped errors keep matching.
 //   - tracecall: inside traced scopes (CtxHandler registrations,
@@ -34,9 +29,11 @@
 //     what only tests call lives in a test file. It counts references
 //     over the whole run, so Lint loads the whole module even when
 //     asked for one package.
-//   - wiretag: every tag constant in a wire package is referenced by
-//     an Append-side function and has a case arm in a Read-side
-//     switch, keeping the codec's encode and decode tables in lockstep.
+//
+// A rule that guards one site is a test in that site's package, not an
+// analyzer: wire's TestValueTagsMatchTheDecoder keeps the codec's tag
+// tables in lockstep, and fabric's TestFanOutClassifiesChildFailures
+// pins the route-around classifiers hopRules picks.
 //
 // Deliberate exceptions are waived in place with
 //

@@ -111,10 +111,8 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 
 func TestAtomicWriteFixture(t *testing.T)  { checkFixture(t, "atomicwrite", []*Analyzer{AtomicWrite}) }
 func TestAtomicioExemption(t *testing.T)   { checkFixture(t, "atomicio", []*Analyzer{AtomicWrite}) }
-func TestRouteAroundFixture(t *testing.T)  { checkFixture(t, "routearound", []*Analyzer{RouteAround}) }
 func TestSentinelErrFixture(t *testing.T)  { checkFixture(t, "sentinelerr", []*Analyzer{SentinelErr}) }
 func TestTraceCallFixture(t *testing.T)    { checkFixture(t, "tracecall", []*Analyzer{TraceCall}) }
-func TestWireTagFixture(t *testing.T)      { checkFixture(t, "wiretag", []*Analyzer{WireTag}) }
 func TestSuppressionsFixture(t *testing.T) { checkFixture(t, "suppress", []*Analyzer{AtomicWrite}) }
 func TestUnreachedFixture(t *testing.T)    { checkFixture(t, "unreached", []*Analyzer{Unreached}) }
 

@@ -63,11 +63,7 @@ func (s *Station) handleEndLecture(ctx *transport.Ctx, decode func(any) error) (
 	if err := decode(&req); err != nil {
 		return nil, err
 	}
-	res, err := s.endLectureSpanned(req.URL, ctx.Span())
-	if err != nil {
-		return nil, err
-	}
-	return *res, nil
+	return s.endLecture(req.URL, ctx.Span())
 }
 
 // Admin is a typed administrative client for fabric stations — the

@@ -374,24 +374,15 @@ func (s *Station) exportLocal(url string) (*docdb.Bundle, error) {
 	return s.store.ExportBundle(url)
 }
 
-// EndLecture migrates every non-persistent instance of the document in
+// endLecture migrates every non-persistent instance of the document in
 // the tree back to a reference, reclaiming the buffer space — "after a
 // lecture is presented, duplicated document instances migrate to
 // document references." Dead stations are routed around; their copies
 // are reconciled at rejoin, when catch-up rebuilds the document as a
-// reference.
-//
-//lint:ignore unreached test hook: the root package's BenchmarkFabricBroadcast pairs and fabric's lecture tests end a lecture in process through it
-func (s *Station) EndLecture(url string) (*MigrateReply, error) {
-	span := s.observer().BeginLocal(methodEndLecture)
-	res, err := s.endLectureSpanned(url, span)
-	span.End(err)
-	return res, err
-}
-
-func (s *Station) endLectureSpanned(url string, span *obs.ActiveSpan) (*MigrateReply, error) {
+// reference. Admin.EndLecture runs it on the root.
+func (s *Station) endLecture(url string, span *obs.ActiveSpan) (MigrateReply, error) {
 	if !s.isRoot {
-		return nil, fmt.Errorf("%w: end-lecture migration", ErrNotRoot)
+		return MigrateReply{}, fmt.Errorf("%w: end-lecture migration", ErrNotRoot)
 	}
 	v := s.view()
 	// Flip the catalog before the fan-out, as in Broadcast: a rejoin
@@ -401,7 +392,7 @@ func (s *Station) endLectureSpanned(url string, span *obs.ActiveSpan) (*MigrateR
 	reply := s.migrateSubtree(v.pos, MigrateRequest{URL: url, Topology: v.Topology}, span)
 	reply.TraceID = span.Context().TraceID
 	sortResults(reply.Stations)
-	return &reply, nil
+	return reply, nil
 }
 
 // migrateLocal migrates this station's own copy if it is a

@@ -55,6 +55,14 @@ func newFabric(t *testing.T, n, m, watermark int) []*Station {
 	return stations
 }
 
+// endLecture runs the end-of-lecture migration on the root through its
+// administrative RPC, as webdocctl does.
+func endLecture(root *Station, url string) (MigrateReply, error) {
+	admin := DialAdmin(root.Addr())
+	defer admin.Close()
+	return admin.EndLecture(url)
+}
+
 func smallCourse(n int) workload.CourseSpec {
 	spec := workload.DefaultSpec(n)
 	spec.Pages = 6
@@ -336,7 +344,7 @@ func TestEndLectureMigratesAndReclaims(t *testing.T) {
 	if held == 0 {
 		t.Fatal("nothing materialized by the broadcast")
 	}
-	reply, err := stations[0].EndLecture(spec.URL)
+	reply, err := endLecture(stations[0], spec.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +499,7 @@ func TestFabricMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := stations[0].EndLecture(specA.URL); err != nil {
+	if _, err := endLecture(stations[0], specA.URL); err != nil {
 		t.Fatal(err)
 	}
 

@@ -295,7 +295,7 @@ func TestRejoinCatchesUpOnMissedBroadcasts(t *testing.T) {
 	if _, err := root.Broadcast(specB.URL, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := root.EndLecture(specB.URL); err != nil {
+	if _, err := endLecture(root, specB.URL); err != nil {
 		t.Fatal(err)
 	}
 	probeUntilDown(t, root, 3)
@@ -380,7 +380,7 @@ func TestCatchUpReclaimsInstanceFromMissedMigration(t *testing.T) {
 	durable := stations[2].Store() // stands in for the WAL-restored state
 	stations[2].Close()
 	probeUntilDown(t, root, 3)
-	if _, err := root.EndLecture(spec.URL); err != nil {
+	if _, err := endLecture(root, spec.URL); err != nil {
 		t.Fatal(err)
 	}
 	if durable.Blobs().Stats().PhysicalBytes == 0 {

@@ -344,7 +344,7 @@ func TestResolveNeverServesHalfMigratedBundle(t *testing.T) {
 				t.Errorf("broadcast %d: %v", i, err)
 				return
 			}
-			if _, err := root.EndLecture(spec.URL); err != nil {
+			if _, err := endLecture(root, spec.URL); err != nil {
 				t.Errorf("end-lecture %d: %v", i, err)
 				return
 			}

@@ -235,7 +235,7 @@ func TestResolveReplyIntactWhileMediaAreReleased(t *testing.T) {
 				}
 			}()
 		}
-		if _, err := stations[0].EndLecture(spec.URL); err != nil {
+		if _, err := endLecture(stations[0], spec.URL); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()

@@ -53,7 +53,7 @@ func TestStatsScrapeUnderFabricTraffic(t *testing.T) {
 				t.Errorf("resolve: %v", err)
 			}
 		}
-		if _, err := stations[0].EndLecture(spec.URL); err != nil {
+		if _, err := endLecture(stations[0], spec.URL); err != nil {
 			t.Errorf("migrate: %v", err)
 		}
 	}()

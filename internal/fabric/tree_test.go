@@ -21,7 +21,9 @@ import (
 // ways a call can, for a read and for a delivery. It pins the
 // asymmetry the kernel exists to hold in one place: which failures are
 // repaired by grafting, which mark the child suspect, and how many
-// times the failing child is called.
+// times the failing child is called. The application-error cells are
+// what keep hopRules' classifiers grounded in transport.Unreachable: a
+// classifier that grafts on any error fails them.
 func TestFanOutClassifiesChildFailures(t *testing.T) {
 	refused := &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
 	timedOut := fmt.Errorf("transport: Fabric.Search to s2: %w", transport.ErrTimeout)

@@ -117,7 +117,8 @@ func AppendTime(dst []byte, t time.Time) []byte {
 	return AppendUvarint(dst, uint64(t.Nanosecond()))
 }
 
-// Value type tags.
+// Value type tags. TestValueTagsMatchTheDecoder requires that Value
+// decodes exactly the tags AppendValue writes.
 const (
 	tagNil   = 0
 	tagInt   = 1

@@ -13,21 +13,25 @@ import (
 	"time"
 )
 
+// canonicalValues holds every kind AppendValue accepts, the relational
+// engine's canonical set, with its edge values. A kind AppendValue
+// gains goes here too, or no round-trip or tag test sees it.
+var canonicalValues = []any{
+	nil,
+	int64(0), int64(1), int64(-1), int64(math.MaxInt64), int64(math.MinInt64),
+	float64(0), 3.14159, math.Inf(1), math.Inf(-1), -0.0,
+	"", "hello", "héllo wörld \x00 with bytes",
+	[]byte(nil), []byte{0xDE, 0xAD, 0xBE, 0xEF}, bytes.Repeat([]byte{7}, 4096),
+	true, false,
+	time.Unix(0, 0).UTC(),
+	time.Date(1999, 9, 21, 12, 30, 45, 123456789, time.UTC),
+	time.Date(1600, 1, 1, 0, 0, 0, 999999999, time.UTC), // pre-Unix, beyond UnixNano range is fine too
+	time.Date(2400, 6, 15, 8, 0, 0, 1, time.UTC),
+}
+
 func TestValueRoundTrip(t *testing.T) {
-	values := []any{
-		nil,
-		int64(0), int64(1), int64(-1), int64(math.MaxInt64), int64(math.MinInt64),
-		float64(0), 3.14159, math.Inf(1), math.Inf(-1), -0.0,
-		"", "hello", "héllo wörld \x00 with bytes",
-		[]byte(nil), []byte{0xDE, 0xAD, 0xBE, 0xEF}, bytes.Repeat([]byte{7}, 4096),
-		true, false,
-		time.Unix(0, 0).UTC(),
-		time.Date(1999, 9, 21, 12, 30, 45, 123456789, time.UTC),
-		time.Date(1600, 1, 1, 0, 0, 0, 999999999, time.UTC), // pre-Unix, beyond UnixNano range is fine too
-		time.Date(2400, 6, 15, 8, 0, 0, 1, time.UTC),
-	}
 	var buf []byte
-	for _, v := range values {
+	for _, v := range canonicalValues {
 		var err error
 		buf, err = AppendValue(buf, v)
 		if err != nil {
@@ -35,7 +39,7 @@ func TestValueRoundTrip(t *testing.T) {
 		}
 	}
 	r := NewReader(buf)
-	for _, want := range values {
+	for _, want := range canonicalValues {
 		got := r.Value()
 		if r.Err() != nil {
 			t.Fatalf("decoding %#v: %v", want, r.Err())
@@ -57,6 +61,43 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("%d bytes left over", r.Len())
+	}
+}
+
+// TestValueTagsMatchTheDecoder keeps the codec's two tag tables in
+// lockstep: the first bytes AppendValue writes for the canonical set
+// are exactly the first bytes Value and ValueIn decode. A kind that is
+// written but has no decode arm produces values a peer or a restart
+// rejects as corrupt; a decode arm nothing writes is dead dispatch.
+// Each tag is followed by eight zero bytes, a payload every kind's
+// decoder accepts (a zero int, float, length or instant).
+func TestValueTagsMatchTheDecoder(t *testing.T) {
+	written := map[byte]bool{}
+	for _, v := range canonicalValues {
+		b, err := AppendValue(nil, v)
+		if err != nil {
+			t.Fatalf("AppendValue(%#v): %v", v, err)
+		}
+		written[b[0]] = true
+	}
+	for tag := 0; tag < 256; tag++ {
+		in := append([]byte{byte(tag)}, make([]byte, 8)...)
+		r, ri := NewReader(in), NewReader(in)
+		r.Value()
+		ri.ValueIn(new(Interner))
+		for _, got := range []struct {
+			decoder string
+			err     error
+		}{{"Value", r.Err()}, {"ValueIn", ri.Err()}} {
+			switch {
+			case written[byte(tag)] && got.err != nil:
+				t.Errorf("%s rejects tag %d, which AppendValue writes: %v", got.decoder, tag, got.err)
+			case !written[byte(tag)] && got.err == nil:
+				t.Errorf("%s decodes tag %d, which AppendValue never writes", got.decoder, tag)
+			case !written[byte(tag)] && (!errors.Is(got.err, ErrCorrupt) || !strings.Contains(got.err.Error(), "unknown value tag")):
+				t.Errorf("%s on tag %d: err = %v, want ErrCorrupt for an unknown value tag", got.decoder, tag, got.err)
+			}
+		}
 	}
 }
 
